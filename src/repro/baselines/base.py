@@ -148,6 +148,7 @@ class BaselineEngine:
         for table in self._tables:
             table.release()
         self._residence.release()
+        self._tables.clear()  # each table points back through ``owner``
         self._closed = True
 
     def __enter__(self):

@@ -71,6 +71,62 @@ def _first_occurrence_mask(
     return keep
 
 
+def _checked_columns(
+    what: str,
+    table: EmbeddingTable,
+    anchor_cols: Sequence[int],
+    greater_than_col: int | None,
+    greater_than_cols: Sequence[int],
+    less_than_cols: Sequence[int],
+) -> tuple[list[int], list[int], list[int]]:
+    """Validate a vertex extension's column arguments; returns sorted
+    distinct anchors and the two ordering-column lists (the
+    ``greater_than_col`` shorthand folded in)."""
+    if table.kind != VERTEX:
+        raise ExecutionError(f"{what} requires a vertex table")
+    anchor_cols = sorted(set(int(c) for c in anchor_cols))
+    depth = table.depth
+    if not anchor_cols or anchor_cols[-1] >= depth or anchor_cols[0] < 0:
+        raise ExecutionError(f"bad anchor columns {anchor_cols} for depth {depth}")
+    greater_than_cols = list(greater_than_cols)
+    if greater_than_col is not None:
+        greater_than_cols.append(int(greater_than_col))
+    less_than_cols = list(less_than_cols)
+    for col in greater_than_cols + less_than_cols:
+        if not 0 <= col < depth:
+            raise ExecutionError(f"ordering column {col} out of range")
+    return anchor_cols, greater_than_cols, less_than_cols
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate int64 arrays; a lone part is returned as is."""
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _expand_lists(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``values[starts[i]:starts[i] + lengths[i]]`` concatenated as the
+    candidates of ``rows[i]``; returns ``(cand, cand_row)``."""
+    return values[expand_ranges(starts, starts + lengths)], rows.repeat(lengths)
+
+
+def _merge_by_row(
+    parts: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Join ``(cand, cand_row)`` batches that are each sorted by row into
+    one that is: a stable sort by row, needed only when more than one part
+    contributed."""
+    cand = _concat([part[0] for part in parts])
+    cand_row = _concat([part[1] for part in parts])
+    if len(parts) > 1:
+        order = np.argsort(cand_row, kind="stable")
+        cand, cand_row = cand[order], cand_row[order]
+    return cand, cand_row
+
+
 @dataclass
 class ExtensionStats:
     """Work accounting for one extension call."""
@@ -194,39 +250,34 @@ class ExtensionEngine:
         cand_row: np.ndarray,
         mats: np.ndarray,
         verify_cols: Sequence[int],
-        depth: int,
+        distinct_cols: Sequence[int],
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
-        injective: bool,
-        label: int | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply constraint pushdown to a candidate batch; returns the
         surviving ``(cand, cand_row)`` in original candidate order.
 
-        Every constraint is a pure per-candidate predicate of
-        ``(row, value)``, so the survivor set is independent of evaluation
-        order — with one charged exception: ``labels_of`` bills device reads
-        for exactly the candidates that survived every *other* constraint,
-        so the label filter always runs last.  The fast pipeline compresses
-        the arrays after each predicate (cheap ordering filters first, edge
-        verification on the shrunken remainder) instead of AND-ing
-        full-width boolean masks; the reference pipeline keeps the original
-        mask cascade.  Identical survivors, identical charges.
+        A candidate survives when it neighbors its row's ``verify_cols``
+        vertices, differs from its ``distinct_cols`` vertices and obeys the
+        id-ordering against ``greater_than_cols``/``less_than_cols``.  Every
+        constraint is a pure per-candidate predicate of ``(row, value)``, so
+        the survivor set is independent of evaluation order (the charged
+        label probe is the caller's, after all of these).  The fast pipeline
+        compresses the arrays after each predicate (cheap ordering filters
+        first, edge verification on the shrunken remainder) instead of
+        AND-ing full-width boolean masks; the reference pipeline keeps the
+        original mask cascade.  Identical survivors.
         """
         if perf.use_reference():
             mask = np.ones(len(cand), dtype=bool)
             for col in verify_cols:
                 mask &= self.graph.has_edges(mats[cand_row, col], cand)
-            if injective:
-                for col in range(depth):
-                    mask &= cand != mats[cand_row, col]
+            for col in distinct_cols:
+                mask &= cand != mats[cand_row, col]
             for col in greater_than_cols:
                 mask &= cand > mats[cand_row, col]
             for col in less_than_cols:
                 mask &= cand < mats[cand_row, col]
-            if label is not None:
-                live = np.flatnonzero(mask)
-                mask[live] = self.residence.labels_of(cand[live]) == label
             return cand[mask], cand_row[mask]
 
         # Cheap ordering/injectivity predicates first, fused into one mask;
@@ -243,15 +294,14 @@ class ExtensionEngine:
         for col in less_than_cols:
             m = cand < mats[cand_row, col]
             pending = m if pending is None else pending & m
-        if injective:
-            # An ordering constraint against a column already implies the
-            # candidate differs from it.
-            ordered = set(greater_than_cols) | set(less_than_cols)
-            for col in range(depth):
-                if col in ordered:
-                    continue
-                m = cand != mats[cand_row, col]
-                pending = m if pending is None else pending & m
+        # An ordering constraint against a column already implies the
+        # candidate differs from it.
+        ordered = set(greater_than_cols) | set(less_than_cols)
+        for col in distinct_cols:
+            if col in ordered:
+                continue
+            m = cand != mats[cand_row, col]
+            pending = m if pending is None else pending & m
         for col in verify_cols:
             cand, cand_row, pending = self._compress(cand, cand_row, pending)
             if len(cand) == 0:
@@ -261,9 +311,6 @@ class ExtensionEngine:
         cand, cand_row, __ = self._compress(
             cand, cand_row, pending, force=True
         )
-        if label is not None:
-            keep = self.residence.labels_of(cand) == label
-            cand, cand_row = cand[keep], cand_row[keep]
         return cand, cand_row
 
     @staticmethod
@@ -278,7 +325,10 @@ class ExtensionEngine:
             return cand, cand_row, None
         kept = int(np.count_nonzero(pending))
         if force or kept * 4 <= len(cand) * 3:
-            return cand[pending], cand_row[pending], None
+            # One scan of the mask, then two gathers: faster than boolean
+            # indexing each array.
+            live = np.flatnonzero(pending)
+            return cand[live], cand_row[live], None
         return cand, cand_row, pending
 
     def _account_writes(
@@ -341,16 +391,11 @@ class ExtensionEngine:
         less_than_cols: Sequence[int],
         injective: bool,
     ) -> ExtensionStats:
-        if table.kind != VERTEX:
-            raise ExecutionError("extend_vertices_any requires a vertex table")
-        anchor_cols = sorted(set(int(c) for c in anchor_cols))
+        anchor_cols, greater_than_cols, less_than_cols = _checked_columns(
+            "extend_vertices_any", table, anchor_cols, greater_than_col,
+            greater_than_cols, less_than_cols,
+        )
         depth = table.depth
-        if not anchor_cols or anchor_cols[-1] >= depth or anchor_cols[0] < 0:
-            raise ExecutionError(f"bad anchor columns {anchor_cols} for depth {depth}")
-        greater_than_cols = list(greater_than_cols)
-        if greater_than_col is not None:
-            greater_than_cols.append(int(greater_than_col))
-        less_than_cols = list(less_than_cols)
 
         stats = ExtensionStats(rows_in=table.num_embeddings)
         mats = table.materialize()
@@ -384,9 +429,12 @@ class ExtensionEngine:
         upper = np.bincount(cand_row, minlength=n).astype(np.int64)
 
         cand, cand_row = self._prune_candidates(
-            cand, cand_row, mats, (), depth,
-            greater_than_cols, less_than_cols, injective, label,
+            cand, cand_row, mats, (), range(depth) if injective else (),
+            greater_than_cols, less_than_cols,
         )
+        if label is not None:
+            keep = self.residence.labels_of(cand) == label
+            cand, cand_row = cand[keep], cand_row[keep]
         # Dedup within a row: a candidate adjacent to several anchors
         # appears once per anchor.  Duplicates of a (row, value) pair share
         # every constraint verdict, so deduping the *survivors* keeps
@@ -452,19 +500,11 @@ class ExtensionEngine:
         less_than_cols: Sequence[int],
         injective: bool,
     ) -> ExtensionStats:
-        if table.kind != VERTEX:
-            raise ExecutionError("extend_vertices requires a vertex table")
-        anchor_cols = sorted(set(int(c) for c in anchor_cols))
+        anchor_cols, greater_than_cols, less_than_cols = _checked_columns(
+            "extend_vertices", table, anchor_cols, greater_than_col,
+            greater_than_cols, less_than_cols,
+        )
         depth = table.depth
-        if not anchor_cols or anchor_cols[-1] >= depth or anchor_cols[0] < 0:
-            raise ExecutionError(f"bad anchor columns {anchor_cols} for depth {depth}")
-        greater_than_cols = list(greater_than_cols)
-        if greater_than_col is not None:
-            greater_than_cols.append(int(greater_than_col))
-        less_than_cols = list(less_than_cols)
-        for col in greater_than_cols + less_than_cols:
-            if not 0 <= col < depth:
-                raise ExecutionError(f"ordering column {col} out of range")
 
         stats = ExtensionStats(rows_in=table.num_embeddings)
         mats = table.materialize()
@@ -482,113 +522,25 @@ class ExtensionEngine:
             table.column_parents(table.depth - 1)
             if grouped and depth > 1 else None
         )
-
-        if self.chunk_rows is not None and n > self.chunk_rows:
-            return self._extend_vertices_rows_chunked(
-                table, stats, mats, parents, anchor_cols, prefix_cols,
-                tail_col, label, greater_than_cols, less_than_cols,
-                injective,
-            )
-
-        # ---- derive this mode's read multiset + traversal op count ---------
-        kernel_ops, read_vertices, groups = self._vertex_read_plan(
-            parents, mats, prefix_cols, tail_col
-        )
-        stats.kernel_ops = kernel_ops
-        stats.groups = groups
-        stats.list_reads = len(read_vertices)
-        if self.planner is not None:
-            self.planner.plan_extension(read_vertices)
-        self._charge_list_reads("neighbors", read_vertices)
-
-        # ---- generate candidates from each row's cheapest anchor ------------
-        # (expanding the smallest adjacency list and verifying the others —
-        # the intersection order every real GPM kernel uses)
-        offsets = self.graph.offsets  # gammalint: allow[charge] -- degree probes for anchor choice; list reads charged above
-        neighbors = self.graph.neighbors  # gammalint: allow[charge] -- degree probes for anchor choice; list reads charged above
-        anchor_deg = np.stack(
-            [offsets[mats[:, c] + 1] - offsets[mats[:, c]] for c in anchor_cols],
-            axis=1,
-        )
-        source_choice = np.argmin(anchor_deg, axis=1)
-        cand_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        # Upper bound per row = its source list length (each row belongs to
-        # exactly one source part).
-        upper = np.zeros(n, dtype=np.int64)
-        for idx, source_col in enumerate(anchor_cols):
-            rows = np.flatnonzero(source_choice == idx)
-            if len(rows) == 0:
-                continue
-            # Reuse the degree table instead of re-gathering CSR offsets.
-            lengths = anchor_deg[rows, idx]
-            starts = offsets[mats[rows, source_col]]
-            cand = neighbors[expand_ranges(starts, starts + lengths)]
-            cand_row = rows.repeat(lengths)
-            upper[rows] = lengths
-            stats.candidates += len(cand)
-            verify_cols = [c for c in anchor_cols if c != source_col]
-            cand, cand_row = self._prune_candidates(
-                cand, cand_row, mats, verify_cols, depth,
-                greater_than_cols, less_than_cols, injective, label,
-            )
-            cand_parts.append(cand)
-            row_parts.append(cand_row)
-
-        cand = np.concatenate(cand_parts) if cand_parts else np.empty(0, np.int64)
-        cand_row = np.concatenate(row_parts) if row_parts else np.empty(0, np.int64)
-
-        counts = np.bincount(cand_row, minlength=n).astype(np.int64)
-        stats.per_row_counts = counts
-        self._account_writes(counts, kernel_ops, upper)
-
-        # Keep output grouped by parent row (BFS order) regardless of which
-        # source column produced a candidate.
-        order = np.argsort(cand_row, kind="stable")
-        table.append_column(cand[order], cand_row[order])
-        stats.rows_out = len(cand)
-        self.platform.counters.add(st.EXTENSION_PASSES)
-        self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
-        return stats
-
-    def _extend_vertices_rows_chunked(
-        self,
-        table: EmbeddingTable,
-        stats: ExtensionStats,
-        mats: np.ndarray,
-        parents: np.ndarray | None,
-        anchor_cols: list[int],
-        prefix_cols: list[int],
-        tail_col: int | None,
-        label: int | None,
-        greater_than_cols: list[int],
-        less_than_cols: list[int],
-        injective: bool,
-    ) -> ExtensionStats:
-        """Vertex extension over contiguous row chunks of ``chunk_rows``.
-
-        Produces the exact embeddings of the unchunked path: every row's
-        candidates come from its single cheapest source list, rows are
-        processed in ascending order, and each chunk is stably sorted by
-        row before concatenation.  Charges differ — each chunk plans,
-        reads, and allocates independently, which is the point: per-chunk
-        device allocations (e.g. the prealloc strategy's worst-case
-        buffer) shrink with the chunk size.
-        """
-        n = len(mats)
-        depth = mats.shape[1]
-        chunk = int(self.chunk_rows or n)
+        distinct_cols = list(range(depth)) if injective else []
         offsets = self.graph.offsets  # gammalint: allow[charge] -- degree probes for anchor choice; list reads charged per chunk below
-        neighbors = self.graph.neighbors  # gammalint: allow[charge] -- degree probes for anchor choice; list reads charged per chunk below
+
+        # One pass per contiguous row chunk (a single chunk unless the
+        # halve-chunk policy set ``chunk_rows``).  Each chunk plans, reads
+        # and allocates independently, which is the point of chunking:
+        # per-chunk device allocations (e.g. the prealloc strategy's
+        # worst-case buffer) shrink with the chunk size.
+        chunk = self.chunk_rows or n
         cand_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
         count_parts: list[np.ndarray] = []
         for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            sub = mats[lo:hi]
-            sub_parents = parents[lo:hi] if parents is not None else None
+            sub = mats[lo:lo + chunk]
+            # ---- charge this mode's read multiset + traversal ops ------------
+            # (from the degree table, never from the arrays expanded below)
             kernel_ops, read_vertices, groups = self._vertex_read_plan(
-                sub_parents, sub, prefix_cols, tail_col
+                parents[lo:lo + chunk] if parents is not None else None,
+                sub, prefix_cols, tail_col,
             )
             stats.kernel_ops += kernel_ops
             stats.groups += groups
@@ -596,57 +548,196 @@ class ExtensionEngine:
             if self.planner is not None:
                 self.planner.plan_extension(read_vertices)
             self._charge_list_reads("neighbors", read_vertices)
-
-            m = hi - lo
             anchor_deg = np.stack(
                 [offsets[sub[:, c] + 1] - offsets[sub[:, c]]
                  for c in anchor_cols],
                 axis=1,
             )
-            source_choice = np.argmin(anchor_deg, axis=1)
-            upper = np.zeros(m, dtype=np.int64)
-            chunk_cands: list[np.ndarray] = []
-            chunk_rows_out: list[np.ndarray] = []
-            for idx, source_col in enumerate(anchor_cols):
-                rows = np.flatnonzero(source_choice == idx)
-                if len(rows) == 0:
-                    continue
-                lengths = anchor_deg[rows, idx]
-                starts = offsets[sub[rows, source_col]]
-                cand = neighbors[expand_ranges(starts, starts + lengths)]
-                cand_row = rows.repeat(lengths)
-                upper[rows] = lengths
-                stats.candidates += len(cand)
-                verify_cols = [c for c in anchor_cols if c != source_col]
-                cand, cand_row = self._prune_candidates(
-                    cand, cand_row, sub, verify_cols, depth,
-                    greater_than_cols, less_than_cols, injective, label,
-                )
-                chunk_cands.append(cand)
-                chunk_rows_out.append(cand_row)
+            # Upper bound per row = its shortest anchor list, the source the
+            # per-row intersection kernel expands.
+            upper = anchor_deg.min(axis=1)
+            stats.candidates += int(upper.sum())
 
-            cand = (np.concatenate(chunk_cands) if chunk_cands
-                    else np.empty(0, np.int64))
-            cand_row = (np.concatenate(chunk_rows_out) if chunk_rows_out
-                        else np.empty(0, np.int64))
-            counts = np.bincount(cand_row, minlength=m).astype(np.int64)
+            # ---- compute the surviving candidates ----------------------------
+            if perf.use_reference():
+                cand, cand_row = self._min_degree_candidates(
+                    sub, anchor_cols, anchor_deg, distinct_cols,
+                    greater_than_cols, less_than_cols, label,
+                )
+            else:
+                cand, cand_row = self._shared_prefix_candidates(
+                    sub, anchor_cols, anchor_deg, distinct_cols,
+                    greater_than_cols, less_than_cols,
+                )
+                if label is not None:
+                    cand, cand_row = self._filter_label_by_source(
+                        cand, cand_row, anchor_deg, label
+                    )
+
+            counts = np.bincount(cand_row, minlength=len(sub)).astype(np.int64)
             count_parts.append(counts)
             self._account_writes(counts, kernel_ops, upper)
-            order = np.argsort(cand_row, kind="stable")
-            cand_parts.append(cand[order])
-            row_parts.append(cand_row[order] + lo)
+            cand_parts.append(cand)
+            row_parts.append(cand_row + lo if lo else cand_row)
 
-        cand = np.concatenate(cand_parts) if cand_parts else np.empty(0, np.int64)
-        cand_row = np.concatenate(row_parts) if row_parts else np.empty(0, np.int64)
-        stats.per_row_counts = (
-            np.concatenate(count_parts) if count_parts
-            else np.empty(0, np.int64)
-        )
-        table.append_column(cand, cand_row)
+        cand = _concat(cand_parts)
+        stats.per_row_counts = _concat(count_parts)
+        # Output stays grouped by parent row (BFS order): every chunk's
+        # candidates come back sorted by row.
+        table.append_column(cand, _concat(row_parts))
         stats.rows_out = len(cand)
         self.platform.counters.add(st.EXTENSION_PASSES)
         self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
         return stats
+
+    def _min_degree_candidates(
+        self,
+        mats: np.ndarray,
+        anchor_cols: Sequence[int],
+        anchor_deg: np.ndarray,
+        distinct_cols: Sequence[int],
+        greater_than_cols: Sequence[int],
+        less_than_cols: Sequence[int],
+        label: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``mats``: the vertices adjacent to every anchor that
+        pass the constraints, generated by expanding the row's shortest
+        anchor list (``anchor_deg[r]`` holds the lengths) and verifying the
+        others — the intersection order every real GPM kernel uses.
+
+        Returns ``(cand, cand_row)``: rows ascending, candidates ascending
+        within a row (adjacency lists are sorted).  With a ``label``, each
+        source part's survivors are probed through ``labels_of``, which
+        bills them — the per-row algorithm the cost model was written
+        against, and the reference pipeline's whole extension.
+        """
+        neighbors = self.graph.neighbors  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+        offsets = self.graph.offsets  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+        source_choice = np.argmin(anchor_deg, axis=1)
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
+        for idx, source_col in enumerate(anchor_cols):
+            rows = np.flatnonzero(source_choice == idx)
+            if len(rows) == 0:
+                continue
+            cand, cand_row = _expand_lists(
+                neighbors, offsets[mats[rows, source_col]],
+                anchor_deg[rows, idx], rows,
+            )
+            cand, cand_row = self._prune_candidates(
+                cand, cand_row, mats,
+                [c for c in anchor_cols if c != source_col], distinct_cols,
+                greater_than_cols, less_than_cols,
+            )
+            if label is not None:
+                keep = self.residence.labels_of(cand) == label
+                cand, cand_row = cand[keep], cand_row[keep]
+            parts.append((cand, cand_row))
+        return _merge_by_row(parts)
+
+    def _shared_prefix_candidates(
+        self,
+        mats: np.ndarray,
+        anchor_cols: Sequence[int],
+        anchor_deg: np.ndarray,
+        distinct_cols: Sequence[int],
+        greater_than_cols: Sequence[int],
+        less_than_cols: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The survivors of :meth:`_min_degree_candidates` (same rows, same
+        order, label filter aside), computed the way pre-merge is billed
+        (Fig. 8(b)): the part of the intersection that reads only the
+        columns before the tail is the same for every row of a *group* —
+        consecutive rows agreeing on those columns, i.e. siblings under one
+        parent — so it is done once per group.
+
+        * **Phase 1, per group**: ``L_m`` = the prefix anchors' common
+          neighbors that pass every constraint on columns before the tail,
+          by the min-degree rule over the group's first row.
+        * **Phase 2, per row**: expand the shorter of ``L_m[group]`` and
+          ``N(tail)`` (the latter only when the tail is an anchor) and apply
+          what is left — tail adjacency and tail constraints on an ``L_m``
+          candidate, everything on an ``N(tail)`` candidate.
+
+        With one prefix anchor and an anchored tail ``L_m`` would be that
+        anchor's adjacency list and phase 2's choice the min-degree rule
+        itself, so that shape (and the prefix-less one) goes straight to
+        the per-row rule.  Grouping is the host's business only: what is
+        *charged* follows ``pre_merge`` in :meth:`_vertex_read_plan`.
+        """
+        tail = mats.shape[1] - 1
+        tail_anchored = anchor_cols[-1] == tail
+        prefix_cols = anchor_cols[:-1] if tail_anchored else anchor_cols
+        if not prefix_cols or (tail_anchored and len(prefix_cols) == 1):
+            return self._min_degree_candidates(
+                mats, anchor_cols, anchor_deg, distinct_cols,
+                greater_than_cols, less_than_cols,
+            )
+
+        # ---- phase 1: L_m per group, CSR-shaped -------------------------------
+        lead = np.ones(len(mats), dtype=bool)
+        lead[1:] = (mats[1:, :tail] != mats[:-1, :tail]).any(axis=1)
+        first_rows = np.flatnonzero(lead)
+        group_of_row = np.cumsum(lead) - 1
+        lm, lm_group = self._min_degree_candidates(
+            mats[first_rows], prefix_cols,
+            anchor_deg[first_rows, :len(prefix_cols)],
+            [c for c in distinct_cols if c < tail],
+            [c for c in greater_than_cols if c < tail],
+            [c for c in less_than_cols if c < tail],
+        )
+        group_len = np.bincount(lm_group, minlength=len(first_rows))
+        lm_len = group_len[group_of_row]
+        lm_start = (np.cumsum(group_len) - group_len)[group_of_row]
+
+        # ---- phase 2: tail-only work per row -----------------------------------
+        tail_only = (
+            [c for c in distinct_cols if c == tail],
+            [c for c in greater_than_cols if c == tail],
+            [c for c in less_than_cols if c == tail],
+        )
+        from_tail = (
+            anchor_deg[:, -1] < lm_len if tail_anchored
+            else np.zeros(len(mats), dtype=bool)
+        )
+        rows = np.flatnonzero(~from_tail)
+        cand, cand_row = _expand_lists(lm, lm_start[rows], lm_len[rows], rows)
+        parts = [self._prune_candidates(
+            cand, cand_row, mats, anchor_cols[len(prefix_cols):], *tail_only
+        )]
+        rows = np.flatnonzero(from_tail)
+        if len(rows):
+            cand, cand_row = _expand_lists(
+                self.graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                self.graph.offsets[mats[rows, tail]],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                anchor_deg[rows, -1], rows,
+            )
+            parts.append(self._prune_candidates(
+                cand, cand_row, mats, prefix_cols, distinct_cols,
+                greater_than_cols, less_than_cols,
+            ))
+        return _merge_by_row(parts)
+
+    def _filter_label_by_source(
+        self,
+        cand: np.ndarray,
+        cand_row: np.ndarray,
+        anchor_deg: np.ndarray,
+        label: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Keep the candidates carrying ``label``, billing the probes as the
+        per-row algorithm does: one charge per min-degree source part, in
+        anchor order, for the part's survivors of every other constraint.
+        (Clock buckets accumulate with float ``+=``, so a different split
+        of the same total would change the low bits of simulated time.)
+        """
+        survivors = np.bincount(cand_row, minlength=len(anchor_deg))
+        source_choice = np.argmin(anchor_deg, axis=1)
+        for idx in range(anchor_deg.shape[1]):
+            part = source_choice == idx
+            if part.any():
+                self.residence.charge_label_reads(int(survivors[part].sum()))
+        keep = np.flatnonzero(self.graph.labels[cand] == label)  # gammalint: allow[charge] -- billed per source part by charge_label_reads above
+        return cand[keep], cand_row[keep]
 
     def _vertex_read_plan(
         self,

@@ -662,7 +662,14 @@ class Gamma:
         return self.peak_device_bytes + self.peak_host_bytes
 
     def close(self) -> None:
-        """Release all platform resources (idempotent)."""
+        """Release all platform resources (idempotent).
+
+        Also drops the engine's own references to what it built up — the
+        tables (each points back here through ``owner``, a cycle only the
+        next full GC would break) and the checkpoint journal with its
+        snapshot — so their arrays are freed now, by refcount.  A table the
+        caller still holds (``keep_table=True``) stays readable.
+        """
         if self._closed:
             return
         for table in self._tables:
@@ -672,6 +679,9 @@ class Gamma:
         if self._spill_store is not None:
             self._spill_store.close()
         self.residence.release()
+        self._tables.clear()
+        self._journal = None
+        self._last_state = None
         self._closed = True
 
     def __enter__(self) -> "Gamma":

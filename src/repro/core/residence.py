@@ -48,7 +48,12 @@ class GraphResidence:
         raise NotImplementedError
 
     def labels_of(self, vertices: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        vertices = np.asarray(vertices, dtype=np.int64)
+        self.charge_label_reads(len(vertices))
+        return self.graph.labels[vertices]
+
+    def charge_label_reads(self, count: int) -> None:
+        """Bill ``count`` label probes (free on plain host arrays)."""
 
     def endpoints_of(self, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -120,12 +125,10 @@ class GammaResidence(GraphResidence):
         starts, ends = self._ranges(vertices)
         return self.edge_slots.gather_ranges(starts, ends)
 
-    def labels_of(self, vertices):
-        vertices = np.asarray(vertices, dtype=np.int64)
+    def charge_label_reads(self, count):
         self.platform.clock.advance(
-            clk.DEVICE_MEM, vertices.nbytes / self.platform.cost.device_bandwidth
+            clk.DEVICE_MEM, 8 * count / self.platform.cost.device_bandwidth
         )
-        return self.graph.labels[vertices]
 
     def endpoints_of(self, edge_ids):
         src_region, dst_region = self._endpoints()
@@ -197,12 +200,10 @@ class InCoreResidence(GraphResidence):
         starts, ends = self._ranges(vertices)
         return self.edge_slots.gather_ranges(starts, ends)
 
-    def labels_of(self, vertices):
-        vertices = np.asarray(vertices, dtype=np.int64)
+    def charge_label_reads(self, count):
         self.platform.clock.advance(
-            clk.DEVICE_MEM, vertices.nbytes / self.platform.cost.device_bandwidth
+            clk.DEVICE_MEM, 8 * count / self.platform.cost.device_bandwidth
         )
-        return self.graph.labels[vertices]
 
     def endpoints_of(self, edge_ids):
         src_region, dst_region = self._endpoints()
@@ -238,9 +239,6 @@ class HostResidence(GraphResidence):
         starts, ends = self._ranges(vertices)
         flat = expand_ranges(starts, ends)
         return self.graph.edge_ids[flat], ends - starts
-
-    def labels_of(self, vertices):
-        return self.graph.labels[np.asarray(vertices, dtype=np.int64)]
 
     def endpoints_of(self, edge_ids):
         return self.graph.edge_endpoints(np.asarray(edge_ids, dtype=np.int64))

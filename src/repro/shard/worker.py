@@ -301,6 +301,7 @@ class ShardWorker:
 
     def do_close(self) -> None:
         self.engine.close()
+        self.tables = []
 
     def do_reset(self, config, policy, interconnect,
                  telemetry: bool = False) -> None:

@@ -317,6 +317,18 @@ class TestUnionExtension:
         with pytest.raises(ExecutionError):
             engine.extend_vertices_any(table, [0])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"greater_than_cols": [1]},
+        {"less_than_cols": [5]},
+        {"greater_than_col": -1},  # would silently compare the last column
+    ])
+    def test_bad_ordering_column_rejected(self, tiny_graph, kwargs):
+        platform, engine = gamma_engine(tiny_graph)
+        table = EmbeddingTable(platform, VERTEX)
+        table.seed(np.arange(3))
+        with pytest.raises(ExecutionError, match="ordering column"):
+            engine.extend_vertices_any(table, [0], **kwargs)
+
     def test_empty_table(self, tiny_graph):
         platform, engine = gamma_engine(tiny_graph)
         table = EmbeddingTable(platform, VERTEX)

@@ -1,7 +1,8 @@
 """Fast-vs-reference equivalence of the fused extension pipeline.
 
-The progressive (compress-as-you-filter) candidate pruning, the adjacency
-bitset, and the batched charging underneath must leave no observable trace:
+The progressive (compress-as-you-filter) candidate pruning, the prefix
+intersection shared by sibling rows, the adjacency bitset, and the batched
+charging underneath must leave no observable trace:
 identical embeddings, identical simulated clock buckets, identical counters
 — bit-for-bit — against the retained reference implementation, across write
 strategies, pre-merge on/off, and constraint combinations.
@@ -22,7 +23,8 @@ from repro.core import (
     MemoryPool,
     make_write_strategy,
 )
-from repro.graph.generators import erdos_renyi, zipf_labels
+from repro.graph.generators import erdos_renyi, kronecker, zipf_labels
+from tests.oracle import vertex_walk_rows_ref
 
 
 @hst.composite
@@ -113,6 +115,100 @@ class TestVertexExtensionEquivalence:
         np.testing.assert_array_equal(fast[0], ref[0])
         assert fast[1] == ref[1]  # clock buckets, bit-for-bit
         assert fast[2] == ref[2]  # counters
+
+
+@hst.composite
+def anchored_walks(draw):
+    """Walks whose steps anchor on any column subset, so every shape of the
+    shared-prefix computation occurs: tail not an anchor, two prefix
+    anchors under an anchored tail, one list only; ordering constraints on
+    prefix columns and on the tail; chunks small enough to split groups."""
+    seed = draw(hst.integers(min_value=0, max_value=2**31 - 1))
+    num_vertices = draw(hst.integers(min_value=4, max_value=24))
+    num_edges = draw(hst.integers(min_value=3, max_value=100))
+    steps = []
+    for depth in range(1, draw(hst.integers(min_value=2, max_value=3)) + 1):
+        cols = hst.integers(min_value=0, max_value=depth - 1)
+        steps.append((
+            sorted(draw(hst.sets(cols, min_size=1))),
+            sorted(draw(hst.sets(cols, max_size=2))),
+            sorted(draw(hst.sets(cols, max_size=1))),
+        ))
+    return {
+        "graph": (seed, num_vertices, num_edges),
+        "steps": steps,
+        "strategy": draw(hst.sampled_from(["dynamic", "two_pass", "prealloc"])),
+        "pre_merge": draw(hst.booleans()),
+        "chunk_rows": draw(hst.sampled_from([None, 1, 2, 3, 7])),
+        "label": draw(hst.sampled_from([None, 0, 1])),
+        "injective": draw(hst.booleans()),
+    }
+
+
+def _run_anchored_walk(graph, walk):
+    platform, engine = _build_engine(graph, walk["strategy"], walk["pre_merge"])
+    engine.chunk_rows = walk["chunk_rows"]
+    table = EmbeddingTable(platform, VERTEX)
+    engine.seed_vertices(table)
+    for anchors, greater, less in walk["steps"]:
+        engine.extend_vertices(
+            table, anchors, label=walk["label"], greater_than_cols=greater,
+            less_than_cols=less, injective=walk["injective"],
+        )
+    rows = table.materialize()
+    return rows, platform.clock.snapshot(), platform.counters.snapshot()
+
+
+class TestSharedPrefixEquivalence:
+    @given(anchored_walks())
+    @settings(max_examples=60, deadline=None)
+    def test_identical_rows_clock_counters_and_oracle_rows(self, walk):
+        with perf.pipeline(perf.FAST):
+            fast = _run_anchored_walk(_graph_for(*walk["graph"]), walk)
+        with perf.pipeline(perf.REFERENCE):
+            ref = _run_anchored_walk(_graph_for(*walk["graph"]), walk)
+        np.testing.assert_array_equal(fast[0], ref[0])
+        assert fast[1] == ref[1]  # clock buckets, bit-for-bit
+        assert fast[2] == ref[2]  # counters
+        expected = vertex_walk_rows_ref(
+            _graph_for(*walk["graph"]), walk["steps"], walk["label"],
+            walk["injective"],
+        )
+        assert [tuple(row) for row in fast[0].tolist()] == expected
+
+    @pytest.mark.parametrize("task", ["q3", "4-clique"])
+    def test_prefix_intersection_is_shared(self, task, monkeypatch):
+        """The saving itself: sibling rows probe their common prefix once,
+        so the fast pipeline makes strictly fewer ``has_edges`` probes than
+        the per-row reference for the same answer."""
+        from repro.algorithms import count_kcliques, match_pattern
+        from repro.core import Gamma
+        from repro.graph import sm_query
+        from repro.graph.csr import CSRGraph
+
+        graph = kronecker(7, 6, seed=3, labels=3, label_seed=4)
+        probed = 0
+        has_edges = CSRGraph.has_edges
+
+        def counting(self, u, v):
+            nonlocal probed
+            probed += len(u)
+            return has_edges(self, u, v)
+
+        monkeypatch.setattr(CSRGraph, "has_edges", counting)
+        outcomes = []
+        for mode in (perf.FAST, perf.REFERENCE):
+            probed = 0
+            with perf.pipeline(mode), Gamma(graph) as gamma:
+                if task == "q3":
+                    answer = match_pattern(gamma, sm_query(3)).embeddings
+                else:
+                    answer = count_kcliques(gamma, 4).cliques
+                outcomes.append((answer, gamma.simulated_seconds, probed))
+        (fast_answer, fast_sim, fast_probes), (answer, sim, probes) = outcomes
+        assert answer > 0
+        assert (fast_answer, fast_sim) == (answer, sim)
+        assert fast_probes < probes
 
 
 class TestEdgeExtensionEquivalence:

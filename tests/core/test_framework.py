@@ -65,6 +65,29 @@ class TestGammaLifecycle:
         gamma.close()
         gamma.close()
 
+    def test_close_frees_arrays_without_gc(self, wheel_graph):
+        """A closed engine is not cyclic garbage: with the collector off,
+        refcounting alone frees a finished query's columns, while a table
+        handed out with ``keep_table=True`` stays readable."""
+        import gc
+        import weakref
+
+        from repro.algorithms import count_kcliques
+
+        gc.collect()
+        gc.disable()
+        try:
+            gamma = Gamma(wheel_graph)
+            gamma.enable_checkpointing()
+            result, table = count_kcliques(gamma, 3, keep_table=True)
+            last_column = weakref.ref(table.columns[-1].values)
+            gamma.close()
+            assert len(table.materialize()) == result.cliques
+            del gamma, table
+            assert last_column() is None
+        finally:
+            gc.enable()
+
     def test_custom_platform(self, tiny_graph):
         platform = make_platform(num_warps=8)
         with Gamma(tiny_graph, platform=platform) as gamma:

@@ -1,8 +1,7 @@
 """gammalint — AST-based invariant checks for the GAMMA reproduction.
 
 The simulator's correctness rests on conventions no type checker sees:
-adjacency reads must be *charged* (or the §IV clocks undercount), every
-fast path needs its bit-for-bit reference twin plus an equivalence test,
+adjacency reads must be *charged* (or the §IV clocks undercount),
 hot-module NumPy code must pin dtypes and guard packed-key overflow, and
 per-warp loops must not race on shared simulator state — not even
 transitively through helper calls.  An interprocedural dataflow layer
@@ -27,7 +26,6 @@ from .framework import (
     LintContext,
     SourceModule,
     all_checkers,
-    build_context,
     format_human,
     format_json,
     format_sarif,
@@ -47,7 +45,6 @@ __all__ = [
     "Waiver",
     "WaiverSet",
     "all_checkers",
-    "build_context",
     "format_human",
     "format_json",
     "format_sarif",

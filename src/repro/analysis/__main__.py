@@ -48,11 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated diagnostic codes to report (default: all)",
     )
     parser.add_argument(
-        "--tests-dir", default=None, metavar="DIR",
-        help="equivalence-test corpus for the pipeline-parity checker "
-        "(default: ./tests when it exists)",
-    )
-    parser.add_argument(
         "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
         help="only report findings in files changed since REF (default "
         "HEAD: staged+unstaged+untracked); the call graph still spans "
@@ -115,11 +110,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: no such path: {', '.join(map(str, missing))}",
               file=sys.stderr)
         return 2
-    if args.tests_dir is not None:
-        tests_dir = pathlib.Path(args.tests_dir)
-    else:
-        default = pathlib.Path("tests")
-        tests_dir = default if default.is_dir() else None
     select = None
     if args.select:
         select = [c.strip() for c in args.select.split(",") if c.strip()]
@@ -129,7 +119,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if only_files is not None and not only_files:
             print("gammalint: no python files changed", file=sys.stderr)
     diagnostics = lint_paths(
-        paths, tests_dir=tests_dir, select=select,
+        paths, select=select,
         check_waivers=args.check_waivers, only_files=only_files)
     if args.format == "json":
         print(format_json(diagnostics))

@@ -1,4 +1,4 @@
-"""The eight repo-specific checkers; importing this package registers them.
+"""The seven repo-specific checkers; importing this package registers them.
 
 Adding a checker: create a module here, subclass
 :class:`repro.analysis.framework.Checker`, decorate with ``@register``, and
@@ -13,7 +13,6 @@ from . import (
     forksafety,
     npdtype,
     obsspan,
-    parity,
     planorder,
     warprace,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "forksafety",
     "npdtype",
     "obsspan",
-    "parity",
     "planorder",
     "warprace",
 ]

@@ -24,7 +24,7 @@ single-run test and break only across processes, hash seeds, or resumes:
   module-level ``random.*`` calls (unseeded global stream) or
   ``time.time``/``time.perf_counter`` inside the simulated-accounting
   scopes.  Simulated time comes from the cost model; host time and
-  unseeded randomness there silently decouple the twin pipelines.
+  unseeded randomness there make simulated results unrepeatable.
 
 Scope: ``det-order`` everywhere in the package; ``det-float`` in the
 accounting scopes (:data:`FLOAT_SCOPES`); ``det-seed`` in the engine

@@ -1,6 +1,6 @@
-"""numpy-dtype: dtype discipline, overflow guards, banned sorts.
+"""numpy-dtype: dtype discipline and overflow guards.
 
-Three rules, all scoped to the wall-clock hot modules (``repro/core/``,
+Two rules, all scoped to the wall-clock hot modules (``repro/core/``,
 ``repro/gpusim/``, ``repro/graph/csr.py``):
 
 * ``dtype`` — ``np.arange``/``np.zeros``/``np.empty``/``np.ones``/
@@ -14,10 +14,6 @@ Three rules, all scoped to the wall-clock hot modules (``repro/core/``,
   ``overflow``).  Packing ``(row, value)`` into one int64 silently wraps
   past 2**63 — the guard (or a reasoned waiver) proves someone did the
   arithmetic.
-* ``banned-sort`` — ``np.unique``/``np.lexsort`` outside the reference arm
-  of a pipeline-gated function.  The fast pipeline exists precisely to
-  avoid those sorts; reaching for them in a fast arm forfeits the speedup
-  while keeping the fast path's complexity.
 """
 
 from __future__ import annotations
@@ -28,14 +24,11 @@ from typing import Iterator
 
 from ..diagnostics import Diagnostic
 from ..framework import Checker, LintContext, SourceModule, in_hot_scope, register
-from ._gates import is_gated, iter_gates, statement_span
 
 #: Constructors whose dtype must be explicit (keyword, or positional where
 #: the signature places dtype second/third: zeros/empty/ones(shape, dtype),
 #: full(shape, fill, dtype)).  ``*_like`` variants inherit and are exempt.
 _DTYPE_CALLS = {"arange": None, "zeros": 2, "empty": 2, "ones": 2, "full": 3}
-
-_BANNED_SORTS = frozenset({"unique", "lexsort"})
 
 _GUARD_NAME = re.compile(r"(?i)(limit|max|bound|overflow|iinfo)")
 
@@ -100,10 +93,10 @@ def _has_guard(func: ast.AST) -> bool:
 @register
 class NumpyDtypeChecker(Checker):
     name = "numpy-dtype"
-    codes = ("dtype", "overflow", "banned-sort")
+    codes = ("dtype", "overflow")
     description = (
-        "hot modules need explicit dtypes, overflow guards around packed "
-        "keys, and no np.unique/np.lexsort in fast-pipeline arms"
+        "hot modules need explicit dtypes and overflow guards around "
+        "packed keys"
     )
 
     def check(self, module: SourceModule, context: LintContext) -> Iterator[Diagnostic]:
@@ -111,7 +104,6 @@ class NumpyDtypeChecker(Checker):
             return
         yield from self._check_dtypes(module)
         yield from self._check_packing(module)
-        yield from self._check_banned_sorts(module)
 
     def _check_dtypes(self, module: SourceModule) -> Iterator[Diagnostic]:
         for node in ast.walk(module.tree):
@@ -144,29 +136,3 @@ class NumpyDtypeChecker(Checker):
                 "against a *_LIMIT / np.iinfo value) or waive with the "
                 "reason the packing cannot wrap",
             )
-
-    def _check_banned_sorts(self, module: SourceModule) -> Iterator[Diagnostic]:
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not is_gated(func):
-                continue
-            reference_spans = [
-                statement_span(gate.reference_arm)
-                for gate in iter_gates(func)
-                if gate.reference_arm
-            ]
-            for node in ast.walk(func):
-                name = _np_call(node)
-                if name not in _BANNED_SORTS:
-                    continue
-                line = node.lineno
-                if any(first <= line <= last for first, last in reference_spans):
-                    continue
-                yield self.diagnostic(
-                    module, node, "banned-sort",
-                    f"`np.{name}` in the fast arm of pipeline-gated "
-                    f"`{func.name}`; the fast pipeline must stay "
-                    "sort-free (move it to the reference arm or use the "
-                    "bincount/flatnonzero derivations)",
-                )

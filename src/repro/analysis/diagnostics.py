@@ -1,7 +1,7 @@
 """Diagnostic records produced by gammalint checkers.
 
 A diagnostic pins one invariant violation to a ``path:line:col`` location.
-Codes are short stable slugs (``charge``, ``parity-twin``, ``dtype``, ...)
+Codes are short stable slugs (``charge``, ``dtype``, ``warp-race``, ...)
 that double as the waiver vocabulary: a line comment
 ``# gammalint: allow[<code>] -- <reason>`` suppresses exactly that code on
 that line (see :mod:`repro.analysis.waivers`).

@@ -13,7 +13,6 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Type
 
@@ -104,12 +103,6 @@ class SourceModule:
 class LintContext:
     """Repo-wide facts shared by all checkers."""
 
-    #: Concatenated text of the pipeline-equivalence test corpus — the
-    #: files the pipeline-parity checker cross-references gated names
-    #: against.  Empty string means "no corpus available; skip that rule".
-    tests_corpus: str = ""
-    #: Names of the corpus files (for diagnostics only).
-    corpus_files: tuple = ()
     #: The interprocedural dataflow project built over every module of
     #: this lint run (symbol table, call graph, value kinds).  The runner
     #: always populates it; ``field`` keeps dataclass defaults happy for
@@ -118,25 +111,6 @@ class LintContext:
     #: Report module-level waivers none of whose codes suppressed
     #: anything this run (``--check-waivers``).
     check_waivers: bool = False
-
-
-#: Test files belong to the equivalence corpus when their *name* says so or
-#: their text exercises the pipeline switch.
-_CORPUS_NAME = re.compile(r"equivalence|contract|pipeline")
-_CORPUS_TEXT = re.compile(r"perf\.pipeline\(|REPRO_PIPELINE|set_pipeline\(")
-
-
-def build_context(tests_dir: pathlib.Path | None) -> LintContext:
-    """Scan ``tests_dir`` for the pipeline-equivalence corpus."""
-    if tests_dir is None or not tests_dir.is_dir():
-        return LintContext()
-    chunks, names = [], []
-    for path in sorted(tests_dir.rglob("*.py")):
-        text = path.read_text()
-        if _CORPUS_NAME.search(path.name) or _CORPUS_TEXT.search(text):
-            chunks.append(text)
-            names.append(path.name)
-    return LintContext(tests_corpus="\n".join(chunks), corpus_files=tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +198,6 @@ def lint_module(module: SourceModule, context: LintContext,
 
 
 def lint_source(text: str, path: str = "<string>",
-                tests_corpus: str = "",
                 select: Iterable[str] | None = None,
                 check_waivers: bool = False) -> list[Diagnostic]:
     """Lint an in-memory snippet as if it lived at ``path``.
@@ -234,8 +207,7 @@ def lint_source(text: str, path: str = "<string>",
     checkers see exactly its module-local call graph.
     """
     module = SourceModule(path, text)
-    context = LintContext(tests_corpus=tests_corpus,
-                          check_waivers=check_waivers)
+    context = LintContext(check_waivers=check_waivers)
     return lint_module(module, context, select=select)
 
 
@@ -251,7 +223,6 @@ def iter_python_files(paths: Sequence[pathlib.Path]) -> Iterator[pathlib.Path]:
 
 
 def lint_paths(paths: Sequence[pathlib.Path],
-               tests_dir: pathlib.Path | None = None,
                select: Iterable[str] | None = None,
                root: pathlib.Path | None = None,
                check_waivers: bool = False,
@@ -265,8 +236,7 @@ def lint_paths(paths: Sequence[pathlib.Path],
     full path set — cross-file resolution must not depend on what
     happens to be in the diff.
     """
-    context = build_context(tests_dir)
-    context.check_waivers = check_waivers
+    context = LintContext(check_waivers=check_waivers)
     checkers = all_checkers()
     out: list[Diagnostic] = []
     modules: list[SourceModule] = []

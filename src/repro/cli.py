@@ -491,9 +491,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("\nwhere the time went:")
             print(trace.render())
         if args.profile:
-            from . import perf
-
-            print(f"\nwall-clock profile (pipeline: {perf.pipeline_mode()}):")
+            print("\nwall-clock profile:")
             print(timer.render())
         if collector is not None:
             _write_obs_outputs(args, engine, collector,
@@ -638,7 +636,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"system={manifest.get('system')} "
           f"dataset={manifest.get('dataset')} "
           f"task={manifest.get('task')} "
-          f"pipeline={manifest.get('pipeline')} "
           f"git={manifest.get('git_rev')}")
     sim = manifest.get("simulated_seconds")
     if sim is not None:

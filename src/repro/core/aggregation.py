@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import perf
 from ..graph.canonical import QuickPatternEncoder
 from ..gpusim.platform import GpuPlatform
 from .embedding_table import EmbeddingTable
@@ -31,7 +30,8 @@ from .sort import DEFAULT_P_SIZE, MULTI_MERGE, sort_and_count
 #: Charged device ops per embedding for the quick-pattern relabel+pack.
 _QUICK_OPS_PER_EDGE = 24
 
-#: Overflow bound for the dedup fast path's single-int64 row packing.
+#: Overflow bound for dedup's single-int64 row packing; wider rows keep the
+#: void-dtype set keys.
 _PACK_BITS_LIMIT = 62
 
 #: Support metrics: raw instance frequency (the paper's §III definition)
@@ -181,26 +181,23 @@ def dedup_embeddings(
         if mats.size == 0:
             return 0
         n = len(mats)
-        if perf.use_reference():
-            keys = embedding_set_keys(mats)
-            __, first_idx = np.unique(keys, return_index=True)
+        # Pack each sorted row into one int64 when the ids fit: a scalar-key
+        # unique avoids the void-dtype byte-wise compare.  Packing is
+        # bijective (each id takes ``bits`` bits), so the first-occurrence
+        # set is bit-identical to the set-key one.
+        ordered = np.sort(mats, axis=1)
+        max_id = int(ordered.max())
+        bits = max(1, max_id.bit_length())
+        if int(ordered.min()) >= 0 and \
+                ordered.shape[1] * bits <= _PACK_BITS_LIMIT:
+            packed = ordered[:, 0].astype(np.int64)
+            for col in range(1, ordered.shape[1]):
+                packed = (packed << bits) | ordered[:, col]
+            __, first_idx = np.unique(packed, return_index=True)
         else:
-            # Pack each sorted row into one int64 when the ids fit: a
-            # scalar-key unique avoids the void-dtype byte-wise compare.
-            # Packing is bijective (each id takes ``bits`` bits), so the
-            # first-occurrence set is bit-identical to the reference arm.
-            ordered = np.sort(mats, axis=1)
-            max_id = int(ordered.max())
-            bits = max(1, max_id.bit_length())
-            if int(ordered.min()) >= 0 and \
-                    ordered.shape[1] * bits <= _PACK_BITS_LIMIT:
-                packed = ordered[:, 0].astype(np.int64)
-                for col in range(1, ordered.shape[1]):
-                    packed = (packed << bits) | ordered[:, col]
-                __, first_idx = np.unique(packed, return_index=True)  # gammalint: allow[banned-sort] -- the sort is dedup's charged algorithm; the fast win is the int64 scalar key replacing the void-dtype compare
-            else:
-                keys = embedding_set_keys(mats)
-                __, first_idx = np.unique(keys, return_index=True)  # gammalint: allow[banned-sort] -- too-wide rows fall back to the reference keying; dedup is inherently a sort
+            __, first_idx = np.unique(
+                embedding_set_keys(mats), return_index=True
+            )
         keep = np.zeros(n, dtype=bool)
         keep[first_idx] = True
         log_n = float(np.log2(max(2, n)))

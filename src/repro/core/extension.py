@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import perf
 from ..errors import ExecutionError
 from ..gpusim import stats as st
 from ..gpusim.platform import GpuPlatform
@@ -262,24 +261,11 @@ class ExtensionEngine:
         id-ordering against ``greater_than_cols``/``less_than_cols``.  Every
         constraint is a pure per-candidate predicate of ``(row, value)``, so
         the survivor set is independent of evaluation order (the charged
-        label probe is the caller's, after all of these).  The fast pipeline
-        compresses the arrays after each predicate (cheap ordering filters
-        first, edge verification on the shrunken remainder) instead of
-        AND-ing full-width boolean masks; the reference pipeline keeps the
-        original mask cascade.  Identical survivors.
+        label probe is the caller's, after all of these): the arrays are
+        compressed after each predicate (cheap ordering filters first, edge
+        verification on the shrunken remainder) instead of AND-ing
+        full-width boolean masks.
         """
-        if perf.use_reference():
-            mask = np.ones(len(cand), dtype=bool)
-            for col in verify_cols:
-                mask &= self.graph.has_edges(mats[cand_row, col], cand)
-            for col in distinct_cols:
-                mask &= cand != mats[cand_row, col]
-            for col in greater_than_cols:
-                mask &= cand > mats[cand_row, col]
-            for col in less_than_cols:
-                mask &= cand < mats[cand_row, col]
-            return cand[mask], cand_row[mask]
-
         # Cheap ordering/injectivity predicates first, fused into one mask;
         # the expensive edge-verification probes then run on whatever
         # survives.  Compression (dropping dead candidates) is adaptive: a
@@ -559,20 +545,10 @@ class ExtensionEngine:
             stats.candidates += int(upper.sum())
 
             # ---- compute the surviving candidates ----------------------------
-            if perf.use_reference():
-                cand, cand_row = self._min_degree_candidates(
-                    sub, anchor_cols, anchor_deg, distinct_cols,
-                    greater_than_cols, less_than_cols, label,
-                )
-            else:
-                cand, cand_row = self._shared_prefix_candidates(
-                    sub, anchor_cols, anchor_deg, distinct_cols,
-                    greater_than_cols, less_than_cols,
-                )
-                if label is not None:
-                    cand, cand_row = self._filter_label_by_source(
-                        cand, cand_row, anchor_deg, label
-                    )
+            cand, cand_row = self._surviving_candidates(
+                sub, anchor_cols, anchor_deg, distinct_cols,
+                greater_than_cols, less_than_cols, label,
+            )
 
             counts = np.bincount(cand_row, minlength=len(sub)).astype(np.int64)
             count_parts.append(counts)
@@ -590,6 +566,30 @@ class ExtensionEngine:
         self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
         return stats
 
+    def _surviving_candidates(
+        self,
+        mats: np.ndarray,
+        anchor_cols: Sequence[int],
+        anchor_deg: np.ndarray,
+        distinct_cols: Sequence[int],
+        greater_than_cols: Sequence[int],
+        less_than_cols: Sequence[int],
+        label: int | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``mats``: the vertices adjacent to every anchor that
+        pass the constraints and carry ``label``, as ``(cand, cand_row)``
+        with rows ascending and candidates ascending within a row.  The
+        label probes are billed here."""
+        cand, cand_row = self._shared_prefix_candidates(
+            mats, anchor_cols, anchor_deg, distinct_cols,
+            greater_than_cols, less_than_cols,
+        )
+        if label is not None:
+            cand, cand_row = self._filter_label_by_source(
+                cand, cand_row, anchor_deg, label
+            )
+        return cand, cand_row
+
     def _min_degree_candidates(
         self,
         mats: np.ndarray,
@@ -598,7 +598,6 @@ class ExtensionEngine:
         distinct_cols: Sequence[int],
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
-        label: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``mats``: the vertices adjacent to every anchor that
         pass the constraints, generated by expanding the row's shortest
@@ -606,10 +605,7 @@ class ExtensionEngine:
         others — the intersection order every real GPM kernel uses.
 
         Returns ``(cand, cand_row)``: rows ascending, candidates ascending
-        within a row (adjacency lists are sorted).  With a ``label``, each
-        source part's survivors are probed through ``labels_of``, which
-        bills them — the per-row algorithm the cost model was written
-        against, and the reference pipeline's whole extension.
+        within a row (adjacency lists are sorted).
         """
         neighbors = self.graph.neighbors  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
         offsets = self.graph.offsets  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
@@ -623,15 +619,11 @@ class ExtensionEngine:
                 neighbors, offsets[mats[rows, source_col]],
                 anchor_deg[rows, idx], rows,
             )
-            cand, cand_row = self._prune_candidates(
+            parts.append(self._prune_candidates(
                 cand, cand_row, mats,
                 [c for c in anchor_cols if c != source_col], distinct_cols,
                 greater_than_cols, less_than_cols,
-            )
-            if label is not None:
-                keep = self.residence.labels_of(cand) == label
-                cand, cand_row = cand[keep], cand_row[keep]
-            parts.append((cand, cand_row))
+            ))
         return _merge_by_row(parts)
 
     def _shared_prefix_candidates(

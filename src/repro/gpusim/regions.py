@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Tuple
 
 import numpy as np
 
-from .. import perf
 from . import clock as clk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,11 +87,7 @@ def units_for_indices(
 def dedup_units(blocks: np.ndarray, total_units: int | None = None) -> np.ndarray:
     """Sorted unique block ids, avoiding the ``np.unique`` sort when the
     namespace is dense enough for a bincount occupancy pass."""
-    if (
-        total_units is None
-        or perf.use_reference()
-        or len(blocks) * 8 < total_units
-    ):
+    if total_units is None or len(blocks) * 8 < total_units:
         return np.unique(blocks)
     occupancy = np.bincount(blocks, minlength=total_units)
     return np.flatnonzero(occupancy)
@@ -104,18 +99,15 @@ def covered_units(
     """Sorted unique block ids covered by the inclusive ranges
     ``[first[i], last[i]]`` — the page sets of batched contiguous reads.
 
-    The fast pipeline derives the set in one coalesced difference-array
-    pass (O(ranges + namespace), no sort); the reference pipeline expands
-    every range and sorts via ``np.unique``.  Identical results either way.
+    A dense enough batch derives the set in one coalesced difference-array
+    pass (O(ranges + namespace), no sort); a sparse one, or an unknown
+    namespace, expands every range and sorts via ``np.unique``.  Identical
+    results either way.
     """
     if len(first) == 0:
         return np.empty(0, dtype=np.int64)
     span = int((last - first + 1).sum())
-    if (
-        total_units is None
-        or perf.use_reference()
-        or span * 8 < total_units
-    ):
+    if total_units is None or span * 8 < total_units:
         return np.unique(expand_ranges(first, last + 1))
     delta = np.bincount(first, minlength=total_units + 1)
     delta[:total_units] -= np.bincount(last + 1, minlength=total_units + 1)[:total_units]
@@ -145,12 +137,7 @@ class ChargeBatch:
 
     def lookup(self, starts: np.ndarray, ends: np.ndarray, token: int = 0) -> Any:
         """The memoized derivation for this exact batch, or ``None``."""
-        if (
-            self._starts is starts
-            and self._ends is ends
-            and self._token == token
-            and not perf.use_reference()
-        ):
+        if self._starts is starts and self._ends is ends and self._token == token:
             return self._derived
         return None
 

@@ -102,8 +102,8 @@ class PhaseTimer:
 
     The simulated breakdown above answers "where would the *GPU* spend its
     time"; this answers "where does the *simulator process* spend yours" —
-    the quantity ``benchmarks/bench_hotpath.py`` tracks and the CLI's
-    ``--profile`` flag prints alongside the simulated breakdown.  Phases
+    the quantity the CLI's ``--profile`` flag prints alongside the
+    simulated breakdown.  Phases
     repeat freely; repeated names accumulate.  Phases may nest: each phase
     is charged its *self* time only (the enclosed inner phases' time is
     subtracted), so the per-phase seconds always partition the measured

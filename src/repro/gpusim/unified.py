@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import perf
 from . import clock as clk
 from . import stats as st
 from .regions import HostRegion, covered_units, units_for_indices
@@ -32,10 +31,11 @@ class PageBuffer:
 
     Tracks residency for a fixed page-id namespace ``[0, total_pages)``.
     Eviction frees down to capacity using least-recent access ticks; ties
-    are broken by page id, keeping the simulation deterministic.  The fast
-    pipeline selects victims with an O(resident) ``argpartition`` over a
-    packed ``(last_use, page id)`` key instead of a full ``lexsort`` —
-    the victim *set* is identical because the key order is the same.
+    are broken by page id, keeping the simulation deterministic.  Victims
+    are selected with an O(resident) ``argpartition`` over a packed
+    ``(last_use, page id)`` key, and with a full ``lexsort`` once the key
+    could overflow — the victim *set* is identical because the key order
+    is the same.
     """
 
     def __init__(self, capacity_pages: int, total_pages: int) -> None:
@@ -105,9 +105,7 @@ class PageBuffer:
         resident_ids = np.flatnonzero(self._resident)
         if n_over >= len(resident_ids):
             victims = resident_ids
-        elif perf.use_reference() or self._tick >= _PACKED_KEY_LIMIT // max(
-            1, self.total_pages
-        ):
+        elif self._tick >= _PACKED_KEY_LIMIT // max(1, self.total_pages):
             # Sort by (last_use, page id) for determinism; evict the oldest.
             order = np.lexsort((resident_ids, self._last_use[resident_ids]))
             victims = resident_ids[order[:n_over]]

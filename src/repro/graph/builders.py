@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidGraphError
-from .csr import CSRGraph
+from .csr import _PACK_VERTEX_LIMIT, CSRGraph
 
 
 def from_edges(
@@ -39,6 +39,13 @@ def from_edges(
     elif num_vertices < max_id:
         raise InvalidGraphError(
             f"num_vertices={num_vertices} smaller than max id {max_id - 1}"
+        )
+    if num_vertices >= _PACK_VERTEX_LIMIT:
+        # Checked here, not left to CSRGraph: the (lo << 32) | hi keys below
+        # would wrap and the offsets array alone would take gigabytes.
+        raise InvalidGraphError(
+            f"{num_vertices} vertices exceed the packed edge-key limit "
+            f"({_PACK_VERTEX_LIMIT - 1})"
         )
 
     # Canonicalize each edge as (min, max), drop self loops, deduplicate.

@@ -218,24 +218,7 @@ class QuickPatternEncoder:
         per-unique-quick-pattern canonical placement matrix (quick id at
         canonical position, -1 padded) and the unique-row inverse map.
         """
-        from .. import perf
-
-        if perf.use_reference():
-            packed = np.stack([qa, qb], axis=1)
-            uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
-        else:
-            # Same lexicographic (qa, qb) enumeration as np.unique(axis=0),
-            # without the void-dtype round-trip: one two-key lexsort, then
-            # lead flags mark group starts.  uniq order and inverse are
-            # bit-identical to the reference arm.
-            order = np.lexsort((qb, qa))
-            qa_s, qb_s = qa[order], qb[order]
-            lead = np.ones(len(order), dtype=bool)
-            lead[1:] = (qa_s[1:] != qa_s[:-1]) | (qb_s[1:] != qb_s[:-1])
-            groups = np.cumsum(lead, dtype=np.int64) - 1
-            inverse = np.empty(len(order), dtype=np.int64)
-            inverse[order] = groups
-            uniq = np.stack([qa_s[lead], qb_s[lead]], axis=1)
+        uniq, inverse = self._unique_quick(qa, qb)
         out_codes = np.empty(len(uniq), dtype=np.int64)
         placements = np.full((len(uniq), MAX_VERTICES), -1, dtype=np.int64)
         for i, (ua, ub) in enumerate(uniq):
@@ -251,6 +234,20 @@ class QuickPatternEncoder:
             flat = cached[1]
             placements[i, : len(flat)] = flat
         return out_codes[inverse], placements, inverse
+
+    @staticmethod
+    def _unique_quick(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct ``(qa, qb)`` rows in lexicographic order plus each
+        input row's index into them — what ``np.unique(axis=0,
+        return_inverse=True)`` returns, without the void-dtype round-trip:
+        one two-key lexsort, then lead flags mark group starts."""
+        order = np.lexsort((qb, qa))
+        qa_s, qb_s = qa[order], qb[order]
+        lead = np.ones(len(order), dtype=bool)
+        lead[1:] = (qa_s[1:] != qa_s[:-1]) | (qb_s[1:] != qb_s[:-1])
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(lead, dtype=np.int64) - 1
+        return np.stack([qa_s[lead], qb_s[lead]], axis=1), inverse
 
     @staticmethod
     def _decode_quick(qa: int, qb: int, k: int) -> tuple[list, list]:

@@ -17,7 +17,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .. import perf
 from ..errors import InvalidGraphError
 
 #: Cap on the lazily-built adjacency bitset (``V**2`` bits).  512 MB covers
@@ -131,15 +130,13 @@ class CSRGraph:
 
     def _adjacency_bitset(self) -> np.ndarray | None:
         """Lazily-built ``V x V`` adjacency bitset, or ``None`` when the
-        graph is too large (or the reference pipeline is selected).
+        graph is too large.
 
         Adjacency probing is the inner loop of vertex extension; a packed
         bitset answers each probe with one byte load instead of a
         ``log(2E)`` binary search, and candidate lists are sorted, so
         consecutive probes share cache lines.
         """
-        if perf.use_reference():
-            return None
         bits = self._bitset
         if bits is None:
             n = self.num_vertices

@@ -14,6 +14,8 @@ from ..errors import InvalidGraphError
 from .builders import from_edges
 from .csr import CSRGraph
 
+_INT64 = np.iinfo(np.int64)
+
 
 def load_edge_list(
     path: str | os.PathLike,
@@ -37,12 +39,17 @@ def load_edge_list(
             if len(parts) < 2:
                 raise InvalidGraphError(f"{path}:{lineno}: expected 'u v', got {line!r}")
             try:
-                src.append(int(parts[0]))
-                dst.append(int(parts[1]))
+                u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise InvalidGraphError(
                     f"{path}:{lineno}: non-integer vertex id in {line!r}"
                 ) from exc
+            if not (_INT64.min <= u <= _INT64.max and _INT64.min <= v <= _INT64.max):
+                raise InvalidGraphError(
+                    f"{path}:{lineno}: vertex id does not fit in int64 in {line!r}"
+                )
+            src.append(u)
+            dst.append(v)
     return from_edges(
         np.asarray(src, dtype=np.int64),
         np.asarray(dst, dtype=np.int64),
@@ -133,13 +140,18 @@ def save_binary(graph: CSRGraph, path: str | os.PathLike) -> None:
 
 def load_binary(path: str | os.PathLike) -> CSRGraph:
     """Load a graph cached with :func:`save_binary`."""
-    with np.load(path, allow_pickle=False) as data:
-        return CSRGraph(
-            offsets=data["offsets"],
-            neighbors=data["neighbors"],
-            edge_ids=data["edge_ids"],
-            edge_src=data["edge_src"],
-            edge_dst=data["edge_dst"],
-            labels=data["labels"],
-            name=str(data["name"]),
-        )
+    import zipfile  # np.load pulls it in anyway; keeps it off `import repro`
+
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return CSRGraph(
+                offsets=data["offsets"],
+                neighbors=data["neighbors"],
+                edge_ids=data["edge_ids"],
+                edge_src=data["edge_src"],
+                edge_dst=data["edge_dst"],
+                labels=data["labels"],
+                name=str(data["name"]),
+            )
+    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
+        raise InvalidGraphError(f"{path}: not a graph cache: {exc}") from exc

@@ -1,11 +1,10 @@
 """Run manifests: one JSON document that pins *what ran* and *what it cost*.
 
-A manifest captures the configuration (knobs, dataset, pipeline mode, git
-revision) next to the results (counter totals, simulated-time buckets, span
-statistics, metric aggregates, derived utilization figures), so two runs
-can be diffed mechanically.  ``tools/obs_diff.py`` and ``repro report
---against`` both call :func:`diff_manifests`; the bench harness embeds one
-manifest per workload in ``BENCH_hotpath.json``.
+A manifest captures the configuration (knobs, dataset, git revision) next
+to the results (counter totals, simulated-time buckets, span statistics,
+metric aggregates, derived utilization figures), so two runs can be diffed
+mechanically.  ``tools/obs_diff.py`` and ``repro report --against`` both
+call :func:`diff_manifests`.
 
 Simulated time and counters are deterministic for a fixed configuration,
 so any drift between two manifests of the same workload is a real
@@ -88,12 +87,10 @@ def build_manifest(platform: Any, collector: Any = None, *,
                    wall_seconds: "float | None" = None,
                    extra: "Dict[str, Any] | None" = None) -> Dict[str, Any]:
     """Assemble the manifest for one finished run."""
-    from .. import perf  # deferred: keeps this module import-light
     manifest: Dict[str, Any] = {
         "schema": SCHEMA,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_rev": git_revision(),
-        "pipeline": perf.pipeline_mode(),
         "system": system,
         "dataset": dataset,
         "task": task,
@@ -269,14 +266,6 @@ def diff_manifests(baseline: Dict[str, Any], candidate: Dict[str, Any],
         # problem, a fault plan firing less often is not).
         note("resilience", name, base, cand, regression=cand > base)
 
-    base_pipe = baseline.get("pipeline")
-    cand_pipe = candidate.get("pipeline")
-    if base_pipe and cand_pipe and base_pipe != cand_pipe:
-        findings.append({
-            "kind": "context", "name": "pipeline",
-            "baseline": base_pipe, "candidate": cand_pipe,
-            "ratio": None, "regression": False,
-        })
     return findings
 
 

@@ -13,7 +13,7 @@ Two implementations share one interface:
 * :data:`NULL_TELEMETRY` — the default.  Every hook is a no-op and
   ``span()`` returns one cached no-op context manager, so instrumented hot
   paths pay a single attribute load + truthiness test when nobody is
-  listening (the overhead budget ``benchmarks/bench_hotpath.py`` asserts).
+  listening (``benchmarks/perf`` reports it as ``obs.collector_overhead_frac``).
 * :class:`SpanCollector` — records spans, metrics, and gauges for the
   exporters in :mod:`repro.obs.exporters` and the manifest in
   :mod:`repro.obs.manifest`.

@@ -3,8 +3,6 @@
 
 import numpy as np
 
-from repro import perf
-
 
 def missing_dtypes(n):
     a = np.arange(n)  # expect[dtype]
@@ -35,10 +33,3 @@ def guarded_packing(rows, values, n):
 def waived_packing(rows, values, n):
     return rows * np.int64(n) + values  # gammalint: allow[overflow] -- fixture: n is bounded by the caller
 
-
-def gated_sorts(blocks, total_units):
-    if perf.use_reference():
-        return np.unique(blocks)
-    occupancy = np.unique(blocks)  # expect[banned-sort]
-    keep = np.bincount(blocks, minlength=total_units)
-    return occupancy[keep[occupancy] > 0]

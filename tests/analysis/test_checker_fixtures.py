@@ -4,8 +4,6 @@ Each file in ``fixtures/`` is a self-describing case:
 
 * ``# gammalint-fixture: <path>`` (line 1) — the path the snippet pretends
   to live at, which decides checker scopes;
-* ``# gammalint-corpus: <text>`` (optional) — stand-in equivalence-test
-  corpus for the pipeline-parity checker;
 * ``# expect[<code>]`` — every diagnostic the linter must emit, anchored
   to its line.  The assertion is exact-set equality, so unmarked findings
   (false positives) fail just as loudly as missed ones.
@@ -22,7 +20,6 @@ FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 FIXTURES = sorted(FIXTURE_DIR.glob("*.py"))
 
 _PATH = re.compile(r"#\s*gammalint-fixture:\s*(\S+)")
-_CORPUS = re.compile(r"#\s*gammalint-corpus:\s*(.+)")
 _EXPECT = re.compile(r"#\s*expect\[([a-z-]+)\]")
 
 
@@ -43,12 +40,7 @@ def test_fixture(fixture):
     text = fixture.read_text()
     header = _PATH.search(text)
     assert header is not None, f"{fixture.name} lacks a gammalint-fixture header"
-    corpus = _CORPUS.search(text)
-    diagnostics = lint_source(
-        text,
-        path=header.group(1),
-        tests_corpus=corpus.group(1).strip() if corpus else "",
-    )
+    diagnostics = lint_source(text, path=header.group(1))
     got = {(d.line, d.code) for d in diagnostics}
     assert got == _expected(text), "\n".join(d.format() for d in diagnostics)
 
@@ -59,5 +51,5 @@ def test_fixture_goes_quiet_outside_its_scope(fixture):
     diagnostics (the warp-race checker is deliberately scope-free)."""
     text = fixture.read_text()
     diagnostics = lint_source(text, path="scripts/standalone.py")
-    scoped = {"charge", "dtype", "overflow", "banned-sort"}
+    scoped = {"charge", "dtype", "overflow"}
     assert not [d for d in diagnostics if d.code in scoped]

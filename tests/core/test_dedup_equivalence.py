@@ -1,21 +1,26 @@
-"""Fast-vs-reference equivalence of embedding-set deduplication.
+"""Packed-vs-void-key equivalence of embedding-set deduplication.
 
-The fast arm of ``dedup_embeddings`` packs each sorted row into a single
-int64 key (when the ids fit the overflow bound) and unique-sorts scalars;
-the reference arm keeps the void-dtype set-key compare.  Both must keep
-the exact same first-occurrence rows — bit-for-bit identical surviving
-tables, simulated clocks, and counters.
+``dedup_embeddings`` packs each sorted row into a single int64 key when
+``cols * bits`` fits ``_PACK_BITS_LIMIT`` and unique-sorts scalars; wider
+rows keep the void-dtype set-key compare.  Both must keep the exact same
+first-occurrence rows — bit-for-bit identical surviving tables, simulated
+clocks, and counters.  ``REFERENCE`` runs the straight-line stack of
+:mod:`tests.twins`, whose zero packing limit keys every row by void.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
 from repro.core.aggregation import dedup_embeddings, embedding_set_keys
 from repro.core.embedding_table import EDGE, EmbeddingTable
 from repro.gpusim import make_platform
+from tests.twins import ARMS, aggregation
+
+FAST, REFERENCE = ARMS["fast"], ARMS["reference"]
 
 
 def _table_with_rows(platform, rows: np.ndarray) -> EmbeddingTable:
@@ -29,8 +34,8 @@ def _table_with_rows(platform, rows: np.ndarray) -> EmbeddingTable:
     return table
 
 
-def _dedup_in(mode: str, rows: np.ndarray):
-    with perf.pipeline(mode):
+def _dedup_in(stack, rows: np.ndarray):
+    with stack():
         platform = make_platform()
         table = _table_with_rows(platform, rows)
         removed = dedup_embeddings(platform, table)
@@ -49,22 +54,55 @@ def _dedup_in(mode: str, rows: np.ndarray):
 def test_dedup_fast_matches_reference(seed, n, width, id_bound):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, id_bound, size=(n, width), dtype=np.int64)
-    fast = _dedup_in(perf.FAST, rows)
-    ref = _dedup_in(perf.REFERENCE, rows)
+    fast = _dedup_in(FAST, rows)
+    ref = _dedup_in(REFERENCE, rows)
     assert fast == ref
 
 
+def _first_occurrences(rows: np.ndarray) -> list:
+    seen, kept = set(), []
+    for row in rows.tolist():
+        key = tuple(sorted(row))
+        if key not in seen:
+            seen.add(key)
+            kept.append(row)
+    return kept
+
+
 def test_dedup_wide_rows_fall_back_identically():
-    """Rows too wide for the int64 packing use the set-key path in both
-    arms and still agree."""
+    """Rows too wide for the int64 packing take the set-key path as
+    shipped and keep the first occurrence of each id set."""
     rng = np.random.default_rng(7)
     # 5 columns x 17-bit ids = 85 bits > the 62-bit packing bound.
     rows = rng.integers(0, 100_000, size=(64, 5), dtype=np.int64)
     rows[10] = rows[3][::-1]  # same set, different order -> duplicate
-    fast = _dedup_in(perf.FAST, rows)
-    ref = _dedup_in(perf.REFERENCE, rows)
-    assert fast == ref
+    with mock.patch.object(aggregation, "embedding_set_keys",
+                           wraps=embedding_set_keys) as keyed:
+        fast = _dedup_in(FAST, rows)
+    assert keyed.call_count == 1
+    assert fast == _dedup_in(REFERENCE, rows)
     assert fast[0] >= 1
+    assert fast[1] == _first_occurrences(rows)
+    # The same id sets narrowed to 3 columns pack (51 bits) and agree with
+    # the oracle too, so the two keyings group alike.
+    narrow = rows[:, :3].copy()
+    narrow[10] = narrow[3][::-1]
+    with mock.patch.object(aggregation, "embedding_set_keys",
+                           side_effect=AssertionError):
+        assert _dedup_in(FAST, narrow)[1] == _first_occurrences(narrow)
+
+
+@pytest.mark.parametrize("bits,packs", [(31, True), (32, False)])
+def test_pack_limit_boundary(bits, packs):
+    """Two columns of ``bits``-bit ids: 62 bits pack, 64 do not."""
+    rows = np.array([[1, (1 << bits) - 1], [(1 << bits) - 1, 1], [2, 3]],
+                    dtype=np.int64)
+    with mock.patch.object(aggregation, "embedding_set_keys",
+                           wraps=embedding_set_keys) as keyed:
+        removed, mats, __, __ = _dedup_in(FAST, rows)
+    assert keyed.call_count == (0 if packs else 1)
+    assert removed == 1
+    assert mats == rows[[0, 2]].tolist()
 
 
 def test_set_keys_order_insensitive():
@@ -77,7 +115,7 @@ def test_set_keys_order_insensitive():
 def test_dedup_keeps_first_occurrence():
     rows = np.array([[5, 9], [9, 5], [2, 7], [7, 2], [5, 9]],
                     dtype=np.int64)
-    for mode in (perf.FAST, perf.REFERENCE):
+    for mode in (FAST, REFERENCE):
         removed, mats, __, __ = _dedup_in(mode, rows)
         assert removed == 3
         assert mats == [[5, 9], [2, 7]]

@@ -1,11 +1,11 @@
-"""Fast-vs-reference equivalence of the fused extension pipeline.
+"""Equivalence of the fused extension hot path and its straight-line twins.
 
 The progressive (compress-as-you-filter) candidate pruning, the prefix
 intersection shared by sibling rows, the adjacency bitset, and the batched
 charging underneath must leave no observable trace:
 identical embeddings, identical simulated clock buckets, identical counters
-— bit-for-bit — against the retained reference implementation, across write
-strategies, pre-merge on/off, and constraint combinations.
+— bit-for-bit — against the straight-line twins in :mod:`tests.twins`,
+across write strategies, pre-merge on/off, and constraint combinations.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
 from repro.core import (
     EDGE,
     VERTEX,
@@ -25,6 +24,7 @@ from repro.core import (
 )
 from repro.graph.generators import erdos_renyi, kronecker, zipf_labels
 from tests.oracle import vertex_walk_rows_ref
+from tests.twins import ARMS, straight_line
 
 
 @hst.composite
@@ -100,14 +100,13 @@ class TestVertexExtensionEquivalence:
         (seed, nv, ne, strategy, pre_merge, steps, label, use_gt,
          injective) = scenario
         graph = _graph_for(seed, nv, ne)
-        with perf.pipeline(perf.FAST):
-            fast = _run_vertex_walk(
-                graph, strategy, pre_merge, steps, label, use_gt, injective
-            )
+        fast = _run_vertex_walk(
+            graph, strategy, pre_merge, steps, label, use_gt, injective
+        )
         # The adjacency bitset is lazily cached on the graph; a fresh graph
-        # for the reference run keeps the pipelines honest either way.
+        # keeps the straight-line run on the binary search.
         ref_graph = _graph_for(seed, nv, ne)
-        with perf.pipeline(perf.REFERENCE):
+        with straight_line():
             ref = _run_vertex_walk(
                 ref_graph, strategy, pre_merge, steps, label, use_gt,
                 injective,
@@ -163,9 +162,8 @@ class TestSharedPrefixEquivalence:
     @given(anchored_walks())
     @settings(max_examples=60, deadline=None)
     def test_identical_rows_clock_counters_and_oracle_rows(self, walk):
-        with perf.pipeline(perf.FAST):
-            fast = _run_anchored_walk(_graph_for(*walk["graph"]), walk)
-        with perf.pipeline(perf.REFERENCE):
+        fast = _run_anchored_walk(_graph_for(*walk["graph"]), walk)
+        with straight_line():
             ref = _run_anchored_walk(_graph_for(*walk["graph"]), walk)
         np.testing.assert_array_equal(fast[0], ref[0])
         assert fast[1] == ref[1]  # clock buckets, bit-for-bit
@@ -179,8 +177,8 @@ class TestSharedPrefixEquivalence:
     @pytest.mark.parametrize("task", ["q3", "4-clique"])
     def test_prefix_intersection_is_shared(self, task, monkeypatch):
         """The saving itself: sibling rows probe their common prefix once,
-        so the fast pipeline makes strictly fewer ``has_edges`` probes than
-        the per-row reference for the same answer."""
+        so the shipped path makes strictly fewer ``has_edges`` probes than
+        the per-row twin for the same answer."""
         from repro.algorithms import count_kcliques, match_pattern
         from repro.core import Gamma
         from repro.graph import sm_query
@@ -197,9 +195,9 @@ class TestSharedPrefixEquivalence:
 
         monkeypatch.setattr(CSRGraph, "has_edges", counting)
         outcomes = []
-        for mode in (perf.FAST, perf.REFERENCE):
+        for stack in ARMS.values():  # as shipped, then the twins
             probed = 0
-            with perf.pipeline(mode), Gamma(graph) as gamma:
+            with stack(), Gamma(graph) as gamma:
                 if task == "q3":
                     answer = match_pattern(gamma, sm_query(3)).embeddings
                 else:
@@ -217,10 +215,9 @@ class TestEdgeExtensionEquivalence:
     def test_identical_rows_clock_counters(self, scenario):
         seed, nv, ne, strategy, pre_merge, __, __, __, __ = scenario
         graph = _graph_for(seed, nv, ne)
-        with perf.pipeline(perf.FAST):
-            fast = _run_edge_walk(graph, strategy, pre_merge, 1)
+        fast = _run_edge_walk(graph, strategy, pre_merge, 1)
         ref_graph = _graph_for(seed, nv, ne)
-        with perf.pipeline(perf.REFERENCE):
+        with straight_line():
             ref = _run_edge_walk(ref_graph, strategy, pre_merge, 1)
         np.testing.assert_array_equal(fast[0], ref[0])
         assert fast[1] == ref[1]
@@ -249,9 +246,8 @@ class TestUnionExtensionEquivalence:
             return (table.materialize(), platform.clock.snapshot(),
                     platform.counters.snapshot())
 
-        with perf.pipeline(perf.FAST):
-            fast = run(_graph_for(seed, nv, ne))
-        with perf.pipeline(perf.REFERENCE):
+        fast = run(_graph_for(seed, nv, ne))
+        with straight_line():
             ref = run(_graph_for(seed, nv, ne))
         np.testing.assert_array_equal(fast[0], ref[0])
         assert fast[1] == ref[1]
@@ -260,15 +256,14 @@ class TestUnionExtensionEquivalence:
 
 @pytest.mark.parametrize("dataset,task", [("CL", "sm"), ("CL", "kcl")])
 def test_end_to_end_simulated_time_identical(dataset, task):
-    """Whole-workload smoke: GAMMA's simulated seconds must not depend on
-    the pipeline."""
+    """Whole-workload smoke: GAMMA's simulated seconds are the same on the
+    straight-line stack."""
     from repro.bench.runner import run_task
     from repro.bench.workloads import kcl_task, sm_task
 
     t = sm_task(1) if task == "sm" else kcl_task(3)
-    with perf.pipeline(perf.FAST):
-        fast = run_task("GAMMA", dataset, t)
-    with perf.pipeline(perf.REFERENCE):
+    fast = run_task("GAMMA", dataset, t)
+    with straight_line():
         ref = run_task("GAMMA", dataset, t)
     assert fast.simulated_seconds == ref.simulated_seconds
     assert fast.peak_memory_bytes == ref.peak_memory_bytes

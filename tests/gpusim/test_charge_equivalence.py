@@ -1,19 +1,20 @@
-"""Fast-vs-reference charge-pipeline equivalence (the tentpole invariant).
+"""Charge-path equivalence against the straight-line twins.
 
-The batched pipeline (bincount page derivation, ``ChargeBatch`` memoization,
-argpartition eviction) must produce *bit-for-bit* the same simulated clock
-buckets and event counters as the retained reference implementations, for
-every region type, on randomized access patterns — including the repeated
-identical batches a two-pass write strategy issues and hybrid mode-map
-replans that invalidate the memo.
+The batched charge path (bincount page derivation, ``ChargeBatch``
+memoization, argpartition eviction) must produce *bit-for-bit* the same
+simulated clock buckets and event counters as the straight-line stack of
+:mod:`tests.twins` (never memoised, lexsort eviction), for every region
+type, on randomized access patterns — including the repeated identical
+batches a two-pass write strategy issues and hybrid mode-map replans that
+invalidate the memo.
 """
 
+from unittest import mock
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
 from repro.gpusim import (
     HybridRegion,
     UnifiedRegion,
@@ -21,6 +22,7 @@ from repro.gpusim import (
     make_platform,
     regions,
 )
+from tests.twins import straight_line
 
 N_ELEMENTS = 4096  # 32 KiB payload = 8 pages at the default 4 KiB page
 
@@ -87,9 +89,8 @@ def _replay(region_factory, ops):
 
 
 def _assert_equivalent(region_factory, ops):
-    with perf.pipeline(perf.FAST):
-        fast_clock, fast_counters = _replay(region_factory, ops)
-    with perf.pipeline(perf.REFERENCE):
+    fast_clock, fast_counters = _replay(region_factory, ops)
+    with straight_line():
         ref_clock, ref_counters = _replay(region_factory, ops)
     assert fast_clock == ref_clock  # bit-for-bit, not approx
     assert fast_counters == ref_counters
@@ -136,16 +137,15 @@ class TestMemoSafety:
         even when issued back to back."""
         platform = make_platform()
         region = UnifiedRegion("u", _payload(), platform, buffer_pages=8)
-        with perf.pipeline(perf.FAST):
-            region.charge_ranges(
-                np.array([0], dtype=np.int64), np.array([512], dtype=np.int64)
-            )
-            before = platform.counters.snapshot()
-            region.charge_ranges(
-                np.array([2048], dtype=np.int64),
-                np.array([2560], dtype=np.int64),
-            )
-            after = platform.counters.snapshot()
+        region.charge_ranges(
+            np.array([0], dtype=np.int64), np.array([512], dtype=np.int64)
+        )
+        before = platform.counters.snapshot()
+        region.charge_ranges(
+            np.array([2048], dtype=np.int64),
+            np.array([2560], dtype=np.int64),
+        )
+        after = platform.counters.snapshot()
         assert after["page_faults"] > before["page_faults"]
 
     def test_hybrid_replan_invalidates_memo(self):
@@ -158,11 +158,10 @@ class TestMemoSafety:
             platform = make_platform()
             region = HybridRegion("h", _payload(), platform, buffer_pages=8)
             region.set_unified_pages(np.arange(8, dtype=np.int64))
-            with perf.pipeline(perf.FAST):
-                region.charge_ranges(starts, ends)
-                if replan_between:
-                    region.set_unified_pages(np.empty(0, dtype=np.int64))
-                region.charge_ranges(starts, ends)
+            region.charge_ranges(starts, ends)
+            if replan_between:
+                region.set_unified_pages(np.empty(0, dtype=np.int64))
+            region.charge_ranges(starts, ends)
             return platform.counters.snapshot()
 
         with_replan = run(True)
@@ -173,7 +172,9 @@ class TestMemoSafety:
 
 class TestUnitDerivationEquivalence:
     """The sort-free `dedup_units` / `covered_units` derivations must match
-    their `np.unique` reference twins exactly, in both density regimes."""
+    the `np.unique` fallback exactly.  The fallback is what an unknown
+    namespace (``total_units=None``) or a sparse batch selects, so the same
+    blocks are derived on both sides of each choice."""
 
     @given(
         hst.lists(hst.integers(min_value=0, max_value=511), max_size=512),
@@ -182,12 +183,14 @@ class TestUnitDerivationEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_dedup_units(self, raw_blocks, total_units):
         blocks = np.array(raw_blocks, dtype=np.int64) % total_units
-        with perf.pipeline(perf.FAST):
-            fast = regions.dedup_units(blocks, total_units)
-        with perf.pipeline(perf.REFERENCE):
-            ref = regions.dedup_units(blocks, total_units)
-        np.testing.assert_array_equal(fast, ref)
-        assert fast.dtype == ref.dtype
+        dense = regions.dedup_units(blocks, total_units)
+        unknown = regions.dedup_units(blocks, None)
+        # The same ids in a namespace too large for the occupancy pass.
+        sparse = regions.dedup_units(blocks, len(blocks) * 8 + 1)
+        np.testing.assert_array_equal(dense, np.unique(blocks))
+        np.testing.assert_array_equal(dense, unknown)
+        np.testing.assert_array_equal(dense, sparse)
+        assert dense.dtype == unknown.dtype == sparse.dtype
 
     @given(
         hst.lists(
@@ -206,16 +209,22 @@ class TestUnitDerivationEquivalence:
             [min(f % total_units + l, total_units - 1) for f, l in raw_ranges],
             dtype=np.int64,
         )
-        with perf.pipeline(perf.FAST):
-            fast = regions.covered_units(first, last, total_units)
-        with perf.pipeline(perf.REFERENCE):
-            ref = regions.covered_units(first, last, total_units)
-        np.testing.assert_array_equal(fast, ref)
+        dense = regions.covered_units(first, last, total_units)
+        unknown = regions.covered_units(first, last, None)
+        span = int((last - first + 1).sum())
+        sparse = regions.covered_units(first, last, span * 8 + 1)
+        np.testing.assert_array_equal(dense, unknown)
+        np.testing.assert_array_equal(dense, sparse)
+        assert dense.dtype == unknown.dtype == sparse.dtype
 
-
-@pytest.mark.parametrize("mode", perf.PIPELINES)
-def test_pipeline_context_restores(mode):
-    previous = perf.pipeline_mode()
-    with perf.pipeline(mode):
-        assert perf.pipeline_mode() == mode
-    assert perf.pipeline_mode() == previous
+    def test_density_threshold_sides(self):
+        """8 blocks per namespace unit is the switch: 8 ids stay on the
+        occupancy pass up to a 64-unit namespace and sort beyond it."""
+        blocks = np.array([5, 1, 5, 3, 0, 1, 7, 2], dtype=np.int64)
+        first, last = blocks[:4], blocks[:4] + 1  # span = 8 units
+        with mock.patch.object(np, "unique", side_effect=AssertionError):
+            regions.dedup_units(blocks, 64)
+            regions.covered_units(first, last, 64)
+        with mock.patch.object(np, "bincount", side_effect=AssertionError):
+            regions.dedup_units(blocks, 65)
+            regions.covered_units(first, last, 65)

@@ -1,12 +1,13 @@
 """Contract tests for :class:`PageBuffer`: duplicate-input hardening and
-the amortized (argpartition) vs. reference (lexsort) eviction equivalence."""
+the amortized (argpartition) vs. fallback (lexsort) eviction equivalence."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
-from repro.gpusim import PageBuffer
+from repro.gpusim import PageBuffer, unified
 
 
 @hst.composite
@@ -95,14 +96,43 @@ class TestEvictionOrder:
     @settings(max_examples=60, deadline=None)
     def test_fast_eviction_matches_reference(self, trace):
         """argpartition over the packed (last_use, id) key must evict the
-        exact same victim set as the reference full lexsort."""
+        exact same victim set as the full lexsort (forced here by a zero
+        packed-key limit)."""
         total_pages, capacity, batches = trace
-        with perf.pipeline(perf.FAST):
-            fast = PageBuffer(capacity, total_pages)
-            fast_results = [fast.access(b) for b in batches]
-        with perf.pipeline(perf.REFERENCE):
+        fast = PageBuffer(capacity, total_pages)
+        fast_results = [fast.access(b) for b in batches]
+        with mock.patch.object(unified, "_PACKED_KEY_LIMIT", 0), \
+                mock.patch.object(np, "argpartition", side_effect=AssertionError):
             ref = PageBuffer(capacity, total_pages)
             ref_results = [ref.access(b) for b in batches]
         assert fast_results == ref_results
         assert fast.resident_pages.tolist() == ref.resident_pages.tolist()
         assert fast.evictions == ref.evictions
+
+    @given(raw_traces(), hst.integers(min_value=-3, max_value=0))
+    @settings(max_examples=60, deadline=None)
+    def test_same_victims_across_the_packed_key_tick_limit(self, trace, lead):
+        """Past ``_PACKED_KEY_LIMIT // total_pages`` ticks the packed key
+        could overflow and eviction sorts instead.  A buffer whose clock
+        starts ``lead`` ticks before that boundary crosses it mid-trace
+        and must keep evicting what a buffer at tick zero evicts (recency
+        is relative, so the shifted clock changes nothing else)."""
+        total_pages, capacity, batches = trace
+        plain = PageBuffer(capacity, total_pages)
+        late = PageBuffer(capacity, total_pages)
+        late._tick = unified._PACKED_KEY_LIMIT // total_pages + lead
+        for batch in batches:
+            assert late.access(batch) == plain.access(batch)
+            assert late.resident_pages.tolist() == plain.resident_pages.tolist()
+        assert late.evictions == plain.evictions
+
+    def test_tick_limit_selects_lexsort(self):
+        """One tick below the limit packs keys; at the limit it sorts."""
+        limit = unified._PACKED_KEY_LIMIT // 8
+        for tick, banned in ((limit - 2, "lexsort"), (limit - 1, "argpartition")):
+            buffer = PageBuffer(capacity_pages=2, total_pages=8)
+            buffer.access(np.array([4, 6, 7], dtype=np.int64))
+            buffer._tick = tick
+            with mock.patch.object(np, banned, side_effect=AssertionError):
+                buffer.access(np.array([1, 2], dtype=np.int64))
+            assert buffer.resident_pages.tolist() == [1, 2]

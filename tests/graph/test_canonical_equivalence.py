@@ -1,8 +1,8 @@
-"""Fast-vs-reference equivalence of quick-pattern canonicalization.
+"""Equivalence of quick-pattern canonicalization and its straight-line twin.
 
-``QuickPatternEncoder._canonicalize`` groups (qa, qb) quick-key pairs:
-the reference arm uses ``np.unique(axis=0)``, the fast arm a two-key
-lexsort with lead flags.  Both enumerate uniques in the same
+``QuickPatternEncoder._canonicalize`` groups (qa, qb) quick-key pairs
+with a two-key lexsort and lead flags; the twin in :mod:`tests.twins`
+uses ``np.unique(axis=0)``.  Both enumerate uniques in the same
 lexicographic order, so codes, placements, and inverse maps — and
 therefore every aggregation histogram — must be bit-identical.
 """
@@ -11,13 +11,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
 from repro.graph.canonical import QuickPatternEncoder
 from repro.graph.generators import erdos_renyi, zipf_labels
+from tests.twins import ARMS
+
+FAST, REFERENCE = ARMS["fast"], ARMS["reference"]
 
 
-def _encode_in(mode, srcs, dsts, labels, return_positions=False):
-    with perf.pipeline(mode):
+def _encode_in(stack, srcs, dsts, labels, return_positions=False):
+    with stack():
         encoder = QuickPatternEncoder()
         out = encoder.encode_edge_embeddings(
             srcs, dsts, labels, return_positions=return_positions)
@@ -39,8 +41,8 @@ def test_canonicalize_fast_matches_reference(seed, n, width, num_labels):
     srcs = rng.integers(0, num_vertices, size=(n, width), dtype=np.int64)
     dsts = rng.integers(0, num_vertices, size=(n, width), dtype=np.int64)
     labels = rng.integers(0, num_labels, size=num_vertices, dtype=np.int64)
-    fast = _encode_in(perf.FAST, srcs, dsts, labels)
-    ref = _encode_in(perf.REFERENCE, srcs, dsts, labels)
+    fast = _encode_in(FAST, srcs, dsts, labels)
+    ref = _encode_in(REFERENCE, srcs, dsts, labels)
     assert fast == ref
 
 
@@ -51,8 +53,8 @@ def test_canonicalize_positions_fast_matches_reference():
     rows = rng.integers(0, graph.num_edges, size=(300, 2), dtype=np.int64)
     srcs = graph.edge_src[rows]
     dsts = graph.edge_dst[rows]
-    fast = _encode_in(perf.FAST, srcs, dsts, labels, return_positions=True)
-    ref = _encode_in(perf.REFERENCE, srcs, dsts, labels,
+    fast = _encode_in(FAST, srcs, dsts, labels, return_positions=True)
+    ref = _encode_in(REFERENCE, srcs, dsts, labels,
                      return_positions=True)
     assert fast == ref
 
@@ -62,6 +64,6 @@ def test_canonicalize_isomorphic_rows_share_codes_in_both_modes():
     srcs = np.array([[0, 1, 2], [4, 3, 5]], dtype=np.int64)
     dsts = np.array([[1, 2, 0], [5, 4, 3]], dtype=np.int64)
     labels = np.zeros(6, dtype=np.int64)
-    for mode in (perf.FAST, perf.REFERENCE):
+    for mode in (FAST, REFERENCE):
         codes = _encode_in(mode, srcs, dsts, labels)
         assert codes[0] == codes[1]

@@ -112,6 +112,47 @@ class TestIO:
         assert (loaded.offsets == random_labeled_graph.offsets).all()
         assert loaded.name == random_labeled_graph.name
 
+    @pytest.mark.parametrize(
+        "line", ["3000000000 2", "2 2147483647", "8589934593 2"],
+        ids=["3e9", "2pow31-1", "2pow33+1"])
+    def test_edge_list_rejects_ids_past_the_pack_limit(self, tmp_path, line):
+        """An id the packed (u << 32 | v) keys cannot hold is refused
+        before anything is sized by it (2**31 - 1 would need a 16 GiB
+        offsets array; 2**33 + 1 would wrap to vertex 1)."""
+        target = tmp_path / "g.txt"
+        target.write_text(f"0 1\n{line}\n")
+        with pytest.raises(InvalidGraphError, match="packed edge-key limit"):
+            load_edge_list(target)
+
+    @pytest.mark.parametrize(
+        "line", ["99999999999999999999 2", "2 -99999999999999999999"],
+        ids=["positive", "negative"])
+    def test_edge_list_reports_int64_overflow_with_location(self, tmp_path,
+                                                            line):
+        target = tmp_path / "g.txt"
+        target.write_text(f"0 1\n{line}\n")
+        with pytest.raises(InvalidGraphError, match=r"g\.txt:2: .*int64"):
+            load_edge_list(target)
+
+    def test_binary_rejects_damaged_files(self, tiny_graph, tmp_path):
+        good = tmp_path / "g.npz"
+        save_binary(tiny_graph, good)
+        blob = good.read_bytes()
+        damaged = {
+            "truncated": blob[: len(blob) // 2],
+            "garbage": b"not a zip archive",
+            "empty": b"",
+        }
+        for name, data in damaged.items():
+            target = tmp_path / f"{name}.npz"
+            target.write_bytes(data)
+            with pytest.raises(InvalidGraphError, match="not a graph cache"):
+                load_binary(target)
+        partial = tmp_path / "partial.npz"
+        np.savez(partial, offsets=tiny_graph.offsets)
+        with pytest.raises(InvalidGraphError, match="neighbors"):
+            load_binary(partial)
+
 
 class TestDatasets:
     def test_registry_matches_table2(self):

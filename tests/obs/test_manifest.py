@@ -36,7 +36,6 @@ class TestBuildManifest:
         assert manifest["system"] == "GAMMA"
         assert manifest["dataset"] == "K7"
         assert manifest["task"] == "triangles"
-        assert manifest["pipeline"] in ("fast", "reference")
         assert manifest["git_rev"]
 
     def test_counters_recorded(self, manifest):

@@ -4,7 +4,7 @@ time goes*, never *what is counted*.
 For random graphs and random connected patterns, an ``--plan auto`` run
 must report counts identical to ``--plan baseline`` and to the
 pure-Python DFS oracles (:mod:`tests.oracle`), across 1, 2, and 4
-simulated GPUs and both pipeline arms.
+simulated GPUs.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
 from repro.algorithms import (
     count_kcliques,
     frequent_pattern_mining,
@@ -76,13 +75,11 @@ def test_sm_auto_equals_baseline_and_oracle(graph, shape, labeled, data):
               for __ in range(k)] if labeled else None
     pattern = Pattern(shape, labels=labels, name="diff-plan-sm")
     num_shards = data.draw(hst.sampled_from(SHARD_COUNTS))
-    arm = data.draw(hst.sampled_from(perf.PIPELINES))
     counts = {}
-    with perf.pipeline(arm):
-        for spec in ("baseline", "auto"):
-            with _engine(graph, num_shards) as engine:
-                counts[spec] = match_pattern(
-                    engine, pattern, plan=spec).embeddings
+    for spec in ("baseline", "auto"):
+        with _engine(graph, num_shards) as engine:
+            counts[spec] = match_pattern(
+                engine, pattern, plan=spec).embeddings
     assert counts["auto"] == counts["baseline"]
     assert counts["auto"] == sm_embedding_count_ref(graph, pattern)
 
@@ -92,13 +89,11 @@ def test_sm_auto_equals_baseline_and_oracle(graph, shape, labeled, data):
 @SLOW
 def test_motif_auto_equals_baseline_and_oracle(graph, num_edges, data):
     num_shards = data.draw(hst.sampled_from(SHARD_COUNTS))
-    arm = data.draw(hst.sampled_from(perf.PIPELINES))
     results = {}
-    with perf.pipeline(arm):
-        for spec in ("baseline", "auto"):
-            with _engine(graph, num_shards) as engine:
-                results[spec] = motif_count(
-                    engine, num_edges, plan=spec).histogram
+    for spec in ("baseline", "auto"):
+        with _engine(graph, num_shards) as engine:
+            results[spec] = motif_count(
+                engine, num_edges, plan=spec).histogram
     assert results["auto"] == results["baseline"]
     assert results["auto"] == motif_histogram_ref(graph, num_edges)
 
@@ -112,16 +107,14 @@ def test_fpm_auto_equals_baseline(graph, min_support, metric, data):
     dropped before extension); whatever the plan says, the adaptive
     fallback must keep the mined pattern set identical."""
     num_shards = data.draw(hst.sampled_from(SHARD_COUNTS))
-    arm = data.draw(hst.sampled_from(perf.PIPELINES))
     if num_shards > 1:
         metric = "instances"   # MNI minima do not decompose across shards
     results = {}
-    with perf.pipeline(arm):
-        for spec in ("baseline", "auto"):
-            with _engine(graph, num_shards) as engine:
-                results[spec] = frequent_pattern_mining(
-                    engine, 2, min_support, support_metric=metric,
-                    plan=spec).patterns
+    for spec in ("baseline", "auto"):
+        with _engine(graph, num_shards) as engine:
+            results[spec] = frequent_pattern_mining(
+                engine, 2, min_support, support_metric=metric,
+                plan=spec).patterns
     assert results["auto"] == results["baseline"]
 
 

@@ -7,8 +7,7 @@ two must be indistinguishable from the outside: identical mining
 results, identical per-shard counters and clock buckets, and
 byte-identical canonical manifests.  This file pins that contract both
 on a fixed full matrix ({1,2,4} shards x {static,degree,stealing}
-policies x both pipeline arms) and on a Hypothesis corpus of random
-graphs.
+policies) and on a Hypothesis corpus of random graphs.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
 from repro.algorithms import count_kcliques, motif_count, triangle_count
 from repro.graph import from_edges, generators, zipf_labels
 from repro.shard import (
@@ -25,6 +23,7 @@ from repro.shard import (
     canonical_manifest_bytes,
 )
 from repro.shard import shm
+from tests.twins import ARMS
 
 SLOW = settings(
     max_examples=6,
@@ -48,29 +47,28 @@ def random_graphs(draw, max_vertices=16, max_edges=40, max_labels=3):
     return from_edges(src, dst, num_vertices=n, labels=labels)
 
 
-def _observe(executor, graph, num_shards, policy, arm, drive):
+def _observe(executor, graph, num_shards, policy, drive):
     """Run one sharded workload and capture everything the determinism
     contract covers: the mining result, the full per-shard state dicts,
     and the canonical manifest bytes."""
-    with perf.pipeline(arm):
-        engine = ShardedGamma(
-            graph, num_shards=num_shards, policy=policy, executor=executor
+    engine = ShardedGamma(
+        graph, num_shards=num_shards, policy=policy, executor=executor
+    )
+    try:
+        result = drive(engine)
+        states = engine.shard_states()
+        manifest = build_sharded_manifest(
+            engine, system="GAMMA", dataset="parity", task="parity"
         )
-        try:
-            result = drive(engine)
-            states = engine.shard_states()
-            manifest = build_sharded_manifest(
-                engine, system="GAMMA", dataset="parity", task="parity"
-            )
-            blob = canonical_manifest_bytes(manifest)
-        finally:
-            engine.close()
+        blob = canonical_manifest_bytes(manifest)
+    finally:
+        engine.close()
     return result, states, blob
 
 
-def _assert_parity(graph, num_shards, policy, arm, drive):
-    serial = _observe("serial", graph, num_shards, policy, arm, drive)
-    process = _observe("process", graph, num_shards, policy, arm, drive)
+def _assert_parity(graph, num_shards, policy, drive):
+    serial = _observe("serial", graph, num_shards, policy, drive)
+    process = _observe("process", graph, num_shards, policy, drive)
     assert serial[0] == process[0]  # mining result
     assert serial[1] == process[1]  # per-shard counters/clock buckets
     assert serial[2] == process[2]  # canonical manifest bytes
@@ -88,18 +86,19 @@ def matrix_graph():
 def test_matrix_triangles_parity(matrix_graph, num_shards, policy):
     """Fixed-graph anchor over the full shard-count x policy matrix."""
     _assert_parity(
-        matrix_graph, num_shards, policy, perf.PIPELINES[0],
+        matrix_graph, num_shards, policy,
         lambda engine: triangle_count(engine).triangles,
     )
 
 
-@pytest.mark.parametrize("arm", perf.PIPELINES)
+@pytest.mark.parametrize("arm", ARMS)
 def test_matrix_kcliques_parity_both_arms(matrix_graph, arm):
-    """Both pipeline arms agree across backends on the same workload."""
-    _assert_parity(
-        matrix_graph, 4, "stealing", arm,
-        lambda engine: count_kcliques(engine, 4).cliques,
-    )
+    """The backends agree as shipped and on the straight-line twins."""
+    with ARMS[arm]():
+        _assert_parity(
+            matrix_graph, 4, "stealing",
+            lambda engine: count_kcliques(engine, 4).cliques,
+        )
 
 
 @given(graph=random_graphs(), data=hst.data())
@@ -107,9 +106,8 @@ def test_matrix_kcliques_parity_both_arms(matrix_graph, arm):
 def test_kcliques_parity_property(graph, data):
     num_shards = data.draw(hst.sampled_from(SHARD_COUNTS))
     policy = data.draw(hst.sampled_from(POLICIES))
-    arm = data.draw(hst.sampled_from(perf.PIPELINES))
     _assert_parity(
-        graph, num_shards, policy, arm,
+        graph, num_shards, policy,
         lambda engine: count_kcliques(engine, 3).cliques,
     )
 
@@ -119,8 +117,7 @@ def test_kcliques_parity_property(graph, data):
 def test_motifs_parity_property(graph, data):
     num_shards = data.draw(hst.sampled_from(SHARD_COUNTS))
     policy = data.draw(hst.sampled_from(POLICIES))
-    arm = data.draw(hst.sampled_from(perf.PIPELINES))
     _assert_parity(
-        graph, num_shards, policy, arm,
+        graph, num_shards, policy,
         lambda engine: motif_count(engine, 3).histogram,
     )

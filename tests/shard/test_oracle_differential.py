@@ -1,7 +1,7 @@
 """Differential corpus: sharded GAMMA vs the brute-force oracle.
 
 Every mining result produced by a sharded run — any shard count, any
-policy, either pipeline arm — must equal the count a pure-Python DFS
+policy — must equal the count a pure-Python DFS
 enumeration produces on the same graph.  The oracle
 (:mod:`tests.oracle`) shares no pipeline code with the engine, so an
 agreement here rules out whole classes of partitioning bugs: lost or
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from repro import perf
 from repro.algorithms import (
     count_kcliques,
     match_pattern,
@@ -31,6 +30,7 @@ from tests.oracle import (
     sm_embedding_count_ref,
     triangle_count_ref,
 )
+from tests.twins import ARMS
 
 SLOW = settings(
     max_examples=8,
@@ -56,17 +56,15 @@ def random_graphs(draw, max_vertices=20, max_edges=60, max_labels=3):
 def sharding_params(draw):
     num_shards = draw(hst.sampled_from(SHARD_COUNTS))
     policy = draw(hst.sampled_from(("static", "degree", "stealing")))
-    arm = draw(hst.sampled_from(perf.PIPELINES))
-    return num_shards, policy, arm
+    return num_shards, policy
 
 
 @given(graph=random_graphs(), data=hst.data())
 @SLOW
 def test_triangles_match_oracle(graph, data):
-    num_shards, policy, arm = sharding_params(data.draw)
-    with perf.pipeline(arm):
-        engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
-        got = triangle_count(engine).triangles
+    num_shards, policy = sharding_params(data.draw)
+    engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
+    got = triangle_count(engine).triangles
     assert got == triangle_count_ref(graph)
 
 
@@ -74,10 +72,9 @@ def test_triangles_match_oracle(graph, data):
        data=hst.data())
 @SLOW
 def test_kcliques_match_oracle(graph, k, data):
-    num_shards, policy, arm = sharding_params(data.draw)
-    with perf.pipeline(arm):
-        engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
-        got = count_kcliques(engine, k).cliques
+    num_shards, policy = sharding_params(data.draw)
+    engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
+    got = count_kcliques(engine, k).cliques
     assert got == kclique_count_ref(graph, k)
 
 
@@ -85,10 +82,9 @@ def test_kcliques_match_oracle(graph, k, data):
        num_edges=hst.integers(min_value=2, max_value=3), data=hst.data())
 @SLOW
 def test_motifs_match_oracle(graph, num_edges, data):
-    num_shards, policy, arm = sharding_params(data.draw)
-    with perf.pipeline(arm):
-        engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
-        got = motif_count(engine, num_edges)
+    num_shards, policy = sharding_params(data.draw)
+    engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
+    got = motif_count(engine, num_edges)
     ref = motif_histogram_ref(graph, num_edges)
     assert got.histogram == ref
     assert got.total_instances == sum(ref.values())
@@ -111,20 +107,20 @@ def test_subgraph_matching_matches_oracle(graph, shape, labeled, binary,
     labels = [data.draw(hst.integers(min_value=0, max_value=2))
               for __ in range(k)] if labeled else None
     pattern = Pattern(shape, labels=labels, name="diff-sm")
-    num_shards, policy, arm = sharding_params(data.draw)
+    num_shards, policy = sharding_params(data.draw)
     matcher = match_pattern_binary if binary else match_pattern
-    with perf.pipeline(arm):
-        engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
-        got = matcher(engine, pattern).embeddings
+    engine = ShardedGamma(graph, num_shards=num_shards, policy=policy)
+    got = matcher(engine, pattern).embeddings
     assert got == sm_embedding_count_ref(graph, pattern)
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-@pytest.mark.parametrize("arm", perf.PIPELINES)
+@pytest.mark.parametrize("arm", ARMS)
 def test_wheel_triangles_every_arm(wheel_graph, num_shards, arm):
     """Deterministic anchor alongside the property tests: W5 has exactly
-    5 triangles under every shard count and both pipeline arms."""
-    with perf.pipeline(arm):
+    5 triangles under every shard count, as shipped and on the
+    straight-line twins."""
+    with ARMS[arm]():
         engine = ShardedGamma(wheel_graph, num_shards=num_shards,
                               policy="degree")
         assert triangle_count(engine).triangles == 5

@@ -235,8 +235,25 @@ class TestPerfReportCommand:
     def test_clean_history_passes(self, capsys, tmp_path):
         import json
 
+        from repro.obs.profile import HistoryStore
+
+        # One live run pins the shape `repro run --history-dir` writes...
+        self._populate(tmp_path / "live", runs=1)
+        with HistoryStore(tmp_path / "live") as store:
+            live = store.latest("cli", "triangles-ER", arm="GAMMA")
+        assert live["wall_seconds"] > 0 and live["simulated_seconds"] > 0
+        # ...and the gated history repeats it with a fixed wall clock, so
+        # "clean" does not depend on how evenly this host times 3 ms runs.
         history = tmp_path / "history"
-        self._populate(history)
+        with HistoryStore(history) as store:
+            for __ in range(4):
+                store.append(
+                    bench=live["bench"], workload=live["workload"],
+                    arm=live["arm"], wall_seconds=0.25,
+                    simulated_seconds=live["simulated_seconds"],
+                    clock_buckets=live["clock_buckets"],
+                    counters=live["counters"], span_tree=live["span_tree"],
+                )
         capsys.readouterr()
         json_out = tmp_path / "verdicts.json"
         assert main(["perf-report", "--history", str(history),
@@ -246,6 +263,7 @@ class TestPerfReportCommand:
         verdicts = json.loads(json_out.read_text())
         assert verdicts and not any(v["flagged"] for v in verdicts)
         assert all(v["schema"] == "gamma-perf-verdict/1" for v in verdicts)
+        assert "wall_seconds" in verdicts[0]["metrics"]
 
     def test_cell_filters_select_nothing(self, tmp_path):
         history = tmp_path / "history"

@@ -27,10 +27,7 @@ def run_gammalint(strict: bool = False) -> int:
     from repro.analysis.__main__ import main as gammalint_main
 
     print("== gammalint ==")
-    argv = [
-        str(REPO_ROOT / "src"),
-        "--tests-dir", str(REPO_ROOT / "tests"),
-    ]
+    argv = [str(REPO_ROOT / "src")]
     if strict:
         # CI mode also audits the waiver ledger: a module-level
         # allow[code] whose code no longer fires is debt to collect.

@@ -1,16 +1,12 @@
 #!/usr/bin/env python
 """Regression gate over run manifests.
 
-Compares the manifests in a candidate file against a baseline file and
-exits non-zero when a counter or simulated-time regression exceeds the
-thresholds.  Either file may be:
+Compares a candidate run manifest (``repro run --manifest-out``) against
+a baseline one and exits non-zero when a counter or simulated-time
+regression exceeds the thresholds.
 
-* a bare run manifest (``repro run --manifest-out``), or
-* a ``bench_hotpath.py`` report whose ``workloads[*].manifest`` entries
-  each carry one.
-
-Manifests are matched by (system, dataset, task); entries present on only
-one side are reported but never fail the gate.  The simulation is
+Manifests are matched by (system, dataset, task); a pair that differs
+there is reported but never fails the gate.  The simulation is
 deterministic, so on identical code the diff is empty — the thresholds
 exist only to absorb intentional cost-model tweaks.
 
@@ -33,7 +29,7 @@ nothing to regress against, and failing there would block the first run
 that creates the baseline.
 
 Usage:
-    PYTHONPATH=src python tools/obs_diff.py BENCH_hotpath.json new.json
+    PYTHONPATH=src python tools/obs_diff.py base-manifest.json cand.json
     PYTHONPATH=src python tools/obs_diff.py base-manifest.json cand.json \
         --counter-threshold 0.10 --time-threshold 0.05 --warn-only
 """
@@ -59,20 +55,13 @@ EXIT_NO_CANDIDATE = 2
 
 
 def _extract(path: Path) -> "dict[tuple, dict]":
-    """Map (system, dataset, task) -> manifest for whatever ``path`` holds."""
+    """Map (system, dataset, task) -> the manifest ``path`` holds (empty
+    when the file is not a run manifest)."""
     data = json.loads(path.read_text())
     if str(data.get("schema", "")).startswith(MANIFEST_SCHEMA_PREFIX):
         key = (data.get("system"), data.get("dataset"), data.get("task"))
         return {key: data}
-    manifests = {}
-    for row in data.get("workloads", []):
-        manifest = row.get("manifest")
-        if not manifest:
-            continue
-        key = (manifest.get("system"), manifest.get("dataset"),
-               manifest.get("task"))
-        manifests[key] = manifest
-    return manifests
+    return {}
 
 
 def main(argv=None) -> int:

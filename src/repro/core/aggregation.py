@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.canonical import QuickPatternEncoder
+from ..graph.groupby import first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
 from .embedding_table import EmbeddingTable
 from .pattern_table import PatternTable
@@ -52,8 +53,7 @@ def mni_supports(
     *distinct* data vertices seen there — the largest support measure that
     is still anti-monotone.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    uniq, inverse = np.unique(codes, return_inverse=True)
+    uniq, inverse = group_by(codes)
     if len(uniq) == 0:
         return uniq, np.empty(0, dtype=np.int64)
     mni = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
@@ -65,10 +65,14 @@ def mni_supports(
             continue
         pair_code = inverse[valid]
         pair_vertex = column[valid]
-        distinct = np.unique(
-            np.stack([pair_code, pair_vertex], axis=1), axis=0
-        )
-        counts = np.bincount(distinct[:, 0], minlength=len(uniq))
+        span = int(pair_vertex.max()) + 1
+        if len(uniq) * span <= np.iinfo(np.int64).max:
+            # One word per (pattern, vertex) pair; its quotient is the pattern.
+            distinct = np.unique(pair_code * np.int64(span) + pair_vertex) // span
+        else:
+            pairs = np.stack([pair_code, pair_vertex], axis=1)
+            distinct = np.unique(pairs, axis=0)[:, 0]
+        counts = np.bincount(distinct, minlength=len(uniq))
         present = counts > 0
         mni[present] = np.minimum(mni[present], counts[present])
         covered |= present
@@ -166,6 +170,18 @@ def embedding_set_keys(mats: np.ndarray) -> np.ndarray:
     ).ravel()
 
 
+def sorted_columns(mats: np.ndarray) -> list[np.ndarray]:
+    """The columns of ``np.sort(mats, axis=1)`` by an insertion network of
+    whole-column compare-exchanges: embedding rows are a handful of ids
+    wide and millions long, the shape a per-row sort handles worst."""
+    columns = [mats[:, j] for j in range(mats.shape[1])]
+    for end in range(1, len(columns)):
+        for j in range(end, 0, -1):
+            a, b = columns[j - 1], columns[j]
+            columns[j - 1], columns[j] = np.minimum(a, b), np.maximum(a, b)
+    return columns
+
+
 def dedup_embeddings(
     platform: GpuPlatform,
     table: EmbeddingTable,
@@ -181,19 +197,16 @@ def dedup_embeddings(
         if mats.size == 0:
             return 0
         n = len(mats)
-        # Pack each sorted row into one int64 when the ids fit: a scalar-key
-        # unique avoids the void-dtype byte-wise compare.  Packing is
-        # bijective (each id takes ``bits`` bits), so the first-occurrence
-        # set is bit-identical to the set-key one.
-        ordered = np.sort(mats, axis=1)
-        max_id = int(ordered.max())
-        bits = max(1, max_id.bit_length())
-        if int(ordered.min()) >= 0 and \
-                ordered.shape[1] * bits <= _PACK_BITS_LIMIT:
-            packed = ordered[:, 0].astype(np.int64)
-            for col in range(1, ordered.shape[1]):
-                packed = (packed << bits) | ordered[:, col]
-            __, first_idx = np.unique(packed, return_index=True)
+        # Pack each sorted row into one int64 when the ids fit (a scalar
+        # key sorts by value, the void set key byte-wise).  Packing is
+        # bijective, so the first-occurrence set equals the set-key one.
+        bits = max(1, int(mats.max()).bit_length())
+        if int(mats.min()) >= 0 and mats.shape[1] * bits <= _PACK_BITS_LIMIT:
+            ordered = sorted_columns(mats)
+            packed = ordered[0]
+            for column in ordered[1:]:
+                packed = (packed << bits) | column
+            first_idx = first_occurrence(packed)
         else:
             __, first_idx = np.unique(
                 embedding_set_keys(mats), return_index=True

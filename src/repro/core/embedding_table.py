@@ -341,16 +341,15 @@ class EmbeddingTable:
         """
         if not self.columns:
             return np.empty((0, 0), dtype=np.int64)
-        if rows is None:
-            rows = np.arange(self.num_embeddings, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty((len(rows), self.depth), dtype=np.int64)
-        current = rows
+        n = self.num_embeddings if rows is None else len(rows)
+        out = np.empty((n, self.depth), dtype=np.int64)
+        # ``None`` = every row in order: a copy, not a gather via arange.
+        current = rows if rows is None else np.asarray(rows, dtype=np.int64)
         for level in range(self.depth - 1, -1, -1):
             values, parents = self._column_arrays(level)
-            out[:, level] = values[current]
-            current = parents[current]
-            self._charge_stream(len(rows) * _CELL_BYTES, level=level)
+            out[:, level] = values if current is None else values[current]
+            current = parents if current is None else parents[current]
+            self._charge_stream(n * _CELL_BYTES, level=level)
         return out
 
     # -- compression (paper §V-A, three stages) -----------------------------------

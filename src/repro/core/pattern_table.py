@@ -40,9 +40,6 @@ class PatternTable:
             raise ValueError("merge expects unique codes")
         merged_codes = np.concatenate([self.codes, codes])
         merged_counts = np.concatenate([self.supports, counts])
-        order = np.argsort(merged_codes, kind="stable")
-        merged_codes = merged_codes[order]
-        merged_counts = merged_counts[order]
         uniq, inverse = np.unique(merged_codes, return_inverse=True)
         sums = np.zeros(len(uniq), dtype=np.int64)
         np.add.at(sums, inverse, merged_counts)

@@ -28,11 +28,14 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidPatternError
+from .groupby import group_by
 
 #: Packing limits for quick patterns (4-bit vertex ids, 8-bit slots).
 MAX_EDGES = 7
 MAX_VERTICES = 8
 MAX_LABEL = 255
+#: Widest structure + label bits that fold into one non-negative int64.
+_FOLD_BITS_LIMIT = 63
 
 
 def canonical_form(
@@ -104,25 +107,26 @@ def first_appearance_relabel(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise first-appearance relabeling of integer sequences.
 
     For each row, the first distinct value becomes 0, the second 1, and so
-    on.  Returns ``(ids, fresh)`` where ``fresh[i, j]`` marks the position
-    where each distinct value first appears.  Vectorized over rows with an
-    O(width^2) unrolled scan — widths here are at most ``2 * MAX_EDGES``.
+    on.  Returns ``(ids, fresh)``: ``uint8`` ids and a bool matrix marking
+    the position where each distinct value first appears, both ``(n, m)``
+    with contiguous *columns* for the O(width^2) unrolled scan (widths
+    here are at most ``2 * MAX_EDGES``).  Every earlier position holding
+    a value carries the same id, so any match may overwrite the default.
     """
     seq = np.asarray(seq, dtype=np.int64)
-    if seq.ndim != 2:
-        raise ValueError("seq must be 2-D (rows of vertex sequences)")
+    if seq.ndim != 2 or seq.shape[1] > 256:
+        raise ValueError("seq must be 2-D (rows of <= 256-long vertex sequences)")
     n, m = seq.shape
-    ids = np.zeros((n, m), dtype=np.int64)
-    fresh = np.ones((n, m), dtype=bool)
+    ids = np.zeros((m, n), dtype=np.uint8).T
+    fresh = np.ones((m, n), dtype=bool).T
+    next_id = np.ones(n, dtype=np.uint8)
     for j in range(1, m):
-        assigned = np.full(n, -1, dtype=np.int64)
+        column_ids = next_id.copy()
         for jp in range(j):
-            hit = (seq[:, jp] == seq[:, j]) & (assigned < 0)
-            if hit.any():
-                assigned[hit] = ids[hit, jp]
-        new = assigned < 0
-        ids[:, j] = np.where(new, fresh[:, :j].sum(axis=1), assigned)
-        fresh[:, j] = new
+            np.copyto(column_ids, ids[:, jp], where=seq[:, jp] == seq[:, j])
+        ids[:, j] = column_ids
+        np.equal(column_ids, next_id, out=fresh[:, j])
+        next_id += fresh[:, j]
     return ids, fresh
 
 
@@ -168,29 +172,31 @@ class QuickPatternEncoder:
                 return codes, np.empty((0, MAX_VERTICES), dtype=np.int64)
             return codes
 
-        # Interleave endpoints: row i -> [s0, d0, s1, d1, ...].
-        seq = np.empty((n, 2 * k), dtype=np.int64)
+        # Row i is [s0, d0, s1, d1, ...]; columns are contiguous.
+        seq = np.empty((2 * k, n), dtype=np.int64).T
         seq[:, 0::2] = srcs
         seq[:, 1::2] = dsts
         ids, fresh = first_appearance_relabel(seq)
-        if int(ids.max(initial=0)) >= MAX_VERTICES:
-            raise InvalidPatternError(
-                f"at most {MAX_VERTICES} vertices per embedding"
-            )
+        vertices = int(ids.max(initial=0)) + 1
+        if vertices > MAX_VERTICES:
+            raise InvalidPatternError(f"at most {MAX_VERTICES} vertices per embedding")
 
-        # Structure word: 8 bits per edge = (src_id << 4) | dst_id.
-        edge_codes = (ids[:, 0::2] << 4) | ids[:, 1::2]
-        shifts = (8 * np.arange(k, dtype=np.int64))[None, :]
-        qa = (edge_codes << shifts).sum(axis=1)
+        # Structure word: byte t = (src_id << 4) | dst_id of edge t.
+        edge_bytes = np.zeros((n, 8), dtype=np.uint8)
+        for t in range(k):
+            edge_bytes[:, t] = (ids[:, 2 * t] << 4) | ids[:, 2 * t + 1]
+        qa = edge_bytes.view("<i8").ravel()
 
-        # Label word: 8 bits per *relabelled* vertex id.
-        labels_at = vertex_labels[seq]
-        if int(labels_at.max(initial=0)) > MAX_LABEL:
-            raise InvalidPatternError(f"labels must be <= {MAX_LABEL}")
-        contrib = np.where(fresh, labels_at << (8 * ids), 0)
-        qb = contrib.sum(axis=1)
+        # Label word: byte v = label of *relabelled* vertex v (a repeated
+        # vertex ORs the same label into the same byte again).
+        labels_at = vertex_labels[seq.T].astype(np.int64, copy=False)
+        if int(labels_at.max()) > MAX_LABEL or int(labels_at.min()) < 0:
+            raise InvalidPatternError(f"labels must be in [0, {MAX_LABEL}]")
+        qb = np.zeros(n, dtype=np.int64)
+        for j in range(2 * k):
+            qb |= labels_at[j] << (ids[:, j].astype(np.int64) << 3)
 
-        codes, placements, inverse = self._canonicalize(qa, qb, k)
+        codes, placements, inverse = self._canonicalize(qa, qb, k, vertices)
         if not return_positions:
             return codes
 
@@ -209,7 +215,7 @@ class QuickPatternEncoder:
         return codes, positions
 
     def _canonicalize(
-        self, qa: np.ndarray, qb: np.ndarray, k: int
+        self, qa: np.ndarray, qb: np.ndarray, k: int, vertices: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Map quick keys to canonical keys, canonicalizing each distinct
         quick pattern exactly once.
@@ -218,7 +224,7 @@ class QuickPatternEncoder:
         per-unique-quick-pattern canonical placement matrix (quick id at
         canonical position, -1 padded) and the unique-row inverse map.
         """
-        uniq, inverse = self._unique_quick(qa, qb)
+        uniq, inverse = self._unique_quick(qa, qb, 8 * k, 8 * vertices)
         out_codes = np.empty(len(uniq), dtype=np.int64)
         placements = np.full((len(uniq), MAX_VERTICES), -1, dtype=np.int64)
         for i, (ua, ub) in enumerate(uniq):
@@ -236,11 +242,17 @@ class QuickPatternEncoder:
         return out_codes[inverse], placements, inverse
 
     @staticmethod
-    def _unique_quick(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _unique_quick(qa: np.ndarray, qb: np.ndarray, bits_a: int,
+                      bits_b: int) -> tuple[np.ndarray, np.ndarray]:
         """Distinct ``(qa, qb)`` rows in lexicographic order plus each
         input row's index into them — what ``np.unique(axis=0,
-        return_inverse=True)`` returns, without the void-dtype round-trip:
-        one two-key lexsort, then lead flags mark group starts."""
+        return_inverse=True)`` returns, given ``qa < 2**bits_a`` and
+        ``qb < 2**bits_b``.  Pairs that fit one word are grouped on it;
+        wider ones take a two-key lexsort and lead flags."""
+        if bits_a + bits_b <= _FOLD_BITS_LIMIT:
+            word, inverse = group_by((qa << bits_b) | qb)
+            pairs = [word >> bits_b, word & ((1 << bits_b) - 1)]
+            return np.stack(pairs, axis=1), inverse
         order = np.lexsort((qb, qa))
         qa_s, qb_s = qa[order], qb[order]
         lead = np.ones(len(order), dtype=bool)

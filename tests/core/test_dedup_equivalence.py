@@ -1,12 +1,16 @@
 """Packed-vs-void-key equivalence of embedding-set deduplication.
 
-``dedup_embeddings`` packs each sorted row into a single int64 key when
-``cols * bits`` fits ``_PACK_BITS_LIMIT`` and unique-sorts scalars; wider
-rows keep the void-dtype set-key compare.  Both must keep the exact same
-first-occurrence rows — bit-for-bit identical surviving tables, simulated
-clocks, and counters.  ``REFERENCE`` runs the straight-line stack of
-:mod:`tests.twins`, whose zero packing limit keys every row by void.
+``dedup_embeddings`` sorts each row with a column network and packs it
+into a single int64 key when ``cols * bits`` fits ``_PACK_BITS_LIMIT``,
+then finds first occurrences by one value sort of index-tagged keys (or
+the stable sort when key + index bits pass ``_TAG_BITS_LIMIT``); wider
+rows keep the void-dtype set-key compare.  All three must keep the exact
+same first-occurrence rows — bit-for-bit identical surviving tables,
+simulated clocks, and counters.  ``REFERENCE`` runs the straight-line
+stack of :mod:`tests.twins`, whose zero limits key every row by void.
 """
+
+from contextlib import contextmanager
 
 from unittest import mock
 
@@ -15,12 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.core.aggregation import dedup_embeddings, embedding_set_keys
+from repro.core.aggregation import (
+    dedup_embeddings,
+    embedding_set_keys,
+    sorted_columns,
+)
 from repro.core.embedding_table import EDGE, EmbeddingTable
 from repro.gpusim import make_platform
+from repro.graph import groupby
 from tests.twins import ARMS, aggregation
 
 FAST, REFERENCE = ARMS["fast"], ARMS["reference"]
+
+
+@contextmanager
+def STABLE():
+    """Packed keys, but first occurrences by the stable sort."""
+    with mock.patch.object(groupby, "_TAG_BITS_LIMIT", 0):
+        yield
 
 
 def _table_with_rows(platform, rows: np.ndarray) -> EmbeddingTable:
@@ -55,8 +71,37 @@ def test_dedup_fast_matches_reference(seed, n, width, id_bound):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, id_bound, size=(n, width), dtype=np.int64)
     fast = _dedup_in(FAST, rows)
-    ref = _dedup_in(REFERENCE, rows)
-    assert fast == ref
+    assert fast == _dedup_in(REFERENCE, rows)
+    assert fast == _dedup_in(STABLE, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=hst.integers(min_value=0, max_value=2**31 - 1),
+    n=hst.integers(min_value=0, max_value=40),
+    width=hst.integers(min_value=1, max_value=7),
+    low=hst.sampled_from([0, -5, 2**40]),
+)
+def test_column_network_matches_row_sort(seed, n, width, low):
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(low, low + 9, size=(n, width), dtype=np.int64)
+    before = mats.copy()
+    columns = sorted_columns(mats)
+    assert len(columns) == width
+    assert np.stack(columns, axis=1).tolist() == np.sort(mats, axis=1).tolist()
+    assert mats.tolist() == before.tolist()  # the input rows stay as they were
+
+
+def test_tagged_and_stable_first_occurrence_both_reached():
+    """8 bits of key + 3 of row index tag; two 31-bit ids (62 bits of key,
+    still packed) + 3 do not, and dedup keeps the first of each set."""
+    narrow = np.array([[5, 9], [9, 5], [2, 7], [7, 2], [5, 9]], dtype=np.int64)
+    wide = narrow << 27
+    for rows, tagged in [(narrow, True), (wide, False)]:
+        with mock.patch.object(groupby.np, "unique", wraps=np.unique) as stable:
+            removed, mats, __, __ = _dedup_in(FAST, rows)
+        assert (stable.call_count == 0) == tagged
+        assert removed == 3 and mats == rows[[0, 2]].tolist()
 
 
 def _first_occurrences(rows: np.ndarray) -> list:
@@ -115,7 +160,7 @@ def test_set_keys_order_insensitive():
 def test_dedup_keeps_first_occurrence():
     rows = np.array([[5, 9], [9, 5], [2, 7], [7, 2], [5, 9]],
                     dtype=np.int64)
-    for mode in (FAST, REFERENCE):
+    for mode in (FAST, REFERENCE, STABLE):
         removed, mats, __, __ = _dedup_in(mode, rows)
         assert removed == 3
         assert mats == [[5, 9], [2, 7]]

@@ -66,6 +66,30 @@ class TestMaterialize:
         mats = table.materialize(np.array([2, 0]))
         assert mats.tolist() == [[3], [1]]
 
+    def test_all_rows_equals_identity_subset(self):
+        """``rows=None`` copies the last column instead of gathering it
+        through ``arange(n)``: same matrix, same charges, and the result
+        never aliases the table's columns."""
+        def build(platform):
+            table = EmbeddingTable(platform)
+            table.seed(np.array([1, 2]))
+            table.append_column(np.array([3, 4, 5]), np.array([0, 1, 1]))
+            table.append_column(np.array([6, 7, 8, 9]), np.array([2, 0, 0, 1]))
+            return table
+
+        whole_platform, subset_platform = make_platform(), make_platform()
+        whole = build(whole_platform).materialize()
+        table = build(subset_platform)
+        subset = table.materialize(np.arange(4))
+        assert whole.tolist() == subset.tolist() == [
+            [2, 5, 6], [1, 3, 7], [1, 3, 8], [2, 4, 9]]
+        assert whole_platform.clock.snapshot() == subset_platform.clock.snapshot()
+        assert (whole_platform.counters.snapshot(include_zero=True)
+                == subset_platform.counters.snapshot(include_zero=True))
+        mats = table.materialize()
+        mats[:] = -1
+        assert table.materialize().tolist() == whole.tolist()
+
     def test_total_cells(self, table):
         table.seed(np.array([1, 2]))
         table.append_column(np.array([5]), np.array([1]))

@@ -1,6 +1,7 @@
 """Tests for MNI (minimum-image-based) support."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,20 @@ class TestMniSupports:
         assert uniq.tolist() == [1, 2]
         # pattern 1: position 0 has {10, 11}=2, position 1 has {20, 21}=2
         assert mni.tolist() == [2, 1]
+
+    def test_pair_fold_threshold_both_sides(self):
+        """``patterns * (max vertex + 1)`` within int64 folds each (pattern,
+        vertex) pair into one word; past it the stacked-pair unique runs.
+        Same supports either way."""
+        codes = np.array([5, 5, 5, 9, 9])
+        small = np.array([[1, 2], [1, 3], [4, 2], [7, 7], [7, 8]])
+        huge = np.where(small == 7, 2**62, small)  # 2 patterns * 2**62 overflows
+        for positions, folds in [(small, True), (huge, False)]:
+            with mock.patch.object(np, "stack", wraps=np.stack) as stacked:
+                uniq, mni = mni_supports(codes, positions)
+            assert (stacked.call_count == 0) == folds
+            assert uniq.tolist() == [5, 9]
+            assert mni.tolist() == [2, 1]
 
     def test_empty(self):
         uniq, mni = mni_supports(

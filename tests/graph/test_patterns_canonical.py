@@ -171,6 +171,35 @@ class TestFirstAppearanceRelabel:
         with pytest.raises(ValueError):
             first_appearance_relabel(np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dtype_and_layout_contract(self, order):
+        """``uint8`` ids, ``bool`` fresh, both ``(n, m)`` with contiguous
+        columns, whatever the layout of the input."""
+        seq = np.array([[7, 3, 7, 9], [1, 1, 2, 1], [4, 5, 6, 7]], order=order)
+        ids, fresh = first_appearance_relabel(seq)
+        assert ids.dtype == np.uint8 and fresh.dtype == np.bool_
+        assert ids.shape == fresh.shape == seq.shape
+        assert all(ids[:, j].flags.c_contiguous and fresh[:, j].flags.c_contiguous
+                   for j in range(seq.shape[1]))
+        assert ids.tolist() == [[0, 1, 0, 2], [0, 0, 1, 0], [0, 1, 2, 3]]
+        assert fresh.tolist() == [[True, True, False, True],
+                                  [True, False, True, False],
+                                  [True, True, True, True]]
+
+    def test_width_limit_both_sides(self):
+        """256 distinct values per row still fit ``uint8`` ids; 257 columns
+        are rejected rather than wrapped."""
+        ids, fresh = first_appearance_relabel(np.arange(256)[None, :] * 3)
+        assert ids[0].tolist() == list(range(256)) and fresh.all()
+        with pytest.raises(ValueError):
+            first_appearance_relabel(np.zeros((2, 257), dtype=np.int64))
+
+    def test_empty_shapes(self):
+        for shape in [(0, 4), (3, 0), (3, 1)]:
+            ids, fresh = first_appearance_relabel(np.zeros(shape, dtype=np.int64))
+            assert ids.shape == fresh.shape == shape
+            assert not ids.any() and fresh.all()
+
     @given(
         hst.lists(
             hst.lists(hst.integers(min_value=0, max_value=9), min_size=6,
@@ -250,6 +279,43 @@ class TestQuickPatternEncoder:
             edges = [(0, 1), (1, 2)]
             lab = [int(labels[u]), int(labels[v]), int(labels[w])]
             assert code == canonical_code_int(edges, lab)
+
+    def test_negative_label_rejected(self):
+        """A negative label's sign bits used to flood the label word, so
+        the two orientations of one edge got different canonical codes."""
+        labels = np.array([-1, 3, 5, 3], dtype=np.int64)
+        enc = QuickPatternEncoder()
+        with pytest.raises(InvalidPatternError):
+            enc.encode_edge_embeddings(
+                np.array([[0], [1]]), np.array([[1], [0]]), labels)
+        # Only labels the batch actually reads are checked.
+        codes = enc.encode_edge_embeddings(
+            np.array([[1], [2]]), np.array([[2], [1]]), labels)
+        assert codes[0] == codes[1]
+
+    def test_label_limit_both_sides(self):
+        enc = QuickPatternEncoder()
+        srcs, dsts = np.array([[0], [1]]), np.array([[1], [0]])
+        codes = enc.encode_edge_embeddings(
+            srcs, dsts, np.array([255, 0], dtype=np.int64))
+        assert codes[0] == codes[1] == canonical_code_int([(0, 1)], [255, 0])
+        with pytest.raises(InvalidPatternError):
+            enc.encode_edge_embeddings(
+                srcs, dsts, np.array([256, 0], dtype=np.int64))
+
+    def test_vertex_and_edge_limits(self):
+        enc = QuickPatternEncoder()
+        labels = np.zeros(20, dtype=np.int64)
+        # 4 disjoint edges = 8 vertices: the most a quick pattern holds.
+        srcs = np.arange(0, 8, 2)[None, :]
+        assert len(enc.encode_edge_embeddings(srcs, srcs + 1, labels)) == 1
+        srcs = np.arange(0, 10, 2)[None, :]
+        with pytest.raises(InvalidPatternError):
+            enc.encode_edge_embeddings(srcs, srcs + 1, labels)
+        with pytest.raises(InvalidPatternError):
+            enc.encode_edge_embeddings(
+                np.zeros((1, 8), dtype=np.int64),
+                np.ones((1, 8), dtype=np.int64), labels)
 
     def test_shape_mismatch_rejected(self):
         enc = QuickPatternEncoder()

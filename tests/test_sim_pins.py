@@ -1,0 +1,122 @@
+"""Simulated time and counters, pinned across revisions.
+
+Every scenario below is a small deterministic run whose
+``float.hex(simulated_seconds)`` and full counter snapshot are committed
+in ``sim_pins.json``.  A perf change to a hot path must leave every one
+of them bit-identical: the cost model bills the algorithm, not the host
+code that computes its result.  A change that *means* to move the cost
+model re-records the pins on purpose::
+
+    PYTHONPATH=src python -m tests.test_sim_pins --record
+
+and says so in CHANGES.md.  A failure names the counters that differ.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.algorithms import (
+    count_kcliques,
+    frequent_pattern_mining,
+    match_pattern,
+)
+from repro.core import Gamma
+from repro.graph import sm_query
+from repro.graph.generators import kronecker
+from repro.shard import ShardedGamma
+
+PINS_PATH = Path(__file__).with_name("sim_pins.json")
+
+
+def _graph():
+    return kronecker(7, 6, seed=5, name="pin-standin", labels=4, label_seed=6)
+
+
+def _fpm(iterations, metric, plan):
+    return lambda engine: frequent_pattern_mining(
+        engine, iterations, 6, support_metric=metric, plan=plan)
+
+
+#: name -> (shards, driver).  FPM covers both iteration depths, both
+#: support metrics (MNI is single-shard only), both plan sources and both
+#: engines; SM and k-clique cover the vertex-extension side.
+SCENARIOS = {
+    "fpm2-instances-baseline": (1, _fpm(2, "instances", None)),
+    "fpm3-instances-auto": (1, _fpm(3, "instances", "auto")),
+    "fpm2-mni-auto": (1, _fpm(2, "mni", "auto")),
+    "fpm3-mni-baseline": (1, _fpm(3, "mni", None)),
+    "fpm3-instances-baseline-2shard": (2, _fpm(3, "instances", None)),
+    "fpm2-instances-auto-2shard": (2, _fpm(2, "instances", "auto")),
+    "sm-q3": (1, lambda engine: match_pattern(engine, sm_query(3))),
+    "kcl4": (1, lambda engine: count_kcliques(engine, 4)),
+}
+
+
+def observe(name: str) -> dict:
+    """Run one scenario; its simulated seconds and every counter (per
+    shard, prefixed, on a sharded engine)."""
+    shards, drive = SCENARIOS[name]
+    engine = (Gamma(_graph()) if shards == 1
+              else ShardedGamma(_graph(), num_shards=shards))
+    with engine:
+        drive(engine)
+        if shards == 1:
+            counters = engine.platform.counters.snapshot(include_zero=True)
+        else:
+            counters = {
+                f"shard{index}.{key}": value
+                for index, state in enumerate(engine.shard_states())
+                for key, value in state["counters"].items()
+            }
+        return {"simulated_seconds": float.hex(engine.simulated_seconds),
+                "counters": counters}
+
+
+def _pins() -> dict:
+    return json.loads(PINS_PATH.read_text(encoding="utf-8"))
+
+
+def differences(got: dict, want: dict) -> list[str]:
+    """One line per pinned quantity that moved."""
+    lines = []
+    if got["simulated_seconds"] != want["simulated_seconds"]:
+        lines.append(
+            f"simulated_seconds: {float.fromhex(want['simulated_seconds'])!r}"
+            f" -> {float.fromhex(got['simulated_seconds'])!r}")
+    for key in sorted(set(got["counters"]) | set(want["counters"])):
+        old, new = want["counters"].get(key), got["counters"].get(key)
+        if old != new:
+            lines.append(f"{key}: {old} -> {new}")
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_simulation_matches_pins(name):
+    moved = differences(observe(name), _pins()[name])
+    assert not moved, f"{name}: billing changed\n  " + "\n  ".join(moved)
+
+
+def test_every_pin_has_a_scenario():
+    assert sorted(_pins()) == sorted(SCENARIOS)
+
+
+def test_differences_name_what_moved():
+    want = {"simulated_seconds": float.hex(1.0), "counters": {"a": 1, "b": 2}}
+    got = {"simulated_seconds": float.hex(1.5), "counters": {"a": 1, "c": 3}}
+    assert differences(want, want) == []
+    assert differences(got, want) == [
+        "simulated_seconds: 1.0 -> 1.5", "b: 2 -> None", "c: None -> 3"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python -m tests.test_sim_pins --record")
+    PINS_PATH.write_text(
+        json.dumps({name: observe(name) for name in sorted(SCENARIOS)},
+                   indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(SCENARIOS)} scenarios -> {PINS_PATH}")

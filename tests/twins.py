@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.extension import ExtensionEngine
 from repro.gpusim import regions, unified
-from repro.graph import csr
+from repro.graph import csr, groupby
 from repro.graph.canonical import QuickPatternEncoder
 
 # ``repro.core.aggregation`` the attribute is the re-exported function.
@@ -81,9 +81,10 @@ def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
     return cand[order], cand_row[order]
 
 
-def unique_quick_rows(qa, qb):
+def unique_quick_rows(qa, qb, bits_a=None, bits_b=None):
     """``QuickPatternEncoder._unique_quick``: ``np.unique`` over the
-    stacked ``(qa, qb)`` rows."""
+    stacked ``(qa, qb)`` rows, whatever their widths (the shipped code
+    folds narrow pairs into one word and lexsorts wide ones)."""
     return np.unique(np.stack([qa, qb], axis=1), axis=0, return_inverse=True)
 
 
@@ -95,11 +96,12 @@ def never_memoised(batch, starts, ends, token=0):
 @contextmanager
 def straight_line():
     """Run the enclosed code on the straight-line stack: the four twins
-    above installed over their seams, and the three size thresholds
+    above installed over their seams, and the four size thresholds
     dropped to zero so ``has_edges`` binary-searches, ``PageBuffer``
-    evicts by ``lexsort`` and ``dedup_embeddings`` keys by void rows —
-    the fallbacks large inputs select, forced here on small ones.  (A
-    graph that already built its bitset keeps it; use a fresh graph.)"""
+    evicts by ``lexsort``, ``dedup_embeddings`` keys by void rows and
+    ``first_occurrence`` takes the stable sort — the fallbacks large
+    inputs select, forced here on small ones.  (A graph that already
+    built its bitset keeps it; use a fresh graph.)"""
     patches = [
         (ExtensionEngine, "_prune_candidates", prune_by_mask_cascade),
         (ExtensionEngine, "_surviving_candidates", labelled_min_degree_walk),
@@ -108,6 +110,7 @@ def straight_line():
         (csr, "_BITSET_MAX_BYTES", 0),
         (unified, "_PACKED_KEY_LIMIT", 0),
         (aggregation, "_PACK_BITS_LIMIT", 0),
+        (groupby, "_TAG_BITS_LIMIT", 0),
     ]
     with ExitStack() as stack:
         for owner, name, value in patches:

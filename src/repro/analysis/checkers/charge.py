@@ -12,7 +12,8 @@ This checker flags, inside the engine scope (``repro/core/``,
 ``repro/algorithms/``, ``repro/baselines/``):
 
 * attribute reads of the CSR payload arrays (``offsets``, ``neighbors``,
-  ``edge_ids``, ``edge_src``, ``edge_dst``, ``labels``) and of region
+  ``edge_ids``, ``edge_src``, ``edge_dst``, ``labels``,
+  ``adjacency_keys``) and of region
   internals (``array``, ``_array``) — except when the attribute is
   immediately called (``pattern.neighbors(v)`` is a method, not the array);
 * calls to the uncharged host-side view methods ``neighbors_of``,
@@ -34,7 +35,7 @@ from ..framework import Checker, LintContext, SourceModule, in_engine_scope, reg
 #: CSR payload / region-internal attributes whose raw reads bypass charging.
 ARRAY_ATTRS = frozenset({
     "offsets", "neighbors", "edge_ids", "edge_src", "edge_dst", "labels",
-    "array", "_array",
+    "adjacency_keys", "array", "_array",
 })
 
 #: Uncharged host-side view methods of CSRGraph.

@@ -32,6 +32,7 @@ from ..errors import ExecutionError
 from ..gpusim import stats as st
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
+from ..graph.csr import _PACK_VERTEX_LIMIT
 from .access_planner import AccessHeatPlanner
 from .embedding_table import EDGE, VERTEX, EmbeddingTable
 from .memory_pool import WriteStrategy
@@ -77,10 +78,12 @@ def _checked_columns(
     greater_than_col: int | None,
     greater_than_cols: Sequence[int],
     less_than_cols: Sequence[int],
-) -> tuple[list[int], list[int], list[int]]:
+    injective: bool,
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """Validate a vertex extension's column arguments; returns sorted
-    distinct anchors and the two ordering-column lists (the
-    ``greater_than_col`` shorthand folded in)."""
+    distinct anchors, the two ordering-column lists (the
+    ``greater_than_col`` shorthand folded in) and the columns the new
+    vertex must be checked distinct from."""
     if table.kind != VERTEX:
         raise ExecutionError(f"{what} requires a vertex table")
     anchor_cols = sorted(set(int(c) for c in anchor_cols))
@@ -91,10 +94,13 @@ def _checked_columns(
     if greater_than_col is not None:
         greater_than_cols.append(int(greater_than_col))
     less_than_cols = list(less_than_cols)
-    for col in greater_than_cols + less_than_cols:
+    ordered = greater_than_cols + less_than_cols
+    for col in ordered:
         if not 0 <= col < depth:
             raise ExecutionError(f"ordering column {col} out of range")
-    return anchor_cols, greater_than_cols, less_than_cols
+    # A vertex ordered against a column already differs from it.
+    distinct_cols = [c for c in range(depth) if injective and c not in ordered]
+    return anchor_cols, greater_than_cols, less_than_cols, distinct_cols
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -110,6 +116,36 @@ def _expand_lists(
     """``values[starts[i]:starts[i] + lengths[i]]`` concatenated as the
     candidates of ``rows[i]``; returns ``(cand, cand_row)``."""
     return values[expand_ranges(starts, starts + lengths)], rows.repeat(lengths)
+
+
+def _bound_ranges(
+    keys: np.ndarray,
+    owners: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    mats: np.ndarray,
+    rows: np.ndarray,
+    greater_than_cols: Sequence[int],
+    less_than_cols: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow ``(starts, lengths)`` to the values an id-ordering lets live.
+
+    Range ``i`` is the whole list of ``owners[i]`` inside ``keys``, the
+    strictly ascending ``(owner << 32) | value`` packing of the array the
+    ranges index; what comes back is its slice above every
+    ``greater_than_cols`` vertex of ``mats[rows[i]]`` and below every
+    ``less_than_cols`` one (empty when they cross).  Billing never sees
+    these: it reads the degree table.
+    """
+    if greater_than_cols:
+        low = mats[rows[:, None], greater_than_cols].max(axis=1)
+        lower = np.searchsorted(keys, (owners << 32) | low, side="right")  # gammalint: allow[overflow] -- owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
+        starts, lengths = lower, starts + lengths - lower
+    if less_than_cols:
+        high = mats[rows[:, None], less_than_cols].min(axis=1)
+        upper = np.searchsorted(keys, (owners << 32) | high, side="left")  # gammalint: allow[overflow] -- owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
+        lengths = np.maximum(upper - starts, 0)
+    return starts, lengths
 
 
 def _merge_by_row(
@@ -212,13 +248,28 @@ class ExtensionEngine:
             self.platform.kernel.launch("seed", element_ops=n)
 
     # -- shared helpers -------------------------------------------------------
-    def _adjacency_values(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Host-side CSR expansion (uncharged; charging is explicit)."""
-        starts = self.graph.offsets[vertices]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
-        ends = self.graph.offsets[vertices + 1]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
-        return (
-            self.graph.neighbors[expand_ranges(starts, ends)],  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
-            ends - starts,
+    def _bounded_neighbors(
+        self,
+        vertices: np.ndarray,
+        degrees: np.ndarray,
+        mats: np.ndarray,
+        rows: np.ndarray,
+        greater_than_cols: Sequence[int],
+        less_than_cols: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency list of ``vertices[i]`` (``degrees[i]`` long) as
+        the candidates of ``mats[rows[i]]``, cut to that row's ordering
+        bounds; returns ``(cand, cand_row)``.  Host-side and uncharged."""
+        graph = self.graph
+        starts, lengths = _bound_ranges(
+            graph.adjacency_keys,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+            vertices,
+            graph.offsets[vertices],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+            degrees, mats, rows, greater_than_cols, less_than_cols,
+        )
+        return _expand_lists(
+            graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+            starts, lengths, rows,
         )
 
     def _incident_values(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,42 +301,29 @@ class ExtensionEngine:
         mats: np.ndarray,
         verify_cols: Sequence[int],
         distinct_cols: Sequence[int],
-        greater_than_cols: Sequence[int],
-        less_than_cols: Sequence[int],
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply constraint pushdown to a candidate batch; returns the
         surviving ``(cand, cand_row)`` in original candidate order.
 
         A candidate survives when it neighbors its row's ``verify_cols``
-        vertices, differs from its ``distinct_cols`` vertices and obeys the
-        id-ordering against ``greater_than_cols``/``less_than_cols``.  Every
+        vertices and differs from its ``distinct_cols`` vertices (id
+        ordering is applied before expansion, by :func:`_bound_ranges`).  Every
         constraint is a pure per-candidate predicate of ``(row, value)``, so
         the survivor set is independent of evaluation order (the charged
         label probe is the caller's, after all of these): the arrays are
-        compressed after each predicate (cheap ordering filters first, edge
-        verification on the shrunken remainder) instead of AND-ing
+        compressed after each predicate (cheap injectivity filters first,
+        edge verification on the shrunken remainder) instead of AND-ing
         full-width boolean masks.
         """
-        # Cheap ordering/injectivity predicates first, fused into one mask;
-        # the expensive edge-verification probes then run on whatever
+        # Cheap injectivity predicates first, fused into one mask; the
+        # expensive edge-verification probes then run on whatever
         # survives.  Compression (dropping dead candidates) is adaptive: a
         # gather-copy of the int64 arrays only pays for itself when the
         # pending mask actually prunes, so low-selectivity filters keep
-        # AND-ing masks instead (kCL's ordering filter halves the batch —
-        # compress; SM's injectivity filter keeps ~everything — don't).
+        # AND-ing masks instead (SM's injectivity filter keeps
+        # ~everything — don't compress).
         pending: np.ndarray | None = None
-        for col in greater_than_cols:
-            m = cand > mats[cand_row, col]
-            pending = m if pending is None else pending & m
-        for col in less_than_cols:
-            m = cand < mats[cand_row, col]
-            pending = m if pending is None else pending & m
-        # An ordering constraint against a column already implies the
-        # candidate differs from it.
-        ordered = set(greater_than_cols) | set(less_than_cols)
         for col in distinct_cols:
-            if col in ordered:
-                continue
             m = cand != mats[cand_row, col]
             pending = m if pending is None else pending & m
         for col in verify_cols:
@@ -377,11 +415,10 @@ class ExtensionEngine:
         less_than_cols: Sequence[int],
         injective: bool,
     ) -> ExtensionStats:
-        anchor_cols, greater_than_cols, less_than_cols = _checked_columns(
+        anchor_cols, greater_than_cols, less_than_cols, distinct_cols = _checked_columns(
             "extend_vertices_any", table, anchor_cols, greater_than_col,
-            greater_than_cols, less_than_cols,
+            greater_than_cols, less_than_cols, injective,
         )
-        depth = table.depth
 
         stats = ExtensionStats(rows_in=table.num_embeddings)
         mats = table.materialize()
@@ -400,23 +437,26 @@ class ExtensionEngine:
         else:
             read_vertices = anchor_vertices
         stats.list_reads = len(read_vertices)
-        stats.kernel_ops = float(self.residence.degrees_of(anchor_vertices).sum())
+        # Billed from the degree table: the full lists, not the bounded
+        # slices expanded below.
+        anchor_deg = self.residence.degrees_of(anchor_vertices)
+        stats.candidates = int(anchor_deg.sum())
+        stats.kernel_ops = float(stats.candidates)
+        upper = anchor_deg.reshape(n, len(anchor_cols)).sum(axis=1)
         if self.planner is not None:
             self.planner.plan_extension(read_vertices)
         self._charge_list_reads("neighbors", read_vertices)
 
         # Candidates: concatenate every anchor's neighborhood per row.
-        cand, lengths = self._adjacency_values(anchor_vertices)
         row_of_anchor = np.repeat(
             np.arange(n, dtype=np.int64), len(anchor_cols)
         )
-        cand_row = np.repeat(row_of_anchor, lengths)
-        stats.candidates = len(cand)
-        upper = np.bincount(cand_row, minlength=n).astype(np.int64)
-
-        cand, cand_row = self._prune_candidates(
-            cand, cand_row, mats, (), range(depth) if injective else (),
+        cand, cand_row = self._bounded_neighbors(
+            anchor_vertices, anchor_deg, mats, row_of_anchor,
             greater_than_cols, less_than_cols,
+        )
+        cand, cand_row = self._prune_candidates(
+            cand, cand_row, mats, (), distinct_cols
         )
         if label is not None:
             keep = self.residence.labels_of(cand) == label
@@ -486,9 +526,9 @@ class ExtensionEngine:
         less_than_cols: Sequence[int],
         injective: bool,
     ) -> ExtensionStats:
-        anchor_cols, greater_than_cols, less_than_cols = _checked_columns(
+        anchor_cols, greater_than_cols, less_than_cols, distinct_cols = _checked_columns(
             "extend_vertices", table, anchor_cols, greater_than_col,
-            greater_than_cols, less_than_cols,
+            greater_than_cols, less_than_cols, injective,
         )
         depth = table.depth
 
@@ -508,7 +548,6 @@ class ExtensionEngine:
             table.column_parents(table.depth - 1)
             if grouped and depth > 1 else None
         )
-        distinct_cols = list(range(depth)) if injective else []
         offsets = self.graph.offsets  # gammalint: allow[charge] -- degree probes for anchor choice; list reads charged per chunk below
 
         # One pass per contiguous row chunk (a single chunk unless the
@@ -607,22 +646,19 @@ class ExtensionEngine:
         Returns ``(cand, cand_row)``: rows ascending, candidates ascending
         within a row (adjacency lists are sorted).
         """
-        neighbors = self.graph.neighbors  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
-        offsets = self.graph.offsets  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
         source_choice = np.argmin(anchor_deg, axis=1)
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         for idx, source_col in enumerate(anchor_cols):
             rows = np.flatnonzero(source_choice == idx)
             if len(rows) == 0:
                 continue
-            cand, cand_row = _expand_lists(
-                neighbors, offsets[mats[rows, source_col]],
-                anchor_deg[rows, idx], rows,
+            cand, cand_row = self._bounded_neighbors(
+                mats[rows, source_col], anchor_deg[rows, idx], mats, rows,
+                greater_than_cols, less_than_cols,
             )
             parts.append(self._prune_candidates(
                 cand, cand_row, mats,
                 [c for c in anchor_cols if c != source_col], distinct_cols,
-                greater_than_cols, less_than_cols,
             ))
         return _merge_by_row(parts)
 
@@ -682,30 +718,33 @@ class ExtensionEngine:
         lm_start = (np.cumsum(group_len) - group_len)[group_of_row]
 
         # ---- phase 2: tail-only work per row -----------------------------------
-        tail_only = (
-            [c for c in distinct_cols if c == tail],
-            [c for c in greater_than_cols if c == tail],
-            [c for c in less_than_cols if c == tail],
+        tail_distinct, tail_greater, tail_less = (
+            [c for c in cols if c == tail]
+            for cols in (distinct_cols, greater_than_cols, less_than_cols)
         )
         from_tail = (
             anchor_deg[:, -1] < lm_len if tail_anchored
             else np.zeros(len(mats), dtype=bool)
         )
+        if len(first_rows) >= _PACK_VERTEX_LIMIT:
+            raise ExecutionError("(group << 32) | vertex keys hold < 2**31 groups")
         rows = np.flatnonzero(~from_tail)
-        cand, cand_row = _expand_lists(lm, lm_start[rows], lm_len[rows], rows)
+        starts, lengths = _bound_ranges(
+            (lm_group << 32) | lm, group_of_row[rows], lm_start[rows],
+            lm_len[rows], mats, rows, tail_greater, tail_less,
+        )
+        cand, cand_row = _expand_lists(lm, starts, lengths, rows)
         parts = [self._prune_candidates(
-            cand, cand_row, mats, anchor_cols[len(prefix_cols):], *tail_only
+            cand, cand_row, mats, anchor_cols[len(prefix_cols):], tail_distinct
         )]
         rows = np.flatnonzero(from_tail)
         if len(rows):
-            cand, cand_row = _expand_lists(
-                self.graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
-                self.graph.offsets[mats[rows, tail]],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
-                anchor_deg[rows, -1], rows,
+            cand, cand_row = self._bounded_neighbors(
+                mats[rows, tail], anchor_deg[rows, -1], mats, rows,
+                greater_than_cols, less_than_cols,
             )
             parts.append(self._prune_candidates(
-                cand, cand_row, mats, prefix_cols, distinct_cols,
-                greater_than_cols, less_than_cols,
+                cand, cand_row, mats, prefix_cols, distinct_cols
             ))
         return _merge_by_row(parts)
 

@@ -32,9 +32,10 @@ _PACK_VERTEX_LIMIT = 1 << 31
 class CSRGraph:
     """An undirected, vertex-labeled graph in CSR form.
 
-    Parameters are trusted to be consistent; use
-    :func:`repro.graph.builders.from_edges` to build one safely from raw
-    edge lists.
+    Array shapes and the sortedness of the adjacency lists are checked;
+    that ``edge_ids``/``edge_src``/``edge_dst`` describe the same edges as
+    ``neighbors`` is trusted.  Use :func:`repro.graph.builders.from_edges`
+    to build one safely from raw edge lists.
     """
 
     def __init__(
@@ -73,15 +74,24 @@ class CSRGraph:
             raise InvalidGraphError("neighbors and edge_ids must align")
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.neighbors):
             raise InvalidGraphError("offsets must span the adjacency array")
-        if np.any(np.diff(self.offsets) < 0):
+        degrees = np.diff(self.offsets)
+        if np.any(degrees < 0):
             raise InvalidGraphError("offsets must be non-decreasing")
-        # Sorted-edge keys for vectorized adjacency checks.
-        self._edge_keys = np.sort(
-            self._pack_pairs(
-                np.concatenate([self.edge_src, self.edge_dst]),
-                np.concatenate([self.edge_dst, self.edge_src]),
-            )
+        #: ``adjacency_keys[i] == (u << 32) | neighbors[i]`` for the vertex
+        #: ``u`` owning slot ``i``: strictly ascending exactly when every
+        #: adjacency list is, which binary-search adjacency checks and
+        #: ordering-bounded extension both rely on.
+        self.adjacency_keys = self._pack_pairs(
+            np.repeat(np.arange(n, dtype=np.int64), degrees), self.neighbors,
         )
+        unsorted = np.flatnonzero(
+            self.adjacency_keys[1:] <= self.adjacency_keys[:-1]
+        )
+        if len(unsorted):
+            raise InvalidGraphError(
+                "adjacency lists must be strictly ascending; vertex "
+                f"{int(self.adjacency_keys[unsorted[0]] >> 32)}'s is not"
+            )
         self._bitset: np.ndarray | None = None
 
     # -- basic shape ----------------------------------------------------------
@@ -164,11 +174,11 @@ class CSRGraph:
             mask = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
             return (bits[pos >> 3] & mask) != 0
         keys = self._pack_pairs(u, v)
-        pos = np.searchsorted(self._edge_keys, keys)
-        pos = np.minimum(pos, len(self._edge_keys) - 1)
-        if len(self._edge_keys) == 0:
+        pos = np.searchsorted(self.adjacency_keys, keys)
+        pos = np.minimum(pos, len(self.adjacency_keys) - 1)
+        if len(self.adjacency_keys) == 0:
             return np.zeros(len(keys), dtype=bool)
-        return self._edge_keys[pos] == keys
+        return self.adjacency_keys[pos] == keys
 
     def edge_endpoints(self, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` endpoint arrays for the given edge ids, with

@@ -8,6 +8,8 @@ identical embeddings, identical simulated clock buckets, identical counters
 across write strategies, pre-merge on/off, and constraint combinations.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,9 @@ from repro.core import (
     MemoryPool,
     make_write_strategy,
 )
+from repro.core import extension
+from repro.errors import ExecutionError
+from repro.graph import from_edge_list
 from repro.graph.generators import erdos_renyi, kronecker, zipf_labels
 from tests.oracle import vertex_walk_rows_ref
 from tests.twins import ARMS, straight_line
@@ -149,8 +154,10 @@ def _run_anchored_walk(graph, walk):
     engine.chunk_rows = walk["chunk_rows"]
     table = EmbeddingTable(platform, VERTEX)
     engine.seed_vertices(table)
+    extend = (engine.extend_vertices_any if walk.get("union")
+              else engine.extend_vertices)
     for anchors, greater, less in walk["steps"]:
-        engine.extend_vertices(
+        extend(
             table, anchors, label=walk["label"], greater_than_cols=greater,
             less_than_cols=less, injective=walk["injective"],
         )
@@ -158,21 +165,176 @@ def _run_anchored_walk(graph, walk):
     return rows, platform.clock.snapshot(), platform.counters.snapshot()
 
 
+def _assert_walk_equivalent(make_graph, walk):
+    """The walk as shipped, under the straight-line twins and by the
+    oracle's recount: same rows, clock buckets bit for bit, counters.
+    (The union extension emits a row's vertices in anchor order, the
+    oracle ascending, so union rows are compared sorted.)"""
+    fast = _run_anchored_walk(make_graph(), walk)
+    with straight_line():
+        ref = _run_anchored_walk(make_graph(), walk)
+    np.testing.assert_array_equal(fast[0], ref[0])
+    assert fast[1] == ref[1]  # clock buckets, bit-for-bit
+    assert fast[2] == ref[2]  # counters
+    union = bool(walk.get("union"))
+    expected = vertex_walk_rows_ref(
+        make_graph(), walk["steps"], walk["label"], walk["injective"],
+        adjacent=any if union else all,
+    )
+    got = [tuple(row) for row in fast[0].tolist()]
+    assert (sorted(got) if union else got) == expected
+
+
+def _edge_case_graph():
+    """12 vertices where a bound meets a sorted list every way it can:
+    hubs at ids 0 and V-1 (a bound below / above every neighbor), two
+    cliques sharing the top hub (bounds present in the list), sparse
+    cross edges (bounds absent from it), a vertex, 10, with fewer
+    neighbors than the hubs have in common (phase 2 expands ``N(tail)``)
+    and an isolated one, 5."""
+    edges = list(combinations([0, 2, 4, 6, 11], 2))
+    edges += combinations([1, 3, 7, 9, 11], 2)
+    edges += [(0, 1), (0, 3), (0, 10), (4, 8), (6, 8), (7, 8), (8, 10),
+              (10, 11)]
+    return from_edge_list(edges, num_vertices=12,
+                          labels=zipf_labels(12, 3, seed=1), name="edges")
+
+
+#: name -> steps, each ``(anchor_cols, greater_than_cols, less_than_cols)``.
+EDGE_WALKS = {
+    # kCL's shape: ordering on the tail, so phase 2 bounds L_m and N(tail).
+    "ascending-clique": [([0], [0], []), ([0, 1], [1], []), ([0, 1, 2], [2], [])],
+    "descending-clique": [([0], [], [0]), ([0, 1], [], [1]), ([0, 1, 2], [], [2])],
+    # Ordering on prefix columns only: phase 1 bounds, phase 2 does not;
+    # rows with row[0] > row[1] have crossed bounds.
+    "prefix-window": [([0], [], []), ([0, 1], [], []), ([0, 1, 2], [0], [1])],
+    # Two greater-than columns (the larger wins), one prefix, one tail.
+    "two-greater": [([0], [], []), ([0, 1], [0, 1], []), ([0, 1, 2], [0, 2], [])],
+    # Tail not an anchor: L_m is the only phase-2 source, bounded by a
+    # tail that need not be in it.
+    "unanchored-tail": [([0], [], []), ([0], [1], []), ([0, 1], [2], [0])],
+    # One list only, bounded by columns it is not adjacent to.
+    "single-list": [([0], [], []), ([1], [], []), ([2], [0], [1])],
+    "tail-window": [([0], [], []), ([0, 1], [0], []), ([0, 1, 2], [1], [2])],
+}
+
+
+def _edge_walk(name, chunk_rows=None, union=False, injective=True, label=None):
+    return {"steps": EDGE_WALKS[name], "strategy": "dynamic",
+            "pre_merge": True, "chunk_rows": chunk_rows, "label": label,
+            "injective": injective, "union": union}
+
+
 class TestSharedPrefixEquivalence:
     @given(anchored_walks())
     @settings(max_examples=60, deadline=None)
     def test_identical_rows_clock_counters_and_oracle_rows(self, walk):
-        fast = _run_anchored_walk(_graph_for(*walk["graph"]), walk)
-        with straight_line():
-            ref = _run_anchored_walk(_graph_for(*walk["graph"]), walk)
-        np.testing.assert_array_equal(fast[0], ref[0])
-        assert fast[1] == ref[1]  # clock buckets, bit-for-bit
-        assert fast[2] == ref[2]  # counters
-        expected = vertex_walk_rows_ref(
-            _graph_for(*walk["graph"]), walk["steps"], walk["label"],
-            walk["injective"],
+        _assert_walk_equivalent(lambda: _graph_for(*walk["graph"]), walk)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("name", sorted(EDGE_WALKS))
+    def test_bounds_at_their_edges(self, name, chunk_rows):
+        _assert_walk_equivalent(_edge_case_graph, _edge_walk(name, chunk_rows))
+        _assert_walk_equivalent(
+            _edge_case_graph,
+            _edge_walk(name, chunk_rows, injective=False, label=0),
         )
-        assert [tuple(row) for row in fast[0].tolist()] == expected
+
+    def test_edge_walks_reach_every_bound_position(self, monkeypatch):
+        """What ``test_bounds_at_their_edges`` claims to cover, checked:
+        across the walks a bound is found in its list, falls between two
+        entries, sits below every entry and above every entry; vertex ids
+        0 and V-1 bound; two greater-than columns disagree; a window is
+        crossed; an isolated vertex's empty list is bounded; and phase 2
+        expands both ``L_m`` and ``N(tail)`` under a tail bound."""
+        graph = _edge_case_graph()
+        top = graph.num_vertices - 1
+        seen = set()
+        bound_ranges = extension._bound_ranges
+        prune = ExtensionEngine._prune_candidates
+
+        def watch_bounds(keys, owners, starts, lengths, mats, rows, greater, less):
+            for start, length, row in zip(starts.tolist(), lengths.tolist(),
+                                          mats[rows].tolist()):
+                values = (keys[start:start + length] & 0xFFFFFFFF).tolist()
+                lows, highs = [row[c] for c in greater], [row[c] for c in less]
+                seen.update(f"bound-{b}" for b in lows + highs if b in (0, top))
+                if (lows or highs) and not values:
+                    seen.add("empty-list")
+                if len(set(lows)) > 1:
+                    seen.add("two-greater-disagree")
+                if lows and highs and max(lows) >= min(highs):
+                    seen.add("crossed")
+                for bound in lows + highs:
+                    if bound in values:
+                        seen.add("present")
+                    elif values and bound < values[0]:
+                        seen.add("below-all")
+                    elif values and bound > values[-1]:
+                        seen.add("above-all")
+                    elif values:
+                        seen.add("between")
+            return bound_ranges(keys, owners, starts, lengths, mats, rows,
+                                greater, less)
+
+        def watch_prune(self, cand, cand_row, mats, verify_cols, distinct_cols):
+            if len(cand) and mats.shape[1] == 3:
+                seen.add(f"verify-{list(verify_cols)}")
+            return prune(self, cand, cand_row, mats, verify_cols, distinct_cols)
+
+        monkeypatch.setattr(extension, "_bound_ranges", watch_bounds)
+        monkeypatch.setattr(ExtensionEngine, "_prune_candidates", watch_prune)
+        for name in EDGE_WALKS:
+            _run_anchored_walk(graph, _edge_walk(name))
+        # At depth 3 with anchors [0, 1, 2], phase 2 verifies the tail on
+        # an L_m candidate and the prefix on an N(tail) candidate.
+        assert seen >= {
+            "present", "between", "below-all", "above-all", "bound-0",
+            f"bound-{top}", "two-greater-disagree", "crossed", "empty-list",
+            "verify-[2]", "verify-[0, 1]",
+        }
+
+    def test_too_many_prefix_groups_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(extension, "_PACK_VERTEX_LIMIT", 2)
+        with pytest.raises(ExecutionError, match="groups"):
+            _run_anchored_walk(_edge_case_graph(), _edge_walk("ascending-clique"))
+
+    @pytest.mark.parametrize("task", ["4-clique", "q3-symmetry-broken"])
+    def test_ordering_bounds_expansion(self, task, monkeypatch):
+        """The saving itself: an id-ordering narrows the slice of each
+        sorted list that is expanded, so the shipped path expands
+        strictly fewer elements than the expand-then-filter twin — for
+        the same answer and the same simulated time, to the bit."""
+        from repro.algorithms import count_kcliques, match_pattern
+        from repro.core import Gamma
+        from repro.graph import sm_query
+
+        graph = kronecker(7, 6, seed=3, labels=3, label_seed=4)
+        expanded = 0
+        expand_lists = extension._expand_lists
+
+        def counting(values, starts, lengths, rows):
+            nonlocal expanded
+            cand, cand_row = expand_lists(values, starts, lengths, rows)
+            expanded += len(cand)
+            return cand, cand_row
+
+        monkeypatch.setattr(extension, "_expand_lists", counting)
+        outcomes = []
+        for stack in ARMS.values():  # as shipped, then the twins
+            expanded = 0
+            with stack(), Gamma(graph) as gamma:
+                if task == "4-clique":
+                    answer = count_kcliques(gamma, 4).cliques
+                else:
+                    answer = match_pattern(
+                        gamma, sm_query(3), symmetry_breaking=True).embeddings
+                outcomes.append(
+                    (answer, float.hex(gamma.simulated_seconds), expanded))
+        (fast_answer, fast_sim, fast_expanded), (answer, sim, twin) = outcomes
+        assert answer > 0
+        assert (fast_answer, fast_sim) == (answer, sim)
+        assert fast_expanded < twin
 
     @pytest.mark.parametrize("task", ["q3", "4-clique"])
     def test_prefix_intersection_is_shared(self, task, monkeypatch):
@@ -252,6 +414,21 @@ class TestUnionExtensionEquivalence:
         np.testing.assert_array_equal(fast[0], ref[0])
         assert fast[1] == ref[1]
         assert fast[2] == ref[2]
+
+
+    @given(anchored_walks())
+    @settings(max_examples=30, deadline=None)
+    def test_identical_rows_clock_counters_and_oracle_rows(self, walk):
+        _assert_walk_equivalent(
+            lambda: _graph_for(*walk["graph"]), {**walk, "union": True})
+
+    @pytest.mark.parametrize("name", sorted(EDGE_WALKS))
+    def test_bounds_at_their_edges(self, name):
+        _assert_walk_equivalent(_edge_case_graph, _edge_walk(name, union=True))
+        _assert_walk_equivalent(
+            _edge_case_graph,
+            _edge_walk(name, union=True, injective=False, label=0),
+        )
 
 
 @pytest.mark.parametrize("dataset,task", [("CL", "sm"), ("CL", "kcl")])

@@ -137,6 +137,47 @@ class TestValidation:
                 edge_dst=np.array([1, 2]),
             )
 
+    def test_unsorted_adjacency_list_rejected(self):
+        # Path 1 - 0 - 2 with N(0) written as [2, 1].
+        with pytest.raises(InvalidGraphError, match="vertex 0"):
+            CSRGraph(
+                offsets=np.array([0, 2, 3, 4]),
+                neighbors=np.array([2, 1, 0, 0]),
+                edge_ids=np.array([1, 0, 0, 1]),
+                edge_src=np.array([0, 0]),
+                edge_dst=np.array([1, 2]),
+            )
+
+    def test_duplicated_neighbour_rejected(self):
+        # A triangle whose vertex 1 lists neighbour 2 twice (and 0 never):
+        # this used to build, and to count 0 triangles.
+        with pytest.raises(InvalidGraphError, match="vertex 1"):
+            CSRGraph(
+                offsets=np.array([0, 2, 4, 6]),
+                neighbors=np.array([1, 2, 2, 2, 0, 1]),
+                edge_ids=np.array([0, 1, 2, 2, 1, 2]),
+                edge_src=np.array([0, 0, 1]),
+                edge_dst=np.array([1, 2, 2]),
+            )
+
+    def test_sorted_lists_with_empty_ones_between_accepted(self):
+        # Vertices 1 and 3 are isolated, so consecutive slots belong to
+        # non-adjacent owners and the neighbour ids *fall* across the
+        # boundary (N(0) = [2, 4], N(2) = [0, 4]): only order within a
+        # list is checked.
+        g = CSRGraph(
+            offsets=np.array([0, 2, 2, 4, 4, 6]),
+            neighbors=np.array([2, 4, 0, 4, 0, 2]),
+            edge_ids=np.array([0, 1, 0, 2, 1, 2]),
+            edge_src=np.array([0, 0, 2]),
+            edge_dst=np.array([2, 4, 4]),
+        )
+        assert g.adjacency_keys.tolist() == [
+            (u << 32) | v for u in range(5) for v in g.neighbors_of(u).tolist()
+        ]
+        assert g.has_edges(np.array([0, 4, 1, 2]), np.array([4, 2, 0, 3])).tolist() == [
+            True, True, False, False]
+
     def test_label_length_mismatch_rejected(self, tiny_graph):
         with pytest.raises(InvalidGraphError):
             relabel_vertices(tiny_graph, np.array([1, 2]))

@@ -166,11 +166,13 @@ def sm_embedding_count_ref(graph, pattern) -> int:
     return extend([])
 
 
-def vertex_walk_rows_ref(graph, steps, label=None, injective=True) -> List[tuple]:
+def vertex_walk_rows_ref(graph, steps, label=None, injective=True,
+                         adjacent=all) -> List[tuple]:
     """Rows after seeding every vertex and applying ``steps`` — each
     ``(anchor_cols, greater_than_cols, less_than_cols)`` — by scanning all
     vertices per row.  In the extension's BFS order: rows ascending, new
-    vertices ascending within a row."""
+    vertices ascending within a row.  ``adjacent=any`` is the union
+    extension (a neighbor of at least one anchor)."""
     adj = adjacency_sets(graph)
     rows = [(v,) for v in range(graph.num_vertices)]
     for anchors, greater, less in steps:
@@ -178,7 +180,7 @@ def vertex_walk_rows_ref(graph, steps, label=None, injective=True) -> List[tuple
             row + (v,)
             for row in rows
             for v in range(graph.num_vertices)
-            if all(v in adj[row[c]] for c in anchors)
+            if adjacent(v in adj[row[c]] for c in anchors)
             and all(v > row[c] for c in greater)
             and all(v < row[c] for c in less)
             and (label is None or int(graph.labels[v]) == label)

@@ -23,7 +23,9 @@ import pytest
 from repro.algorithms import (
     count_kcliques,
     frequent_pattern_mining,
+    graphlet_census,
     match_pattern,
+    motif_count,
 )
 from repro.core import Gamma
 from repro.graph import sm_query
@@ -44,7 +46,9 @@ def _fpm(iterations, metric, plan):
 
 #: name -> (shards, driver).  FPM covers both iteration depths, both
 #: support metrics (MNI is single-shard only), both plan sources and both
-#: engines; SM and k-clique cover the vertex-extension side.
+#: engines; SM and k-clique cover the vertex-extension side, with and
+#: without ordering restrictions, on both engines; graphlets cover the
+#: union extension (ordered on column 0), motifs the edge-extension one.
 SCENARIOS = {
     "fpm2-instances-baseline": (1, _fpm(2, "instances", None)),
     "fpm3-instances-auto": (1, _fpm(3, "instances", "auto")),
@@ -54,6 +58,11 @@ SCENARIOS = {
     "fpm2-instances-auto-2shard": (2, _fpm(2, "instances", "auto")),
     "sm-q3": (1, lambda engine: match_pattern(engine, sm_query(3))),
     "kcl4": (1, lambda engine: count_kcliques(engine, 4)),
+    "sm-q3-symmetry-broken": (1, lambda engine: match_pattern(
+        engine, sm_query(3), symmetry_breaking=True)),
+    "kcl4-2shard": (2, lambda engine: count_kcliques(engine, 4)),
+    "motif3": (1, lambda engine: motif_count(engine, 3)),
+    "graphlets4": (1, lambda engine: graphlet_census(engine, 4)),
 }
 
 

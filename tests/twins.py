@@ -21,6 +21,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.core import extension
 from repro.core.extension import ExtensionEngine
 from repro.gpusim import regions, unified
 from repro.graph import csr, groupby
@@ -31,9 +32,12 @@ aggregation = import_module("repro.core.aggregation")
 
 
 def prune_by_mask_cascade(engine, cand, cand_row, mats, verify_cols,
-                          distinct_cols, greater_than_cols, less_than_cols):
+                          distinct_cols, greater_than_cols=(),
+                          less_than_cols=()):
     """``ExtensionEngine._prune_candidates``: AND one full-width mask per
-    constraint, adjacency first, then index once."""
+    constraint, adjacency first, then index once.  The ordering columns
+    are the twin's own: shipped callers bound the expanded range instead
+    (``_bound_ranges``) and pass none."""
     mask = np.ones(len(cand), dtype=bool)
     for col in verify_cols:
         mask &= engine.graph.has_edges(mats[cand_row, col], cand)
@@ -46,14 +50,34 @@ def prune_by_mask_cascade(engine, cand, cand_row, mats, verify_cols,
     return cand[mask], cand_row[mask]
 
 
+def bound_ranges_by_scan(keys, owners, starts, lengths, mats, rows,
+                         greater_than_cols, less_than_cols):
+    """``extension._bound_ranges``: walk each range, compare every value
+    with every ordering column, and keep the run that passes (the lists
+    are sorted, so the survivors are contiguous)."""
+    starts, lengths = starts.copy(), lengths.copy()
+    for i, row in enumerate(rows.tolist()):
+        values = keys[starts[i]:starts[i] + lengths[i]] & 0xFFFFFFFF
+        keep = np.ones(len(values), dtype=bool)
+        for col in greater_than_cols:
+            keep &= values > mats[row, col]
+        for col in less_than_cols:
+            keep &= values < mats[row, col]
+        live = np.flatnonzero(keep)
+        starts[i] += live[0] if len(live) else 0
+        lengths[i] = len(live)
+    return starts, lengths
+
+
 def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
                              distinct_cols, greater_than_cols,
                              less_than_cols, label):
-    """``ExtensionEngine._surviving_candidates``: per row, expand the
-    shortest anchor list, verify the others, and probe each source part's
-    survivors through ``labels_of`` (which bills them) — the per-row
-    algorithm the cost model was written against, with no prefix sharing
-    between sibling rows."""
+    """``ExtensionEngine._surviving_candidates``: per row, expand the whole
+    of the shortest anchor list, verify the others, filter by id ordering
+    afterwards, and probe each source part's survivors through
+    ``labels_of`` (which bills them) — the per-row algorithm the cost
+    model was written against, with no prefix sharing between sibling
+    rows and no ordering bounds on what is expanded."""
     graph = engine.graph
     source_choice = np.argmin(anchor_deg, axis=1)
     cands, cand_rows = [], []
@@ -61,11 +85,12 @@ def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
         rows = np.flatnonzero(source_choice == idx)
         if len(rows) == 0:
             continue
-        starts = graph.offsets[mats[rows, source_col]]
-        lengths = anchor_deg[rows, idx]
-        cand = graph.neighbors[regions.expand_ranges(starts, starts + lengths)]
-        cand, cand_row = engine._prune_candidates(
-            cand, rows.repeat(lengths), mats,
+        cand, cand_row = extension._expand_lists(
+            graph.neighbors, graph.offsets[mats[rows, source_col]],
+            anchor_deg[rows, idx], rows,
+        )
+        cand, cand_row = prune_by_mask_cascade(
+            engine, cand, cand_row, mats,
             [c for c in anchor_cols if c != source_col], distinct_cols,
             greater_than_cols, less_than_cols,
         )
@@ -95,7 +120,7 @@ def never_memoised(batch, starts, ends, token=0):
 
 @contextmanager
 def straight_line():
-    """Run the enclosed code on the straight-line stack: the four twins
+    """Run the enclosed code on the straight-line stack: the five twins
     above installed over their seams, and the four size thresholds
     dropped to zero so ``has_edges`` binary-searches, ``PageBuffer``
     evicts by ``lexsort``, ``dedup_embeddings`` keys by void rows and
@@ -105,6 +130,7 @@ def straight_line():
     patches = [
         (ExtensionEngine, "_prune_candidates", prune_by_mask_cascade),
         (ExtensionEngine, "_surviving_candidates", labelled_min_degree_walk),
+        (extension, "_bound_ranges", bound_ranges_by_scan),
         (QuickPatternEncoder, "_unique_quick", staticmethod(unique_quick_rows)),
         (regions.ChargeBatch, "lookup", never_memoised),
         (csr, "_BITSET_MAX_BYTES", 0),

@@ -172,6 +172,10 @@ class ExtensionStats:
     groups: int = 0
     kernel_ops: float = 0.0
     list_reads: int = 0
+    #: Candidate slots the host materialised (``candidates`` is what the
+    #: model bills).  Telemetry only: never charged, never journaled, so a
+    #: replayed op reports the 0 it expanded.
+    expanded: int = 0
     per_row_counts: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
@@ -209,6 +213,9 @@ class ExtensionEngine:
         #: are processed in order — only the charge accounting (shared
         #: prefix groups split at chunk boundaries are re-read).
         self.chunk_rows: int | None = None
+        #: Slots expanded by the extension in progress
+        #: (:attr:`ExtensionStats.expanded`).
+        self._expanded = 0
 
     # -- seeding ------------------------------------------------------------
     def seed_vertices(
@@ -248,6 +255,21 @@ class ExtensionEngine:
             self.platform.kernel.launch("seed", element_ops=n)
 
     # -- shared helpers -------------------------------------------------------
+    def _expand(
+        self, values: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+        rows: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_expand_lists`, counted."""
+        cand, cand_row = _expand_lists(values, starts, lengths, rows)
+        self._expanded += len(cand)
+        return cand, cand_row
+
+    def _emit_stats(self, stats: ExtensionStats, level: int, mode: str) -> None:
+        tel = self.platform.telemetry
+        if tel.active:
+            tel.metric("extension.rows_out", stats.rows_out, level=level, mode=mode)
+            tel.metric("extension.expanded", stats.expanded, level=level, mode=mode)
+
     def _bounded_neighbors(
         self,
         vertices: np.ndarray,
@@ -267,7 +289,7 @@ class ExtensionEngine:
             graph.offsets[vertices],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
             degrees, mats, rows, greater_than_cols, less_than_cols,
         )
-        return _expand_lists(
+        return self._expand(
             graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
             starts, lengths, rows,
         )
@@ -400,9 +422,7 @@ class ExtensionEngine:
                 table, anchor_cols, label, greater_than_col,
                 greater_than_cols, less_than_cols, injective,
             )
-        if tel.active:
-            tel.metric("extension.rows_out", stats.rows_out,
-                       level=depth, mode="vertex-any")
+        self._emit_stats(stats, depth, "vertex-any")
         return stats
 
     def _extend_vertices_any_impl(
@@ -429,6 +449,7 @@ class ExtensionEngine:
             )
             return stats
 
+        self._expanded = 0
         # Reads: every anchor list per row (deduped when pre-merge groups
         # shared vertices, as in edge extension).
         anchor_vertices = mats[:, anchor_cols].ravel()
@@ -474,6 +495,7 @@ class ExtensionEngine:
         order = np.argsort(cand_row, kind="stable")
         table.append_column(cand[order], cand_row[order])
         stats.rows_out = len(cand)
+        stats.expanded = self._expanded
         self.platform.counters.add(st.EXTENSION_PASSES)
         self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
         return stats
@@ -511,9 +533,7 @@ class ExtensionEngine:
                 table, anchor_cols, label, greater_than_col,
                 greater_than_cols, less_than_cols, injective,
             )
-        if tel.active:
-            tel.metric("extension.rows_out", stats.rows_out,
-                       level=depth, mode="vertex")
+        self._emit_stats(stats, depth, "vertex")
         return stats
 
     def _extend_vertices_impl(
@@ -556,6 +576,7 @@ class ExtensionEngine:
         # per-chunk device allocations (e.g. the prealloc strategy's
         # worst-case buffer) shrink with the chunk size.
         chunk = self.chunk_rows or n
+        self._expanded = 0
         cand_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
         count_parts: list[np.ndarray] = []
@@ -601,6 +622,7 @@ class ExtensionEngine:
         # candidates come back sorted by row.
         table.append_column(cand, _concat(row_parts))
         stats.rows_out = len(cand)
+        stats.expanded = self._expanded
         self.platform.counters.add(st.EXTENSION_PASSES)
         self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
         return stats
@@ -617,17 +639,14 @@ class ExtensionEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``mats``: the vertices adjacent to every anchor that
         pass the constraints and carry ``label``, as ``(cand, cand_row)``
-        with rows ascending and candidates ascending within a row.  The
-        label probes are billed here."""
-        cand, cand_row = self._shared_prefix_candidates(
+        with rows ascending and candidates ascending within a row, the
+        label probes billed.  This is the seam the per-row twin replaces
+        (``tests/twins.py``); how the survivors are found is
+        :meth:`_shared_prefix_candidates`' business."""
+        return self._shared_prefix_candidates(
             mats, anchor_cols, anchor_deg, distinct_cols,
-            greater_than_cols, less_than_cols,
+            greater_than_cols, less_than_cols, label,
         )
-        if label is not None:
-            cand, cand_row = self._filter_label_by_source(
-                cand, cand_row, anchor_deg, label
-            )
-        return cand, cand_row
 
     def _min_degree_candidates(
         self,
@@ -670,21 +689,31 @@ class ExtensionEngine:
         distinct_cols: Sequence[int],
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
+        label: int | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The survivors of :meth:`_min_degree_candidates` (same rows, same
-        order, label filter aside), computed the way pre-merge is billed
-        (Fig. 8(b)): the part of the intersection that reads only the
-        columns before the tail is the same for every row of a *group* —
-        consecutive rows agreeing on those columns, i.e. siblings under one
-        parent — so it is done once per group.
+        """The survivors of :meth:`_min_degree_candidates` that carry
+        ``label`` (same rows, same order, same label bill), computed the
+        way pre-merge is billed (Fig. 8(b)): the part of the intersection
+        that reads only the columns before the tail is the same for every
+        row of a *group* — consecutive rows agreeing on those columns, i.e.
+        siblings under one parent — so it is done once per group.
 
         * **Phase 1, per group**: ``L_m`` = the prefix anchors' common
           neighbors that pass every constraint on columns before the tail,
           by the min-degree rule over the group's first row.
-        * **Phase 2, per row**: expand the shorter of ``L_m[group]`` and
-          ``N(tail)`` (the latter only when the tail is an anchor) and apply
-          what is left — tail adjacency and tail constraints on an ``L_m``
-          candidate, everything on an ``N(tail)`` candidate.
+        * **Phase 2, tail not an anchor**: the tail imposes no adjacency,
+          so a row's survivors are the slice of ``L_m[group]`` inside its
+          tail ordering bounds, less the tail vertex itself when it must be
+          distinct and lies inside.  The pre-label count the model bills is
+          therefore a slice length minus at most one, the label is probed
+          once on ``L_m`` rather than once per row, and each row expands
+          only its slice of the labelled ``L_m``.
+        * **Phase 2, tail an anchor**: expand the shorter of ``L_m[group]``
+          and ``N(tail)`` and apply what is left — tail adjacency and tail
+          constraints on an ``L_m`` candidate, everything on an ``N(tail)``
+          candidate.  A candidate's pre-label survival depends on its row
+          here, so the label filter runs last, per row
+          (:meth:`_filter_label_by_source`).
 
         With one prefix anchor and an anchored tail ``L_m`` would be that
         anchor's adjacency list and phase 2's choice the min-degree rule
@@ -696,9 +725,12 @@ class ExtensionEngine:
         tail_anchored = anchor_cols[-1] == tail
         prefix_cols = anchor_cols[:-1] if tail_anchored else anchor_cols
         if not prefix_cols or (tail_anchored and len(prefix_cols) == 1):
-            return self._min_degree_candidates(
-                mats, anchor_cols, anchor_deg, distinct_cols,
-                greater_than_cols, less_than_cols,
+            return self._filter_label_by_source(
+                *self._min_degree_candidates(
+                    mats, anchor_cols, anchor_deg, distinct_cols,
+                    greater_than_cols, less_than_cols,
+                ),
+                anchor_deg, label,
             )
 
         # ---- phase 1: L_m per group, CSR-shaped -------------------------------
@@ -716,26 +748,59 @@ class ExtensionEngine:
         group_len = np.bincount(lm_group, minlength=len(first_rows))
         lm_len = group_len[group_of_row]
         lm_start = (np.cumsum(group_len) - group_len)[group_of_row]
-
-        # ---- phase 2: tail-only work per row -----------------------------------
+        if len(first_rows) >= _PACK_VERTEX_LIMIT:
+            raise ExecutionError("(group << 32) | vertex keys hold < 2**31 groups")
+        lm_keys = (lm_group << 32) | lm
         tail_distinct, tail_greater, tail_less = (
             [c for c in cols if c == tail]
             for cols in (distinct_cols, greater_than_cols, less_than_cols)
         )
-        from_tail = (
-            anchor_deg[:, -1] < lm_len if tail_anchored
-            else np.zeros(len(mats), dtype=bool)
-        )
-        if len(first_rows) >= _PACK_VERTEX_LIMIT:
-            raise ExecutionError("(group << 32) | vertex keys hold < 2**31 groups")
+
+        if not tail_anchored:
+            # ---- phase 2, tail-free: each row takes its slice of L_m ----------
+            rows = np.arange(len(mats), dtype=np.int64)
+            starts, lengths = _bound_ranges(
+                lm_keys, group_of_row, lm_start, lm_len, mats, rows,
+                tail_greater, tail_less,
+            )
+            ends = starts + lengths
+            # ``cuts[r]`` = the positions between which row r's candidates
+            # lie: its slice, or the two pieces around its own tail vertex.
+            cuts = [starts, ends]
+            if tail_distinct:
+                tail_keys = (group_of_row << 32) | mats[:, tail]
+                hole = np.searchsorted(lm_keys, tail_keys)
+                inside = (starts <= hole) & (hole < ends)
+                inside[inside] = lm_keys[hole[inside]] == tail_keys[inside]
+                hole = np.where(inside, hole, ends)
+                cuts = [starts, hole, np.minimum(hole + 1, ends), ends]
+            cuts = np.stack(cuts, axis=1)
+            if label is not None:
+                # Billed before the label, as the per-row rule probes.
+                self._charge_label_probes(
+                    (cuts[:, 1::2] - cuts[:, 0::2]).sum(axis=1), anchor_deg
+                )
+                carries = self.graph.labels[lm] == label  # gammalint: allow[charge] -- one host probe per L_m entry; billed per row and source part by _charge_label_probes above
+                # Position i of L_m has ``rank[i]`` labelled entries before it.
+                rank = np.zeros(len(lm) + 1, dtype=np.int64)
+                np.cumsum(carries, out=rank[1:])
+                lm, cuts = lm[carries], rank[cuts]
+            pieces = cuts.shape[1] // 2
+            return self._expand(
+                lm, cuts[:, 0::2].ravel(),
+                (cuts[:, 1::2] - cuts[:, 0::2]).ravel(), rows.repeat(pieces),
+            )
+
+        # ---- phase 2, anchored tail: tail-only work per row --------------------
+        from_tail = anchor_deg[:, -1] < lm_len
         rows = np.flatnonzero(~from_tail)
         starts, lengths = _bound_ranges(
-            (lm_group << 32) | lm, group_of_row[rows], lm_start[rows],
-            lm_len[rows], mats, rows, tail_greater, tail_less,
+            lm_keys, group_of_row[rows], lm_start[rows], lm_len[rows],
+            mats, rows, tail_greater, tail_less,
         )
-        cand, cand_row = _expand_lists(lm, starts, lengths, rows)
+        cand, cand_row = self._expand(lm, starts, lengths, rows)
         parts = [self._prune_candidates(
-            cand, cand_row, mats, anchor_cols[len(prefix_cols):], tail_distinct
+            cand, cand_row, mats, [tail], tail_distinct
         )]
         rows = np.flatnonzero(from_tail)
         if len(rows):
@@ -746,28 +811,42 @@ class ExtensionEngine:
             parts.append(self._prune_candidates(
                 cand, cand_row, mats, prefix_cols, distinct_cols
             ))
-        return _merge_by_row(parts)
+        return self._filter_label_by_source(
+            *_merge_by_row(parts), anchor_deg, label
+        )
+
+    def _charge_label_probes(
+        self, survivors: np.ndarray, anchor_deg: np.ndarray
+    ) -> None:
+        """Bill ``survivors[r]`` label probes for each row as the per-row
+        algorithm does: one charge per min-degree source part (the rows
+        whose shortest list is anchor ``i``), in anchor order.  (Clock
+        buckets accumulate with float ``+=``, so a different split of the
+        same total would change the low bits of simulated time.)"""
+        source_choice = np.argmin(anchor_deg, axis=1)
+        for idx in range(anchor_deg.shape[1]):
+            part = source_choice == idx
+            if part.any():
+                self.residence.charge_label_reads(int(survivors[part].sum()))
 
     def _filter_label_by_source(
         self,
         cand: np.ndarray,
         cand_row: np.ndarray,
         anchor_deg: np.ndarray,
-        label: int,
+        label: int | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Keep the candidates carrying ``label``, billing the probes as the
-        per-row algorithm does: one charge per min-degree source part, in
-        anchor order, for the part's survivors of every other constraint.
-        (Clock buckets accumulate with float ``+=``, so a different split
-        of the same total would change the low bits of simulated time.)
-        """
-        survivors = np.bincount(cand_row, minlength=len(anchor_deg))
-        source_choice = np.argmin(anchor_deg, axis=1)
-        for idx in range(anchor_deg.shape[1]):
-            part = source_choice == idx
-            if part.any():
-                self.residence.charge_label_reads(int(survivors[part].sum()))
-        keep = np.flatnonzero(self.graph.labels[cand] == label)  # gammalint: allow[charge] -- billed per source part by charge_label_reads above
+        """Keep the candidates carrying ``label`` (all of them when it is
+        ``None``), billing one probe per candidate handed in: the label
+        filter of the shapes where a candidate's pre-label survival depends
+        on its row — the per-row rule and the anchored tail — so that the
+        billed count is only known after expansion."""
+        if label is None:
+            return cand, cand_row
+        self._charge_label_probes(
+            np.bincount(cand_row, minlength=len(anchor_deg)), anchor_deg
+        )
+        keep = np.flatnonzero(self.graph.labels[cand] == label)  # gammalint: allow[charge] -- billed per source part by _charge_label_probes above
         return cand[keep], cand_row[keep]
 
     def _vertex_read_plan(
@@ -839,9 +918,7 @@ class ExtensionEngine:
         with tel.span("extend-edges", kind="level", level=depth), \
                 self.platform.resilience.phase(f"level:{depth}"):
             stats = self._extend_edges_impl(table, greater_than_col)
-        if tel.active:
-            tel.metric("extension.rows_out", stats.rows_out,
-                       level=depth, mode="edge")
+        self._emit_stats(stats, depth, "edge")
         return stats
 
     def _extend_edges_impl(self, table: EmbeddingTable,
@@ -890,7 +967,7 @@ class ExtensionEngine:
         # Candidate edges.
         cand, lengths = self._incident_values(distinct_verts)
         cand_row = np.repeat(row_of_vert, lengths)
-        stats.candidates = len(cand)
+        stats.candidates = stats.expanded = len(cand)
 
         # Drop edges already in the embedding, then dedup within each row
         # (an edge incident to two embedding vertices is generated twice).

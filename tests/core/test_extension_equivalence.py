@@ -156,10 +156,11 @@ def _run_anchored_walk(graph, walk):
     engine.seed_vertices(table)
     extend = (engine.extend_vertices_any if walk.get("union")
               else engine.extend_vertices)
-    for anchors, greater, less in walk["steps"]:
+    for anchors, greater, less, *own in walk["steps"]:
         extend(
-            table, anchors, label=walk["label"], greater_than_cols=greater,
-            less_than_cols=less, injective=walk["injective"],
+            table, anchors, label=own[0] if own else walk["label"],
+            greater_than_cols=greater, less_than_cols=less,
+            injective=walk["injective"],
         )
     rows = table.materialize()
     return rows, platform.clock.snapshot(), platform.counters.snapshot()
@@ -200,7 +201,8 @@ def _edge_case_graph():
                           labels=zipf_labels(12, 3, seed=1), name="edges")
 
 
-#: name -> steps, each ``(anchor_cols, greater_than_cols, less_than_cols)``.
+#: name -> steps, each ``(anchor_cols, greater_than_cols, less_than_cols)``
+#: or, to ask for its own label whatever the walk's, the same plus a label.
 EDGE_WALKS = {
     # kCL's shape: ordering on the tail, so phase 2 bounds L_m and N(tail).
     "ascending-clique": [([0], [0], []), ([0, 1], [1], []), ([0, 1, 2], [2], [])],
@@ -216,7 +218,23 @@ EDGE_WALKS = {
     # One list only, bounded by columns it is not adjacent to.
     "single-list": [([0], [], []), ([1], [], []), ([2], [0], [1])],
     "tail-window": [([0], [], []), ([0, 1], [0], []), ([0, 1, 2], [1], [2])],
+    # Tail neither an anchor nor ordered: each row's slice is its group's
+    # whole L_m, around the row's own tail vertex when that is in it (one
+    # prefix anchor: always; two: only if the tail neighbors both).
+    "tail-free-hole": [([0], [], []), ([0], [], []), ([0, 1], [], [])],
+    # The same with a label per step, so a tail inside L_m carries another
+    # label than the one asked for: billed, then dropped with its label.
+    "tail-free-relabelled": [([0], [], [], 0), ([0], [], [], 2),
+                             ([0, 1], [], [], 0)],
+    # A label no vertex carries, asked for where rows exist: probes are
+    # billed, nothing comes out.
+    "tail-free-absent-label": [([0], [], [], None), ([0], [], [], 9)],
+    # Both orderings against the unanchored tail: every slice is crossed.
+    "tail-free-crossed": [([0], [], []), ([0], [], []), ([0, 1], [2], [2])],
 }
+#: The walks whose later steps leave the tail out of the anchors.
+TAIL_FREE_WALKS = ["unanchored-tail"] + sorted(
+    name for name in EDGE_WALKS if name.startswith("tail-free"))
 
 
 def _edge_walk(name, chunk_rows=None, union=False, injective=True, label=None):
@@ -240,18 +258,40 @@ class TestSharedPrefixEquivalence:
             _edge_walk(name, chunk_rows, injective=False, label=0),
         )
 
+    @pytest.mark.parametrize("injective", [True, False])
+    @pytest.mark.parametrize("label", [None, 0, 1, 2, 9])
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 2, 3])
+    @pytest.mark.parametrize("name", TAIL_FREE_WALKS)
+    def test_tail_free_slices_at_their_edges(self, name, chunk_rows, label,
+                                             injective):
+        """The slicing branch against both references: every label of the
+        hand graph and one it lacks, with and without the hole an injective
+        tail leaves, in chunks small enough to split a group."""
+        _assert_walk_equivalent(
+            _edge_case_graph,
+            _edge_walk(name, chunk_rows, injective=injective, label=label),
+        )
+
     def test_edge_walks_reach_every_bound_position(self, monkeypatch):
-        """What ``test_bounds_at_their_edges`` claims to cover, checked:
-        across the walks a bound is found in its list, falls between two
-        entries, sits below every entry and above every entry; vertex ids
-        0 and V-1 bound; two greater-than columns disagree; a window is
-        crossed; an isolated vertex's empty list is bounded; and phase 2
-        expands both ``L_m`` and ``N(tail)`` under a tail bound."""
+        """What the two edge tests above claim to cover, checked: across
+        the walks a bound is found in its list, falls between two entries,
+        sits below every entry and above every entry; vertex ids 0 and V-1
+        bound; two greater-than columns disagree; a window is crossed; an
+        isolated vertex's empty list is bounded; and phase 2 expands both
+        ``L_m`` and ``N(tail)`` under a tail bound.  Where the tail is not
+        an anchor, a row's own tail vertex is the first entry of its
+        ``L_m`` slice, the last, one between, absent, and present under
+        another label than the one asked for; a group's ``L_m`` is empty;
+        a slice is crossed; and what a slice expands to is never pruned."""
         graph = _edge_case_graph()
         top = graph.num_vertices - 1
         seen = set()
+        asked = None  # the label of the step in progress
+        sliced = False  # the last expansion was of L_m, not of a neighbor list
         bound_ranges = extension._bound_ranges
+        expand_lists = extension._expand_lists
         prune = ExtensionEngine._prune_candidates
+        surviving = ExtensionEngine._surviving_candidates
 
         def watch_bounds(keys, owners, starts, lengths, mats, rows, greater, less):
             for start, length, row in zip(starts.tolist(), lengths.tolist(),
@@ -274,17 +314,50 @@ class TestSharedPrefixEquivalence:
                         seen.add("above-all")
                     elif values:
                         seen.add("between")
+                if tail_free and keys is not graph.adjacency_keys:
+                    # A row's slice of its group's L_m.
+                    hole = row[-1]
+                    if not values:
+                        seen.add("empty-lm")
+                    elif lows and highs:
+                        seen.add("crossed-slice")
+                    elif lows or highs or hole not in values:
+                        seen.add("hole-absent")
+                    else:
+                        where = ("first" if hole == values[0] else
+                                 "last" if hole == values[-1] else "inside")
+                        seen.add(f"hole-{where}")
+                        if asked not in (None, int(graph.labels[hole])):
+                            seen.add("hole-relabelled")
             return bound_ranges(keys, owners, starts, lengths, mats, rows,
                                 greater, less)
+
+        def watch_expand(values, starts, lengths, rows):
+            nonlocal sliced
+            sliced = values is not graph.neighbors
+            return expand_lists(values, starts, lengths, rows)
 
         def watch_prune(self, cand, cand_row, mats, verify_cols, distinct_cols):
             if len(cand) and mats.shape[1] == 3:
                 seen.add(f"verify-{list(verify_cols)}")
+            if sliced and not verify_cols:
+                seen.add("slice-pruned")
             return prune(self, cand, cand_row, mats, verify_cols, distinct_cols)
 
+        def watch_surviving(self, mats, anchor_cols, anchor_deg, distinct_cols,
+                            greater_than_cols, less_than_cols, label):
+            nonlocal asked
+            asked = label
+            return surviving(self, mats, anchor_cols, anchor_deg, distinct_cols,
+                             greater_than_cols, less_than_cols, label)
+
         monkeypatch.setattr(extension, "_bound_ranges", watch_bounds)
+        monkeypatch.setattr(extension, "_expand_lists", watch_expand)
         monkeypatch.setattr(ExtensionEngine, "_prune_candidates", watch_prune)
+        monkeypatch.setattr(
+            ExtensionEngine, "_surviving_candidates", watch_surviving)
         for name in EDGE_WALKS:
+            tail_free = name in TAIL_FREE_WALKS
             _run_anchored_walk(graph, _edge_walk(name))
         # At depth 3 with anchors [0, 1, 2], phase 2 verifies the tail on
         # an L_m candidate and the prefix on an N(tail) candidate.
@@ -292,7 +365,10 @@ class TestSharedPrefixEquivalence:
             "present", "between", "below-all", "above-all", "bound-0",
             f"bound-{top}", "two-greater-disagree", "crossed", "empty-list",
             "verify-[2]", "verify-[0, 1]",
+            "hole-first", "hole-last", "hole-inside", "hole-absent",
+            "hole-relabelled", "empty-lm", "crossed-slice",
         }
+        assert "slice-pruned" not in seen
 
     def test_too_many_prefix_groups_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(extension, "_PACK_VERTEX_LIMIT", 2)
@@ -369,6 +445,57 @@ class TestSharedPrefixEquivalence:
         assert answer > 0
         assert (fast_answer, fast_sim) == (answer, sim)
         assert fast_probes < probes
+
+    @pytest.mark.parametrize("query", [3, 4])
+    def test_label_is_probed_per_group_not_per_row(self, query, monkeypatch):
+        """The saving itself: at a labelled level whose tail is not an
+        anchor, a row expands only the labelled part of its ``L_m`` slice,
+        cut around its own tail — exactly the rows it emits — where the
+        twin expands every row's whole shortest list and then filters;
+        same answer, same bill, same simulated time to the bit.
+        ``ExtensionStats.expanded`` reports the slots materialised."""
+        from repro.algorithms import match_pattern
+        from repro.core import Gamma
+        from repro.graph import sm_query
+
+        graph = kronecker(7, 6, seed=3, labels=8, label_seed=4)
+        expand_lists = extension._expand_lists
+        extend = ExtensionEngine._extend_vertices_impl
+        slots = [0, 0]  # expanded by the level in progress: in all, from L_m
+        levels = []  # (*slots, stats) of each labelled tail-free level
+
+        def counting(values, starts, lengths, rows):
+            cand, cand_row = expand_lists(values, starts, lengths, rows)
+            slots[0] += len(cand)
+            slots[1] += len(cand) if values is not graph.neighbors else 0
+            return cand, cand_row
+
+        def watch_extend(self, table, anchor_cols, label, *rest):
+            slots[:] = [0, 0]
+            tail_free = table.depth - 1 not in anchor_cols
+            stats = extend(self, table, anchor_cols, label, *rest)
+            if tail_free and label is not None:
+                levels.append((*slots, stats))
+            return stats
+
+        monkeypatch.setattr(extension, "_expand_lists", counting)
+        monkeypatch.setattr(
+            ExtensionEngine, "_extend_vertices_impl", watch_extend)
+        outcomes = []
+        for stack in ARMS.values():  # as shipped, then the twins
+            levels.clear()
+            with stack(), Gamma(graph) as gamma:
+                answer = match_pattern(gamma, sm_query(query)).embeddings
+                outcomes.append(
+                    (answer, float.hex(gamma.simulated_seconds), list(levels)))
+        (fast_answer, fast_sim, fast), (answer, sim, twin) = outcomes
+        assert answer > 0
+        assert (fast_answer, fast_sim) == (answer, sim)
+        assert len(fast) == len(twin) == {3: 1, 4: 2}[query]
+        for (total, from_lm, stats), (twin_total, __, twin_stats) in zip(fast, twin):
+            assert from_lm == stats.rows_out > 0
+            assert stats.expanded == total < twin_total
+            assert stats.candidates == twin_stats.candidates
 
 
 class TestEdgeExtensionEquivalence:

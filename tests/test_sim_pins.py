@@ -35,8 +35,9 @@ from repro.shard import ShardedGamma
 PINS_PATH = Path(__file__).with_name("sim_pins.json")
 
 
-def _graph():
-    return kronecker(7, 6, seed=5, name="pin-standin", labels=4, label_seed=6)
+def _graph(labels=4):
+    return kronecker(7, 6, seed=5, name="pin-standin", labels=labels,
+                     label_seed=6)
 
 
 def _fpm(iterations, metric, plan):
@@ -44,11 +45,13 @@ def _fpm(iterations, metric, plan):
         engine, iterations, 6, support_metric=metric, plan=plan)
 
 
-#: name -> (shards, driver).  FPM covers both iteration depths, both
+#: name -> (shards, driver), or (shards, driver, labels) on a graph with
+#: another label count than 4 (q4-q6 ask for label 7).  FPM covers both iteration depths, both
 #: support metrics (MNI is single-shard only), both plan sources and both
 #: engines; SM and k-clique cover the vertex-extension side, with and
-#: without ordering restrictions, on both engines; graphlets cover the
-#: union extension (ordered on column 0), motifs the edge-extension one.
+#: without ordering restrictions, on both engines (q4-q6 hold the labelled
+#: levels whose tail is not an anchor, one anchor and two); graphlets cover
+#: the union extension (ordered on column 0), motifs the edge-extension one.
 SCENARIOS = {
     "fpm2-instances-baseline": (1, _fpm(2, "instances", None)),
     "fpm3-instances-auto": (1, _fpm(3, "instances", "auto")),
@@ -57,6 +60,10 @@ SCENARIOS = {
     "fpm3-instances-baseline-2shard": (2, _fpm(3, "instances", None)),
     "fpm2-instances-auto-2shard": (2, _fpm(2, "instances", "auto")),
     "sm-q3": (1, lambda engine: match_pattern(engine, sm_query(3))),
+    "sm-q4": (1, lambda engine: match_pattern(engine, sm_query(4)), 8),
+    "sm-q5": (1, lambda engine: match_pattern(engine, sm_query(5)), 8),
+    "sm-q6": (1, lambda engine: match_pattern(engine, sm_query(6)), 8),
+    "sm-q4-2shard": (2, lambda engine: match_pattern(engine, sm_query(4)), 8),
     "kcl4": (1, lambda engine: count_kcliques(engine, 4)),
     "sm-q3-symmetry-broken": (1, lambda engine: match_pattern(
         engine, sm_query(3), symmetry_breaking=True)),
@@ -69,9 +76,10 @@ SCENARIOS = {
 def observe(name: str) -> dict:
     """Run one scenario; its simulated seconds and every counter (per
     shard, prefixed, on a sharded engine)."""
-    shards, drive = SCENARIOS[name]
-    engine = (Gamma(_graph()) if shards == 1
-              else ShardedGamma(_graph(), num_shards=shards))
+    shards, drive, *labels = SCENARIOS[name]
+    graph = _graph(*labels)
+    engine = (Gamma(graph) if shards == 1
+              else ShardedGamma(graph, num_shards=shards))
     with engine:
         drive(engine)
         if shards == 1:

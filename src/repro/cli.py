@@ -818,8 +818,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print("timed out waiting for the query", file=sys.stderr)
             return 1
     else:
-        records = list(client.submit(spec))
-        for record in records:
+        doc = client.run(spec)
+        for record in doc["records"]:
             kind = record["type"]
             if kind == "partial":
                 detail = {key: value for key, value in record.items()
@@ -828,7 +828,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
                       f"{_abridge(detail)}")
             elif kind in ("preempted", "resumed", "crash"):
                 print(f"  [{kind}]")
-        doc = client.query(records[0]["query"])
     if doc["status"] == "completed":
         print(f"query {doc['query']} completed: "
               f"{_abridge(doc['result'])}")

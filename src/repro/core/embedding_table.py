@@ -32,16 +32,30 @@ EDGE = "edge"
 _CELL_BYTES = 16
 
 
+def _frozen(array) -> np.ndarray:
+    """A read-only int64 view of ``array``'s data (the caller's own array
+    keeps its flag)."""
+    out = np.ascontiguousarray(array, dtype=np.int64).view()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass
 class Column:
-    """One extension level: ids plus parent row pointers (-1 at the root)."""
+    """One extension level: ids plus parent row pointers (-1 at the root).
+
+    Both arrays are read-only.  A table only ever *replaces* a column
+    (``compact``, spilling, ``restore_columns``), so whoever holds a column's
+    arrays — a checkpoint snapshot, a suspended query — holds that level as
+    it was, without a copy.
+    """
 
     values: np.ndarray
     parents: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.ascontiguousarray(self.values, dtype=np.int64)
-        self.parents = np.ascontiguousarray(self.parents, dtype=np.int64)
+        self.values = _frozen(self.values)
+        self.parents = _frozen(self.parents)
         if self.values.shape != self.parents.shape:
             raise ExecutionError("column values/parents must align")
 
@@ -230,22 +244,22 @@ class EmbeddingTable:
 
     # -- checkpoint support --------------------------------------------------
     def snapshot_columns(self) -> list[dict]:
-        """Copy every column for a checkpoint (uncharged bookkeeping)."""
+        """Every column for a checkpoint (uncharged bookkeeping).
+
+        Resident columns are handed out by reference (see :class:`Column`),
+        so a snapshot costs O(columns), not O(cells); a spilled column is
+        read back from the store.
+        """
         records = []
         for column in self.columns:
             if isinstance(column, SpilledColumn):
-                packed = self._spill_store.peek(column.handle)
-                records.append({
-                    "values": packed[0].copy(),
-                    "parents": packed[1].copy(),
-                    "spilled": True,
-                })
+                values, parents = self._spill_store.peek(column.handle)
+                spilled = True
             else:
-                records.append({
-                    "values": column.values.copy(),
-                    "parents": column.parents.copy(),
-                    "spilled": False,
-                })
+                values, parents = column.values, column.parents
+                spilled = False
+            records.append(
+                {"values": values, "parents": parents, "spilled": spilled})
         return records
 
     def restore_columns(self, records: list[dict]) -> None:

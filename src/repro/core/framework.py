@@ -321,14 +321,19 @@ class Gamma:
         self,
         checkpoint_dir: str | None = None,
         resume: bool = False,
+        resume_state: dict | None = None,
     ) -> bool:
         """Arm journaled-replay checkpointing.
 
-        With a ``checkpoint_dir``, every completed op atomically rewrites
-        ``checkpoint.bin`` there; ``resume=True`` loads it (when present)
-        into this engine and arms replay, so re-running the same driver
-        skips the completed ops and continues live from the crash point.
-        Returns ``True`` when a checkpoint was actually loaded.
+        Every completed op leaves a snapshot on the engine
+        (:meth:`snapshot`).  With a ``checkpoint_dir`` it is also written
+        through — each op atomically rewrites ``checkpoint.bin`` there —
+        and ``resume=True`` loads that file when present.  A loaded file,
+        or a ``resume_state`` another engine's :meth:`snapshot` handed over
+        in memory, is installed into this engine and arms replay, so
+        re-running the same driver skips the completed ops and continues
+        live from where the snapshot was taken.  Returns ``True`` when a
+        snapshot was actually installed.
         """
         if self._journal is None:
             self._journal = []
@@ -336,15 +341,25 @@ class Gamma:
             self._replay_cursor = 0
         if checkpoint_dir is not None:
             self._ckpt_mgr = CheckpointManager(checkpoint_dir)
-            if resume:
-                state = self._ckpt_mgr.load()
-                if state is not None:
-                    res_runner.restore_state(self, state)
-                    self._last_state = res_runner.capture_state(self)
-                    return True
+            if resume and resume_state is None:
+                resume_state = self._ckpt_mgr.load()
+        if resume_state is not None:
+            res_runner.restore_state(self, resume_state)
+            self._last_state = res_runner.capture_state(self)
+            return True
         # Op-0 snapshot, so even a fault before the first op can rewind.
         self._checkpoint()
         return False
+
+    def snapshot(self) -> dict | None:
+        """The engine's state after its last completed op.
+
+        ``None`` before checkpointing is armed.  Table columns are held by
+        reference, not copied; hand the snapshot to a fresh engine's
+        ``run(task, resume_state=...)`` to continue there, or to
+        :func:`~repro.resilience.checkpoint.serialize_state` for bytes.
+        """
+        return self._last_state
 
     def run(
         self,
@@ -352,6 +367,7 @@ class Gamma:
         *,
         checkpoint_dir: str | None = None,
         resume: bool = False,
+        resume_state: dict | None = None,
         policy=None,
         max_retries: int = 8,
         backoff_seconds: float = 0.05,
@@ -361,7 +377,8 @@ class Gamma:
         ``task`` is a callable taking this engine (e.g. ``lambda g:
         count_kcliques(g, 4)``) or an object with a ``run(engine)`` method.
         Checkpointing is always armed; ``checkpoint_dir``/``resume`` add
-        cross-process persistence (see :meth:`enable_checkpointing`).
+        cross-process persistence and ``resume_state`` continues from a
+        snapshot handed over in memory (see :meth:`enable_checkpointing`).
 
         ``policy`` names a degradation policy (see
         :data:`repro.resilience.DEGRADATION_POLICIES`) or is an instance.
@@ -382,7 +399,8 @@ class Gamma:
             from ..resilience import get_policy
 
             policy = get_policy(policy)
-        self.enable_checkpointing(checkpoint_dir, resume=resume)
+        self.enable_checkpointing(checkpoint_dir, resume=resume,
+                                  resume_state=resume_state)
         attempts = 0
         while True:
             try:

@@ -39,10 +39,10 @@ MAGIC = b"GAMMACKPT1\n"
 _ARRAY_KEY = "__gamma_array__"
 
 
-def _encode(value: Any, buffers: List[bytes]) -> Any:
+def _encode(value: Any, buffers: List[np.ndarray]) -> Any:
     if isinstance(value, np.ndarray):
         index = len(buffers)
-        buffers.append(np.ascontiguousarray(value).tobytes())
+        buffers.append(np.ascontiguousarray(value))
         return {
             _ARRAY_KEY: index,
             "dtype": value.dtype.str,
@@ -81,17 +81,24 @@ def _decode(value: Any, buffers: List[bytes]) -> Any:
     return value
 
 
-def serialize_state(state: dict) -> bytes:
-    """Flatten ``state`` into the deterministic archive format."""
-    buffers: List[bytes] = []
+def _archive_parts(state: dict) -> list:
+    """The archive as consecutive bytes-like pieces: magic, header length,
+    header, then each array's own buffer (no copy is made of any array)."""
+    buffers: List[np.ndarray] = []
     doc = _encode(state, buffers)
     header = json.dumps(
-        {"state": doc, "buffers": [len(b) for b in buffers]},
+        {"state": doc, "buffers": [b.nbytes for b in buffers]},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
     parts = [MAGIC, len(header).to_bytes(8, "little"), header]
-    parts.extend(buffers)
-    return b"".join(parts)
+    # A flat byte view: zero-size and n-d arrays included.
+    parts.extend(b.reshape(-1).view(np.uint8).data for b in buffers)
+    return parts
+
+
+def serialize_state(state: dict) -> bytes:
+    """Flatten ``state`` into the deterministic archive format."""
+    return b"".join(_archive_parts(state))
 
 
 def deserialize_state(blob: bytes) -> dict:
@@ -123,16 +130,24 @@ class CheckpointManager:
 
     def __init__(self, directory: str) -> None:
         self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, self.FILENAME)
 
     def save(self, state: dict) -> int:
-        """Serialize and atomically replace the checkpoint; returns bytes."""
-        blob = serialize_state(state)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".ckpt-")
+        """Serialize and atomically replace the checkpoint; returns bytes.
+
+        The directory is created by the first save, so a manager that
+        never saves leaves nothing behind.
+        """
+        parts = _archive_parts(state)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".ckpt-")
+        except FileNotFoundError:
+            os.makedirs(self.directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".ckpt-")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+                for part in parts:
+                    handle.write(part)
             os.replace(tmp, self.path)
         except BaseException:
             try:
@@ -140,7 +155,7 @@ class CheckpointManager:
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
             raise
-        return len(blob)
+        return sum(len(part) for part in parts)
 
     def load(self) -> Optional[dict]:
         """The stored state, or ``None`` when no checkpoint exists yet."""

@@ -65,7 +65,11 @@ class QueryState:
         self.seq = seq
         self.status = QUEUED
         self.stream = ResultStream(query_id)
+        #: Where a query on worker processes keeps its durable journal.
         self.checkpoint_dir: "str | None" = None
+        #: The engine snapshot a preempted in-process query resumes from
+        #: (held only while the query is suspended).
+        self.resume_state: "dict | list | None" = None
         #: Stage counter for the *current* driver invocation (reset per
         #: attempt; replayed stages re-count up to ``stages_emitted``).
         self.stage_calls = 0

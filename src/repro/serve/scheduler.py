@@ -2,24 +2,30 @@
 
 One :class:`Scheduler` drains a :class:`~repro.serve.queue.QueryQueue`,
 building a fresh ``Gamma``/``ShardedGamma`` per attempt and running the
-query's driver through ``engine.run`` with a per-query checkpoint
-directory.  Three properties fall out of how the pieces compose:
+query's driver through ``engine.run``.  Three properties fall out of how
+the pieces compose:
 
 * **Streaming == batch.**  The driver's ``level_hook`` fires after each
   completed level *inside the same op sequence a batch run executes*, so
   streamed partials are a prefix view of the batch computation, never a
   re-implementation of it.
-* **Preemption is free.**  Every op is journaled and snapshotted by the
-  checkpointing layer (PR 4), so the hook can raise
-  :class:`~repro.errors.QueryPreempted` between levels: the engine is
-  torn down, the query requeued, and the next attempt replays the
-  journal bit-identically before continuing — a high-priority tenant
-  never waits behind a long k-clique run, and the preempt/resume parity
-  suite pins byte-identical results.
-* **Crashes are contained.**  A :class:`~repro.errors.WorkerCrashed`
-  from the process backend marks only that query (retry from checkpoint
-  or fail, per its ``on_crash`` policy); the broken pool is evicted and
-  other tenants never notice.
+* **Preemption is free.**  Every op is journaled and leaves a snapshot
+  on the engine that holds the table columns by reference, so the hook
+  can raise :class:`~repro.errors.QueryPreempted` between levels: the
+  engine is torn down, the query requeued, and the next attempt
+  re-installs the snapshot and replays the journal bit-identically
+  before continuing — a high-priority tenant never waits behind a long
+  k-clique run, and the preempt/resume parity suite pins byte-identical
+  results.  An in-process query's snapshot changes hands in memory
+  (``engine.snapshot()`` -> ``QueryState.resume_state`` ->
+  ``run(resume_state=...)``) and only when it is preempted: unpreempted,
+  it serialises nothing and touches no disk.
+* **Crashes are contained.**  Only a worker process can die under a live
+  server, so only a query on the process backend keeps a durable
+  journal (``checkpoint_dir``, written through after every op).  A
+  :class:`~repro.errors.WorkerCrashed` marks only that query (retry from
+  that journal or fail, per its ``on_crash`` policy); the broken pool is
+  evicted and other tenants never notice.
 
 Two driving modes share the same ``_execute`` core: ``run_until_idle``
 drains synchronously on the calling thread (the deterministic mode every
@@ -70,7 +76,8 @@ class ServeConfig:
     preemption: bool = True
     #: Checkpoint-resume retries granted to a query whose worker crashed.
     crash_retries: int = 1
-    #: Root for per-query checkpoint dirs (a temp dir when ``None``).
+    #: Root for the plan cache and the journals of queries on worker
+    #: processes (a temp dir when ``None``).
     workdir: "str | None" = None
     #: When set, per-query manifests and billing records land here.
     manifest_dir: "str | None" = None
@@ -250,9 +257,6 @@ class Scheduler:
         else:
             state.stream.emit("started", tenant=spec.tenant,
                               family=spec.family, gpus=spec.gpus)
-        if state.checkpoint_dir is None:
-            state.checkpoint_dir = os.path.join(
-                self._workdir, f"q{state.id:06d}")
 
         try:
             engine, key, pool = self._build_engine(spec)
@@ -261,6 +265,13 @@ class Scheduler:
             self._finish(state, error=str(exc), release=True)
             return serve_queue.FAILED
         state.executor_used = getattr(engine, "executor_name", "local")
+        # Disk is for processes that can die.  Worker processes journal
+        # every op durably, which is what a crash-retry reads back; an
+        # in-thread engine dies with this server, so its snapshot stays in
+        # memory and changes hands only if the query is preempted.
+        if isinstance(engine, ShardedGamma) and engine.executor.parallel:
+            state.checkpoint_dir = os.path.join(
+                self._workdir, f"q{state.id:06d}")
         if spec.fault_plan is not None and state.crashes == 0:
             # Injected faults model transient failures: the plan is not
             # re-installed once it has killed a worker, so a crash-retry
@@ -282,8 +293,11 @@ class Scheduler:
 
         try:
             result = engine.run(task, checkpoint_dir=state.checkpoint_dir,
-                                resume=True, policy=spec.degradation)
+                                resume=True, resume_state=state.resume_state,
+                                policy=spec.degradation)
         except QueryPreempted as exc:
+            if state.checkpoint_dir is None:
+                state.resume_state = engine.snapshot()
             self._close_engine(engine, key, pool)
             state.exec_seconds += time.monotonic() - attempt_start
             state.preemptions += 1
@@ -342,7 +356,8 @@ class Scheduler:
         state.stream.close()
         if self.config.manifest_dir:
             write_billing_record(state.billing, self.config.manifest_dir)
-        if state.checkpoint_dir and os.path.isdir(state.checkpoint_dir):
+        state.resume_state = None
+        if state.checkpoint_dir is not None:
             shutil.rmtree(state.checkpoint_dir, ignore_errors=True)
 
     def _emit_manifest(self, state: QueryState, engine) -> None:

@@ -9,7 +9,9 @@ Endpoints (all JSON):
   body.  Default is streaming: the response is ``application/x-ndjson``,
   one stream record per line (``queued``/``started``/``partial``/
   ``preempted``/``resumed``/``crash``/``result``/``error``/``billing``),
-  held open until the query finishes.  ``?wait=0`` returns the query id
+  held open until the query finishes and closed by one ``status`` record:
+  the ``GET /v1/query/<id>`` document without its ``records``, so a
+  streamed query is one round trip.  ``?wait=0`` returns the query id
   immediately instead (poll with ``GET /v1/query/<id>``).
 * ``GET  /v1/query/<id>`` — status snapshot, records so far, billing.
 * ``POST /v1/shutdown`` — stop accepting work and exit ``serve_forever``.
@@ -26,7 +28,7 @@ import threading
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from ..errors import AdmissionError, ExecutionError, GammaError
 from .query import QuerySpec
@@ -104,10 +106,8 @@ class _Handler(BaseHTTPRequestHandler):
         if state is None:
             self._reply(404, {"error": f"no query {query_id}"})
             return
-        doc = state.snapshot()
-        doc["records"] = state.stream.records()
-        doc["billing"] = state.billing
-        self._reply(200, doc)
+        self._reply(200, dict(state.snapshot(), billing=state.billing,
+                              records=state.stream.records()))
 
     def do_POST(self) -> None:  # noqa: N802 (http.server casing)
         path = self.path.partition("?")[0]
@@ -141,6 +141,8 @@ class _Handler(BaseHTTPRequestHandler):
             for record in state.stream.follow():
                 self.wfile.write(_json_bytes(record))
                 self.wfile.flush()
+            self.wfile.write(_json_bytes(dict(
+                state.snapshot(), billing=state.billing, type="status")))
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # client went away; the query keeps running
 
@@ -250,7 +252,8 @@ class ServeClient:
 
     def submit(self, spec: "QuerySpec | dict",
                timeout: "float | None" = None) -> Iterator[Dict[str, Any]]:
-        """Submit and yield the query's stream records as they arrive."""
+        """Submit and yield the query's stream records as they arrive,
+        then the closing ``status`` record."""
         doc = spec.to_dict() if isinstance(spec, QuerySpec) else spec
         request = urllib.request.Request(
             self.base_url + "/v1/query", data=_json_bytes(doc),
@@ -272,11 +275,12 @@ class ServeClient:
 
     def run(self, spec: "QuerySpec | dict",
             timeout: "float | None" = None) -> Dict[str, Any]:
-        """Submit, drain the stream, return the final status snapshot."""
+        """Submit, drain the stream, return the final status snapshot
+        (what :meth:`query` would now return) — one request."""
         records = list(self.submit(spec, timeout=timeout))
-        query_id: Optional[int] = records[0]["query"] if records else None
-        if query_id is None:
-            raise ExecutionError("empty response stream")
-        doc = self.query(query_id)
+        if not records or records[-1].get("type") != "status":
+            raise ExecutionError("response stream ended without a status")
+        doc = records.pop()
+        del doc["type"]
         doc["records"] = records
         return doc

@@ -560,19 +560,29 @@ class ShardedGamma:
                                 {"plan": plan.to_dict()})
 
     def enable_checkpointing(self, checkpoint_dir: str | None = None,
-                             resume: bool = False) -> bool:
-        """Arm per-shard journaled checkpointing (``<dir>/shard-<i>``)."""
+                             resume: bool = False,
+                             resume_state: "List[dict] | None" = None,
+                             ) -> bool:
+        """Arm per-shard journaled checkpointing (``<dir>/shard-<i>``);
+        ``resume_state`` is another engine's :meth:`snapshot`."""
         loaded = self._fanout("enable_checkpointing", [
             {"checkpoint_dir": (f"{checkpoint_dir}/shard-{index}"
                                 if checkpoint_dir is not None else None),
-             "resume": resume}
+             "resume": resume,
+             "resume_state": (resume_state[index]
+                              if resume_state is not None else None)}
             for index in range(self.num_shards)
         ], spans=False)
         return all(loaded) and bool(loaded)
 
+    def snapshot(self) -> List[dict]:
+        """Each shard's :meth:`Gamma.snapshot`, in shard order."""
+        return self._fanout("snapshot", self._all(), spans=False)
+
     def run(self, task, *, checkpoint_dir: str | None = None,
-            resume: bool = False, policy=None, max_retries: int = 8,
-            backoff_seconds: float = 0.05):
+            resume: bool = False,
+            resume_state: "List[dict] | None" = None, policy=None,
+            max_retries: int = 8, backoff_seconds: float = 0.05):
         """Sharded :meth:`Gamma.run`: checkpoint/resume per shard plus the
         same degradation retry loop, applied to the shard that faulted.
 
@@ -596,7 +606,8 @@ class ShardedGamma:
                     "boundary)"
                 )
             policy_obj = policy
-        self.enable_checkpointing(checkpoint_dir, resume=resume)
+        self.enable_checkpointing(checkpoint_dir, resume=resume,
+                                  resume_state=resume_state)
         attempts = 0
         fresh_shards: set = set()
         while True:

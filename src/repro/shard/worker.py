@@ -241,8 +241,13 @@ class ShardWorker:
         return engine.custom_op(f"shard-exchange:{kind}", execute)
 
     # -- resilience ----------------------------------------------------------
-    def do_enable_checkpointing(self, checkpoint_dir, resume: bool) -> bool:
-        return self.engine.enable_checkpointing(checkpoint_dir, resume=resume)
+    def do_enable_checkpointing(self, checkpoint_dir, resume: bool,
+                                resume_state=None) -> bool:
+        return self.engine.enable_checkpointing(
+            checkpoint_dir, resume=resume, resume_state=resume_state)
+
+    def do_snapshot(self):
+        return self.engine.snapshot()
 
     def do_rewind(self) -> None:
         res_runner.rewind(self.engine)

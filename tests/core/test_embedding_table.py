@@ -129,6 +129,35 @@ class TestCompact:
         assert platform.counters.get(st.KERNEL_LAUNCHES) >= launches_before + 2
 
 
+class TestColumnsAreReplacedNeverWritten:
+    """What lets a snapshot hold columns by reference."""
+
+    def test_columns_are_read_only_and_snapshots_hold_them(self, table):
+        mine = np.array([5, 6, 7, 8], dtype=np.int64)
+        table.seed(mine)                                       # stored
+        table.append_column(np.array([1, 2, 3]), np.array([0, 0, 3]))
+        table.compact(np.array([True, False, True]))           # replaced
+        held = table.snapshot_columns()
+        table.restore_columns(held)                            # re-installed
+        for level, record in enumerate(held):
+            for live, kept in (
+                    (table.column_values(level), record["values"]),
+                    (table.column_parents(level), record["parents"]),
+                    (table.read_column_values(level), record["values"])):
+                with pytest.raises(ValueError, match="read-only"):
+                    live[0] = 99
+                with pytest.raises(ValueError, match="read-only"):
+                    live.sort()
+                assert np.shares_memory(live, kept)
+        # The caller's own array keeps its flag ...
+        assert mine.flags.writeable
+        assert np.shares_memory(mine, table.column_values(0))
+        # ... and a later replacement leaves what the snapshot holds alone.
+        table.compact(np.array([False, True]))
+        assert held[1]["values"].tolist() == [1, 3]
+        assert table.column_values(1).tolist() == [3]
+
+
 class TestResidency:
     def test_out_of_core_registers_host_bytes(self, platform):
         table = EmbeddingTable(platform, VERTEX, "t")

@@ -5,7 +5,9 @@ for any well-formed archive (no zip timestamps, canonical JSON header,
 deterministic array ordering) — that byte determinism is what lets the
 crash-matrix suite compare checkpoints directly.  A second battery pins
 the partition invariant: a checkpoint's counters are a prefix of the
-final totals, exactly like a span's self-time partitions its parent.
+final totals, exactly like a span's self-time partitions its parent.  A
+third pins that a snapshot handed over in memory and the same snapshot
+taken through the archive resume to the same engine.
 """
 
 import numpy as np
@@ -14,10 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.algorithms import count_kcliques
+from repro.algorithms import (
+    count_kcliques,
+    frequent_pattern_mining,
+    match_pattern,
+    motif_count,
+)
 from repro.core.embedding_table import EmbeddingTable
 from repro.core.framework import Gamma
-from repro.errors import DeviceOutOfMemory
+from repro.errors import DeviceOutOfMemory, QueryPreempted
+from repro.graph import sm_query
 from repro.graph.generators import erdos_renyi
 from repro.gpusim import make_platform
 from repro.resilience import FaultPlan, FaultSpec
@@ -28,6 +36,7 @@ from repro.resilience.checkpoint import (
     deserialize_state,
     serialize_state,
 )
+from repro.shard import ShardedGamma
 
 # ---------------------------------------------------------------------------
 # Strategies: arbitrary checkpoint-shaped states
@@ -149,12 +158,78 @@ class TestEngineStates:
         blob = serialize_state(state)
         assert serialize_state(deserialize_state(blob)) == blob
 
-        manager = CheckpointManager(str(tmp_path / "ckpt"))
-        manager.save(state)
+        # A manager that has not saved has made nothing, not even its
+        # directory; the first save makes it, and what it writes array by
+        # array is the archive byte for byte.
+        manager = CheckpointManager(str(tmp_path / "deep" / "ckpt"))
+        assert manager.load() is None
+        assert not (tmp_path / "deep").exists()
+        assert manager.save(state) == len(blob)
+        assert (tmp_path / "deep" / "ckpt" / "checkpoint.bin"
+                ).read_bytes() == blob
         loaded = manager.load()
         assert serialize_state(loaded) == blob
         manager.clear()
         assert manager.load() is None
+
+
+_DRIVERS = {
+    "kcl": lambda engine, hook: count_kcliques(engine, 4, level_hook=hook),
+    "sm": lambda engine, hook: match_pattern(
+        engine, sm_query(2), level_hook=hook),
+    "fpm": lambda engine, hook: frequent_pattern_mining(
+        engine, 2, 3, level_hook=hook),
+    "motifs": lambda engine, hook: motif_count(engine, 3, level_hook=hook),
+}
+
+
+def _archives(engine) -> list:
+    """The engine's snapshot(s) as archive bytes, one per shard."""
+    snapshot = engine.snapshot()
+    states = snapshot if isinstance(snapshot, list) else [snapshot]
+    return [serialize_state(state) for state in states]
+
+
+class TestHandOverRoutes:
+    @given(family=st.sampled_from(sorted(_DRIVERS)),
+           stage=st.integers(min_value=1, max_value=3),
+           shards=st.sampled_from([1, 2]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    @settings(max_examples=12, deadline=None)
+    def test_memory_and_archive_resume_identically(
+            self, family, stage, shards, seed):
+        """Suspend after a random op prefix; the snapshot itself and its
+        round trip through the archive resume to byte-identical engines."""
+        graph = erdos_renyi(40, 160, seed=seed, labels=3)
+        drive = _DRIVERS[family]
+
+        def engine():
+            return (Gamma(graph) if shards == 1 else
+                    ShardedGamma(graph, num_shards=shards, executor="serial"))
+
+        calls = []
+
+        def suspend(info):
+            calls.append(info)
+            if len(calls) == stage:
+                raise QueryPreempted(level=stage)
+
+        with engine() as first:
+            with pytest.raises(QueryPreempted):
+                first.run(lambda e: drive(e, suspend))
+            handed = first.snapshot()
+            blobs = _archives(first)
+        thawed = [deserialize_state(blob) for blob in blobs]
+        outcomes = []
+        for state in (handed, thawed if shards > 1 else thawed[0]):
+            with engine() as resumed:
+                result = resumed.run(lambda e: drive(e, None),
+                                     resume_state=state)
+                outcomes.append((result, _archives(resumed)))
+        (by_memory, memory_end), (by_archive, archive_end) = outcomes
+        assert by_memory == by_archive
+        # Tables, clock buckets, counters, planners, journal: every byte.
+        assert memory_end == archive_end
 
 
 class TestCounterPartition:

@@ -7,12 +7,19 @@
 (b) **Fairness.**  Replaying the queue trace of an end-to-end threaded
     run, no tenant is ever scheduled beyond ``share + 1`` in flight.
 (c) **Preempt/resume is invisible.**  A query preempted mid-run and
-    resumed from its op-journal checkpoint produces the bit-identical
-    result payload and partial records of an uninterrupted run.
+    resumed from its op-journal snapshot produces the bit-identical
+    result payload and partial records of an uninterrupted run — over
+    each hand-over route: ``Gamma`` in memory, ``ShardedGamma``/serial in
+    memory, ``ShardedGamma``/process on disk.
+(d) **Disk is for processes that can die.**  An in-process query never
+    serialises or writes its journal; a query on worker processes
+    writes it through after every op.
 
 Each property is pinned on both the serial and the process shard
 executor (the Hypothesis corpus runs serial; fixed cases cover process).
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from hypothesis import strategies as hst
 
 from repro.core.framework import Gamma
 from repro.graph import from_edges, sm_query, zipf_labels
+from repro.resilience.checkpoint import CheckpointManager
 from repro.serve import (
     QuerySpec,
     Scheduler,
@@ -192,9 +200,10 @@ def test_threaded_run_respects_fair_shares(er_graph, executor, gpus):
 
 
 # -- (c) preempt/resume bit-parity --------------------------------------------
-def _preemption_run(graph, spec, preempt_stage):
+def _preemption_run(graph, spec, preempt_stage, held=None):
     """Run ``spec`` at low priority; inject a high-priority query at
-    ``preempt_stage`` (or never, when None)."""
+    ``preempt_stage`` (or never, when None).  ``held`` collects the
+    victim's ``resume_state`` as seen while the preemptor runs."""
     scheduler = Scheduler(ServeConfig(slots=1), graphs={"G": graph})
     try:
         low = scheduler.submit(spec)
@@ -207,6 +216,8 @@ def _preemption_run(graph, spec, preempt_stage):
                 scheduler.submit(QuerySpec(
                     family="motifs", num_edges=2, dataset="G",
                     tenant="urgent", priority=9))
+            elif held is not None and state.id != low.id:
+                held.append(low.resume_state)
 
         scheduler.run_until_idle(on_stage=on_stage)
         states = scheduler.queue.states()
@@ -247,6 +258,9 @@ def test_preempt_resume_bit_identical_matrix(er_graph, executor, gpus):
     assert bumped_partials == base_partials
     assert bumped.billing["simulated_seconds"] == \
         base.billing["simulated_seconds"]
+    # The route taken: only worker processes hand over through disk.
+    assert (bumped.checkpoint_dir is not None) == (executor == "process")
+    assert bumped.resume_state is None  # dropped with the query
 
 
 def test_preemption_disabled_never_yields(er_graph):
@@ -267,3 +281,97 @@ def test_preemption_disabled_never_yields(er_graph):
         assert low.preemptions == 0 and low.status == "completed"
     finally:
         scheduler.close()
+
+
+# -- (d) disk is for processes that can die -----------------------------------
+def _snapshot_pairs(engine):
+    """(snapshot, live engine) per shard of a serial-backed engine."""
+    if isinstance(engine, ShardedGamma):
+        return list(zip(engine.snapshot(), engine.shards))
+    return [(engine.snapshot(), engine)]
+
+
+@pytest.mark.parametrize("gpus", [1, 2])
+def test_in_process_query_does_no_journal_work(
+        er_graph, tmp_path, monkeypatch, gpus):
+    """Work counts, no clock: zero saves, no file, and the snapshot the
+    query would resume from holds the live columns themselves."""
+    saves = []
+    monkeypatch.setattr(CheckpointManager, "save",
+                        lambda self, state: saves.append(self.path))
+    shared = []
+    close_engine = Scheduler._close_engine
+
+    def inspect_then_close(self, engine, key, pool):
+        for snapshot, live in _snapshot_pairs(engine):
+            for record, table in zip(snapshot["tables"], live._tables):
+                assert len(record["columns"]) == table.depth > 0
+                for held, column in zip(record["columns"], table.columns):
+                    shared.append(
+                        len(column) == 0  # nothing to share (or to copy)
+                        or np.shares_memory(held["values"], column.values)
+                        and np.shares_memory(held["parents"],
+                                             column.parents))
+        close_engine(self, engine, key, pool)
+
+    monkeypatch.setattr(Scheduler, "_close_engine", inspect_then_close)
+    workdir = tmp_path / "serve"
+    workdir.mkdir()
+    scheduler = Scheduler(ServeConfig(slots=1, workdir=str(workdir)),
+                          graphs={"G": er_graph})
+    try:
+        state = scheduler.submit(QuerySpec(
+            family="kcl", k=4, dataset="G", gpus=gpus, executor="serial"))
+        scheduler.run_until_idle()
+        assert state.status == "completed", state.error
+        assert saves == []
+        assert os.listdir(workdir) == []
+        assert shared and all(shared)
+        assert state.checkpoint_dir is None
+    finally:
+        scheduler.close()
+
+
+def test_process_query_journals_every_op_durably(er_graph, tmp_path):
+    workdir = tmp_path / "serve"
+    scheduler = Scheduler(ServeConfig(slots=1, workdir=str(workdir)),
+                          graphs={"G": er_graph})
+    journaled = {0: [], 1: []}
+
+    def on_stage(state, stage, info):
+        for shard, ops in journaled.items():
+            saved = CheckpointManager(os.path.join(
+                state.checkpoint_dir, f"shard-{shard}")).load()
+            ops.append(saved["op_count"])
+
+    try:
+        state = scheduler.submit(QuerySpec(
+            family="kcl", k=4, dataset="G", gpus=2, executor="process"))
+        scheduler.run_until_idle(on_stage=on_stage)
+        assert state.status == "completed", state.error
+    finally:
+        scheduler.close()
+    for ops in journaled.values():
+        # One stage per level; every level is at least one more op on disk.
+        assert len(ops) == 4 and ops[0] >= 2
+        assert all(later > earlier for earlier, later in zip(ops, ops[1:]))
+    assert not os.path.exists(state.checkpoint_dir)  # removed with the query
+
+
+@pytest.mark.parametrize("fault_plan,outcome", [
+    (None, "completed"),
+    # Fires on the resumed attempt; no degradation policy, so it fails.
+    ({"name": "tight", "specs": [
+        {"kind": "device_oom", "at": "*/level:3/io:pool:alloc",
+         "count": 1}]}, "failed"),
+])
+def test_snapshot_lives_exactly_as_long_as_the_suspension(
+        er_graph, fault_plan, outcome):
+    held = []
+    low, __, ___ = _preemption_run(er_graph, QuerySpec(
+        family="kcl", k=5, dataset="G", tenant="lo",
+        fault_plan=fault_plan), 2, held)
+    assert low.preemptions == 1 and low.resumes == 1
+    assert held and all(state is not None for state in held)
+    assert low.status == outcome, low.error
+    assert low.resume_state is None  # no table outlives its query

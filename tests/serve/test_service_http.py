@@ -55,6 +55,26 @@ def test_streamed_query_roundtrip(client):
     assert billing["tenant"] == "acme" and billing["status"] == "completed"
 
 
+def test_streamed_query_is_one_round_trip(client, monkeypatch):
+    requests = []
+    urlopen = urllib.request.urlopen
+
+    def counting(request, *args, **kwargs):
+        requests.append(getattr(request, "full_url", request))
+        return urlopen(request, *args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting)
+    doc = client.run(QuerySpec(family="kcl", k=3, dataset="G",
+                               tenant="acme"))
+    assert len(requests) == 1 and requests[0].endswith("/v1/query")
+    # The stream's closing record is the status document itself: nothing
+    # is lost against asking again, and it is not one of the records.
+    assert doc == client.query(doc["query"])
+    assert all(record["type"] != "status" for record in doc["records"])
+    assert list(client.submit(QuerySpec(
+        family="kcl", k=3, dataset="G")))[-1]["type"] == "status"
+
+
 def test_nowait_submit_and_poll(client):
     ticket = client.submit_nowait(QuerySpec(family="motifs", num_edges=2,
                                             dataset="G", tenant="poll"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from repro.algorithms import (
     motif_count,
 )
 from repro.core import Gamma
+from repro.errors import QueryPreempted
 from repro.graph import sm_query
 from repro.graph.generators import kronecker
 from repro.shard import ShardedGamma
@@ -73,9 +75,56 @@ SCENARIOS = {
 }
 
 
+#: name -> (driver taking ``(engine, level_hook)``, the result field that
+#: is the answer): the query is suspended at
+#: its second level boundary (table, seed and one extension journaled, so
+#: the snapshot holds a two-column table) and finished on a fresh engine.
+#: What is pinned is the *engine-total* simulated seconds of the second
+#: engine, which is what the serve tier bills.
+RESUMED = {
+    "kcl4-resumed": (lambda engine, hook: count_kcliques(
+        engine, 4, level_hook=hook), "cliques"),
+    "sm-q3-resumed": (lambda engine, hook: match_pattern(
+        engine, sm_query(3), level_hook=hook), "embeddings"),
+}
+#: How the snapshot reaches the second engine; both must land on one pin.
+ROUTES = ("disk", "memory")
+
+
+def _suspend_at_level_2(info: dict) -> None:
+    if info["level"] == 2:
+        raise QueryPreempted(level=2)
+
+
+def observe_resumed(name: str, route: str = "disk") -> dict:
+    """Suspend one ``RESUMED`` scenario, resume it on a fresh engine over
+    ``route``; the answer plus the second engine's totals."""
+    drive, answer = RESUMED[name]
+    graph = _graph()
+    with tempfile.TemporaryDirectory() as scratch:
+        journal = scratch if route == "disk" else None
+        with Gamma(graph) as first:
+            with pytest.raises(QueryPreempted):
+                first.run(lambda engine: drive(engine, _suspend_at_level_2),
+                          checkpoint_dir=journal)
+            handed = first.snapshot() if route == "memory" else None
+        with Gamma(graph) as second:
+            result = second.run(lambda engine: drive(engine, None),
+                                checkpoint_dir=journal, resume=True,
+                                resume_state=handed)
+            return {
+                "answer": getattr(result, answer),
+                "simulated_seconds": float.hex(second.simulated_seconds),
+                "counters": second.platform.counters.snapshot(
+                    include_zero=True),
+            }
+
+
 def observe(name: str) -> dict:
     """Run one scenario; its simulated seconds and every counter (per
     shard, prefixed, on a sharded engine)."""
+    if name in RESUMED:
+        return observe_resumed(name)
     shards, drive, *labels = SCENARIOS[name]
     graph = _graph(*labels)
     engine = (Gamma(graph) if shards == 1
@@ -101,6 +150,8 @@ def _pins() -> dict:
 def differences(got: dict, want: dict) -> list[str]:
     """One line per pinned quantity that moved."""
     lines = []
+    if got.get("answer") != want.get("answer"):
+        lines.append(f"answer: {want.get('answer')} -> {got.get('answer')}")
     if got["simulated_seconds"] != want["simulated_seconds"]:
         lines.append(
             f"simulated_seconds: {float.fromhex(want['simulated_seconds'])!r}"
@@ -118,8 +169,24 @@ def test_simulation_matches_pins(name):
     assert not moved, f"{name}: billing changed\n  " + "\n  ".join(moved)
 
 
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", sorted(RESUMED))
+def test_resumed_simulation_matches_pins(name, route):
+    moved = differences(observe_resumed(name, route), _pins()[name])
+    assert not moved, (f"{name} over {route}: billing changed\n  "
+                       + "\n  ".join(moved))
+
+
+def test_resuming_bills_what_the_uninterrupted_run_bills():
+    pins = _pins()
+    for name in RESUMED:
+        whole = pins[name[:-len("-resumed")]]
+        assert pins[name]["simulated_seconds"] == whole["simulated_seconds"]
+        assert pins[name]["counters"] == whole["counters"]
+
+
 def test_every_pin_has_a_scenario():
-    assert sorted(_pins()) == sorted(SCENARIOS)
+    assert sorted(_pins()) == sorted([*SCENARIOS, *RESUMED])
 
 
 def test_differences_name_what_moved():
@@ -134,6 +201,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python -m tests.test_sim_pins --record")
     PINS_PATH.write_text(
-        json.dumps({name: observe(name) for name in sorted(SCENARIOS)},
+        json.dumps({name: observe(name)
+                    for name in sorted([*SCENARIOS, *RESUMED])},
                    indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(SCENARIOS)} scenarios -> {PINS_PATH}")
+    print(f"recorded {len(SCENARIOS) + len(RESUMED)} scenarios -> {PINS_PATH}")

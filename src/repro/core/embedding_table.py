@@ -40,6 +40,48 @@ def _frozen(array) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class Survivors:
+    """What a vertex extension computed on the way to its column.
+
+    Per row of the table it extended: the vertices adjacent to every
+    ``anchors`` column that differ from the ``distinct`` columns and lie
+    above the ``greater`` / below the ``less`` ones, *before* any label
+    filter — ``values[i]`` survives for row ``rows[i]``, rows ascending,
+    values ascending within a row (an unlabelled level's own column).
+    Host-side and unbilled; the next level reads them in place of
+    intersecting the same lists again (docs/COSTMODEL.md, "Hot paths").
+    """
+
+    anchors: tuple
+    distinct: frozenset
+    greater: frozenset
+    less: frozenset
+    values: np.ndarray
+    rows: np.ndarray
+
+    def answers(self, anchors, distinct, greater, less,
+                tail_greater, tail_less) -> bool:
+        """Whether these lists can stand for the ``L_m`` of a level with
+        prefix anchors ``anchors`` and these constraints on the columns
+        before its tail: the same question, or one they answer more
+        strictly only by orderings the level's tail ordering implies (the
+        tail was generated above every ``self.greater`` column, so under
+        ``tail_greater`` any keepable ``x > tail > c`` clears them too;
+        symmetrically below) — still every candidate the level can keep,
+        and every slice between the tail's bounds as long as ``L_m``'s."""
+        distinct, greater, less = map(frozenset, (distinct, greater, less))
+        return (
+            self.anchors == tuple(anchors)
+            and greater <= self.greater and less <= self.less
+            and (bool(tail_greater) or self.greater == greater)
+            and (bool(tail_less) or self.less == less)
+            # An ordering against a column is a difference from it too.
+            and distinct <= self.distinct | self.greater | self.less
+            and self.distinct <= distinct | greater | less
+        )
+
+
 @dataclass
 class Column:
     """One extension level: ids plus parent row pointers (-1 at the root).
@@ -47,11 +89,13 @@ class Column:
     Both arrays are read-only.  A table only ever *replaces* a column
     (``compact``, spilling, ``restore_columns``), so whoever holds a column's
     arrays — a checkpoint snapshot, a suspended query — holds that level as
-    it was, without a copy.
+    it was, without a copy.  A replacement carries no ``lists``, and the
+    table drops them once the next level is appended.
     """
 
     values: np.ndarray
     parents: np.ndarray
+    lists: Survivors | None = None
 
     def __post_init__(self) -> None:
         self.values = _frozen(self.values)
@@ -67,6 +111,8 @@ class SpilledColumn:
     """A column evicted to disk (see :mod:`repro.core.spill`)."""
 
     __slots__ = ("handle", "length")
+    #: Nothing a level recorded follows its column to disk.
+    lists = None
 
     def __init__(self, handle: int, length: int) -> None:
         self.handle = handle
@@ -184,11 +230,13 @@ class EmbeddingTable:
         parents = np.full(len(values), -1, dtype=np.int64)
         self._store_column(Column(values, parents))
 
-    def append_column(self, values: np.ndarray, parents: np.ndarray) -> None:
+    def append_column(self, values: np.ndarray, parents: np.ndarray,
+                      lists: Survivors | None = None) -> None:
         """Append one extension level.
 
         ``parents[i]`` indexes the previous column.  Charges the device
         write-buffer traffic and the flush of results back to host memory.
+        ``lists`` are the level's, for the next; the previous column's go.
         """
         if not self.columns:
             raise ExecutionError("seed the table before appending")
@@ -197,7 +245,12 @@ class EmbeddingTable:
             parents.min() < 0 or parents.max() >= len(self.columns[-1])
         ):
             raise ExecutionError("parent pointers out of range")
-        self._store_column(Column(values, parents))
+        self._drop_lists()
+        self._store_column(Column(values, parents, lists))
+
+    def _drop_lists(self) -> None:
+        if self.columns and self.columns[-1].lists is not None:
+            self.columns[-1].lists = None
 
     def _store_column(self, column: Column) -> None:
         nbytes = len(column) * _CELL_BYTES
@@ -442,6 +495,7 @@ class EmbeddingTable:
     def release(self) -> None:
         """Free device allocations and host registrations."""
         platform = self.platform
+        self._drop_lists()
         if self._write_buffer is not None and self._write_buffer.live:
             platform.device.free(self._write_buffer)
         for alloc in self._device_allocs:

@@ -34,7 +34,7 @@ from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
 from ..graph.csr import _PACK_VERTEX_LIMIT
 from .access_planner import AccessHeatPlanner
-from .embedding_table import EDGE, VERTEX, EmbeddingTable
+from .embedding_table import EDGE, VERTEX, Column, EmbeddingTable, Survivors
 from .memory_pool import WriteStrategy
 from .residence import GraphResidence
 
@@ -173,8 +173,10 @@ class ExtensionStats:
     kernel_ops: float = 0.0
     list_reads: int = 0
     #: Candidate slots the host materialised (``candidates`` is what the
-    #: model bills).  Telemetry only: never charged, never journaled, so a
-    #: replayed op reports the 0 it expanded.
+    #: model bills): phase 1's prefix intersection — nothing when the last
+    #: level left it on its column — plus phase 2's per-row slices.
+    #: Telemetry only: never charged or journaled; like ``per_row_counts``
+    #: it stays with the engine, and a replayed or sharded op reports 0.
     expanded: int = 0
     per_row_counts: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
@@ -576,6 +578,9 @@ class ExtensionEngine:
         # per-chunk device allocations (e.g. the prealloc strategy's
         # worst-case buffer) shrink with the chunk size.
         chunk = self.chunk_rows or n
+        # A level run in one chunk may read the lists the last level left
+        # on its column, and leaves its own; a chunked one does neither.
+        carried = table.columns[-1] if chunk >= n else None
         self._expanded = 0
         cand_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
@@ -605,9 +610,9 @@ class ExtensionEngine:
             stats.candidates += int(upper.sum())
 
             # ---- compute the surviving candidates ----------------------------
-            cand, cand_row = self._surviving_candidates(
+            cand, cand_row, before_label = self._surviving_candidates(
                 sub, anchor_cols, anchor_deg, distinct_cols,
-                greater_than_cols, less_than_cols, label,
+                greater_than_cols, less_than_cols, label, carried,
             )
 
             counts = np.bincount(cand_row, minlength=len(sub)).astype(np.int64)
@@ -620,7 +625,14 @@ class ExtensionEngine:
         stats.per_row_counts = _concat(count_parts)
         # Output stays grouped by parent row (BFS order): every chunk's
         # candidates come back sorted by row.
-        table.append_column(cand, _concat(row_parts))
+        table.append_column(
+            cand, _concat(row_parts),
+            Survivors(
+                tuple(anchor_cols), frozenset(distinct_cols),
+                frozenset(greater_than_cols), frozenset(less_than_cols),
+                *before_label,
+            ) if chunk >= n and before_label is not None else None,
+        )
         stats.rows_out = len(cand)
         stats.expanded = self._expanded
         self.platform.counters.add(st.EXTENSION_PASSES)
@@ -636,16 +648,19 @@ class ExtensionEngine:
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
         label: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        carried: Column | None,
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         """Per row of ``mats``: the vertices adjacent to every anchor that
         pass the constraints and carry ``label``, as ``(cand, cand_row)``
         with rows ascending and candidates ascending within a row, the
-        label probes billed.  This is the seam the per-row twin replaces
-        (``tests/twins.py``); how the survivors are found is
-        :meth:`_shared_prefix_candidates`' business."""
+        label probes billed; third, that pair before the label filter when
+        it is at hand (else ``None``), for the next level's ``carried`` —
+        the table's last column when its rows are all of ``mats``.  This is
+        the seam the per-row twin replaces (``tests/twins.py``); how the
+        survivors are found is :meth:`_shared_prefix_candidates`' business."""
         return self._shared_prefix_candidates(
             mats, anchor_cols, anchor_deg, distinct_cols,
-            greater_than_cols, less_than_cols, label,
+            greater_than_cols, less_than_cols, label, carried,
         )
 
     def _min_degree_candidates(
@@ -690,7 +705,8 @@ class ExtensionEngine:
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
         label: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        carried: Column | None,
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         """The survivors of :meth:`_min_degree_candidates` that carry
         ``label`` (same rows, same order, same label bill), computed the
         way pre-merge is billed (Fig. 8(b)): the part of the intersection
@@ -699,8 +715,11 @@ class ExtensionEngine:
         siblings under one parent — so it is done once per group.
 
         * **Phase 1, per group**: ``L_m`` = the prefix anchors' common
-          neighbors that pass every constraint on columns before the tail,
-          by the min-degree rule over the group's first row.
+          neighbors that pass every constraint on columns before the tail:
+          the lists the level before left on ``carried`` when it asked that
+          of every parent (:meth:`Survivors.answers`), grouped by the
+          column's parent pointers; else the min-degree rule over each
+          group's first row.
         * **Phase 2, tail not an anchor**: the tail imposes no adjacency,
           so a row's survivors are the slice of ``L_m[group]`` inside its
           tail ordering bounds, less the tail vertex itself when it must be
@@ -734,27 +753,33 @@ class ExtensionEngine:
             )
 
         # ---- phase 1: L_m per group, CSR-shaped -------------------------------
-        lead = np.ones(len(mats), dtype=bool)
-        lead[1:] = (mats[1:, :tail] != mats[:-1, :tail]).any(axis=1)
-        first_rows = np.flatnonzero(lead)
-        group_of_row = np.cumsum(lead) - 1
-        lm, lm_group = self._min_degree_candidates(
-            mats[first_rows], prefix_cols,
-            anchor_deg[first_rows, :len(prefix_cols)],
-            [c for c in distinct_cols if c < tail],
-            [c for c in greater_than_cols if c < tail],
-            [c for c in less_than_cols if c < tail],
+        constraints = (distinct_cols, greater_than_cols, less_than_cols)
+        before_tail = [[c for c in cols if c < tail] for cols in constraints]
+        tail_distinct, tail_greater, tail_less = (
+            [c for c in cols if c == tail] for cols in constraints
         )
-        group_len = np.bincount(lm_group, minlength=len(first_rows))
+        lists = carried.lists if carried is not None else None
+        if lists is not None and lists.answers(
+            prefix_cols, *before_tail, tail_greater, tail_less
+        ):
+            lm, lm_group, group_of_row = lists.values, lists.rows, carried.parents
+        else:
+            lead = np.ones(len(mats), dtype=bool)
+            lead[1:] = (mats[1:, :tail] != mats[:-1, :tail]).any(axis=1)
+            first_rows = np.flatnonzero(lead)
+            group_of_row = np.cumsum(lead) - 1
+            lm, lm_group = self._min_degree_candidates(
+                mats[first_rows], prefix_cols,
+                anchor_deg[first_rows, :len(prefix_cols)], *before_tail,
+            )
+        # Groups ascend with the rows either way; one whose L_m is empty has
+        # no entry in ``lm_group``, one without rows here is never asked for.
+        group_len = np.bincount(lm_group, minlength=int(group_of_row[-1]) + 1)
         lm_len = group_len[group_of_row]
         lm_start = (np.cumsum(group_len) - group_len)[group_of_row]
-        if len(first_rows) >= _PACK_VERTEX_LIMIT:
+        if len(group_len) >= _PACK_VERTEX_LIMIT:
             raise ExecutionError("(group << 32) | vertex keys hold < 2**31 groups")
         lm_keys = (lm_group << 32) | lm
-        tail_distinct, tail_greater, tail_less = (
-            [c for c in cols if c == tail]
-            for cols in (distinct_cols, greater_than_cols, less_than_cols)
-        )
 
         if not tail_anchored:
             # ---- phase 2, tail-free: each row takes its slice of L_m ----------
@@ -786,10 +811,12 @@ class ExtensionEngine:
                 np.cumsum(carries, out=rank[1:])
                 lm, cuts = lm[carries], rank[cuts]
             pieces = cuts.shape[1] // 2
-            return self._expand(
+            survivors = self._expand(
                 lm, cuts[:, 0::2].ravel(),
                 (cuts[:, 1::2] - cuts[:, 0::2]).ravel(), rows.repeat(pieces),
             )
+            # The unlabelled survivors were billed, never materialised.
+            return (*survivors, survivors if label is None else None)
 
         # ---- phase 2, anchored tail: tail-only work per row --------------------
         from_tail = anchor_deg[:, -1] < lm_len
@@ -835,19 +862,20 @@ class ExtensionEngine:
         cand_row: np.ndarray,
         anchor_deg: np.ndarray,
         label: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Keep the candidates carrying ``label`` (all of them when it is
         ``None``), billing one probe per candidate handed in: the label
         filter of the shapes where a candidate's pre-label survival depends
         on its row — the per-row rule and the anchored tail — so that the
-        billed count is only known after expansion."""
+        billed count is only known after expansion.  Returns the kept
+        ``(cand, cand_row)`` and, third, the pair handed in."""
         if label is None:
-            return cand, cand_row
+            return cand, cand_row, (cand, cand_row)
         self._charge_label_probes(
             np.bincount(cand_row, minlength=len(anchor_deg)), anchor_deg
         )
         keep = np.flatnonzero(self.graph.labels[cand] == label)  # gammalint: allow[charge] -- billed per source part by _charge_label_probes above
-        return cand[keep], cand_row[keep]
+        return cand[keep], cand_row[keep], (cand, cand_row)
 
     def _vertex_read_plan(
         self,

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..graph.patterns import Pattern
 from ..gpusim.platform import GpuPlatform
-from .embedding_table import EmbeddingTable
+from .embedding_table import Column, EmbeddingTable
 from .pattern_table import PatternTable
 
 
@@ -55,11 +55,12 @@ def filter_rows(
         if compact:
             removed = table.compact(keep_mask)
         else:
-            # Mark-only: rewrite the column in place with holes dropped from
-            # the logical view but bytes still accounted by the table.
+            # Mark-only: holes dropped from the logical view but bytes still
+            # accounted by the table.  Replaced, not rewritten, as everywhere.
             last = table.columns[-1]
-            last.values = last.values[keep_mask]
-            last.parents = last.parents[keep_mask]
+            table.columns[-1] = Column(
+                last.values[keep_mask], last.parents[keep_mask]
+            )
     if tel.active:
         tel.metric("filtering.rows_removed", removed)
     return removed

@@ -718,7 +718,6 @@ def _capture_stats(stats: ExtensionStats) -> dict:
         "groups": int(stats.groups),
         "kernel_ops": float(stats.kernel_ops),
         "list_reads": int(stats.list_reads),
-        "per_row_counts": stats.per_row_counts,
     }
 
 
@@ -730,5 +729,4 @@ def _apply_stats(payload: dict) -> ExtensionStats:
         groups=int(payload["groups"]),
         kernel_ops=float(payload["kernel_ops"]),
         list_reads=int(payload["list_reads"]),
-        per_row_counts=np.array(payload["per_row_counts"], dtype=np.int64),
     )

@@ -330,8 +330,6 @@ class ShardedGamma:
 
     # -- extension -----------------------------------------------------------
     def _merge_stats(self, stats: List[ExtensionStats]) -> ExtensionStats:
-        per_row = [s.per_row_counts for s in stats
-                   if s.per_row_counts is not None and len(s.per_row_counts)]
         return ExtensionStats(
             rows_in=sum(s.rows_in for s in stats),
             rows_out=sum(s.rows_out for s in stats),
@@ -339,8 +337,6 @@ class ShardedGamma:
             groups=sum(s.groups for s in stats),
             kernel_ops=sum(s.kernel_ops for s in stats),
             list_reads=sum(s.list_reads for s in stats),
-            per_row_counts=(np.concatenate(per_row) if per_row
-                            else np.empty(0, dtype=np.int64)),
         )
 
     def _extend(self, table: ShardedTable, variant: str, label: str,

@@ -158,6 +158,96 @@ class TestColumnsAreReplacedNeverWritten:
         assert table.column_values(1).tolist() == [3]
 
 
+class TestListsDoNotOutliveTheirUse:
+    """What a vertex extension records on its column lasts until the next
+    level has read it, and goes wherever the column goes."""
+
+    @staticmethod
+    def _lists():
+        from repro.core.embedding_table import Survivors
+
+        return Survivors((0,), frozenset(), frozenset(), frozenset(),
+                         np.array([1, 2, 3]), np.array([0, 0, 3]))
+
+    def _grown(self, table):
+        table.seed(np.array([5, 6, 7, 8]))
+        table.append_column(np.array([1, 3]), np.array([0, 3]), self._lists())
+        return table.columns[-1]
+
+    def test_next_append_and_release_drop_them(self, table):
+        column = self._grown(table)
+        assert column.lists is not None
+        table.append_column(np.array([9]), np.array([1]), self._lists())
+        assert column.lists is None
+        assert table.columns[-1].lists is not None
+        table.release()
+        assert table.columns[-1].lists is None
+
+    def test_a_replaced_column_carries_none(self, table):
+        from repro.core.filtering import filter_rows
+
+        self._grown(table)
+        table.compact(np.array([True, True]))  # keeps every row, still replaces
+        assert table.columns[-1].lists is None
+        table.append_column(np.array([9, 9]), np.array([1, 1]), self._lists())
+        filter_rows(table, np.array([True, False]), compact=False)  # mark-only
+        assert table.columns[-1].lists is None
+        assert table.column_values(2).tolist() == [9]
+        assert not table.column_values(2).flags.writeable
+
+    def test_snapshots_hold_values_and_parents_only(self, table):
+        self._grown(table)
+        held = table.snapshot_columns()
+        assert [sorted(record) for record in held] == [
+            ["parents", "spilled", "values"]] * 2
+        table.restore_columns(held)
+        assert table.columns[-1].lists is None
+
+    def test_a_spilled_column_carries_none(self, platform):
+        from repro.core.spill import SpillPolicy, SpillStore
+
+        table = EmbeddingTable(platform, VERTEX)
+        store = SpillStore(platform)
+        try:
+            table.attach_spill(store, SpillPolicy(1, keep_columns=1))
+            self._grown(table)  # over budget: straight to disk
+            assert table.spilled_columns == 2
+            assert table.columns[-1].lists is None
+            table.append_column(np.array([9]), np.array([1]))
+            table.release()
+        finally:
+            store.close()
+
+    def test_kept_table_of_a_labelled_query_holds_no_pre_label_array(self):
+        from repro.algorithms import match_pattern
+        from repro.core import Gamma
+        from repro.graph import sm_query
+        from repro.graph.generators import kronecker
+
+        graph = kronecker(7, 6, seed=5, labels=4, label_seed=6)
+        recorded = []
+
+        def after_level(engine):
+            (table,) = engine._tables
+            assert all(column.lists is None for column in table.columns[:-1])
+            recorded.append(table.columns[-1].lists is not None)
+
+        with Gamma(graph) as engine:
+            match_pattern(engine, sm_query(3),
+                          level_hook=lambda info: after_level(engine))
+            # The seed leaves none, nor does q3's last level: its survivors
+            # before the label were billed, never materialised.
+            assert recorded == [False, True, True, False]
+            # The triangle's last level is labelled and leaves its own ...
+            result, table = match_pattern(engine, sm_query(1), keep_table=True)
+            lists = table.columns[-1].lists
+            assert len(lists.values) > table.num_embeddings
+        # ... until the engine lets go of the table.
+        assert all(column.lists is None for column in table.columns)
+        assert table.num_embeddings == result.embeddings > 0
+        assert table.materialize().shape == (result.embeddings, 3)
+
+
 class TestResidency:
     def test_out_of_core_registers_host_bytes(self, platform):
         table = EmbeddingTable(platform, VERTEX, "t")

@@ -25,6 +25,7 @@ from repro.core import (
     make_write_strategy,
 )
 from repro.core import extension
+from repro.core.embedding_table import SpilledColumn
 from repro.errors import ExecutionError
 from repro.graph import from_edge_list
 from repro.graph.generators import erdos_renyi, kronecker, zipf_labels
@@ -231,6 +232,41 @@ EDGE_WALKS = {
     "tail-free-absent-label": [([0], [], [], None), ([0], [], [], 9)],
     # Both orderings against the unanchored tail: every slice is crossed.
     "tail-free-crossed": [([0], [], []), ([0], [], []), ([0, 1], [2], [2])],
+    # Level to level.  kCL-5: two levels in a row find their L_m on the
+    # column before, as the sibling values above the tail (the lists are
+    # stricter than L_m by the ordering the tail's own ordering implies).
+    "five-clique": [([0], [0], []), ([0, 1], [1], []), ([0, 1, 2], [2], []),
+                    ([0, 1, 2, 3], [3], [])],
+    # SM(q3): the last level's L_m is what the level before found *before*
+    # its label filter (vertices 1 and 3 carry the label asked for last and
+    # not the one asked for in between), with and without the restriction
+    # symmetry breaking puts on the first level.
+    "q3-shape": [([0], [], [], 0), ([0, 1], [], [], 0), ([0, 1], [], [], 2)],
+    "q3-shape-symmetry-broken": [([0], [0], [], 0), ([0, 1], [], [], 0),
+                                 ([0, 1], [], [], 2)],
+    # ... and the last column answering another question than the one asked:
+    # other anchors than the prefix,
+    "other-anchors": [([0], [], []), ([1], [], []), ([0, 1, 2], [2], [])],
+    # a less-than the tail's greater-than does not imply,
+    "unimplied-less": [([0], [], []), ([0, 1], [], [0]), ([0, 1, 2], [2], [])],
+    # a constraint before the tail that the level before did not apply.
+    "added-constraint": [([0], [], []), ([0, 1], [], []), ([0, 1, 2], [0, 2], [])],
+}
+#: What ``Survivors.answers`` says, level by level, at the levels that have
+#: a shared prefix and so ask (the first never does: a seed column carries
+#: no lists).  A second level whose one anchor is column 0 asks for N(v0),
+#: which is the first level's column; "two-greater" is a hit because its
+#: last level's tail ordering implies the greater-than it leaves out.
+LOOKUPS = {
+    "ascending-clique": [True], "descending-clique": [True],
+    "five-clique": [True, True], "two-greater": [True],
+    "q3-shape": [True], "q3-shape-symmetry-broken": [True],
+    "tail-free-relabelled": [True], "tail-free-absent-label": [True],
+    "unanchored-tail": [True, False], "tail-free-hole": [True, False],
+    "tail-free-crossed": [True, False], "single-list": [],
+    "prefix-window": [False], "tail-window": [False],
+    "other-anchors": [False], "unimplied-less": [False],
+    "added-constraint": [False],
 }
 #: The walks whose later steps leave the tail out of the anchors.
 TAIL_FREE_WALKS = ["unanchored-tail"] + sorted(
@@ -345,11 +381,11 @@ class TestSharedPrefixEquivalence:
             return prune(self, cand, cand_row, mats, verify_cols, distinct_cols)
 
         def watch_surviving(self, mats, anchor_cols, anchor_deg, distinct_cols,
-                            greater_than_cols, less_than_cols, label):
+                            greater_than_cols, less_than_cols, label, carried):
             nonlocal asked
             asked = label
             return surviving(self, mats, anchor_cols, anchor_deg, distinct_cols,
-                             greater_than_cols, less_than_cols, label)
+                             greater_than_cols, less_than_cols, label, carried)
 
         monkeypatch.setattr(extension, "_bound_ranges", watch_bounds)
         monkeypatch.setattr(extension, "_expand_lists", watch_expand)
@@ -496,6 +532,228 @@ class TestSharedPrefixEquivalence:
             assert from_lm == stats.rows_out > 0
             assert stats.expanded == total < twin_total
             assert stats.candidates == twin_stats.candidates
+
+
+#: kCL-4 without the ordering (every permutation of a clique), so that a
+#: ``dedup`` between two levels has rows to remove.
+_UNORDERED_CLIQUE = [([0], [], []), ([0, 1], [], []), ([0, 1, 2], [], [])]
+
+
+def _keep_two_in_three(rows):
+    return np.array([sum(row) % 3 != 0 for row in rows], dtype=bool)
+
+
+def _filter(engine, table, rows):
+    engine.filtering(table, keep_mask=_keep_two_in_three(rows))
+    return [row for row in rows if sum(row) % 3 != 0]
+
+
+def _dedup(engine, table, rows):
+    engine.dedup(table)
+    first = {}
+    for row in rows:
+        first.setdefault(frozenset(row), row)
+    return [row for row in rows if first[frozenset(row)] == row]
+
+
+def _spilled(*want):
+    def check(engine, table, rows):
+        assert [isinstance(column, SpilledColumn)
+                for column in table.columns] == list(want)
+        return rows
+    return check
+
+
+#: name -> (steps, what happens once the table holds three columns, engine
+#: options, chunk_rows): the things that can come between a level and the
+#: next, each of which must leave the next level computing its own ``L_m``
+#: (or reading one that is still true) and the rows what they were.
+INTERVENTIONS = {
+    "nothing": (EDGE_WALKS["ascending-clique"], None, {}, None),
+    "filtering": (EDGE_WALKS["ascending-clique"], _filter, {}, None),
+    "filtering-q3": (EDGE_WALKS["q3-shape"], _filter, {}, None),
+    "filtering-mark-only": (EDGE_WALKS["ascending-clique"], _filter,
+                            {"compaction": False}, None),
+    "dedup": (_UNORDERED_CLIQUE, _dedup, {}, None),
+    # The columns before the last on disk: the last still carries lists.
+    "spill-all-but-last": (
+        EDGE_WALKS["five-clique"], _spilled(True, True, False),
+        {"spill_to_disk": True, "spill_budget_bytes": 512,
+         "spill_keep_columns": 1}, None),
+    # No column fits the budget: each goes to disk as it is appended.
+    "spill-at-birth": (
+        EDGE_WALKS["five-clique"], _spilled(True, True, True),
+        {"spill_to_disk": True, "spill_budget_bytes": 1,
+         "spill_keep_columns": 1}, None),
+    # 26 rows a chunk: the third level (28 rows in) runs in two chunks and
+    # leaves nothing, the fourth computes and records, the fifth looks up.
+    "chunked-then-whole": (EDGE_WALKS["five-clique"], None, {}, 26),
+    # 40: the labelled level records, the last (62 rows in) is chunked.
+    "whole-then-chunked": (EDGE_WALKS["q3-shape"], None, {}, 40),
+}
+
+
+def _intervened_walk(name, union_at=None, suspend=False):
+    """Run one ``INTERVENTIONS`` walk on a ``Gamma`` engine, journaled the
+    way the serve tier runs a query; ``union_at`` makes that step a union
+    extension, ``suspend`` stops the query at the three-column boundary
+    and finishes it on a fresh engine from the first one's snapshot.
+    Returns the rows, the (last) engine's clock buckets and counters, and
+    the rows expected by the oracle's recount."""
+    from repro.core import Gamma, GammaConfig
+    from repro.errors import QueryPreempted
+
+    steps, between, options, chunk_rows = INTERVENTIONS[name]
+    graph = _edge_case_graph()
+    expected = []
+
+    def task(engine, stop=False):
+        engine._vertex_engine.chunk_rows = chunk_rows
+        table = engine.new_vertex_table("walk")
+        engine.seed_vertices(table)
+        rows = vertex_walk_rows_ref(graph, [])
+        for index, (anchors, greater, less, *own) in enumerate(steps):
+            union = index == union_at
+            extend = (engine.vertex_extension_any if union
+                      else engine.vertex_extension)
+            extend(table, anchors, label=own[0] if own else None,
+                   greater_than_cols=greater, less_than_cols=less)
+            rows = vertex_walk_rows_ref(
+                graph, [steps[index]], adjacent=any if union else all,
+                rows=rows)
+            if index == 1:  # three columns (a replayed table is whole)
+                if between is not None:
+                    rows = between(engine, table, rows)
+                if stop:
+                    raise QueryPreempted(level=3)
+        expected[:] = rows
+        return table.materialize()
+
+    config = GammaConfig(**options)
+    handed = None
+    if suspend:
+        with Gamma(graph, config) as first:
+            with pytest.raises(QueryPreempted):
+                first.run(lambda engine: task(engine, stop=True))
+            handed = first.snapshot()
+    with Gamma(graph, config) as engine:
+        rows = engine.run(task, resume_state=handed)
+        return (rows, engine.platform.clock.snapshot(),
+                engine.platform.counters.snapshot(), list(expected))
+
+
+class TestLevelToLevel:
+    """The lists a level leaves on its column stand in for the next
+    level's phase 1 only on a proven match, and nothing that touches the
+    column in between leaves them behind."""
+
+    def test_lookups_hit_where_the_question_is_the_same(self, monkeypatch):
+        from repro.core.embedding_table import Survivors
+
+        answers = Survivors.answers
+        said = []
+
+        def watch(self, *question):
+            said.append(answers(self, *question))
+            return said[-1]
+
+        monkeypatch.setattr(Survivors, "answers", watch)
+        for name in sorted(EDGE_WALKS):
+            said.clear()
+            _run_anchored_walk(_edge_case_graph(), _edge_walk(name))
+            assert said == LOOKUPS[name], name
+            # One chunk per row: nothing is recorded, nothing asked.
+            said.clear()
+            _run_anchored_walk(_edge_case_graph(), _edge_walk(name, 1))
+            assert said == [], name
+
+    @pytest.mark.parametrize("suspend", [False, True])
+    @pytest.mark.parametrize("name", sorted(INTERVENTIONS))
+    def test_what_comes_between_two_levels(self, name, suspend):
+        fast = _intervened_walk(name, suspend=suspend)
+        with straight_line():
+            ref = _intervened_walk(name, suspend=suspend)
+        np.testing.assert_array_equal(fast[0], ref[0])
+        assert fast[1] == ref[1]  # clock buckets, bit-for-bit
+        assert fast[2] == ref[2]  # counters
+        assert len(fast[3]) > 0
+        assert [tuple(row) for row in fast[0].tolist()] == fast[3]
+
+    @pytest.mark.parametrize("union_at", [1, 2])
+    def test_union_level_leaves_nothing_to_look_up(self, union_at):
+        """A union extension's column answers no intersection question;
+        the level after it computes (rows compared sorted: a union emits a
+        row's vertices in anchor order)."""
+        fast = _intervened_walk("nothing", union_at=union_at)
+        with straight_line():
+            ref = _intervened_walk("nothing", union_at=union_at)
+        np.testing.assert_array_equal(fast[0], ref[0])
+        assert fast[1:3] == ref[1:3]
+        assert len(fast[3]) > 0
+        assert sorted(tuple(row) for row in fast[0].tolist()) == sorted(fast[3])
+
+    def test_resuming_at_the_boundary_bills_the_uninterrupted_run(self):
+        """Suspended where the last level would have read the column, and
+        resumed on columns that carry nothing: same rows, same totals."""
+        for name in ("nothing", "filtering-q3", "spill-all-but-last"):
+            whole, resumed = (_intervened_walk(name, suspend=suspend)
+                              for suspend in (False, True))
+            np.testing.assert_array_equal(whole[0], resumed[0])
+            assert whole[1:3] == resumed[1:3]
+
+
+@pytest.mark.parametrize("task", ["4-clique", "q3"])
+def test_previous_column_is_lm(task, monkeypatch):
+    """The saving itself, as work counted, not timed.  On CL, the last
+    level of kCL-4 and of SM(q3) never intersects a prefix again — no
+    min-degree walk is started — so kCL-4 materialises only phase 2's
+    slots (3 746 764; 4 778 755 while phase 1 recomputed ``L_m``) and
+    SM(q3) exactly the rows it emits; what the model bills, the answer
+    and the simulated time are the twin's."""
+    from repro.algorithms import count_kcliques, match_pattern
+    from repro.core import Gamma
+    from repro.graph import sm_query
+    from repro.graph.datasets import clear_cache, load
+
+    extend = ExtensionEngine._extend_vertices_impl
+    walk = ExtensionEngine._min_degree_candidates
+    levels = []  # (min-degree walks started, stats) of each level
+
+    def watch_extend(self, *args):
+        levels.append([0, None])
+        levels[-1][1] = extend(self, *args)
+        return levels[-1][1]
+
+    def watch_walk(self, *args):
+        levels[-1][0] += 1
+        return walk(self, *args)
+
+    monkeypatch.setattr(ExtensionEngine, "_extend_vertices_impl", watch_extend)
+    monkeypatch.setattr(ExtensionEngine, "_min_degree_candidates", watch_walk)
+    outcomes = []
+    for stack in ARMS.values():  # as shipped, then the twins
+        levels.clear()
+        clear_cache()  # the twin wants a graph without its bitset
+        with stack(), Gamma(load("CL")) as gamma:
+            if task == "4-clique":
+                answer = count_kcliques(gamma, 4).cliques
+            else:
+                answer = match_pattern(gamma, sm_query(3)).embeddings
+            outcomes.append((answer, float.hex(gamma.simulated_seconds),
+                             [tuple(level) for level in levels]))
+    clear_cache()
+    (fast_answer, fast_sim, fast), (answer, sim, twin) = outcomes
+    assert answer > 0
+    assert (fast_answer, fast_sim) == (answer, sim)
+    for (__, stats), (__, twin_stats) in zip(fast, twin):
+        assert (stats.rows_out, stats.candidates, stats.groups) == (
+            twin_stats.rows_out, twin_stats.candidates, twin_stats.groups)
+    walks, last = fast[-1]
+    assert walks == 0
+    if task == "4-clique":
+        assert 0 < last.expanded <= 3_746_764
+    else:
+        assert last.expanded == last.rows_out > 0
 
 
 class TestEdgeExtensionEquivalence:

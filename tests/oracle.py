@@ -167,15 +167,17 @@ def sm_embedding_count_ref(graph, pattern) -> int:
 
 
 def vertex_walk_rows_ref(graph, steps, label=None, injective=True,
-                         adjacent=all) -> List[tuple]:
-    """Rows after seeding every vertex and applying ``steps`` — each
+                         adjacent=all, rows=None) -> List[tuple]:
+    """Rows after seeding every vertex (or starting from ``rows``) and
+    applying ``steps`` — each
     ``(anchor_cols, greater_than_cols, less_than_cols)``, or the same with
     a fourth entry, the step's own label in place of ``label`` — by
     scanning all vertices per row.  In the extension's BFS order: rows
     ascending, new vertices ascending within a row.  ``adjacent=any`` is
     the union extension (a neighbor of at least one anchor)."""
     adj = adjacency_sets(graph)
-    rows = [(v,) for v in range(graph.num_vertices)]
+    if rows is None:
+        rows = [(v,) for v in range(graph.num_vertices)]
     walk_label = label
     for anchors, greater, less, *own in steps:
         label = own[0] if own else walk_label

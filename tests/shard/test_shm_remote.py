@@ -7,6 +7,8 @@ shared-memory publish/attach/release cycle inside one process, and the
 ``RemotePart`` read-proxy surface against a live process executor.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from repro.core import GammaConfig
 from repro.errors import ExecutionError
 from repro.graph import generators
 from repro.gpusim.spec import InterconnectSpec
-from repro.shard import ProcessExecutor, shm
+from repro.shard import ProcessExecutor, ShardedGamma, shm
 from repro.shard.table import RemotePart, ShardedTable
+from repro.shard.worker import ShardWorker
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +122,28 @@ class TestRemotePart:
         shm.release_graph(meta)
         with pytest.raises(ExecutionError, match="already"):
             shm.release_graph(meta)
+
+
+class TestReplyWeight:
+    def test_extend_reply_is_counts_not_a_per_row_array(self):
+        """What a level ships back to the coordinator does not grow with
+        the table: six numbers, no int64 per input row (nothing past the
+        extension engine reads ``per_row_counts``, so a sharded or replayed
+        op reports the empty array, as it reports 0 ``expanded``)."""
+        graph = generators.erdos_renyi(400, 2000, seed=3)
+        worker = ShardWorker(0, graph, GammaConfig(), 1, "static",
+                             InterconnectSpec())
+        try:
+            table = worker.do_new_table("vertex", "t")
+            worker.do_seed_vertices(table)
+            reply = worker.do_extend(table, "vertex", {"anchor_cols": [0]})
+            assert reply["rows_in"] == 400 and reply["rows_out"] == 4000
+            assert len(pickle.dumps(reply)) < 1024
+        finally:
+            worker.do_close()
+        with ShardedGamma(graph, num_shards=2) as engine:
+            table = engine.new_vertex_table("t")
+            engine.seed_vertices(table)
+            stats = engine.vertex_extension(table, [0])
+            assert stats.rows_out == 4000
+            assert len(stats.per_row_counts) == 0 == stats.expanded

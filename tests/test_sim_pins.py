@@ -14,6 +14,7 @@ and says so in CHANGES.md.  A failure names the counters that differ.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -28,11 +29,12 @@ from repro.algorithms import (
     match_pattern,
     motif_count,
 )
-from repro.core import Gamma
+from repro.core import Gamma, GammaConfig
 from repro.errors import QueryPreempted
 from repro.graph import sm_query
-from repro.graph.generators import kronecker
+from repro.graph.generators import erdos_renyi, kronecker
 from repro.shard import ShardedGamma
+from repro.shard.worker import _host_rows
 
 PINS_PATH = Path(__file__).with_name("sim_pins.json")
 
@@ -47,13 +49,37 @@ def _fpm(iterations, metric, plan):
         engine, iterations, 6, support_metric=metric, plan=plan)
 
 
+def _tight_device():
+    """An engine whose device (1 MiB, prealloc, most of it page buffer)
+    cannot hold kCL-4's first extension in one piece: ``halve-chunk``
+    engages seven times and leaves ``chunk_rows`` at 256 for levels of
+    40 000 and 10 732 rows."""
+    return Gamma(erdos_renyi(2000, 40000, seed=11),
+                 GammaConfig(write_strategy="prealloc",
+                             device_memory_bytes=1 << 20,
+                             buffer_fraction=0.7))
+
+
+def _kept_rows(engine):
+    """SM(q3) with the table kept: the count and a digest of the rows, read
+    host-side (uncharged) the way the table stores them."""
+    result, table = match_pattern(engine, sm_query(3), keep_table=True)
+    return {"embeddings": result.embeddings,
+            "rows_sha256": hashlib.sha256(_host_rows(table).tobytes()).hexdigest()}
+
+
 #: name -> (shards, driver), or (shards, driver, labels) on a graph with
-#: another label count than 4 (q4-q6 ask for label 7).  FPM covers both iteration depths, both
+#: another label count than 4 (q4-q6 ask for label 7); ``shards`` may be a
+#: callable building the whole engine instead, and a driver returning a
+#: dict has it pinned as the answer.  FPM covers both iteration depths, both
 #: support metrics (MNI is single-shard only), both plan sources and both
 #: engines; SM and k-clique cover the vertex-extension side, with and
 #: without ordering restrictions, on both engines (q4-q6 hold the labelled
 #: levels whose tail is not an anchor, one anchor and two); graphlets cover
 #: the union extension (ordered on column 0), motifs the edge-extension one.
+#: kCL-5 holds two consecutive levels whose prefix intersection is the
+#: column before; the halve-chunk run extends in chunks smaller than the
+#: table; the kept table pins the rows themselves, not only their count.
 SCENARIOS = {
     "fpm2-instances-baseline": (1, _fpm(2, "instances", None)),
     "fpm3-instances-auto": (1, _fpm(3, "instances", "auto")),
@@ -70,6 +96,11 @@ SCENARIOS = {
     "sm-q3-symmetry-broken": (1, lambda engine: match_pattern(
         engine, sm_query(3), symmetry_breaking=True)),
     "kcl4-2shard": (2, lambda engine: count_kcliques(engine, 4)),
+    "kcl5": (1, lambda engine: count_kcliques(engine, 5)),
+    "kcl5-2shard": (2, lambda engine: count_kcliques(engine, 5)),
+    "kcl4-halve-chunk": (_tight_device, lambda engine: engine.run(
+        lambda inner: count_kcliques(inner, 4), policy="halve-chunk")),
+    "sm-q3-keep-table": (1, _kept_rows),
     "motif3": (1, lambda engine: motif_count(engine, 3)),
     "graphlets4": (1, lambda engine: graphlet_census(engine, 4)),
 }
@@ -126,11 +157,14 @@ def observe(name: str) -> dict:
     if name in RESUMED:
         return observe_resumed(name)
     shards, drive, *labels = SCENARIOS[name]
-    graph = _graph(*labels)
-    engine = (Gamma(graph) if shards == 1
-              else ShardedGamma(graph, num_shards=shards))
+    if callable(shards):
+        engine, shards = shards(), 1
+    elif shards == 1:
+        engine = Gamma(_graph(*labels))
+    else:
+        engine = ShardedGamma(_graph(*labels), num_shards=shards)
     with engine:
-        drive(engine)
+        answer = drive(engine)
         if shards == 1:
             counters = engine.platform.counters.snapshot(include_zero=True)
         else:
@@ -139,8 +173,11 @@ def observe(name: str) -> dict:
                 for index, state in enumerate(engine.shard_states())
                 for key, value in state["counters"].items()
             }
-        return {"simulated_seconds": float.hex(engine.simulated_seconds),
-                "counters": counters}
+        pinned = {"simulated_seconds": float.hex(engine.simulated_seconds),
+                  "counters": counters}
+        if isinstance(answer, dict):
+            pinned["answer"] = answer
+        return pinned
 
 
 def _pins() -> dict:

@@ -71,13 +71,14 @@ def bound_ranges_by_scan(keys, owners, starts, lengths, mats, rows,
 
 def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
                              distinct_cols, greater_than_cols,
-                             less_than_cols, label):
+                             less_than_cols, label, carried):
     """``ExtensionEngine._surviving_candidates``: per row, expand the whole
     of the shortest anchor list, verify the others, filter by id ordering
     afterwards, and probe each source part's survivors through
     ``labels_of`` (which bills them) — the per-row algorithm the cost
     model was written against, with no prefix sharing between sibling
-    rows and no ordering bounds on what is expanded."""
+    rows, no ordering bounds on what is expanded, nothing read from the
+    ``carried`` column and nothing left on the next."""
     graph = engine.graph
     source_choice = np.argmin(anchor_deg, axis=1)
     cands, cand_rows = [], []
@@ -100,10 +101,10 @@ def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
         cands.append(cand)
         cand_rows.append(cand_row)
     if not cands:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), None
     cand, cand_row = np.concatenate(cands), np.concatenate(cand_rows)
     order = np.argsort(cand_row, kind="stable")
-    return cand[order], cand_row[order]
+    return cand[order], cand_row[order], None
 
 
 def unique_quick_rows(qa, qb, bits_a=None, bits_b=None):

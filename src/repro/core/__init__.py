@@ -58,9 +58,9 @@ from .sort import (
     NAIVE_MERGE,
     SORT_METHODS,
     XTR2SORT,
-    device_sort_segments,
-    multi_merge,
+    merge_runs,
     out_of_core_sort,
+    segment_runs,
     sort_and_count,
 )
 
@@ -120,8 +120,8 @@ __all__ = [
     "DISK_IO",
     "SpillPolicy",
     "SpillStore",
-    "device_sort_segments",
-    "multi_merge",
+    "merge_runs",
     "out_of_core_sort",
+    "segment_runs",
     "sort_and_count",
 ]

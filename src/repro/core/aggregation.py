@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.canonical import QuickPatternEncoder
-from ..graph.groupby import first_occurrence, group_by
+from ..graph.groupby import Grouped, first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
 from .embedding_table import EmbeddingTable
 from .pattern_table import PatternTable
@@ -43,7 +43,7 @@ SUPPORT_METRICS = (INSTANCES, MNI)
 
 
 def mni_supports(
-    codes: np.ndarray, positions: np.ndarray
+    codes: np.ndarray | Grouped, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-image-based support per pattern.
 
@@ -51,9 +51,9 @@ def mni_supports(
     pattern's canonical position ``p`` (-1 past the pattern's size).  A
     pattern's MNI is the minimum, over its positions, of the number of
     *distinct* data vertices seen there — the largest support measure that
-    is still anti-monotone.
+    is still anti-monotone.  ``codes`` may come dictionary-encoded.
     """
-    uniq, inverse = group_by(codes)
+    uniq, inverse = codes if isinstance(codes, Grouped) else group_by(codes)
     if len(uniq) == 0:
         return uniq, np.empty(0, dtype=np.int64)
     mni = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
@@ -133,18 +133,22 @@ def _aggregate_edge_table_impl(
         src.reshape(n, k), dst.reshape(n, k),
         residence.graph.labels,  # gammalint: allow[charge] -- label gathers are billed in the encode kernel's element_ops below
         return_positions=want_mni,
+        grouped=True,
     )
-    codes, positions = encoded if want_mni else (encoded, None)
+    # The codes arrive grouped by their quick patterns; every consumer
+    # below reads that grouping instead of regrouping the codes.
+    groups, positions = encoded if want_mni else (encoded, None)
     quick_ops = n * k * _QUICK_OPS_PER_EDGE
     if cpu:
         platform.cpu.work(quick_ops)
         # CPU baselines group with a hash table rather than a sort.
         platform.cpu.work(n * 2)
-        uniq, counts = np.unique(codes, return_counts=True)
+        uniq = groups.distinct
+        counts = np.bincount(groups.index, minlength=len(uniq))
     else:
         platform.kernel.launch("aggregate:quick-pattern", element_ops=quick_ops)
         uniq, counts = sort_and_count(
-            platform, codes, method=sort_method, p_size=p_size
+            platform, groups, method=sort_method, p_size=p_size
         )
     if want_mni:
         # One extra sort-like pass per canonical position.
@@ -153,8 +157,10 @@ def _aggregate_edge_table_impl(
             platform.cpu.work(extra_ops)
         else:
             platform.kernel.launch("aggregate:mni", element_ops=extra_ops)
-        uniq, counts = mni_supports(codes, positions)
+        uniq, counts = mni_supports(groups, positions)
     pattern_table.merge(uniq, counts)
+    codes = groups.distinct[groups.index]
+    table.note_codes(codes, groups)
     return codes
 
 

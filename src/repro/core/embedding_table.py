@@ -23,7 +23,8 @@ import numpy as np
 from ..errors import ExecutionError
 from ..gpusim import clock as clk
 from ..gpusim.platform import GpuPlatform
-from ..gpusim.warp import warp_exclusive_scan
+from ..gpusim.warp import charge_warp_scan
+from ..graph.groupby import Grouped
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -82,6 +83,19 @@ class Survivors:
         )
 
 
+@dataclass(frozen=True)
+class RowCodes:
+    """What an aggregation of the table computed on the way to its per-row
+    canonical codes: the (read-only) array it returned, ``values``, and the
+    same codes dictionary-encoded, ``groups``.  Host-side and unbilled; the
+    support filter handed that very array gathers per-pattern supports
+    through ``groups.index`` instead of searching the pattern table once
+    per row (docs/COSTMODEL.md, "Hot paths")."""
+
+    values: np.ndarray
+    groups: Grouped
+
+
 @dataclass
 class Column:
     """One extension level: ids plus parent row pointers (-1 at the root).
@@ -89,13 +103,14 @@ class Column:
     Both arrays are read-only.  A table only ever *replaces* a column
     (``compact``, spilling, ``restore_columns``), so whoever holds a column's
     arrays — a checkpoint snapshot, a suspended query — holds that level as
-    it was, without a copy.  A replacement carries no ``lists``, and the
-    table drops them once the next level is appended.
+    it was, without a copy.  A replacement carries no ``lists`` or
+    ``codes``, and the table drops them once the next level is appended.
     """
 
     values: np.ndarray
     parents: np.ndarray
     lists: Survivors | None = None
+    codes: RowCodes | None = None
 
     def __post_init__(self) -> None:
         self.values = _frozen(self.values)
@@ -113,6 +128,7 @@ class SpilledColumn:
     __slots__ = ("handle", "length")
     #: Nothing a level recorded follows its column to disk.
     lists = None
+    codes = None
 
     def __init__(self, handle: int, length: int) -> None:
         self.handle = handle
@@ -245,12 +261,20 @@ class EmbeddingTable:
             parents.min() < 0 or parents.max() >= len(self.columns[-1])
         ):
             raise ExecutionError("parent pointers out of range")
-        self._drop_lists()
+        self._drop_notes()
         self._store_column(Column(values, parents, lists))
 
-    def _drop_lists(self) -> None:
-        if self.columns and self.columns[-1].lists is not None:
+    def note_codes(self, values: np.ndarray, groups: Grouped) -> None:
+        """Leave an aggregation's per-row codes (frozen here) and their
+        grouping on the last column; a spilled column keeps nothing."""
+        values.setflags(write=False)
+        if isinstance(self.columns[-1], Column):
+            self.columns[-1].codes = RowCodes(values, groups)
+
+    def _drop_notes(self) -> None:
+        if self.columns and isinstance(self.columns[-1], Column):
             self.columns[-1].lists = None
+            self.columns[-1].codes = None
 
     def _store_column(self, column: Column) -> None:
         nbytes = len(column) * _CELL_BYTES
@@ -439,21 +463,19 @@ class EmbeddingTable:
             raise ExecutionError("mask must cover the last column")
         n = len(last)
         platform = self.platform
+        kept = int(np.count_nonzero(keep_mask))
         if self.charged:
             # Stage 1: marking (one pass over the marks).
             platform.kernel.launch(f"{self.name}:mark", element_ops=n)
-            # Stage 2: prefix scan of marks -> new positions.
-            __, kept = warp_exclusive_scan(
-                keep_mask.astype(np.int64), platform.clock, platform.spec,
-                platform.cost,
-            )
+            # Stage 2: prefix scan of marks -> new positions (the host's
+            # boolean index below places the rows; the scan is billed).
+            charge_warp_scan(n, platform.clock, platform.spec, platform.cost)
             # Stage 3: parallel collection of valid cells.
             moved_bytes = kept * _CELL_BYTES
             platform.kernel.launch(
                 f"{self.name}:collect", element_ops=n, device_bytes=moved_bytes
             )
         else:
-            kept = int(keep_mask.sum())
             platform.cpu.work(n)
         new_values = last.values[keep_mask]
         new_parents = last.parents[keep_mask]
@@ -495,7 +517,7 @@ class EmbeddingTable:
     def release(self) -> None:
         """Free device allocations and host registrations."""
         platform = self.platform
-        self._drop_lists()
+        self._drop_notes()
         if self._write_buffer is not None and self._write_buffer.live:
             platform.device.free(self._write_buffer)
         for alloc in self._device_allocs:

@@ -49,25 +49,29 @@ def _first_occurrence_mask(
 
     The fast path packs each pair into one int64 key
     (``row * modulus + value``), valid only while the largest key fits in
-    int64; past that bound it falls back to a stable two-key dedup on the
-    unpacked pair.  Both paths keep exactly the first occurrence in input
-    order, so the choice never changes results.
+    int64, and stable-argsorts the keys; past that bound it falls back to
+    a stable two-key ``lexsort`` of the unpacked pair.  Either way equal
+    pairs keep their input order and ``lead`` picks the earliest, so the
+    choice never changes results.  (Candidates arrive grouped by row, so
+    the packed keys are nearly sorted and the stable sort merges their
+    runs in about one pass — cheaper here than
+    :func:`~repro.graph.groupby.first_occurrence`'s value sort, whose cost
+    does not depend on the order; docs/COSTMODEL.md, "Hot paths".)
     """
     if len(rows) == 0:
         return np.ones(0, dtype=bool)
-    keep = np.zeros(len(rows), dtype=bool)
+    lead = np.ones(len(rows), dtype=bool)
     if int(rows.max()) <= (np.iinfo(np.int64).max - (modulus - 1)) // modulus:
         key = rows * np.int64(modulus) + values
-        __, first_idx = np.unique(key, return_index=True)
-        keep[first_idx] = True
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=lead[1:])
     else:
-        # np.lexsort is stable, so among equal pairs the earliest input
-        # index sorts first and ``lead`` picks it.
         order = np.lexsort((values, rows))
         r, v = rows[order], values[order]
-        lead = np.ones(len(order), dtype=bool)
         lead[1:] = (r[1:] != r[:-1]) | (v[1:] != v[:-1])
-        keep[order[lead]] = True
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[order[lead]] = True
     return keep
 
 

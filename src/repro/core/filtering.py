@@ -51,10 +51,10 @@ def filter_rows(
     tel = table.platform.telemetry
     with tel.span("filtering", kind="phase"):
         keep_mask = np.asarray(keep_mask, dtype=bool)
-        removed = int((~keep_mask).sum())
         if compact:
             removed = table.compact(keep_mask)
         else:
+            removed = len(keep_mask) - int(np.count_nonzero(keep_mask))
             # Mark-only: holes dropped from the logical view but bytes still
             # accounted by the table.  Replaced, not rewritten, as everywhere.
             last = table.columns[-1]
@@ -76,16 +76,26 @@ def filter_by_support(
     cpu: bool = False,
 ) -> int:
     """Algorithm 2 line 4: drop infrequent patterns from the pattern table
-    and their instances from the embedding table.  Returns rows removed."""
+    and their instances from the embedding table.  Returns rows removed.
+
+    Handed the very array an aggregation of ``table`` returned, the filter
+    looks each distinct pattern up once and gathers through the grouping
+    left on the table's last column; any other codes (replayed, sharded,
+    made by the caller) are looked up row by row."""
     with platform.telemetry.span("support-filtering", kind="phase"):
-        row_codes = np.asarray(row_codes, dtype=np.int64)
-        if len(row_codes) != table.num_embeddings:
-            raise ExecutionError("row codes must cover every embedding")
-        supports = pattern_table.support_of(row_codes)
-        keep = supports >= constraint.threshold
+        noted = table.columns[-1].codes if table.columns else None
+        if noted is not None and noted.values is row_codes:
+            groups = noted.groups
+            frequent = pattern_table.support_of(groups.distinct) >= constraint.threshold
+            keep = frequent[groups.index]
+        else:
+            row_codes = np.asarray(row_codes, dtype=np.int64)
+            if len(row_codes) != table.num_embeddings:
+                raise ExecutionError("row codes must cover every embedding")
+            keep = pattern_table.support_of(row_codes) >= constraint.threshold
         pattern_table.prune_below(constraint.threshold)
         if cpu:
-            platform.cpu.work(len(row_codes))
+            platform.cpu.work(len(keep))
         else:
-            platform.kernel.launch("filter:support", element_ops=len(row_codes))
+            platform.kernel.launch("filter:support", element_ops=len(keep))
         return filter_rows(table, keep, compact=compact)

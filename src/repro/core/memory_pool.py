@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..gpusim import stats as st
 from ..gpusim.platform import GpuPlatform
-from ..gpusim.warp import WarpGrid, warp_exclusive_scan
+from ..gpusim.warp import WarpGrid, charge_warp_scan, warp_exclusive_scan
 
 #: The paper's block size: "a memory block is only 8 KB".
 DEFAULT_BLOCK_BYTES = 8 * 1024
@@ -176,9 +176,10 @@ class TwoPassStrategy(WriteStrategy):
         per_row_counts = np.asarray(per_row_counts, dtype=np.int64)
         # Pass 1: counting (same traversal work, results discarded).
         self.platform.kernel.launch("extend:count", element_ops=kernel_ops)
-        # Global prefix scan over per-row counts.
-        warp_exclusive_scan(
-            per_row_counts, self.platform.clock, self.platform.spec,
+        # Global prefix scan over per-row counts (billed; the host writes
+        # rows in order and needs no offsets).
+        charge_warp_scan(
+            len(per_row_counts), self.platform.clock, self.platform.spec,
             self.platform.cost,
         )
         # Pass 2: the real extension, writing to exact offsets.

@@ -37,7 +37,7 @@ from .spec import DEFAULT_COST, DEFAULT_SPEC, CostModel, DeviceSpec
 from .trace import PhaseTimer, TraceRecorder
 from .stats import Counters
 from .unified import PageBuffer, UnifiedRegion
-from .warp import WarpGrid, warp_ballot, warp_exclusive_scan
+from .warp import WarpGrid, charge_warp_scan, warp_ballot, warp_exclusive_scan
 from .zerocopy import ZeroCopyRegion
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "PageBuffer",
     "UnifiedRegion",
     "WarpGrid",
+    "charge_warp_scan",
     "warp_ballot",
     "warp_exclusive_scan",
     "ZeroCopyRegion",

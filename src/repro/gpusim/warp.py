@@ -75,12 +75,21 @@ def warp_exclusive_scan(
     scan = np.zeros_like(values)
     if len(values) > 1:
         scan[1:] = np.cumsum(values[:-1])
-    if clock is not None and spec is not None and cost is not None and len(values):
+    if clock is not None and spec is not None and cost is not None:
+        charge_warp_scan(len(values), clock, spec, cost)
+    return scan, total
+
+
+def charge_warp_scan(
+    length: int, clock: SimClock, spec: DeviceSpec, cost: CostModel
+) -> None:
+    """Bill :func:`warp_exclusive_scan` over ``length`` values without
+    running it, for callers whose host code needs no scan."""
+    if length:
         steps = max(1, int(np.ceil(np.log2(spec.warp_size))))
-        n_warps = -(-len(values) // spec.warp_size)
+        n_warps = -(-length // spec.warp_size)
         ops = n_warps * spec.warp_size * steps
         clock.advance(clk.COMPUTE, ops / cost.gpu_ops_per_second(spec))
-    return scan, total
 
 
 def warp_ballot(predicate: np.ndarray) -> int:

@@ -28,7 +28,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidPatternError
-from .groupby import group_by
+from .groupby import Grouped, group_by
 
 #: Packing limits for quick patterns (4-bit vertex ids, 8-bit slots).
 MAX_EDGES = 7
@@ -146,7 +146,8 @@ class QuickPatternEncoder:
         dsts: np.ndarray,
         vertex_labels: np.ndarray,
         return_positions: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        grouped: bool = False,
+    ) -> np.ndarray | Grouped | tuple:
         """Canonical 64-bit keys for ``n`` edge-oriented embeddings.
 
         ``srcs``/``dsts`` are ``(n, k)`` endpoint arrays (embedding i is the
@@ -157,7 +158,9 @@ class QuickPatternEncoder:
         ``(n, MAX_VERTICES)`` array whose ``[i, p]`` entry is the data
         vertex that embedding ``i`` maps to canonical pattern position
         ``p`` (or -1 beyond the pattern's size) — the input MNI support
-        needs.
+        needs.  With ``grouped=True`` the codes come dictionary-encoded
+        (a :class:`~repro.graph.groupby.Grouped`): the quick-pattern
+        grouping, folded onto the distinct canonical codes.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
@@ -168,6 +171,8 @@ class QuickPatternEncoder:
             raise InvalidPatternError(f"at most {MAX_EDGES} edges per embedding")
         if n == 0:
             codes = np.empty(0, dtype=np.int64)
+            if grouped:
+                codes = Grouped(codes, np.empty(0, dtype=np.int64))
             if return_positions:
                 return codes, np.empty((0, MAX_VERTICES), dtype=np.int64)
             return codes
@@ -196,7 +201,8 @@ class QuickPatternEncoder:
         for j in range(2 * k):
             qb |= labels_at[j] << (ids[:, j].astype(np.int64) << 3)
 
-        codes, placements, inverse = self._canonicalize(qa, qb, k, vertices)
+        groups, placements, inverse = self._canonicalize(qa, qb, k, vertices)
+        codes = groups if grouped else groups.distinct[groups.index]
         if not return_positions:
             return codes
 
@@ -216,13 +222,17 @@ class QuickPatternEncoder:
 
     def _canonicalize(
         self, qa: np.ndarray, qb: np.ndarray, k: int, vertices: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[Grouped, np.ndarray, np.ndarray]:
         """Map quick keys to canonical keys, canonicalizing each distinct
         quick pattern exactly once.
 
-        Returns ``(codes, placements, inverse)``: per-row codes, the
-        per-unique-quick-pattern canonical placement matrix (quick id at
-        canonical position, -1 padded) and the unique-row inverse map.
+        Returns ``(groups, placements, inverse)``: the per-row codes
+        dictionary-encoded, the per-unique-quick-pattern canonical placement
+        matrix (quick id at canonical position, -1 padded) and the
+        unique-row inverse map.  Isomorphic quick patterns share a code, so
+        a row's code index is its quick pattern's rank among the distinct
+        codes — a gather the size of the rows through a table the size of
+        the quick patterns.
         """
         uniq, inverse = self._unique_quick(qa, qb, 8 * k, 8 * vertices)
         out_codes = np.empty(len(uniq), dtype=np.int64)
@@ -239,7 +249,8 @@ class QuickPatternEncoder:
             out_codes[i] = cached[0]
             flat = cached[1]
             placements[i, : len(flat)] = flat
-        return out_codes[inverse], placements, inverse
+        distinct, rank = np.unique(out_codes, return_inverse=True)
+        return Grouped(distinct, rank[inverse]), placements, inverse
 
     @staticmethod
     def _unique_quick(qa: np.ndarray, qb: np.ndarray, bits_a: int,

@@ -4,10 +4,20 @@ cheaper than the argsort / stable sort ``np.unique`` needs for an index."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 #: Widest ``key bits + row-index bits`` that fit a non-negative int64.
 _TAG_BITS_LIMIT = 63
+
+
+class Grouped(NamedTuple):
+    """Keys dictionary-encoded: row ``i`` holds ``distinct[index[i]]``, and
+    ``distinct`` is ascending and unique."""
+
+    distinct: np.ndarray
+    index: np.ndarray
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -16,13 +26,13 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return lead
 
 
-def group_by(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_by(keys: np.ndarray) -> Grouped:
     """Distinct keys in ascending order and each row's index into them —
     ``np.unique(keys, return_inverse=True)``."""
     keys = np.asarray(keys, dtype=np.int64)
     ordered = np.sort(keys)
     distinct = ordered[_run_starts(ordered)]
-    return distinct, np.searchsorted(distinct, keys)
+    return Grouped(distinct, np.searchsorted(distinct, keys))
 
 
 def first_occurrence(keys: np.ndarray) -> np.ndarray:

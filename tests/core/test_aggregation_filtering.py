@@ -183,3 +183,96 @@ class TestFiltering:
             filter_by_support(
                 platform, table, np.array([1]), PatternTable(), MinSupport(1)
             )
+
+
+def _aggregated(graph):
+    platform, residence, table = edge_table_for(graph)
+    pt = PatternTable()
+    codes = aggregate_edge_table(platform, residence, table,
+                                 QuickPatternEncoder(), pt)
+    return platform, table, pt, codes
+
+
+class TestSupportFilterGathers:
+    """Aggregation leaves its codes' grouping on the last column; the
+    support filter handed the same array gathers through it, any other
+    codes take the per-row lookup, and both keep the same rows."""
+
+    def test_codes_ride_on_the_last_column(self, tiny_graph):
+        __, table, __, codes = _aggregated(tiny_graph)
+        noted = table.columns[-1].codes
+        assert noted.values is codes
+        np.testing.assert_array_equal(
+            noted.groups.distinct[noted.groups.index], codes)
+        with pytest.raises(ValueError):
+            codes[0] = 1  # frozen: the identity check cannot be fooled
+
+    @pytest.mark.parametrize("handed", ["returned", "copy", "list"])
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_same_rows_either_way(self, tiny_graph, handed, compact):
+        platform, table, pt, codes = _aggregated(tiny_graph)
+        arg = {"returned": codes, "copy": codes.copy(),
+               "list": codes.tolist()}[handed]
+        removed = filter_by_support(platform, table, arg, pt, MinSupport(2),
+                                    compact=compact)
+        assert removed == 1
+        assert table.num_embeddings == 4
+        assert table.columns[-1].codes is None  # the column was replaced
+
+    def test_bill_does_not_depend_on_the_route(self, tiny_graph):
+        snapshots = []
+        for make_copy in (False, True):
+            platform, table, pt, codes = _aggregated(tiny_graph)
+            filter_by_support(platform, table,
+                              codes.copy() if make_copy else codes, pt,
+                              MinSupport(2))
+            snapshots.append((platform.clock.snapshot(),
+                              platform.counters.snapshot(),
+                              table.materialize().tolist()))
+        assert snapshots[0] == snapshots[1]
+
+    def test_next_level_drops_the_codes(self, tiny_graph):
+        from repro.core import ExtensionEngine, MemoryPool, make_write_strategy
+
+        platform, residence, table = edge_table_for(tiny_graph)
+        codes = aggregate_edge_table(platform, residence, table,
+                                     QuickPatternEncoder(), PatternTable())
+        seeded = table.columns[-1]
+        engine = ExtensionEngine(platform, residence, make_write_strategy(
+            "dynamic", platform, MemoryPool(platform, 1 << 20)))
+        engine.extend_edges(table)
+        assert seeded.codes is None and table.columns[-1].codes is None
+        with pytest.raises(ExecutionError):
+            filter_by_support(platform, table, codes, PatternTable(),
+                              MinSupport(1))
+
+
+def test_support_is_looked_up_per_pattern_not_per_row(monkeypatch):
+    """Work count, not time: on every FPM level ``support_of`` is asked about
+    at most as many codes as the level has distinct patterns."""
+    from repro.algorithms import frequent_pattern_mining
+    from repro.core import Gamma
+    from repro.graph.generators import kronecker
+
+    asked = []
+    real = PatternTable.support_of
+
+    def support_of(self, codes):
+        asked.append(len(codes))
+        return real(self, codes)
+
+    distinct = []
+    real_merge = PatternTable.merge
+
+    def merge(self, codes, counts):
+        distinct.append(len(codes))
+        return real_merge(self, codes, counts)
+
+    monkeypatch.setattr(PatternTable, "support_of", support_of)
+    monkeypatch.setattr(PatternTable, "merge", merge)
+    graph = kronecker(7, 6, seed=5, name="pin-standin", labels=4, label_seed=6)
+    with Gamma(graph) as engine:
+        result = frequent_pattern_mining(engine, 3, 6)
+    assert len(asked) == len(distinct) == 3
+    assert all(a <= d for a, d in zip(asked, distinct))
+    assert result.frequent_per_level[-1] > 0

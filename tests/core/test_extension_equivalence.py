@@ -9,6 +9,7 @@ across write strategies, pre-merge on/off, and constraint combinations.
 """
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -814,6 +815,38 @@ class TestUnionExtensionEquivalence:
             _edge_case_graph,
             _edge_walk(name, union=True, injective=False, label=0),
         )
+
+
+def _first_of_each_pair(rows, values):
+    seen, keep = set(), []
+    for pair in zip(rows.tolist(), values.tolist()):
+        keep.append(pair not in seen)
+        seen.add(pair)
+    return np.array(keep, dtype=bool)
+
+
+class TestFirstOccurrenceMask:
+    """Edge extension's per-row dedup on both sides of the packed-key
+    bound, for rows grouped as extension produces them and shuffled."""
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_keeps_each_pairs_first_row(self, overflow, grouped):
+        rng = np.random.default_rng(3)
+        # rows.max() == 3: 2**61 is the largest modulus whose keys fit.
+        modulus = (1 << 61) + overflow
+        rows = np.repeat(np.arange(4), 60)
+        values = rng.integers(0, 6, len(rows)) * (modulus // 7)
+        if not grouped:
+            shuffle = rng.permutation(len(rows))
+            rows, values = rows[shuffle], values[shuffle]
+        fits = int(rows.max()) <= (np.iinfo(np.int64).max - (modulus - 1)) // modulus
+        assert fits != overflow
+        lexsorted = mock.patch.object(extension.np, "lexsort", wraps=np.lexsort)
+        with lexsorted as wide:
+            got = extension._first_occurrence_mask(rows, values, modulus)
+        assert wide.call_count == overflow
+        np.testing.assert_array_equal(got, _first_of_each_pair(rows, values))
 
 
 @pytest.mark.parametrize("dataset,task", [("CL", "sm"), ("CL", "kcl")])

@@ -1,23 +1,47 @@
-"""Tests for Optimization 3: out-of-core sorting (Algorithm 3)."""
+"""Tests for Optimization 3: out-of-core sorting (Algorithm 3).
+
+The shipped sort bills both phases from each segment's runs; the
+element-by-element sort and merge the model describes live in
+:mod:`tests.twins` (``device_sort_segments``, ``multi_merge``), are
+tested here on their own, and are the reference the run-length bill must
+match bit for bit — clock buckets, counters, output.
+"""
+
+import sys
+from importlib import import_module
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from repro.algorithms import frequent_pattern_mining
 from repro.core import (
     CPU_SORT,
     MULTI_MERGE,
     NAIVE_MERGE,
     XTR2SORT,
-    device_sort_segments,
-    multi_merge,
+    Gamma,
+    GammaConfig,
+    merge_runs,
     out_of_core_sort,
+    segment_runs,
     sort_and_count,
 )
 from repro.errors import ExecutionError
 from repro.gpusim import make_platform
 from repro.gpusim import clock as clk
+from repro.graph.generators import kronecker
+from repro.graph.groupby import Grouped, group_by
+from tests.twins import (
+    device_sort_segments,
+    merged_by_scatter,
+    multi_merge,
+    straight_line,
+)
+
+sort_module = import_module("repro.core.sort")
 
 
 @pytest.fixture
@@ -169,3 +193,178 @@ class TestSortAndCount:
         exp_u, exp_c = np.unique(arr, return_counts=True)
         assert uniq.tolist() == exp_u.tolist()
         assert counts.tolist() == exp_c.tolist()
+
+
+def _billed_sort(keys, method, segment_len, p_size, encoded):
+    """``out_of_core_sort`` then ``sort_and_count`` of ``keys`` (handed
+    dictionary-encoded when ``encoded``) on one fresh platform; the outputs
+    with the clock buckets and counters they left."""
+    platform = make_platform()
+    handed = group_by(keys) if encoded else keys
+    ordered = out_of_core_sort(platform, handed, method=method,
+                               segment_len=segment_len, p_size=p_size)
+    uniq, counts = sort_and_count(platform, handed, method=method,
+                                  segment_len=segment_len, p_size=p_size)
+    return (ordered, uniq, counts, platform.clock.snapshot(),
+            platform.counters.snapshot(include_zero=True))
+
+
+def _assert_bills_like_the_twin(keys, method, segment_len, p_size, encoded):
+    keys = np.asarray(keys, dtype=np.int64)
+    shipped = _billed_sort(keys, method, segment_len, p_size, encoded)
+    with straight_line():
+        twin = _billed_sort(keys, method, segment_len, p_size, encoded)
+    for got, want in zip(shipped[:3], twin[:3]):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert shipped[3] == twin[3]
+    assert shipped[4] == twin[4]
+    np.testing.assert_array_equal(shipped[0], np.sort(keys))
+    exp_u, exp_c = np.unique(keys, return_counts=True)
+    np.testing.assert_array_equal(shipped[1], exp_u)
+    np.testing.assert_array_equal(shipped[2], exp_c)
+
+
+@hst.composite
+def sort_inputs(draw):
+    shape = draw(hst.sampled_from(
+        ["duplicates", "all-equal", "distinct-62-bit", "skewed", "wide"]))
+    n = draw(hst.integers(min_value=0, max_value=300))
+    seed = draw(hst.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if shape == "duplicates":
+        keys = rng.integers(-3, 4, n)
+    elif shape == "all-equal":
+        keys = np.full(n, draw(hst.integers(-5, 5)), dtype=np.int64)
+    elif shape == "distinct-62-bit":
+        keys = rng.choice(np.arange(-(1 << 61), 1 << 61, (1 << 62) // 4096),
+                          size=min(n, 4096), replace=False)
+    elif shape == "skewed":
+        # Ascending input: every segment holds its own range, and one
+        # stretch repeats a single value.
+        keys = np.sort(np.concatenate(
+            [rng.integers(0, 1000, n // 2), np.full(n - n // 2, 500)]))
+    else:
+        keys = rng.integers(-(1 << 40), 1 << 40, n)
+    segment_len = draw(hst.integers(min_value=1, max_value=max(1, len(keys) + 5)))
+    return (keys, draw(hst.sampled_from([MULTI_MERGE, NAIVE_MERGE])),
+            segment_len, draw(hst.integers(min_value=1, max_value=32)),
+            draw(hst.booleans()))
+
+
+class TestRunLengthBill:
+    """The run-length bill against the element-by-element twin."""
+
+    @given(sort_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_twin(self, case):
+        _assert_bills_like_the_twin(*case)
+
+    @pytest.mark.parametrize("encoded", [False, True])
+    @pytest.mark.parametrize("method", [MULTI_MERGE, NAIVE_MERGE])
+    @pytest.mark.parametrize("case", [
+        "empty", "one-segment", "all-equal", "heavy-duplicates",
+        "skewed-segments", "fig19-distinct-62-bit",
+    ])
+    def test_named_inputs(self, case, method, encoded):
+        rng = np.random.default_rng(11)
+        segment_len, p_size = 1_500, 16
+        if case == "empty":
+            keys = np.array([], dtype=np.int64)
+        elif case == "one-segment":
+            keys, segment_len = rng.integers(0, 50, 1_000), 1_000
+        elif case == "all-equal":
+            keys = np.full(5_000, -7)
+        elif case == "heavy-duplicates":
+            keys = rng.integers(0, 5, 10_000)
+        elif case == "skewed-segments":
+            # One segment of a single value, the others spread out.
+            keys = np.concatenate([np.full(1_500, 42), rng.integers(0, 10**6, 4_000)])
+        else:
+            keys = rng.integers(-(1 << 61), 1 << 61, 20_000)
+            segment_len, p_size = 2_500, 256
+        _assert_bills_like_the_twin(keys, method, segment_len, p_size, encoded)
+
+    @pytest.mark.parametrize("method", [CPU_SORT, XTR2SORT])
+    def test_other_methods_take_encoded_keys(self, method):
+        keys = np.random.default_rng(5).integers(-20, 20, 3_000)
+        plain = _billed_sort(keys, method, 700, 16, False)
+        encoded = _billed_sort(keys, method, 700, 16, True)
+        for got, want in zip(encoded, plain):
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("skip_reverse_search", [True, False])
+    def test_merge_of_skewed_runs(self, skip_reverse_search):
+        """One giant segment and several tiny ones, as runs."""
+        rng = np.random.default_rng(1)
+        runs = [np.unique(rng.integers(0, 1000, n), return_counts=True)
+                for n in (5000, 3, 1, 200)]
+        shipped, twin = make_platform(), make_platform()
+        got = merge_runs(shipped, runs, 256, skip_reverse_search)
+        want = merged_by_scatter(twin, runs, 256, skip_reverse_search)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert shipped.clock.snapshot() == twin.clock.snapshot()
+        assert shipped.counters.snapshot() == twin.counters.snapshot()
+
+    def test_rejects_bad_input(self, platform):
+        with pytest.raises(ExecutionError):
+            segment_runs(platform, np.array([1, 2]), 0)
+        with pytest.raises(ExecutionError):
+            merge_runs(platform, [(np.array([1]), np.array([3]))], p_size=0)
+        with pytest.raises(ExecutionError):
+            segment_runs(platform, Grouped(np.array([5, 5]), np.array([0, 1])), 4)
+        with pytest.raises(ExecutionError):
+            segment_runs(platform, Grouped(np.array([5]), np.array([0, 1])), 4)
+        assert all(len(a) == 0 for a in merge_runs(platform, []))
+
+
+class _SortSpy:
+    """Stands in for ``numpy`` inside :mod:`repro.core.sort` and records the
+    size of every array handed to a sorting function."""
+
+    SORTS = frozenset({"sort", "argsort", "unique", "lexsort", "partition",
+                       "argpartition"})
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.SORTS:
+            return attr
+
+        def spy(a, *args, **kwargs):
+            self.sizes.append(int(np.size(a)))
+            return attr(a, *args, **kwargs)
+        return spy
+
+
+@pytest.mark.parametrize("device_memory_bytes", [None, 1 << 17])
+def test_an_fpm_level_sorts_no_code_array(device_memory_bytes, monkeypatch):
+    """Work count, not time: aggregation hands ``sort_and_count`` its codes
+    dictionary-encoded, and the sort never sorts an array as long as the
+    level (one segment on the default device, three at 128 KiB)."""
+    aggregation = sys.modules["repro.core.aggregation"]
+    real = aggregation.sort_and_count
+    seen = []
+
+    def sort_and_count_spied(platform, keys, *args, **kwargs):
+        spy = _SortSpy()
+        with mock.patch.object(sort_module, "np", spy):
+            out = real(platform, keys, *args, **kwargs)
+        rows = len(keys.index) if isinstance(keys, Grouped) else len(keys)
+        seen.append((rows, max(spy.sizes, default=0)))
+        return out
+
+    monkeypatch.setattr(aggregation, "sort_and_count", sort_and_count_spied)
+    graph = kronecker(7, 6, seed=5, name="pin-standin", labels=4, label_seed=6)
+    config = GammaConfig(device_memory_bytes=device_memory_bytes, p_size=32)
+    with Gamma(graph, config) as engine:
+        frequent_pattern_mining(engine, 2, 6)
+    assert [rows for rows, __ in seen] == [440, 8243]
+    for rows, largest in seen:
+        assert largest < rows / 4

@@ -60,6 +60,13 @@ def _tight_device():
                              buffer_fraction=0.7))
 
 
+def _sorting_fpm(method):
+    """FPM on a 128 KiB device with checkpoints every 32 keys: level 2's
+    8 243 canonical codes sort in 3 segments and merge in 35 subtasks."""
+    return lambda: Gamma(_graph(), GammaConfig(device_memory_bytes=1 << 17,
+                                               p_size=32, sort_method=method))
+
+
 def _kept_rows(engine):
     """SM(q3) with the table kept: the count and a digest of the rows, read
     host-side (uncharged) the way the table stores them."""
@@ -79,9 +86,15 @@ def _kept_rows(engine):
 #: the union extension (ordered on column 0), motifs the edge-extension one.
 #: kCL-5 holds two consecutive levels whose prefix intersection is the
 #: column before; the halve-chunk run extends in chunks smaller than the
-#: table; the kept table pins the rows themselves, not only their count.
+#: table; the kept table pins the rows themselves, not only their count;
+#: the two sorting FPM runs reach the segment sort's multi-merge, both
+#: variants (the default device holds every level in one segment).
 SCENARIOS = {
     "fpm2-instances-baseline": (1, _fpm(2, "instances", None)),
+    "fpm2-instances-multimerge": (_sorting_fpm("multi_merge"),
+                                  _fpm(2, "instances", None)),
+    "fpm2-instances-naivemerge": (_sorting_fpm("naive_merge"),
+                                  _fpm(2, "instances", None)),
     "fpm3-instances-auto": (1, _fpm(3, "instances", "auto")),
     "fpm2-mni-auto": (1, _fpm(2, "mni", "auto")),
     "fpm3-mni-baseline": (1, _fpm(3, "mni", None)),
@@ -220,6 +233,34 @@ def test_resuming_bills_what_the_uninterrupted_run_bills():
         whole = pins[name[:-len("-resumed")]]
         assert pins[name]["simulated_seconds"] == whole["simulated_seconds"]
         assert pins[name]["counters"] == whole["counters"]
+
+
+@pytest.mark.parametrize("name", ["fpm2-instances-multimerge",
+                                  "fpm2-instances-naivemerge"])
+def test_sorting_pins_reach_the_multi_merge(name, monkeypatch):
+    """Level 2's ``sort_and_count`` spans >= 3 segments and >= 16
+    subtasks, so these pins bill the merge phase."""
+    aggregation = sys.modules["repro.core.aggregation"]
+    shards, drive = SCENARIOS[name]
+    launches, per_sort = [], []
+    real_sort = aggregation.sort_and_count
+
+    def sort_and_count(platform, *args, **kwargs):
+        first = len(launches)
+        out = real_sort(platform, *args, **kwargs)
+        per_sort.append(launches[first:])
+        return out
+
+    monkeypatch.setattr(aggregation, "sort_and_count", sort_and_count)
+    with shards() as engine:
+        real_launch = engine.platform.kernel.launch
+        monkeypatch.setattr(
+            engine.platform.kernel, "launch",
+            lambda kernel, *a, **k: launches.append(kernel) or real_launch(kernel, *a, **k))
+        drive(engine)
+    level2 = per_sort[-1]
+    assert level2.count("segment-sort") >= 3
+    assert level2.count("multi-merge:subtask") >= 16
 
 
 def test_every_pin_has_a_scenario():

@@ -11,9 +11,11 @@ The canonical map uses the two-level quick-pattern scheme of
 
 The module also provides embedding-set deduplication for edge-oriented
 growth: extending by "any adjacent edge" reaches the same edge set through
-multiple orders, and instance counting requires each set once.  Dedup packs
-each row's sorted edge ids and unique-sorts them with the same external
-sort machinery.
+multiple orders, and instance counting requires each set once.  Dedup is
+billed as GAMMA's sort+compact over the packed set keys.  On the host, a
+pair level grown from the level-1 rows by unrestricted edge extension
+looks each child's first occurrence up on that parent level; any other
+table packs each row's sorted ids and finds first occurrences by a sort.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ _QUICK_OPS_PER_EDGE = 24
 #: Overflow bound for dedup's single-int64 row packing; wider rows keep the
 #: void-dtype set keys.
 _PACK_BITS_LIMIT = 62
+
+#: Dense ``edge -> level-1 row`` map size allowed per table row (8 bytes a
+#: slot); a wider id span keeps the sort.
+_LOOKUP_SPAN_PER_ROW = 4
 
 #: Support metrics: raw instance frequency (the paper's §III definition)
 #: or minimum-image-based support (the anti-monotone FSM standard).
@@ -188,6 +194,30 @@ def sorted_columns(mats: np.ndarray) -> list[np.ndarray]:
     return columns
 
 
+def pair_lookup_keep(
+    first: np.ndarray, parents: np.ndarray, values: np.ndarray
+) -> np.ndarray | None:
+    """Dedup's keep mask for a pair level grown from the level-1 rows
+    ``first`` by unrestricted edge extension (:attr:`Column.edge_grown`):
+    child ``i`` joins edge ``values[i]`` to row ``parents[i]``.
+
+    The pair ``{f, e}`` is generated by every level-1 row holding ``f`` or
+    ``e``, parent rows ascending, so its first occurrence is under the
+    first such row: keep ``(p, e)`` iff ``p`` is the first row holding
+    ``f_p`` and no row before ``p`` holds ``e``.  ``None`` when the ids
+    span more than the dense map allows (or are negative).
+    """
+    lo = min(int(first.min()), int(values.min()))
+    span = max(int(first.max()), int(values.max())) + 1
+    if lo < 0 or span > _LOOKUP_SPAN_PER_ROW * (len(first) + len(values)):
+        return None
+    edges, rows = np.unique(first, return_index=True)
+    pos = np.full(span, len(first), dtype=np.int64)
+    pos[edges] = rows
+    leads = pos[first] == np.arange(len(first), dtype=np.int64)
+    return leads[parents] & (pos[values] > parents)
+
+
 def dedup_embeddings(
     platform: GpuPlatform,
     table: EmbeddingTable,
@@ -196,32 +226,43 @@ def dedup_embeddings(
     """Remove duplicate embeddings (same id set, different discovery order).
 
     Returns the number of rows removed.  Charged as a sort+compact over the
-    packed set keys.
+    packed set keys, however the host finds them (:func:`pair_lookup_keep`
+    for a pair level that edge extension grew, else a sort).
     """
     with platform.telemetry.span("dedup", kind="phase"):
-        mats = table.materialize()
-        if mats.size == 0:
-            return 0
-        n = len(mats)
-        # Pack each sorted row into one int64 when the ids fit (a scalar
-        # key sorts by value, the void set key byte-wise).  Packing is
-        # bijective, so the first-occurrence set equals the set-key one.
-        bits = max(1, int(mats.max()).bit_length())
-        if int(mats.min()) >= 0 and mats.shape[1] * bits <= _PACK_BITS_LIMIT:
-            ordered = sorted_columns(mats)
-            packed = ordered[0]
-            for column in ordered[1:]:
-                packed = (packed << bits) | column
-            first_idx = first_occurrence(packed)
+        n = table.num_embeddings
+        if n and table.depth == 2 and table.columns[-1].edge_grown:
+            (first, __), (values, parents) = table.walk_levels(n)
+            keep = pair_lookup_keep(first, parents, values)
+            if keep is None:
+                keep = _sorted_keep(np.stack([first[parents], values], axis=1))
         else:
-            __, first_idx = np.unique(
-                embedding_set_keys(mats), return_index=True
-            )
-        keep = np.zeros(n, dtype=bool)
-        keep[first_idx] = True
+            mats = table.materialize()
+            if mats.size == 0:
+                return 0
+            keep = _sorted_keep(mats)
         log_n = float(np.log2(max(2, n)))
         if cpu:
             platform.cpu.work(n * log_n)
         else:
             platform.kernel.launch("dedup:sort", element_ops=n * log_n)
         return table.compact(keep)
+
+
+def _sorted_keep(mats: np.ndarray) -> np.ndarray:
+    """Keep mask of each row set's first occurrence, by a sort."""
+    # Pack each sorted row into one int64 when the ids fit (a scalar key
+    # sorts by value, the void set key byte-wise).  Packing is bijective,
+    # so the first-occurrence set equals the set-key one.
+    bits = max(1, int(mats.max()).bit_length())
+    if int(mats.min()) >= 0 and mats.shape[1] * bits <= _PACK_BITS_LIMIT:
+        ordered = sorted_columns(mats)
+        packed = ordered[0]
+        for column in ordered[1:]:
+            packed = (packed << bits) | column
+        first_idx = first_occurrence(packed)
+    else:
+        __, first_idx = np.unique(embedding_set_keys(mats), return_index=True)
+    keep = np.zeros(len(mats), dtype=bool)
+    keep[first_idx] = True
+    return keep

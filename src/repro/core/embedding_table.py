@@ -105,12 +105,19 @@ class Column:
     arrays — a checkpoint snapshot, a suspended query — holds that level as
     it was, without a copy.  A replacement carries no ``lists`` or
     ``codes``, and the table drops them once the next level is appended.
+
+    ``edge_grown`` says the column is an unrestricted edge extension of the
+    one before it: every edge incident to a parent row and not in it, once
+    per row, children grouped by parent row in ascending order.  It holds
+    as long as the column does, so spilling and checkpoints keep it; a
+    compacted or caller-built column does not claim it.
     """
 
     values: np.ndarray
     parents: np.ndarray
     lists: Survivors | None = None
     codes: RowCodes | None = None
+    edge_grown: bool = False
 
     def __post_init__(self) -> None:
         self.values = _frozen(self.values)
@@ -125,14 +132,16 @@ class Column:
 class SpilledColumn:
     """A column evicted to disk (see :mod:`repro.core.spill`)."""
 
-    __slots__ = ("handle", "length")
+    __slots__ = ("handle", "length", "edge_grown")
     #: Nothing a level recorded follows its column to disk.
     lists = None
     codes = None
 
-    def __init__(self, handle: int, length: int) -> None:
+    def __init__(self, handle: int, length: int,
+                 edge_grown: bool = False) -> None:
         self.handle = handle
         self.length = length
+        self.edge_grown = edge_grown
 
     def __len__(self) -> int:
         return self.length
@@ -204,7 +213,8 @@ class EmbeddingTable:
             column = self.columns[index]
             packed = np.stack([column.values, column.parents])
             handle = self._spill_store.spill(packed)
-            self.columns[index] = SpilledColumn(handle, len(column))
+            self.columns[index] = SpilledColumn(
+                handle, len(column), column.edge_grown)
             freed = len(column) * _CELL_BYTES
             if self._registered_bytes >= freed:
                 self.platform.unregister_host_bytes(freed, self.name)
@@ -247,12 +257,14 @@ class EmbeddingTable:
         self._store_column(Column(values, parents))
 
     def append_column(self, values: np.ndarray, parents: np.ndarray,
-                      lists: Survivors | None = None) -> None:
+                      lists: Survivors | None = None,
+                      edge_grown: bool = False) -> None:
         """Append one extension level.
 
         ``parents[i]`` indexes the previous column.  Charges the device
         write-buffer traffic and the flush of results back to host memory.
         ``lists`` are the level's, for the next; the previous column's go.
+        ``edge_grown`` is :attr:`Column.edge_grown`.
         """
         if not self.columns:
             raise ExecutionError("seed the table before appending")
@@ -262,7 +274,7 @@ class EmbeddingTable:
         ):
             raise ExecutionError("parent pointers out of range")
         self._drop_notes()
-        self._store_column(Column(values, parents, lists))
+        self._store_column(Column(values, parents, lists, edge_grown=edge_grown))
 
     def note_codes(self, values: np.ndarray, groups: Grouped) -> None:
         """Leave an aggregation's per-row codes (frozen here) and their
@@ -304,7 +316,8 @@ class EmbeddingTable:
                 # budget streams straight to disk instead of OOMing.
                 packed = np.stack([column.values, column.parents])
                 handle = self._spill_store.spill(packed)
-                self.columns.append(SpilledColumn(handle, len(column)))
+                self.columns.append(
+                    SpilledColumn(handle, len(column), column.edge_grown))
                 return
             platform.register_host_bytes(nbytes, self.name, charge=False)
             self._registered_bytes += nbytes
@@ -336,7 +349,8 @@ class EmbeddingTable:
                 values, parents = column.values, column.parents
                 spilled = False
             records.append(
-                {"values": values, "parents": parents, "spilled": spilled})
+                {"values": values, "parents": parents, "spilled": spilled,
+                 "edge_grown": column.edge_grown})
         return records
 
     def restore_columns(self, records: list[dict]) -> None:
@@ -363,12 +377,14 @@ class EmbeddingTable:
         self._device_allocs = []
         self.columns = []
         for record in records:
-            column = Column(record["values"], record["parents"])
+            column = Column(record["values"], record["parents"],
+                            edge_grown=bool(record.get("edge_grown")))
             nbytes = len(column) * _CELL_BYTES
             if record.get("spilled") and self._spill_store is not None:
                 packed = np.stack([column.values, column.parents])
                 handle = self._spill_store.restore(packed)
-                self.columns.append(SpilledColumn(handle, len(column)))
+                self.columns.append(
+                    SpilledColumn(handle, len(column), column.edge_grown))
             elif self.device_resident and self.charged:
                 alloc = platform.device.allocate(
                     nbytes, f"{self.name}:col{self.depth}"
@@ -436,12 +452,23 @@ class EmbeddingTable:
         out = np.empty((n, self.depth), dtype=np.int64)
         # ``None`` = every row in order: a copy, not a gather via arange.
         current = rows if rows is None else np.asarray(rows, dtype=np.int64)
+        levels = self.walk_levels(n)
         for level in range(self.depth - 1, -1, -1):
-            values, parents = self._column_arrays(level)
+            values, parents = levels[level]
             out[:, level] = values if current is None else values[current]
             current = parents if current is None else parents[current]
-            self._charge_stream(n * _CELL_BYTES, level=level)
         return out
+
+    def walk_levels(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every level's ``(values, parents)``, indexed by level, billed as
+        :meth:`materialize` bills ``rows`` rows: one scattered cell read
+        per row per level, last level first, each spilled level faulted
+        back just before its read."""
+        levels: list = [None] * self.depth
+        for level in range(self.depth - 1, -1, -1):
+            levels[level] = self._column_arrays(level)
+            self._charge_stream(rows * _CELL_BYTES, level=level)
+        return levels
 
     # -- compression (paper §V-A, three stages) -----------------------------------
     def compact(self, keep_mask: np.ndarray) -> int:

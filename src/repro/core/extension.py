@@ -300,12 +300,23 @@ class ExtensionEngine:
             starts, lengths, rows,
         )
 
-    def _incident_values(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _incident_values(
+        self, vertices: np.ndarray, endpoints: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The incident edge ids of ``vertices`` concatenated, each
+        vertex's count, and (with ``endpoints``) each edge's other
+        endpoint: the neighbor in the same CSR slot."""
         starts = self.graph.offsets[vertices]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
         ends = self.graph.offsets[vertices + 1]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
+        slots = expand_ranges(starts, ends)
+        others = (
+            self.graph.neighbors[slots]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
+            if endpoints else None
+        )
         return (
-            self.graph.edge_ids[expand_ranges(starts, ends)],  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
+            self.graph.edge_ids[slots],  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
             ends - starts,
+            others,
         )
 
     def _charge_list_reads(self, region_name: str, vertices: np.ndarray) -> None:
@@ -997,12 +1008,12 @@ class ExtensionEngine:
         self._charge_list_reads("edge_slots", read_vertices)
 
         # Candidate edges.
-        cand, lengths = self._incident_values(distinct_verts)
+        cand, lengths, others = self._incident_values(
+            distinct_verts, endpoints=depth > 1)
         cand_row = np.repeat(row_of_vert, lengths)
         stats.candidates = stats.expanded = len(cand)
 
-        # Drop edges already in the embedding, then dedup within each row
-        # (an edge incident to two embedding vertices is generated twice).
+        # Drop edges already in the embedding.
         mask = np.ones(len(cand), dtype=bool)
         for col in range(depth):
             mask &= cand != mats[cand_row, col]
@@ -1012,13 +1023,25 @@ class ExtensionEngine:
             # any output is written (the comparison rides the existing
             # already-present check, no extra charged pass).
             mask &= cand > mats[cand_row, greater_than_col]
-        mask &= _first_occurrence_mask(cand_row, cand, self.graph.num_edges + 1)
+        if depth > 1:
+            # An edge joining two row vertices is met from both; it counts
+            # where it is met first, from the lower one.  (At depth 1 the
+            # only such edge is the row's own, dropped above: strictly
+            # ascending CSR lists admit no parallel edge.)
+            met = np.flatnonzero(
+                mask & (others < np.repeat(distinct_verts, lengths)))
+            other, met_row = others[met], cand_row[met]
+            again = np.zeros(len(met), dtype=bool)
+            for col in range(2 * depth):
+                again |= verts_sorted[met_row, col] == other
+            mask[met[again]] = False
 
         counts = np.bincount(cand_row[mask], minlength=n).astype(np.int64)
         stats.per_row_counts = counts
         per_row_bound = np.bincount(row_of_vert, weights=incident_deg, minlength=n)
         self._account_writes(counts, stats.kernel_ops, per_row_bound.astype(np.int64))
-        table.append_column(cand[mask], cand_row[mask])
+        table.append_column(cand[mask], cand_row[mask],
+                            edge_grown=greater_than_col is None)
         stats.rows_out = int(mask.sum())
         self.platform.counters.add(st.EXTENSION_PASSES)
         self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)

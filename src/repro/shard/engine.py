@@ -382,7 +382,8 @@ class ShardedGamma:
         """Remove duplicate embeddings, including duplicates discovered by
         different shards.
 
-        Per shard: local dedup (the existing sort+compact).  Then each
+        Per shard: local dedup (billed as a sort+compact; see
+        :func:`~repro.core.aggregation.dedup_embeddings`).  Then each
         shard all-gathers its surviving set keys; every key is kept only on
         the lowest-indexed shard holding it, and the losers are filtered
         out.  The exchange ships ``rows x depth x 8`` bytes per shard and

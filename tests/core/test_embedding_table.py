@@ -199,7 +199,7 @@ class TestListsDoNotOutliveTheirUse:
         self._grown(table)
         held = table.snapshot_columns()
         assert [sorted(record) for record in held] == [
-            ["parents", "spilled", "values"]] * 2
+            ["edge_grown", "parents", "spilled", "values"]] * 2
         table.restore_columns(held)
         assert table.columns[-1].lists is None
 
@@ -247,6 +247,55 @@ class TestListsDoNotOutliveTheirUse:
         assert table.num_embeddings == result.embeddings > 0
         assert table.materialize().shape == (result.embeddings, 3)
 
+
+
+class TestEdgeGrownLastsAsLongAsItsColumn:
+    """``edge_grown`` describes how a column was made: it survives spilling
+    and a checkpoint round trip, and a rebuilt column does not claim it."""
+
+    def _grown(self, table):
+        table.seed(np.array([4, 2, 9]))
+        table.append_column(np.array([7, 8]), np.array([0, 2]),
+                            edge_grown=True)
+
+    def test_snapshot_and_restore_keep_it(self, platform):
+        from repro.resilience.checkpoint import (
+            deserialize_state,
+            serialize_state,
+        )
+
+        table = EmbeddingTable(platform, EDGE)
+        self._grown(table)
+        blob = serialize_state({"columns": table.snapshot_columns()})
+        other = EmbeddingTable(make_platform(), EDGE)
+        other.restore_columns(deserialize_state(blob)["columns"])
+        assert [c.edge_grown for c in other.columns] == [False, True]
+
+    def test_spilling_keeps_it(self, platform):
+        from repro.core.spill import SpillPolicy, SpillStore
+
+        table = EmbeddingTable(platform, EDGE)
+        store = SpillStore(platform)
+        try:
+            table.attach_spill(store, SpillPolicy(1, keep_columns=1))
+            self._grown(table)
+            assert table.spilled_columns == 2
+            assert table.columns[-1].edge_grown
+            table.restore_columns(table.snapshot_columns())
+            assert table.spilled_columns == 2
+            assert table.columns[-1].edge_grown
+            table.compact(np.array([True, False]))
+            assert not table.columns[-1].edge_grown
+            table.release()
+        finally:
+            store.close()
+
+    def test_compact_and_callers_drop_it(self, table):
+        self._grown(table)
+        table.compact(np.array([True, True]))  # keeps every row, still replaces
+        assert not table.columns[-1].edge_grown
+        table.append_column(np.array([1]), np.array([0]))
+        assert not table.columns[-1].edge_grown
 
 class TestResidency:
     def test_out_of_core_registers_host_bytes(self, platform):

@@ -7,8 +7,14 @@ crash-matrix suite compare checkpoints directly.  A second battery pins
 the partition invariant: a checkpoint's counters are a prefix of the
 final totals, exactly like a span's self-time partitions its parent.  A
 third pins that a snapshot handed over in memory and the same snapshot
-taken through the archive resume to the same engine.
+taken through the archive resume to the same engine.  A fourth pins that
+what a level records about how it was grown survives the checkpoint, so a
+resumed FPM dedup takes the path the uninterrupted run takes.
 """
+
+from contextlib import contextmanager
+from importlib import import_module
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +43,9 @@ from repro.resilience.checkpoint import (
     serialize_state,
 )
 from repro.shard import ShardedGamma
+from tests.test_sim_pins import _pins, differences, observe
+
+aggregation = import_module("repro.core.aggregation")
 
 # ---------------------------------------------------------------------------
 # Strategies: arbitrary checkpoint-shaped states
@@ -270,3 +279,68 @@ class TestCounterPartition:
         # The crash hit mid-run, so the post-resume leg did real work.
         assert any(at_checkpoint[name] < final[name]
                    for name in at_checkpoint)
+
+
+class TestReplayKeepsThePairLookup:
+    """A checkpoint taken after edge extension keeps the column's
+    ``edge_grown``: the resumed level-2 dedup looks its pairs up on the
+    parent level, as the uninterrupted run does, and bills the same."""
+
+    @staticmethod
+    def _fpm(engine):
+        return frequent_pattern_mining(engine, 2, 3)
+
+    @staticmethod
+    @contextmanager
+    def _lookups():
+        """What ``pair_lookup_keep`` returned, per call, inside the block."""
+        real, returned = aggregation.pair_lookup_keep, []
+
+        def lookup(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        with mock.patch.object(aggregation, "pair_lookup_keep", lookup):
+            yield returned
+
+    @pytest.mark.parametrize("route", ["disk", "memory"])
+    def test_resumed_dedup_looks_pairs_up(self, tmp_path, route):
+        graph = erdos_renyi(60, 300, seed=4, labels=3)
+        journal = str(tmp_path) if route == "disk" else None
+        with Gamma(graph) as first:
+            first.platform.install_fault_plan(FaultPlan(
+                name="crash",
+                specs=(FaultSpec(kind="device_oom", at="*/phase:dedup"),)))
+            with pytest.raises(DeviceOutOfMemory):
+                first.run(self._fpm, checkpoint_dir=journal)
+            handed = first.snapshot()
+        assert handed["journal"][-1]["kind"] == "edge-extension"
+        assert handed["tables"][0]["columns"][-1]["edge_grown"]
+
+        outcomes = []
+        for resume in (True, False):
+            with Gamma(graph) as engine, self._lookups() as lookups:
+                if resume:
+                    result = engine.run(
+                        self._fpm, checkpoint_dir=journal, resume=True,
+                        resume_state=None if journal else handed)
+                else:
+                    result = self._fpm(engine)
+                assert len(lookups) == 1 and lookups[0] is not None
+                outcomes.append((
+                    result.patterns, result.frequent_per_level,
+                    float.hex(engine.simulated_seconds),
+                    engine.platform.counters.snapshot(include_zero=True)))
+        resumed, uninterrupted = outcomes
+        assert resumed == uninterrupted
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("name", ["fpm2-instances-auto-2shard",
+                                      "fpm3-instances-baseline-2shard"])
+    def test_two_shard_fpm_lands_on_its_pin(self, name, executor):
+        with self._lookups() as lookups:
+            moved = differences(observe(name, executor), _pins()[name])
+        assert not moved, f"{name} on {executor}: " + "; ".join(moved)
+        if executor == "serial" and "baseline" in name:
+            # One pair-level dedup per shard, each a lookup.
+            assert len(lookups) == 2 and all(k is not None for k in lookups)

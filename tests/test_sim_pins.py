@@ -164,9 +164,9 @@ def observe_resumed(name: str, route: str = "disk") -> dict:
             }
 
 
-def observe(name: str) -> dict:
+def observe(name: str, executor: str | None = None) -> dict:
     """Run one scenario; its simulated seconds and every counter (per
-    shard, prefixed, on a sharded engine)."""
+    shard, prefixed, on a sharded engine, which runs on ``executor``)."""
     if name in RESUMED:
         return observe_resumed(name)
     shards, drive, *labels = SCENARIOS[name]
@@ -175,7 +175,8 @@ def observe(name: str) -> dict:
     elif shards == 1:
         engine = Gamma(_graph(*labels))
     else:
-        engine = ShardedGamma(_graph(*labels), num_shards=shards)
+        engine = ShardedGamma(_graph(*labels), num_shards=shards,
+                              executor=executor)
     with engine:
         answer = drive(engine)
         if shards == 1:

@@ -117,6 +117,16 @@ def unique_quick_rows(qa, qb, bits_a=None, bits_b=None):
     return np.unique(np.stack([qa, qb], axis=1), axis=0, return_inverse=True)
 
 
+def pair_keep_by_sorting(first, parents, values):
+    """``aggregation.pair_lookup_keep``: the first occurrence of each
+    pair set, found by ``np.unique`` over the pairs, each sorted."""
+    pairs = np.sort(np.stack([first[parents], values], axis=1), axis=1)
+    __, first_idx = np.unique(pairs, axis=0, return_index=True)
+    keep = np.zeros(len(pairs), dtype=bool)
+    keep[first_idx] = True
+    return keep
+
+
 def never_memoised(batch, starts, ends, token=0):
     """``ChargeBatch.lookup``: every charge re-derives its pages."""
     return None
@@ -244,7 +254,7 @@ def merged_by_scatter(platform, runs, p_size=sort.DEFAULT_P_SIZE,
 
 @contextmanager
 def straight_line():
-    """Run the enclosed code on the straight-line stack: the seven twins
+    """Run the enclosed code on the straight-line stack: the eight twins
     above installed over their seams (the sort's two phases run on the
     sorted elements), and the four size thresholds dropped to zero so
     ``has_edges`` binary-searches, ``PageBuffer`` evicts by ``lexsort``,
@@ -257,6 +267,7 @@ def straight_line():
         (ExtensionEngine, "_surviving_candidates", labelled_min_degree_walk),
         (extension, "_bound_ranges", bound_ranges_by_scan),
         (QuickPatternEncoder, "_unique_quick", staticmethod(unique_quick_rows)),
+        (aggregation, "pair_lookup_keep", pair_keep_by_sorting),
         (regions.ChargeBatch, "lookup", never_memoised),
         (sort, "segment_runs", segments_by_sorting),
         (sort, "merge_runs", merged_by_scatter),

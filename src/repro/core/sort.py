@@ -41,7 +41,7 @@ from ..errors import ExecutionError
 from ..gpusim import clock as clk
 from ..gpusim import stats as st
 from ..gpusim.platform import GpuPlatform
-from ..graph.groupby import Grouped
+from ..graph.groupby import Grouped, _run_starts
 
 MULTI_MERGE = "multi_merge"
 NAIVE_MERGE = "naive_merge"
@@ -70,15 +70,9 @@ def _itemsize(keys: np.ndarray | Grouped) -> int:
     return (keys.distinct if isinstance(keys, Grouped) else keys).dtype.itemsize
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    lead = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=lead[1:])
-    return np.flatnonzero(lead)
-
-
 def _run_length(ordered: np.ndarray) -> Runs:
     """The runs of a sorted array."""
-    starts = _run_starts(ordered)
+    starts = np.flatnonzero(_run_starts(ordered))
     return ordered[starts], np.diff(np.append(starts, len(ordered)))
 
 
@@ -167,7 +161,7 @@ def _merged(runs: list[Runs]) -> Runs:
     counts = np.concatenate([counts for __, counts in runs])
     order = np.argsort(values, kind="stable")
     values, counts = values[order], counts[order]
-    starts = _run_starts(values)
+    starts = np.flatnonzero(_run_starts(values))
     return values[starts], np.add.reduceat(counts, starts)
 
 

@@ -323,14 +323,15 @@ class TestRunLengthBill:
 
 
 class _SortSpy:
-    """Stands in for ``numpy`` inside :mod:`repro.core.sort` and records the
-    size of every array handed to a sorting function."""
+    """Stands in for ``numpy`` inside a module (:mod:`repro.core.sort` here)
+    and records the name and size of every array handed to a sorting
+    function."""
 
     SORTS = frozenset({"sort", "argsort", "unique", "lexsort", "partition",
                        "argpartition"})
 
     def __init__(self):
-        self.sizes = []
+        self.names, self.sizes = [], []
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -338,6 +339,7 @@ class _SortSpy:
             return attr
 
         def spy(a, *args, **kwargs):
+            self.names.append(name)
             self.sizes.append(int(np.size(a)))
             return attr(a, *args, **kwargs)
         return spy

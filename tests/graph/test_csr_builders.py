@@ -1,12 +1,33 @@
 """Tests for CSR construction and basic graph queries."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.errors import InvalidGraphError
-from repro.graph import CSRGraph, from_edge_list, from_edges, relabel_vertices
+from repro.graph import CSRGraph, builders, from_edge_list, from_edges, relabel_vertices
+from repro.graph.csr import _PACK_VERTEX_LIMIT
+from tests.core.test_sort import _SortSpy
+from tests.twins import csr_by_lexsort
+
+#: What ``from_edges`` builds, compared with its twin array for array.
+CSR_ARRAYS = ("offsets", "neighbors", "edge_ids", "edge_src", "edge_dst")
+
+
+def assert_matches_lexsort_twin(src, dst, num_vertices=None):
+    """``from_edges`` and :func:`tests.twins.csr_by_lexsort` build the same
+    five arrays, dtypes included."""
+    graph = from_edges(src, dst, num_vertices=num_vertices)
+    twin = csr_by_lexsort(np.asarray(src, dtype=np.int64),
+                          np.asarray(dst, dtype=np.int64), graph.num_vertices)
+    for name in CSR_ARRAYS:
+        got, want = getattr(graph, name), getattr(twin, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    return graph
 
 
 class TestFromEdges:
@@ -71,11 +92,14 @@ class TestFromEdges:
                 hst.integers(min_value=0, max_value=20),
             ),
             max_size=60,
-        )
+        ),
+        hst.one_of(hst.none(), hst.integers(min_value=21, max_value=25)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_csr_invariants(self, edges):
-        g = from_edge_list(edges, num_vertices=21)
+    def test_csr_invariants(self, edges, num_vertices):
+        src = np.array([u for u, __ in edges], dtype=np.int64)
+        dst = np.array([v for __, v in edges], dtype=np.int64)
+        g = assert_matches_lexsort_twin(src, dst, num_vertices)
         # CSR accounting: adjacency slot count = 2 * undirected edges.
         assert len(g.neighbors) == 2 * g.num_edges
         assert g.offsets[-1] == len(g.neighbors)
@@ -85,6 +109,60 @@ class TestFromEdges:
         for v in range(g.num_vertices):
             for u in g.neighbors_of(v):
                 assert v in g.neighbors_of(int(u))
+
+
+#: The largest vertex id a test host can afford to build: every builder
+#: allocates O(num_vertices) offsets, so ids at 2**31 - 1 itself would
+#: take 16 GiB; what the packed keys need near the limit is only that
+#: ``id << 32`` stays non-negative, which holds for every id below it.
+_WIDE_ID = (1 << 20) - 1
+
+#: name -> (src, dst, num_vertices): the messy inputs the normalization
+#: must collapse exactly as the lexsort twin does.
+NAMED_INPUTS = {
+    "empty": ([], [], None),
+    "empty-with-vertices": ([], [], 4),
+    "all-self-loops": ([0, 3, 3, 1], [0, 3, 3, 1], None),
+    "only-reverse-duplicates": ([0, 1, 2, 1, 3, 2], [1, 0, 1, 2, 2, 3], None),
+    "isolated-trailing-vertices": ([2, 0, 1], [1, 2, 0], 9),
+    "hub-holds-every-edge": (
+        [7] * 12 + list(range(12)), list(range(12)) + [7] * 12, None),
+    "wide-ids": ([_WIDE_ID, 0, _WIDE_ID - 1, 5, _WIDE_ID],
+                 [0, _WIDE_ID, _WIDE_ID, _WIDE_ID - 1, 5], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_INPUTS))
+def test_named_inputs_match_the_lexsort_twin(name):
+    src, dst, num_vertices = NAMED_INPUTS[name]
+    assert_matches_lexsort_twin(src, dst, num_vertices)
+
+
+def test_ids_at_the_pack_limit_are_rejected_before_any_allocation():
+    top = _PACK_VERTEX_LIMIT - 1
+    with pytest.raises(InvalidGraphError, match="packed edge-key limit"):
+        from_edges(np.array([top]), np.array([0]))
+    with pytest.raises(InvalidGraphError, match="packed edge-key limit"):
+        from_edges(np.array([0]), np.array([1]), num_vertices=_PACK_VERTEX_LIMIT)
+
+
+def test_a_csr_build_is_one_sort_and_one_argsort():
+    """Work count, not time: on input with self loops, duplicates and
+    reverse duplicates, ``from_edges`` calls no ``unique`` and no
+    ``lexsort``, and sorts at most two arrays, none longer than the input
+    edge list (the ``2m`` adjacency slots are placed, never sorted)."""
+    rng = np.random.default_rng(27)
+    src = rng.integers(0, 300, size=4000)
+    dst = rng.integers(0, 300, size=4000)
+    src[:50] = dst[:50]
+    src, dst = np.concatenate([src, dst[::3]]), np.concatenate([dst, src[::3]])
+    spy = _SortSpy()
+    with mock.patch.object(builders, "np", spy):
+        graph = from_edges(src, dst)
+    assert "unique" not in spy.names and "lexsort" not in spy.names
+    assert len(spy.sizes) <= 2 and max(spy.sizes) <= len(src)
+    assert len(graph.neighbors) > len(src)  # so 2m slots are never sorted
+    assert_matches_lexsort_twin(src, dst)
 
 
 class TestAdjacencyQueries:

@@ -252,6 +252,50 @@ def merged_by_scatter(platform, runs, p_size=sort.DEFAULT_P_SIZE,
     return _counted(multi_merge(platform, segments, p_size, skip_reverse_search))
 
 
+def csr_by_lexsort(src, dst, num_vertices, labels=None, name="graph"):
+    """``builders.from_edges`` after its input checks: dedup the packed
+    ``(lo << 32) | hi`` keys by ``np.unique``, then sort all ``2m``
+    adjacency slots by ``(head, tail)`` with one ``lexsort``.  Takes the
+    int64 arrays the checks leave."""
+    # Canonicalize each edge as (min, max), drop self loops, deduplicate.
+    keep = src != dst
+    lo = np.minimum(src[keep], dst[keep])
+    hi = np.maximum(src[keep], dst[keep])
+    if len(lo):
+        keys = (lo << 32) | hi
+        keys = np.unique(keys)
+        lo = keys >> 32
+        hi = keys & 0xFFFFFFFF
+    edge_src, edge_dst = lo, hi
+    num_edges = len(edge_src)
+
+    # Symmetrize: each undirected edge contributes two adjacency slots that
+    # share an edge id.
+    heads = np.concatenate([edge_src, edge_dst])
+    tails = np.concatenate([edge_dst, edge_src])
+    slot_edge_ids = np.concatenate([np.arange(num_edges)] * 2).astype(np.int64)
+
+    # Sort slots by (head, tail) to get sorted adjacency lists.
+    order = np.lexsort((tails, heads))
+    heads, tails, slot_edge_ids = heads[order], tails[order], slot_edge_ids[order]
+
+    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    counts = np.bincount(heads, minlength=num_vertices) if len(heads) else np.zeros(
+        num_vertices, dtype=np.int64
+    )
+    offsets[1:] = np.cumsum(counts)
+
+    return csr.CSRGraph(
+        offsets=offsets,
+        neighbors=tails,
+        edge_ids=slot_edge_ids,
+        edge_src=edge_src,
+        edge_dst=edge_dst,
+        labels=labels,
+        name=name,
+    )
+
+
 @contextmanager
 def straight_line():
     """Run the enclosed code on the straight-line stack: the eight twins

@@ -11,7 +11,6 @@ from .canonical import (
     canonical_code,
     canonical_code_int,
     canonical_form,
-    first_appearance_relabel,
 )
 from .catalog import PatternCatalog, connected_shapes, default_catalog, shape_name
 from .components import (
@@ -71,7 +70,6 @@ __all__ = [
     "canonical_code",
     "canonical_code_int",
     "canonical_form",
-    "first_appearance_relabel",
     "PatternCatalog",
     "connected_shapes",
     "default_catalog",

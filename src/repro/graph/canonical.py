@@ -5,11 +5,13 @@ GAMMA's ``Aggregation`` primitive maps every embedding to its pattern graph
 millions of embeddings individually is hopeless, so — like the Pangolin and
 Kaleido systems GAMMA builds on — we use a two-level scheme:
 
-1. **Quick pattern** (vectorized): relabel each embedding's vertices by
-   first appearance in its edge list and pack the relabelled structure and
-   label sequence into two 64-bit words.  Equal quick patterns are
-   *identical* relabelled graphs, hence isomorphic; this collapses millions
-   of embeddings to at most a few hundred distinct quick patterns.
+1. **Quick pattern** (vectorized): each embedding's vertices relabelled by
+   first appearance in its edge list, with their labels.  Equal quick
+   patterns are *identical* relabelled graphs, hence isomorphic; millions
+   of embeddings collapse to at most a few hundred of them.  Rows are
+   grouped one edge column at a time (edges ``0..t`` are the group of
+   ``0..t-1`` plus one edge), with no row-sized sort; only each distinct
+   pattern is packed into two 64-bit words.
 2. **Canonical code** (exact, per unique quick pattern): minimize an
    encoding of the adjacency structure over all label/degree-respecting
    vertex permutations, so isomorphic quick patterns map to one code.
@@ -34,8 +36,9 @@ from .groupby import Grouped, group_by
 MAX_EDGES = 7
 MAX_VERTICES = 8
 MAX_LABEL = 255
-#: Widest structure + label bits that fold into one non-negative int64.
-_FOLD_BITS_LIMIT = 63
+#: Key domain slots per row up to which a column is ranked by a presence
+#: map instead of a sort.
+_PRESENCE_SLOTS_PER_ROW = 4
 
 
 def canonical_form(
@@ -103,31 +106,16 @@ def canonical_code_int(
     return int.from_bytes(digest, "little", signed=True)
 
 
-def first_appearance_relabel(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise first-appearance relabeling of integer sequences.
-
-    For each row, the first distinct value becomes 0, the second 1, and so
-    on.  Returns ``(ids, fresh)``: ``uint8`` ids and a bool matrix marking
-    the position where each distinct value first appears, both ``(n, m)``
-    with contiguous *columns* for the O(width^2) unrolled scan (widths
-    here are at most ``2 * MAX_EDGES``).  Every earlier position holding
-    a value carries the same id, so any match may overwrite the default.
-    """
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.ndim != 2 or seq.shape[1] > 256:
-        raise ValueError("seq must be 2-D (rows of <= 256-long vertex sequences)")
-    n, m = seq.shape
-    ids = np.zeros((m, n), dtype=np.uint8).T
-    fresh = np.ones((m, n), dtype=bool).T
-    next_id = np.ones(n, dtype=np.uint8)
-    for j in range(1, m):
-        column_ids = next_id.copy()
-        for jp in range(j):
-            np.copyto(column_ids, ids[:, jp], where=seq[:, jp] == seq[:, j])
-        ids[:, j] = column_ids
-        np.equal(column_ids, next_id, out=fresh[:, j])
-        next_id += fresh[:, j]
-    return ids, fresh
+def _rank(keys: np.ndarray, domain: int) -> Grouped:
+    """``group_by(keys)`` for keys in ``[0, domain)``: a presence map and
+    its running count while the domain is at most
+    ``_PRESENCE_SLOTS_PER_ROW`` slots a row, the sort beyond."""
+    if domain > _PRESENCE_SLOTS_PER_ROW * len(keys):
+        return group_by(keys)
+    present = np.zeros(domain, dtype=bool)
+    present[keys] = True
+    rank = np.cumsum(present) - 1
+    return Grouped(np.flatnonzero(present), rank[keys])
 
 
 class QuickPatternEncoder:
@@ -171,73 +159,107 @@ class QuickPatternEncoder:
             raise InvalidPatternError(f"at most {MAX_EDGES} edges per embedding")
         if n == 0:
             codes = np.empty(0, dtype=np.int64)
-            if grouped:
-                codes = Grouped(codes, np.empty(0, dtype=np.int64))
-            if return_positions:
-                return codes, np.empty((0, MAX_VERTICES), dtype=np.int64)
-            return codes
+            codes = Grouped(codes, codes.copy()) if grouped else codes
+            positions = np.empty((0, MAX_VERTICES), dtype=np.int64)
+            return (codes, positions) if return_positions else codes
+        if k == 0:
+            raise InvalidPatternError("an embedding needs at least one edge")
 
-        # Row i is [s0, d0, s1, d1, ...]; columns are contiguous.
-        seq = np.empty((2 * k, n), dtype=np.int64).T
-        seq[:, 0::2] = srcs
-        seq[:, 1::2] = dsts
-        ids, fresh = first_appearance_relabel(seq)
-        vertices = int(ids.max(initial=0)) + 1
-        if vertices > MAX_VERTICES:
-            raise InvalidPatternError(f"at most {MAX_VERTICES} vertices per embedding")
-
-        # Structure word: byte t = (src_id << 4) | dst_id of edge t.
-        edge_bytes = np.zeros((n, 8), dtype=np.uint8)
-        for t in range(k):
-            edge_bytes[:, t] = (ids[:, 2 * t] << 4) | ids[:, 2 * t + 1]
-        qa = edge_bytes.view("<i8").ravel()
-
-        # Label word: byte v = label of *relabelled* vertex v (a repeated
-        # vertex ORs the same label into the same byte again).
-        labels_at = vertex_labels[seq.T].astype(np.int64, copy=False)
-        if int(labels_at.max()) > MAX_LABEL or int(labels_at.min()) < 0:
-            raise InvalidPatternError(f"labels must be in [0, {MAX_LABEL}]")
-        qb = np.zeros(n, dtype=np.int64)
-        for j in range(2 * k):
-            qb |= labels_at[j] << (ids[:, j].astype(np.int64) << 3)
-
-        groups, placements, inverse = self._canonicalize(qa, qb, k, vertices)
-        codes = groups if grouped else groups.distinct[groups.index]
+        quick, first_at, inverse = self._group_quick(srcs, dsts, vertex_labels)
+        distinct, rank, placements = self._canonicalize(quick, k)
+        codes = Grouped(distinct, rank[inverse]) if grouped else distinct[rank][inverse]
         if not return_positions:
             return codes
+        # Each quick pattern's sequence column per canonical position; a
+        # -1 (padding) reads first_at's last column, then seq's, both -1.
+        column_at = np.take_along_axis(first_at, placements, axis=1)
+        seq = np.full((n, 2 * k + 1), -1, dtype=np.int64)
+        seq[:, 0:-1:2], seq[:, 1:-1:2] = srcs, dsts
+        return codes, np.take_along_axis(seq, column_at[inverse], axis=1)
 
-        # Data vertex behind each quick (first-appearance) id, per row.
-        orig_at_qid = np.full((n, MAX_VERTICES), -1, dtype=np.int64)
-        row_idx, col_idx = np.nonzero(fresh)
-        orig_at_qid[row_idx, ids[row_idx, col_idx]] = seq[row_idx, col_idx]
-        # Reorder quick ids into canonical positions per row.
-        flat = placements[inverse]  # (n, MAX_VERTICES), -1 padded
-        valid = flat >= 0
-        positions = np.where(
-            valid,
-            np.take_along_axis(orig_at_qid, np.maximum(flat, 0), axis=1),
-            -1,
-        )
-        return codes, positions
+    @staticmethod
+    def _group_quick(
+        srcs: np.ndarray, dsts: np.ndarray, vertex_labels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group rows by quick pattern, one edge column at a time.
+
+        Returns ``(quick, first_at, inverse)``: each distinct quick
+        pattern's ``(qa, qb)`` words and the column of the row sequence
+        ``[s0, d0, s1, d1, ...]`` where each of its vertices first appears
+        (``MAX_VERTICES + 1`` wide, -1 past its size); each row's pattern.
+
+        An endpoint's slot is the last earlier column holding its vertex,
+        or ``2t`` (+1 for the destination) plus its label when it is new.
+        Under the row's previous group the slot pair fixes the new edge's
+        quick ids and labels, so each column ranks a domain of groups x
+        slot pairs.
+        """
+        n, k = srcs.shape
+        ends = [(dsts if j & 1 else srcs)[:, j >> 1] for j in range(2 * k)]
+        labels = np.asarray(vertex_labels).astype(np.int64, copy=False)
+        # Only labels a row reads must lie in [0, MAX_LABEL]; the table,
+        # usually far shorter than the rows, is checked first.
+        span = int(labels.max(initial=0)) + 1
+        if labels.min(initial=0) < 0 or span > MAX_LABEL + 1:
+            read = np.concatenate([labels[end] for end in ends])
+            if read.min() < 0 or read.max() > MAX_LABEL:
+                raise InvalidPatternError(f"labels must be in [0, {MAX_LABEL}]")
+            span = int(read.max()) + 1
+
+        qa = qb = size = np.zeros(1, dtype=np.int64)
+        first_at = np.full((1, MAX_VERTICES + 1), -1, dtype=np.int64)
+        quick_id = np.zeros((1, 0), dtype=np.int64)
+        for t in range(k):
+            base = 2 * t
+            width_s, width_d = base + span, base + 1 + span
+            key = ((labels + base) * width_d)[ends[base]]
+            for j in range(base):
+                np.copyto(key, j * width_d, where=ends[j] == ends[base])
+            slot_d = (labels + (base + 1))[ends[base + 1]]
+            for j in range(base + 1):
+                np.copyto(slot_d, j, where=ends[j] == ends[base + 1])
+            key += slot_d
+            if t:
+                group *= width_s * width_d
+                key += group
+            keys, group = _rank(key, len(qa) * width_s * width_d)
+
+            # Decode each new group from its key: quick_id gains the two
+            # new columns, a fresh endpoint reading the next id.
+            prev, rest = np.divmod(keys, width_s * width_d)
+            code_s, code_d = np.divmod(rest, width_d)
+            rows = np.arange(len(keys))
+            fresh_s, fresh_d = code_s >= base, code_d > base
+            quick_id = np.column_stack([quick_id[prev], size[prev], size[prev] + fresh_s])
+            id_s = quick_id[rows, np.minimum(code_s, base)]
+            quick_id[:, base] = id_s
+            id_d = quick_id[rows, np.minimum(code_d, base + 1)]
+            quick_id[:, base + 1] = id_d
+            size = size[prev] + fresh_s + fresh_d
+            if int(size.max()) > MAX_VERTICES:
+                raise InvalidPatternError(f"at most {MAX_VERTICES} vertices per embedding")
+            qa = qa[prev] | (((id_s << 4) | id_d) << (8 * t))
+            qb = (qb[prev]
+                  | np.where(fresh_s, (code_s - base) << (8 * id_s), 0)
+                  | np.where(fresh_d, (code_d - base - 1) << (8 * id_d), 0))
+            first_at = first_at[prev]
+            first_at[rows[fresh_s], id_s[fresh_s]] = base
+            first_at[rows[fresh_d], id_d[fresh_d]] = base + 1
+        return np.stack([qa, qb], axis=1), first_at, group
 
     def _canonicalize(
-        self, qa: np.ndarray, qb: np.ndarray, k: int, vertices: int
-    ) -> tuple[Grouped, np.ndarray, np.ndarray]:
-        """Map quick keys to canonical keys, canonicalizing each distinct
-        quick pattern exactly once.
+        self, quick: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Canonicalize each distinct quick pattern exactly once.
 
-        Returns ``(groups, placements, inverse)``: the per-row codes
-        dictionary-encoded, the per-unique-quick-pattern canonical placement
-        matrix (quick id at canonical position, -1 padded) and the
-        unique-row inverse map.  Isomorphic quick patterns share a code, so
-        a row's code index is its quick pattern's rank among the distinct
-        codes — a gather the size of the rows through a table the size of
-        the quick patterns.
+        Returns ``(distinct, rank, placements)``: the distinct canonical
+        codes in ascending order, each quick pattern's index into them
+        (isomorphic quick patterns share one), and its canonical placement
+        matrix (quick id at canonical position, -1 padded).
         """
-        uniq, inverse = self._unique_quick(qa, qb, 8 * k, 8 * vertices)
-        out_codes = np.empty(len(uniq), dtype=np.int64)
-        placements = np.full((len(uniq), MAX_VERTICES), -1, dtype=np.int64)
-        for i, (ua, ub) in enumerate(uniq):
+        out_codes = np.empty(len(quick), dtype=np.int64)
+        placements = np.full((len(quick), MAX_VERTICES), -1, dtype=np.int64)
+        for i, (ua, ub) in enumerate(quick):
             cache_key = (int(ua), int(ub), k)
             cached = self._canonical_cache.get(cache_key)
             if cached is None:
@@ -246,31 +268,10 @@ class QuickPatternEncoder:
                 digest = hashlib.blake2b(code_bytes, digest_size=8).digest()
                 cached = (int.from_bytes(digest, "little", signed=True), flat)
                 self._canonical_cache[cache_key] = cached
-            out_codes[i] = cached[0]
-            flat = cached[1]
+            out_codes[i], flat = cached
             placements[i, : len(flat)] = flat
         distinct, rank = np.unique(out_codes, return_inverse=True)
-        return Grouped(distinct, rank[inverse]), placements, inverse
-
-    @staticmethod
-    def _unique_quick(qa: np.ndarray, qb: np.ndarray, bits_a: int,
-                      bits_b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct ``(qa, qb)`` rows in lexicographic order plus each
-        input row's index into them — what ``np.unique(axis=0,
-        return_inverse=True)`` returns, given ``qa < 2**bits_a`` and
-        ``qb < 2**bits_b``.  Pairs that fit one word are grouped on it;
-        wider ones take a two-key lexsort and lead flags."""
-        if bits_a + bits_b <= _FOLD_BITS_LIMIT:
-            word, inverse = group_by((qa << bits_b) | qb)
-            pairs = [word >> bits_b, word & ((1 << bits_b) - 1)]
-            return np.stack(pairs, axis=1), inverse
-        order = np.lexsort((qb, qa))
-        qa_s, qb_s = qa[order], qb[order]
-        lead = np.ones(len(order), dtype=bool)
-        lead[1:] = (qa_s[1:] != qa_s[:-1]) | (qb_s[1:] != qb_s[:-1])
-        inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.cumsum(lead, dtype=np.int64) - 1
-        return np.stack([qa_s[lead], qb_s[lead]], axis=1), inverse
+        return distinct, rank, placements
 
     @staticmethod
     def _decode_quick(qa: int, qb: int, k: int) -> tuple[list, list]:

@@ -325,23 +325,25 @@ class TestRunLengthBill:
 class _SortSpy:
     """Stands in for ``numpy`` inside a module (:mod:`repro.core.sort` here)
     and records the name and size of every array handed to a sorting
-    function."""
+    function — plus the functions named in ``also`` — sized by its longest
+    positional operand."""
 
     SORTS = frozenset({"sort", "argsort", "unique", "lexsort", "partition",
                        "argpartition"})
 
-    def __init__(self):
+    def __init__(self, also=()):
+        self.watched = self.SORTS | frozenset(also)
         self.names, self.sizes = [], []
 
     def __getattr__(self, name):
         attr = getattr(np, name)
-        if name not in self.SORTS:
+        if name not in self.watched:
             return attr
 
-        def spy(a, *args, **kwargs):
+        def spy(*args, **kwargs):
             self.names.append(name)
-            self.sizes.append(int(np.size(a)))
-            return attr(a, *args, **kwargs)
+            self.sizes.append(max(int(np.size(a)) for a in args))
+            return attr(*args, **kwargs)
         return spy
 
 

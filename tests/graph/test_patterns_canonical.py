@@ -16,13 +16,13 @@ from repro.graph import (
     clique,
     cycle,
     diamond,
-    first_appearance_relabel,
     house,
     path,
     sm_query,
     tailed_triangle,
     triangle,
 )
+from tests.twins import first_appearance_relabel
 
 
 class TestPattern:
@@ -316,6 +316,21 @@ class TestQuickPatternEncoder:
             enc.encode_edge_embeddings(
                 np.zeros((1, 8), dtype=np.int64),
                 np.ones((1, 8), dtype=np.int64), labels)
+
+    def test_zero_edges_rejected(self):
+        """Rows without an edge are no embedding: ``InvalidPatternError``
+        (it was a bare ``ValueError`` from a reduction over zero labels);
+        an empty batch of them still encodes to nothing."""
+        enc = QuickPatternEncoder()
+        labels = np.zeros(4, dtype=np.int64)
+        with pytest.raises(InvalidPatternError):
+            enc.encode_edge_embeddings(
+                np.empty((3, 0), dtype=np.int64),
+                np.empty((3, 0), dtype=np.int64), labels)
+        out = enc.encode_edge_embeddings(
+            np.empty((0, 0), dtype=np.int64),
+            np.empty((0, 0), dtype=np.int64), labels)
+        assert len(out) == 0
 
     def test_shape_mismatch_rejected(self):
         enc = QuickPatternEncoder()

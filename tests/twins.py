@@ -23,11 +23,11 @@ import numpy as np
 
 from repro.core import extension
 from repro.core.extension import ExtensionEngine
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, InvalidPatternError
 from repro.gpusim import regions, unified
 from repro.gpusim import stats as st
 from repro.graph import csr, groupby
-from repro.graph.canonical import QuickPatternEncoder
+from repro.graph.canonical import MAX_LABEL, MAX_VERTICES, QuickPatternEncoder
 
 # ``repro.core.aggregation`` the attribute is the re-exported function.
 aggregation = import_module("repro.core.aggregation")
@@ -110,11 +110,73 @@ def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
     return cand[order], cand_row[order], None
 
 
-def unique_quick_rows(qa, qb, bits_a=None, bits_b=None):
-    """``QuickPatternEncoder._unique_quick``: ``np.unique`` over the
-    stacked ``(qa, qb)`` rows, whatever their widths (the shipped code
-    folds narrow pairs into one word and lexsorts wide ones)."""
-    return np.unique(np.stack([qa, qb], axis=1), axis=0, return_inverse=True)
+def first_appearance_relabel(seq):
+    """Row-wise first-appearance relabeling of integer sequences.
+
+    For each row, the first distinct value becomes 0, the second 1, and so
+    on.  Returns ``(ids, fresh)``: ``uint8`` ids and a bool matrix marking
+    the position where each distinct value first appears, both ``(n, m)``
+    with contiguous *columns* for the O(width^2) unrolled scan (widths
+    here are at most ``2 * MAX_EDGES``).  Every earlier position holding
+    a value carries the same id, so any match may overwrite the default.
+    """
+    seq = np.asarray(seq, dtype=np.int64)
+    if seq.ndim != 2 or seq.shape[1] > 256:
+        raise ValueError("seq must be 2-D (rows of <= 256-long vertex sequences)")
+    n, m = seq.shape
+    ids = np.zeros((m, n), dtype=np.uint8).T
+    fresh = np.ones((m, n), dtype=bool).T
+    next_id = np.ones(n, dtype=np.uint8)
+    for j in range(1, m):
+        column_ids = next_id.copy()
+        for jp in range(j):
+            np.copyto(column_ids, ids[:, jp], where=seq[:, jp] == seq[:, j])
+        ids[:, j] = column_ids
+        np.equal(column_ids, next_id, out=fresh[:, j])
+        next_id += fresh[:, j]
+    return ids, fresh
+
+
+def quick_groups_by_rows(srcs, dsts, vertex_labels):
+    """``QuickPatternEncoder._group_quick``: relabel whole rows by first
+    appearance, pack each row's structure and labels into ``(qa, qb)``
+    words and group the word pairs with ``np.unique(axis=0)`` (the
+    shipped code groups column by column and packs only the distinct
+    patterns).  A pattern's first-appearance columns are read off its
+    first row."""
+    n, k = srcs.shape
+    # Row i is [s0, d0, s1, d1, ...]; columns are contiguous.
+    seq = np.empty((2 * k, n), dtype=np.int64).T
+    seq[:, 0::2] = srcs
+    seq[:, 1::2] = dsts
+    ids, fresh = first_appearance_relabel(seq)
+    vertices = int(ids.max(initial=0)) + 1
+    if vertices > MAX_VERTICES:
+        raise InvalidPatternError(f"at most {MAX_VERTICES} vertices per embedding")
+
+    # Structure word: byte t = (src_id << 4) | dst_id of edge t.
+    edge_bytes = np.zeros((n, 8), dtype=np.uint8)
+    for t in range(k):
+        edge_bytes[:, t] = (ids[:, 2 * t] << 4) | ids[:, 2 * t + 1]
+    qa = edge_bytes.view("<i8").ravel()
+
+    # Label word: byte v = label of *relabelled* vertex v (a repeated
+    # vertex ORs the same label into the same byte again).
+    labels_at = vertex_labels[seq.T].astype(np.int64, copy=False)
+    if int(labels_at.max()) > MAX_LABEL or int(labels_at.min()) < 0:
+        raise InvalidPatternError(f"labels must be in [0, {MAX_LABEL}]")
+    qb = np.zeros(n, dtype=np.int64)
+    for j in range(2 * k):
+        qb |= labels_at[j] << (ids[:, j].astype(np.int64) << 3)
+
+    quick, first_row, inverse = np.unique(
+        np.stack([qa, qb], axis=1), axis=0, return_index=True,
+        return_inverse=True)
+    first_at = np.full((len(quick), MAX_VERTICES + 1), -1, dtype=np.int64)
+    for g, row in enumerate(first_row):
+        for j in np.flatnonzero(fresh[row]):
+            first_at[g, ids[row, j]] = j
+    return quick, first_at, inverse.ravel()
 
 
 def pair_keep_by_sorting(first, parents, values):
@@ -305,12 +367,13 @@ def straight_line():
     ``dedup_embeddings`` keys by void rows and ``first_occurrence`` takes
     the stable sort — the fallbacks large inputs select, forced here on
     small ones.  (A graph that already built its bitset keeps it; use a
-    fresh graph.)"""
+    fresh graph.  The quick-pattern twin replaces the whole grouping, its
+    column ranker included, so the ranker's threshold stays.)"""
     patches = [
         (ExtensionEngine, "_prune_candidates", prune_by_mask_cascade),
         (ExtensionEngine, "_surviving_candidates", labelled_min_degree_walk),
         (extension, "_bound_ranges", bound_ranges_by_scan),
-        (QuickPatternEncoder, "_unique_quick", staticmethod(unique_quick_rows)),
+        (QuickPatternEncoder, "_group_quick", staticmethod(quick_groups_by_rows)),
         (aggregation, "pair_lookup_keep", pair_keep_by_sorting),
         (regions.ChargeBatch, "lookup", never_memoised),
         (sort, "segment_runs", segments_by_sorting),

@@ -12,10 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.graph import datasets
-from repro.obs.profile import HistoryStore
 
 REPORTS_DIR = Path(__file__).parent / "reports"
-HISTORY_DIR = REPORTS_DIR / "history"
 
 
 @pytest.fixture
@@ -33,15 +31,6 @@ def figure_bench(benchmark):
         # Every figure must reproduce its paper shapes.
         failed = [c for c in report.checks if c.startswith("[DIVERGES")]
         assert not failed, f"shape checks diverged: {failed}"
-        # One perf-history record per regeneration, so `repro perf-report`
-        # sees the figure trajectory too (wall only; the figure drivers
-        # summarise their own simulated results).
-        try:
-            wall = benchmark.stats.stats.mean
-        except AttributeError:  # pytest-benchmark internals shifted
-            wall = None
-        with HistoryStore(HISTORY_DIR) as store:
-            store.append(bench="figure", workload=key, wall_seconds=wall)
         return report
 
     yield _run

@@ -26,7 +26,7 @@ shim whose target opens the span) carries a waiver with the reason:
 
 obs-profile note: ``repro/obs/profile/`` is exempt wholesale.  The
 profiling subpackage *analyzes* recorded span trees offline — its
-functions (``aggregate_paths``, ``aggregate_*`` siblings, ...) collide
+functions (``aggregate_*``-shaped helpers and the like) collide
 with the phase-boundary prefixes by vocabulary, not by role, and opening
 spans inside the analyzer would recursively instrument the instrument.
 ``tests/analysis/fixtures/obsprofile.py`` pins the exemption.

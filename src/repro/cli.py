@@ -88,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print the simulated-time critical path and the "
                           "hot span subtrees after the run "
                           "(docs/OBSERVABILITY.md)")
-    run.add_argument("--history-dir", metavar="DIR",
-                     help="append this run's metrics and span tree to the "
-                          "perf-history store under DIR (gate later with "
-                          "`repro perf-report --history DIR`)")
     run.add_argument("--checkpoint-dir", metavar="DIR",
                      help="GAMMA: write a level-granular checkpoint after "
                           "every completed op (see docs/RESILIENCE.md)")
@@ -166,30 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("manifest", help="manifest JSON written by "
                                          "`repro run --manifest-out`")
     report.add_argument("--against", metavar="BASELINE",
-                        help="baseline manifest; exit 1 on regressions")
+                        help="baseline manifest; exit 1 on regressions, "
+                             "2 on broken input")
     report.add_argument("--counter-threshold", type=float, default=0.10,
                         help="relative counter growth tolerated (default 0.10)")
     report.add_argument("--time-threshold", type=float, default=0.05,
                         help="relative simulated-time drift tolerated "
                              "(default 0.05)")
-
-    perf = sub.add_parser(
-        "perf-report",
-        help="gate recent perf-history records with the regression "
-             "sentinel (docs/OBSERVABILITY.md)")
-    perf.add_argument("--history", default="benchmarks/reports/history",
-                      metavar="DIR",
-                      help="perf-history directory (default "
-                           "benchmarks/reports/history)")
-    perf.add_argument("--bench", help="gate only this bench")
-    perf.add_argument("--workload", help="gate only this workload")
-    perf.add_argument("--arm", help="gate only this arm")
-    perf.add_argument("--window", type=int, default=8,
-                      help="baseline window size (default 8)")
-    perf.add_argument("--json", metavar="PATH", dest="json_out",
-                      help="write the machine-readable verdicts to PATH")
-    perf.add_argument("--warn-only", action="store_true",
-                      help="report regressions but exit 0 (CI soft-launch)")
 
     serve = sub.add_parser(
         "serve", help="run the long-lived mining service (docs/SERVING.md)")
@@ -335,7 +314,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"{graph.num_edges} edges (stand-in; see DESIGN.md)")
     collector = None
     if (args.trace_out or args.metrics_out or args.manifest_out
-            or args.critical_path or args.history_dir):
+            or args.critical_path):
         from . import obs
 
         # Install before the engine exists: the first GpuPlatform built
@@ -566,33 +545,11 @@ def _write_obs_outputs(args, engine, collector, plan=None,
             )
         obs.write_manifest(manifest, args.manifest_out)
         print(f"manifest written to {args.manifest_out}")
-    if args.critical_path or args.history_dir:
-        records = obs.span_tree_records(collector)
     if args.critical_path:
         from .obs.profile import render_critical_path
 
         print()
-        print(render_critical_path(records))
-    if args.history_dir:
-        from .obs.profile import HistoryStore
-
-        root = collector.root
-        with HistoryStore(args.history_dir) as store:
-            record = store.append(
-                bench="cli",
-                workload=f"{args.task}-{args.dataset}",
-                arm=args.system,
-                wall_seconds=(root.wall_seconds
-                              if root is not None else None),
-                simulated_seconds=engine.simulated_seconds,
-                clock_buckets=(platform.clock.snapshot()
-                               if platform is not None else None),
-                counters=(platform.counters.snapshot()
-                          if platform is not None else None),
-                span_tree=records,
-            )
-        print(f"perf history: appended seq {record['seq']} "
-              f"to {args.history_dir}")
+        print(render_critical_path(obs.span_tree_records(collector)))
 
 
 def _cmd_plan_explain(args: argparse.Namespace) -> int:
@@ -629,10 +586,44 @@ def _cmd_plan_explain(args: argparse.Namespace) -> int:
             plan_cache.close()
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _read_manifest(path: str):
+    """The run manifest at ``path``, or ``None`` after one stderr line."""
     from . import obs
 
-    manifest = obs.load_manifest(args.manifest)
+    try:
+        return obs.load_manifest(path)
+    except (OSError, ValueError) as exc:
+        print(f"{path}: {getattr(exc, 'strerror', None) or exc}",
+              file=sys.stderr)
+        return None
+
+
+def _run_label(manifest) -> str:
+    return "/".join(str(manifest.get(key))
+                    for key in ("system", "dataset", "task"))
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    """Summarise a manifest; with ``--against``, gate it on a baseline.
+
+    Exit codes: 0 clean, 1 a regression beyond the thresholds, 2 broken
+    input -- a file that is missing, not JSON or not a run manifest, or
+    two manifests of different runs -- which is not the same as slower.
+    """
+    from . import obs
+
+    manifest = _read_manifest(args.manifest)
+    if manifest is None:
+        return 2
+    if args.against:
+        baseline = _read_manifest(args.against)
+        if baseline is None:
+            return 2
+        if _run_label(baseline) != _run_label(manifest):
+            print(f"{args.against} records {_run_label(baseline)}, "
+                  f"{args.manifest} records {_run_label(manifest)}: "
+                  f"not comparable", file=sys.stderr)
+            return 2
     print(f"system={manifest.get('system')} "
           f"dataset={manifest.get('dataset')} "
           f"task={manifest.get('task')} "
@@ -663,7 +654,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(f"  {name.ljust(width)}  n={stats['count']} "
                   f"sum={stats['sum']:g} last={stats['last']:g}")
     if args.against:
-        baseline = obs.load_manifest(args.against)
         findings = obs.diff_manifests(
             baseline, manifest,
             counter_threshold=args.counter_threshold,
@@ -673,49 +663,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(obs.format_findings(findings))
         if any(f.get("regression") for f in findings):
             return 1
-    return 0
-
-
-def _cmd_perf_report(args: argparse.Namespace) -> int:
-    """Sentinel-gate the newest history record of each matching cell.
-
-    Exit codes mirror ``tools/obs_diff.py``'s contract: 0 clean (or
-    ``--warn-only``), 1 when a cell is flagged, 2 when there is no
-    history to gate (missing directory or no matching cell).
-    """
-    import json
-    import pathlib
-
-    from .obs.profile import (HistoryStore, SentinelConfig, check_run,
-                              render_verdicts)
-
-    root = pathlib.Path(args.history)
-    if not (root / "history.jsonl").exists():
-        print(f"{root}: no perf history found", file=sys.stderr)
-        return 0 if args.warn_only else 2
-    config = SentinelConfig(window=args.window)
-    verdicts = []
-    with HistoryStore(root) as store:
-        cells = [
-            cell for cell in store.cells()
-            if (args.bench is None or cell["bench"] == args.bench)
-            and (args.workload is None or cell["workload"] == args.workload)
-            and (args.arm is None or cell["arm"] == args.arm)
-        ]
-        if not cells:
-            print("no matching history cells", file=sys.stderr)
-            return 0 if args.warn_only else 2
-        for cell in cells:
-            rows = store.window(cell["bench"], cell["workload"],
-                                arm=cell["arm"], limit=config.window + 1)
-            verdicts.append(check_run(rows[0], rows[1:], config))
-    print(render_verdicts(verdicts))
-    if args.json_out:
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(verdicts, indent=2, sort_keys=True) + "\n")
-        print(f"verdicts written to {args.json_out}")
-    if any(v["flagged"] for v in verdicts):
-        return 0 if args.warn_only else 1
     return 0
 
 
@@ -854,8 +801,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_plan_explain(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "perf-report":
-            return _cmd_perf_report(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "query":

@@ -80,8 +80,7 @@ class TraceRecorder:
         ]
 
     def as_dict(self) -> Dict[str, float]:
-        """Non-zero per-category seconds as a plain dict (JSON-stable;
-        the shape the perf-history store records)."""
+        """Non-zero per-category seconds as a plain dict (JSON-stable)."""
         return {name: seconds
                 for name, seconds in sorted(self._by_category.items())
                 if seconds > 0}
@@ -151,8 +150,7 @@ class PhaseTimer:
         ]
 
     def as_dict(self) -> Dict[str, float]:
-        """Per-phase self seconds in recording order (JSON-stable; the
-        shape the perf-history store records)."""
+        """Per-phase self seconds in recording order (JSON-stable)."""
         return {name: self._seconds[name] for name in self._order}
 
     def render(self, width: int = 40) -> str:

@@ -7,10 +7,9 @@ one span tree (run → phase → level → kernel) with machine-readable
 exports.  See ``docs/OBSERVABILITY.md`` for the span model, the Chrome
 trace / JSONL formats, and the manifest-diff regression gate.
 
-The analysis layer on top — critical-path profiling, the perf-history
-store, and the regression sentinel — lives in :mod:`repro.obs.profile`
-(imported on demand; it pulls in sqlite3 and is not needed on the hot
-telemetry path).
+The analysis layer on top — critical-path profiling and the straggler
+report — lives in :mod:`repro.obs.profile` (imported on demand; it is
+not needed on the hot telemetry path).
 """
 
 from .exporters import (

@@ -32,8 +32,7 @@ def span_tree_records(collector: SpanCollector) -> List[Dict[str, Any]]:
 
     One plain dict per span (index/parent links, inclusive and self wall
     and simulated time, counter and bucket deltas) — the portable form the
-    profiler layer (:mod:`repro.obs.profile`) rebuilds trees from and the
-    perf-history store persists alongside each bench record.
+    profiler layer (:mod:`repro.obs.profile`) rebuilds trees from.
     """
     records: List[Dict[str, Any]] = []
     for span in collector.walk():

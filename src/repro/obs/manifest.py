@@ -3,8 +3,7 @@
 A manifest captures the configuration (knobs, dataset, git revision) next
 to the results (counter totals, simulated-time buckets, span statistics,
 metric aggregates, derived utilization figures), so two runs can be diffed
-mechanically.  ``tools/obs_diff.py`` and ``repro report --against`` both
-call :func:`diff_manifests`.
+mechanically: ``repro report --against`` calls :func:`diff_manifests`.
 
 Simulated time and counters are deterministic for a fixed configuration,
 so any drift between two manifests of the same workload is a real
@@ -22,6 +21,10 @@ import time
 from typing import Any, Dict, List, Optional
 
 SCHEMA = "gamma-manifest/1"
+
+#: Schemas :func:`load_manifest` accepts: this module's and the sharded
+#: merge's (``gamma-shard-manifest/v1``).
+MANIFEST_SCHEMA_PREFIXES = ("gamma-manifest/", "gamma-shard-manifest/")
 
 #: Counter deltas smaller than this never count as regressions (guards
 #: tiny workloads where +1 transaction is a huge ratio).
@@ -170,7 +173,19 @@ def write_manifest(manifest: Dict[str, Any],
 
 
 def load_manifest(path: "str | pathlib.Path") -> Dict[str, Any]:
-    return json.loads(pathlib.Path(path).read_text())
+    """Read a run manifest, single-engine or sharded.
+
+    Raises ``OSError`` when ``path`` cannot be read and ``ValueError``
+    when it is not JSON or its ``schema`` names no run manifest.
+    """
+    try:
+        data = json.loads(pathlib.Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON ({exc})") from None
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if not str(schema).startswith(MANIFEST_SCHEMA_PREFIXES):
+        raise ValueError(f"not a run manifest (schema {schema!r})")
+    return data
 
 
 # ---------------------------------------------------------------------------

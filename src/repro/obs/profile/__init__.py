@@ -1,6 +1,6 @@
-"""Profiling & regression attribution over recorded span trees.
+"""Profiling over recorded span trees.
 
-Three layers, all reading the PR 3 telemetry rather than producing it
+Two layers, both reading recorded telemetry rather than producing it
 (hence the gammalint ``obs-profile`` exemption from the obs-span rule):
 
 * :mod:`~repro.obs.profile.critical_path` — walk a run's span tree and
@@ -8,14 +8,9 @@ Three layers, all reading the PR 3 telemetry rather than producing it
   subtree, and the hot-subtree ranking;
 * :mod:`~repro.obs.profile.straggler` — per-barrier straggler analysis
   for sharded BSP runs (which shard gated each superstep, utilization
-  skew, exchange-bytes share);
-* :mod:`~repro.obs.profile.history` + :mod:`~repro.obs.profile.sentinel`
-  — the append-only perf-history store every ``benchmarks/bench_*.py``
-  run feeds, and the noise-aware (median ± MAD) regression sentinel that
-  flags per-workload regressions and attributes each to the deepest span
-  subtree or clock bucket whose delta explains it.
+  skew, exchange-bytes share).
 
-See docs/OBSERVABILITY.md ("Profiling & regression attribution").
+See docs/OBSERVABILITY.md ("Profiling").
 """
 
 from .critical_path import (
@@ -24,36 +19,16 @@ from .critical_path import (
     hot_subtrees,
     render_critical_path,
 )
-from .history import HISTORY_SCHEMA, HistoryStore
-from .sentinel import (
-    VERDICT_SCHEMA,
-    SentinelConfig,
-    attribute_buckets,
-    attribute_subtrees,
-    check_run,
-    inject_slowdown,
-    render_verdicts,
-)
-from .spantree import SpanNode, aggregate_paths, build_tree
+from .spantree import SpanNode, build_tree
 from .straggler import render_straggler_report, straggler_report
 
 __all__ = [
     "SpanNode",
     "build_tree",
-    "aggregate_paths",
     "critical_path",
     "critical_path_report",
     "hot_subtrees",
     "render_critical_path",
     "straggler_report",
     "render_straggler_report",
-    "HistoryStore",
-    "HISTORY_SCHEMA",
-    "SentinelConfig",
-    "check_run",
-    "attribute_subtrees",
-    "attribute_buckets",
-    "inject_slowdown",
-    "render_verdicts",
-    "VERDICT_SCHEMA",
 ]

@@ -15,7 +15,7 @@ path's inclusive framing hides.
 
 All functions take flat span records (see
 :func:`repro.obs.exporters.span_tree_records`), so they work on live
-collectors and on trees replayed from the perf-history store alike.
+collectors and on records read back from JSON alike.
 """
 
 from __future__ import annotations

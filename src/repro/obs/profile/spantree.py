@@ -1,19 +1,14 @@
 """Portable span trees: flat records in, navigable ``SpanNode`` trees out.
 
 The collector in :mod:`repro.obs.spans` holds live :class:`Span` objects
-tied to one process and one run.  The profiler layer needs span trees that
-survive a trip through JSON — the perf-history store keeps one tree per
-bench record, and the regression sentinel compares a candidate tree
-against a baseline tree recorded days (and commits) earlier.  So the unit
-of exchange here is the *record*: one plain dict per span, produced by
+tied to one process and one run.  The profiler layer reads span trees
+that may have made a trip through JSON, so the unit of exchange here is
+the *record*: one plain dict per span, produced by
 :func:`repro.obs.exporters.span_tree_records`, with only JSON-stable
 scalar/dict fields.
 
-:func:`build_tree` reassembles records into :class:`SpanNode` objects;
-:func:`aggregate_paths` collapses a tree into a ``path -> totals`` table
-(repeated siblings with the same name sum together), which is the shape
-both the critical-path analyzer and the sentinel's subtree attribution
-consume.  Paths are ``/``-joined span names from the root, e.g.
+:func:`build_tree` reassembles records into :class:`SpanNode` objects,
+each carrying its path: ``/``-joined span names from the root, e.g.
 ``run/phase:extension/level-2``.
 """
 
@@ -22,15 +17,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Sequence
 
-__all__ = [
-    "SpanNode",
-    "build_tree",
-    "aggregate_paths",
-    "path_depth",
-]
+__all__ = ["SpanNode", "build_tree"]
 
-#: Path separator; span names never start with it, so prefix tests on
-#: ``path + SEP`` are unambiguous.
+#: Path separator between span names.
 SEP = "/"
 
 
@@ -62,25 +51,6 @@ class SpanNode:
         self.counters = dict(record.get("counters") or {})
         self.counters_self = dict(record.get("counters_self") or {})
         self.children: List["SpanNode"] = []
-
-    def to_record(self) -> Dict[str, Any]:
-        """The flat-record form (inverse of :func:`build_tree`)."""
-        return {
-            "index": self.index,
-            "parent": self.parent,
-            "name": self.name,
-            "kind": self.kind,
-            "level": self.level,
-            "depth": self.depth,
-            "wall_seconds": self.wall_seconds,
-            "wall_self_seconds": self.wall_self_seconds,
-            "sim_seconds": self.sim_seconds,
-            "sim_self_seconds": self.sim_self_seconds,
-            "sim_buckets": dict(self.sim_buckets),
-            "sim_self": dict(self.sim_self),
-            "counters": dict(self.counters),
-            "counters_self": dict(self.counters_self),
-        }
 
     def walk(self) -> Iterable["SpanNode"]:
         """This node and every descendant, preorder."""
@@ -131,37 +101,3 @@ def _assign_paths(node: SpanNode, path: str) -> None:
     for child in node.children:
         _assign_paths(child, f"{path}{SEP}{child.name}")
 
-
-def path_depth(path: str) -> int:
-    """Nesting depth of an aggregated path (root = 0)."""
-    return path.count(SEP)
-
-
-def aggregate_paths(root: "SpanNode | None") -> Dict[str, Dict[str, float]]:
-    """Collapse a tree into ``path -> totals`` (siblings of a name sum).
-
-    Each entry carries ``sim_seconds`` / ``wall_seconds`` (inclusive),
-    ``sim_self_seconds`` / ``wall_self_seconds`` (self), and ``count``
-    (how many spans share the path).  Because siblings never nest inside
-    each other, summing inclusive time over one path never double-counts;
-    ancestor/descendant overlap lives across *different* paths, which is
-    what the sentinel's deepest-subtree filter reasons about.
-    """
-    table: Dict[str, Dict[str, float]] = {}
-    if root is None:
-        return table
-    for node in root.walk():
-        entry = table.get(node.path)
-        if entry is None:
-            entry = {
-                "sim_seconds": 0.0, "sim_self_seconds": 0.0,
-                "wall_seconds": 0.0, "wall_self_seconds": 0.0,
-                "count": 0,
-            }
-            table[node.path] = entry
-        entry["sim_seconds"] += node.sim_seconds
-        entry["sim_self_seconds"] += node.sim_self_seconds
-        entry["wall_seconds"] += node.wall_seconds
-        entry["wall_self_seconds"] += node.wall_self_seconds
-        entry["count"] += 1
-    return table

@@ -6,8 +6,8 @@ candidate counts, embedding-table page traffic, sort volume — into
 predicted seconds, so that candidate matching orders can be compared on
 the same scale the simulator charges.  Absolute predictions are rough;
 what matters is that the *ordering* of candidates tracks the ordering of
-their simulated costs, which the bench gate (`benchmarks/bench_plan.py`)
-checks end to end.
+their simulated costs, which ``tests/plan/test_never_worse.py`` checks
+end to end.
 
 Cardinality estimation follows the classic independence model:
 

@@ -1,4 +1,4 @@
-"""Span-tree reassembly, critical-path analysis, and slowdown injection."""
+"""Span-tree reassembly and critical-path analysis."""
 
 import pytest
 
@@ -6,15 +6,13 @@ from repro import obs
 from repro.gpusim import clock as clk
 from repro.gpusim import make_platform
 from repro.obs.profile import (
-    aggregate_paths,
+    SpanNode,
     build_tree,
     critical_path,
     critical_path_report,
     hot_subtrees,
-    inject_slowdown,
     render_critical_path,
 )
-from repro.obs.profile.spantree import SpanNode, path_depth
 
 
 @pytest.fixture(autouse=True)
@@ -52,27 +50,11 @@ class TestSpanTree:
         root = build_tree(_records())
         kernel = next(n for n in root.walk() if n.name == "kernel:a")
         assert kernel.path == "run/work/kernel:a"
-        assert path_depth(kernel.path) == 2
-        assert path_depth(root.path) == 0
-
-    def test_roundtrip_through_records(self):
-        records = _records()
-        rebuilt = [node.to_record() for node in build_tree(records).walk()]
-        by_index = {r["index"]: r for r in rebuilt}
-        for record in records:
-            assert by_index[record["index"]]["sim_seconds"] == pytest.approx(
-                record["sim_seconds"])
-
-    def test_aggregate_paths_inclusive_and_self(self):
-        paths = aggregate_paths(build_tree(_records()))
-        work = paths["run/work"]
-        assert work["sim_seconds"] == pytest.approx(7e-3)
-        assert work["sim_self_seconds"] == pytest.approx(1e-3)
-        assert paths["run"]["sim_seconds"] == pytest.approx(8e-3)
+        assert kernel.depth == 2
+        assert root.depth == 0
 
     def test_empty_tree(self):
         assert build_tree([]) is None
-        assert aggregate_paths(None) == {}
 
 
 class TestCriticalPath:
@@ -102,38 +84,6 @@ class TestCriticalPath:
     def test_empty_records(self):
         assert critical_path([]) == []
         assert "no spans" in render_critical_path([])
-
-
-class TestInjectSlowdown:
-    def test_scales_subtree_and_propagates_to_ancestors(self):
-        records = _records()
-        slowed, added = inject_slowdown(records, "run/work", 1.5)
-        assert added == pytest.approx(7e-3 * 0.5)
-        paths = aggregate_paths(build_tree(slowed))
-        assert paths["run/work"]["sim_seconds"] == pytest.approx(7e-3 * 1.5)
-        # The root grows by exactly the injected delta; the sibling
-        # subtree is untouched.
-        assert paths["run"]["sim_seconds"] == pytest.approx(8e-3 + added)
-        assert paths["run/setup"]["sim_seconds"] == pytest.approx(1e-3)
-
-    def test_leaf_injection(self):
-        slowed, added = inject_slowdown(_records(), "run/work/kernel:b", 2.0)
-        assert added == pytest.approx(2e-3)
-        paths = aggregate_paths(build_tree(slowed))
-        assert paths["run/work/kernel:b"]["sim_seconds"] == pytest.approx(
-            4e-3)
-        assert paths["run/work/kernel:a"]["sim_seconds"] == pytest.approx(
-            4e-3)
-
-    def test_unknown_path_raises(self):
-        with pytest.raises(KeyError):
-            inject_slowdown(_records(), "run/nonesuch", 1.3)
-
-    def test_input_records_unmodified(self):
-        records = _records()
-        before = [dict(r) for r in records]
-        inject_slowdown(records, "run/work", 1.5)
-        assert records == before
 
 
 class TestSpanNodeFromRecord:

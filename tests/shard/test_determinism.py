@@ -20,6 +20,7 @@ from repro.algorithms import (
 from repro.core import Gamma
 from repro.graph import generators
 from repro.shard import (
+    SHARD_POLICIES,
     ShardedGamma,
     build_sharded_manifest,
     canonical_manifest_bytes,
@@ -96,8 +97,9 @@ def test_shard_counts_change_clock_but_not_results(graph):
 def test_sharding_speeds_up_compute_bound_mining():
     """On a graph dense enough that extension work dominates the fixed
     per-engine costs (graph staging, per-level launches), four shards must
-    beat one on the simulated clock.  benchmarks/bench_shard.py asserts
-    the full >= 1.5x bar on a larger instance."""
+    beat one on the simulated clock.
+    ``test_four_gpu_stealing_clears_the_scaling_bar`` asserts the full
+    >= 1.5x bar on a larger instance."""
     dense = generators.erdos_renyi(300, 6000, seed=5)
     seconds = {}
     for n in (1, 4):
@@ -105,6 +107,27 @@ def test_sharding_speeds_up_compute_bound_mining():
         count_kcliques(engine, 4)
         seconds[n] = engine.simulated_seconds
     assert seconds[4] < seconds[1]
+
+
+#: The scaling bar (docs/SHARDING.md): four simulated GPUs with work
+#: stealing beat one by this factor on 4-clique over a compute-bound graph.
+SCALING_BAR = 1.5
+
+
+def test_four_gpu_stealing_clears_the_scaling_bar():
+    """Every policy at 1/2/4 shards counts the same 4-cliques, and
+    stealing x4 is >= 1.5x faster than x1 on the simulated clock."""
+    dense = generators.erdos_renyi(500, 15_000, seed=5)
+    cliques = {}
+    seconds = {}
+    for policy in SHARD_POLICIES:
+        for n in (1, 2, 4):
+            with ShardedGamma(dense, num_shards=n, policy=policy) as engine:
+                cliques[policy, n] = count_kcliques(engine, 4).cliques
+                seconds[policy, n] = engine.simulated_seconds
+    assert len(cliques) == 9 and len(set(cliques.values())) == 1, cliques
+    speedup = seconds["stealing", 1] / seconds["stealing", 4]
+    assert speedup >= SCALING_BAR, f"stealing x4 is {speedup:.2f}x"
 
 
 def test_merged_manifest_structure(graph):

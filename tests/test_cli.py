@@ -182,6 +182,61 @@ class TestObservabilityFlags:
         assert main(["report", str(worse), "--against", str(path)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    @pytest.fixture(scope="class")
+    def kcl_manifest(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("report") / "kcl.json"
+        assert main(["run", "--task", "kcl", "--k", "3", "--dataset", "ER",
+                     "--manifest-out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("side", ["manifest", "baseline"])
+    @pytest.mark.parametrize(
+        "kind", ["missing", "not-json", "empty-object", "other-schema"])
+    def test_report_rejects_bad_input(self, capsys, tmp_path, kcl_manifest,
+                                      side, kind):
+        bad = tmp_path / f"{kind}.json"
+        contents = {
+            "not-json": "manifest.json\n",
+            "empty-object": "{}",
+            "other-schema": '{"schema": "gamma-plan/1", "counters": {}}',
+        }
+        if kind in contents:
+            bad.write_text(contents[kind])
+        argv = (["report", str(bad)] if side == "manifest"
+                else ["report", str(kcl_manifest), "--against", str(bad)])
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"{bad}: ")
+
+    def test_report_reads_shard_manifests(self, capsys, tmp_path):
+        path = tmp_path / "sharded.json"
+        assert main(["run", "--task", "kcl", "--k", "3", "--dataset", "ER",
+                     "--gpus", "2", "--manifest-out", str(path)]) == 0
+        assert '"gamma-shard-manifest/' in path.read_text()
+        capsys.readouterr()
+        assert main(["report", str(path), "--against", str(path)]) == 0
+        assert "no differences beyond thresholds" in capsys.readouterr().out
+
+    def test_report_against_a_different_run_exits_two(self, capsys, tmp_path,
+                                                      kcl_manifest):
+        import json
+
+        other = json.loads(kcl_manifest.read_text())
+        other["dataset"] = "ZZ"
+        other["counters"]["page_faults"] = 10 ** 9
+        other_path = tmp_path / "other.json"
+        other_path.write_text(json.dumps(other))
+        capsys.readouterr()
+        assert main(["report", str(other_path),
+                     "--against", str(kcl_manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "REGRESSION" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "GAMMA/ER/kcl" in captured.err and "GAMMA/ZZ/kcl" in captured.err
+
     def test_crash_path_detaches_collector(self, capsys, tmp_path):
         from repro import obs
 
@@ -201,75 +256,6 @@ class TestProfilingFlags:
         out = capsys.readouterr().out
         assert "critical path (simulated time):" in out
         assert "hot subtrees" in out
-
-    def test_history_dir_appends_records(self, capsys, tmp_path):
-        from repro.obs.profile import HistoryStore
-
-        history = tmp_path / "history"
-        for __ in range(2):
-            assert main(["run", "--task", "triangles", "--dataset", "ER",
-                         "--history-dir", str(history)]) == 0
-        assert "perf history: appended seq" in capsys.readouterr().out
-        with HistoryStore(history) as store:
-            assert len(store) == 2
-            latest = store.latest("cli", "triangles-ER", arm="GAMMA")
-            assert latest["simulated_seconds"] > 0
-            assert latest["span_tree"], "span tree not persisted"
-
-
-class TestPerfReportCommand:
-    def _populate(self, history, runs=4):
-        for __ in range(runs):
-            assert main(["run", "--task", "triangles", "--dataset", "ER",
-                         "--history-dir", str(history)]) == 0
-
-    def test_no_history_exits_two(self, capsys, tmp_path):
-        assert main(["perf-report",
-                     "--history", str(tmp_path / "nope")]) == 2
-        assert "no perf history" in capsys.readouterr().err
-
-    def test_no_history_warn_only_exits_zero(self, tmp_path):
-        assert main(["perf-report", "--history", str(tmp_path / "nope"),
-                     "--warn-only"]) == 0
-
-    def test_clean_history_passes(self, capsys, tmp_path):
-        import json
-
-        from repro.obs.profile import HistoryStore
-
-        # One live run pins the shape `repro run --history-dir` writes...
-        self._populate(tmp_path / "live", runs=1)
-        with HistoryStore(tmp_path / "live") as store:
-            live = store.latest("cli", "triangles-ER", arm="GAMMA")
-        assert live["wall_seconds"] > 0 and live["simulated_seconds"] > 0
-        # ...and the gated history repeats it with a fixed wall clock, so
-        # "clean" does not depend on how evenly this host times 3 ms runs.
-        history = tmp_path / "history"
-        with HistoryStore(history) as store:
-            for __ in range(4):
-                store.append(
-                    bench=live["bench"], workload=live["workload"],
-                    arm=live["arm"], wall_seconds=0.25,
-                    simulated_seconds=live["simulated_seconds"],
-                    clock_buckets=live["clock_buckets"],
-                    counters=live["counters"], span_tree=live["span_tree"],
-                )
-        capsys.readouterr()
-        json_out = tmp_path / "verdicts.json"
-        assert main(["perf-report", "--history", str(history),
-                     "--json", str(json_out)]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out
-        verdicts = json.loads(json_out.read_text())
-        assert verdicts and not any(v["flagged"] for v in verdicts)
-        assert all(v["schema"] == "gamma-perf-verdict/1" for v in verdicts)
-        assert "wall_seconds" in verdicts[0]["metrics"]
-
-    def test_cell_filters_select_nothing(self, tmp_path):
-        history = tmp_path / "history"
-        self._populate(history, runs=1)
-        assert main(["perf-report", "--history", str(history),
-                     "--bench", "not-a-bench"]) == 2
 
 
 class TestShardedRun:

@@ -29,7 +29,8 @@ def count_kcliques(engine, k: int, keep_table: bool = False, plan=None,
     """List/count all k-cliques.
 
     Returns :class:`KCliqueResult`, or ``(result, table)`` with
-    ``keep_table=True`` (the table rows are the cliques, ascending order).
+    ``keep_table=True`` (the table rows are the cliques, ascending order);
+    without it the last level is only counted (``count_only``).
 
     Every matching order of a complete pattern is isomorphic, so the plan
     only validates/records provenance here; ascending-id growth is already
@@ -57,6 +58,7 @@ def count_kcliques(engine, k: int, keep_table: bool = False, plan=None,
             anchor_cols=list(range(depth)),
             greater_than_col=depth - 1,
             injective=False,  # the ordering constraint already implies it
+            count_only=not keep_table and depth == k - 1,
         )
         if level_hook is not None:
             level_hook({"level": depth + 1, "stage": "extend",

@@ -60,7 +60,8 @@ def match_pattern(
     plan-file path) is executed as-is.
 
     Returns :class:`SMResult`, or ``(SMResult, table)`` with
-    ``keep_table=True``.
+    ``keep_table=True``; without it the last level is only counted
+    (``count_only``: billed alike, no rows stored).
     """
     from ..plan import resolve_plan
 
@@ -107,6 +108,7 @@ def match_pattern(
             table, anchors, label=label,
             greater_than_cols=greater_than_cols,
             less_than_cols=less_than_cols,
+            count_only=not keep_table and step == len(order) - 1,
         )
         if level_hook is not None:
             level_hook({"level": step + 1, "stage": "extend",

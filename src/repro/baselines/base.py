@@ -70,13 +70,13 @@ class BaselineEngine:
 
     def vertex_extension(self, table, anchor_cols, label=None,
                          greater_than_col=None, greater_than_cols=(),
-                         less_than_cols=(), injective=True):
+                         less_than_cols=(), injective=True, count_only=False):
         return self._engine.extend_vertices(
             table, anchor_cols, label=label,
             greater_than_col=greater_than_col,
             greater_than_cols=greater_than_cols,
             less_than_cols=less_than_cols,
-            injective=injective,
+            injective=injective, count_only=count_only,
         )
 
     def vertex_extension_any(self, table, anchor_cols, label=None,

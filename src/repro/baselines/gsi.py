@@ -32,13 +32,13 @@ class GSI(InCoreEngine):
 
     def vertex_extension(self, table, anchor_cols, label=None,
                          greater_than_col=None, greater_than_cols=(),
-                         less_than_cols=(), injective=True):
+                         less_than_cols=(), injective=True, count_only=False):
         stats = super().vertex_extension(
             table, anchor_cols, label=label,
             greater_than_col=greater_than_col,
             greater_than_cols=greater_than_cols,
             less_than_cols=less_than_cols,
-            injective=injective,
+            injective=injective, count_only=count_only,
         )
         # GSI's join phase probes its PCSR vertex-signature tables for
         # every candidate (encoding + hash probes) — the per-candidate

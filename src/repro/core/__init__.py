@@ -23,7 +23,7 @@ from .aggregation import (
     embedding_set_keys,
     mni_supports,
 )
-from .embedding_table import EDGE, VERTEX, Column, EmbeddingTable
+from .embedding_table import EDGE, VERTEX, Column, CountedColumn, EmbeddingTable
 from .extension import ExtensionEngine, ExtensionStats
 from .filtering import MinSupport, QueryConstraint, filter_by_support, filter_rows
 from .framework import Gamma, GammaConfig
@@ -80,6 +80,7 @@ __all__ = [
     "EDGE",
     "VERTEX",
     "Column",
+    "CountedColumn",
     "EmbeddingTable",
     "ExtensionEngine",
     "ExtensionStats",

@@ -147,6 +147,34 @@ class SpilledColumn:
         return self.length
 
 
+class CountedColumn:
+    """A level that was only counted: ``length`` rows, none of them kept.
+
+    A counting query's last level (``count_only`` extension) stores no
+    rows, yet is billed, host-registered and journaled as a stored column
+    of its length would be — ``spilled`` when that column would have
+    streamed straight to disk — so nothing simulated tells the two apart.
+    Reading its rows raises :class:`~repro.errors.ExecutionError`.
+    """
+
+    __slots__ = ("length", "spilled")
+    lists = None
+    codes = None
+    edge_grown = False
+
+    def __init__(self, length: int, spilled: bool = False) -> None:
+        self.length = length
+        self.spilled = spilled
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def _on_disk(column) -> bool:
+    return isinstance(column, SpilledColumn) or (
+        isinstance(column, CountedColumn) and column.spilled)
+
+
 class EmbeddingTable:
     """Columnar, host-resident table of partial embeddings."""
 
@@ -194,11 +222,14 @@ class EmbeddingTable:
 
     @property
     def spilled_columns(self) -> int:
-        return sum(isinstance(c, SpilledColumn) for c in self.columns)
+        return sum(_on_disk(c) for c in self.columns)
 
     def _column_arrays(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(values, parents) of one level, faulting from disk if spilled."""
         column = self.columns[level]
+        if isinstance(column, CountedColumn):
+            raise ExecutionError(
+                f"level {level} of {self.name} was only counted: no rows stored")
         if isinstance(column, SpilledColumn):
             packed = self._spill_store.fetch(column.handle)
             return packed[0], packed[1]
@@ -208,7 +239,7 @@ class EmbeddingTable:
         if self._spill_store is None or self._spill_policy is None:
             return
         column_bytes = [len(c) * _CELL_BYTES for c in self.columns]
-        resident = [not isinstance(c, SpilledColumn) for c in self.columns]
+        resident = [not _on_disk(c) for c in self.columns]
         for index in self._spill_policy.columns_to_spill(column_bytes, resident):
             column = self.columns[index]
             packed = np.stack([column.values, column.parents])
@@ -266,8 +297,7 @@ class EmbeddingTable:
         ``lists`` are the level's, for the next; the previous column's go.
         ``edge_grown`` is :attr:`Column.edge_grown`.
         """
-        if not self.columns:
-            raise ExecutionError("seed the table before appending")
+        self._check_appendable()
         parents = np.ascontiguousarray(parents, dtype=np.int64)
         if len(parents) and (
             parents.min() < 0 or parents.max() >= len(self.columns[-1])
@@ -275,6 +305,20 @@ class EmbeddingTable:
             raise ExecutionError("parent pointers out of range")
         self._drop_notes()
         self._store_column(Column(values, parents, lists, edge_grown=edge_grown))
+
+    def append_counted(self, length: int) -> None:
+        """Append one extension level of ``length`` rows as only its count
+        (:class:`CountedColumn`), billed as :meth:`append_column` bills
+        that many rows; nothing can be appended after it."""
+        self._check_appendable()
+        self._drop_notes()
+        self._store_column(CountedColumn(int(length)))
+
+    def _check_appendable(self) -> None:
+        if not self.columns:
+            raise ExecutionError("seed the table before appending")
+        if isinstance(self.columns[-1], CountedColumn):
+            raise ExecutionError("a counted level cannot be extended")
 
     def note_codes(self, values: np.ndarray, groups: Grouped) -> None:
         """Leave an aggregation's per-row codes (frozen here) and their
@@ -314,6 +358,11 @@ class EmbeddingTable:
             if self._oversized_for_host(nbytes):
                 # With spilling enabled, a column too large for the host
                 # budget streams straight to disk instead of OOMing.
+                if isinstance(column, CountedColumn):
+                    self._spill_store.bill_write(nbytes)
+                    column.spilled = True
+                    self.columns.append(column)
+                    return
                 packed = np.stack([column.values, column.parents])
                 handle = self._spill_store.spill(packed)
                 self.columns.append(
@@ -338,10 +387,14 @@ class EmbeddingTable:
 
         Resident columns are handed out by reference (see :class:`Column`),
         so a snapshot costs O(columns), not O(cells); a spilled column is
-        read back from the store.
+        read back from the store; a counted one is its length alone.
         """
         records = []
         for column in self.columns:
+            if isinstance(column, CountedColumn):
+                records.append({"counted": len(column),
+                                "spilled": column.spilled})
+                continue
             if isinstance(column, SpilledColumn):
                 values, parents = self._spill_store.peek(column.handle)
                 spilled = True
@@ -377,14 +430,21 @@ class EmbeddingTable:
         self._device_allocs = []
         self.columns = []
         for record in records:
-            column = Column(record["values"], record["parents"],
-                            edge_grown=bool(record.get("edge_grown")))
+            if "counted" in record:
+                column = CountedColumn(int(record["counted"]))
+            else:
+                column = Column(record["values"], record["parents"],
+                                edge_grown=bool(record.get("edge_grown")))
             nbytes = len(column) * _CELL_BYTES
             if record.get("spilled") and self._spill_store is not None:
-                packed = np.stack([column.values, column.parents])
-                handle = self._spill_store.restore(packed)
-                self.columns.append(
-                    SpilledColumn(handle, len(column), column.edge_grown))
+                if isinstance(column, CountedColumn):
+                    column.spilled = True  # nothing was written to restore
+                else:
+                    packed = np.stack([column.values, column.parents])
+                    column = SpilledColumn(
+                        self._spill_store.restore(packed), len(column),
+                        column.edge_grown)
+                self.columns.append(column)
             elif self.device_resident and self.charged:
                 alloc = platform.device.allocate(
                     nbytes, f"{self.name}:col{self.depth}"
@@ -482,6 +542,8 @@ class EmbeddingTable:
             raise ExecutionError("nothing to compact")
         keep_mask = np.asarray(keep_mask, dtype=bool)
         last = self.columns[-1]
+        if isinstance(last, CountedColumn):
+            raise ExecutionError("a counted level has no rows to compact")
         was_spilled = isinstance(last, SpilledColumn)
         if was_spilled:
             values, parents = self._column_arrays(self.depth - 1)

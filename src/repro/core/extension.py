@@ -24,7 +24,7 @@ explicitly from the read multiset the engine derives for its mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,14 @@ from .residence import GraphResidence
 
 #: Each appended cell is (value, parent) = 16 bytes.
 _RESULT_BYTES = 16
+
+#: Host working-set budget of a vertex extension: it finds survivors over
+#: contiguous row batches expanding at most this many candidate slots (a
+#: row longer than that is a batch of its own); a kept tail-free level
+#: expands straight into its output, which it must hold whole anyway.
+#: Host-side only: nothing billed depends on it (docs/COSTMODEL.md, "Hot
+#: paths").
+_BATCH_SLOTS = 1 << 18
 
 
 def _first_occurrence_mask(
@@ -122,6 +130,18 @@ def _expand_lists(
     return values[expand_ranges(starts, starts + lengths)], rows.repeat(lengths)
 
 
+def _row_batches(slots: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` row ranges covering ``slots`` in order, each
+    summing to at most :data:`_BATCH_SLOTS` unless it is a single row."""
+    ends = np.cumsum(slots)
+    bounds = [0]
+    while bounds[-1] < len(slots):
+        lo = bounds[-1]
+        room = (int(ends[lo - 1]) if lo else 0) + _BATCH_SLOTS
+        bounds.append(max(lo + 1, int(np.searchsorted(ends, room, side="right"))))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _bound_ranges(
     keys: np.ndarray,
     owners: np.ndarray,
@@ -152,14 +172,53 @@ def _bound_ranges(
     return starts, lengths
 
 
+def _joined(
+    parts: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cand, cand_row)`` parts concatenated, in the order given."""
+    return _concat([part[0] for part in parts]), _concat([part[1] for part in parts])
+
+
+def _slice_cuts(
+    lm_keys: np.ndarray,
+    group_of_row: np.ndarray,
+    lm_start: np.ndarray,
+    lm_len: np.ndarray,
+    mats: np.ndarray,
+    tail_greater: Sequence[int],
+    tail_less: Sequence[int],
+    tail_distinct: bool,
+) -> np.ndarray:
+    """Per row of ``mats``, the positions of ``L_m`` (packed in ``lm_keys``)
+    between which its candidates lie when its tail is not an anchor: its
+    group's slice inside the tail ordering bounds, ``[start, end]``, or
+    with ``tail_distinct`` the two pieces around the row's own tail vertex,
+    ``[start, hole, after_hole, end]`` (an empty piece when the vertex is
+    not inside)."""
+    tail = mats.shape[1] - 1
+    rows = np.arange(len(mats), dtype=np.int64)
+    starts, lengths = _bound_ranges(
+        lm_keys, group_of_row, lm_start, lm_len, mats, rows,
+        tail_greater, tail_less,
+    )
+    ends = starts + lengths
+    if not tail_distinct:
+        return np.stack([starts, ends], axis=1)
+    tail_keys = (group_of_row << 32) | mats[:, tail]  # gammalint: allow[overflow] -- group ids < 2**31: the caller checked _PACK_VERTEX_LIMIT before packing lm_keys
+    hole = np.searchsorted(lm_keys, tail_keys)
+    inside = (starts <= hole) & (hole < ends)
+    inside[inside] = lm_keys[hole[inside]] == tail_keys[inside]
+    hole = np.where(inside, hole, ends)
+    return np.stack([starts, hole, np.minimum(hole + 1, ends), ends], axis=1)
+
+
 def _merge_by_row(
     parts: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Join ``(cand, cand_row)`` batches that are each sorted by row into
     one that is: a stable sort by row, needed only when more than one part
     contributed."""
-    cand = _concat([part[0] for part in parts])
-    cand_row = _concat([part[1] for part in parts])
+    cand, cand_row = _joined(parts)
     if len(parts) > 1:
         order = np.argsort(cand_row, kind="stable")
         cand, cand_row = cand[order], cand_row[order]
@@ -178,7 +237,11 @@ class ExtensionStats:
     list_reads: int = 0
     #: Candidate slots the host materialised (``candidates`` is what the
     #: model bills): phase 1's prefix intersection — nothing when the last
-    #: level left it on its column — plus phase 2's per-row slices.
+    #: level left it on its column — plus phase 2's per-row slices, which a
+    #: ``count_only`` level without an anchored tail skips (its counts are
+    #: arithmetic).  Summed over the level's expansions: row batches of at
+    #: most ``_BATCH_SLOTS`` slots or one row, and a kept tail-free level's
+    #: output.
     #: Telemetry only: never charged or journaled; like ``per_row_counts``
     #: it stays with the engine, and a replayed or sharded op reports 0.
     expanded: int = 0
@@ -527,6 +590,7 @@ class ExtensionEngine:
         greater_than_cols: Sequence[int] = (),
         less_than_cols: Sequence[int] = (),
         injective: bool = True,
+        count_only: bool = False,
     ) -> ExtensionStats:
         """Extend every embedding by one vertex adjacent to all anchors.
 
@@ -537,7 +601,9 @@ class ExtensionEngine:
         constraints against already-matched columns (kCL canonicality,
         symmetry-breaking restrictions); ``greater_than_col`` is the
         single-column shorthand; ``injective`` excludes vertices already in
-        the embedding.
+        the embedding.  ``count_only`` appends the level as its length alone
+        (:class:`~repro.core.embedding_table.CountedColumn`): the same bill
+        and stats, no rows — for a query that reads only the count.
 
         Constraint pushdown is the paper's §III-B3: "extended embeddings
         violating the query graph's constraint can be pruned immediately".
@@ -548,7 +614,7 @@ class ExtensionEngine:
                 self.platform.resilience.phase(f"level:{depth}"):
             stats = self._extend_vertices_impl(
                 table, anchor_cols, label, greater_than_col,
-                greater_than_cols, less_than_cols, injective,
+                greater_than_cols, less_than_cols, injective, count_only,
             )
         self._emit_stats(stats, depth, "vertex")
         return stats
@@ -562,6 +628,7 @@ class ExtensionEngine:
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
         injective: bool,
+        count_only: bool = False,
     ) -> ExtensionStats:
         anchor_cols, greater_than_cols, less_than_cols, distinct_cols = _checked_columns(
             "extend_vertices", table, anchor_cols, greater_than_col,
@@ -573,9 +640,12 @@ class ExtensionEngine:
         mats = table.materialize()
         n = len(mats)
         if n == 0:
-            table.append_column(
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            )
+            if count_only:
+                table.append_counted(0)
+            else:
+                table.append_column(
+                    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+                )
             return stats
 
         tail_col = depth - 1 if (depth - 1) in anchor_cols else None
@@ -591,7 +661,8 @@ class ExtensionEngine:
         # halve-chunk policy set ``chunk_rows``).  Each chunk plans, reads
         # and allocates independently, which is the point of chunking:
         # per-chunk device allocations (e.g. the prealloc strategy's
-        # worst-case buffer) shrink with the chunk size.
+        # worst-case buffer) shrink with the chunk size.  (Host batches,
+        # :data:`_BATCH_SLOTS`, are finer and bill nothing.)
         chunk = self.chunk_rows or n
         # A level run in one chunk may read the lists the last level left
         # on its column, and leaves its own; a chunked one does neither.
@@ -625,30 +696,31 @@ class ExtensionEngine:
             stats.candidates += int(upper.sum())
 
             # ---- compute the surviving candidates ----------------------------
-            cand, cand_row, before_label = self._surviving_candidates(
+            counts, found, before_label = self._surviving_candidates(
                 sub, anchor_cols, anchor_deg, distinct_cols,
-                greater_than_cols, less_than_cols, label, carried,
+                greater_than_cols, less_than_cols, label, carried, count_only,
             )
-
-            counts = np.bincount(cand_row, minlength=len(sub)).astype(np.int64)
             count_parts.append(counts)
             self._account_writes(counts, kernel_ops, upper)
-            cand_parts.append(cand)
-            row_parts.append(cand_row + lo if lo else cand_row)
+            if not count_only:
+                cand_parts.append(found[0])
+                row_parts.append(found[1] + lo if lo else found[1])
 
-        cand = _concat(cand_parts)
         stats.per_row_counts = _concat(count_parts)
-        # Output stays grouped by parent row (BFS order): every chunk's
-        # candidates come back sorted by row.
-        table.append_column(
-            cand, _concat(row_parts),
-            Survivors(
-                tuple(anchor_cols), frozenset(distinct_cols),
-                frozenset(greater_than_cols), frozenset(less_than_cols),
-                *before_label,
-            ) if chunk >= n and before_label is not None else None,
-        )
-        stats.rows_out = len(cand)
+        stats.rows_out = int(stats.per_row_counts.sum())
+        if count_only:
+            table.append_counted(stats.rows_out)
+        else:
+            # Output stays grouped by parent row (BFS order): every chunk's
+            # candidates come back sorted by row.
+            table.append_column(
+                _concat(cand_parts), _concat(row_parts),
+                Survivors(
+                    tuple(anchor_cols), frozenset(distinct_cols),
+                    frozenset(greater_than_cols), frozenset(less_than_cols),
+                    *before_label,
+                ) if chunk >= n and before_label is not None else None,
+            )
         stats.expanded = self._expanded
         self.platform.counters.add(st.EXTENSION_PASSES)
         self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
@@ -664,18 +736,22 @@ class ExtensionEngine:
         less_than_cols: Sequence[int],
         label: int | None,
         carried: Column | None,
-    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        count_only: bool,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None,
+               tuple[np.ndarray, np.ndarray] | None]:
         """Per row of ``mats``: the vertices adjacent to every anchor that
-        pass the constraints and carry ``label``, as ``(cand, cand_row)``
-        with rows ascending and candidates ascending within a row, the
-        label probes billed; third, that pair before the label filter when
-        it is at hand (else ``None``), for the next level's ``carried`` —
-        the table's last column when its rows are all of ``mats``.  This is
+        pass the constraints and carry ``label``, the label probes billed.
+        Returns ``(counts, found, lists)``: ``counts[r]`` survivors of row
+        ``r``; ``found`` them as ``(cand, cand_row)`` with rows ascending
+        and candidates ascending within a row, or ``None`` when
+        ``count_only``; ``lists`` that pair before the label filter when it
+        is at hand (else ``None``), for the next level's ``carried`` — the
+        table's last column when its rows are all of ``mats``.  This is
         the seam the per-row twin replaces (``tests/twins.py``); how the
         survivors are found is :meth:`_shared_prefix_candidates`' business."""
         return self._shared_prefix_candidates(
             mats, anchor_cols, anchor_deg, distinct_cols,
-            greater_than_cols, less_than_cols, label, carried,
+            greater_than_cols, less_than_cols, label, carried, count_only,
         )
 
     def _min_degree_candidates(
@@ -686,30 +762,58 @@ class ExtensionEngine:
         distinct_cols: Sequence[int],
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Per row of ``mats``: the vertices adjacent to every anchor that
         pass the constraints, generated by expanding the row's shortest
         anchor list (``anchor_deg[r]`` holds the lengths) and verifying the
-        others — the intersection order every real GPM kernel uses.
+        others — the intersection order every real GPM kernel uses — one
+        row batch at a time (:meth:`_verified_batches`)."""
+        graph = self.graph
+        source = np.argmin(anchor_deg, axis=1)
+        starts = np.empty(len(mats), dtype=np.int64)
+        lengths = np.empty_like(starts)
+        for idx, col in enumerate(anchor_cols):
+            rows = np.flatnonzero(source == idx)
+            if len(rows):
+                vertices = mats[rows, col]
+                starts[rows], lengths[rows] = _bound_ranges(
+                    graph.adjacency_keys,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                    vertices,
+                    graph.offsets[vertices],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                    anchor_deg[rows, idx], mats, rows,
+                    greater_than_cols, less_than_cols,
+                )
+        return self._verified_batches(mats, source, starts, lengths, [
+            (graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+             [c for c in anchor_cols if c != col], distinct_cols)
+            for col in anchor_cols
+        ])
 
-        Returns ``(cand, cand_row)``: rows ascending, candidates ascending
-        within a row (adjacency lists are sorted).
-        """
-        source_choice = np.argmin(anchor_deg, axis=1)
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        for idx, source_col in enumerate(anchor_cols):
-            rows = np.flatnonzero(source_choice == idx)
-            if len(rows) == 0:
-                continue
-            cand, cand_row = self._bounded_neighbors(
-                mats[rows, source_col], anchor_deg[rows, idx], mats, rows,
-                greater_than_cols, less_than_cols,
-            )
-            parts.append(self._prune_candidates(
-                cand, cand_row, mats,
-                [c for c in anchor_cols if c != source_col], distinct_cols,
-            ))
-        return _merge_by_row(parts)
+    def _verified_batches(
+        self,
+        mats: np.ndarray,
+        source: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        sources: list[tuple[np.ndarray, Sequence[int], Sequence[int]]],
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Row ``r`` of ``mats`` expands ``values[starts[r]:starts[r] +
+        lengths[r]]`` of ``(values, verify_cols, distinct_cols) =
+        sources[source[r]]`` and keeps what neighbors its ``verify_cols``
+        vertices and differs from its ``distinct_cols`` ones.  Yields
+        ``(lo, hi, cand, cand_row)`` per row batch (:func:`_row_batches`
+        over ``lengths``), rows ascending, list order within a row: the
+        host holds one batch's expansion at a time."""
+        for lo, hi in _row_batches(lengths):
+            parts = []
+            for idx, (values, verify_cols, distinct_cols) in enumerate(sources):
+                rows = lo + np.flatnonzero(source[lo:hi] == idx)
+                if len(rows):
+                    cand, cand_row = self._expand(
+                        values, starts[rows], lengths[rows], rows)
+                    parts.append(self._prune_candidates(
+                        cand, cand_row, mats, verify_cols, distinct_cols))
+            yield (lo, hi, *_merge_by_row(parts))
 
     def _shared_prefix_candidates(
         self,
@@ -721,7 +825,9 @@ class ExtensionEngine:
         less_than_cols: Sequence[int],
         label: int | None,
         carried: Column | None,
-    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        count_only: bool,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None,
+               tuple[np.ndarray, np.ndarray] | None]:
         """The survivors of :meth:`_min_degree_candidates` that carry
         ``label`` (same rows, same order, same label bill), computed the
         way pre-merge is billed (Fig. 8(b)): the part of the intersection
@@ -741,7 +847,8 @@ class ExtensionEngine:
           distinct and lies inside.  The pre-label count the model bills is
           therefore a slice length minus at most one, the label is probed
           once on ``L_m`` rather than once per row, and each row expands
-          only its slice of the labelled ``L_m``.
+          only its slice of the labelled ``L_m`` — nothing at all when
+          ``count_only``: the counts are differences of ranks.
         * **Phase 2, tail an anchor**: expand the shorter of ``L_m[group]``
           and ``N(tail)`` and apply what is left — tail adjacency and tail
           constraints on an ``L_m`` candidate, everything on an ``N(tail)``
@@ -755,16 +862,17 @@ class ExtensionEngine:
         the per-row rule.  Grouping is the host's business only: what is
         *charged* follows ``pre_merge`` in :meth:`_vertex_read_plan`.
         """
+        graph = self.graph
         tail = mats.shape[1] - 1
         tail_anchored = anchor_cols[-1] == tail
         prefix_cols = anchor_cols[:-1] if tail_anchored else anchor_cols
         if not prefix_cols or (tail_anchored and len(prefix_cols) == 1):
             return self._filter_label_by_source(
-                *self._min_degree_candidates(
+                self._min_degree_candidates(
                     mats, anchor_cols, anchor_deg, distinct_cols,
                     greater_than_cols, less_than_cols,
                 ),
-                anchor_deg, label,
+                anchor_deg, label, count_only,
             )
 
         # ---- phase 1: L_m per group, CSR-shaped -------------------------------
@@ -783,10 +891,12 @@ class ExtensionEngine:
             lead[1:] = (mats[1:, :tail] != mats[:-1, :tail]).any(axis=1)
             first_rows = np.flatnonzero(lead)
             group_of_row = np.cumsum(lead) - 1
-            lm, lm_group = self._min_degree_candidates(
-                mats[first_rows], prefix_cols,
-                anchor_deg[first_rows, :len(prefix_cols)], *before_tail,
-            )
+            lm, lm_group = _joined([
+                batch[2:] for batch in self._min_degree_candidates(
+                    mats[first_rows], prefix_cols,
+                    anchor_deg[first_rows, :len(prefix_cols)], *before_tail,
+                )
+            ])
         # Groups ascend with the rows either way; one whose L_m is empty has
         # no entry in ``lm_group``, one without rows here is never asked for.
         group_len = np.bincount(lm_group, minlength=int(group_of_row[-1]) + 1)
@@ -798,63 +908,58 @@ class ExtensionEngine:
 
         if not tail_anchored:
             # ---- phase 2, tail-free: each row takes its slice of L_m ----------
-            rows = np.arange(len(mats), dtype=np.int64)
-            starts, lengths = _bound_ranges(
-                lm_keys, group_of_row, lm_start, lm_len, mats, rows,
-                tail_greater, tail_less,
+            cuts = _slice_cuts(
+                lm_keys, group_of_row, lm_start, lm_len, mats,
+                tail_greater, tail_less, bool(tail_distinct),
             )
-            ends = starts + lengths
-            # ``cuts[r]`` = the positions between which row r's candidates
-            # lie: its slice, or the two pieces around its own tail vertex.
-            cuts = [starts, ends]
-            if tail_distinct:
-                tail_keys = (group_of_row << 32) | mats[:, tail]
-                hole = np.searchsorted(lm_keys, tail_keys)
-                inside = (starts <= hole) & (hole < ends)
-                inside[inside] = lm_keys[hole[inside]] == tail_keys[inside]
-                hole = np.where(inside, hole, ends)
-                cuts = [starts, hole, np.minimum(hole + 1, ends), ends]
-            cuts = np.stack(cuts, axis=1)
             if label is not None:
                 # Billed before the label, as the per-row rule probes.
                 self._charge_label_probes(
                     (cuts[:, 1::2] - cuts[:, 0::2]).sum(axis=1), anchor_deg
                 )
-                carries = self.graph.labels[lm] == label  # gammalint: allow[charge] -- one host probe per L_m entry; billed per row and source part by _charge_label_probes above
+                carries = graph.labels[lm] == label  # gammalint: allow[charge] -- one host probe per L_m entry; billed per row and source part by _charge_label_probes above
                 # Position i of L_m has ``rank[i]`` labelled entries before it.
                 rank = np.zeros(len(lm) + 1, dtype=np.int64)
                 np.cumsum(carries, out=rank[1:])
                 lm, cuts = lm[carries], rank[cuts]
-            pieces = cuts.shape[1] // 2
+            pieces = cuts[:, 1::2] - cuts[:, 0::2]
+            counts = pieces.sum(axis=1)
+            if count_only:
+                return counts, None, None
             survivors = self._expand(
-                lm, cuts[:, 0::2].ravel(),
-                (cuts[:, 1::2] - cuts[:, 0::2]).ravel(), rows.repeat(pieces),
+                lm, cuts[:, 0::2].ravel(), pieces.ravel(),
+                np.arange(len(mats), dtype=np.int64).repeat(pieces.shape[1]),
             )
             # The unlabelled survivors were billed, never materialised.
-            return (*survivors, survivors if label is None else None)
+            return counts, survivors, survivors if label is None else None
 
         # ---- phase 2, anchored tail: tail-only work per row --------------------
         from_tail = anchor_deg[:, -1] < lm_len
+        starts = np.empty(len(mats), dtype=np.int64)
+        lengths = np.empty_like(starts)
         rows = np.flatnonzero(~from_tail)
-        starts, lengths = _bound_ranges(
+        starts[rows], lengths[rows] = _bound_ranges(
             lm_keys, group_of_row[rows], lm_start[rows], lm_len[rows],
             mats, rows, tail_greater, tail_less,
         )
-        cand, cand_row = self._expand(lm, starts, lengths, rows)
-        parts = [self._prune_candidates(
-            cand, cand_row, mats, [tail], tail_distinct
-        )]
         rows = np.flatnonzero(from_tail)
         if len(rows):
-            cand, cand_row = self._bounded_neighbors(
-                mats[rows, tail], anchor_deg[rows, -1], mats, rows,
+            tails = mats[rows, tail]
+            starts[rows], lengths[rows] = _bound_ranges(
+                graph.adjacency_keys,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                tails,
+                graph.offsets[tails],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                anchor_deg[rows, -1], mats, rows,
                 greater_than_cols, less_than_cols,
             )
-            parts.append(self._prune_candidates(
-                cand, cand_row, mats, prefix_cols, distinct_cols
-            ))
         return self._filter_label_by_source(
-            *_merge_by_row(parts), anchor_deg, label
+            self._verified_batches(
+                mats, from_tail.astype(np.int64), starts, lengths, [
+                    (lm, [tail], tail_distinct),
+                    (graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                     prefix_cols, distinct_cols),
+                ]),
+            anchor_deg, label, count_only,
         )
 
     def _charge_label_probes(
@@ -873,24 +978,40 @@ class ExtensionEngine:
 
     def _filter_label_by_source(
         self,
-        cand: np.ndarray,
-        cand_row: np.ndarray,
+        batches: Iterator[tuple[int, int, np.ndarray, np.ndarray]],
         anchor_deg: np.ndarray,
         label: int | None,
-    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Keep the candidates carrying ``label`` (all of them when it is
-        ``None``), billing one probe per candidate handed in: the label
-        filter of the shapes where a candidate's pre-label survival depends
-        on its row — the per-row rule and the anchored tail — so that the
-        billed count is only known after expansion.  Returns the kept
-        ``(cand, cand_row)`` and, third, the pair handed in."""
-        if label is None:
-            return cand, cand_row, (cand, cand_row)
-        self._charge_label_probes(
-            np.bincount(cand_row, minlength=len(anchor_deg)), anchor_deg
-        )
-        keep = np.flatnonzero(self.graph.labels[cand] == label)  # gammalint: allow[charge] -- billed per source part by _charge_label_probes above
-        return cand[keep], cand_row[keep], (cand, cand_row)
+        count_only: bool,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None,
+               tuple[np.ndarray, np.ndarray] | None]:
+        """Keep the candidates of ``batches`` (:meth:`_verified_batches`)
+        carrying ``label`` (all of them when it is ``None``), billing one
+        probe per candidate handed in — per source part, over the whole
+        level, once the last batch is in: the label filter of the shapes
+        where a candidate's pre-label survival depends on its row (the
+        per-row rule and the anchored tail), so that the billed count is
+        only known after expansion.  Returns ``(counts, found, lists)`` as
+        :meth:`_surviving_candidates` does; a counted level keeps no batch
+        past its count."""
+        handed = np.zeros(len(anchor_deg), dtype=np.int64)
+        counts = handed if label is None else np.zeros_like(handed)
+        handed_parts, kept_parts = [], []
+        for lo, hi, cand, cand_row in batches:
+            handed[lo:hi] = np.bincount(cand_row - lo, minlength=hi - lo)
+            if not count_only:
+                handed_parts.append((cand, cand_row))
+            if label is not None:
+                keep = np.flatnonzero(self.graph.labels[cand] == label)  # gammalint: allow[charge] -- billed per source part by _charge_label_probes below
+                cand, cand_row = cand[keep], cand_row[keep]
+                counts[lo:hi] = np.bincount(cand_row - lo, minlength=hi - lo)
+            if not count_only:
+                kept_parts.append((cand, cand_row))
+        if label is not None:
+            self._charge_label_probes(handed, anchor_deg)
+        if count_only:
+            return counts, None, None
+        found = _joined(kept_parts)
+        return counts, found, found if label is None else _joined(handed_parts)
 
     def _vertex_read_plan(
         self,

@@ -463,8 +463,11 @@ class Gamma:
         greater_than_cols=(),
         less_than_cols=(),
         injective: bool = True,
+        count_only: bool = False,
     ) -> ExtensionStats:
-        """``Vertex_Extension(ET, G_d)`` with extension-time pruning."""
+        """``Vertex_Extension(ET, G_d)`` with extension-time pruning;
+        ``count_only`` keeps the level as its length alone (a counting
+        query's last level: same bill, no rows)."""
         def execute():
             with self.platform.telemetry.span("vertex-extension", kind="phase"), \
                     self.platform.resilience.phase("phase:vertex-extension"):
@@ -473,7 +476,7 @@ class Gamma:
                     greater_than_col=greater_than_col,
                     greater_than_cols=greater_than_cols,
                     less_than_cols=less_than_cols,
-                    injective=injective,
+                    injective=injective, count_only=count_only,
                 )
 
         return self._run_op(

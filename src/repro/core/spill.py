@@ -98,6 +98,16 @@ class SpillStore:
         self.platform.clock.advance(DISK_IO, array.nbytes / self.bandwidth)
         return handle
 
+    def bill_write(self, nbytes: int) -> None:
+        """What :meth:`spill` bills for ``nbytes``, with nothing written:
+        a counted column (:class:`~repro.core.embedding_table.CountedColumn`)
+        too large for the host budget "streams" to disk this way."""
+        res = self.platform.resilience
+        if res.active:
+            res.io("spill:write")
+        self.bytes_spilled += nbytes
+        self.platform.clock.advance(DISK_IO, nbytes / self.bandwidth)
+
     def fetch(self, handle: int) -> np.ndarray:
         """Fault a spilled array back into memory (charged)."""
         res = self.platform.resilience

@@ -350,12 +350,14 @@ class ShardedGamma:
                          label: int | None = None,
                          greater_than_col: int | None = None,
                          greater_than_cols=(), less_than_cols=(),
-                         injective: bool = True) -> ExtensionStats:
+                         injective: bool = True,
+                         count_only: bool = False) -> ExtensionStats:
         return self._extend(table, "vertex", "vertex-extension", dict(
             anchor_cols=anchor_cols, label=label,
             greater_than_col=greater_than_col,
             greater_than_cols=greater_than_cols,
             less_than_cols=less_than_cols, injective=injective,
+            count_only=count_only,
         ))
 
     def vertex_extension_any(self, table: ShardedTable, anchor_cols,

@@ -382,11 +382,13 @@ class TestSharedPrefixEquivalence:
             return prune(self, cand, cand_row, mats, verify_cols, distinct_cols)
 
         def watch_surviving(self, mats, anchor_cols, anchor_deg, distinct_cols,
-                            greater_than_cols, less_than_cols, label, carried):
+                            greater_than_cols, less_than_cols, label, carried,
+                            count_only):
             nonlocal asked
             asked = label
             return surviving(self, mats, anchor_cols, anchor_deg, distinct_cols,
-                             greater_than_cols, less_than_cols, label, carried)
+                             greater_than_cols, less_than_cols, label, carried,
+                             count_only)
 
         monkeypatch.setattr(extension, "_bound_ranges", watch_bounds)
         monkeypatch.setattr(extension, "_expand_lists", watch_expand)
@@ -490,7 +492,9 @@ class TestSharedPrefixEquivalence:
         cut around its own tail — exactly the rows it emits — where the
         twin expands every row's whole shortest list and then filters;
         same answer, same bill, same simulated time to the bit.
-        ``ExtensionStats.expanded`` reports the slots materialised."""
+        ``ExtensionStats.expanded`` reports the slots materialised.  The
+        stored arm keeps the table; without it the last level is only
+        counted and expands nothing, for the same rows and the same bits."""
         from repro.algorithms import match_pattern
         from repro.core import Gamma
         from repro.graph import sm_query
@@ -519,20 +523,30 @@ class TestSharedPrefixEquivalence:
         monkeypatch.setattr(
             ExtensionEngine, "_extend_vertices_impl", watch_extend)
         outcomes = []
-        for stack in ARMS.values():  # as shipped, then the twins
+        arms = [(stack, True) for stack in ARMS.values()]  # shipped, twins
+        for stack, keep_table in arms + [(ARMS["fast"], False)]:
             levels.clear()
             with stack(), Gamma(graph) as gamma:
-                answer = match_pattern(gamma, sm_query(query)).embeddings
+                result = match_pattern(
+                    gamma, sm_query(query), keep_table=keep_table)
+                answer = (result[0] if keep_table else result).embeddings
                 outcomes.append(
                     (answer, float.hex(gamma.simulated_seconds), list(levels)))
-        (fast_answer, fast_sim, fast), (answer, sim, twin) = outcomes
+        (fast_answer, fast_sim, fast), (answer, sim, twin), counted = outcomes
         assert answer > 0
-        assert (fast_answer, fast_sim) == (answer, sim)
-        assert len(fast) == len(twin) == {3: 1, 4: 2}[query]
+        assert (fast_answer, fast_sim) == (answer, sim) == counted[:2]
+        assert len(fast) == len(twin) == len(counted[2]) == {3: 1, 4: 2}[query]
         for (total, from_lm, stats), (twin_total, __, twin_stats) in zip(fast, twin):
             assert from_lm == stats.rows_out > 0
             assert stats.expanded == total < twin_total
             assert stats.candidates == twin_stats.candidates
+        # Both queries end on a labelled tail-free level; counted, it
+        # expands nothing of its L_m (q4's is not carried over, so phase 1
+        # still walks neighbor lists to build it).
+        __, __, last = fast[-1]
+        total, from_lm, counted_last = counted[2][-1]
+        assert from_lm == 0 < counted_last.rows_out == last.rows_out
+        assert counted_last.expanded == total == {3: 0, 4: 1250}[query]
 
 
 #: kCL-4 without the ordering (every permutation of a clique), so that a
@@ -709,7 +723,8 @@ def test_previous_column_is_lm(task, monkeypatch):
     level of kCL-4 and of SM(q3) never intersects a prefix again — no
     min-degree walk is started — so kCL-4 materialises only phase 2's
     slots (3 746 764; 4 778 755 while phase 1 recomputed ``L_m``) and
-    SM(q3) exactly the rows it emits; what the model bills, the answer
+    SM(q3) exactly the rows it emits when it keeps the table — nothing
+    when only its count is asked for; what the model bills, the answer
     and the simulated time are the twin's."""
     from repro.algorithms import count_kcliques, match_pattern
     from repro.core import Gamma
@@ -732,29 +747,37 @@ def test_previous_column_is_lm(task, monkeypatch):
     monkeypatch.setattr(ExtensionEngine, "_extend_vertices_impl", watch_extend)
     monkeypatch.setattr(ExtensionEngine, "_min_degree_candidates", watch_walk)
     outcomes = []
-    for stack in ARMS.values():  # as shipped, then the twins
+    arms = [(stack, True) for stack in ARMS.values()]  # shipped, twins
+    for stack, keep_table in arms + [(ARMS["fast"], False)]:
         levels.clear()
         clear_cache()  # the twin wants a graph without its bitset
         with stack(), Gamma(load("CL")) as gamma:
             if task == "4-clique":
-                answer = count_kcliques(gamma, 4).cliques
+                result = count_kcliques(gamma, 4, keep_table=keep_table)
             else:
-                answer = match_pattern(gamma, sm_query(3)).embeddings
+                result = match_pattern(gamma, sm_query(3), keep_table=keep_table)
+            result = result[0] if keep_table else result
+            answer = result.cliques if task == "4-clique" else result.embeddings
             outcomes.append((answer, float.hex(gamma.simulated_seconds),
                              [tuple(level) for level in levels]))
     clear_cache()
-    (fast_answer, fast_sim, fast), (answer, sim, twin) = outcomes
+    (fast_answer, fast_sim, fast), (answer, sim, twin), counted = outcomes
     assert answer > 0
-    assert (fast_answer, fast_sim) == (answer, sim)
-    for (__, stats), (__, twin_stats) in zip(fast, twin):
+    assert (fast_answer, fast_sim) == (answer, sim) == counted[:2]
+    for (__, stats), (__, twin_stats), (__, counted_stats) in zip(
+            fast, twin, counted[2]):
         assert (stats.rows_out, stats.candidates, stats.groups) == (
-            twin_stats.rows_out, twin_stats.candidates, twin_stats.groups)
+            twin_stats.rows_out, twin_stats.candidates, twin_stats.groups) == (
+            counted_stats.rows_out, counted_stats.candidates,
+            counted_stats.groups)
     walks, last = fast[-1]
-    assert walks == 0
+    counted_walks, counted_last = counted[2][-1]
+    assert walks == counted_walks == 0
     if task == "4-clique":
-        assert 0 < last.expanded <= 3_746_764
+        assert 0 < last.expanded == counted_last.expanded <= 3_746_764
     else:
         assert last.expanded == last.rows_out > 0
+        assert counted_last.expanded == 0
 
 
 class TestEdgeExtensionEquivalence:

@@ -74,14 +74,15 @@ def bound_ranges_by_scan(keys, owners, starts, lengths, mats, rows,
 
 def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
                              distinct_cols, greater_than_cols,
-                             less_than_cols, label, carried):
+                             less_than_cols, label, carried, count_only):
     """``ExtensionEngine._surviving_candidates``: per row, expand the whole
     of the shortest anchor list, verify the others, filter by id ordering
     afterwards, and probe each source part's survivors through
     ``labels_of`` (which bills them) — the per-row algorithm the cost
     model was written against, with no prefix sharing between sibling
     rows, no ordering bounds on what is expanded, nothing read from the
-    ``carried`` column and nothing left on the next."""
+    ``carried`` column and nothing left on the next; a ``count_only``
+    level is expanded all the same and counted at the end."""
     graph = engine.graph
     source_choice = np.argmin(anchor_deg, axis=1)
     cands, cand_rows = [], []
@@ -103,11 +104,12 @@ def labelled_min_degree_walk(engine, mats, anchor_cols, anchor_deg,
             cand, cand_row = cand[keep], cand_row[keep]
         cands.append(cand)
         cand_rows.append(cand_row)
-    if not cands:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), None
-    cand, cand_row = np.concatenate(cands), np.concatenate(cand_rows)
+    cand = np.concatenate(cands) if cands else np.empty(0, dtype=np.int64)
+    cand_row = np.concatenate(cand_rows) if cands else np.empty(0, dtype=np.int64)
     order = np.argsort(cand_row, kind="stable")
-    return cand[order], cand_row[order], None
+    counts = np.bincount(cand_row, minlength=len(mats)).astype(np.int64)
+    found = None if count_only else (cand[order], cand_row[order])
+    return counts, found, None
 
 
 def first_appearance_relabel(seq):

@@ -89,7 +89,7 @@ def _classify_induced(engine, graph, mats: np.ndarray, k: int) -> Dict[int, int]
 
     # Pack (bitmask, labels in column order) into one key per row.
     num_labels = max(1, graph.num_labels)
-    labels = graph.labels[mats]  # (n, k)  # gammalint: allow[charge] -- label gather billed with the classify charge below
+    labels = graph.labels[mats]  # (n, k)
     key = bitmask
     for col in range(k):
         key = key * num_labels + labels[:, col]

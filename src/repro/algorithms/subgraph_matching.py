@@ -150,17 +150,17 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
     # Seed: all data edges whose endpoint labels match the first query edge
     # (in either orientation).  assign[r, qv] = matched data vertex or -1.
     qu, qv = edge_order[0]
-    src, dst = graph.edge_src, graph.edge_dst  # gammalint: allow[charge] -- binary-join bookkeeping on host; traffic is billed by the seed/extension/filter primitives
+    src, dst = graph.edge_src, graph.edge_dst
     engine.seed_edges(table)
     k = pattern.num_vertices
     n0 = table.num_embeddings
 
     if pattern.labeled:
-        fwd = (graph.labels[src] == pattern.label(qu)) & (  # gammalint: allow[charge] -- binary-join bookkeeping on host; traffic is billed by the seed/extension/filter primitives
-            graph.labels[dst] == pattern.label(qv)  # gammalint: allow[charge] -- binary-join bookkeeping on host; traffic is billed by the seed/extension/filter primitives
+        fwd = (graph.labels[src] == pattern.label(qu)) & (
+            graph.labels[dst] == pattern.label(qv)
         )
-        bwd = (graph.labels[src] == pattern.label(qv)) & (  # gammalint: allow[charge] -- binary-join bookkeeping on host; traffic is billed by the seed/extension/filter primitives
-            graph.labels[dst] == pattern.label(qu)  # gammalint: allow[charge] -- binary-join bookkeeping on host; traffic is billed by the seed/extension/filter primitives
+        bwd = (graph.labels[src] == pattern.label(qv)) & (
+            graph.labels[dst] == pattern.label(qu)
         )
     else:
         fwd = np.ones(n0, dtype=bool)
@@ -207,7 +207,7 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
         engine.edge_extension(table)
         parents = table.column_parents(table.depth - 1)
         new_edges = table.column_values(table.depth - 1)
-        e_src, e_dst = graph.edge_endpoints(new_edges)  # gammalint: allow[charge] -- binary-join bookkeeping on host; traffic is billed by the seed/extension/filter primitives
+        e_src, e_dst = graph.edge_endpoints(new_edges)
         a = assign[parents]
 
         anchor = a[:, eu]
@@ -222,7 +222,7 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
         else:
             if pattern.labeled:
                 ok &= (
-                    graph.labels[np.maximum(other, 0)] == pattern.label(ev)  # gammalint: allow[charge] -- binary-join bookkeeping on host; traffic is billed by the seed/extension/filter primitives
+                    graph.labels[np.maximum(other, 0)] == pattern.label(ev)
                 )
             # Injectivity: the new vertex must not already be assigned.
             ok &= ~(a == other[:, None]).any(axis=1)

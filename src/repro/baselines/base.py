@@ -208,7 +208,7 @@ class InCoreEngine(BaselineEngine):
         want_mni = support_metric == "mni"
         encoded = self.encoder.encode_edge_embeddings(
             src.reshape(n, k), dst.reshape(n, k),
-            self.graph.labels,  # gammalint: allow[charge] -- label gathers billed in the encode step's charged ops
+            self.graph.labels,
             return_positions=want_mni,
         )
         codes, positions = encoded if want_mni else (encoded, None)

@@ -137,7 +137,7 @@ def _aggregate_edge_table_impl(
     want_mni = support_metric == MNI
     encoded = encoder.encode_edge_embeddings(
         src.reshape(n, k), dst.reshape(n, k),
-        residence.graph.labels,  # gammalint: allow[charge] -- label gathers are billed in the encode kernel's element_ops below
+        residence.graph.labels,
         return_positions=want_mni,
         grouped=True,
     )

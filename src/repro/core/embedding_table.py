@@ -457,19 +457,6 @@ class EmbeddingTable:
                 self.columns.append(column)
 
     # -- reads -----------------------------------------------------------------
-    def read_column_values(self, index: int) -> np.ndarray:
-        """Stream one column's values to the device (sequential access)."""
-        values, __ = self._column_arrays(index)
-        self._charge_stream(len(values) * 8, level=index)
-        return values
-
-    def read_cells(self, index: int, rows: np.ndarray) -> np.ndarray:
-        """Scattered reads of (value, parent) cells in one column."""
-        values, __ = self._column_arrays(index)
-        rows = np.asarray(rows, dtype=np.int64)
-        self._charge_stream(len(rows) * _CELL_BYTES, level=index)
-        return values[rows]
-
     def _charge_stream(self, nbytes: int, level: int | None = None) -> None:
         """Charge reading ``nbytes`` of column data.
 

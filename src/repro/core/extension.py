@@ -163,11 +163,11 @@ def _bound_ranges(
     """
     if greater_than_cols:
         low = mats[rows[:, None], greater_than_cols].max(axis=1)
-        lower = np.searchsorted(keys, (owners << 32) | low, side="right")  # gammalint: allow[overflow] -- owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
+        lower = np.searchsorted(keys, (owners << 32) | low, side="right")  # owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
         starts, lengths = lower, starts + lengths - lower
     if less_than_cols:
         high = mats[rows[:, None], less_than_cols].min(axis=1)
-        upper = np.searchsorted(keys, (owners << 32) | high, side="left")  # gammalint: allow[overflow] -- owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
+        upper = np.searchsorted(keys, (owners << 32) | high, side="left")  # owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
         lengths = np.maximum(upper - starts, 0)
     return starts, lengths
 
@@ -204,7 +204,7 @@ def _slice_cuts(
     ends = starts + lengths
     if not tail_distinct:
         return np.stack([starts, ends], axis=1)
-    tail_keys = (group_of_row << 32) | mats[:, tail]  # gammalint: allow[overflow] -- group ids < 2**31: the caller checked _PACK_VERTEX_LIMIT before packing lm_keys
+    tail_keys = (group_of_row << 32) | mats[:, tail]  # group ids < 2**31: the caller checked _PACK_VERTEX_LIMIT before packing lm_keys
     hole = np.searchsorted(lm_keys, tail_keys)
     inside = (starts <= hole) & (hole < ends)
     inside[inside] = lm_keys[hole[inside]] == tail_keys[inside]
@@ -300,7 +300,7 @@ class ExtensionEngine:
                 values = np.arange(n, dtype=np.int64)
             else:
                 values = np.flatnonzero(
-                    self.graph.labels == label  # gammalint: allow[charge] -- label scan billed by _charge_scan below
+                    self.graph.labels == label
                 ).astype(np.int64)
             self._charge_scan(n)
             table.seed(values)
@@ -353,13 +353,13 @@ class ExtensionEngine:
         bounds; returns ``(cand, cand_row)``.  Host-side and uncharged."""
         graph = self.graph
         starts, lengths = _bound_ranges(
-            graph.adjacency_keys,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+            graph.adjacency_keys,
             vertices,
-            graph.offsets[vertices],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+            graph.offsets[vertices],
             degrees, mats, rows, greater_than_cols, less_than_cols,
         )
         return self._expand(
-            graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+            graph.neighbors,
             starts, lengths, rows,
         )
 
@@ -369,15 +369,15 @@ class ExtensionEngine:
         """The incident edge ids of ``vertices`` concatenated, each
         vertex's count, and (with ``endpoints``) each edge's other
         endpoint: the neighbor in the same CSR slot."""
-        starts = self.graph.offsets[vertices]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
-        ends = self.graph.offsets[vertices + 1]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
+        starts = self.graph.offsets[vertices]
+        ends = self.graph.offsets[vertices + 1]
         slots = expand_ranges(starts, ends)
         others = (
-            self.graph.neighbors[slots]  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
+            self.graph.neighbors[slots]
             if endpoints else None
         )
         return (
-            self.graph.edge_ids[slots],  # gammalint: allow[charge] -- host-side compute mirror; device traffic charged via _charge_list_reads
+            self.graph.edge_ids[slots],
             ends - starts,
             others,
         )
@@ -390,8 +390,8 @@ class ExtensionEngine:
         region = getattr(self.residence, region_name, None)
         if region is None:
             return
-        starts = self.graph.offsets[vertices]  # gammalint: allow[charge] -- derives the ranges handed to region.charge_ranges below
-        ends = self.graph.offsets[vertices + 1]  # gammalint: allow[charge] -- derives the ranges handed to region.charge_ranges below
+        starts = self.graph.offsets[vertices]
+        ends = self.graph.offsets[vertices + 1]
         passes = getattr(self.write_strategy, "passes", 1)
         for __ in range(passes):
             region.charge_ranges(starts, ends)
@@ -655,7 +655,7 @@ class ExtensionEngine:
             table.column_parents(table.depth - 1)
             if grouped and depth > 1 else None
         )
-        offsets = self.graph.offsets  # gammalint: allow[charge] -- degree probes for anchor choice; list reads charged per chunk below
+        offsets = self.graph.offsets
 
         # One pass per contiguous row chunk (a single chunk unless the
         # halve-chunk policy set ``chunk_rows``).  Each chunk plans, reads
@@ -777,14 +777,14 @@ class ExtensionEngine:
             if len(rows):
                 vertices = mats[rows, col]
                 starts[rows], lengths[rows] = _bound_ranges(
-                    graph.adjacency_keys,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                    graph.adjacency_keys,
                     vertices,
-                    graph.offsets[vertices],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                    graph.offsets[vertices],
                     anchor_deg[rows, idx], mats, rows,
                     greater_than_cols, less_than_cols,
                 )
         return self._verified_batches(mats, source, starts, lengths, [
-            (graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+            (graph.neighbors,
              [c for c in anchor_cols if c != col], distinct_cols)
             for col in anchor_cols
         ])
@@ -917,7 +917,7 @@ class ExtensionEngine:
                 self._charge_label_probes(
                     (cuts[:, 1::2] - cuts[:, 0::2]).sum(axis=1), anchor_deg
                 )
-                carries = graph.labels[lm] == label  # gammalint: allow[charge] -- one host probe per L_m entry; billed per row and source part by _charge_label_probes above
+                carries = graph.labels[lm] == label
                 # Position i of L_m has ``rank[i]`` labelled entries before it.
                 rank = np.zeros(len(lm) + 1, dtype=np.int64)
                 np.cumsum(carries, out=rank[1:])
@@ -946,9 +946,9 @@ class ExtensionEngine:
         if len(rows):
             tails = mats[rows, tail]
             starts[rows], lengths[rows] = _bound_ranges(
-                graph.adjacency_keys,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                graph.adjacency_keys,
                 tails,
-                graph.offsets[tails],  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                graph.offsets[tails],
                 anchor_deg[rows, -1], mats, rows,
                 greater_than_cols, less_than_cols,
             )
@@ -956,7 +956,7 @@ class ExtensionEngine:
             self._verified_batches(
                 mats, from_tail.astype(np.int64), starts, lengths, [
                     (lm, [tail], tail_distinct),
-                    (graph.neighbors,  # gammalint: allow[charge] -- host-side compute mirror; list reads charged by the caller's read plan
+                    (graph.neighbors,
                      prefix_cols, distinct_cols),
                 ]),
             anchor_deg, label, count_only,
@@ -1001,7 +1001,7 @@ class ExtensionEngine:
             if not count_only:
                 handed_parts.append((cand, cand_row))
             if label is not None:
-                keep = np.flatnonzero(self.graph.labels[cand] == label)  # gammalint: allow[charge] -- billed per source part by _charge_label_probes below
+                keep = np.flatnonzero(self.graph.labels[cand] == label)
                 cand, cand_row = cand[keep], cand_row[keep]
                 counts[lo:hi] = np.bincount(cand_row - lo, minlength=hi - lo)
             if not count_only:

@@ -134,8 +134,8 @@ class Gamma:
             self.planners = {
                 "neighbors": AccessHeatPlanner(
                     platform,
-                    self.residence.neighbors,  # gammalint: allow[charge] -- wiring the region + offsets INTO the charging machinery, not reading data
-                    graph.offsets,  # gammalint: allow[charge] -- wiring the region + offsets INTO the charging machinery, not reading data
+                    self.residence.neighbors,
+                    graph.offsets,
                     mode=self.config.access_mode,
                 ),
             }
@@ -252,7 +252,7 @@ class Gamma:
             planner = AccessHeatPlanner(
                 self.platform,
                 self.residence.edge_slots,
-                self.graph.offsets,  # gammalint: allow[charge] -- wiring the planner; offsets are its page-heat index, not a data read
+                self.graph.offsets,
                 mode=self.config.access_mode,
             )
             self.planners["edge_slots"] = planner

@@ -124,7 +124,7 @@ def filtering(
             "query-graph filtering needs fully matched embeddings"
         )
     graph = engine.graph
-    order = pattern.matching_order()  # gammalint: allow[planorder] -- verification, not planning: any fixed vertex enumeration works, rows are already fully matched
+    order = pattern.matching_order()  # verification, not planning: any fixed vertex enumeration works, rows are already fully matched
     mask = np.ones(len(mats), dtype=bool)
     position = {qv: i for i, qv in enumerate(order)}
     for u, v in pattern.edges:
@@ -134,7 +134,7 @@ def filtering(
     if pattern.labeled:
         for qv in range(pattern.num_vertices):
             mask &= (
-                graph.labels[mats[:, position[qv]]] == pattern.label(qv)  # gammalint: allow[charge] -- verification probe; billed by the filter kernel engine.filtering launches
+                graph.labels[mats[:, position[qv]]] == pattern.label(qv)
             )
     return engine.filtering(table, keep_mask=mask)
 

@@ -16,10 +16,6 @@ All three expose the same read API, so the extension engine is placement-
 agnostic — exactly the transparency the paper claims for implicit access.
 """
 
-# gammalint: module-allow[charge] -- this module IS the charging boundary:
-# every raw CSR read below is paired with a region gather / clock charge,
-# and engines are required to come through these accessors.
-
 from __future__ import annotations
 
 import numpy as np

@@ -133,7 +133,7 @@ class CSRGraph:
 
     # -- adjacency queries ------------------------------------------------------
     def _pack_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (np.asarray(u, dtype=np.int64) << 32) | np.asarray(v, dtype=np.int64)  # gammalint: allow[overflow] -- __init__ rejects graphs with >= 2**31 vertices, so both halves fit
+        return (np.asarray(u, dtype=np.int64) << 32) | np.asarray(v, dtype=np.int64)  # __init__ rejects graphs with >= 2**31 vertices, so both halves fit
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges(np.array([u]), np.array([v]))[0])
@@ -169,7 +169,7 @@ class CSRGraph:
         """Vectorized adjacency test for aligned endpoint arrays."""
         bits = self._adjacency_bitset()
         if bits is not None:
-            pos = np.asarray(u, dtype=np.int64) * np.int64(self.num_vertices)  # gammalint: allow[overflow] -- bitset exists only when n*n <= _BITSET_MAX_BYTES*8, far inside int64
+            pos = np.asarray(u, dtype=np.int64) * np.int64(self.num_vertices)  # bitset exists only when n*n <= _BITSET_MAX_BYTES*8, far inside int64
             pos += np.asarray(v, dtype=np.int64)
             mask = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
             return (bits[pos >> 3] & mask) != 0

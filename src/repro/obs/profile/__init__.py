@@ -1,7 +1,7 @@
 """Profiling over recorded span trees.
 
 Two layers, both reading recorded telemetry rather than producing it
-(hence the gammalint ``obs-profile`` exemption from the obs-span rule):
+(they open no spans of their own):
 
 * :mod:`~repro.obs.profile.critical_path` — walk a run's span tree and
   emit the simulated-time critical path, inclusive/self attribution per

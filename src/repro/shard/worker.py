@@ -9,10 +9,10 @@ piggybacked clock total is what lets the coordinator compute barrier
 targets without an extra round trip per superstep.
 
 :func:`submit` is the *only* call that ships a request across the process
-boundary; the fork-safety checker (``repro.analysis``) treats it as a
-boundary sink, so every request must stay free of live handles (engines,
-platforms, file objects, RNG state).  Structurally that holds: requests
-carry table handles (ints), NumPy arrays, and small config dataclasses.
+boundary.  A request is pickled there, so it must stay free of live handles
+(engines, platforms, file objects, RNG state).  Structurally that holds:
+requests carry table handles (ints), NumPy arrays, and small config
+dataclasses.
 
 Worker processes run :func:`serve` — a recv/dispatch/send loop.  An
 injected :class:`~repro.errors.WorkerCrashed` escapes the loop and kills
@@ -345,9 +345,8 @@ def dispatch(worker: ShardWorker, request: dict):
 def submit(conn, request: dict) -> None:
     """Ship one plain-data command to a worker process.
 
-    The single boundary sink the fork-safety checker audits: everything in
-    ``request`` crosses a pickle boundary, so live handles must never
-    appear here.
+    Everything in ``request`` crosses a pickle boundary, so live handles
+    must never appear here.
     """
     conn.send(request)
 

@@ -174,7 +174,6 @@ class TestCountedColumn:
         assert table.num_embeddings == 9 and table.depth == 3
         assert table.nbytes == (4 + 3 + 9) * 16 == platform.host_used
         for read in (table.materialize, lambda: table.column_values(2),
-                     lambda: table.read_column_values(2),
                      lambda: table.compact(np.ones(9, dtype=bool)),
                      lambda: table.append_column(np.zeros(1), np.zeros(1)),
                      lambda: table.append_counted(1)):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import EDGE, VERTEX, EmbeddingTable
 from repro.errors import DeviceOutOfMemory, ExecutionError, HostOutOfMemory
+from repro.gpusim import clock as clk
 from repro.gpusim import make_platform
 from repro.gpusim import stats as st
 
@@ -142,8 +143,7 @@ class TestColumnsAreReplacedNeverWritten:
         for level, record in enumerate(held):
             for live, kept in (
                     (table.column_values(level), record["values"]),
-                    (table.column_parents(level), record["parents"]),
-                    (table.read_column_values(level), record["values"])):
+                    (table.column_parents(level), record["parents"])):
                 with pytest.raises(ValueError, match="read-only"):
                     live[0] = 99
                 with pytest.raises(ValueError, match="read-only"):
@@ -343,14 +343,16 @@ class TestResidency:
         assert platform.device.used == 0
 
     def test_last_column_served_from_write_buffer(self):
-        """Reading the freshly written column costs device bandwidth, not a
+        """Walking the freshly written column costs device bandwidth, not a
         fresh PCIe stream (it is still in the device write buffer)."""
         platform = make_platform()
         table = EmbeddingTable(platform, VERTEX, "t", write_buffer_bytes=1 << 20)
         table.seed(np.arange(1000))
         h2d_before = platform.counters.get(st.BYTES_H2D)
-        table.read_column_values(0)
+        device_before = platform.clock.time_in(clk.DEVICE_MEM)
+        table.walk_levels(1000)
         assert platform.counters.get(st.BYTES_H2D) == h2d_before
+        assert platform.clock.time_in(clk.DEVICE_MEM) > device_before
 
     def test_edge_kind(self, platform):
         table = EmbeddingTable(platform, EDGE, "e")

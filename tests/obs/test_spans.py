@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.algorithms import count_kcliques, triangle_count
+from repro.algorithms import count_kcliques, graphlet_census, motif_count, triangle_count
 from repro.core import Gamma
 from repro.graph import kronecker
 from repro.gpusim import clock as clk
@@ -133,6 +133,19 @@ class TestPartitionInvariant:
             lambda e: count_kcliques(e, 4))
         totals = collector.self_sim_totals()
         assert sum(totals.values()) == pytest.approx(sim_total, abs=1e-9)
+
+    @pytest.mark.parametrize("task, names", [
+        (lambda e: count_kcliques(e, 4), ["seed:vertex"] + ["extend-vertices"] * 3),
+        (lambda e: motif_count(e, 3), ["seed:edge"] + ["extend-edges"] * 2),
+        (lambda e: graphlet_census(e, 4), ["seed:vertex"] + ["extend-vertices-any"] * 3),
+    ], ids=["kcl4", "motif3", "graphlets4"])
+    def test_every_level_opens_its_own_span(self, task, names):
+        """Each seed and extension entry point runs under a ``level`` span,
+        so a level's charges are its own, not the enclosing phase's."""
+        collector, _, _ = self._run(task)
+        levels = [s for s in collector.walk() if s.kind == "level"]
+        assert [(s.name, s.level) for s in levels] == list(zip(names, range(len(names))))
+        assert all(sum(s.sim_self.values()) > 0 for s in levels)
 
     def test_tree_has_at_least_three_depths(self):
         collector, _, _ = self._run(triangle_count)

@@ -14,6 +14,7 @@ from repro.algorithms import (
 )
 from repro.core import Gamma
 from repro.graph import sm_query
+from repro.graph.generators import kronecker
 from repro.plan import baseline_plan, execute_plan
 from repro.shard import ShardedGamma
 
@@ -27,6 +28,25 @@ def test_sm_plan_runs_as_engine_task(random_labeled_graph):
         direct = match_pattern(engine, pattern)
     assert via_plan.embeddings == direct.embeddings
     assert via_plan.unique_subgraphs == direct.unique_subgraphs
+
+
+def test_sm_extends_in_the_order_it_is_handed():
+    """Column ``j`` of a kept SM table matches query vertex ``plan.order[j]``:
+    the driver runs the plan's order, not the pattern's hand-tuned one."""
+    graph = kronecker(7, 6, seed=5, labels=4, label_seed=6)
+    pattern = sm_query(3)
+    hand = baseline_plan("sm", pattern)
+    plan = dataclasses.replace(hand, order=(3, 1, 2, 0))
+    assert plan.order != hand.order
+    with Gamma(graph) as engine:
+        __, table = match_pattern(engine, pattern, plan=plan, keep_table=True)
+        rows = table.materialize()
+    assert len(rows)
+    column = {qv: j for j, qv in enumerate(plan.order)}
+    for qv, j in column.items():
+        assert (graph.labels[rows[:, j]] == pattern.label(qv)).all()
+    for a, b in pattern.edges:
+        assert graph.has_edges(rows[:, column[a]], rows[:, column[b]]).all()
 
 
 def test_sm_binary_plan_executes(random_labeled_graph):

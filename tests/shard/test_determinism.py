@@ -10,8 +10,14 @@ Two promises (docs/SHARDING.md):
    the op stream, every counter and every clock bucket match exactly.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.algorithms import (
     count_kcliques,
     frequent_pattern_mining,
@@ -45,6 +51,41 @@ def test_repeated_runs_are_byte_identical(graph):
     second, second_bytes = one_run()
     assert first.histogram == second.histogram
     assert first_bytes == second_bytes
+
+
+#: A child process mines the ``graph`` fixture's graph on four stealing
+#: shards and writes each query's canonical manifest to stdout, hex-encoded.
+_CHILD = """
+from repro.algorithms import frequent_pattern_mining, motif_count
+from repro.graph import generators
+from repro.shard import ShardedGamma, build_sharded_manifest, canonical_manifest_bytes
+
+graph = generators.erdos_renyi(36, 120, seed=23, labels=3)
+for task, drive in (("motifs", lambda e: motif_count(e, 3)),
+                    ("fpm", lambda e: frequent_pattern_mining(e, 2, 4))):
+    with ShardedGamma(graph, num_shards=4, policy="stealing") as engine:
+        drive(engine)
+        manifest = build_sharded_manifest(engine, system="GAMMA",
+                                          dataset="er36", task=task)
+    print(canonical_manifest_bytes(manifest).hex())
+"""
+
+
+def test_manifests_do_not_depend_on_the_hash_seed():
+    """A set of strings iterates in an order ``PYTHONHASHSEED`` picks;
+    nothing a manifest holds may follow it."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+
+    def manifests(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True)
+        return done.stdout.split()
+
+    first, second = manifests("0"), manifests("12345")
+    assert len(first) == 2
+    assert first == second
 
 
 def test_canonical_bytes_strip_only_volatile_fields(graph):

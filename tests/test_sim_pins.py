@@ -29,6 +29,7 @@ from repro.algorithms import (
     match_pattern,
     motif_count,
 )
+from repro.baselines import PangolinGPU
 from repro.core import Gamma, GammaConfig
 from repro.errors import QueryPreempted
 from repro.graph import sm_query
@@ -60,6 +61,13 @@ def _tight_device():
                              buffer_fraction=0.7))
 
 
+def _pangolin_gpu():
+    """Pangolin-GPU: in core, and every extension runs twice, billing the
+    count pass, the exclusive scan over per-row counts and the write pass
+    (its answer to the write conflict GAMMA's Optimization 1 removes)."""
+    return PangolinGPU(_graph())
+
+
 def _sorting_fpm(method):
     """FPM on a 128 KiB device with checkpoints every 32 keys: level 2's
     8 243 canonical codes sort in 3 segments and merge in 35 subtasks."""
@@ -88,7 +96,8 @@ def _kept_rows(engine):
 #: column before; the halve-chunk run extends in chunks smaller than the
 #: table; the kept table pins the rows themselves, not only their count;
 #: the two sorting FPM runs reach the segment sort's multi-merge, both
-#: variants (the default device holds every level in one segment).
+#: variants (the default device holds every level in one segment); the
+#: Pangolin-GPU run bills the two-pass write strategy.
 SCENARIOS = {
     "fpm2-instances-baseline": (1, _fpm(2, "instances", None)),
     "fpm2-instances-multimerge": (_sorting_fpm("multi_merge"),
@@ -113,6 +122,7 @@ SCENARIOS = {
     "kcl5-2shard": (2, lambda engine: count_kcliques(engine, 5)),
     "kcl4-halve-chunk": (_tight_device, lambda engine: engine.run(
         lambda inner: count_kcliques(inner, 4), policy="halve-chunk")),
+    "kcl4-pangolin-gpu": (_pangolin_gpu, lambda engine: count_kcliques(engine, 4)),
     "sm-q3-keep-table": (1, _kept_rows),
     "motif3": (1, lambda engine: motif_count(engine, 3)),
     "graphlets4": (1, lambda engine: graphlet_census(engine, 4)),

@@ -8,8 +8,6 @@ import pathlib
 
 import repro
 import repro.algorithms
-import repro.analysis
-import repro.analysis.flow
 import repro.baselines
 import repro.bench
 import repro.core
@@ -24,9 +22,9 @@ import repro.shard
 
 MODULES = (
     repro, repro.gpusim, repro.graph, repro.core,
-    repro.algorithms, repro.baselines, repro.bench, repro.analysis,
-    repro.analysis.flow, repro.obs, repro.obs.profile, repro.plan,
-    repro.resilience, repro.shard, repro.serve,
+    repro.algorithms, repro.baselines, repro.bench, repro.obs,
+    repro.obs.profile, repro.plan, repro.resilience, repro.shard,
+    repro.serve,
 )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.aggregation import aggregate_edge_table, dedup_embeddings
+from ..core.aggregation import aggregate_edge_table, dedup_embeddings, encode_level
 from ..core.embedding_table import EDGE, VERTEX, EmbeddingTable
 from ..core.extension import ExtensionEngine
 from ..core.filtering import filter_by_support, filter_rows
@@ -25,7 +25,7 @@ from ..core.memory_pool import WriteStrategy
 from ..core.pattern_table import PatternTable
 from ..core.residence import HostResidence, InCoreResidence
 from ..errors import ExecutionError
-from ..graph.canonical import QuickPatternEncoder
+from ..graph.canonical import MAX_VERTICES, QuickPatternEncoder
 from ..graph.csr import CSRGraph
 from ..gpusim.platform import GpuPlatform, make_platform
 
@@ -198,20 +198,12 @@ class InCoreEngine(BaselineEngine):
         """In-core aggregation: the canonical codes must fit (twice — sort
         double buffer) in device memory; big pattern tables are the second
         crash mode of in-core systems."""
-        from ..core.aggregation import mni_supports
-
-        mats = table.materialize()
-        n, k = (mats.shape if mats.size else (0, max(1, table.depth)))
+        groups, mni = encode_level(
+            self._residence, table, self.encoder, support_metric == "mni")
+        n = len(groups.index)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        src, dst = self._residence.endpoints_of(mats.ravel())
-        want_mni = support_metric == "mni"
-        encoded = self.encoder.encode_edge_embeddings(
-            src.reshape(n, k), dst.reshape(n, k),
-            self.graph.labels,
-            return_positions=want_mni,
-        )
-        codes, positions = encoded if want_mni else (encoded, None)
+        codes = groups.distinct[groups.index]
         scratch = self.platform.device.allocate(
             2 * codes.nbytes, f"{self.name}:PT-sort"
         )
@@ -221,15 +213,15 @@ class InCoreEngine(BaselineEngine):
             element_ops=n * (24 + log_n),
             device_bytes=2 * codes.nbytes,
         )
-        if want_mni:
+        if mni is not None:
             self.platform.kernel.launch(
-                "aggregate:mni", element_ops=positions.shape[1] * n
+                "aggregate:mni", element_ops=MAX_VERTICES * n
             )
-            uniq, counts = mni_supports(codes, positions)
+            counts = mni
         else:
-            uniq, counts = np.unique(codes, return_counts=True)
+            counts = np.bincount(groups.index, minlength=len(groups.distinct))
         self.platform.device.free(scratch)
-        pattern_table.merge(uniq, counts)
+        pattern_table.merge(groups.distinct, counts)
         return codes
 
 

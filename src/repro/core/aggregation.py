@@ -8,6 +8,8 @@ exists for.
 
 The canonical map uses the two-level quick-pattern scheme of
 :mod:`repro.graph.canonical`; its device cost is charged per embedding.
+The host encodes a level in row batches (:func:`encode_level`), so its
+working set is the level's codes plus one batch.
 
 The module also provides embedding-set deduplication for edge-oriented
 growth: extending by "any adjacent edge" reaches the same edge set through
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.canonical import QuickPatternEncoder
+from ..graph.canonical import MAX_VERTICES, QuickPatternEncoder, QuickPatterns
 from ..graph.groupby import Grouped, first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
 from .embedding_table import EmbeddingTable
+from .extension import _row_batches
 from .pattern_table import PatternTable
 from .residence import GraphResidence
 from .sort import DEFAULT_P_SIZE, MULTI_MERGE, sort_and_count
@@ -57,33 +60,112 @@ def mni_supports(
     pattern's canonical position ``p`` (-1 past the pattern's size).  A
     pattern's MNI is the minimum, over its positions, of the number of
     *distinct* data vertices seen there — the largest support measure that
-    is still anti-monotone.  ``codes`` may come dictionary-encoded.
+    is still anti-monotone.  ``codes`` may come dictionary-encoded.  The
+    one-batch case of :class:`_Images`, every pattern its own code.
     """
     uniq, inverse = codes if isinstance(codes, Grouped) else group_by(codes)
     if len(uniq) == 0:
         return uniq, np.empty(0, dtype=np.int64)
-    mni = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    covered = np.zeros(len(uniq), dtype=bool)
-    for p in range(positions.shape[1]):
-        column = positions[:, p]
-        valid = column >= 0
-        if not valid.any():
-            continue
-        pair_code = inverse[valid]
-        pair_vertex = column[valid]
-        span = int(pair_vertex.max()) + 1
-        if len(uniq) * span <= np.iinfo(np.int64).max:
-            # One word per (pattern, vertex) pair; its quotient is the pattern.
-            distinct = np.unique(pair_code * np.int64(span) + pair_vertex) // span
-        else:
-            pairs = np.stack([pair_code, pair_vertex], axis=1)
-            distinct = np.unique(pairs, axis=0)[:, 0]
-        counts = np.bincount(distinct, minlength=len(uniq))
-        present = counts > 0
-        mni[present] = np.minimum(mni[present], counts[present])
-        covered |= present
-    mni[~covered] = 0
-    return uniq, mni.astype(np.int64)
+    width = positions.shape[1]
+    images = _Images(width)
+    images.add(inverse, positions)
+    identity = np.broadcast_to(np.arange(width), (len(uniq), width))
+    return uniq, images.supports(np.arange(len(uniq)), identity, len(uniq))
+
+
+def _distinct_pairs(
+    codes: np.ndarray, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(code, vertex)`` pairs, as two arrays."""
+    span = int(vertices.max()) + 1
+    if (int(codes.max()) + 1) * span <= np.iinfo(np.int64).max:
+        # One word per pair; its quotient is the code.
+        return np.divmod(np.unique(codes * np.int64(span) + vertices), span)
+    pairs = np.unique(np.stack([codes, vertices], axis=1), axis=0)
+    return pairs[:, 0], pairs[:, 1]
+
+
+class _Images:
+    """MNI's input, gathered batch by batch: per column of vertex images,
+    the distinct ``(pattern, data vertex)`` pairs seen there so far."""
+
+    def __init__(self, width: int) -> None:
+        empty = np.empty(0, dtype=np.int64)
+        self._pairs = [(empty, empty)] * width
+
+    def add(self, patterns: np.ndarray, images: np.ndarray) -> None:
+        """Row ``i`` of a batch is an instance of ``patterns[i]`` whose
+        column-``j`` vertex is data vertex ``images[i, j]`` (-1: none)."""
+        for j, (seen, at) in enumerate(self._pairs):
+            column = images[:, j]
+            valid = column >= 0
+            if valid.any():
+                self._pairs[j] = _distinct_pairs(
+                    np.concatenate([seen, patterns[valid]]),
+                    np.concatenate([at, column[valid]]))
+
+    def supports(self, rank: np.ndarray, placements: np.ndarray,
+                 count: int) -> np.ndarray:
+        """The MNI of each of ``count`` codes, pattern ``q`` counting
+        towards code ``rank[q]`` with its canonical position ``p`` at
+        column ``placements[q, p]`` (-1 past its size)."""
+        mni = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
+        covered = np.zeros(count, dtype=bool)
+        for p in range(placements.shape[1]):
+            codes, vertices = [], []
+            for j, (seen, at) in enumerate(self._pairs):
+                here = placements[seen, p] == j
+                codes.append(rank[seen[here]])
+                vertices.append(at[here])
+            codes = np.concatenate(codes)
+            if len(codes) == 0:
+                continue
+            distinct = _distinct_pairs(codes, np.concatenate(vertices))[0]
+            counts = np.bincount(distinct, minlength=count)
+            present = counts > 0
+            mni[present] = np.minimum(mni[present], counts[present])
+            covered |= present
+        mni[~covered] = 0
+        return mni
+
+
+def encode_level(
+    residence: GraphResidence,
+    table: EmbeddingTable,
+    encoder: QuickPatternEncoder,
+    want_mni: bool = False,
+) -> tuple[Grouped, np.ndarray | None]:
+    """The last level's per-row canonical codes, dictionary-encoded, and
+    with ``want_mni`` each distinct code's MNI support.
+
+    The level is walked (:meth:`EmbeddingTable.walk_levels`, billed), then
+    encoded in row batches of at most ``_BATCH_SLOTS`` edge slots: each
+    batch's rows, endpoints and quick patterns are the host's only
+    row-sized temporaries.  The batches' quick patterns fold into one
+    level-wide table (:class:`~repro.graph.canonical.QuickPatterns`),
+    canonicalized once; the endpoint reads are billed after the last
+    batch, as one read of every row's edges.
+    """
+    n = table.num_embeddings
+    levels = table.walk_levels(n)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return Grouped(empty, empty.copy()), (empty.copy() if want_mni else None)
+    reads = residence.endpoint_reads()
+    quick = QuickPatterns(encoder, table.depth, residence.graph.labels)
+    ids = np.empty(n, dtype=np.int64)
+    images = _Images(MAX_VERTICES) if want_mni else None
+    for lo, hi in _row_batches(table.depth, n):
+        edges = table.rows_of(levels, slice(lo, hi))
+        src, dst = (end.reshape(edges.shape) for end in reads.gather(edges.ravel()))
+        ids[lo:hi] = quick.add(src, dst)
+        if images is not None:
+            batch = ids[lo:hi]
+            images.add(batch, quick.vertices(src, dst, batch)[:, :MAX_VERTICES])
+    reads.charge()
+    distinct, rank, placements = quick.canonicalize()
+    mni = None if images is None else images.supports(rank, placements, len(distinct))
+    return Grouped(distinct, rank[ids]), mni
 
 
 def aggregate_edge_table(
@@ -129,22 +211,13 @@ def _aggregate_edge_table_impl(
         raise ValueError(
             f"support_metric must be one of {SUPPORT_METRICS}, got {support_metric!r}"
         )
-    mats = table.materialize()
-    n, k = (mats.shape if mats.size else (0, max(1, table.depth)))
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    src, dst = residence.endpoints_of(mats.ravel())
-    want_mni = support_metric == MNI
-    encoded = encoder.encode_edge_embeddings(
-        src.reshape(n, k), dst.reshape(n, k),
-        residence.graph.labels,
-        return_positions=want_mni,
-        grouped=True,
-    )
     # The codes arrive grouped by their quick patterns; every consumer
     # below reads that grouping instead of regrouping the codes.
-    groups, positions = encoded if want_mni else (encoded, None)
-    quick_ops = n * k * _QUICK_OPS_PER_EDGE
+    groups, mni = encode_level(residence, table, encoder, support_metric == MNI)
+    n = len(groups.index)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    quick_ops = n * table.depth * _QUICK_OPS_PER_EDGE
     if cpu:
         platform.cpu.work(quick_ops)
         # CPU baselines group with a hash table rather than a sort.
@@ -156,14 +229,14 @@ def _aggregate_edge_table_impl(
         uniq, counts = sort_and_count(
             platform, groups, method=sort_method, p_size=p_size
         )
-    if want_mni:
+    if mni is not None:
         # One extra sort-like pass per canonical position.
-        extra_ops = positions.shape[1] * n
+        extra_ops = MAX_VERTICES * n
         if cpu:
             platform.cpu.work(extra_ops)
         else:
             platform.kernel.launch("aggregate:mni", element_ops=extra_ops)
-        uniq, counts = mni_supports(groups, positions)
+        uniq, counts = groups.distinct, mni
     pattern_table.merge(uniq, counts)
     codes = groups.distinct[groups.index]
     table.note_codes(codes, groups)
@@ -205,16 +278,26 @@ def pair_lookup_keep(
     ``e``, parent rows ascending, so its first occurrence is under the
     first such row: keep ``(p, e)`` iff ``p`` is the first row holding
     ``f_p`` and no row before ``p`` holds ``e``.  ``None`` when the ids
-    span more than the dense map allows (or are negative).
+    span more than the dense map allows (or are negative).  The children
+    are looked up in row batches of ``_BATCH_SLOTS``.
     """
-    lo = min(int(first.min()), int(values.min()))
+    low = min(int(first.min()), int(values.min()))
     span = max(int(first.max()), int(values.max())) + 1
-    if lo < 0 or span > _LOOKUP_SPAN_PER_ROW * (len(first) + len(values)):
+    if low < 0 or span > _LOOKUP_SPAN_PER_ROW * (len(first) + len(values)):
         return None
     edges, rows = np.unique(first, return_index=True)
     pos = np.full(span, len(first), dtype=np.int64)
     pos[edges] = rows
     leads = pos[first] == np.arange(len(first), dtype=np.int64)
+    keep = np.empty(len(values), dtype=bool)
+    for lo, hi in _row_batches(1, len(values)):
+        keep[lo:hi] = _pair_keep_rows(leads, pos, parents[lo:hi], values[lo:hi])
+    return keep
+
+
+def _pair_keep_rows(leads: np.ndarray, pos: np.ndarray, parents: np.ndarray,
+                    values: np.ndarray) -> np.ndarray:
+    """:func:`pair_lookup_keep`'s mask for one batch of children."""
     return leads[parents] & (pos[values] > parents)
 
 
@@ -231,22 +314,29 @@ def dedup_embeddings(
     """
     with platform.telemetry.span("dedup", kind="phase"):
         n = table.num_embeddings
-        if n and table.depth == 2 and table.columns[-1].edge_grown:
-            (first, __), (values, parents) = table.walk_levels(n)
-            keep = pair_lookup_keep(first, parents, values)
-            if keep is None:
-                keep = _sorted_keep(np.stack([first[parents], values], axis=1))
-        else:
-            mats = table.materialize()
-            if mats.size == 0:
-                return 0
-            keep = _sorted_keep(mats)
+        # The level's arrays are the helper's locals: gone before compact.
+        keep = _dedup_keep(table, n)
+        if keep is None:
+            return 0
         log_n = float(np.log2(max(2, n)))
         if cpu:
             platform.cpu.work(n * log_n)
         else:
             platform.kernel.launch("dedup:sort", element_ops=n * log_n)
         return table.compact(keep)
+
+
+def _dedup_keep(table: EmbeddingTable, n: int) -> np.ndarray | None:
+    """Keep mask of each row set's first occurrence (``None``: no rows),
+    the level's reads billed."""
+    if n and table.depth == 2 and table.columns[-1].edge_grown:
+        (first, __), (values, parents) = table.walk_levels(n)
+        keep = pair_lookup_keep(first, parents, values)
+        if keep is None:
+            keep = _sorted_keep(np.stack([first[parents], values], axis=1))
+        return keep
+    mats = table.materialize()
+    return _sorted_keep(mats) if mats.size else None
 
 
 def _sorted_keep(mats: np.ndarray) -> np.ndarray:

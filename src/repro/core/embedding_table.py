@@ -495,15 +495,26 @@ class EmbeddingTable:
         """
         if not self.columns:
             return np.empty((0, 0), dtype=np.int64)
-        n = self.num_embeddings if rows is None else len(rows)
-        out = np.empty((n, self.depth), dtype=np.int64)
-        # ``None`` = every row in order: a copy, not a gather via arange.
-        current = rows if rows is None else np.asarray(rows, dtype=np.int64)
-        levels = self.walk_levels(n)
-        for level in range(self.depth - 1, -1, -1):
+        if rows is None:
+            # Every row in order: a slice, not a gather via arange.
+            return self.rows_of(self.walk_levels(self.num_embeddings), slice(None))
+        rows = np.asarray(rows, dtype=np.int64)
+        return self.rows_of(self.walk_levels(len(rows)), rows)
+
+    @staticmethod
+    def rows_of(levels: list, rows: np.ndarray | slice) -> np.ndarray:
+        """The embeddings ending at ``rows`` of the last level (indices or
+        a slice) as a matrix, from :meth:`walk_levels`' arrays; unbilled,
+        so a caller walking a level in row batches bills it once."""
+        values, parents = levels[-1]
+        last = values[rows]
+        out = np.empty((len(last), len(levels)), dtype=np.int64)
+        out[:, -1] = last
+        current = parents[rows]
+        for level in range(len(levels) - 2, -1, -1):
             values, parents = levels[level]
-            out[:, level] = values if current is None else values[current]
-            current = parents if current is None else parents[current]
+            out[:, level] = values[current]
+            current = parents[current]
         return out
 
     def walk_levels(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -523,7 +534,9 @@ class EmbeddingTable:
 
         Implements the paper's three stages: (1) mark valid/invalid, (2)
         prefix-scan the marks to compute compacted positions, (3) collect
-        valid cells in parallel.
+        valid cells in parallel.  The host collects one array at a time:
+        the column's notes go first, and the old ids are released (unless
+        a snapshot holds them) before the new parent pointers are built.
         """
         if not self.columns:
             raise ExecutionError("nothing to compact")
@@ -532,11 +545,10 @@ class EmbeddingTable:
         if isinstance(last, CountedColumn):
             raise ExecutionError("a counted level has no rows to compact")
         was_spilled = isinstance(last, SpilledColumn)
-        if was_spilled:
-            values, parents = self._column_arrays(self.depth - 1)
-            last = Column(values, parents)
+        values, parents = self._column_arrays(self.depth - 1)
         if len(keep_mask) != len(last):
             raise ExecutionError("mask must cover the last column")
+        self._drop_notes()
         n = len(last)
         platform = self.platform
         kept = int(np.count_nonzero(keep_mask))
@@ -553,25 +565,28 @@ class EmbeddingTable:
             )
         else:
             platform.cpu.work(n)
-        new_values = last.values[keep_mask]
-        new_parents = last.parents[keep_mask]
-        compacted = Column(new_values, new_parents)
+        handle = last.handle if was_spilled else None
+        self.columns.pop()
+        del last
+        values = values[keep_mask]
+        compacted = Column(values, parents[keep_mask])
+        del values, parents
         if was_spilled:
             # Compact the disk-resident column in place: drop the old copy
             # and either bring the (now smaller) column back to host memory
             # or re-spill it if it still exceeds the budget.
-            self._spill_store.discard(self.columns[-1].handle)
+            self._spill_store.discard(handle)
             nbytes = kept * _CELL_BYTES
             if self._oversized_for_host(nbytes):
                 packed = np.stack([compacted.values, compacted.parents])
                 handle = self._spill_store.spill(packed)
-                self.columns[-1] = SpilledColumn(handle, kept)
+                self.columns.append(SpilledColumn(handle, kept))
             else:
                 platform.register_host_bytes(nbytes, self.name, charge=False)
                 self._registered_bytes += nbytes
-                self.columns[-1] = compacted
+                self.columns.append(compacted)
             return n - kept
-        self.columns[-1] = compacted
+        self.columns.append(compacted)
         # Compression reclaims the dropped cells' memory — the space saving
         # the paper notes other frameworks forgo (§V-A).
         freed = (n - kept) * _CELL_BYTES

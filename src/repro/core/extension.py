@@ -130,9 +130,14 @@ def _expand_lists(
     return values[expand_ranges(starts, starts + lengths)], rows.repeat(lengths)
 
 
-def _row_batches(slots: np.ndarray) -> list[tuple[int, int]]:
+def _row_batches(slots: np.ndarray | int,
+                 rows: int | None = None) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` row ranges covering ``slots`` in order, each
-    summing to at most :data:`_BATCH_SLOTS` unless it is a single row."""
+    summing to at most :data:`_BATCH_SLOTS` unless it is a single row;
+    ``slots`` may be one width that all ``rows`` rows share."""
+    if rows is not None:
+        step = max(1, _BATCH_SLOTS // max(1, int(slots)))
+        return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
     ends = np.cumsum(slots)
     bounds = [0]
     while bounds[-1] < len(slots):
@@ -1100,17 +1105,11 @@ class ExtensionEngine:
             return stats
 
         # Embedding vertices: endpoints of every edge column, deduped per row.
-        flat_edges = mats.ravel()
-        src, dst = self.residence.endpoints_of(flat_edges)
-        verts = np.empty((n, 2 * depth), dtype=np.int64)
-        verts[:, 0::2] = src.reshape(n, depth)
-        verts[:, 1::2] = dst.reshape(n, depth)
-        verts_sorted = np.sort(verts, axis=1)
+        verts_sorted = self._row_vertices(mats)
         fresh = np.ones_like(verts_sorted, dtype=bool)
         fresh[:, 1:] = verts_sorted[:, 1:] != verts_sorted[:, :-1]
-        row_of_vert = np.repeat(
-            np.arange(n, dtype=np.int64), fresh.sum(axis=1)
-        )
+        per_row = fresh.sum(axis=1)
+        row_of_vert = np.repeat(np.arange(n, dtype=np.int64), per_row)
         distinct_verts = verts_sorted[fresh]
 
         # Traversal ops: one incident-list merge per (row, vertex).
@@ -1128,12 +1127,64 @@ class ExtensionEngine:
             self.planner.plan_extension(read_vertices)
         self._charge_list_reads("edge_slots", read_vertices)
 
-        # Candidate edges.
-        cand, lengths, others = self._incident_values(
-            distinct_verts, endpoints=depth > 1)
-        cand_row = np.repeat(row_of_vert, lengths)
-        stats.candidates = stats.expanded = len(cand)
+        # Candidate edges, generated, masked and kept one row batch at a
+        # time straight into the level's output, sized by the per-row
+        # bound and shrunk in place to what was kept.
+        per_row_bound = np.bincount(
+            row_of_vert, weights=incident_deg, minlength=n).astype(np.int64)
+        stats.candidates = stats.expanded = int(per_row_bound.sum())
+        vert_start = np.concatenate([[0], np.cumsum(per_row)])
+        values = np.empty(stats.candidates, dtype=np.int64)
+        parents = np.empty(stats.candidates, dtype=np.int64)
+        kept = 0
+        for lo, hi in _row_batches(per_row_bound):
+            first, last = vert_start[lo], vert_start[hi]
+            cand, cand_row = self._edge_candidates(
+                mats, verts_sorted, distinct_verts[first:last],
+                row_of_vert[first:last], greater_than_col)
+            values[kept:kept + len(cand)] = cand
+            parents[kept:kept + len(cand)] = cand_row
+            kept += len(cand)
+        values.resize(kept, refcheck=False)
+        parents.resize(kept, refcheck=False)
 
+        counts = np.bincount(parents, minlength=n)
+        stats.per_row_counts = counts
+        self._account_writes(counts, stats.kernel_ops, per_row_bound)
+        table.append_column(values, parents,
+                            edge_grown=greater_than_col is None)
+        stats.rows_out = kept
+        self.platform.counters.add(st.EXTENSION_PASSES)
+        self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
+        return stats
+
+    def _row_vertices(self, mats: np.ndarray) -> np.ndarray:
+        """Each row's edge endpoints, ascending (the endpoint reads
+        billed)."""
+        src, dst = self.residence.endpoints_of(mats.ravel())
+        verts = np.empty((len(mats), 2 * mats.shape[1]), dtype=np.int64)
+        verts[:, 0::2] = src.reshape(mats.shape)
+        verts[:, 1::2] = dst.reshape(mats.shape)
+        verts.sort(axis=1)
+        return verts
+
+    def _edge_candidates(
+        self,
+        mats: np.ndarray,
+        verts_sorted: np.ndarray,
+        vertices: np.ndarray,
+        rows: np.ndarray,
+        greater_than_col: int | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The edges incident to ``vertices[i]`` (a vertex of row
+        ``rows[i]`` of ``mats``, whose sorted vertices are
+        ``verts_sorted``) that extend that row: not in it, above its
+        ``greater_than_col`` edge, and met from its lower endpoint when
+        both are the row's.  Returns ``(cand, cand_row)``."""
+        depth = mats.shape[1]
+        cand, lengths, others = self._incident_values(
+            vertices, endpoints=depth > 1)
+        cand_row = np.repeat(rows, lengths)
         # Drop edges already in the embedding.
         mask = np.ones(len(cand), dtype=bool)
         for col in range(depth):
@@ -1149,21 +1200,10 @@ class ExtensionEngine:
             # where it is met first, from the lower one.  (At depth 1 the
             # only such edge is the row's own, dropped above: strictly
             # ascending CSR lists admit no parallel edge.)
-            met = np.flatnonzero(
-                mask & (others < np.repeat(distinct_verts, lengths)))
+            met = np.flatnonzero(mask & (others < np.repeat(vertices, lengths)))
             other, met_row = others[met], cand_row[met]
             again = np.zeros(len(met), dtype=bool)
             for col in range(2 * depth):
                 again |= verts_sorted[met_row, col] == other
             mask[met[again]] = False
-
-        counts = np.bincount(cand_row[mask], minlength=n).astype(np.int64)
-        stats.per_row_counts = counts
-        per_row_bound = np.bincount(row_of_vert, weights=incident_deg, minlength=n)
-        self._account_writes(counts, stats.kernel_ops, per_row_bound.astype(np.int64))
-        table.append_column(cand[mask], cand_row[mask],
-                            edge_grown=greater_than_col is None)
-        stats.rows_out = int(mask.sum())
-        self.platform.counters.add(st.EXTENSION_PASSES)
-        self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
-        return stats
+        return cand[mask], cand_row[mask]

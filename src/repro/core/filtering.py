@@ -83,19 +83,29 @@ def filter_by_support(
     left on the table's last column; any other codes (replayed, sharded,
     made by the caller) are looked up row by row."""
     with platform.telemetry.span("support-filtering", kind="phase"):
-        noted = table.columns[-1].codes if table.columns else None
-        if noted is not None and noted.values is row_codes:
-            groups = noted.groups
-            frequent = pattern_table.support_of(groups.distinct) >= constraint.threshold
-            keep = frequent[groups.index]
-        else:
-            row_codes = np.asarray(row_codes, dtype=np.int64)
-            if len(row_codes) != table.num_embeddings:
-                raise ExecutionError("row codes must cover every embedding")
-            keep = pattern_table.support_of(row_codes) >= constraint.threshold
+        # The grouping is the helper's local: gone before compact.
+        keep = _support_keep(table, row_codes, pattern_table, constraint)
         pattern_table.prune_below(constraint.threshold)
         if cpu:
             platform.cpu.work(len(keep))
         else:
             platform.kernel.launch("filter:support", element_ops=len(keep))
         return filter_rows(table, keep, compact=compact)
+
+
+def _support_keep(
+    table: EmbeddingTable,
+    row_codes: np.ndarray,
+    pattern_table: PatternTable,
+    constraint: MinSupport,
+) -> np.ndarray:
+    """Per row of ``table``: whether its pattern is frequent."""
+    noted = table.columns[-1].codes if table.columns else None
+    if noted is not None and noted.values is row_codes:
+        groups = noted.groups
+        frequent = pattern_table.support_of(groups.distinct) >= constraint.threshold
+        return frequent[groups.index]
+    row_codes = np.asarray(row_codes, dtype=np.int64)
+    if len(row_codes) != table.num_embeddings:
+        raise ExecutionError("row codes must cover every embedding")
+    return pattern_table.support_of(row_codes) >= constraint.threshold

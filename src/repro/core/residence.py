@@ -26,6 +26,37 @@ from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
 
 
+class EndpointReads:
+    """Edge endpoint reads, batch by batch: :meth:`gather` returns a
+    batch's ``(src, dst)``, and :meth:`charge`, after the last batch,
+    bills both endpoint arrays (source first) as one read of every batch's
+    ids (:class:`~repro.gpusim.regions.GatherTally`)."""
+
+    def __init__(self, src, dst) -> None:
+        self._src, self._dst = src, dst
+
+    def gather(self, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._src.gather(edge_ids), self._dst.gather(edge_ids)
+
+    def charge(self) -> None:
+        self._src.charge()
+        self._dst.charge()
+
+
+class _Unbilled:
+    """A plain host array behind the tally interface (CPU engines bill
+    their operations, not their reads)."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        self._array = array
+
+    def gather(self, indices: np.ndarray) -> np.ndarray:
+        return self._array[np.asarray(indices, dtype=np.int64)]
+
+    def charge(self) -> None:
+        pass
+
+
 class GraphResidence:
     """Common interface: charged reads of the graph's arrays."""
 
@@ -51,7 +82,21 @@ class GraphResidence:
     def charge_label_reads(self, count: int) -> None:
         """Bill ``count`` label probes (free on plain host arrays)."""
 
+    def endpoint_reads(self) -> "EndpointReads":
+        """Edge endpoint reads issued batch by batch, billed once."""
+        return EndpointReads(
+            *(region.gather_batches() for region in self._endpoints()))
+
     def endpoints_of(self, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of ``edge_ids``, billed: the one-batch case of
+        :meth:`endpoint_reads`."""
+        reads = self.endpoint_reads()
+        ends = reads.gather(edge_ids)
+        reads.charge()
+        return ends
+
+    def _endpoints(self):
+        """The ``(src, dst)`` endpoint regions, mapped on first use."""
         raise NotImplementedError
 
     def degrees_of(self, vertices: np.ndarray) -> np.ndarray:
@@ -126,10 +171,6 @@ class GammaResidence(GraphResidence):
             clk.DEVICE_MEM, 8 * count / self.platform.cost.device_bandwidth
         )
 
-    def endpoints_of(self, edge_ids):
-        src_region, dst_region = self._endpoints()
-        return src_region.gather(edge_ids), dst_region.gather(edge_ids)
-
     def degrees_of(self, vertices):
         vertices = np.asarray(vertices, dtype=np.int64)
         self.platform.clock.advance(
@@ -201,10 +242,6 @@ class InCoreResidence(GraphResidence):
             clk.DEVICE_MEM, 8 * count / self.platform.cost.device_bandwidth
         )
 
-    def endpoints_of(self, edge_ids):
-        src_region, dst_region = self._endpoints()
-        return src_region.gather(edge_ids), dst_region.gather(edge_ids)
-
     def degrees_of(self, vertices):
         vertices = np.asarray(vertices, dtype=np.int64)
         self.platform.clock.advance(
@@ -236,8 +273,9 @@ class HostResidence(GraphResidence):
         flat = expand_ranges(starts, ends)
         return self.graph.edge_ids[flat], ends - starts
 
-    def endpoints_of(self, edge_ids):
-        return self.graph.edge_endpoints(np.asarray(edge_ids, dtype=np.int64))
+    def endpoint_reads(self):
+        return EndpointReads(
+            _Unbilled(self.graph.edge_src), _Unbilled(self.graph.edge_dst))
 
     def degrees_of(self, vertices):
         vertices = np.asarray(vertices, dtype=np.int64)

@@ -26,6 +26,7 @@ from .platform import GpuPlatform, make_platform
 from .regions import (
     ChargeBatch,
     DeviceResidentRegion,
+    GatherTally,
     HostRegion,
     covered_units,
     dedup_units,
@@ -53,6 +54,7 @@ __all__ = [
     "make_platform",
     "ChargeBatch",
     "DeviceResidentRegion",
+    "GatherTally",
     "HostRegion",
     "covered_units",
     "dedup_units",

@@ -268,6 +268,45 @@ class HostRegion:
         self._charge_elements(flat)
 
 
+class GatherTally:
+    """Scattered reads of one region, batch by batch, billed once.
+
+    :meth:`gather` returns a batch's values unbilled, and :meth:`charge`,
+    after the last batch, bills what one :meth:`HostRegion.gather` of
+    every batch's indices would.  A region that serves such reads
+    (``gather_batches``) keeps only what its bill needs across batches:
+    a set of lines, a count."""
+
+    def __init__(self, region: HostRegion) -> None:
+        self._region = region
+
+    def gather(self, indices: np.ndarray) -> np.ndarray:
+        indices = np.asarray(indices, dtype=np.int64)
+        self._note(indices)
+        return self._region.array[indices]
+
+    def _note(self, indices: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def charge(self) -> None:
+        raise NotImplementedError
+
+
+class _CountTally(GatherTally):
+    """A device-resident read bills its byte count: one running total."""
+
+    def __init__(self, region: DeviceResidentRegion) -> None:
+        super().__init__(region)
+        self._device = region
+        self._count = 0
+
+    def _note(self, indices: np.ndarray) -> None:
+        self._count += len(indices)
+
+    def charge(self) -> None:
+        self._device._charge_bytes(self._count * self._device.itemsize)
+
+
 class DeviceResidentRegion(HostRegion):
     """An array staged wholly in device memory (used by in-core baselines).
 
@@ -284,17 +323,21 @@ class DeviceResidentRegion(HostRegion):
         self._allocation = platform.device.allocate(array.nbytes, name)
         platform.pcie.explicit_copy(array.nbytes, to_device=True)
 
-    def _charge_elements(self, indices: np.ndarray) -> None:
-        nbytes = len(indices) * self._itemsize
+    def gather_batches(self) -> GatherTally:
+        """Scattered reads batch by batch, billed once (:class:`GatherTally`)."""
+        return _CountTally(self)
+
+    def _charge_bytes(self, nbytes: int) -> None:
         self._platform.clock.advance(
             clk.DEVICE_MEM, nbytes / self._platform.cost.device_bandwidth
         )
 
+    def _charge_elements(self, indices: np.ndarray) -> None:
+        self._charge_bytes(len(indices) * self._itemsize)
+
     def _charge_ranges(self, starts, ends, flat=None) -> None:
-        nbytes = int((np.asarray(ends) - np.asarray(starts)).sum()) * self._itemsize
-        self._platform.clock.advance(
-            clk.DEVICE_MEM, nbytes / self._platform.cost.device_bandwidth
-        )
+        self._charge_bytes(
+            int((np.asarray(ends) - np.asarray(starts)).sum()) * self._itemsize)
 
     def release(self) -> None:
         self._platform.device.free(self._allocation)

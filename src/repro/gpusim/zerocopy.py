@@ -13,7 +13,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .regions import HostRegion, range_lengths_in_units, units_for_indices
+from .regions import (
+    GatherTally, HostRegion, range_lengths_in_units, units_for_indices,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .platform import GpuPlatform
@@ -26,6 +28,10 @@ class ZeroCopyRegion(HostRegion):
         super().__init__(name, array, platform)
         line = platform.spec.zerocopy_line
         self._total_lines = max(1, -(-array.nbytes // line))
+
+    def gather_batches(self) -> GatherTally:
+        """Scattered reads batch by batch, billed once (:class:`GatherTally`)."""
+        return _LineTally(self)
 
     def _charge_elements(self, indices: np.ndarray) -> None:
         if len(indices) == 0:
@@ -53,3 +59,20 @@ class ZeroCopyRegion(HostRegion):
             )
             self._charge_memo.store(starts, ends, nlines)
         self._platform.pcie.zerocopy_transactions(nlines)
+
+
+class _LineTally(GatherTally):
+    """A zero-copy read bills the set of lines it touched: one flag a line."""
+
+    def __init__(self, region: ZeroCopyRegion) -> None:
+        super().__init__(region)
+        self._platform = region._platform
+        self._touched = np.zeros(region._total_lines, dtype=bool)
+
+    def _note(self, indices: np.ndarray) -> None:
+        line = self._platform.spec.zerocopy_line
+        self._touched[(indices * self._region.itemsize) // line] = True
+
+    def charge(self) -> None:
+        self._platform.pcie.zerocopy_transactions(
+            int(np.count_nonzero(self._touched)))

@@ -11,7 +11,9 @@ Kaleido systems GAMMA builds on — we use a two-level scheme:
    of embeddings collapse to at most a few hundred of them.  Rows are
    grouped one edge column at a time (edges ``0..t`` are the group of
    ``0..t-1`` plus one edge), with no row-sized sort; only each distinct
-   pattern is packed into two 64-bit words.
+   pattern is packed into two 64-bit words.  A level is grouped in row
+   batches whose patterns fold into one level-wide table
+   (:class:`QuickPatterns`).
 2. **Canonical code** (exact, per unique quick pattern): minimize an
    encoding of the adjacency structure over all label/degree-respecting
    vertex permutations, so isomorphic quick patterns map to one code.
@@ -136,7 +138,8 @@ class QuickPatternEncoder:
         return_positions: bool = False,
         grouped: bool = False,
     ) -> np.ndarray | Grouped | tuple:
-        """Canonical 64-bit keys for ``n`` edge-oriented embeddings.
+        """Canonical 64-bit keys for ``n`` edge-oriented embeddings: the
+        one-batch case of :class:`QuickPatterns`.
 
         ``srcs``/``dsts`` are ``(n, k)`` endpoint arrays (embedding i is the
         edge set ``{(srcs[i, t], dsts[i, t])}``); ``vertex_labels`` maps data
@@ -155,27 +158,19 @@ class QuickPatternEncoder:
         if srcs.ndim != 2 or srcs.shape != dsts.shape:
             raise ValueError("srcs/dsts must be matching (n, k) arrays")
         n, k = srcs.shape
-        if k > MAX_EDGES:
-            raise InvalidPatternError(f"at most {MAX_EDGES} edges per embedding")
-        if n == 0:
+        if n == 0 and k <= MAX_EDGES:
             codes = np.empty(0, dtype=np.int64)
             codes = Grouped(codes, codes.copy()) if grouped else codes
             positions = np.empty((0, MAX_VERTICES), dtype=np.int64)
             return (codes, positions) if return_positions else codes
-        if k == 0:
-            raise InvalidPatternError("an embedding needs at least one edge")
-
-        quick, first_at, inverse = self._group_quick(srcs, dsts, vertex_labels)
-        distinct, rank, placements = self._canonicalize(quick, k)
-        codes = Grouped(distinct, rank[inverse]) if grouped else distinct[rank][inverse]
+        level = QuickPatterns(self, k, vertex_labels)
+        ids = level.add(srcs, dsts)
+        distinct, rank, placements = level.canonicalize()
+        codes = Grouped(distinct, rank[ids]) if grouped else distinct[rank[ids]]
         if not return_positions:
             return codes
-        # Each quick pattern's sequence column per canonical position; a
-        # -1 (padding) reads first_at's last column, then seq's, both -1.
-        column_at = np.take_along_axis(first_at, placements, axis=1)
-        seq = np.full((n, 2 * k + 1), -1, dtype=np.int64)
-        seq[:, 0:-1:2], seq[:, 1:-1:2] = srcs, dsts
-        return codes, np.take_along_axis(seq, column_at[inverse], axis=1)
+        return codes, np.take_along_axis(
+            level.vertices(srcs, dsts, ids), placements[ids], axis=1)
 
     @staticmethod
     def _group_quick(
@@ -290,3 +285,59 @@ class QuickPatternEncoder:
     def cache_size(self) -> int:
         """Distinct quick patterns canonicalized so far."""
         return len(self._canonical_cache)
+
+
+class QuickPatterns:
+    """One level's quick patterns, folded in batch by batch.
+
+    :meth:`add` groups a batch of ``k``-edge rows
+    (:meth:`QuickPatternEncoder._group_quick`) and returns each row's id
+    in the level-wide table: ``quick`` holds each pattern's ``(qa, qb)``
+    words, ``first_at`` the sequence column where each of its vertices
+    first appears.  After the last batch, :meth:`canonicalize` maps the
+    table to canonical codes, each quick pattern once.  The ids depend on
+    the batching; the codes do not.
+    """
+
+    def __init__(self, encoder: QuickPatternEncoder, k: int,
+                 vertex_labels: np.ndarray) -> None:
+        if k > MAX_EDGES:
+            raise InvalidPatternError(f"at most {MAX_EDGES} edges per embedding")
+        if k == 0:
+            raise InvalidPatternError("an embedding needs at least one edge")
+        self._encoder = encoder
+        self._labels = vertex_labels
+        self.k = k
+        self._ids: Dict[tuple, int] = {}
+        self.quick = np.empty((0, 2), dtype=np.int64)
+        self.first_at = np.empty((0, MAX_VERTICES + 1), dtype=np.int64)
+
+    def add(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """Each row's quick-pattern id; ``srcs``/``dsts`` are ``(b, k)``."""
+        quick, first_at, inverse = self._encoder._group_quick(
+            srcs, dsts, self._labels)
+        ids = np.empty(len(quick), dtype=np.int64)
+        fresh = []
+        for i, key in enumerate(map(tuple, quick.tolist())):
+            if key not in self._ids:
+                self._ids[key] = len(self._ids)
+                fresh.append(i)
+            ids[i] = self._ids[key]
+        if fresh:
+            self.quick = np.concatenate([self.quick, quick[fresh]])
+            self.first_at = np.concatenate([self.first_at, first_at[fresh]])
+        return ids[inverse]
+
+    def vertices(self, srcs: np.ndarray, dsts: np.ndarray,
+                 ids: np.ndarray) -> np.ndarray:
+        """``(b, MAX_VERTICES + 1)``: the data vertex each row holds at each
+        quick-pattern vertex, -1 past the pattern's size (the last column
+        always, so a -1 placement reads -1)."""
+        seq = np.full((len(ids), 2 * self.k + 1), -1, dtype=np.int64)
+        seq[:, 0:-1:2], seq[:, 1:-1:2] = srcs, dsts
+        return np.take_along_axis(seq, self.first_at[ids], axis=1)
+
+    def canonicalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(distinct, rank, placements)`` of the table
+        (:meth:`QuickPatternEncoder._canonicalize`)."""
+        return self._encoder._canonicalize(self.quick, self.k)

@@ -10,21 +10,28 @@ Two promises (docs/SHARDING.md):
    the op stream, every counter and every clock bucket match exactly.
 """
 
+import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import repro
 from repro.algorithms import (
     count_kcliques,
     frequent_pattern_mining,
+    match_pattern,
     motif_count,
 )
 from repro.core import Gamma
-from repro.graph import generators
+from repro.graph import generators, sm_query
+from repro.graph.patterns import Pattern
 from repro.shard import (
     SHARD_POLICIES,
     ShardedGamma,
@@ -85,6 +92,39 @@ def test_manifests_do_not_depend_on_the_hash_seed():
 
     first, second = manifests("0"), manifests("12345")
     assert len(first) == 2
+    assert first == second
+
+
+def test_bills_read_neither_the_host_clock_nor_the_global_rng(graph):
+    """FPM-2 and SM(q3) bill the same bits, clock bucket by bucket and
+    counter by counter, whatever state NumPy's and Python's global RNGs
+    are in and however far the host clocks jump between reads."""
+    q3 = Pattern(sm_query(3).edges, name="q3-unlabelled")
+
+    def bills(seed, step):
+        np.random.seed(seed)
+        random.seed(seed)
+        ticks = itertools.count()
+
+        def jumping():
+            return 1e9 + next(ticks) * step
+
+        out = []
+        with mock.patch.object(time, "perf_counter", jumping), \
+                mock.patch.object(time, "time", jumping), \
+                mock.patch.object(time, "monotonic", jumping):
+            for mine in (lambda e: frequent_pattern_mining(e, 2, 4).patterns,
+                         lambda e: match_pattern(e, q3).embeddings):
+                with Gamma(graph) as engine:
+                    answer = mine(engine)
+                    platform = engine.platform
+                    out.append((answer, float.hex(engine.simulated_seconds),
+                                platform.clock.snapshot(),
+                                platform.counters.snapshot(include_zero=True)))
+        return out
+
+    first, second = bills(0, 1e-3), bills(12345, 3600.0)
+    assert all(answer for answer, *__ in first)
     assert first == second
 
 

@@ -181,6 +181,28 @@ def quick_groups_by_rows(srcs, dsts, vertex_labels):
     return quick, first_at, inverse.ravel()
 
 
+def encode_whole_level(encoder, srcs, dsts, vertex_labels,
+                       return_positions=False, grouped=False):
+    """``QuickPatternEncoder.encode_edge_embeddings`` and the batched
+    ``aggregation.encode_level``: group every row of the level at once,
+    canonicalize its quick patterns, and read MNI positions through each
+    pattern's first-appearance columns (the encode before levels were
+    encoded in row batches)."""
+    srcs = np.asarray(srcs, dtype=np.int64)
+    dsts = np.asarray(dsts, dtype=np.int64)
+    n, k = srcs.shape
+    quick, first_at, inverse = encoder._group_quick(srcs, dsts, vertex_labels)
+    distinct, rank, placements = encoder._canonicalize(quick, k)
+    codes = (groupby.Grouped(distinct, rank[inverse]) if grouped
+             else distinct[rank][inverse])
+    if not return_positions:
+        return codes
+    column_at = np.take_along_axis(first_at, placements, axis=1)
+    seq = np.full((n, 2 * k + 1), -1, dtype=np.int64)
+    seq[:, 0:-1:2], seq[:, 1:-1:2] = srcs, dsts
+    return codes, np.take_along_axis(seq, column_at[inverse], axis=1)
+
+
 def pair_keep_by_sorting(first, parents, values):
     """``aggregation.pair_lookup_keep``: the first occurrence of each
     pair set, found by ``np.unique`` over the pairs, each sorted."""

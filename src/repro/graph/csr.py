@@ -19,10 +19,9 @@ import numpy as np
 
 from ..errors import InvalidGraphError
 
-#: Cap on the lazily-built adjacency bitset (``V**2`` bits).  512 MB covers
-#: every dataset stand-in with head-room while bounding the footprint on
-#: user-supplied graphs; larger graphs keep the sorted-key binary search.
-_BITSET_MAX_BYTES = 512 * 1024 * 1024
+#: Hub rows take at most this many bytes per byte of ``adjacency_keys``, so
+#: the probe structure is bounded by the graph's edges, never by ``V**2``.
+_HUB_BYTES_PER_KEY_BYTE = 2
 
 #: Vertex-id ceiling for the packed (u << 32 | v) edge keys: both halves
 #: must fit in 32 bits for the key to fit in one int64.
@@ -92,7 +91,7 @@ class CSRGraph:
                 "adjacency lists must be strictly ascending; vertex "
                 f"{int(self.adjacency_keys[unsorted[0]] >> 32)}'s is not"
             )
-        self._bitset: np.ndarray | None = None
+        self._hubs: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic shape ----------------------------------------------------------
     @property
@@ -138,46 +137,61 @@ class CSRGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges(np.array([u]), np.array([v]))[0])
 
-    def _adjacency_bitset(self) -> np.ndarray | None:
-        """Lazily-built ``V x V`` adjacency bitset, or ``None`` when the
-        graph is too large.
+    def _hub_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lazily-built packed adjacency rows of the highest-degree vertices,
+        as ``(row_base, bits)``.
 
-        Adjacency probing is the inner loop of vertex extension; a packed
-        bitset answers each probe with one byte load instead of a
-        ``log(2E)`` binary search, and candidate lists are sorted, so
-        consecutive probes share cache lines.
+        A hub ``u`` adjoins ``v`` exactly when bit ``row_base[u] + v`` of
+        ``bits`` is set; every other vertex's ``row_base`` is -1.  Vertices
+        take rows in descending degree order (ties by id) while the rows
+        fit in ``_HUB_BYTES_PER_KEY_BYTE`` times ``adjacency_keys.nbytes``,
+        so on a skewed graph a small fraction of the vertices anchor
+        almost every probe.  ``bits`` is empty when not even one row fits.
         """
-        bits = self._bitset
-        if bits is None:
+        if self._hubs is None:
             n = self.num_vertices
-            if n == 0 or n * n > _BITSET_MAX_BYTES * 8:
-                return None
-            pos = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self.offsets)
-            ) * n
-            pos += self.neighbors
-            bits = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+            budget_bits = _HUB_BYTES_PER_KEY_BYTE * self.adjacency_keys.nbytes * 8
+            count = min(n, budget_bits // max(n, 1))
+            row_base = np.full(n, -1, dtype=np.int64)
+            row_base[np.argsort(-self.degrees, kind="stable")[:count]] = (
+                np.arange(count, dtype=np.int64) * n
+            )
+            base = row_base[self.adjacency_keys >> 32]
+            slot = base >= 0
+            pos = base[slot] + self.neighbors[slot]
+            bits = np.zeros((count * n + 7) // 8, dtype=np.uint8)
             np.bitwise_or.at(
-                bits,
-                pos >> 3,
+                bits, pos >> 3,
                 np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)),
             )
-            self._bitset = bits
-        return bits
+            self._hubs = row_base, bits
+        return self._hubs
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized adjacency test for aligned endpoint arrays."""
-        bits = self._adjacency_bitset()
-        if bits is not None:
-            pos = np.asarray(u, dtype=np.int64) * np.int64(self.num_vertices)  # bitset exists only when n*n <= _BITSET_MAX_BYTES*8, far inside int64
-            pos += np.asarray(v, dtype=np.int64)
-            mask = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
-            return (bits[pos >> 3] & mask) != 0
+        """Vectorized adjacency test for aligned endpoint arrays.
+
+        A probe answers from ``u``'s hub row, else from ``v``'s (the graph
+        is undirected), else by binary search over ``adjacency_keys``.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        row_base, bits = self._hub_rows()
+        if not len(bits):
+            return self._search(u, v)
+        found, miss = _row_bits(row_base, bits, u, v)
+        if len(miss):
+            found[miss], left = _row_bits(row_base, bits, v[miss], u[miss])
+            tail = miss[left]
+            found[tail] = self._search(u[tail], v[tail])
+        return found
+
+    def _search(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Binary-search adjacency test over the packed edge keys."""
         keys = self._pack_pairs(u, v)
-        pos = np.searchsorted(self.adjacency_keys, keys)
-        pos = np.minimum(pos, len(self.adjacency_keys) - 1)
         if len(self.adjacency_keys) == 0:
             return np.zeros(len(keys), dtype=bool)
+        pos = np.searchsorted(self.adjacency_keys, keys)
+        pos = np.minimum(pos, len(self.adjacency_keys) - 1)
         return self.adjacency_keys[pos] == keys
 
     def edge_endpoints(self, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,3 +220,26 @@ class CSRGraph:
             f"CSRGraph({self.name!r}, |V|={self.num_vertices}, "
             f"|E|={self.num_edges}, labels={self.num_labels})"
         )
+
+
+def _row_bits(
+    row_base: np.ndarray, bits: np.ndarray, u: np.ndarray, v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(found, miss)``: bit ``(u, v)`` of ``u``'s hub row per probe, and the
+    indices of the probes whose ``u`` has no row.
+
+    A miss reads the bit ``v - 1`` from the start of ``bits`` (index -1
+    wraps to its last byte), which holds since ``bits`` has at least one
+    row: its ``found`` entry is meaningless and left for the caller to
+    overwrite.  The ops run in place on ``pos`` and two byte arrays.
+    """
+    pos = row_base.take(u)
+    miss = np.flatnonzero(pos < 0)
+    pos += v
+    shift = pos.astype(np.uint8)
+    shift &= 7
+    pos >>= 3
+    byte = bits.take(pos)
+    byte >>= shift
+    byte &= 1
+    return byte.view(bool), miss

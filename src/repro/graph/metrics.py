@@ -53,27 +53,34 @@ class GraphProfile:
         }
 
 
+#: Candidate slots ``triangle_count_exact`` expands at a time (one edge's
+#: may pass it alone), so its temporaries are a few MB on any graph.
+_TRIANGLE_BATCH_SLOTS = 1 << 18
+
+
 def triangle_count_exact(graph: CSRGraph) -> int:
     """Exact triangle count via ordered neighbor intersection (vectorized
     per-edge adjacency checks — independent of the mining engines, so it
     can serve as their oracle on large graphs)."""
-    src, dst = graph.edge_src, graph.edge_dst
-    total = 0
     # For each edge (u, v): count w in N(u) with w > v and (v, w) an edge.
-    # Expanding all candidates at once can be large; chunk the edges.
-    chunk = max(1, min(len(src), 200_000))
-    for start in range(0, len(src), chunk):
-        u = src[start: start + chunk]
-        v = dst[start: start + chunk]
-        starts = graph.offsets[u]
-        ends = graph.offsets[u + 1]
-        from ..gpusim.regions import expand_ranges
-
-        flat = expand_ranges(starts, ends)
-        cand = graph.neighbors[flat]
-        owner = np.repeat(np.arange(len(u)), ends - starts)
-        mask = cand > v[owner]
-        total += int(graph.has_edges(v[owner][mask], cand[mask]).sum())
+    # N(u) is sorted, so those w are the slots after v's in u's list.
+    u, v = graph.edge_src, graph.edge_dst
+    first = np.searchsorted(graph.adjacency_keys, graph._pack_pairs(u, v), side="right")
+    widths = graph.offsets[u + 1] - first
+    ends = np.cumsum(widths)
+    total, lo = 0, 0
+    while lo < len(u):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, done + _TRIANGLE_BATCH_SLOTS, side="right")))
+        width = widths[lo:hi]
+        # Edge i owns batch slots ends[i] - width[i] .. ends[i] - 1, which
+        # read its list from first[i] on.
+        slots = np.arange(done, int(ends[hi - 1])) + np.repeat(
+            first[lo:hi] - ends[lo:hi] + width, width)
+        total += int(graph.has_edges(
+            np.repeat(v[lo:hi], width), graph.neighbors[slots]).sum())
+        lo = hi
     return total
 
 

@@ -1,7 +1,7 @@
 """Equivalence of the fused extension hot path and its straight-line twins.
 
 The progressive (compress-as-you-filter) candidate pruning, the prefix
-intersection shared by sibling rows, the adjacency bitset, and the batched
+intersection shared by sibling rows, the adjacency hub rows, and the batched
 charging underneath must leave no observable trace:
 identical embeddings, identical simulated clock buckets, identical counters
 — bit-for-bit — against the straight-line twins in :mod:`tests.twins`,
@@ -110,8 +110,8 @@ class TestVertexExtensionEquivalence:
         fast = _run_vertex_walk(
             graph, strategy, pre_merge, steps, label, use_gt, injective
         )
-        # The adjacency bitset is lazily cached on the graph; a fresh graph
-        # keeps the straight-line run on the binary search.
+        # The hub rows are lazily cached on the graph; a fresh graph keeps
+        # the straight-line run on the binary search.
         ref_graph = _graph_for(seed, nv, ne)
         with straight_line():
             ref = _run_vertex_walk(
@@ -750,7 +750,7 @@ def test_previous_column_is_lm(task, monkeypatch):
     arms = [(stack, True) for stack in ARMS.values()]  # shipped, twins
     for stack, keep_table in arms + [(ARMS["fast"], False)]:
         levels.clear()
-        clear_cache()  # the twin wants a graph without its bitset
+        clear_cache()  # the twin wants a graph without its hub rows
         with stack(), Gamma(load("CL")) as gamma:
             if task == "4-clique":
                 result = count_kcliques(gamma, 4, keep_table=keep_table)

@@ -1,5 +1,7 @@
 """Tests for connected components and graph statistics."""
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.graph import (
+    CSRGraph,
     clique_graph,
     clustering_coefficient,
     component_sizes,
@@ -22,6 +25,7 @@ from repro.graph import (
     triangle_count_exact,
     wedge_count,
 )
+from repro.graph import metrics
 
 
 class TestConnectedComponents:
@@ -74,11 +78,28 @@ class TestMetrics:
         assert triangle_count_exact(g) == sum(nx.triangles(G).values()) // 3
 
     def test_triangle_count_chunked_path(self):
-        """The chunked per-edge loop must agree regardless of chunk size."""
+        """The count is the same whatever the slot budget of a batch, and
+        no batch probes more than the budget unless it is one edge's."""
         g = kronecker(9, 8, seed=2)
+        G = nx.Graph(list(g.edges()))
         full = triangle_count_exact(g)
-        # clique-heavy fixture for a second data point
+        assert full == sum(nx.triangles(G).values()) // 3
+        widest = max(int((g.neighbors_of(a) > b).sum()) for a, b in g.edges())
+        probes = []
+        has_edges = CSRGraph.has_edges
+
+        def spy(graph, a, b):
+            probes.append(len(a))
+            return has_edges(graph, a, b)
+
+        for budget in (1, 7, 300):
+            probes.clear()
+            with mock.patch.object(metrics, "_TRIANGLE_BATCH_SLOTS", budget), \
+                    mock.patch.object(CSRGraph, "has_edges", spy):
+                assert triangle_count_exact(g) == full
+            assert 1 < len(probes) and max(probes) <= max(budget, widest)
         assert triangle_count_exact(clique_graph(8)) == 56
+        assert triangle_count_exact(star(5)) == 0
 
     def test_wedges(self):
         assert wedge_count(star(5)) == 10

@@ -386,11 +386,12 @@ def csr_by_lexsort(src, dst, num_vertices, labels=None, name="graph"):
 def straight_line():
     """Run the enclosed code on the straight-line stack: the eight twins
     above installed over their seams (the sort's two phases run on the
-    sorted elements), and the four size thresholds dropped to zero so
-    ``has_edges`` binary-searches, ``PageBuffer`` evicts by ``lexsort``,
+    sorted elements), and the hub-row budget and three size thresholds
+    dropped to zero so ``has_edges`` binary-searches every probe (no vertex
+    gets a hub row), ``PageBuffer`` evicts by ``lexsort``,
     ``dedup_embeddings`` keys by void rows and ``first_occurrence`` takes
     the stable sort — the fallbacks large inputs select, forced here on
-    small ones.  (A graph that already built its bitset keeps it; use a
+    small ones.  (A graph that already built its hub rows keeps them; use a
     fresh graph.  The quick-pattern twin replaces the whole grouping, its
     column ranker included, so the ranker's threshold stays.)"""
     patches = [
@@ -402,7 +403,7 @@ def straight_line():
         (regions.ChargeBatch, "lookup", never_memoised),
         (sort, "segment_runs", segments_by_sorting),
         (sort, "merge_runs", merged_by_scatter),
-        (csr, "_BITSET_MAX_BYTES", 0),
+        (csr, "_HUB_BYTES_PER_KEY_BYTE", 0),
         (unified, "_PACKED_KEY_LIMIT", 0),
         (aggregation, "_PACK_BITS_LIMIT", 0),
         (groupby, "_TAG_BITS_LIMIT", 0),

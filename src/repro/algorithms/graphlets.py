@@ -85,7 +85,7 @@ def _classify_induced(engine, graph, mats: np.ndarray, k: int) -> Dict[int, int]
         present = graph.has_edges(mats[:, i], mats[:, j])
         bitmask |= present.astype(np.int64) << bit
         probe_ops += len(mats)
-    _charge(engine, probe_ops * 8)
+    engine.charge_kernel("graphlets:classify", probe_ops * 8)
 
     # Pack (bitmask, labels in column order) into one key per row.
     num_labels = max(1, graph.num_labels)
@@ -94,7 +94,8 @@ def _classify_induced(engine, graph, mats: np.ndarray, k: int) -> Dict[int, int]
     for col in range(k):
         key = key * num_labels + labels[:, col]
     uniq, counts = np.unique(key, return_counts=True)
-    _charge(engine, len(mats) * int(np.log2(max(2, len(mats)))))
+    engine.charge_kernel("graphlets:classify",
+                         len(mats) * int(np.log2(max(2, len(mats)))))
 
     histogram: Dict[int, int] = {}
     for packed, count in zip(uniq.tolist(), counts.tolist()):
@@ -113,10 +114,3 @@ def _canonical_of_packed(packed: int, k: int, num_labels: int, pairs) -> int:
     edges = [pairs[bit] for bit in range(len(pairs)) if bitmask >> bit & 1]
     return canonical_code_int(edges, labels)
 
-
-def _charge(engine, ops: int) -> None:
-    platform = engine.platform
-    if getattr(engine, "_is_cpu", False):
-        platform.cpu.work(ops)
-    else:
-        platform.kernel.launch("graphlets:classify", element_ops=ops)

@@ -45,6 +45,10 @@ class BaselineEngine:
         self._tables: list[EmbeddingTable] = []
         self._closed = False
 
+    def install_fault_plan(self, plan) -> None:
+        """Arm deterministic fault injection on the engine's platform."""
+        self.platform.install_fault_plan(plan)
+
     # -- protocol: tables -----------------------------------------------------
     def _make_table(self, kind: str, name: str) -> EmbeddingTable:
         raise NotImplementedError
@@ -122,6 +126,13 @@ class BaselineEngine:
         if not outputs:
             raise ExecutionError("nothing to output")
         return outputs[0] if len(outputs) == 1 else tuple(outputs)
+
+    def charge_kernel(self, kernel: str, element_ops: int) -> None:
+        """Bill work a driver did on materialized rows."""
+        if self._is_cpu:
+            self.platform.cpu.work(element_ops)
+        else:
+            self.platform.kernel.launch(kernel, element_ops=element_ops)
 
     # -- bookkeeping ----------------------------------------------------------------
     _is_cpu = False

@@ -69,7 +69,7 @@ def fig05_temporal_locality(dataset: str = "CL", k: int = 4) -> FigureReport:
     graph = datasets.load(dataset)
     with Gamma(graph) as engine:
         count_kcliques(engine, k)
-        overlaps = engine.planners["neighbors"].hot_overlap_history
+        overlaps = engine.shards[0].planners["neighbors"].hot_overlap_history
     rows = [
         {"extension": i + 2, "hot_page_overlap": f"{x:.2f}"}
         for i, x in enumerate(overlaps)

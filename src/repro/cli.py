@@ -29,6 +29,7 @@ from .algorithms import (
 from .bench.figures import ALL_FIGURES
 from .bench.reporting import format_table
 from .bench.runner import SYSTEMS
+from .core.framework import Gamma
 from .errors import GammaError
 from .graph import datasets, sm_query
 from .graph.catalog import default_catalog
@@ -98,18 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="install a deterministic fault-injection plan: a "
                           "built-in name (e.g. ci-default) or a JSON file")
     run.add_argument("--gpus", type=int, default=1, metavar="N",
-                     help="GAMMA: shard the run across N simulated GPUs "
+                     help="GAMMA: partition the run across N simulated GPUs "
                           "(see docs/SHARDING.md)")
     run.add_argument("--shard-policy", default="static",
                      choices=("static", "degree", "stealing"),
                      help="frontier partitioning policy for --gpus > 1")
     run.add_argument("--executor", default=None,
                      choices=("serial", "process"),
-                     help="shard execution backend for --gpus > 1: "
-                          "'serial' runs shards in-process, 'process' "
-                          "forks one worker per shard for true wall-clock "
-                          "parallelism (default: $REPRO_SHARD_EXECUTOR or "
-                          "serial; results are identical either way)")
+                     help="GAMMA partition backend, at any --gpus: "
+                          "'serial' runs partitions in-process, 'process' "
+                          "forks one worker per partition (wall-clock "
+                          "parallelism above one GPU) (default: "
+                          "$REPRO_SHARD_EXECUTOR or serial; results are "
+                          "identical either way)")
     run.add_argument("--interconnect", default="nvlink",
                      choices=("nvlink", "pcie"),
                      help="inter-GPU link model for --gpus > 1 "
@@ -180,9 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="concurrent execution slots (default 2)")
     serve.add_argument("--executor", choices=("serial", "process"),
                        metavar="NAME",
-                       help="shard backend for multi-GPU queries "
-                            "(default: process on >=4-core hosts; "
-                            "REPRO_SHARD_EXECUTOR wins)")
+                       help="partition backend for every query "
+                            "(default: serial at one GPU, else process "
+                            "on >=4-core hosts; REPRO_SHARD_EXECUTOR wins)")
     serve.add_argument("--tenant", action="append", default=[],
                        metavar="NAME[:INFLIGHT[:PENDING]]",
                        help="register a tenant with quota overrides "
@@ -321,17 +323,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # adopts the default collector, so the root span covers engine
         # construction (residence staging, pool allocation, ...).
         collector = obs.install(obs.SpanCollector())
-    sharded = getattr(args, "gpus", 1) > 1
-    if sharded and args.system != "GAMMA":
+    gamma = args.system == "GAMMA"
+    if args.gpus > 1 and not gamma:
         print(f"--gpus needs the GAMMA engine, not {args.system}",
               file=sys.stderr)
         return 2
     with timer.phase("build-engine"):
-        if sharded:
+        if gamma:
             from .gpusim.spec import InterconnectSpec
-            from .shard import ShardedGamma
 
-            engine = ShardedGamma(
+            engine = Gamma(
                 graph,
                 num_shards=args.gpus,
                 policy=args.shard_policy,
@@ -345,19 +346,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .gpusim.trace import TraceRecorder
 
         trace = TraceRecorder().attach(engine.platform)
-        if sharded and engine.executor_name == "process":
-            print("note: --breakdown/--profile trace the coordinator only "
-                  "under --executor process (shard platforms live in "
+        if getattr(engine, "executor_name", None) == "process":
+            print("note: --breakdown/--profile trace the front only "
+                  "under --executor process (partition platforms live in "
                   "worker processes)", file=sys.stderr)
     if args.fault_plan:
         from .resilience import load_plan
 
-        plan = load_plan(args.fault_plan)
-        if sharded:
-            # Shard 0, matching the old platform-level install.
-            engine.install_fault_plan(plan)
-        else:
-            engine.platform.install_fault_plan(plan)
+        engine.install_fault_plan(load_plan(args.fault_plan))
     plan_obj = None
     plan_cache = None
     try:
@@ -459,7 +455,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       f"misses={stats['misses']} ({plan_cache.path})")
         print(f"simulated time: {engine.simulated_seconds * 1e3:.3f} ms; "
               f"peak memory: {engine.peak_memory_bytes / (1 << 20):.2f} MiB")
-        if sharded:
+        if args.gpus > 1:
             utils = ", ".join(
                 f"gpu{i}={u:.1%}"
                 for i, u in enumerate(engine.shard_utilization())
@@ -507,8 +503,8 @@ def _write_obs_outputs(args, engine, collector, plan=None,
     """Close the telemetry collector and emit the requested artifacts."""
     from . import obs
 
-    # Process-backend sharded runs graft the worker span trees under the
-    # coordinator's root before the collector closes.
+    # Process-backend runs graft the worker span trees under the front's
+    # root before the collector closes.
     finalize = getattr(engine, "finalize_telemetry", None)
     if finalize is not None:
         finalize()
@@ -525,11 +521,11 @@ def _write_obs_outputs(args, engine, collector, plan=None,
             print("manifest not written: engine exposes no platform",
                   file=sys.stderr)
             return
-        from .shard import ShardedGamma, build_sharded_manifest
+        from .shard import build_sharded_manifest
 
         extra = (_plan_manifest_extra(engine, plan, plan_cache)
                  if plan is not None else None)
-        if isinstance(engine, ShardedGamma):
+        if isinstance(engine, Gamma):
             manifest = build_sharded_manifest(
                 engine, collector,
                 system=args.system, dataset=args.dataset, task=args.task,

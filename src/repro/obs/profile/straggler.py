@@ -1,6 +1,6 @@
 """Per-barrier straggler analysis for sharded (BSP) runs.
 
-``ShardedGamma`` closes every user-visible op with a barrier: the slowest
+A multi-partition ``Gamma`` closes every user-visible op with a barrier: the slowest
 shard sets the superstep's makespan and every other shard charges the
 difference to its ``shard_sync`` bucket.  The engine records one
 ``barrier_log`` entry per barrier (which shard gated it, how long each
@@ -38,7 +38,7 @@ def straggler_report(engine: Any) -> Dict[str, Any]:
 
     ``engine`` is duck-typed: anything exposing ``num_shards``,
     ``barrier_log``, ``exchange_log`` and ``shard_utilization()`` works
-    (``ShardedGamma`` is the one producer).  Returns an empty-superstep
+    (``Gamma`` is the one producer).  Returns an empty-superstep
     report when no barriers were logged.
     """
     barriers: List[Dict[str, Any]] = list(getattr(engine, "barrier_log", []))

@@ -1,8 +1,8 @@
 """Plan execution: dispatch a CompiledPlan to the algorithm drivers.
 
 ``execute_plan(engine, plan)`` is what :meth:`CompiledPlan.run` calls, so
-``engine.run(plan)`` works for both :class:`~repro.core.framework.Gamma`
-and :class:`~repro.shard.ShardedGamma` — the plan *is* the task.  Imports
+``engine.run(plan)`` works on :class:`~repro.core.framework.Gamma` at any
+partition count — the plan *is* the task.  Imports
 are deferred to keep ``repro.plan`` importable without pulling the whole
 algorithm stack (the algorithms import ``repro.plan`` themselves).
 """

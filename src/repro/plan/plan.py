@@ -245,7 +245,7 @@ class CompiledPlan:
         )
 
     def run(self, engine: Any) -> Any:
-        """Execute this plan on ``engine`` (Gamma or ShardedGamma).
+        """Execute this plan on ``engine`` (any partition count).
 
         Plans are tasks: ``engine.run(plan)`` calls this through the
         ``task.run`` protocol, so plan-driven and callable-driven runs

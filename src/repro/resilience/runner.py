@@ -1,7 +1,8 @@
 """Engine-state capture/restore for checkpointing and in-process rewind.
 
-The :class:`~repro.core.framework.Gamma` engine journals every user-visible
-operation and snapshots its full state after each one (level granularity —
+Each partition of a :class:`~repro.core.framework.Gamma` engine (a
+:class:`~repro.shard.worker.ShardWorker`) journals every op and snapshots
+its full state after each one (level granularity —
 each extension level is one op).  This module owns what a snapshot contains
 and how it is re-applied, in two modes:
 
@@ -28,7 +29,8 @@ import numpy as np
 
 __all__ = ["capture_state", "restore_state", "rewind"]
 
-STATE_VERSION = 1
+#: 2: each snapshot records the partition that took it.
+STATE_VERSION = 2
 
 
 def _planner_state(planner) -> dict:
@@ -93,6 +95,10 @@ def capture_state(gamma) -> dict:
     injector = platform.resilience
     return {
         "version": STATE_VERSION,
+        # Which partition took the snapshot: resume checks it (a snapshot
+        # of another partition count would mine a different frontier).
+        "partition": {"index": gamma.index, "num_shards": gamma.num_shards,
+                      "policy": gamma.policy},
         "op_count": len(gamma._journal) if gamma._journal is not None else 0,
         "journal": [
             {"kind": record["kind"], "payload": record["payload"]}

@@ -5,7 +5,7 @@ The serve layer turns the batch engine into a long-lived service:
 * :class:`QuerySpec` / :class:`QueryQueue` — plain-data queries admitted
   under per-tenant quotas with priority scheduling and fair shares;
 * :class:`Scheduler` — level-by-level execution over per-query
-  ``Gamma``/``ShardedGamma`` engines, with checkpoint-journal preemption,
+  ``Gamma`` engines, with checkpoint-journal preemption,
   crash containment, warm process-pool reuse, and a shared plan cache;
 * :class:`ResultStream` — per-query JSON-record streams (chunked
   JSON-lines over HTTP);

@@ -52,7 +52,7 @@ class QuerySpec:
     tenant: str = "default"
     priority: int = 0
     dataset: str = "ER"
-    #: Simulated GPUs; 1 runs a plain ``Gamma``, >1 a ``ShardedGamma``.
+    #: Simulated GPUs: the ``Gamma`` engine's partition count.
     gpus: int = 1
     shard_policy: str = "static"
     #: Shard backend name; ``None`` defers to the scheduler's default

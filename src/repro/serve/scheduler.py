@@ -1,7 +1,7 @@
 """The serve scheduler: level-by-level execution with preemption.
 
 One :class:`Scheduler` drains a :class:`~repro.serve.queue.QueryQueue`,
-building a fresh ``Gamma``/``ShardedGamma`` per attempt and running the
+building a fresh ``Gamma`` per attempt and running the
 query's driver through ``engine.run``.  Three properties fall out of how
 the pieces compose:
 
@@ -50,7 +50,7 @@ from ..errors import (
     QueryPreempted,
     WorkerCrashed,
 )
-from ..shard import PROCESS_EXECUTOR, ProcessExecutor, ShardedGamma
+from ..shard import PROCESS_EXECUTOR, ProcessExecutor
 from ..shard.executor import serve_default_executor
 from . import queue as serve_queue
 from .query import QuerySpec, result_payload, run_query
@@ -67,8 +67,9 @@ class ServeConfig:
 
     #: Concurrent execution slots (worker threads in threaded mode).
     slots: int = 2
-    #: Default shard backend for multi-GPU queries; ``None`` resolves via
-    #: :func:`repro.shard.serve_default_executor` (process on >=4 cores).
+    #: Default partition backend of every query; ``None`` resolves via
+    #: :func:`repro.shard.serve_default_executor` (serial at one GPU,
+    #: process on >=4 cores otherwise).
     executor: "str | None" = None
     #: Keep process pools alive between queries (same dataset + shape).
     reuse_pools: bool = True
@@ -189,10 +190,8 @@ class Scheduler:
         """Returns ``(engine, pool_key, pool)``; pool is None off-pool."""
         graph = self._graph(spec.dataset)
         config = self.config.gamma_config
-        if spec.gpus <= 1:
-            return Gamma(graph, config), None, None
         name = spec.executor or self.config.executor \
-            or serve_default_executor()
+            or serve_default_executor(gpus=spec.gpus)
         executor: Any = name
         key = None
         pool = None
@@ -201,7 +200,7 @@ class Scheduler:
             pool = self._checkout_pool(key)
             executor = pool
         try:
-            engine = ShardedGamma(
+            engine = Gamma(
                 graph, config, num_shards=spec.gpus,
                 policy=spec.shard_policy, executor=executor)
         except Exception:
@@ -264,12 +263,12 @@ class Scheduler:
             state.exec_seconds += time.monotonic() - attempt_start
             self._finish(state, error=str(exc), release=True)
             return serve_queue.FAILED
-        state.executor_used = getattr(engine, "executor_name", "local")
+        state.executor_used = engine.executor_name
         # Disk is for processes that can die.  Worker processes journal
         # every op durably, which is what a crash-retry reads back; an
         # in-thread engine dies with this server, so its snapshot stays in
         # memory and changes hands only if the query is preempted.
-        if isinstance(engine, ShardedGamma) and engine.executor.parallel:
+        if engine.executor.parallel:
             state.checkpoint_dir = os.path.join(
                 self._workdir, f"q{state.id:06d}")
         if spec.fault_plan is not None and state.crashes == 0:
@@ -278,11 +277,8 @@ class Scheduler:
             # resumes clean from the checkpoint (a plan that names
             # ``level:2`` would otherwise re-fire on every attempt).
             from ..resilience.faults import FaultPlan
-            plan = FaultPlan.from_dict(spec.fault_plan)
-            if isinstance(engine, ShardedGamma):
-                engine.install_fault_plan(plan, shard=spec.fault_shard)
-            else:
-                engine.platform.install_fault_plan(plan)
+            engine.install_fault_plan(FaultPlan.from_dict(spec.fault_plan),
+                                      shard=spec.fault_shard)
 
         hook = self._make_hook(state, sync, on_stage)
 
@@ -365,18 +361,11 @@ class Scheduler:
             return
         from ..obs.manifest import attach_query_tags, write_manifest
         spec = state.spec
-        if isinstance(engine, ShardedGamma):
-            from ..shard import build_sharded_manifest
-            manifest = build_sharded_manifest(
-                engine, system="GAMMA-serve", dataset=spec.dataset,
-                task=spec.family, config=engine.config,
-                wall_seconds=state.exec_seconds)
-        else:
-            from ..obs.manifest import build_manifest
-            manifest = build_manifest(
-                engine.platform, None, system="GAMMA-serve",
-                dataset=spec.dataset, task=spec.family,
-                config=engine.config, wall_seconds=state.exec_seconds)
+        from ..shard import build_sharded_manifest
+        manifest = build_sharded_manifest(
+            engine, system="GAMMA-serve", dataset=spec.dataset,
+            task=spec.family, config=engine.config,
+            wall_seconds=state.exec_seconds)
         attach_query_tags(manifest, query_id=state.id, tenant=spec.tenant,
                           priority=spec.priority, family=spec.family,
                           plan=spec.plan)

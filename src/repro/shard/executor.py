@@ -1,12 +1,13 @@
 """Shard execution backends: where the per-shard engines actually live.
 
-``ShardedGamma`` never touches a shard engine directly any more — it
-issues named plain-data commands through a :class:`ShardExecutor`:
+The :class:`~repro.core.framework.Gamma` front never touches a partition
+directly — it issues named plain-data commands through a
+:class:`ShardExecutor`:
 
 * :class:`SerialExecutor` (default) keeps one :class:`ShardWorker` per
-  shard in-process and dispatches inline, preserving the original
-  sequential semantics bit-for-bit (live telemetry spans, direct fault
-  propagation, ``engine.shards`` back-compat).
+  partition in-process and dispatches inline (live telemetry spans,
+  direct fault propagation, ``engine.shards``); one GPU is one partition
+  here.
 * :class:`ProcessExecutor` forks one worker process per shard and drives
   them over ``multiprocessing`` pipes at BSP-superstep granularity:
   every fan-out sends all N commands before collecting any reply, so the
@@ -27,13 +28,11 @@ from the per-shard checkpoints).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ExecutionError, WorkerCrashed
-from . import shm
 from .worker import ShardWorker, dispatch, serve, submit
 
 __all__ = [
@@ -73,17 +72,23 @@ def default_executor() -> str:
 SERVE_MIN_CORES = 4
 
 
-def serve_default_executor(cpu_count: "int | None" = None) -> str:
+def serve_default_executor(cpu_count: "int | None" = None,
+                           gpus: "int | None" = None) -> str:
     """Backend the serve scheduler uses when a query does not pick one.
 
     ``REPRO_SHARD_EXECUTOR`` still wins (CI legs and tests pin backends
-    through it); otherwise hosts with ``>= SERVE_MIN_CORES`` cores get the
-    process backend, everything smaller stays serial.  ``cpu_count``
-    overrides :func:`os.cpu_count` for deterministic unit tests.
+    through it).  A one-GPU query (``gpus=1``) stays serial: one partition
+    has nothing to overlap, so a worker process would only add pickled
+    replies and a durable per-op journal.  Otherwise hosts with
+    ``>= SERVE_MIN_CORES`` cores get the process backend, everything
+    smaller stays serial.  ``cpu_count`` overrides :func:`os.cpu_count`
+    for deterministic unit tests.
     """
     name = os.environ.get(EXECUTOR_ENV_VAR, "").strip()
     if name:
         return name
+    if gpus == 1:
+        return SERIAL_EXECUTOR
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     return PROCESS_EXECUTOR if cores >= SERVE_MIN_CORES else SERIAL_EXECUTOR
 
@@ -92,12 +97,13 @@ def default_start_method() -> str:
     override = os.environ.get(START_METHOD_ENV_VAR, "").strip()
     if override:
         return override
+    import multiprocessing  # the in-process backend never loads it
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
 
 class ShardExecutor:
-    """Backend interface ``ShardedGamma`` drives commands through."""
+    """Backend interface the ``Gamma`` front drives commands through."""
 
     name = "?"
     #: True when shards run in separate processes (drives telemetry
@@ -105,7 +111,9 @@ class ShardExecutor:
     parallel = False
 
     def start(self, *, graph, config, num_shards: int, policy: str,
-              interconnect, telemetry: bool = False) -> None:
+              interconnect, telemetry: bool = False, platform=None) -> None:
+        """Build the partitions; ``platform`` (a hand-built one for
+        partition 0) is for the in-process backend only."""
         raise NotImplementedError
 
     def fanout(self, op: str, args_list: Sequence[dict],
@@ -159,13 +167,14 @@ class SerialExecutor(ShardExecutor):
         self.last_faulted: "int | None" = None
 
     def start(self, *, graph, config, num_shards: int, policy: str,
-              interconnect, telemetry: bool = False) -> None:
-        # ``telemetry`` is ignored: in-process workers share the
-        # coordinator's installed collector (shard 0's platform adopts it
-        # at construction, exactly as before the executor split).
+              interconnect, telemetry: bool = False, platform=None) -> None:
+        # ``telemetry`` is ignored: in-process workers share the front's
+        # installed collector (partition 0's platform adopts it at
+        # construction).
         self.workers = [
             ShardWorker(index, graph, config, num_shards=num_shards,
-                        policy=policy, interconnect=interconnect)
+                        policy=policy, interconnect=interconnect,
+                        platform=platform if index == 0 else None)
             for index in range(num_shards)
         ]
 
@@ -190,14 +199,14 @@ class SerialExecutor(ShardExecutor):
         return [worker.clock_total for worker in self.workers]
 
     def table_parts(self, handles) -> list:
-        # Real EmbeddingTables: serial drivers (and the N=1 bit-parity
-        # tests) see exactly the objects the shard engines mutate.
-        return [self.workers[index].tables[handle]
+        # Real EmbeddingTables: serial drivers see exactly the objects the
+        # partitions mutate.
+        return [self.workers[index]._tables[handle]
                 for index, handle in enumerate(handles)]
 
     def shutdown(self) -> None:
         for worker in self.workers:
-            worker.engine.close()
+            worker.do_close()
         self.workers = []
 
     # Fork-state contract: a pickled executor is configuration, never live
@@ -233,7 +242,11 @@ class ProcessExecutor(ShardExecutor):
         self._closed = False
 
     def start(self, *, graph, config, num_shards: int, policy: str,
-              interconnect, telemetry: bool = False) -> None:
+              interconnect, telemetry: bool = False, platform=None) -> None:
+        import multiprocessing
+
+        from . import shm
+
         if self._procs and self.reset(
             graph=graph, config=config, num_shards=num_shards,
             policy=policy, interconnect=interconnect, telemetry=telemetry,
@@ -281,7 +294,7 @@ class ProcessExecutor(ShardExecutor):
             raise ExecutionError(
                 "process executor is no longer usable (a worker crashed or "
                 "the engine was closed); resume from checkpoints with a "
-                "fresh ShardedGamma"
+                "fresh engine"
             )
 
     def _crashed(self, index: int) -> WorkerCrashed:
@@ -408,6 +421,8 @@ class ProcessExecutor(ShardExecutor):
         self._procs = []
         self._conns = []
         if self._graph_meta is not None:
+            from . import shm
+
             shm.release_graph(self._graph_meta)
             self._graph_meta = None
 

@@ -1,9 +1,10 @@
-"""Merged run manifests for sharded execution.
+"""Run manifests of the :class:`~repro.core.framework.Gamma` engine.
 
-A sharded run has N platforms, each with its own clock buckets and
+An N-partition run has N platforms, each with its own clock buckets and
 counters.  :func:`build_sharded_manifest` builds the usual per-platform
-manifest for every shard (via :func:`repro.obs.manifest.build_manifest`)
-and wraps them in one merged document:
+manifest for every partition (via :func:`repro.obs.manifest.build_manifest`).
+One partition's document *is* the run's (plain ``gamma-manifest/1``); more
+are wrapped in one merged document:
 
 * ``counters`` — element-wise sums across shards (total simulated work);
 * ``clock_buckets`` — element-wise *max* is wrong for busy-time semantics,
@@ -57,15 +58,20 @@ def build_sharded_manifest(
     wall_seconds: float | None = None,
     extra: Dict[str, Any] | None = None,
 ) -> Dict[str, Any]:
-    """Merged manifest for a :class:`~repro.shard.engine.ShardedGamma` run.
+    """The manifest of a ``Gamma`` run, merged across its partitions.
 
-    ``collector`` (bound to shard 0's platform) only contributes spans to
-    shard 0's sub-manifest, mirroring how telemetry attaches.
+    At N=1 it is partition 0's own (plain) document.  ``collector`` (bound to partition 0's platform) only contributes spans
+    to partition 0's document, mirroring how telemetry attaches.
     """
+    shard_docs = engine.shard_manifest_docs(
+        collector, system=system, dataset=dataset, task=task, config=config,
+        wall_seconds=wall_seconds if engine.num_shards == 1 else None)
+    if engine.num_shards == 1:
+        if extra:
+            shard_docs[0]["extra"] = extra
+        return shard_docs[0]
     states = engine.shard_states()
     utilizations = engine.shard_utilization(states)
-    shard_docs = engine.shard_manifest_docs(
-        collector, system=system, dataset=dataset, task=task, config=config)
     for index, doc in enumerate(shard_docs):
         doc["shard"] = index
         doc["utilization"] = utilizations[index]
@@ -102,10 +108,8 @@ def build_sharded_manifest(
     }
     # Straggler section: which shard gated each superstep, utilization
     # skew, exchange-bytes share.  Derived purely from simulated clocks,
-    # so it is deterministic and safe inside the canonical bytes.  N=1
-    # runs log no barriers and carry no section, preserving the bit-parity
-    # with unsharded manifests that the determinism tests pin.
-    if getattr(engine, "barrier_log", None):
+    # so it is deterministic and safe inside the canonical bytes.
+    if engine.barrier_log:
         from ..obs.profile.straggler import straggler_report
 
         merged["straggler"] = straggler_report(engine)

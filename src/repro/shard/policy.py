@@ -6,7 +6,7 @@ GPUs.  The assignment fixes which shard *owns* each unit: each shard seeds
 the full frontier, then filters down to its owned units, so every
 embedding is grown by exactly one shard (duplicate discoveries that cross
 shard boundaries are reconciled by the exchange step in
-:mod:`repro.shard.engine`).
+:class:`repro.core.framework.Gamma`).
 
 Three policies, mirroring the scale-out literature:
 

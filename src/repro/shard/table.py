@@ -1,10 +1,11 @@
-"""A driver-facing view over one embedding table per shard.
+"""A driver-facing view over one embedding table per partition.
 
 Algorithm drivers (``repro.algorithms``) are engine-agnostic: they talk to
-whatever object ``new_vertex_table``/``new_edge_table`` returns.  In
-sharded execution that object is a :class:`ShardedTable` — a thin proxy
-holding one :class:`~repro.core.embedding_table.EmbeddingTable` per shard
-and presenting the *global* view drivers expect:
+whatever object ``new_vertex_table``/``new_edge_table`` returns.  On the
+:class:`~repro.core.framework.Gamma` engine that object is a
+:class:`ShardedTable` — a thin proxy holding one
+:class:`~repro.core.embedding_table.EmbeddingTable` per partition (one on
+one GPU) and presenting the *global* view drivers expect:
 
 * scalar shape (``num_embeddings``, ``depth``, ``nbytes``) sums shards;
 * column reads concatenate shards in shard order, with parent pointers
@@ -13,7 +14,7 @@ and presenting the *global* view drivers expect:
 
 The global row order is therefore *shard-major*: all of shard 0's rows,
 then shard 1's, and so on.  Everything that maps global masks or codes
-back onto shards (``ShardedGamma.filtering``) relies on that ordering.
+back onto partitions (``Gamma.filtering``) relies on that ordering.
 """
 
 from __future__ import annotations
@@ -177,9 +178,13 @@ class ShardedTable:
         )
 
     def split_rows(self, values: np.ndarray) -> List[np.ndarray]:
-        """Split a global per-row array back into per-shard pieces
-        (shard-major order)."""
+        """Split a global per-row array back into per-partition pieces
+        (partition-major order).  One partition takes the array whole: no
+        row count to check it against, which during a resumed replay would
+        already be the op's result."""
         values = np.asarray(values)
+        if len(self.parts) == 1:
+            return [values]
         counts = self.shard_row_counts()
         if len(values) != int(counts.sum()):
             raise ExecutionError(
@@ -245,3 +250,25 @@ class ShardedTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = ",".join(str(part.num_embeddings) for part in self.parts)
         return f"ShardedTable({self.name!r}, {self.kind}, rows=[{sizes}])"
+
+
+class ShardedCodes:
+    """Per-partition canonical code arrays returned by ``Gamma.aggregation``.
+
+    Drivers treat aggregation's return value as opaque and hand it back to
+    ``filtering``; this wrapper keeps the per-partition split exact while
+    still looking like a flat sequence where drivers peek (``len``,
+    concatenation via :meth:`flat`).
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: List[np.ndarray]) -> None:
+        self.parts = [np.asarray(p, dtype=np.int64) for p in parts]
+
+    def __len__(self) -> int:
+        return sum(len(p) for p in self.parts)
+
+    def flat(self) -> np.ndarray:
+        return (np.concatenate(self.parts) if self.parts
+                else np.empty(0, dtype=np.int64))

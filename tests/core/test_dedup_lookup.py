@@ -26,7 +26,7 @@ from hypothesis import strategies as hst
 
 from repro.algorithms import frequent_pattern_mining
 from repro.core import EDGE, EmbeddingTable, Gamma, extension
-from repro.core import framework
+from repro.shard import worker
 from repro.graph import from_edge_list
 from repro.graph.generators import erdos_renyi, kronecker
 from tests.twins import ARMS
@@ -66,7 +66,7 @@ def _level_one(engine, graph, keep_fraction, repeats, seed):
         table.seed(rng.integers(0, graph.num_edges, size=2 * graph.num_edges))
     else:
         engine.seed_edges(table)
-    table.compact(rng.random(table.num_embeddings) < keep_fraction)
+    table.parts[0].compact(rng.random(table.num_embeddings) < keep_fraction)
     return table
 
 
@@ -154,7 +154,7 @@ def test_pair_dedup_sorts_nothing():
             removed.append(real(platform, table, cpu))
         return removed[-1]
 
-    with mock.patch.object(framework, "dedup_embeddings", guarded), \
+    with mock.patch.object(worker, "dedup_embeddings", guarded), \
             Gamma(_pins_graph()) as engine:
         frequent_pattern_mining(engine, 2, 6)
     assert len(removed) == 1 and removed[0] > 0
@@ -208,12 +208,12 @@ def test_a_span_over_the_bound_takes_the_sort():
         with stack(), Gamma(graph) as engine:
             table = engine.new_edge_table()
             engine.seed_edges(table)
-            table.compact(table.column_values(0) == graph.num_edges - 1)
+            table.parts[0].compact(table.column_values(0) == graph.num_edges - 1)
             engine.edge_extension(table)
-            assert table.columns[-1].edge_grown
+            assert table.parts[0].columns[-1].edge_grown
             with mock.patch.object(aggregation, "_sorted_keep",
                                    wraps=aggregation._sorted_keep) as sort:
-                removed, lookups = _dedup_spied(table, engine.platform)
+                removed, lookups = _dedup_spied(table.parts[0], engine.platform)
             if stack is FAST:
                 assert lookups == [None] and sort.call_count == 1
             results.append((removed, table.materialize().tolist(),

@@ -115,7 +115,7 @@ def _recorded(engine, in_process):
 
 
 def _bill(engine):
-    if isinstance(engine, ShardedGamma):
+    if isinstance(engine, Gamma):
         books = [(s["clock_buckets"], s["counters"]) for s in engine.shard_states()]
     else:
         platform = engine.platform
@@ -170,10 +170,11 @@ class TestBatchedEqualsOneBatch:
             batched, whole = (_edge_table(graph, depth) for __ in range(2))
             engine, table = batched
             groups, mni = aggregation.encode_level(
-                engine.residence, table, QuickPatternEncoder(), want_mni)
+                engine.shards[0].residence, table.parts[0], QuickPatternEncoder(),
+                want_mni)
             twin_engine, twin_table = whole
             mats = twin_table.materialize()
-            src, dst = twin_engine.residence.endpoints_of(mats.ravel())
+            src, dst = twin_engine.shards[0].residence.endpoints_of(mats.ravel())
             assert _books(engine) == _books(twin_engine)
             twin = encode_whole_level(
                 QuickPatternEncoder(), src.reshape(mats.shape),
@@ -285,7 +286,8 @@ class TestBoundedBatches:
             bills = []
             for batches in (1, 7):
                 with make() as engine:
-                    res = getattr(engine, "residence", None) or engine._residence
+                    res = (engine.shards[0].residence if isinstance(engine, Gamma)
+                           else engine._residence)
                     reads = res.endpoint_reads()
                     parts = [reads.gather(part) for part in np.array_split(ids, batches)]
                     before = engine.platform.clock.snapshot()

@@ -228,7 +228,7 @@ class TestListsDoNotOutliveTheirUse:
         recorded = []
 
         def after_level(engine):
-            (table,) = engine._tables
+            (table,) = engine.shards[0]._tables
             assert all(column.lists is None for column in table.columns[:-1])
             recorded.append(table.columns[-1].lists is not None)
 
@@ -240,10 +240,10 @@ class TestListsDoNotOutliveTheirUse:
             assert recorded == [False, True, True, False]
             # The triangle's last level is labelled and leaves its own ...
             result, table = match_pattern(engine, sm_query(1), keep_table=True)
-            lists = table.columns[-1].lists
+            lists = table.parts[0].columns[-1].lists
             assert len(lists.values) > table.num_embeddings
         # ... until the engine lets go of the table.
-        assert all(column.lists is None for column in table.columns)
+        assert all(column.lists is None for column in table.parts[0].columns)
         assert table.num_embeddings == result.embeddings > 0
         assert table.materialize().shape == (result.embeddings, 3)
 

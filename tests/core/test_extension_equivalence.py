@@ -574,7 +574,7 @@ def _dedup(engine, table, rows):
 def _spilled(*want):
     def check(engine, table, rows):
         assert [isinstance(column, SpilledColumn)
-                for column in table.columns] == list(want)
+                for column in table.parts[0].columns] == list(want)
         return rows
     return check
 
@@ -623,7 +623,7 @@ def _intervened_walk(name, union_at=None, suspend=False):
     expected = []
 
     def task(engine, stop=False):
-        engine._vertex_engine.chunk_rows = chunk_rows
+        engine.shards[0]._vertex_engine.chunk_rows = chunk_rows
         table = engine.new_vertex_table("walk")
         engine.seed_vertices(table)
         rows = vertex_walk_rows_ref(graph, [])

@@ -80,7 +80,7 @@ class TestGammaLifecycle:
             gamma = Gamma(wheel_graph)
             gamma.enable_checkpointing()
             result, table = count_kcliques(gamma, 3, keep_table=True)
-            last_column = weakref.ref(table.columns[-1].values)
+            last_column = weakref.ref(table.parts[0].columns[-1].values)
             gamma.close()
             assert len(table.materialize()) == result.cliques
             del gamma, table
@@ -93,16 +93,24 @@ class TestGammaLifecycle:
         with Gamma(tiny_graph, platform=platform) as gamma:
             assert gamma.platform is platform
 
+    @pytest.mark.parametrize("shape", [{"num_shards": 2},
+                                       {"executor": "process"}])
+    def test_custom_platform_needs_one_in_process_partition(self, tiny_graph,
+                                                            shape):
+        with pytest.raises(ExecutionError, match="platform="):
+            Gamma(tiny_graph, platform=make_platform(), **shape)
+
     def test_vertex_only_workload_skips_edge_regions(self, tiny_graph):
         with Gamma(tiny_graph) as gamma:
             table = gamma.new_vertex_table()
             gamma.seed_vertices(table)
             gamma.vertex_extension(table, [0])
-            assert "edge_slots" not in gamma.planners
+            (partition,) = gamma.shards
+            assert "edge_slots" not in partition.planners
             # edge use materializes the lazy mapping
             etable = gamma.new_edge_table()
             gamma.seed_edges(etable)
-            assert "edge_slots" in gamma.planners
+            assert "edge_slots" in partition.planners
 
     def test_num_warps_flows_to_kernel(self, tiny_graph):
         with Gamma(tiny_graph, GammaConfig(num_warps=3)) as gamma:

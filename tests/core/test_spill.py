@@ -237,7 +237,7 @@ class TestAbortCleanup:
         from repro.errors import DeviceOutOfMemory
         with pytest.raises(DeviceOutOfMemory):
             count_kcliques(engine, 4)
-        store = engine._spill_store
+        store = engine.shards[0]._spill_store
         assert store is not None and store.bytes_spilled > 0
         directory = store.directory
         engine.close()

@@ -42,7 +42,6 @@ from repro.resilience.checkpoint import (
     deserialize_state,
     serialize_state,
 )
-from repro.shard import ShardedGamma
 from tests.test_sim_pins import _pins, differences, observe
 
 aggregation = import_module("repro.core.aggregation")
@@ -161,7 +160,7 @@ class TestEngineStates:
         engine = Gamma(erdos_renyi(120, 900, seed=2))
         engine.enable_checkpointing()
         count_kcliques(engine, 3)
-        state = res_runner.capture_state(engine)
+        state = res_runner.capture_state(engine.shards[0])
         engine.close()
 
         blob = serialize_state(state)
@@ -193,10 +192,8 @@ _DRIVERS = {
 
 
 def _archives(engine) -> list:
-    """The engine's snapshot(s) as archive bytes, one per shard."""
-    snapshot = engine.snapshot()
-    states = snapshot if isinstance(snapshot, list) else [snapshot]
-    return [serialize_state(state) for state in states]
+    """The engine's snapshots as archive bytes, one per partition."""
+    return [serialize_state(state) for state in engine.snapshot()]
 
 
 class TestHandOverRoutes:
@@ -213,8 +210,7 @@ class TestHandOverRoutes:
         drive = _DRIVERS[family]
 
         def engine():
-            return (Gamma(graph) if shards == 1 else
-                    ShardedGamma(graph, num_shards=shards, executor="serial"))
+            return Gamma(graph, num_shards=shards, executor="serial")
 
         calls = []
 
@@ -230,7 +226,7 @@ class TestHandOverRoutes:
             blobs = _archives(first)
         thawed = [deserialize_state(blob) for blob in blobs]
         outcomes = []
-        for state in (handed, thawed if shards > 1 else thawed[0]):
+        for state in (handed, thawed):
             with engine() as resumed:
                 result = resumed.run(lambda e: drive(e, None),
                                      resume_state=state)
@@ -258,7 +254,7 @@ class TestCounterPartition:
             engine.run(lambda e: count_kcliques(e, 4), checkpoint_dir=ckpt)
         engine.close()
 
-        at_checkpoint = CheckpointManager(str(ckpt)).load()["counters"]
+        at_checkpoint = CheckpointManager(str(ckpt / "shard-0")).load()["counters"]
 
         resumed = Gamma(erdos_renyi(**graph_args))
         resumed.run(lambda e: count_kcliques(e, 4),
@@ -314,8 +310,8 @@ class TestReplayKeepsThePairLookup:
             with pytest.raises(DeviceOutOfMemory):
                 first.run(self._fpm, checkpoint_dir=journal)
             handed = first.snapshot()
-        assert handed["journal"][-1]["kind"] == "edge-extension"
-        assert handed["tables"][0]["columns"][-1]["edge_grown"]
+        assert handed[0]["journal"][-1]["kind"] == "edge-extension"
+        assert handed[0]["tables"][0]["columns"][-1]["edge_grown"]
 
         outcomes = []
         for resume in (True, False):

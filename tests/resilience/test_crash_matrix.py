@@ -118,7 +118,7 @@ class TestCrashMatrix:
         assert any(e["type"] == "fault-injected"
                    for e in crashed.platform.resilience_log)
         crashed.close()
-        assert (ckpt / "checkpoint.bin").exists()
+        assert (ckpt / "shard-0" / "checkpoint.bin").exists()
 
         # Leg 2: a fresh engine (no plan — the pressure was transient)
         # resumes from disk and finishes the same driver.
@@ -247,7 +247,7 @@ class TestDegradationPolicies:
         result = engine.run(lambda e: count_kcliques(e, 4), policy="spill")
         events = [e for e in engine.platform.resilience_log
                   if e["type"] == "degradation"]
-        spilled = engine._spill_store.bytes_spilled
+        spilled = engine.shards[0]._spill_store.bytes_spilled
         engine.close()
         assert result.cliques == reference_cliques
         assert events and all(e["policy"] == "spill" for e in events)

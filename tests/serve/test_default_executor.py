@@ -32,6 +32,31 @@ def test_env_override_wins(monkeypatch):
     assert serve_default_executor(cpu_count=1) == "process"
 
 
+@pytest.mark.parametrize("cores", [1, 4, 64])
+def test_one_gpu_query_stays_serial(cores):
+    assert serve_default_executor(cpu_count=cores, gpus=1) == "serial"
+    expected = "process" if cores >= SERVE_MIN_CORES else "serial"
+    assert serve_default_executor(cpu_count=cores, gpus=2) == expected
+
+
+def test_env_override_wins_at_one_gpu(monkeypatch):
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
+    assert serve_default_executor(cpu_count=64, gpus=1) == "process"
+
+
+def test_one_gpu_query_runs_in_process_by_default(er_graph):
+    scheduler = Scheduler(ServeConfig(slots=1), graphs={"G": er_graph})
+    try:
+        state = scheduler.submit(QuerySpec(family="kcl", k=3, dataset="G"))
+        scheduler.run_until_idle()
+        assert state.status == "completed"
+        assert state.executor_used == "serial"
+        # An in-thread engine keeps its snapshot in memory, not on disk.
+        assert state.checkpoint_dir is None
+    finally:
+        scheduler.close()
+
+
 def test_real_host_resolves_to_known_backend():
     assert serve_default_executor() in ("serial", "process")
 

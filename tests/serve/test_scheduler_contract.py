@@ -9,8 +9,8 @@
 (c) **Preempt/resume is invisible.**  A query preempted mid-run and
     resumed from its op-journal snapshot produces the bit-identical
     result payload and partial records of an uninterrupted run — over
-    each hand-over route: ``Gamma`` in memory, ``ShardedGamma``/serial in
-    memory, ``ShardedGamma``/process on disk.
+    each hand-over route: one and two partitions on the serial executor
+    in memory, two on the process executor on disk.
 (d) **Disk is for processes that can die.**  An in-process query never
     serialises or writes its journal; a query on worker processes
     writes it through after every op.
@@ -37,7 +37,6 @@ from repro.serve import (
     result_payload,
     run_query,
 )
-from repro.shard import ShardedGamma
 from tests.oracle import (
     kclique_count_ref,
     motif_histogram_ref,
@@ -89,11 +88,8 @@ def query_specs(draw, **overrides):
 
 def batch_payload(graph, spec):
     """The batch oracle: the same driver on a standalone engine."""
-    if spec.gpus <= 1:
-        engine = Gamma(graph)
-    else:
-        engine = ShardedGamma(graph, num_shards=spec.gpus,
-                              policy=spec.shard_policy, executor="serial")
+    engine = Gamma(graph, num_shards=spec.gpus, policy=spec.shard_policy,
+                   executor="serial")
     try:
         return result_payload(spec, run_query(engine, spec))
     finally:
@@ -162,8 +158,7 @@ def test_stream_parity_matrix(er_graph, executor, gpus, family, params):
     spec = QuerySpec(family=family, dataset="G", gpus=gpus,
                      executor=executor, **params)
     state = assert_stream_matches_batch(er_graph, spec)
-    expected = "local" if gpus <= 1 else executor
-    assert state.executor_used == expected
+    assert state.executor_used == executor
 
 
 def test_partials_stream_in_level_order(er_graph):
@@ -285,10 +280,8 @@ def test_preemption_disabled_never_yields(er_graph):
 
 # -- (d) disk is for processes that can die -----------------------------------
 def _snapshot_pairs(engine):
-    """(snapshot, live engine) per shard of a serial-backed engine."""
-    if isinstance(engine, ShardedGamma):
-        return list(zip(engine.snapshot(), engine.shards))
-    return [(engine.snapshot(), engine)]
+    """(snapshot, live partition) per partition of a serial-backed engine."""
+    return list(zip(engine.snapshot(), engine.shards))
 
 
 @pytest.mark.parametrize("gpus", [1, 2])

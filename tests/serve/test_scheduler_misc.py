@@ -161,7 +161,7 @@ class TestEngineBuildFailure:
 
         config = ServeConfig(slots=1, executor="process")
         with Scheduler(config, graphs={"G": er_graph}) as s:
-            monkeypatch.setattr(sched_mod, "ShardedGamma", boom)
+            monkeypatch.setattr(sched_mod, "Gamma", boom)
             state = s.submit(_spec(gpus=2))
             s.run_until_idle()
             assert state.status == FAILED

@@ -15,7 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from repro.algorithms import count_kcliques, motif_count, triangle_count
+from repro.algorithms import (
+    count_kcliques,
+    graphlet_census,
+    motif_count,
+    triangle_count,
+)
 from repro.graph import from_edges, generators, zipf_labels
 from repro.shard import (
     ShardedGamma,
@@ -99,6 +104,19 @@ def test_matrix_kcliques_parity_both_arms(matrix_graph, arm):
             matrix_graph, 4, "stealing",
             lambda engine: count_kcliques(engine, 4).cliques,
         )
+
+
+@pytest.mark.parametrize("num_shards", (1, 2))
+def test_graphlets_parity_bills_the_classify_kernel(num_shards):
+    """The census classifies rows on the front; its kernel is billed to
+    partition 0 through the executor, so a worker process sees it too."""
+    graph = generators.erdos_renyi(60, 300, seed=2)
+
+    def drive(engine):
+        census = graphlet_census(engine, 4)
+        return census.histogram, census.total, census.simulated_seconds
+
+    _assert_parity(graph, num_shards, "static", drive)
 
 
 @given(graph=random_graphs(), data=hst.data())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import count_kcliques, frequent_pattern_mining
+from repro.core import Gamma
 from repro.errors import ExecutionError, GammaError
 from repro.graph import generators
 from repro.resilience import FaultPlan, FaultSpec
@@ -66,11 +67,52 @@ def test_mni_rejected_across_shards(graph):
         frequent_pattern_mining(engine, 2, 3, support_metric="mni")
 
 
-def test_mni_still_works_on_one_shard(graph):
-    sharded = frequent_pattern_mining(
-        ShardedGamma(graph, num_shards=1), 2, 3, support_metric="mni"
-    )
-    from repro.core import Gamma
+@pytest.mark.parametrize("taken,resuming", [
+    (taken, resuming) for taken in (1, 2, 4) for resuming in (1, 2, 4)
+    if taken != resuming])
+def test_resume_on_another_partition_count_is_refused(
+        tmp_path, taken, resuming):
+    """A checkpoint directory or an in-memory snapshot resumes only on the
+    partition count that took it: another count would mine another frontier
+    (4 -> 2 once found 28 of 29 4-cliques) or index past the snapshot."""
+    graph = generators.erdos_renyi(300, 3000, seed=1)
+    with Gamma(graph, num_shards=taken) as first:
+        first.run(_task, checkpoint_dir=str(tmp_path))
+        handed = first.snapshot()
+    refused = rf"{taken} partition\(s\) but this engine has {resuming}\b"
+    with Gamma(graph, num_shards=resuming) as engine:
+        with pytest.raises(ExecutionError, match=refused):
+            engine.run(_task, checkpoint_dir=str(tmp_path), resume=True)
+    with Gamma(graph, num_shards=resuming) as engine:
+        with pytest.raises(ExecutionError, match=refused):
+            engine.run(_task, resume_state=handed)
 
-    plain = frequent_pattern_mining(Gamma(graph), 2, 3, support_metric="mni")
-    assert sharded.patterns == plain.patterns
+
+def test_resume_under_another_policy_is_refused(graph, tmp_path):
+    with Gamma(graph, num_shards=2, policy="static") as first:
+        first.run(_task, checkpoint_dir=str(tmp_path))
+    with Gamma(graph, num_shards=2, policy="degree") as engine:
+        with pytest.raises(ExecutionError, match="under policy 'static'"):
+            engine.run(_task, checkpoint_dir=str(tmp_path), resume=True)
+
+
+def test_flat_one_gpu_checkpoint_is_refused_not_ignored(graph, tmp_path):
+    """A directory from the older one-GPU layout (``<dir>/checkpoint.bin``,
+    no ``shard-0``) must not silently restart from scratch."""
+    from repro.resilience import CheckpointManager
+    with Gamma(graph) as first:
+        first.run(_task)
+        CheckpointManager(str(tmp_path)).save(first.snapshot()[0])
+    with Gamma(graph) as engine:
+        with pytest.raises(ExecutionError, match="old flat layout"):
+            engine.run(_task, checkpoint_dir=str(tmp_path), resume=True)
+
+
+def test_snapshot_without_partition_record_is_refused(graph):
+    with Gamma(graph) as first:
+        first.run(_task)
+        state = dict(first.snapshot()[0], version=1)
+    del state["partition"]
+    with Gamma(graph) as engine:
+        with pytest.raises(ExecutionError, match="state version 1"):
+            engine.run(_task, resume_state=[state])

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -370,3 +374,24 @@ class TestPlanExplainCommand:
         assert main(["plan", "explain", "--task", "sm", "--query", "2",
                      "--dataset", "ER", "--plan", str(out_path)]) == 2
         assert "bad --plan" in capsys.readouterr().err
+
+
+class TestColdImport:
+    def test_import_and_one_gpu_run_load_no_workers_or_service(self):
+        """``import repro.cli`` loads neither ``multiprocessing`` (the process
+        executor imports it when it starts) nor ``repro.serve``, and a
+        one-GPU run on the default executor still loads neither."""
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "heavy = ('multiprocessing', 'repro.serve')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "repro.cli.main(['run', '--task', 'kcl', '--k', '3', '--dataset', 'ER'])\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+        )
+        env = {key: value for key, value in os.environ.items()
+               if key != "REPRO_SHARD_EXECUTOR"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=env)
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "[]", proc.stdout

@@ -129,6 +129,17 @@ def match_pattern(
     return result
 
 
+def _level_offers(graph, table, level: int, assign: np.ndarray, eu: int):
+    """Rows of a binary-join level: their parents' assignments, and the
+    data vertex each row's new edge offers beyond the one assigned to
+    query vertex ``eu`` (-1 where the edge misses it)."""
+    a = assign[table.column_parents(level)]
+    e_src, e_dst = graph.edge_endpoints(table.column_values(level))
+    anchor = a[:, eu]
+    return a, np.where(e_src == anchor, e_dst,
+                       np.where(e_dst == anchor, e_src, -1))
+
+
 def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
     """Binary-join subgraph matching via edge extension.
 
@@ -153,7 +164,7 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
     src, dst = graph.edge_src, graph.edge_dst
     engine.seed_edges(table)
     k = pattern.num_vertices
-    n0 = table.num_embeddings
+    n0 = graph.num_edges
 
     if pattern.labeled:
         fwd = (graph.labels[src] == pattern.label(qu)) & (
@@ -205,17 +216,7 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
         ev_matched = ev in matched
 
         engine.edge_extension(table)
-        parents = table.column_parents(table.depth - 1)
-        new_edges = table.column_values(table.depth - 1)
-        e_src, e_dst = graph.edge_endpoints(new_edges)
-        a = assign[parents]
-
-        anchor = a[:, eu]
-        # The new edge must touch the data vertex assigned to eu; the other
-        # endpoint is the candidate for ev.
-        other = np.where(e_src == anchor, e_dst, np.where(
-            e_dst == anchor, e_src, -1
-        ))
+        a, other = _level_offers(graph, table, t, assign, eu)
         ok = other >= 0
         if ev_matched:
             ok &= other == a[:, ev]
@@ -228,12 +229,11 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
             ok &= ~(a == other[:, None]).any(axis=1)
         engine.filtering(table, keep_mask=ok)
 
-        # Rebuild assignment for surviving rows.
-        surv = np.flatnonzero(ok)
-        assign = a[surv]
+        # The survivors' assignments, read back from the filtered level
+        # (a resumed replay restores that level, not the one above).
+        assign, other = _level_offers(graph, table, t, assign, eu)
         if not ev_matched:
-            assign = assign.copy()
-            assign[:, ev] = other[surv]
+            assign[:, ev] = other
         matched.add(ev)
 
     embeddings = table.num_embeddings

@@ -15,8 +15,9 @@ The module also provides embedding-set deduplication for edge-oriented
 growth: extending by "any adjacent edge" reaches the same edge set through
 multiple orders, and instance counting requires each set once.  Dedup is
 billed as GAMMA's sort+compact over the packed set keys.  On the host, a
-pair level grown from the level-1 rows by unrestricted edge extension
-looks each child's first occurrence up on that parent level; any other
+pair level that unrestricted edge extension grew from the level-1 rows
+(a :class:`~repro.core.embedding_table.PairColumn`) emits each pair's
+first occurrence by ranges of the parents' incident lists; any other
 table packs each row's sorted ids and finds first occurrences by a sort.
 """
 
@@ -27,7 +28,8 @@ import numpy as np
 from ..graph.canonical import MAX_VERTICES, QuickPatternEncoder, QuickPatterns
 from ..graph.groupby import Grouped, first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
-from .embedding_table import EmbeddingTable
+from ..gpusim.regions import expand_ranges
+from .embedding_table import EmbeddingTable, PairColumn
 from .extension import _row_batches
 from .pattern_table import PatternTable
 from .residence import GraphResidence
@@ -39,10 +41,6 @@ _QUICK_OPS_PER_EDGE = 24
 #: Overflow bound for dedup's single-int64 row packing; wider rows keep the
 #: void-dtype set keys.
 _PACK_BITS_LIMIT = 62
-
-#: Dense ``edge -> level-1 row`` map size allowed per table row (8 bytes a
-#: slot); a wider id span keeps the sort.
-_LOOKUP_SPAN_PER_ROW = 4
 
 #: Support metrics: raw instance frequency (the paper's §III definition)
 #: or minimum-image-based support (the anti-monotone FSM standard).
@@ -267,40 +265,6 @@ def sorted_columns(mats: np.ndarray) -> list[np.ndarray]:
     return columns
 
 
-def pair_lookup_keep(
-    first: np.ndarray, parents: np.ndarray, values: np.ndarray
-) -> np.ndarray | None:
-    """Dedup's keep mask for a pair level grown from the level-1 rows
-    ``first`` by unrestricted edge extension (:attr:`Column.edge_grown`):
-    child ``i`` joins edge ``values[i]`` to row ``parents[i]``.
-
-    The pair ``{f, e}`` is generated by every level-1 row holding ``f`` or
-    ``e``, parent rows ascending, so its first occurrence is under the
-    first such row: keep ``(p, e)`` iff ``p`` is the first row holding
-    ``f_p`` and no row before ``p`` holds ``e``.  ``None`` when the ids
-    span more than the dense map allows (or are negative).  The children
-    are looked up in row batches of ``_BATCH_SLOTS``.
-    """
-    low = min(int(first.min()), int(values.min()))
-    span = max(int(first.max()), int(values.max())) + 1
-    if low < 0 or span > _LOOKUP_SPAN_PER_ROW * (len(first) + len(values)):
-        return None
-    edges, rows = np.unique(first, return_index=True)
-    pos = np.full(span, len(first), dtype=np.int64)
-    pos[edges] = rows
-    leads = pos[first] == np.arange(len(first), dtype=np.int64)
-    keep = np.empty(len(values), dtype=bool)
-    for lo, hi in _row_batches(1, len(values)):
-        keep[lo:hi] = _pair_keep_rows(leads, pos, parents[lo:hi], values[lo:hi])
-    return keep
-
-
-def _pair_keep_rows(leads: np.ndarray, pos: np.ndarray, parents: np.ndarray,
-                    values: np.ndarray) -> np.ndarray:
-    """:func:`pair_lookup_keep`'s mask for one batch of children."""
-    return leads[parents] & (pos[values] > parents)
-
-
 def dedup_embeddings(
     platform: GpuPlatform,
     table: EmbeddingTable,
@@ -309,34 +273,79 @@ def dedup_embeddings(
     """Remove duplicate embeddings (same id set, different discovery order).
 
     Returns the number of rows removed.  Charged as a sort+compact over the
-    packed set keys, however the host finds them (:func:`pair_lookup_keep`
-    for a pair level that edge extension grew, else a sort).
+    packed set keys, however the host finds them (:func:`_pair_first_rows`
+    on a pair column, else a sort).
     """
     with platform.telemetry.span("dedup", kind="phase"):
         n = table.num_embeddings
         # The level's arrays are the helper's locals: gone before compact.
-        keep = _dedup_keep(table, n)
-        if keep is None:
+        kept = _dedup_kept(table, n)
+        if kept is None:
             return 0
         log_n = float(np.log2(max(2, n)))
         if cpu:
             platform.cpu.work(n * log_n)
         else:
             platform.kernel.launch("dedup:sort", element_ops=n * log_n)
-        return table.compact(keep)
+        if isinstance(kept, tuple):
+            return table.compact(kept_rows=kept)
+        return table.compact(kept)
 
 
-def _dedup_keep(table: EmbeddingTable, n: int) -> np.ndarray | None:
-    """Keep mask of each row set's first occurrence (``None``: no rows),
-    the level's reads billed."""
-    if n and table.depth == 2 and table.columns[-1].edge_grown:
-        (first, __), (values, parents) = table.walk_levels(n)
-        keep = pair_lookup_keep(first, parents, values)
-        if keep is None:
-            keep = _sorted_keep(np.stack([first[parents], values], axis=1))
-        return keep
-    mats = table.materialize()
-    return _sorted_keep(mats) if mats.size else None
+def _dedup_kept(table: EmbeddingTable, n: int):
+    """What dedup keeps of the last level, its reads billed (``None``: no
+    rows): on a :class:`PairColumn` the range rule holds for, the kept
+    rows' ``(values, parents)`` (:func:`_pair_first_rows`), read from the
+    ranges alone; else a keep mask of each row set's first occurrence."""
+    last = table.columns[-1] if table.columns else None
+    pair = last if isinstance(last, PairColumn) else None
+    levels = table.walk_levels(n, read_last=pair is None)
+    if not n:
+        return None
+    if pair is not None:
+        first = pair.first
+        if pair.graph.edge_slots()[2] and bool(np.all(first[1:] > first[:-1])):
+            return _pair_first_rows(pair)
+        levels[-1] = (pair.values, pair.parents)
+    return _sorted_keep(table.rows_of(levels, slice(None)))
+
+
+def _pair_first_rows(pair: PairColumn) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of each edge pair of ``pair``, as the kept
+    rows' ``(values, parents)`` in row order.
+
+    With every adjacency list ascending by edge id and the level-1 ids
+    ``pair.first`` strictly ascending, rows ascend by edge id, so the pair ``{f, e}`` first occurs
+    under ``f`` exactly when ``e > f`` or no level-1 row holds ``e``
+    (``e`` is *dead*).  Per row, that is the dead edges before ``f``'s slot
+    in each endpoint's list and every edge after it: ranges of one source
+    array (the dead slots' ids, then all slots' ids), expanded in row
+    batches of ``_BATCH_SLOTS`` straight into the output.
+    """
+    graph = pair.graph
+    alive = np.zeros(graph.num_edges, dtype=bool)
+    alive[pair.first] = True
+    dead_slot = ~alive[graph.edge_ids]
+    dead_slots = np.flatnonzero(dead_slot)
+    # dead_rank[s]: dead slots before slot s, i.e. their index in source.
+    dead_rank = np.zeros(len(dead_slot) + 1, dtype=np.int64)
+    np.cumsum(dead_slot, out=dead_rank[1:])
+    source = np.concatenate([graph.edge_ids[dead_slots], graph.edge_ids])
+    starts, ends = pair.ranges()
+    starts[:, 0::2] = dead_rank[starts[:, 0::2]]
+    ends[:, 0::2] = dead_rank[ends[:, 0::2]]
+    starts[:, 1::2] += len(dead_slots)
+    ends[:, 1::2] += len(dead_slots)
+    counts = (ends - starts).sum(axis=1)
+    values = np.empty(int(counts.sum()), dtype=np.int64)
+    parents = np.empty(len(values), dtype=np.int64)
+    at = 0
+    for lo, hi in _row_batches(counts):
+        picks = expand_ranges(starts[lo:hi].ravel(), ends[lo:hi].ravel())
+        values[at:at + len(picks)] = source[picks]
+        parents[at:at + len(picks)] = np.arange(lo, hi).repeat(counts[lo:hi])
+        at += len(picks)
+    return values, parents
 
 
 def _sorted_keep(mats: np.ndarray) -> np.ndarray:

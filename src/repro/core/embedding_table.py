@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..gpusim import clock as clk
 from ..gpusim.platform import GpuPlatform
+from ..gpusim.regions import expand_ranges
 from ..gpusim.warp import charge_warp_scan
 from ..graph.groupby import Grouped
 
@@ -105,19 +106,12 @@ class Column:
     arrays — a checkpoint snapshot, a suspended query — holds that level as
     it was, without a copy.  A replacement carries no ``lists`` or
     ``codes``, and the table drops them once the next level is appended.
-
-    ``edge_grown`` says the column is an unrestricted edge extension of the
-    one before it: every edge incident to a parent row and not in it, once
-    per row, children grouped by parent row in ascending order.  It holds
-    as long as the column does, so spilling and checkpoints keep it; a
-    compacted or caller-built column does not claim it.
     """
 
     values: np.ndarray
     parents: np.ndarray
     lists: Survivors | None = None
     codes: RowCodes | None = None
-    edge_grown: bool = False
 
     def __post_init__(self) -> None:
         self.values = _frozen(self.values)
@@ -129,19 +123,79 @@ class Column:
         return len(self.values)
 
 
+class PairColumn:
+    """An unrestricted edge extension of a one-edge level, kept as the
+    ranges it reads.
+
+    Row ``p`` of ``first`` holds edge ``f`` joining ``u < v``; its children
+    are ``u``'s incident edges, then ``v``'s, each list with ``f``'s own
+    slot cut out: four ranges of the CSR's ``edge_ids`` a row
+    (:meth:`ranges`), in the order edge extension emits them.  Billed,
+    registered and journaled as the stored column of its length; the
+    arrays are expanded from the ranges on first read and kept
+    (:attr:`values`, :attr:`parents`), while dedup reads the ranges alone.
+    Spilling stores the arrays, a snapshot ``first``.
+    """
+
+    __slots__ = ("first", "graph", "length", "lists", "codes", "_arrays")
+
+    def __init__(self, first: np.ndarray, graph) -> None:
+        self.first = _frozen(first)
+        self.graph = graph
+        self.lists: Survivors | None = None
+        self.codes: RowCodes | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        starts, ends = self.ranges()
+        self.length = int((ends - starts).sum())
+
+    def __len__(self) -> int:
+        return self.length
+
+    def ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)``, one row of four slot ranges per row of
+        ``first``: ``u``'s list before and after ``f``'s slot, then
+        ``v``'s."""
+        graph = self.graph
+        edges = self.first
+        low_slot, high_slot, __ = graph.edge_slots()
+        low, high = low_slot[edges], high_slot[edges]
+        src, dst = graph.edge_src[edges], graph.edge_dst[edges]
+        u, v = np.minimum(src, dst), np.maximum(src, dst)
+        offsets = graph.offsets
+        starts = np.stack([offsets[u], low + 1, offsets[v], high + 1], axis=1)
+        ends = np.stack([low, offsets[u + 1], high, offsets[v + 1]], axis=1)
+        return starts, ends
+
+    def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            starts, ends = self.ranges()
+            slots = expand_ranges(starts.ravel(), ends.ravel())
+            parents = np.arange(len(self.first), dtype=np.int64).repeat(
+                (ends - starts).sum(axis=1))
+            self._arrays = (_frozen(self.graph.edge_ids[slots]),
+                            _frozen(parents))
+        return self._arrays
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._expanded()[0]
+
+    @property
+    def parents(self) -> np.ndarray:
+        return self._expanded()[1]
+
+
 class SpilledColumn:
     """A column evicted to disk (see :mod:`repro.core.spill`)."""
 
-    __slots__ = ("handle", "length", "edge_grown")
+    __slots__ = ("handle", "length")
     #: Nothing a level recorded follows its column to disk.
     lists = None
     codes = None
 
-    def __init__(self, handle: int, length: int,
-                 edge_grown: bool = False) -> None:
+    def __init__(self, handle: int, length: int) -> None:
         self.handle = handle
         self.length = length
-        self.edge_grown = edge_grown
 
     def __len__(self) -> int:
         return self.length
@@ -160,7 +214,6 @@ class CountedColumn:
     __slots__ = ("length", "spilled")
     lists = None
     codes = None
-    edge_grown = False
 
     def __init__(self, length: int, spilled: bool = False) -> None:
         self.length = length
@@ -168,6 +221,10 @@ class CountedColumn:
 
     def __len__(self) -> int:
         return self.length
+
+
+def _holds_notes(column) -> bool:
+    return isinstance(column, (Column, PairColumn))
 
 
 def _on_disk(column) -> bool:
@@ -201,6 +258,9 @@ class EmbeddingTable:
         self.charged = charged
         self._device_allocs: list = []
         self._registered_bytes = 0
+        #: Set by :meth:`release`; a snapshot records it, so a restored
+        #: table a driver had already let go of holds nothing either.
+        self.released = False
         if not device_resident and charged and write_buffer_bytes:
             # GAMMA keeps a device write buffer for extension results and
             # flushes it to host after each extension (§V-A).
@@ -244,8 +304,7 @@ class EmbeddingTable:
             column = self.columns[index]
             packed = np.stack([column.values, column.parents])
             handle = self._spill_store.spill(packed)
-            self.columns[index] = SpilledColumn(
-                handle, len(column), column.edge_grown)
+            self.columns[index] = SpilledColumn(handle, len(column))
             freed = len(column) * _CELL_BYTES
             if self._registered_bytes >= freed:
                 self.platform.unregister_host_bytes(freed, self.name)
@@ -288,14 +347,12 @@ class EmbeddingTable:
         self._store_column(Column(values, parents))
 
     def append_column(self, values: np.ndarray, parents: np.ndarray,
-                      lists: Survivors | None = None,
-                      edge_grown: bool = False) -> None:
+                      lists: Survivors | None = None) -> None:
         """Append one extension level.
 
         ``parents[i]`` indexes the previous column.  Charges the device
         write-buffer traffic and the flush of results back to host memory.
         ``lists`` are the level's, for the next; the previous column's go.
-        ``edge_grown`` is :attr:`Column.edge_grown`.
         """
         self._check_appendable()
         parents = np.ascontiguousarray(parents, dtype=np.int64)
@@ -304,7 +361,17 @@ class EmbeddingTable:
         ):
             raise ExecutionError("parent pointers out of range")
         self._drop_notes()
-        self._store_column(Column(values, parents, lists, edge_grown=edge_grown))
+        self._store_column(Column(values, parents, lists))
+
+    def append_pair(self, first: np.ndarray, graph) -> None:
+        """Append the unrestricted edge extension of this one-edge table,
+        whose ids ``first`` the caller read, as a :class:`PairColumn`
+        over ``graph``, billed as :meth:`append_column` bills its rows."""
+        self._check_appendable()
+        if self.depth != 1 or len(first) != len(self.columns[0]):
+            raise ExecutionError("a pair column extends a one-edge table")
+        self._drop_notes()
+        self._store_column(PairColumn(first, graph))
 
     def append_counted(self, length: int) -> None:
         """Append one extension level of ``length`` rows as only its count
@@ -324,11 +391,11 @@ class EmbeddingTable:
         """Leave an aggregation's per-row codes (frozen here) and their
         grouping on the last column; a spilled column keeps nothing."""
         values.setflags(write=False)
-        if isinstance(self.columns[-1], Column):
+        if _holds_notes(self.columns[-1]):
             self.columns[-1].codes = RowCodes(values, groups)
 
     def _drop_notes(self) -> None:
-        if self.columns and isinstance(self.columns[-1], Column):
+        if self.columns and _holds_notes(self.columns[-1]):
             self.columns[-1].lists = None
             self.columns[-1].codes = None
 
@@ -365,8 +432,7 @@ class EmbeddingTable:
                     return
                 packed = np.stack([column.values, column.parents])
                 handle = self._spill_store.spill(packed)
-                self.columns.append(
-                    SpilledColumn(handle, len(column), column.edge_grown))
+                self.columns.append(SpilledColumn(handle, len(column)))
                 return
             platform.register_host_bytes(nbytes, self.name, charge=False)
             self._registered_bytes += nbytes
@@ -387,13 +453,19 @@ class EmbeddingTable:
 
         Resident columns are handed out by reference (see :class:`Column`),
         so a snapshot costs O(columns), not O(cells); a spilled column is
-        read back from the store; a counted one is its length alone.
+        read back from the store; a counted one is its length alone, and so
+        is a spilled one of a released table (its file went with the
+        release).
         """
         records = []
         for column in self.columns:
-            if isinstance(column, CountedColumn):
+            if isinstance(column, CountedColumn) or (
+                    self.released and isinstance(column, SpilledColumn)):
                 records.append({"counted": len(column),
-                                "spilled": column.spilled})
+                                "spilled": _on_disk(column)})
+                continue
+            if isinstance(column, PairColumn):
+                records.append({"pair": column.first, "spilled": False})
                 continue
             if isinstance(column, SpilledColumn):
                 values, parents = self._spill_store.peek(column.handle)
@@ -402,19 +474,19 @@ class EmbeddingTable:
                 values, parents = column.values, column.parents
                 spilled = False
             records.append(
-                {"values": values, "parents": parents, "spilled": spilled,
-                 "edge_grown": column.edge_grown})
+                {"values": values, "parents": parents, "spilled": spilled})
         return records
 
-    def restore_columns(self, records: list[dict]) -> None:
+    def restore_columns(self, records: list[dict], graph=None) -> None:
         """Replace the table's contents from :meth:`snapshot_columns` output.
 
         Current columns (and their host/device accounting) are dropped, then
         each record is re-installed: spilled columns go back to the attached
         store (uncharged — the restored clock already carries the original
-        spill cost), resident columns re-register their host bytes.  Callers
-        overwrite the platform's clock/counters afterwards, so nothing here
-        bills simulated time.
+        spill cost), resident columns re-register their host bytes, and a
+        pair column is rebuilt over ``graph``.  Callers overwrite the
+        platform's clock/counters afterwards, so nothing here bills
+        simulated time.
         """
         platform = self.platform
         if self._registered_bytes:
@@ -432,9 +504,10 @@ class EmbeddingTable:
         for record in records:
             if "counted" in record:
                 column = CountedColumn(int(record["counted"]))
+            elif "pair" in record:
+                column = PairColumn(record["pair"], graph)
             else:
-                column = Column(record["values"], record["parents"],
-                                edge_grown=bool(record.get("edge_grown")))
+                column = Column(record["values"], record["parents"])
             nbytes = len(column) * _CELL_BYTES
             if record.get("spilled") and self._spill_store is not None:
                 if isinstance(column, CountedColumn):
@@ -442,8 +515,7 @@ class EmbeddingTable:
                 else:
                     packed = np.stack([column.values, column.parents])
                     column = SpilledColumn(
-                        self._spill_store.restore(packed), len(column),
-                        column.edge_grown)
+                        self._spill_store.restore(packed), len(column))
                 self.columns.append(column)
             elif self.device_resident and self.charged:
                 alloc = platform.device.allocate(
@@ -517,19 +589,23 @@ class EmbeddingTable:
             current = parents[current]
         return out
 
-    def walk_levels(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    def walk_levels(self, rows: int,
+                    read_last: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
         """Every level's ``(values, parents)``, indexed by level, billed as
         :meth:`materialize` bills ``rows`` rows: one scattered cell read
         per row per level, last level first, each spilled level faulted
-        back just before its read."""
+        back just before its read.  ``read_last=False`` bills the last
+        level without reading it (its entry is ``None``)."""
         levels: list = [None] * self.depth
         for level in range(self.depth - 1, -1, -1):
-            levels[level] = self._column_arrays(level)
+            if read_last or level < self.depth - 1:
+                levels[level] = self._column_arrays(level)
             self._charge_stream(rows * _CELL_BYTES, level=level)
         return levels
 
     # -- compression (paper §V-A, three stages) -----------------------------------
-    def compact(self, keep_mask: np.ndarray) -> int:
+    def compact(self, keep_mask: np.ndarray | None = None,
+                kept_rows: tuple[np.ndarray, np.ndarray] | None = None) -> int:
         """Remove invalid rows from the last column; returns rows removed.
 
         Implements the paper's three stages: (1) mark valid/invalid, (2)
@@ -537,21 +613,27 @@ class EmbeddingTable:
         valid cells in parallel.  The host collects one array at a time:
         the column's notes go first, and the old ids are released (unless
         a snapshot holds them) before the new parent pointers are built.
+        A caller that collected the kept rows itself hands their
+        ``(values, parents)`` as ``kept_rows`` instead of a mask: billed
+        the same, and the old column is not read.
         """
         if not self.columns:
             raise ExecutionError("nothing to compact")
-        keep_mask = np.asarray(keep_mask, dtype=bool)
         last = self.columns[-1]
         if isinstance(last, CountedColumn):
             raise ExecutionError("a counted level has no rows to compact")
         was_spilled = isinstance(last, SpilledColumn)
-        values, parents = self._column_arrays(self.depth - 1)
-        if len(keep_mask) != len(last):
-            raise ExecutionError("mask must cover the last column")
+        if kept_rows is None:
+            keep_mask = np.asarray(keep_mask, dtype=bool)
+            values, parents = self._column_arrays(self.depth - 1)
+            if len(keep_mask) != len(last):
+                raise ExecutionError("mask must cover the last column")
+            kept = int(np.count_nonzero(keep_mask))
+        else:
+            kept = len(kept_rows[0])
         self._drop_notes()
         n = len(last)
         platform = self.platform
-        kept = int(np.count_nonzero(keep_mask))
         if self.charged:
             # Stage 1: marking (one pass over the marks).
             platform.kernel.launch(f"{self.name}:mark", element_ops=n)
@@ -568,9 +650,12 @@ class EmbeddingTable:
         handle = last.handle if was_spilled else None
         self.columns.pop()
         del last
-        values = values[keep_mask]
-        compacted = Column(values, parents[keep_mask])
-        del values, parents
+        if kept_rows is None:
+            values = values[keep_mask]
+            compacted = Column(values, parents[keep_mask])
+            del values, parents
+        else:
+            compacted = Column(*kept_rows)
         if was_spilled:
             # Compact the disk-resident column in place: drop the old copy
             # and either bring the (now smaller) column back to host memory
@@ -608,6 +693,7 @@ class EmbeddingTable:
     def release(self) -> None:
         """Free device allocations and host registrations."""
         platform = self.platform
+        self.released = True
         self._drop_notes()
         if self._write_buffer is not None and self._write_buffer.live:
             platform.device.free(self._write_buffer)

@@ -1127,15 +1127,39 @@ class ExtensionEngine:
             self.planner.plan_extension(read_vertices)
         self._charge_list_reads("edge_slots", read_vertices)
 
-        # Candidate edges, generated, masked and kept one row batch at a
-        # time straight into the level's output, sized by the per-row
-        # bound and shrunk in place to what was kept.
         per_row_bound = np.bincount(
             row_of_vert, weights=incident_deg, minlength=n).astype(np.int64)
-        stats.candidates = stats.expanded = int(per_row_bound.sum())
+        stats.candidates = int(per_row_bound.sum())
+        if depth == 1 and greater_than_col is None:
+            # Every incident edge but the row's own, met from both ends:
+            # the level is its parents' incident lists (PairColumn), and
+            # nothing is expanded here.
+            counts = per_row_bound - 2
+            self._account_writes(counts, stats.kernel_ops, per_row_bound)
+            table.append_pair(mats[:, 0], self.graph)
+        else:
+            values, parents = self._kept_edges(
+                mats, verts_sorted, per_row, distinct_verts, row_of_vert,
+                per_row_bound, greater_than_col)
+            counts = np.bincount(parents, minlength=n)
+            self._account_writes(counts, stats.kernel_ops, per_row_bound)
+            table.append_column(values, parents)
+            stats.expanded = stats.candidates
+        stats.per_row_counts = counts
+        stats.rows_out = int(counts.sum())
+        self.platform.counters.add(st.EXTENSION_PASSES)
+        self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
+        return stats
+
+    def _kept_edges(self, mats, verts_sorted, per_row, distinct_verts,
+                    row_of_vert, per_row_bound, greater_than_col,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The level's ``(values, parents)``: candidate edges generated,
+        masked and kept one row batch at a time straight into the output,
+        sized by the per-row bound and shrunk in place to what was kept."""
         vert_start = np.concatenate([[0], np.cumsum(per_row)])
-        values = np.empty(stats.candidates, dtype=np.int64)
-        parents = np.empty(stats.candidates, dtype=np.int64)
+        values = np.empty(int(per_row_bound.sum()), dtype=np.int64)
+        parents = np.empty(len(values), dtype=np.int64)
         kept = 0
         for lo, hi in _row_batches(per_row_bound):
             first, last = vert_start[lo], vert_start[hi]
@@ -1147,16 +1171,7 @@ class ExtensionEngine:
             kept += len(cand)
         values.resize(kept, refcheck=False)
         parents.resize(kept, refcheck=False)
-
-        counts = np.bincount(parents, minlength=n)
-        stats.per_row_counts = counts
-        self._account_writes(counts, stats.kernel_ops, per_row_bound)
-        table.append_column(values, parents,
-                            edge_grown=greater_than_col is None)
-        stats.rows_out = kept
-        self.platform.counters.add(st.EXTENSION_PASSES)
-        self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
-        return stats
+        return values, parents
 
     def _row_vertices(self, mats: np.ndarray) -> np.ndarray:
         """Each row's edge endpoints, ascending (the endpoint reads
@@ -1185,10 +1200,7 @@ class ExtensionEngine:
         cand, lengths, others = self._incident_values(
             vertices, endpoints=depth > 1)
         cand_row = np.repeat(rows, lengths)
-        # Drop edges already in the embedding.
         mask = np.ones(len(cand), dtype=bool)
-        for col in range(depth):
-            mask &= cand != mats[cand_row, col]
         if greater_than_col is not None:
             # Ordered growth: the per-warp kernel compares each candidate
             # against one resident column, so the restriction prunes before
@@ -1196,10 +1208,12 @@ class ExtensionEngine:
             # already-present check, no extra charged pass).
             mask &= cand > mats[cand_row, greater_than_col]
         if depth > 1:
+            # Drop edges already in the embedding.  (Depth 1 comes here
+            # only under ordered growth, which drops the row's own edge.)
+            for col in range(depth):
+                mask &= cand != mats[cand_row, col]
             # An edge joining two row vertices is met from both; it counts
-            # where it is met first, from the lower one.  (At depth 1 the
-            # only such edge is the row's own, dropped above: strictly
-            # ascending CSR lists admit no parallel edge.)
+            # where it is met first, from the lower one.
             met = np.flatnonzero(mask & (others < np.repeat(vertices, lengths)))
             other, met_row = others[met], cand_row[met]
             again = np.zeros(len(met), dtype=bool)

@@ -388,8 +388,8 @@ class Gamma:
 
     def _seed_explicit(self, table, values: np.ndarray) -> None:
         """Driver-supplied seed (binary-join SM): partition the given unit
-        ids by ownership.  Mirrors ``EmbeddingTable.seed`` — not journaled,
-        so drivers using it forgo checkpoint/resume."""
+        ids by ownership.  Mirrors ``EmbeddingTable.seed``, journaled like
+        every op."""
         values = np.ascontiguousarray(values, dtype=np.int64)
         assignment = self._assignment(table.kind)
         self._fanout("seed_explicit", [
@@ -398,6 +398,24 @@ class Gamma:
             for index, handle in enumerate(table.handles)
         ], spans=False)
         self._barrier("seed-explicit")
+
+    def _release_table(self, table) -> None:
+        """Free every partition's part of ``table`` (a journaled op; after
+        :meth:`close` the parts were already freed)."""
+        if self._closed:
+            for part in table.parts:
+                part.release()
+            return
+        self._fanout("release_table", self._per_table(table), spans=False)
+
+    def _split_rows(self, table, values: np.ndarray) -> List[np.ndarray]:
+        """``table.split_rows(values)``, unless the op they feed is answered
+        from the replay journal: the restored table already holds that op's
+        result, so there is nothing to split (and nothing is read)."""
+        if self.num_shards > 1 and any(
+                self._fanout("replaying", self._all(), spans=False)):
+            return [values[:0]] * self.num_shards
+        return table.split_rows(values)
 
     # -- the five user-visible interfaces (Fig. 3) ---------------------------
     def _extend(self, table, variant: str, label: str,
@@ -530,7 +548,7 @@ class Gamma:
         min-support constraint over a pattern table."""
         from ..shard.table import ShardedCodes
         if keep_mask is not None:
-            masks = table.split_rows(np.asarray(keep_mask, dtype=bool))
+            masks = self._split_rows(table, np.asarray(keep_mask, dtype=bool))
             replies = self._fanout("filtering", [
                 {"table": handle, "keep_mask": masks[index]}
                 for index, handle in enumerate(table.handles)
@@ -545,7 +563,8 @@ class Gamma:
         if isinstance(row_codes, ShardedCodes):
             per_shard = row_codes.parts
         else:
-            per_shard = table.split_rows(np.asarray(row_codes, dtype=np.int64))
+            per_shard = self._split_rows(
+                table, np.asarray(row_codes, dtype=np.int64))
         replies = self._fanout("filtering", [
             {"table": handle, "row_codes": per_shard[index],
              "constraint": constraint,

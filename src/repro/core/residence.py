@@ -30,13 +30,18 @@ class EndpointReads:
     """Edge endpoint reads, batch by batch: :meth:`gather` returns a
     batch's ``(src, dst)``, and :meth:`charge`, after the last batch,
     bills both endpoint arrays (source first) as one read of every batch's
-    ids (:class:`~repro.gpusim.regions.GatherTally`)."""
+    ids (:class:`~repro.gpusim.regions.GatherTally`).  The two arrays share
+    length and dtype, so a batch's marks (its line ids) are computed once
+    for both."""
 
     def __init__(self, src, dst) -> None:
         self._src, self._dst = src, dst
 
     def gather(self, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._src.gather(edge_ids), self._dst.gather(edge_ids)
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        marks = self._src.marks(edge_ids)
+        return (self._src.gather(edge_ids, marks),
+                self._dst.gather(edge_ids, marks))
 
     def charge(self) -> None:
         self._src.charge()
@@ -50,8 +55,11 @@ class _Unbilled:
     def __init__(self, array: np.ndarray) -> None:
         self._array = array
 
-    def gather(self, indices: np.ndarray) -> np.ndarray:
+    def gather(self, indices: np.ndarray, marks=None) -> np.ndarray:
         return self._array[np.asarray(indices, dtype=np.int64)]
+
+    def marks(self, indices: np.ndarray) -> None:
+        return None
 
     def charge(self) -> None:
         pass

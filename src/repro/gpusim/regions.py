@@ -280,12 +280,19 @@ class GatherTally:
     def __init__(self, region: HostRegion) -> None:
         self._region = region
 
-    def gather(self, indices: np.ndarray) -> np.ndarray:
+    def gather(self, indices: np.ndarray, marks=None) -> np.ndarray:
+        """A batch's values, unbilled; ``marks`` are the batch's
+        :meth:`marks` when the caller already computed them (a tally over
+        an array of the same length and dtype may share them)."""
         indices = np.asarray(indices, dtype=np.int64)
-        self._note(indices)
+        self._note(self.marks(indices) if marks is None else marks)
         return self._region.array[indices]
 
-    def _note(self, indices: np.ndarray) -> None:
+    def marks(self, indices: np.ndarray):
+        """What the bill keeps of a batch of indices."""
+        raise NotImplementedError
+
+    def _note(self, marks) -> None:
         raise NotImplementedError
 
     def charge(self) -> None:
@@ -300,8 +307,11 @@ class _CountTally(GatherTally):
         self._device = region
         self._count = 0
 
-    def _note(self, indices: np.ndarray) -> None:
-        self._count += len(indices)
+    def marks(self, indices: np.ndarray) -> int:
+        return len(indices)
+
+    def _note(self, marks: int) -> None:
+        self._count += marks
 
     def charge(self) -> None:
         self._device._charge_bytes(self._count * self._device.itemsize)

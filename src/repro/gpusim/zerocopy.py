@@ -68,10 +68,22 @@ class _LineTally(GatherTally):
         super().__init__(region)
         self._platform = region._platform
         self._touched = np.zeros(region._total_lines, dtype=bool)
+        per_line, extra = divmod(self._platform.spec.zerocopy_line,
+                                 region.itemsize)
+        #: ``log2`` of the elements a line holds when that is a power of
+        #: two (a line id is then a shift), else ``None``.
+        self._shift = (per_line.bit_length() - 1
+                       if not extra and per_line & (per_line - 1) == 0
+                       else None)
 
-    def _note(self, indices: np.ndarray) -> None:
-        line = self._platform.spec.zerocopy_line
-        self._touched[(indices * self._region.itemsize) // line] = True
+    def marks(self, indices: np.ndarray) -> np.ndarray:
+        """The batch's line ids."""
+        if self._shift is not None:
+            return indices >> self._shift
+        return (indices * self._region.itemsize) // self._platform.spec.zerocopy_line
+
+    def _note(self, marks: np.ndarray) -> None:
+        self._touched[marks] = True
 
     def charge(self) -> None:
         self._platform.pcie.zerocopy_transactions(

@@ -92,6 +92,7 @@ class CSRGraph:
                 f"{int(self.adjacency_keys[unsorted[0]] >> 32)}'s is not"
             )
         self._hubs: tuple[np.ndarray, np.ndarray] | None = None
+        self._slots: tuple[np.ndarray, np.ndarray, bool] | None = None
 
     # -- basic shape ----------------------------------------------------------
     @property
@@ -129,6 +130,33 @@ class CSRGraph:
 
     def label_of(self, v: int) -> int:
         return int(self.labels[v])
+
+    def edge_slots(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Lazily-built ``(low_slot, high_slot, ids_ascend)``: edge ``e``
+        sits at ``low_slot[e]`` in its lower endpoint's adjacency list and
+        at ``high_slot[e]`` in its upper one's (edges join two distinct
+        vertices, as :func:`~repro.graph.builders.from_edges` builds
+        them).  ``ids_ascend`` says every list also ascends by edge id,
+        which ``from_edges``' layout (lower neighbours, then upper) gives
+        and a hand-built CSR need not.  A self loop (a hand-built CSR, or a
+        cache edited by hand) raises :class:`InvalidGraphError`."""
+        if self._slots is None:
+            owner = self.adjacency_keys >> 32
+            loops = np.flatnonzero(owner == self.neighbors)
+            if len(loops):
+                raise InvalidGraphError(
+                    f"edge {int(self.edge_ids[loops[0]])} is a self loop; "
+                    "edge extension needs a graph without them")
+            low = owner < self.neighbors
+            low_slot = np.empty(self.num_edges, dtype=np.int64)
+            high_slot = np.empty(self.num_edges, dtype=np.int64)
+            low_slot[self.edge_ids[low]] = np.flatnonzero(low)
+            high_slot[self.edge_ids[~low]] = np.flatnonzero(~low)
+            same_list = owner[1:] == owner[:-1]
+            ids_ascend = bool(np.all(
+                self.edge_ids[1:][same_list] > self.edge_ids[:-1][same_list]))
+            self._slots = low_slot, high_slot, ids_ascend
+        return self._slots
 
     # -- adjacency queries ------------------------------------------------------
     def _pack_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -120,6 +120,7 @@ def capture_state(gamma) -> dict:
                 "kind": table.kind,
                 "name": table.name,
                 "columns": table.snapshot_columns(),
+                "released": table.released,
             }
             for table in gamma._tables
         ],
@@ -150,7 +151,9 @@ def _apply_state(gamma, state: dict, restore_log: bool) -> None:
             table = gamma._tables[index]
         else:
             table = gamma._build_table(record["kind"], record["name"])
-        table.restore_columns(record["columns"])
+        table.restore_columns(record["columns"], gamma.graph)
+        if record.get("released"):
+            table.release()
 
     for name, planner_state in state.get("planners", {}).items():
         planner = gamma.planners.get(name)

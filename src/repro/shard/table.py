@@ -244,6 +244,11 @@ class ShardedTable:
 
     # -- lifecycle -----------------------------------------------------------
     def release(self) -> None:
+        """Free every part, through the engine's journal when there is one."""
+        owner = getattr(self, "owner", None)
+        if owner is not None:
+            owner._release_table(self)
+            return
         for part in self.parts:
             part.release()
 

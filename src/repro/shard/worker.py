@@ -340,12 +340,22 @@ class ShardWorker:
         return self._run_op("seed-edges", execute)
 
     def do_seed_explicit(self, table: int, values) -> None:
-        self._table(table).seed(np.ascontiguousarray(values, dtype=np.int64))
+        def execute():
+            self._table(table).seed(np.ascontiguousarray(values, dtype=np.int64))
+
+        return self._run_op("seed-explicit", execute)
 
     def do_restrict_owned(self, table: int, units: str) -> int:
-        part = self._table(table)
-        mask = self._assignment(units)[part.column_values(0)] == self.index
-        return self.do_filtering(table, keep_mask=mask)["removed"]
+        """Keep-mask filtering of the units this partition owns; the mask
+        is read inside the op, so a replay reads no restored table."""
+        def execute():
+            part = self._table(table)
+            mask = self._assignment(units)[part.column_values(0)] == self.index
+            with self.platform.resilience.phase("phase:filtering"):
+                return {"removed": int(filter_rows(
+                    part, mask, compact=self.config.compaction))}
+
+        return self._run_op("filtering", execute)["removed"]
 
     # -- extension -----------------------------------------------------------
     def do_extend(self, table: int, variant: str, kwargs: dict) -> dict:
@@ -460,7 +470,14 @@ class ShardWorker:
         return self._table(table).materialize()
 
     def do_release_table(self, table: int) -> None:
-        self._table(table).release()
+        def execute():
+            self._table(table).release()
+
+        return self._run_op("release-table", execute)
+
+    def do_replaying(self) -> bool:
+        """Whether the next op is answered from the replay journal."""
+        return self._journal is not None and self._op_index < self._replay_cursor
 
     # -- BSP charging --------------------------------------------------------
     def do_sync(self, target: float) -> None:

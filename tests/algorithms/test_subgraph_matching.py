@@ -120,6 +120,76 @@ class TestBinaryJoin:
         assert got == expected
 
 
+class TestBinaryJoinResumes:
+    """Binary-join SM suspended (a triangle at level 2, a 4-cycle at level
+    3) and resumed, at one and two partitions, from the in-memory snapshot
+    and from ``checkpoint_dir``:
+    its explicit seed and its table release are journaled ops, its
+    host-side assignments are read back from the filtered levels, and the
+    keep masks are not split against a restored table — so the resumed
+    answer, simulated seconds and counters are the uninterrupted run's."""
+
+    @staticmethod
+    def _graph():
+        from repro.graph.generators import erdos_renyi
+
+        return erdos_renyi(60, 400, seed=3)
+
+    #: Pattern -> the level its run is suspended at.
+    _SUSPEND = {"triangle": (triangle(), 2), "cycle4": (cycle(4), 3)}
+
+    @staticmethod
+    def _books(engine):
+        return (float.hex(engine.simulated_seconds),
+                [state["counters"] for state in engine.shard_states()])
+
+    def _suspended(self, num_shards, journal, name="triangle"):
+        from repro.errors import DeviceOutOfMemory
+        from repro.resilience import FaultPlan, FaultSpec
+
+        pattern, level = self._SUSPEND[name]
+        with Gamma(self._graph(), num_shards=num_shards) as engine:
+            engine.install_fault_plan(FaultPlan(
+                name="crash",
+                specs=(FaultSpec(kind="device_oom", at=f"*/level:{level}"),)))
+            with pytest.raises(DeviceOutOfMemory):
+                engine.run(lambda e: match_pattern_binary(e, pattern),
+                           checkpoint_dir=journal)
+            return engine.snapshot()
+
+    @pytest.mark.parametrize("name", sorted(_SUSPEND))
+    @pytest.mark.parametrize("route", ["memory", "disk"])
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_resumed_run_is_the_uninterrupted_one(self, tmp_path, num_shards,
+                                                  route, name):
+        pattern = self._SUSPEND[name][0]
+        task = lambda e: match_pattern_binary(e, pattern)  # noqa: E731
+        with Gamma(self._graph(), num_shards=num_shards) as engine:
+            want = (task(engine).embeddings, self._books(engine))
+        journal = str(tmp_path) if route == "disk" else None
+        handed = self._suspended(num_shards, journal, name)
+        kinds = [record["kind"] for record in handed[0]["journal"]]
+        assert "seed-explicit" in kinds and "release-table" in kinds
+        with Gamma(self._graph(), num_shards=num_shards) as engine:
+            result = engine.run(task, checkpoint_dir=journal, resume=True,
+                                resume_state=None if journal else handed)
+            got = (result.embeddings, self._books(engine))
+        assert got == want and want[0] > 0
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_a_failed_resume_still_closes(self, num_shards):
+        """Resuming another workload fails on the journal, and the engine
+        then closes cleanly."""
+        from repro.algorithms import count_kcliques
+        from repro.errors import ExecutionError
+
+        handed = self._suspended(num_shards, None)
+        engine = Gamma(self._graph(), num_shards=num_shards)
+        with pytest.raises(ExecutionError, match="resume mismatch"):
+            engine.run(lambda e: count_kcliques(e, 3), resume_state=handed)
+        engine.close()
+
+
 class TestLabeledSemantics:
     def test_unlabeled_pattern_ignores_labels(self, medium_graph):
         unlabeled = relabel_vertices(

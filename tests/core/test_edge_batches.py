@@ -4,8 +4,9 @@ FPM's edge path works in row batches of at most ``extension._BATCH_SLOTS``
 slots (a row longer than that is a batch of its own): edge extension
 generates, masks and keeps candidates a batch at a time straight into the
 level's output; aggregation encodes a batch of rows at a time and folds
-their quick patterns into one level-wide table; dedup's pair lookup keeps
-a batch of children at a time.  Nothing billed depends on the batching.
+their quick patterns into one level-wide table; dedup's range rule on a
+pair column expands a batch of kept children at a time.  Nothing billed
+depends on the batching.
 
 * **The differential suite** — with the budget lowered so every level
   takes many batches and the hub's rows exceed it alone, FPM-2/3
@@ -16,7 +17,7 @@ a batch of children at a time.  Nothing billed depends on the batching.
   clock bucket and counter, and peak memory.  The batched encode also
   matches today's whole-level encode, ``tests.twins.encode_whole_level``.
 * **The clock-free guard** — no edge-extension expansion, quick-pattern
-  grouping or pair-lookup batch is longer than the budget unless it is
+  grouping or pair-dedup expansion is longer than the budget unless it is
   one row's.
 """
 
@@ -232,14 +233,15 @@ class TestBoundedBatches:
                                                          monkeypatch):
         """Every expansion of ``_incident_values`` stays within the budget
         or the level's largest single row; every ``_group_quick`` call
-        within the budget or one row; every pair-lookup batch within the
-        budget."""
+        within the budget or one row; every expansion of the pair dedup's
+        range rule within the budget or one row's."""
         monkeypatch.setattr(extension, "_BATCH_SLOTS", SMALL_BUDGET)
         largest, expanded, grouped, looked_up = [0], [], [], []
         extend = ExtensionEngine.extend_edges
         incident = ExtensionEngine._incident_values
         group_quick = QuickPatternEncoder._group_quick
-        keep_rows = aggregation._pair_keep_rows
+        pair_rows = aggregation._pair_first_rows
+        expand_ranges = aggregation.expand_ranges
 
         def spy_extend(self, table, *args, **kwargs):
             mats = table.materialize()
@@ -257,22 +259,32 @@ class TestBoundedBatches:
             grouped.append(srcs.shape)
             return group_quick(srcs, dsts, labels)
 
-        def spy_keep(leads, pos, parents, values):
-            looked_up.append(len(parents))
-            return keep_rows(leads, pos, parents, values)
+        def spy_pair_rows(pair):
+            # Four ranges a row: a batch's rows are its range count / 4.
+            def spy_expand(starts, ends):
+                out = expand_ranges(starts, ends)
+                looked_up.append((len(out), len(starts) // 4))
+                return out
+
+            monkeypatch.setattr(aggregation, "expand_ranges", spy_expand)
+            try:
+                return pair_rows(pair)
+            finally:
+                monkeypatch.setattr(aggregation, "expand_ranges", expand_ranges)
 
         monkeypatch.setattr(ExtensionEngine, "extend_edges", spy_extend)
         monkeypatch.setattr(ExtensionEngine, "_incident_values", spy_incident)
         monkeypatch.setattr(QuickPatternEncoder, "_group_quick",
                             staticmethod(spy_group))
-        monkeypatch.setattr(aggregation, "_pair_keep_rows", spy_keep)
+        monkeypatch.setattr(aggregation, "_pair_first_rows", spy_pair_rows)
         with Gamma(graph) as engine:
             frequent_pattern_mining(engine, 3, 1, plan="baseline")
         for slots, row in expanded:
             assert slots <= max(SMALL_BUDGET, row), (slots, row)
         for rows, k in grouped:
             assert rows * k <= max(SMALL_BUDGET, k), (rows, k)
-        assert max(looked_up) <= SMALL_BUDGET
+        for slots, rows in looked_up:
+            assert slots <= SMALL_BUDGET or rows == 1, (slots, rows)
         assert len(expanded) > 3 and len(grouped) > 3 and len(looked_up) > 3
         # The hub's rows are there to be batched alone.
         assert any(slots > SMALL_BUDGET for slots, __ in expanded)

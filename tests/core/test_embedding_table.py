@@ -199,7 +199,7 @@ class TestListsDoNotOutliveTheirUse:
         self._grown(table)
         held = table.snapshot_columns()
         assert [sorted(record) for record in held] == [
-            ["edge_grown", "parents", "spilled", "values"]] * 2
+            ["parents", "spilled", "values"]] * 2
         table.restore_columns(held)
         assert table.columns[-1].lists is None
 
@@ -250,28 +250,43 @@ class TestListsDoNotOutliveTheirUse:
 
 
 class TestEdgeGrownLastsAsLongAsItsColumn:
-    """``edge_grown`` describes how a column was made: it survives spilling
-    and a checkpoint round trip, and a rebuilt column does not claim it."""
+    """An unrestricted edge extension of a one-edge table is a
+    ``PairColumn``: a checkpoint round trip restores it as one (it records
+    its level-1 rows), spilling stores its expanded arrays, and a
+    compacted or caller-built level is a plain ``Column``."""
 
-    def _grown(self, table):
-        table.seed(np.array([4, 2, 9]))
-        table.append_column(np.array([7, 8]), np.array([0, 2]),
-                            edge_grown=True)
+    #: Edges 0 (0, 1), 1 (1, 2), 2 (1, 3), 3 (2, 3); the rows hold 0, 1
+    #: and 3, whose children are their endpoints' other incident edges.
+    CHILDREN = [[1, 2, 0, 2, 3, 1, 2], [0, 0, 1, 1, 1, 2, 2]]
+
+    @staticmethod
+    def _grown(table):
+        from repro.graph import from_edge_list
+
+        graph = from_edge_list([(0, 1), (1, 2), (2, 3), (1, 3)])
+        table.seed(np.array([0, 1, 3]))
+        table.append_pair(table.column_values(0), graph)
+        return graph
 
     def test_snapshot_and_restore_keep_it(self, platform):
+        from repro.core.embedding_table import Column, PairColumn
         from repro.resilience.checkpoint import (
             deserialize_state,
             serialize_state,
         )
 
         table = EmbeddingTable(platform, EDGE)
-        self._grown(table)
+        graph = self._grown(table)
         blob = serialize_state({"columns": table.snapshot_columns()})
         other = EmbeddingTable(make_platform(), EDGE)
-        other.restore_columns(deserialize_state(blob)["columns"])
-        assert [c.edge_grown for c in other.columns] == [False, True]
+        other.restore_columns(deserialize_state(blob)["columns"], graph)
+        assert [type(c) for c in other.columns] == [Column, PairColumn]
+        assert [other.column_values(1).tolist(),
+                other.column_parents(1).tolist()] == self.CHILDREN
+        assert other.nbytes == table.nbytes
 
     def test_spilling_keeps_it(self, platform):
+        from repro.core.embedding_table import PairColumn
         from repro.core.spill import SpillPolicy, SpillStore
 
         table = EmbeddingTable(platform, EDGE)
@@ -280,22 +295,30 @@ class TestEdgeGrownLastsAsLongAsItsColumn:
             table.attach_spill(store, SpillPolicy(1, keep_columns=1))
             self._grown(table)
             assert table.spilled_columns == 2
-            assert table.columns[-1].edge_grown
+            assert [table.column_values(1).tolist(),
+                    table.column_parents(1).tolist()] == self.CHILDREN
             table.restore_columns(table.snapshot_columns())
             assert table.spilled_columns == 2
-            assert table.columns[-1].edge_grown
-            table.compact(np.array([True, False]))
-            assert not table.columns[-1].edge_grown
+            table.compact(np.arange(7) % 2 == 0)
+            assert not isinstance(table.columns[-1], PairColumn)
+            assert table.column_values(1).tolist() == [1, 0, 3, 2]
             table.release()
         finally:
             store.close()
 
-    def test_compact_and_callers_drop_it(self, table):
+    def test_compact_and_callers_drop_it(self, platform):
+        from repro.core.embedding_table import Column, PairColumn
+
+        table = EmbeddingTable(platform, EDGE)
         self._grown(table)
-        table.compact(np.array([True, True]))  # keeps every row, still replaces
-        assert not table.columns[-1].edge_grown
+        assert isinstance(table.columns[-1], PairColumn)
+        table.compact(np.ones(7, dtype=bool))  # keeps every row, still replaces
+        assert type(table.columns[-1]) is Column
+        assert [table.column_values(1).tolist(),
+                table.column_parents(1).tolist()] == self.CHILDREN
         table.append_column(np.array([1]), np.array([0]))
-        assert not table.columns[-1].edge_grown
+        assert type(table.columns[-1]) is Column
+
 
 class TestResidency:
     def test_out_of_core_registers_host_bytes(self, platform):

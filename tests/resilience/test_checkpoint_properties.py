@@ -278,9 +278,9 @@ class TestCounterPartition:
 
 
 class TestReplayKeepsThePairLookup:
-    """A checkpoint taken after edge extension keeps the column's
-    ``edge_grown``: the resumed level-2 dedup looks its pairs up on the
-    parent level, as the uninterrupted run does, and bills the same."""
+    """A checkpoint taken after edge extension records the pair column by
+    its level-1 rows: the resumed level-2 dedup takes the range rule, as
+    the uninterrupted run does, and bills the same."""
 
     @staticmethod
     def _fpm(engine):
@@ -289,14 +289,14 @@ class TestReplayKeepsThePairLookup:
     @staticmethod
     @contextmanager
     def _lookups():
-        """What ``pair_lookup_keep`` returned, per call, inside the block."""
-        real, returned = aggregation.pair_lookup_keep, []
+        """What ``_pair_first_rows`` returned, per call, inside the block."""
+        real, returned = aggregation._pair_first_rows, []
 
         def lookup(*args):
             returned.append(real(*args))
             return returned[-1]
 
-        with mock.patch.object(aggregation, "pair_lookup_keep", lookup):
+        with mock.patch.object(aggregation, "_pair_first_rows", lookup):
             yield returned
 
     @pytest.mark.parametrize("route", ["disk", "memory"])
@@ -311,7 +311,7 @@ class TestReplayKeepsThePairLookup:
                 first.run(self._fpm, checkpoint_dir=journal)
             handed = first.snapshot()
         assert handed[0]["journal"][-1]["kind"] == "edge-extension"
-        assert handed[0]["tables"][0]["columns"][-1]["edge_grown"]
+        assert "pair" in handed[0]["tables"][0]["columns"][-1]
 
         outcomes = []
         for resume in (True, False):
@@ -338,5 +338,5 @@ class TestReplayKeepsThePairLookup:
             moved = differences(observe(name, executor), _pins()[name])
         assert not moved, f"{name} on {executor}: " + "; ".join(moved)
         if executor == "serial" and "baseline" in name:
-            # One pair-level dedup per shard, each a lookup.
-            assert len(lookups) == 2 and all(k is not None for k in lookups)
+            # One pair-level dedup per shard, each by the range rule.
+            assert len(lookups) == 2

@@ -22,6 +22,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core import extension
+from repro.core.embedding_table import EmbeddingTable
 from repro.core.extension import ExtensionEngine
 from repro.errors import ExecutionError, InvalidPatternError
 from repro.gpusim import regions, unified
@@ -203,14 +204,18 @@ def encode_whole_level(encoder, srcs, dsts, vertex_labels,
     return codes, np.take_along_axis(seq, column_at[inverse], axis=1)
 
 
-def pair_keep_by_sorting(first, parents, values):
-    """``aggregation.pair_lookup_keep``: the first occurrence of each
-    pair set, found by ``np.unique`` over the pairs, each sorted."""
-    pairs = np.sort(np.stack([first[parents], values], axis=1), axis=1)
-    __, first_idx = np.unique(pairs, axis=0, return_index=True)
-    keep = np.zeros(len(pairs), dtype=bool)
-    keep[first_idx] = True
-    return keep
+def pair_level_eagerly(table, first, graph):
+    """``EmbeddingTable.append_pair``: the pair level stored as edge
+    extension used to store it — each row's endpoints' incident lists,
+    lower endpoint first, expanded and masked against the row's own edge —
+    as a plain column, which dedup then materializes and sorts."""
+    src, dst = graph.edge_src[first], graph.edge_dst[first]
+    ends = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1).ravel()
+    starts, stops = graph.offsets[ends], graph.offsets[ends + 1]
+    cand = graph.edge_ids[regions.expand_ranges(starts, stops)]
+    cand_row = np.arange(len(first), dtype=np.int64).repeat(2).repeat(stops - starts)
+    mine = cand != first[cand_row]
+    table.append_column(cand[mine], cand_row[mine])
 
 
 def never_memoised(batch, starts, ends, token=0):
@@ -399,7 +404,7 @@ def straight_line():
         (ExtensionEngine, "_surviving_candidates", labelled_min_degree_walk),
         (extension, "_bound_ranges", bound_ranges_by_scan),
         (QuickPatternEncoder, "_group_quick", staticmethod(quick_groups_by_rows)),
-        (aggregation, "pair_lookup_keep", pair_keep_by_sorting),
+        (EmbeddingTable, "append_pair", pair_level_eagerly),
         (regions.ChargeBatch, "lookup", never_memoised),
         (sort, "segment_runs", segments_by_sorting),
         (sort, "merge_runs", merged_by_scatter),

@@ -155,14 +155,12 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
     plan = resolve_plan(engine, "sm-binary", pattern=pattern, plan=plan)
     edge_order = [tuple(e) for e in plan.edge_order]
     start = engine.simulated_seconds
-    table = engine.new_edge_table(f"SM-bj:{pattern.name}")
 
     graph = engine.graph
     # Seed: all data edges whose endpoint labels match the first query edge
     # (in either orientation).  assign[r, qv] = matched data vertex or -1.
     qu, qv = edge_order[0]
     src, dst = graph.edge_src, graph.edge_dst
-    engine.seed_edges(table)
     k = pattern.num_vertices
     n0 = graph.num_edges
 
@@ -176,11 +174,9 @@ def match_pattern_binary(engine, pattern: Pattern, plan=None) -> SMResult:
     else:
         fwd = np.ones(n0, dtype=bool)
         bwd = np.ones(n0, dtype=bool)
-    # An edge matching both ways yields two embeddings; duplicate such rows.
-    # The table keeps one row per seeded edge; to honor both orientations we
-    # re-seed with explicit duplication (forward copies first, then backward).
+    # An edge matching both ways yields two embeddings: the explicit seed
+    # holds forward copies first, then backward ones.
     rows = np.concatenate([np.flatnonzero(fwd), np.flatnonzero(bwd)])
-    table.release()
     table = engine.new_edge_table(f"SM-bj:{pattern.name}")
     edge_ids = np.arange(graph.num_edges, dtype=np.int64)[rows]
     table.seed(edge_ids)

@@ -16,7 +16,7 @@ growth: extending by "any adjacent edge" reaches the same edge set through
 multiple orders, and instance counting requires each set once.  Dedup is
 billed as GAMMA's sort+compact over the packed set keys.  On the host, a
 pair level that unrestricted edge extension grew from the level-1 rows
-(a :class:`~repro.core.embedding_table.PairColumn`) emits each pair's
+(a ``PAIR`` :class:`~repro.core.embedding_table.Column`) emits each pair's
 first occurrence by ranges of the parents' incident lists; any other
 table packs each row's sorted ids and finds first occurrences by a sort.
 """
@@ -29,7 +29,7 @@ from ..graph.canonical import MAX_VERTICES, QuickPatternEncoder, QuickPatterns
 from ..graph.groupby import Grouped, first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
-from .embedding_table import EmbeddingTable, PairColumn
+from .embedding_table import EmbeddingTable
 from .extension import _row_batches
 from .pattern_table import PatternTable
 from .residence import GraphResidence
@@ -294,11 +294,11 @@ def dedup_embeddings(
 
 def _dedup_kept(table: EmbeddingTable, n: int):
     """What dedup keeps of the last level, its reads billed (``None``: no
-    rows): on a :class:`PairColumn` the range rule holds for, the kept
-    rows' ``(values, parents)`` (:func:`_pair_first_rows`), read from the
-    ranges alone; else a keep mask of each row set's first occurrence."""
-    last = table.columns[-1] if table.columns else None
-    pair = last if isinstance(last, PairColumn) else None
+    rows): on a pair level the range rule holds for, the kept rows'
+    ``(values, parents)`` (:func:`_pair_first_rows`), read from its ranges
+    alone — resident or faulted back from disk; else a keep mask of each
+    row set's first occurrence."""
+    pair = table.pair_source()
     levels = table.walk_levels(n, read_last=pair is None)
     if not n:
         return None
@@ -310,7 +310,7 @@ def _dedup_kept(table: EmbeddingTable, n: int):
     return _sorted_keep(table.rows_of(levels, slice(None)))
 
 
-def _pair_first_rows(pair: PairColumn) -> tuple[np.ndarray, np.ndarray]:
+def _pair_first_rows(pair) -> tuple[np.ndarray, np.ndarray]:
     """The first occurrence of each edge pair of ``pair``, as the kept
     rows' ``(values, parents)`` in row order.
 

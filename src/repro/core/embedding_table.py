@@ -97,139 +97,130 @@ class RowCodes:
     groups: Grouped
 
 
-@dataclass
+#: A column's source: its rows as arrays, as its parents' incident lists
+#: (a pair level), or only their count.
+ARRAYS = "arrays"
+PAIR = "pair"
+COUNT = "count"
+
+
 class Column:
-    """One extension level: ids plus parent row pointers (-1 at the root).
+    """One extension level: ``length`` rows from exactly one source.
 
-    Both arrays are read-only.  A table only ever *replaces* a column
-    (``compact``, spilling, ``restore_columns``), so whoever holds a column's
-    arrays — a checkpoint snapshot, a suspended query — holds that level as
-    it was, without a copy.  A replacement carries no ``lists`` or
-    ``codes``, and the table drops them once the next level is appended.
+    * ``ARRAYS`` — read-only ids and parent row pointers (-1 at the root).
+    * ``PAIR`` — an unrestricted edge extension of a one-edge level, kept
+      as the ranges it reads: row ``p`` of ``first`` holds edge ``f``, and
+      its children are its endpoints' incident edges with ``f``'s own slot
+      cut out (:meth:`ranges`), in the order edge extension emits them.
+      The arrays are expanded on first read and kept; dedup reads the
+      ranges alone.
+    * ``COUNT`` — a level that was only counted (a counting query's last):
+      no rows, and reading them raises :class:`ExecutionError`.
+
+    Every source is billed, host-registered and journaled as a stored
+    column of its length.  A column is resident, or on disk behind the
+    spill store's ``handle`` holding what its source writes (:meth:`written`).
+    A table only ever *replaces* a column (compaction, spilling, restore),
+    so whoever holds a resident column's arrays — a checkpoint snapshot, a
+    suspended query — holds that level as it was, without a copy.  The
+    notes ``lists`` and ``codes`` ride on a resident column until the next
+    level is appended; a replacement carries none.
     """
 
-    values: np.ndarray
-    parents: np.ndarray
-    lists: Survivors | None = None
-    codes: RowCodes | None = None
+    __slots__ = ("source", "length", "first", "graph", "handle", "lists",
+                 "codes", "_arrays")
 
-    def __post_init__(self) -> None:
-        self.values = _frozen(self.values)
-        self.parents = _frozen(self.parents)
-        if self.values.shape != self.parents.shape:
-            raise ExecutionError("column values/parents must align")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-class PairColumn:
-    """An unrestricted edge extension of a one-edge level, kept as the
-    ranges it reads.
-
-    Row ``p`` of ``first`` holds edge ``f`` joining ``u < v``; its children
-    are ``u``'s incident edges, then ``v``'s, each list with ``f``'s own
-    slot cut out: four ranges of the CSR's ``edge_ids`` a row
-    (:meth:`ranges`), in the order edge extension emits them.  Billed,
-    registered and journaled as the stored column of its length; the
-    arrays are expanded from the ranges on first read and kept
-    (:attr:`values`, :attr:`parents`), while dedup reads the ranges alone.
-    Spilling stores the arrays, a snapshot ``first``.
-    """
-
-    __slots__ = ("first", "graph", "length", "lists", "codes", "_arrays")
-
-    def __init__(self, first: np.ndarray, graph) -> None:
-        self.first = _frozen(first)
+    def __init__(self, source: str, length: int, *, arrays=None, first=None,
+                 graph=None, handle: int | None = None,
+                 lists: Survivors | None = None) -> None:
+        self.source = source
+        self.length = int(length)
+        self.first = first
         self.graph = graph
-        self.lists: Survivors | None = None
+        self.handle = handle
+        self.lists = lists
         self.codes: RowCodes | None = None
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-        starts, ends = self.ranges()
-        self.length = int((ends - starts).sum())
+        self._arrays = arrays
+
+    @classmethod
+    def of_arrays(cls, values, parents,
+                  lists: Survivors | None = None) -> "Column":
+        values, parents = _frozen(values), _frozen(parents)
+        if values.shape != parents.shape:
+            raise ExecutionError("column values/parents must align")
+        return cls(ARRAYS, len(values), arrays=(values, parents), lists=lists)
+
+    @classmethod
+    def of_pair(cls, first, graph) -> "Column":
+        column = cls(PAIR, 0, first=_frozen(first), graph=graph)
+        starts, ends = column.ranges()
+        column.length = int((ends - starts).sum())
+        return column
 
     def __len__(self) -> int:
         return self.length
 
+    @property
+    def on_disk(self) -> bool:
+        return self.handle is not None
+
     def ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)``, one row of four slot ranges per row of
-        ``first``: ``u``'s list before and after ``f``'s slot, then
-        ``v``'s."""
-        graph = self.graph
-        edges = self.first
+        """A pair column's ``(starts, ends)``: one row of four CSR slot
+        ranges per level-1 row holding edge ``f`` joining ``u < v`` —
+        ``u``'s list before and after ``f``'s slot, then ``v``'s."""
+        graph, first = self.graph, self.first
         low_slot, high_slot, __ = graph.edge_slots()
-        low, high = low_slot[edges], high_slot[edges]
-        src, dst = graph.edge_src[edges], graph.edge_dst[edges]
+        low, high = low_slot[first], high_slot[first]
+        src, dst = graph.edge_src[first], graph.edge_dst[first]
         u, v = np.minimum(src, dst), np.maximum(src, dst)
         offsets = graph.offsets
         starts = np.stack([offsets[u], low + 1, offsets[v], high + 1], axis=1)
         ends = np.stack([low, offsets[u + 1], high, offsets[v + 1]], axis=1)
         return starts, ends
 
-    def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
-            starts, ends = self.ranges()
-            slots = expand_ranges(starts.ravel(), ends.ravel())
-            parents = np.arange(len(self.first), dtype=np.int64).repeat(
-                (ends - starts).sum(axis=1))
-            self._arrays = (_frozen(self.graph.edge_ids[slots]),
-                            _frozen(parents))
+            if self.source != PAIR or self.on_disk:
+                raise ExecutionError(f"a {self.source} column holds no rows "
+                                     "in memory")
+            self._arrays = self._expanded()
         return self._arrays
+
+    def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
+        """A pair column's arrays, expanded from its ranges."""
+        starts, ends = self.ranges()
+        slots = expand_ranges(starts.ravel(), ends.ravel())
+        parents = np.arange(len(self.first), dtype=np.int64).repeat(
+            (ends - starts).sum(axis=1))
+        return _frozen(self.graph.edge_ids[slots]), _frozen(parents)
 
     @property
     def values(self) -> np.ndarray:
-        return self._expanded()[0]
+        return self._rows()[0]
 
     @property
     def parents(self) -> np.ndarray:
-        return self._expanded()[1]
+        return self._rows()[1]
 
+    def written(self) -> np.ndarray | None:
+        """What spilling writes of a resident column: the packed arrays,
+        a pair level's ``first``, nothing for a count."""
+        if self.source == ARRAYS:
+            return np.stack(self._arrays)
+        return self.first
 
-class SpilledColumn:
-    """A column evicted to disk (see :mod:`repro.core.spill`)."""
+    def stored_at(self, handle: int) -> "Column":
+        """This level on disk behind ``handle``."""
+        return Column(self.source, self.length, graph=self.graph,
+                      handle=handle)
 
-    __slots__ = ("handle", "length")
-    #: Nothing a level recorded follows its column to disk.
-    lists = None
-    codes = None
-
-    def __init__(self, handle: int, length: int) -> None:
-        self.handle = handle
-        self.length = length
-
-    def __len__(self) -> int:
-        return self.length
-
-
-class CountedColumn:
-    """A level that was only counted: ``length`` rows, none of them kept.
-
-    A counting query's last level (``count_only`` extension) stores no
-    rows, yet is billed, host-registered and journaled as a stored column
-    of its length would be — ``spilled`` when that column would have
-    streamed straight to disk — so nothing simulated tells the two apart.
-    Reading its rows raises :class:`~repro.errors.ExecutionError`.
-    """
-
-    __slots__ = ("length", "spilled")
-    lists = None
-    codes = None
-
-    def __init__(self, length: int, spilled: bool = False) -> None:
-        self.length = length
-        self.spilled = spilled
-
-    def __len__(self) -> int:
-        return self.length
-
-
-def _holds_notes(column) -> bool:
-    return isinstance(column, (Column, PairColumn))
-
-
-def _on_disk(column) -> bool:
-    return isinstance(column, SpilledColumn) or (
-        isinstance(column, CountedColumn) and column.spilled)
+    def read_back(self, data: np.ndarray | None) -> "Column":
+        """This level resident again, from what :meth:`written` gave."""
+        if self.source == ARRAYS:
+            return Column.of_arrays(data[0], data[1])
+        if self.source == PAIR:
+            return Column.of_pair(data, self.graph)
+        return Column(COUNT, self.length)
 
 
 class EmbeddingTable:
@@ -282,33 +273,46 @@ class EmbeddingTable:
 
     @property
     def spilled_columns(self) -> int:
-        return sum(_on_disk(c) for c in self.columns)
+        return sum(c.on_disk for c in self.columns)
+
+    def _resident(self, level: int) -> Column:
+        """One level with its source in memory: the column itself, or a copy
+        faulted back from disk (billed as its ``len x 16`` bytes)."""
+        column = self.columns[level]
+        if column.source == COUNT:
+            raise ExecutionError(
+                f"level {level} of {self.name} was only counted: no rows stored")
+        if column.on_disk:
+            return column.read_back(self._spill_store.fetch(column.handle))
+        return column
 
     def _column_arrays(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(values, parents) of one level, faulting from disk if spilled."""
-        column = self.columns[level]
-        if isinstance(column, CountedColumn):
-            raise ExecutionError(
-                f"level {level} of {self.name} was only counted: no rows stored")
-        if isinstance(column, SpilledColumn):
-            packed = self._spill_store.fetch(column.handle)
-            return packed[0], packed[1]
+        column = self._resident(level)
         return column.values, column.parents
+
+    def _spilled(self, column: Column) -> Column:
+        """``column`` written to the spill store (its source, billed as the
+        ``len x 16`` bytes of its stored arrays whatever it writes)."""
+        handle = self._spill_store.spill(column.written(),
+                                         len(column) * _CELL_BYTES)
+        return column.stored_at(handle)
 
     def _maybe_spill(self) -> None:
         if self._spill_store is None or self._spill_policy is None:
             return
         column_bytes = [len(c) * _CELL_BYTES for c in self.columns]
-        resident = [not _on_disk(c) for c in self.columns]
+        resident = [not c.on_disk for c in self.columns]
         for index in self._spill_policy.columns_to_spill(column_bytes, resident):
-            column = self.columns[index]
-            packed = np.stack([column.values, column.parents])
-            handle = self._spill_store.spill(packed)
-            self.columns[index] = SpilledColumn(handle, len(column))
-            freed = len(column) * _CELL_BYTES
+            self.columns[index] = self._spilled(self.columns[index])
+            freed = column_bytes[index]
             if self._registered_bytes >= freed:
                 self.platform.unregister_host_bytes(freed, self.name)
                 self._registered_bytes -= freed
+
+    def column_length(self, level: int) -> int:
+        """Rows at one level (no read, whatever the column's source)."""
+        return len(self.columns[level])
 
     def column_values(self, level: int) -> np.ndarray:
         """One level's ids (host-side view; faults from disk if spilled)."""
@@ -317,6 +321,13 @@ class EmbeddingTable:
     def column_parents(self, level: int) -> np.ndarray:
         """One level's parent pointers (faults from disk if spilled)."""
         return self._column_arrays(level)[1]
+
+    def pair_source(self) -> Column | None:
+        """The last level as a resident pair column (faulted back from disk,
+        billed, if spilled); ``None`` when its source is not a pair."""
+        if not self.columns or self.columns[-1].source != PAIR:
+            return None
+        return self._resident(self.depth - 1)
 
     # -- shape -------------------------------------------------------------
     @property
@@ -344,7 +355,7 @@ class EmbeddingTable:
             raise ExecutionError("table already seeded")
         values = np.ascontiguousarray(values, dtype=np.int64)
         parents = np.full(len(values), -1, dtype=np.int64)
-        self._store_column(Column(values, parents))
+        self._store_column(Column.of_arrays(values, parents))
 
     def append_column(self, values: np.ndarray, parents: np.ndarray,
                       lists: Survivors | None = None) -> None:
@@ -360,46 +371,46 @@ class EmbeddingTable:
             parents.min() < 0 or parents.max() >= len(self.columns[-1])
         ):
             raise ExecutionError("parent pointers out of range")
-        self._drop_notes()
-        self._store_column(Column(values, parents, lists))
+        self._store_column(Column.of_arrays(values, parents, lists))
 
     def append_pair(self, first: np.ndarray, graph) -> None:
         """Append the unrestricted edge extension of this one-edge table,
-        whose ids ``first`` the caller read, as a :class:`PairColumn`
-        over ``graph``, billed as :meth:`append_column` bills its rows."""
+        whose ids ``first`` the caller read, as a ``PAIR`` column over
+        ``graph``, billed as :meth:`append_column` bills its rows."""
         self._check_appendable()
         if self.depth != 1 or len(first) != len(self.columns[0]):
             raise ExecutionError("a pair column extends a one-edge table")
-        self._drop_notes()
-        self._store_column(PairColumn(first, graph))
+        self._store_column(Column.of_pair(first, graph))
 
     def append_counted(self, length: int) -> None:
         """Append one extension level of ``length`` rows as only its count
-        (:class:`CountedColumn`), billed as :meth:`append_column` bills
-        that many rows; nothing can be appended after it."""
+        (a ``COUNT`` column), billed as :meth:`append_column` bills that
+        many rows; nothing can be appended after it."""
         self._check_appendable()
-        self._drop_notes()
-        self._store_column(CountedColumn(int(length)))
+        self._store_column(Column(COUNT, length))
 
     def _check_appendable(self) -> None:
         if not self.columns:
             raise ExecutionError("seed the table before appending")
-        if isinstance(self.columns[-1], CountedColumn):
+        if self.columns[-1].source == COUNT:
             raise ExecutionError("a counted level cannot be extended")
 
     def note_codes(self, values: np.ndarray, groups: Grouped) -> None:
         """Leave an aggregation's per-row codes (frozen here) and their
         grouping on the last column; a spilled column keeps nothing."""
         values.setflags(write=False)
-        if _holds_notes(self.columns[-1]):
+        if not self.columns[-1].on_disk:
             self.columns[-1].codes = RowCodes(values, groups)
 
     def _drop_notes(self) -> None:
-        if self.columns and _holds_notes(self.columns[-1]):
+        if self.columns:
             self.columns[-1].lists = None
             self.columns[-1].codes = None
 
     def _store_column(self, column: Column) -> None:
+        """Install a new last level: the previous one's notes go, and the
+        new one is billed, registered or spilled as stored rows."""
+        self._drop_notes()
         nbytes = len(column) * _CELL_BYTES
         platform = self.platform
         if not self.charged:
@@ -425,14 +436,7 @@ class EmbeddingTable:
             if self._oversized_for_host(nbytes):
                 # With spilling enabled, a column too large for the host
                 # budget streams straight to disk instead of OOMing.
-                if isinstance(column, CountedColumn):
-                    self._spill_store.bill_write(nbytes)
-                    column.spilled = True
-                    self.columns.append(column)
-                    return
-                packed = np.stack([column.values, column.parents])
-                handle = self._spill_store.spill(packed)
-                self.columns.append(SpilledColumn(handle, len(column)))
+                self.columns.append(self._spilled(column))
                 return
             platform.register_host_bytes(nbytes, self.name, charge=False)
             self._registered_bytes += nbytes
@@ -449,33 +453,35 @@ class EmbeddingTable:
 
     # -- checkpoint support --------------------------------------------------
     def snapshot_columns(self) -> list[dict]:
-        """Every column for a checkpoint (uncharged bookkeeping).
+        """Every column's record for a checkpoint (uncharged bookkeeping):
+        its source and whether it was on disk.
 
-        Resident columns are handed out by reference (see :class:`Column`),
-        so a snapshot costs O(columns), not O(cells); a spilled column is
-        read back from the store; a counted one is its length alone, and so
-        is a spilled one of a released table (its file went with the
-        release).
+        A resident column's arrays are handed out by reference (see
+        :class:`Column`), so a snapshot costs O(columns), not O(cells); a
+        spilled column's source is read back from the store.  A count, or a
+        spilled column of a released table (its file went with the
+        release), records its length alone.
         """
-        records = []
-        for column in self.columns:
-            if isinstance(column, CountedColumn) or (
-                    self.released and isinstance(column, SpilledColumn)):
-                records.append({"counted": len(column),
-                                "spilled": _on_disk(column)})
-                continue
-            if isinstance(column, PairColumn):
-                records.append({"pair": column.first, "spilled": False})
-                continue
-            if isinstance(column, SpilledColumn):
-                values, parents = self._spill_store.peek(column.handle)
-                spilled = True
-            else:
-                values, parents = column.values, column.parents
-                spilled = False
-            records.append(
-                {"values": values, "parents": parents, "spilled": spilled})
-        return records
+        return [self._record(column) for column in self.columns]
+
+    def _record(self, column: Column) -> dict:
+        spilled = column.on_disk
+        if spilled and not self.released:
+            column = column.read_back(self._spill_store.peek(column.handle))
+        if column.on_disk or column.source == COUNT:
+            return {"counted": len(column), "spilled": spilled}
+        if column.source == PAIR:
+            return {"first": column.first, "spilled": spilled}
+        return {"values": column.values, "parents": column.parents,
+                "spilled": spilled}
+
+    @staticmethod
+    def _from_record(record: dict, graph) -> Column:
+        if "counted" in record:
+            return Column(COUNT, record["counted"])
+        if "first" in record:
+            return Column.of_pair(record["first"], graph)
+        return Column.of_arrays(record["values"], record["parents"])
 
     def restore_columns(self, records: list[dict], graph=None) -> None:
         """Replace the table's contents from :meth:`snapshot_columns` output.
@@ -492,41 +498,31 @@ class EmbeddingTable:
         if self._registered_bytes:
             platform.unregister_host_bytes(self._registered_bytes, self.name)
             self._registered_bytes = 0
-        if self._spill_store is not None:
-            for column in self.columns:
-                if isinstance(column, SpilledColumn):
-                    self._spill_store.discard(column.handle)
+        self._discard_spilled()
         for alloc in self._device_allocs:
             if alloc.live:
                 platform.device.free(alloc)
         self._device_allocs = []
         self.columns = []
         for record in records:
-            if "counted" in record:
-                column = CountedColumn(int(record["counted"]))
-            elif "pair" in record:
-                column = PairColumn(record["pair"], graph)
-            else:
-                column = Column(record["values"], record["parents"])
+            column = self._from_record(record, graph)
             nbytes = len(column) * _CELL_BYTES
             if record.get("spilled") and self._spill_store is not None:
-                if isinstance(column, CountedColumn):
-                    column.spilled = True  # nothing was written to restore
-                else:
-                    packed = np.stack([column.values, column.parents])
-                    column = SpilledColumn(
-                        self._spill_store.restore(packed), len(column))
-                self.columns.append(column)
+                column = column.stored_at(
+                    self._spill_store.restore(column.written(), nbytes))
             elif self.device_resident and self.charged:
-                alloc = platform.device.allocate(
-                    nbytes, f"{self.name}:col{self.depth}"
-                )
-                self._device_allocs.append(alloc)
-                self.columns.append(column)
+                self._device_allocs.append(platform.device.allocate(
+                    nbytes, f"{self.name}:col{self.depth}"))
             else:
                 platform.register_host_bytes(nbytes, self.name, charge=False)
                 self._registered_bytes += nbytes
-                self.columns.append(column)
+            self.columns.append(column)
+
+    def _discard_spilled(self) -> None:
+        if self._spill_store is not None:
+            for column in self.columns:
+                if column.on_disk:
+                    self._spill_store.discard(column.handle)
 
     # -- reads -----------------------------------------------------------------
     def _charge_stream(self, nbytes: int, level: int | None = None) -> None:
@@ -615,26 +611,38 @@ class EmbeddingTable:
         a snapshot holds them) before the new parent pointers are built.
         A caller that collected the kept rows itself hands their
         ``(values, parents)`` as ``kept_rows`` instead of a mask: billed
-        the same, and the old column is not read.
+        the same (a spilled column is faulted back all the same), and the
+        old column's rows are not read.
         """
+        return self._filter_last(keep_mask, kept_rows, compact=True)
+
+    def mark(self, keep_mask: np.ndarray) -> int:
+        """Mark-only filtering, for frameworks that skip compression: the
+        last column keeps the rows ``keep_mask`` marks, nothing is billed,
+        and the dropped rows' bytes stay accounted.  A spilled column is
+        faulted back and placed by the host budget as :meth:`compact`
+        places it.  Returns rows removed."""
+        return self._filter_last(keep_mask, None, compact=False)
+
+    def _filter_last(self, keep_mask, kept_rows, compact: bool) -> int:
         if not self.columns:
             raise ExecutionError("nothing to compact")
         last = self.columns[-1]
-        if isinstance(last, CountedColumn):
+        if last.source == COUNT:
             raise ExecutionError("a counted level has no rows to compact")
-        was_spilled = isinstance(last, SpilledColumn)
+        n = len(last)
         if kept_rows is None:
             keep_mask = np.asarray(keep_mask, dtype=bool)
-            values, parents = self._column_arrays(self.depth - 1)
-            if len(keep_mask) != len(last):
+            if len(keep_mask) != n:
                 raise ExecutionError("mask must cover the last column")
             kept = int(np.count_nonzero(keep_mask))
         else:
             kept = len(kept_rows[0])
+        handle = last.handle
+        resident = self._resident(self.depth - 1)
         self._drop_notes()
-        n = len(last)
         platform = self.platform
-        if self.charged:
+        if compact and self.charged:
             # Stage 1: marking (one pass over the marks).
             platform.kernel.launch(f"{self.name}:mark", element_ops=n)
             # Stage 2: prefix scan of marks -> new positions (the host's
@@ -645,48 +653,42 @@ class EmbeddingTable:
             platform.kernel.launch(
                 f"{self.name}:collect", element_ops=n, device_bytes=moved_bytes
             )
-        else:
+        elif compact:
             platform.cpu.work(n)
-        handle = last.handle if was_spilled else None
         self.columns.pop()
         del last
         if kept_rows is None:
+            values, parents = resident.values, resident.parents
+            del resident
             values = values[keep_mask]
-            compacted = Column(values, parents[keep_mask])
+            kept_rows = (values, parents[keep_mask])
             del values, parents
         else:
-            compacted = Column(*kept_rows)
-        if was_spilled:
-            # Compact the disk-resident column in place: drop the old copy
+            del resident
+        column = Column.of_arrays(*kept_rows)
+        del kept_rows
+        # Compression reclaims the dropped cells' memory — the space saving
+        # the paper notes other frameworks forgo (§V-A).
+        freed = (n - kept) * _CELL_BYTES if compact else 0
+        if handle is not None:
+            # Filter the disk-resident column in place: drop the old copy
             # and either bring the (now smaller) column back to host memory
             # or re-spill it if it still exceeds the budget.
             self._spill_store.discard(handle)
             nbytes = kept * _CELL_BYTES
             if self._oversized_for_host(nbytes):
-                packed = np.stack([compacted.values, compacted.parents])
-                handle = self._spill_store.spill(packed)
-                self.columns.append(SpilledColumn(handle, kept))
+                column = self._spilled(column)
             else:
                 platform.register_host_bytes(nbytes, self.name, charge=False)
                 self._registered_bytes += nbytes
-                self.columns.append(compacted)
-            return n - kept
-        self.columns.append(compacted)
-        # Compression reclaims the dropped cells' memory — the space saving
-        # the paper notes other frameworks forgo (§V-A).
-        freed = (n - kept) * _CELL_BYTES
-        if freed:
-            if self.device_resident and self.charged:
-                old = self._device_allocs.pop()
-                platform.device.free(old)
-                self._device_allocs.append(
-                    platform.device.allocate(
-                        kept * _CELL_BYTES, f"{self.name}:col{self.depth - 1}"
-                    )
-                )
-            elif self._registered_bytes >= freed:
-                platform.unregister_host_bytes(freed, self.name)
-                self._registered_bytes -= freed
+        elif freed and self.device_resident and self.charged:
+            platform.device.free(self._device_allocs.pop())
+            self._device_allocs.append(platform.device.allocate(
+                kept * _CELL_BYTES, f"{self.name}:col{self.depth}"))
+        elif freed and self._registered_bytes >= freed:
+            platform.unregister_host_bytes(freed, self.name)
+            self._registered_bytes -= freed
+        self.columns.append(column)
         return n - kept
 
     # -- lifecycle ----------------------------------------------------------------
@@ -703,10 +705,7 @@ class EmbeddingTable:
         if self._registered_bytes:
             platform.unregister_host_bytes(self._registered_bytes, self.name)
             self._registered_bytes = 0
-        if self._spill_store is not None:
-            for column in self.columns:
-                if isinstance(column, SpilledColumn):
-                    self._spill_store.discard(column.handle)
+        self._discard_spilled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "x".join(str(len(c)) for c in self.columns)

@@ -607,7 +607,7 @@ class ExtensionEngine:
         symmetry-breaking restrictions); ``greater_than_col`` is the
         single-column shorthand; ``injective`` excludes vertices already in
         the embedding.  ``count_only`` appends the level as its length alone
-        (:class:`~repro.core.embedding_table.CountedColumn`): the same bill
+        (a ``COUNT`` :class:`~repro.core.embedding_table.Column`): the same bill
         and stats, no rows — for a query that reads only the count.
 
         Constraint pushdown is the paper's §III-B3: "extended embeddings
@@ -1132,7 +1132,7 @@ class ExtensionEngine:
         stats.candidates = int(per_row_bound.sum())
         if depth == 1 and greater_than_col is None:
             # Every incident edge but the row's own, met from both ends:
-            # the level is its parents' incident lists (PairColumn), and
+            # the level is its parents' incident lists (a pair column), and
             # nothing is expanded here.
             counts = per_row_bound - 2
             self._account_writes(counts, stats.kernel_ops, per_row_bound)

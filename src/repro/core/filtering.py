@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..graph.patterns import Pattern
 from ..gpusim.platform import GpuPlatform
-from .embedding_table import Column, EmbeddingTable
+from .embedding_table import EmbeddingTable
 from .pattern_table import PatternTable
 
 
@@ -51,16 +51,8 @@ def filter_rows(
     tel = table.platform.telemetry
     with tel.span("filtering", kind="phase"):
         keep_mask = np.asarray(keep_mask, dtype=bool)
-        if compact:
-            removed = table.compact(keep_mask)
-        else:
-            removed = len(keep_mask) - int(np.count_nonzero(keep_mask))
-            # Mark-only: holes dropped from the logical view but bytes still
-            # accounted by the table.  Replaced, not rewritten, as everywhere.
-            last = table.columns[-1]
-            table.columns[-1] = Column(
-                last.values[keep_mask], last.parents[keep_mask]
-            )
+        removed = (table.compact(keep_mask) if compact
+                   else table.mark(keep_mask))
     if tel.active:
         tel.metric("filtering.rows_removed", removed)
     return removed

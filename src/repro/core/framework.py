@@ -316,24 +316,27 @@ class Gamma:
             return
         totals = self._executor.clock_totals()
         target = max(totals)
-        gating = totals.index(target)
-        entry = {
-            "superstep": len(self.barrier_log),
-            "op": label or "op",
-            "gating_shard": gating,
-            "target_seconds": target,
-            "waits": [target - total for total in totals],
-        }
-        self.barrier_log.append(entry)
+        superstep = len(self.barrier_log)
+        label = label or "op"
         args = self._all({"target": target})
         tel = self._tel
         if tel.active:
-            with tel.span(f"barrier:{entry['op']}", kind="barrier",
-                          superstep=entry["superstep"],
-                          gating_shard=gating):
-                self._fanout("sync", args)
+            with tel.span(f"barrier:{label}", kind="barrier",
+                          superstep=superstep,
+                          gating_shard=totals.index(target)):
+                replies = self._fanout("sync", args)
         else:
-            self._fanout("sync", args)
+            replies = self._fanout("sync", args)
+        # Journaled replies: a replayed barrier logs what the live one saw.
+        target = replies[0]["target"]
+        clocks = [reply["clock"] for reply in replies]
+        self.barrier_log.append({
+            "superstep": superstep,
+            "op": label,
+            "gating_shard": clocks.index(max(clocks)),
+            "target_seconds": target,
+            "waits": [target - clock for clock in clocks],
+        })
 
     def _exchange(self, kind: str, payload_bytes: Sequence[int],
                   merge_ops: float) -> None:
@@ -341,23 +344,24 @@ class Gamma:
 
         ``payload_bytes[i]`` is partition i's outgoing payload; each one
         additionally receives every peer's payload and runs a merge kernel
-        of ``merge_ops`` element-ops over the union.
+        of ``merge_ops`` element-ops over the union.  The log entry is
+        built from the journaled replies, as :meth:`_barrier`'s is.
         """
         if self.num_shards == 1:
             return
         total = int(sum(payload_bytes))
-        self.exchange_log.append({
-            "after_superstep": len(self.barrier_log),
-            "kind": kind,
-            "payload_bytes": [int(b) for b in payload_bytes],
-            "total_bytes": total,
-        })
-        self._fanout("exchange", [
+        replies = self._fanout("exchange", [
             {"kind": kind, "local": int(payload_bytes[index]),
              "total": total, "peers": self.num_shards - 1,
              "merge_ops": merge_ops}
             for index in range(self.num_shards)
         ])
+        self.exchange_log.append({
+            "after_superstep": len(self.barrier_log),
+            "kind": kind,
+            "payload_bytes": [reply["local"] for reply in replies],
+            "total_bytes": replies[0]["total"],
+        })
 
     # -- table construction (Fig. 3 data structures) -----------------------
     def new_vertex_table(self, name: str = "v-ET"):

@@ -54,7 +54,9 @@ class SpillStore:
             else str(directory)
         )
         os.makedirs(self._dir, exist_ok=True)
-        self._files: Dict[int, tuple[str, tuple, np.dtype]] = {}
+        #: handle -> (path, shape, dtype, billed bytes); no path when
+        #: nothing was written.
+        self._files: Dict[int, tuple] = {}
         self._next_id = 0
         self.bytes_spilled = 0
         self.bytes_faulted = 0
@@ -66,17 +68,32 @@ class SpillStore:
     @property
     def bytes_on_disk(self) -> int:
         total = 0
-        for path, shape, dtype in self._files.values():
-            total += int(np.prod(shape)) * dtype.itemsize
+        for path, shape, dtype, __ in self._files.values():
+            if path is not None:
+                total += int(np.prod(shape)) * dtype.itemsize
         return total
 
-    def spill(self, array: np.ndarray) -> int:
-        """Write ``array`` to disk; returns a handle for :meth:`fetch`."""
+    def spill(self, array: np.ndarray | None, nbytes: int | None = None) -> int:
+        """Write ``array`` to disk (``None``: nothing) and bill ``nbytes``
+        (default the array's); returns a handle for :meth:`fetch`, which
+        bills the same bytes back."""
         res = self.platform.resilience
         if res.active:
             res.io("spill:write")
+        handle = self._write(array, nbytes)
+        nbytes = self._files[handle][3]
+        self.bytes_spilled += nbytes
+        self.platform.clock.advance(DISK_IO, nbytes / self.bandwidth)
+        return handle
+
+    def _write(self, array: np.ndarray | None, nbytes: int | None) -> int:
         handle = self._next_id
         self._next_id += 1
+        if nbytes is None:
+            nbytes = array.nbytes
+        if array is None:
+            self._files[handle] = (None, (0,), np.dtype(np.int64), nbytes)
+            return handle
         path = os.path.join(self._dir, f"col-{handle}.bin")
         try:
             mm = np.memmap(path, dtype=array.dtype, mode="w+",
@@ -93,62 +110,44 @@ class SpillStore:
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
             raise
-        self._files[handle] = (path, array.shape, array.dtype)
-        self.bytes_spilled += array.nbytes
-        self.platform.clock.advance(DISK_IO, array.nbytes / self.bandwidth)
+        self._files[handle] = (path, array.shape, array.dtype, nbytes)
         return handle
 
-    def bill_write(self, nbytes: int) -> None:
-        """What :meth:`spill` bills for ``nbytes``, with nothing written:
-        a counted column (:class:`~repro.core.embedding_table.CountedColumn`)
-        too large for the host budget "streams" to disk this way."""
-        res = self.platform.resilience
-        if res.active:
-            res.io("spill:write")
-        self.bytes_spilled += nbytes
-        self.platform.clock.advance(DISK_IO, nbytes / self.bandwidth)
-
-    def fetch(self, handle: int) -> np.ndarray:
-        """Fault a spilled array back into memory (charged)."""
+    def fetch(self, handle: int) -> np.ndarray | None:
+        """Fault a spilled array back into memory (charged the bytes its
+        spill billed)."""
         res = self.platform.resilience
         if res.active:
             res.io("spill:read")
-        path, shape, dtype = self._files[handle]
-        mm = np.memmap(path, dtype=dtype, mode="r", shape=shape)
-        out = np.array(mm)
-        del mm
-        self.bytes_faulted += out.nbytes
-        self.platform.clock.advance(DISK_IO, out.nbytes / self.bandwidth)
+        out = self.peek(handle)
+        nbytes = self._files[handle][3]
+        self.bytes_faulted += nbytes
+        self.platform.clock.advance(DISK_IO, nbytes / self.bandwidth)
         return out
 
-    def peek(self, handle: int) -> np.ndarray:
+    def peek(self, handle: int) -> np.ndarray | None:
         """Uncharged read of a spilled array (checkpoint bookkeeping only —
         simulated cost accrues through :meth:`fetch`)."""
-        path, shape, dtype = self._files[handle]
+        path, shape, dtype, __ = self._files[handle]
+        if path is None:
+            return None
         mm = np.memmap(path, dtype=dtype, mode="r", shape=shape)
         out = np.array(mm)
         del mm
         return out
 
-    def restore(self, array: np.ndarray) -> int:
+    def restore(self, array: np.ndarray | None,
+                nbytes: int | None = None) -> int:
         """Uncharged write used by checkpoint resume: re-materialize a
         spilled array on disk without billing simulated disk time (the
         restored clock already contains the original spill's charge)."""
-        handle = self._next_id
-        self._next_id += 1
-        path = os.path.join(self._dir, f"col-{handle}.bin")
-        mm = np.memmap(path, dtype=array.dtype, mode="w+", shape=array.shape)
-        mm[:] = array
-        mm.flush()
-        del mm
-        self._files[handle] = (path, array.shape, array.dtype)
-        return handle
+        return self._write(array, nbytes)
 
     def discard(self, handle: int) -> None:
         """Drop a spilled array (idempotent)."""
-        entry = self._files.pop(handle, None)
-        if entry is not None and os.path.exists(entry[0]):
-            os.unlink(entry[0])
+        path = self._files.pop(handle, (None,))[0]
+        if path is not None and os.path.exists(path):
+            os.unlink(path)
 
     def close(self) -> None:
         """Delete every spill file (and the directory if we created it).

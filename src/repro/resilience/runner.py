@@ -30,7 +30,9 @@ import numpy as np
 __all__ = ["capture_state", "restore_state", "rewind"]
 
 #: 2: each snapshot records the partition that took it.
-STATE_VERSION = 2
+#: 3: a column's record is its source (a pair level's is its level-1 ids),
+#: and a journaled barrier or exchange reply holds what the live op saw.
+STATE_VERSION = 3
 
 
 def _planner_state(planner) -> dict:

@@ -27,34 +27,6 @@ from ..core.embedding_table import EmbeddingTable
 from ..errors import ExecutionError
 
 
-class _RemoteColumn:
-    """Len-only stand-in for one level's column of a remote part."""
-
-    __slots__ = ("_part", "_level")
-
-    def __init__(self, part: "RemotePart", level: int) -> None:
-        self._part = part
-        self._level = level
-
-    def __len__(self) -> int:
-        return self._part.column_length(self._level)
-
-
-class _RemoteColumns:
-    """``part.columns[level]`` compatibility shim for remote parts."""
-
-    __slots__ = ("_part",)
-
-    def __init__(self, part: "RemotePart") -> None:
-        self._part = part
-
-    def __getitem__(self, level: int) -> _RemoteColumn:
-        return _RemoteColumn(self._part, level)
-
-    def __len__(self) -> int:
-        return self._part.num_levels
-
-
 class RemotePart:
     """Read proxy for one shard's embedding table in a worker process.
 
@@ -94,14 +66,6 @@ class RemotePart:
     @property
     def nbytes(self) -> int:
         return self._info()["nbytes"]
-
-    @property
-    def num_levels(self) -> int:
-        return self._info()["num_levels"]
-
-    @property
-    def columns(self) -> _RemoteColumns:
-        return _RemoteColumns(self)
 
     def column_length(self, level: int) -> int:
         return self._call("column", what="length", level=level)
@@ -174,7 +138,7 @@ class ShardedTable:
                 [part.num_embeddings for part in self.parts], dtype=np.int64
             )
         return np.array(
-            [len(part.columns[level]) for part in self.parts], dtype=np.int64
+            [part.column_length(level) for part in self.parts], dtype=np.int64
         )
 
     def split_rows(self, values: np.ndarray) -> List[np.ndarray]:
@@ -209,7 +173,7 @@ class ShardedTable:
             parents = part.column_parents(level)
             if level > 0:
                 pieces.append(np.where(parents >= 0, parents + offset, parents))
-                offset += len(part.columns[level - 1])
+                offset += part.column_length(level - 1)
             else:
                 pieces.append(parents)
         return (np.concatenate(pieces)

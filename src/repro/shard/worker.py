@@ -387,7 +387,14 @@ class ShardWorker:
         return self._run_op("dedup", execute)
 
     def do_set_keys(self, table: int) -> np.ndarray:
-        return embedding_set_keys(_host_rows(self._table(table)))
+        """This partition's row set keys for dedup's exchange; none while
+        replaying, when the exchange and the reconcile filter they feed are
+        answered from the journal (the restored table holds their result,
+        or a later one)."""
+        part = self._table(table)
+        if self.do_replaying():
+            return embedding_set_keys(np.empty((0, part.depth), dtype=np.int64))
+        return embedding_set_keys(_host_rows(part))
 
     # -- aggregation / filtering / output ------------------------------------
     def do_aggregation(self, table: int, support_metric: str,
@@ -453,7 +460,6 @@ class ShardWorker:
             "depth": int(part.depth),
             "total_cells": int(part.total_cells),
             "nbytes": int(part.nbytes),
-            "num_levels": len(part.columns),
         }
 
     def do_column(self, table: int, what: str, level: int):
@@ -463,7 +469,7 @@ class ShardWorker:
         if what == "parents":
             return part.column_parents(level)
         if what == "length":
-            return len(part.columns[level])
+            return part.column_length(level)
         raise ExecutionError(f"unknown column read {what!r}")
 
     def do_materialize(self, table: int) -> np.ndarray:
@@ -480,22 +486,29 @@ class ShardWorker:
         return self._journal is not None and self._op_index < self._replay_cursor
 
     # -- BSP charging --------------------------------------------------------
-    def do_sync(self, target: float) -> None:
+    def do_sync(self, target: float) -> dict:
+        """Wait for the barrier's ``target``; the reply (journaled, so a
+        replayed barrier returns what the live one saw) is this partition's
+        pre-wait clock and the target."""
         def execute():
-            wait = target - self.platform.clock.total
-            if wait > 0:
-                self.platform.clock.advance(clk.SHARD_SYNC, wait)
+            clock = self.platform.clock.total
+            if target > clock:
+                self.platform.clock.advance(clk.SHARD_SYNC, target - clock)
+            return {"clock": clock, "target": target}
 
         return self._run_op("shard-sync", execute)
 
     def do_exchange(self, kind: str, local: int, total: int,
-                    peers: int, merge_ops: float) -> None:
+                    peers: int, merge_ops: float) -> dict:
+        """One all-gather and merge; the reply (journaled) is the payload
+        this partition sent and the total."""
         def execute():
             self.link.allgather(local, total - local, peers=peers)
             if merge_ops:
                 self.platform.kernel.launch(
                     f"shard:{kind}", element_ops=merge_ops
                 )
+            return {"local": local, "total": total}
 
         return self._run_op(f"shard-exchange:{kind}", execute)
 
@@ -512,8 +525,7 @@ class ShardWorker:
         if version != res_runner.STATE_VERSION:
             raise ExecutionError(
                 f"checkpoint has state version {version}; this engine reads "
-                f"version {res_runner.STATE_VERSION} (snapshots that record "
-                f"their partition) — rerun without resume"
+                f"version {res_runner.STATE_VERSION} — rerun without resume"
             )
         recorded = state["partition"]
         taken = recorded.get("num_shards")

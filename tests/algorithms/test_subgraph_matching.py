@@ -124,7 +124,7 @@ class TestBinaryJoinResumes:
     """Binary-join SM suspended (a triangle at level 2, a 4-cycle at level
     3) and resumed, at one and two partitions, from the in-memory snapshot
     and from ``checkpoint_dir``:
-    its explicit seed and its table release are journaled ops, its
+    its explicit seed is a journaled op (and its only seed), its
     host-side assignments are read back from the filtered levels, and the
     keep masks are not split against a restored table — so the resumed
     answer, simulated seconds and counters are the uninterrupted run's."""
@@ -169,7 +169,9 @@ class TestBinaryJoinResumes:
         journal = str(tmp_path) if route == "disk" else None
         handed = self._suspended(num_shards, journal, name)
         kinds = [record["kind"] for record in handed[0]["journal"]]
-        assert "seed-explicit" in kinds and "release-table" in kinds
+        # The explicit seed is its only seed: no edge seed is billed and
+        # released unread before it.
+        assert "seed-explicit" in kinds and "seed-edges" not in kinds
         with Gamma(self._graph(), num_shards=num_shards) as engine:
             result = engine.run(task, checkpoint_dir=journal, resume=True,
                                 resume_state=None if journal else handed)

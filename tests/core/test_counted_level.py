@@ -3,7 +3,7 @@ holds one row batch of expansion at a time.
 
 Three sets, one per claim:
 
-* **Journal round trips** — a :class:`CountedColumn` through
+* **Journal round trips** — a ``COUNT`` column through
   ``snapshot_columns`` / ``restore_columns`` and ``CheckpointManager``
   files, a served query preempted at its last level and resumed, and the
   process-shard durable path: each lands on the uninterrupted run's answer
@@ -24,7 +24,7 @@ import pytest
 from repro.algorithms import count_kcliques, match_pattern
 from repro.baselines import PangolinGPU
 from repro.core import Gamma, GammaConfig, extension
-from repro.core.embedding_table import CountedColumn, EmbeddingTable
+from repro.core.embedding_table import COUNT, EmbeddingTable
 from repro.core.extension import ExtensionEngine
 from repro.core.spill import SpillPolicy, SpillStore
 from repro.errors import ExecutionError
@@ -170,7 +170,7 @@ class TestCountedColumn:
 
     def test_is_a_length_billed_as_rows(self):
         platform, table = self._table()
-        assert isinstance(table.columns[-1], CountedColumn)
+        assert table.columns[-1].source == COUNT
         assert table.num_embeddings == 9 and table.depth == 3
         assert table.nbytes == (4 + 3 + 9) * 16 == platform.host_used
         for read in (table.materialize, lambda: table.column_values(2),

@@ -1,7 +1,7 @@
 """The pair level is its parents' incident lists.
 
-An unrestricted edge extension of a one-edge table appends a
-``PairColumn``: row ``p`` holds edge ``f = (u, v)``, and its children are
+An unrestricted edge extension of a one-edge table appends a pair
+column (a ``PAIR`` source): row ``p`` holds edge ``f = (u, v)``, and its children are
 ``u``'s incident list, then ``v``'s, each with ``f``'s slot cut out — four
 CSR ranges a row, expanded only when something reads the arrays.
 ``dedup_embeddings`` on it reads no child: with every list ascending by
@@ -31,7 +31,7 @@ from hypothesis import strategies as hst
 from repro.algorithms import frequent_pattern_mining, motif_count
 from repro.baselines import GraphMiner, PangolinGPU, PangolinST
 from repro.core import EDGE, EmbeddingTable, Gamma, GammaConfig, extension
-from repro.core.embedding_table import PairColumn
+from repro.core.embedding_table import PAIR, Column
 from repro.core.extension import ExtensionEngine
 from repro.core.spill import SpillStore
 from repro.errors import InvalidGraphError
@@ -266,11 +266,13 @@ def test_process_partitions_match_the_eager_twin(task):
     assert got == want
 
 
-def test_a_spilled_pair_column_takes_the_sort():
-    """A pair column over the spill budget streams to disk as its arrays;
-    its dedup sorts them, and every book matches the eager twin's.  The
-    extension faults the spilled level 1 back once, for its own walk: the
-    pair column is built from the ids that walk read."""
+def test_a_spilled_pair_column_takes_the_range_rule():
+    """A pair column over the spill budget streams to disk as its level-1
+    ids, billed as its arrays; its dedup faults them back (billed as the
+    arrays) and keeps rows by the range rule, and every book matches the
+    eager twin's, which stores the arrays and sorts them.  The extension
+    faults the spilled level 1 back once, for its own walk: the pair column
+    is built from the ids that walk read."""
     config = GammaConfig(spill_to_disk=True, spill_budget_bytes=1,
                          spill_keep_columns=1)
     graph = _engine_graph()
@@ -281,9 +283,11 @@ def test_a_spilled_pair_column_takes_the_sort():
         with _calls(SpillStore, "fetch") as fetched:
             engine.edge_extension(table)
         assert len(fetched) == 1
-    with _calls(aggregation, "_sorted_keep") as sorted_:
+        assert table.parts[0].columns[-1].source == PAIR
+        assert table.parts[0].columns[-1].on_disk
+    with _calls(aggregation, "_pair_first_rows") as ranged:
         got = _trail(make, _TASKS["fpm3"])
-    assert sorted_
+    assert len(ranged) == 1  # level 2's; level 3 is arrays, and sorts
     with eager_pairs():
         want = _trail(make, _TASKS["fpm3"])
     assert got == want
@@ -339,7 +343,7 @@ def test_repeated_level_one_rows_take_the_sort():
         table = engine.new_edge_table()
         table.seed(np.array([3, 1, 3, 5]))
         engine.edge_extension(table)
-        assert isinstance(table.parts[0].columns[-1], PairColumn)
+        assert table.parts[0].columns[-1].source == PAIR
         engine.dedup(table)
         pairs = {frozenset(row) for row in table.materialize().tolist()}
     assert not ranged
@@ -375,14 +379,14 @@ def test_pair_dedup_sorts_nothing():
         with _forbidden((aggregation, "first_occurrence"),
                         (aggregation, "sorted_columns"),
                         (EmbeddingTable, "materialize"),
-                        (PairColumn, "_expanded")):
+                        (Column, "_expanded")):
             removed.append(real(platform, table, cpu))
         return removed[-1]
 
     with mock.patch.object(worker, "dedup_embeddings", guarded), \
             _forbidden((ExtensionEngine, "_incident_values"),
                        (ExtensionEngine, "_edge_candidates"),
-                       (PairColumn, "_expanded")), \
+                       (Column, "_expanded")), \
             Gamma(_pins_graph()) as engine:
         frequent_pattern_mining(engine, 2, 6)
     assert len(removed) == 1 and removed[0] > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EDGE, VERTEX, EmbeddingTable
+from repro.core.embedding_table import ARRAYS, PAIR
 from repro.errors import DeviceOutOfMemory, ExecutionError, HostOutOfMemory
 from repro.gpusim import clock as clk
 from repro.gpusim import make_platform
@@ -250,10 +251,10 @@ class TestListsDoNotOutliveTheirUse:
 
 
 class TestEdgeGrownLastsAsLongAsItsColumn:
-    """An unrestricted edge extension of a one-edge table is a
-    ``PairColumn``: a checkpoint round trip restores it as one (it records
-    its level-1 rows), spilling stores its expanded arrays, and a
-    compacted or caller-built level is a plain ``Column``."""
+    """An unrestricted edge extension of a one-edge table is a ``PAIR``
+    column: a checkpoint round trip restores it as one (it records its
+    level-1 rows), spilling stores those rows and keeps it one, and a
+    compacted or caller-built level is an ``ARRAYS`` column."""
 
     #: Edges 0 (0, 1), 1 (1, 2), 2 (1, 3), 3 (2, 3); the rows hold 0, 1
     #: and 3, whose children are their endpoints' other incident edges.
@@ -269,7 +270,6 @@ class TestEdgeGrownLastsAsLongAsItsColumn:
         return graph
 
     def test_snapshot_and_restore_keep_it(self, platform):
-        from repro.core.embedding_table import Column, PairColumn
         from repro.resilience.checkpoint import (
             deserialize_state,
             serialize_state,
@@ -280,44 +280,46 @@ class TestEdgeGrownLastsAsLongAsItsColumn:
         blob = serialize_state({"columns": table.snapshot_columns()})
         other = EmbeddingTable(make_platform(), EDGE)
         other.restore_columns(deserialize_state(blob)["columns"], graph)
-        assert [type(c) for c in other.columns] == [Column, PairColumn]
+        assert [c.source for c in other.columns] == [ARRAYS, PAIR]
         assert [other.column_values(1).tolist(),
                 other.column_parents(1).tolist()] == self.CHILDREN
         assert other.nbytes == table.nbytes
 
     def test_spilling_keeps_it(self, platform):
-        from repro.core.embedding_table import PairColumn
         from repro.core.spill import SpillPolicy, SpillStore
 
         table = EmbeddingTable(platform, EDGE)
         store = SpillStore(platform)
         try:
             table.attach_spill(store, SpillPolicy(1, keep_columns=1))
-            self._grown(table)
+            graph = self._grown(table)
             assert table.spilled_columns == 2
+            assert table.columns[-1].source == PAIR
+            # Its file is the level-1 ids; its bill the 7 rows' arrays.
+            assert store.bytes_on_disk == (2 * 3 + 3) * 8
+            assert store.bytes_spilled == (3 + 7) * 16
             assert [table.column_values(1).tolist(),
                     table.column_parents(1).tolist()] == self.CHILDREN
-            table.restore_columns(table.snapshot_columns())
+            table.restore_columns(table.snapshot_columns(), graph)
             assert table.spilled_columns == 2
+            assert table.columns[-1].source == PAIR
             table.compact(np.arange(7) % 2 == 0)
-            assert not isinstance(table.columns[-1], PairColumn)
+            assert table.columns[-1].source == ARRAYS
             assert table.column_values(1).tolist() == [1, 0, 3, 2]
             table.release()
         finally:
             store.close()
 
     def test_compact_and_callers_drop_it(self, platform):
-        from repro.core.embedding_table import Column, PairColumn
-
         table = EmbeddingTable(platform, EDGE)
         self._grown(table)
-        assert isinstance(table.columns[-1], PairColumn)
+        assert table.columns[-1].source == PAIR
         table.compact(np.ones(7, dtype=bool))  # keeps every row, still replaces
-        assert type(table.columns[-1]) is Column
+        assert table.columns[-1].source == ARRAYS
         assert [table.column_values(1).tolist(),
                 table.column_parents(1).tolist()] == self.CHILDREN
         table.append_column(np.array([1]), np.array([0]))
-        assert type(table.columns[-1]) is Column
+        assert table.columns[-1].source == ARRAYS
 
 
 class TestResidency:

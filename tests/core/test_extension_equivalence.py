@@ -26,7 +26,6 @@ from repro.core import (
     make_write_strategy,
 )
 from repro.core import extension
-from repro.core.embedding_table import SpilledColumn
 from repro.errors import ExecutionError
 from repro.graph import from_edge_list
 from repro.graph.generators import erdos_renyi, kronecker, zipf_labels
@@ -573,7 +572,7 @@ def _dedup(engine, table, rows):
 
 def _spilled(*want):
     def check(engine, table, rows):
-        assert [isinstance(column, SpilledColumn)
+        assert [column.on_disk
                 for column in table.parts[0].columns] == list(want)
         return rows
     return check

@@ -311,7 +311,7 @@ class TestReplayKeepsThePairLookup:
                 first.run(self._fpm, checkpoint_dir=journal)
             handed = first.snapshot()
         assert handed[0]["journal"][-1]["kind"] == "edge-extension"
-        assert "pair" in handed[0]["tables"][0]["columns"][-1]
+        assert "first" in handed[0]["tables"][0]["columns"][-1]
 
         outcomes = []
         for resume in (True, False):

@@ -108,6 +108,17 @@ def test_flat_one_gpu_checkpoint_is_refused_not_ignored(graph, tmp_path):
             engine.run(_task, checkpoint_dir=str(tmp_path), resume=True)
 
 
+def test_a_version_2_snapshot_is_refused(graph):
+    """Version 2 journaled no barrier or exchange reply and recorded a
+    pair level as its arrays: refused by version, not misread."""
+    with Gamma(graph) as first:
+        first.run(_task)
+        state = dict(first.snapshot()[0], version=2)
+    with Gamma(graph) as engine:
+        with pytest.raises(ExecutionError, match="state version 2"):
+            engine.run(_task, resume_state=[state])
+
+
 def test_snapshot_without_partition_record_is_refused(graph):
     with Gamma(graph) as first:
         first.run(_task)

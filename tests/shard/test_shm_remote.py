@@ -81,11 +81,8 @@ class TestRemotePart:
         assert sum(p.num_embeddings for p in parts) == 2 * graph.num_vertices
         for part in parts:
             assert part.depth == 1
-            assert part.num_levels == 1
             assert part.total_cells == part.num_embeddings
             assert part.nbytes > 0
-            assert len(part.columns[0]) == part.num_embeddings
-            assert len(part.columns) == 1
             assert part.column_length(0) == part.num_embeddings
             np.testing.assert_array_equal(
                 part.column_values(0),

@@ -117,3 +117,52 @@ class TestManifestEmbedding:
                 build_sharded_manifest(engine, system="GAMMA"))
 
         assert one_run() == one_run()
+
+
+class TestResumedLogs:
+    """A resumed run's barrier and exchange logs are the uninterrupted
+    run's: a replayed op's sync and exchange replies carry what the live op
+    saw (its pre-wait clock and target, its payload and total), so the
+    front logs those, not the restored clock and tables."""
+
+    @staticmethod
+    def _graph():
+        return generators.erdos_renyi(120, 700, seed=3)
+
+    @staticmethod
+    def _task(engine):
+        from repro.algorithms import frequent_pattern_mining
+
+        return frequent_pattern_mining(engine, 3, 2)
+
+    def _report(self, executor, journal=None, resume=False, fault=None):
+        from repro.core import Gamma
+        from repro.resilience import FaultPlan, FaultSpec
+
+        with Gamma(self._graph(), num_shards=2, executor=executor) as engine:
+            if fault is not None:
+                engine.install_fault_plan(FaultPlan(name="crash", specs=(
+                    FaultSpec(kind="device_oom", at=fault),)))
+                with pytest.raises(Exception, match="out of memory|OOM"):
+                    engine.run(self._task, checkpoint_dir=journal)
+                return None
+            result = engine.run(self._task, checkpoint_dir=journal,
+                                resume=resume)
+            return (result.frequent_per_level,
+                    float.hex(engine.simulated_seconds),
+                    straggler_report(engine), engine.barrier_log,
+                    engine.exchange_log)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("suspend", [None, "*/level:2"])
+    def test_resume_reports_the_uninterrupted_run(self, tmp_path, executor,
+                                                  suspend):
+        want = self._report(executor)
+        journal = str(tmp_path)
+        if suspend is None:
+            self._report(executor, journal)  # a finished run: full replay
+        else:
+            self._report(executor, journal, fault=suspend)
+        got = self._report(executor, journal, resume=True)
+        assert got == want
+        assert want[4] and any(entry["kind"] == "dedup" for entry in want[4])

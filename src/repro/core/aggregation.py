@@ -9,15 +9,21 @@ exists for.
 The canonical map uses the two-level quick-pattern scheme of
 :mod:`repro.graph.canonical`; its device cost is charged per embedding.
 The host encodes a level in row batches (:func:`encode_level`), so its
-working set is the level's codes plus one batch.
+working set is the level's codes plus one batch.  A pair level (a
+``PAIR`` :class:`~repro.core.embedding_table.Column`) counted by instance
+support reads no row: a two-edge embedding is a wedge whose code is fixed
+by three labels — the centre's and the two ends' (Pangolin's customized
+classification of 3-vertex embeddings) — so each triple is counted from
+the level's ranges (:class:`_PairCounts`) and encoded once
+(:class:`PairCodes`), billed as the rows it stands for.
 
 The module also provides embedding-set deduplication for edge-oriented
 growth: extending by "any adjacent edge" reaches the same edge set through
 multiple orders, and instance counting requires each set once.  Dedup is
 billed as GAMMA's sort+compact over the packed set keys.  On the host, a
 pair level that unrestricted edge extension grew from the level-1 rows
-(a ``PAIR`` :class:`~repro.core.embedding_table.Column`) emits each pair's
-first occurrence by ranges of the parents' incident lists; any other
+keeps each pair's first occurrence as ranges of the parents' incident
+lists (:meth:`~repro.core.embedding_table.Column.deduplicated`); any other
 table packs each row's sorted ids and finds first occurrences by a sort.
 """
 
@@ -25,11 +31,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.canonical import MAX_VERTICES, QuickPatternEncoder, QuickPatterns
+from ..graph.canonical import (
+    MAX_VERTICES, QuickPatternEncoder, QuickPatterns, _rank,
+)
 from ..graph.groupby import Grouped, first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
-from .embedding_table import EmbeddingTable
+from .embedding_table import PAIR, Column, EmbeddingTable
 from .extension import _row_batches
 from .pattern_table import PatternTable
 from .residence import GraphResidence
@@ -132,11 +140,13 @@ def encode_level(
     table: EmbeddingTable,
     encoder: QuickPatternEncoder,
     want_mni: bool = False,
+    levels: list | None = None,
 ) -> tuple[Grouped, np.ndarray | None]:
     """The last level's per-row canonical codes, dictionary-encoded, and
     with ``want_mni`` each distinct code's MNI support.
 
-    The level is walked (:meth:`EmbeddingTable.walk_levels`, billed), then
+    The level is walked (:meth:`EmbeddingTable.walk_levels`, billed; a
+    caller that walked it hands the walk's ``levels``), then
     encoded in row batches of at most ``_BATCH_SLOTS`` edge slots: each
     batch's rows, endpoints and quick patterns are the host's only
     row-sized temporaries.  The batches' quick patterns fold into one
@@ -145,7 +155,8 @@ def encode_level(
     batch, as one read of every row's edges.
     """
     n = table.num_embeddings
-    levels = table.walk_levels(n)
+    if levels is None:
+        levels = table.walk_levels(n)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return Grouped(empty, empty.copy()), (empty.copy() if want_mni else None)
@@ -176,12 +187,14 @@ def aggregate_edge_table(
     p_size: int = DEFAULT_P_SIZE,
     cpu: bool = False,
     support_metric: str = INSTANCES,
-) -> np.ndarray:
+) -> "np.ndarray | PairCodes":
     """Aggregate an e-ET into the pattern table.
 
     Returns the per-row canonical codes (needed afterwards by the support
-    filter).  The pattern table gains/updates one entry per pattern, whose
-    support is instance frequency or MNI per ``support_metric``.
+    filter): an array, or a pair level's :class:`PairCodes` when it was
+    counted from its ranges.  The pattern table gains/updates one entry
+    per pattern, whose support is instance frequency or MNI per
+    ``support_metric``.
     """
     tel = platform.telemetry
     with tel.span("aggregation", kind="phase"):
@@ -204,15 +217,25 @@ def _aggregate_edge_table_impl(
     p_size: int,
     cpu: bool,
     support_metric: str,
-) -> np.ndarray:
+) -> "np.ndarray | PairCodes":
     if support_metric not in SUPPORT_METRICS:
         raise ValueError(
             f"support_metric must be one of {SUPPORT_METRICS}, got {support_metric!r}"
         )
+    n = table.num_embeddings
+    levels = table.walk_levels(n, read_last=False)
+    last = levels[-1]
+    if support_metric == INSTANCES and n and _countable(last):
+        return _aggregate_pair(platform, residence, table.depth, last,
+                               encoder, pattern_table, sort_method, p_size,
+                               cpu)
+    levels[-1] = (last.values, last.parents)
+    del last
     # The codes arrive grouped by their quick patterns; every consumer
     # below reads that grouping instead of regrouping the codes.
-    groups, mni = encode_level(residence, table, encoder, support_metric == MNI)
-    n = len(groups.index)
+    groups, mni = encode_level(residence, table, encoder,
+                               support_metric == MNI, levels)
+    del levels
     if n == 0:
         return np.empty(0, dtype=np.int64)
     quick_ops = n * table.depth * _QUICK_OPS_PER_EDGE
@@ -273,8 +296,8 @@ def dedup_embeddings(
     """Remove duplicate embeddings (same id set, different discovery order).
 
     Returns the number of rows removed.  Charged as a sort+compact over the
-    packed set keys, however the host finds them (:func:`_pair_first_rows`
-    on a pair column, else a sort).
+    packed set keys, however the host finds them (a pair level's ranges,
+    else a sort).
     """
     with platform.telemetry.span("dedup", kind="phase"):
         n = table.num_embeddings
@@ -287,65 +310,29 @@ def dedup_embeddings(
             platform.cpu.work(n * log_n)
         else:
             platform.kernel.launch("dedup:sort", element_ops=n * log_n)
-        if isinstance(kept, tuple):
+        if isinstance(kept, Column):
             return table.compact(kept_rows=kept)
         return table.compact(kept)
 
 
 def _dedup_kept(table: EmbeddingTable, n: int):
     """What dedup keeps of the last level, its reads billed (``None``: no
-    rows): on a pair level the range rule holds for, the kept rows'
-    ``(values, parents)`` (:func:`_pair_first_rows`), read from its ranges
-    alone — resident or faulted back from disk; else a keep mask of each
-    row set's first occurrence."""
-    pair = table.pair_source()
-    levels = table.walk_levels(n, read_last=pair is None)
+    rows): a pair level the range rule holds for — every list ascending by
+    edge id, the level-1 ids strictly ascending — narrowed to each pair's
+    first occurrence (:meth:`Column.deduplicated`), read from its ranges
+    alone, resident or faulted back from disk; else a keep mask of each
+    row set's first occurrence, by a sort."""
+    levels = table.walk_levels(n, read_last=False)
     if not n:
         return None
-    if pair is not None:
-        first = pair.first
-        if pair.graph.edge_slots()[2] and bool(np.all(first[1:] > first[:-1])):
-            return _pair_first_rows(pair)
-        levels[-1] = (pair.values, pair.parents)
+    last = levels[-1]
+    if last.source == PAIR:
+        first = last.first
+        if last.graph.edge_slots()[2] and bool(np.all(first[1:] > first[:-1])):
+            return last.deduplicated()
+    levels[-1] = (last.values, last.parents)
+    del last
     return _sorted_keep(table.rows_of(levels, slice(None)))
-
-
-def _pair_first_rows(pair) -> tuple[np.ndarray, np.ndarray]:
-    """The first occurrence of each edge pair of ``pair``, as the kept
-    rows' ``(values, parents)`` in row order.
-
-    With every adjacency list ascending by edge id and the level-1 ids
-    ``pair.first`` strictly ascending, rows ascend by edge id, so the pair ``{f, e}`` first occurs
-    under ``f`` exactly when ``e > f`` or no level-1 row holds ``e``
-    (``e`` is *dead*).  Per row, that is the dead edges before ``f``'s slot
-    in each endpoint's list and every edge after it: ranges of one source
-    array (the dead slots' ids, then all slots' ids), expanded in row
-    batches of ``_BATCH_SLOTS`` straight into the output.
-    """
-    graph = pair.graph
-    alive = np.zeros(graph.num_edges, dtype=bool)
-    alive[pair.first] = True
-    dead_slot = ~alive[graph.edge_ids]
-    dead_slots = np.flatnonzero(dead_slot)
-    # dead_rank[s]: dead slots before slot s, i.e. their index in source.
-    dead_rank = np.zeros(len(dead_slot) + 1, dtype=np.int64)
-    np.cumsum(dead_slot, out=dead_rank[1:])
-    source = np.concatenate([graph.edge_ids[dead_slots], graph.edge_ids])
-    starts, ends = pair.ranges()
-    starts[:, 0::2] = dead_rank[starts[:, 0::2]]
-    ends[:, 0::2] = dead_rank[ends[:, 0::2]]
-    starts[:, 1::2] += len(dead_slots)
-    ends[:, 1::2] += len(dead_slots)
-    counts = (ends - starts).sum(axis=1)
-    values = np.empty(int(counts.sum()), dtype=np.int64)
-    parents = np.empty(len(values), dtype=np.int64)
-    at = 0
-    for lo, hi in _row_batches(counts):
-        picks = expand_ranges(starts[lo:hi].ravel(), ends[lo:hi].ravel())
-        values[at:at + len(picks)] = source[picks]
-        parents[at:at + len(picks)] = np.arange(lo, hi).repeat(counts[lo:hi])
-        at += len(picks)
-    return values, parents
 
 
 def _sorted_keep(mats: np.ndarray) -> np.ndarray:
@@ -365,3 +352,231 @@ def _sorted_keep(mats: np.ndarray) -> np.ndarray:
     keep = np.zeros(len(mats), dtype=bool)
     keep[first_idx] = True
     return keep
+
+
+# -- a pair level counted from its ranges -----------------------------------------
+def _countable(column: Column) -> bool:
+    """Whether aggregation counts ``column`` from its ranges: a pair level
+    not narrowed by a support filter, over non-negative labels."""
+    return (column.source == PAIR and column.kept is None
+            and int(column.graph.labels.min(initial=0)) >= 0)
+
+
+class _PairCounts:
+    """A pair level's rows counted by wedge triple from its ranges.
+
+    Every non-empty range is a run of rows sharing a prefix (centre and
+    other-end label, :meth:`Column.triples`); a row's far-end label is its
+    source slot's neighbour's.  Counting a row interval per far-end label
+    is a cumulative count of that label over the source, read at the
+    interval's clipped range ends: O(source + ranges) per label present,
+    and no row is formed."""
+
+    def __init__(self, pair: Column) -> None:
+        graph = pair.graph
+        source, starts, ends = pair.ranges()
+        prefix, self.span = pair.triples()
+        self._source = source
+        self._graph = graph
+        self._far = graph.labels[graph.neighbors if source is None
+                                 else graph.neighbors[source]]
+        lengths = ends - starts
+        self._first = pair.first[lengths.sum(axis=1) > 0]
+        lengths = lengths.ravel()
+        nonempty = lengths > 0
+        self._starts = starts.ravel()[nonempty]
+        self._ends = ends.ravel()[nonempty]
+        self._prefix = prefix.ravel()[nonempty]
+        self._row_end = np.cumsum(lengths[nonempty])
+        self.rows = int(self._row_end[-1]) if len(self._row_end) else 0
+
+    def read_ids(self) -> np.ndarray:
+        """The distinct edge ids the rows hold (with repeats): each level-1
+        edge that has children, and every id a range covers."""
+        size = len(self._far)
+        cover = np.cumsum(np.bincount(self._starts, minlength=size + 1)
+                          - np.bincount(self._ends, minlength=size + 1))[:size]
+        slots = np.flatnonzero(cover > 0)
+        if self._source is not None:
+            slots = self._source[slots]
+        return np.concatenate([self._first, self._graph.edge_ids[slots]])
+
+    def counts(self, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(segment, triple, count)`` over the row intervals between
+        consecutive ``bounds`` (ascending, ``0`` to :attr:`rows`), the
+        non-zero entries only."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        row_start = self._row_end - (self._ends - self._starts)
+        # Pieces: each within one range and one interval.  The range starts
+        # ascend; each interval bound not among them splits its range.
+        inner = bounds[1:-1]
+        at = np.searchsorted(self._row_end, inner, side="right")
+        inner, at = inner[row_start[at] != inner], at[row_start[at] != inner]
+        cuts = np.insert(row_start, at + 1, inner)
+        at = np.insert(np.arange(len(row_start)), at + 1, at)
+        piece_end = np.append(cuts[1:], self.rows)
+        lo = self._starts[at] + (cuts - row_start[at])
+        hi = lo + (piece_end - cuts)
+        pairs = self.span * self.span
+        segment = np.searchsorted(bounds, cuts, side="right") - 1
+        groups = _rank(segment * pairs + self._prefix[at],
+                       (len(bounds) - 1) * pairs)
+        out = []
+        for label in np.flatnonzero(np.bincount(self._far)):
+            running = np.zeros(len(self._far) + 1, dtype=np.int64)
+            np.cumsum(self._far == label, out=running[1:])
+            total = np.bincount(groups.index, weights=running[hi] - running[lo],
+                                minlength=len(groups.distinct)).astype(np.int64)
+            present = total > 0
+            seg, prefix = np.divmod(groups.distinct[present], pairs)
+            out.append((seg, prefix * self.span + label, total[present]))
+        if not out:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        return tuple(np.concatenate(part) for part in zip(*out))
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every present triple (ascending) and its row count."""
+        __, triples, counts = self.counts([0, self.rows])
+        order = np.argsort(triples)
+        return triples[order], counts[order]
+
+    def row_triples(self) -> np.ndarray:
+        """Each row's triple, in row order (a read of every row)."""
+        lengths = self._ends - self._starts
+        picks = expand_ranges(self._starts, self._ends)
+        return self._prefix.repeat(lengths) * self.span + self._far[picks]
+
+
+def _wedge_codes(encoder: QuickPatternEncoder, triples: np.ndarray,
+                 span: int) -> np.ndarray:
+    """The canonical code of each wedge triple, through ``encoder``'s own
+    quick patterns: one two-edge embedding a triple, centre first, encoded
+    in batches of ``_BATCH_SLOTS // 2`` as a level's rows are."""
+    centre, rest = np.divmod(triples, span * span)
+    labels = np.stack([centre, *np.divmod(rest, span)], axis=1).ravel()
+    base = 3 * np.arange(len(triples), dtype=np.int64)
+    quick = QuickPatterns(encoder, 2, labels)
+    ids = np.empty(len(triples), dtype=np.int64)
+    for lo, hi in _row_batches(2, len(triples)):
+        ids[lo:hi] = quick.add(np.stack([base[lo:hi]] * 2, axis=1),
+                               np.stack([base[lo:hi] + 1, base[lo:hi] + 2],
+                                        axis=1))
+    distinct, rank, __ = quick.canonicalize()
+    return distinct[rank[ids]]
+
+
+class PairCodes:
+    """A pair level's per-row codes, held per wedge triple.
+
+    ``codes[i]`` is the canonical code and ``counts[i]`` the row count of
+    ``triples[i]`` (ascending) in a level of ``rows`` rows grown from the
+    level-1 ids ``first`` (``deduped`` as that level was).  Aggregation of
+    a pair level returns this in place of an n-row array, and the support
+    filter keeps or drops whole triples; :meth:`per_row` forms the array.
+    :meth:`record` is its plain-data form (op replies and the journal)."""
+
+    __slots__ = ("first", "deduped", "triples", "codes", "counts", "rows")
+
+    def __init__(self, first, deduped, triples, codes, counts, rows) -> None:
+        self.first = np.asarray(first, dtype=np.int64)
+        self.deduped = bool(deduped)
+        self.triples = np.asarray(triples, dtype=np.int64)
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.rows = int(rows)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PairCodes) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__)
+
+    __hash__ = None
+
+    def record(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    @classmethod
+    def of(cls, value) -> "PairCodes | None":
+        """``value`` as pair codes (itself, or its :meth:`record`), else
+        ``None``."""
+        if isinstance(value, PairCodes):
+            return value
+        if isinstance(value, dict) and set(value) == set(cls.__slots__):
+            return cls(**value)
+        return None
+
+    def describes(self, column: Column) -> bool:
+        """Whether these are the codes of ``column`` (by its state)."""
+        return (column.source == PAIR and column.kept is None
+                and column.deduped == self.deduped
+                and len(column) == self.rows
+                and (column.first is None  # on disk: its state says enough
+                     or np.array_equal(column.first, self.first)))
+
+    def per_row(self, graph) -> np.ndarray:
+        """The level's per-row codes, in row order (a read of every row)."""
+        pair = Column.of_pair(self.first, graph, deduped=self.deduped)
+        return self.of_triples(_PairCounts(pair).row_triples())
+
+    def of_triples(self, triples: np.ndarray) -> np.ndarray:
+        """The code of each of ``triples`` (present ones)."""
+        return self.codes[np.searchsorted(self.triples, triples)]
+
+
+class _PairKeys:
+    """The sort's dictionary-encoded keys for a pair level: ``distinct``
+    codes, counted over row intervals from the ranges
+    (:mod:`repro.core.sort`)."""
+
+    def __init__(self, counted: _PairCounts, codes: PairCodes) -> None:
+        self._counted = counted
+        self._codes = codes
+        self.distinct = np.unique(codes.codes)
+        self._code_of = np.searchsorted(self.distinct, codes.codes)
+
+    def __len__(self) -> int:
+        return self._counted.rows
+
+    def segment_counts(self, bounds) -> np.ndarray:
+        segment, triple, count = self._counted.counts(bounds)
+        width = len(self.distinct)
+        code = self._code_of[np.searchsorted(self._codes.triples, triple)]
+        return np.bincount(segment * width + code, weights=count,
+                           minlength=(len(bounds) - 1) * width
+                           ).astype(np.int64).reshape(-1, width)
+
+    def rows(self) -> np.ndarray:
+        return self._codes.of_triples(self._counted.row_triples())
+
+
+def _aggregate_pair(platform, residence, depth, pair, encoder, pattern_table,
+                    sort_method, p_size, cpu) -> PairCodes:
+    """Instance-support aggregation of a pair level from its ranges, billed
+    as :func:`encode_level` and the rest of the row path bill its rows:
+    endpoint reads of ``n x depth`` ids (a device read counts them, a
+    zero-copy one touches each id's line), ``n x depth`` quick-pattern
+    ops, and the sort's segments counted from the ranges."""
+    counted = _PairCounts(pair)
+    n = counted.rows
+    reads = residence.endpoint_reads()
+    reads.note(counted.read_ids(), n * depth)
+    reads.charge()
+    triples, counts = counted.totals()
+    codes = PairCodes(pair.first, pair.deduped, triples,
+                      _wedge_codes(encoder, triples, counted.span), counts, n)
+    keys = _PairKeys(counted, codes)
+    quick_ops = n * depth * _QUICK_OPS_PER_EDGE
+    if cpu:
+        platform.cpu.work(quick_ops)
+        platform.cpu.work(n * 2)
+        uniq, totals = keys.distinct, keys.segment_counts([0, n])[0]
+    else:
+        platform.kernel.launch("aggregate:quick-pattern", element_ops=quick_ops)
+        uniq, totals = sort_and_count(platform, keys, method=sort_method,
+                                      p_size=p_size)
+    pattern_table.merge(uniq, totals)
+    return codes

@@ -112,8 +112,11 @@ class Column:
       as the ranges it reads: row ``p`` of ``first`` holds edge ``f``, and
       its children are its endpoints' incident edges with ``f``'s own slot
       cut out (:meth:`ranges`), in the order edge extension emits them.
-      The arrays are expanded on first read and kept; dedup reads the
-      ranges alone.
+      Two states narrow it without a row being read: ``deduped`` (each
+      edge pair's first occurrence, :meth:`deduplicated`) and ``kept``
+      (only the rows whose wedge triple — :meth:`triples` — is one of
+      these ascending keys: a support filter's).  The arrays are expanded
+      on first read, in row batches with ``kept`` applied, and kept.
     * ``COUNT`` — a level that was only counted (a counting query's last):
       no rows, and reading them raises :class:`ExecutionError`.
 
@@ -127,16 +130,19 @@ class Column:
     level is appended; a replacement carries none.
     """
 
-    __slots__ = ("source", "length", "first", "graph", "handle", "lists",
-                 "codes", "_arrays")
+    __slots__ = ("source", "length", "first", "graph", "deduped", "kept",
+                 "handle", "lists", "codes", "_arrays")
 
     def __init__(self, source: str, length: int, *, arrays=None, first=None,
-                 graph=None, handle: int | None = None,
+                 graph=None, deduped: bool = False, kept=None,
+                 handle: int | None = None,
                  lists: Survivors | None = None) -> None:
         self.source = source
         self.length = int(length)
         self.first = first
         self.graph = graph
+        self.deduped = bool(deduped)
+        self.kept = kept
         self.handle = handle
         self.lists = lists
         self.codes: RowCodes | None = None
@@ -151,10 +157,19 @@ class Column:
         return cls(ARRAYS, len(values), arrays=(values, parents), lists=lists)
 
     @classmethod
-    def of_pair(cls, first, graph) -> "Column":
-        column = cls(PAIR, 0, first=_frozen(first), graph=graph)
-        starts, ends = column.ranges()
-        column.length = int((ends - starts).sum())
+    def of_pair(cls, first, graph, *, deduped: bool = False, kept=None,
+                length: int | None = None) -> "Column":
+        """A pair level over ``graph``; ``length`` is required with
+        ``kept`` (the ranges alone do not say how many rows it keeps)."""
+        column = cls(PAIR, 0, first=_frozen(first), graph=graph,
+                     deduped=deduped,
+                     kept=None if kept is None else _frozen(kept))
+        if length is None:
+            if kept is not None:
+                raise ExecutionError("a filtered pair level needs its length")
+            __, starts, ends = column.ranges()
+            length = int((ends - starts).sum())
+        column.length = int(length)
         return column
 
     def __len__(self) -> int:
@@ -164,19 +179,70 @@ class Column:
     def on_disk(self) -> bool:
         return self.handle is not None
 
-    def ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """A pair column's ``(starts, ends)``: one row of four CSR slot
-        ranges per level-1 row holding edge ``f`` joining ``u < v`` —
-        ``u``'s list before and after ``f``'s slot, then ``v``'s."""
+    def _edge_ends(self):
+        """Per level-1 row: edge ``f``'s endpoints ``u < v`` and its slots
+        in their lists."""
         graph, first = self.graph, self.first
         low_slot, high_slot, __ = graph.edge_slots()
-        low, high = low_slot[first], high_slot[first]
         src, dst = graph.edge_src[first], graph.edge_dst[first]
-        u, v = np.minimum(src, dst), np.maximum(src, dst)
+        return (np.minimum(src, dst), np.maximum(src, dst),
+                low_slot[first], high_slot[first])
+
+    def ranges(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """A pair column's rows as ``(source, starts, ends)``: per level-1
+        row holding edge ``f`` joining ``u < v``, four ranges of
+        ``source`` (CSR slots; ``None`` stands for the slots themselves) —
+        ``u``'s list before and after ``f``'s slot, then ``v``'s — with
+        ``kept`` not applied.
+
+        Deduplicated, a row keeps each pair's first occurrence: with every
+        list ascending by edge id and ``first`` strictly ascending, rows
+        ascend by edge id, so ``{f, e}`` first occurs under ``f`` exactly
+        when ``e > f`` or no level-1 row holds ``e`` (``e`` is *dead*).
+        That is the dead slots before ``f``'s slot and every slot after
+        it: the source is the dead slots, then every slot."""
+        graph = self.graph
+        u, v, low, high = self._edge_ends()
         offsets = graph.offsets
         starts = np.stack([offsets[u], low + 1, offsets[v], high + 1], axis=1)
         ends = np.stack([low, offsets[u + 1], high, offsets[v + 1]], axis=1)
-        return starts, ends
+        if not self.deduped:
+            return None, starts, ends
+        alive = np.zeros(graph.num_edges, dtype=bool)
+        alive[self.first] = True
+        dead_slot = ~alive[graph.edge_ids]
+        dead_slots = np.flatnonzero(dead_slot)
+        # dead_rank[s]: dead slots before slot s, i.e. their index in source.
+        dead_rank = np.zeros(len(dead_slot) + 1, dtype=np.int64)
+        np.cumsum(dead_slot, out=dead_rank[1:])
+        starts[:, 0::2] = dead_rank[starts[:, 0::2]]
+        ends[:, 0::2] = dead_rank[ends[:, 0::2]]
+        starts[:, 1::2] += len(dead_slots)
+        ends[:, 1::2] += len(dead_slots)
+        source = np.concatenate([dead_slots, np.arange(len(dead_slot))])
+        return source, starts, ends
+
+    def triples(self) -> tuple[np.ndarray, int]:
+        """``(prefix, span)``: the wedge triple of a row in range ``r`` of
+        level-1 row ``p`` is ``prefix[p, r] * span + label(w)``, ``w`` the
+        far end of its edge (the slot's neighbour) and ``prefix`` the
+        centre's label times ``span`` plus the other end's — ``u`` then
+        ``v`` for the first two ranges, ``v`` then ``u`` for the last two.
+        ``span`` is the graph's label span."""
+        labels = self.graph.labels
+        span = self.graph.num_labels
+        u, v = self._edge_ends()[:2]
+        at_u = labels[u] * span + labels[v]
+        at_v = labels[v] * span + labels[u]
+        return np.stack([at_u, at_u, at_v, at_v], axis=1), span
+
+    def deduplicated(self) -> "Column":
+        """This pair level keeping each edge pair's first occurrence (the
+        state unchanged when it is already deduplicated)."""
+        if self.deduped:
+            return Column.of_pair(self.first, self.graph, deduped=True,
+                                  kept=self.kept, length=self.length)
+        return Column.of_pair(self.first, self.graph, deduped=True)
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
@@ -187,12 +253,37 @@ class Column:
         return self._arrays
 
     def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
-        """A pair column's arrays, expanded from its ranges."""
-        starts, ends = self.ranges()
-        slots = expand_ranges(starts.ravel(), ends.ravel())
-        parents = np.arange(len(self.first), dtype=np.int64).repeat(
-            (ends - starts).sum(axis=1))
-        return _frozen(self.graph.edge_ids[slots]), _frozen(parents)
+        """A pair column's arrays, expanded from its ranges in row batches
+        of ``extension._BATCH_SLOTS`` straight into the output."""
+        from .extension import _row_batches
+
+        source, starts, ends = self.ranges()
+        graph = self.graph
+        slot_ids = graph.edge_ids if source is None else graph.edge_ids[source]
+        if self.kept is not None:
+            prefix, span = self.triples()
+            far = graph.labels[graph.neighbors if source is None
+                               else graph.neighbors[source]]
+        lengths = ends - starts
+        counts = lengths.sum(axis=1)
+        values = np.empty(self.length, dtype=np.int64)
+        parents = np.empty(self.length, dtype=np.int64)
+        at = 0
+        for lo, hi in _row_batches(counts):
+            picks = expand_ranges(starts[lo:hi].ravel(), ends[lo:hi].ravel())
+            rows = np.arange(lo, hi).repeat(counts[lo:hi])
+            if self.kept is not None:
+                triple = prefix[lo:hi].ravel().repeat(
+                    lengths[lo:hi].ravel()) * span + far[picks]
+                keep = np.isin(triple, self.kept)
+                picks, rows = picks[keep], rows[keep]
+            values[at:at + len(picks)] = slot_ids[picks]
+            parents[at:at + len(picks)] = rows
+            at += len(picks)
+        if at != self.length:
+            raise ExecutionError(f"a pair level of {self.length} rows "
+                                 f"expanded to {at}")
+        return _frozen(values), _frozen(parents)
 
     @property
     def values(self) -> np.ndarray:
@@ -210,16 +301,18 @@ class Column:
         return self.first
 
     def stored_at(self, handle: int) -> "Column":
-        """This level on disk behind ``handle``."""
+        """This level on disk behind ``handle`` (a pair level keeps its
+        state beside the handle)."""
         return Column(self.source, self.length, graph=self.graph,
-                      handle=handle)
+                      deduped=self.deduped, kept=self.kept, handle=handle)
 
     def read_back(self, data: np.ndarray | None) -> "Column":
         """This level resident again, from what :meth:`written` gave."""
         if self.source == ARRAYS:
             return Column.of_arrays(data[0], data[1])
         if self.source == PAIR:
-            return Column.of_pair(data, self.graph)
+            return Column.of_pair(data, self.graph, deduped=self.deduped,
+                                  kept=self.kept, length=self.length)
         return Column(COUNT, self.length)
 
 
@@ -322,12 +415,19 @@ class EmbeddingTable:
         """One level's parent pointers (faults from disk if spilled)."""
         return self._column_arrays(level)[1]
 
-    def pair_source(self) -> Column | None:
-        """The last level as a resident pair column (faulted back from disk,
-        billed, if spilled); ``None`` when its source is not a pair."""
-        if not self.columns or self.columns[-1].source != PAIR:
-            return None
-        return self._resident(self.depth - 1)
+    def _peeked(self, column: Column) -> Column:
+        """``column`` with its source in memory, read back from disk
+        unbilled (host bookkeeping: snapshots, orchestration)."""
+        if column.on_disk:
+            return column.read_back(self._spill_store.peek(column.handle))
+        return column
+
+    def peek_rows(self) -> np.ndarray:
+        """Every row as an ``(n, depth)`` matrix, unbilled: each level read
+        once, a spilled one through the spill store's uncharged peek."""
+        levels = [self._peeked(column) for column in self.columns]
+        return self.rows_of([(c.values, c.parents) for c in levels],
+                            slice(None))
 
     # -- shape -------------------------------------------------------------
     @property
@@ -467,11 +567,16 @@ class EmbeddingTable:
     def _record(self, column: Column) -> dict:
         spilled = column.on_disk
         if spilled and not self.released:
-            column = column.read_back(self._spill_store.peek(column.handle))
+            column = self._peeked(column)
         if column.on_disk or column.source == COUNT:
             return {"counted": len(column), "spilled": spilled}
         if column.source == PAIR:
-            return {"first": column.first, "spilled": spilled}
+            record = {"first": column.first, "spilled": spilled}
+            if column.deduped:
+                record["deduped"] = True
+            if column.kept is not None:
+                record.update(kept=column.kept, rows=len(column))
+            return record
         return {"values": column.values, "parents": column.parents,
                 "spilled": spilled}
 
@@ -480,7 +585,9 @@ class EmbeddingTable:
         if "counted" in record:
             return Column(COUNT, record["counted"])
         if "first" in record:
-            return Column.of_pair(record["first"], graph)
+            return Column.of_pair(
+                record["first"], graph, deduped=record.get("deduped", False),
+                kept=record.get("kept"), length=record.get("rows"))
         return Column.of_arrays(record["values"], record["parents"])
 
     def restore_columns(self, records: list[dict], graph=None) -> None:
@@ -585,23 +692,25 @@ class EmbeddingTable:
             current = parents[current]
         return out
 
-    def walk_levels(self, rows: int,
-                    read_last: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
+    def walk_levels(self, rows: int, read_last: bool = True) -> list:
         """Every level's ``(values, parents)``, indexed by level, billed as
         :meth:`materialize` bills ``rows`` rows: one scattered cell read
         per row per level, last level first, each spilled level faulted
         back just before its read.  ``read_last=False`` bills the last
-        level without reading it (its entry is ``None``)."""
+        level alike but reads none of its rows: its entry is the resident
+        :class:`Column`, for a caller that can answer from its source."""
         levels: list = [None] * self.depth
         for level in range(self.depth - 1, -1, -1):
             if read_last or level < self.depth - 1:
                 levels[level] = self._column_arrays(level)
+            else:
+                levels[level] = self._resident(level)
             self._charge_stream(rows * _CELL_BYTES, level=level)
         return levels
 
     # -- compression (paper §V-A, three stages) -----------------------------------
     def compact(self, keep_mask: np.ndarray | None = None,
-                kept_rows: tuple[np.ndarray, np.ndarray] | None = None) -> int:
+                kept_rows: Column | None = None) -> int:
         """Remove invalid rows from the last column; returns rows removed.
 
         Implements the paper's three stages: (1) mark valid/invalid, (2)
@@ -609,20 +718,23 @@ class EmbeddingTable:
         valid cells in parallel.  The host collects one array at a time:
         the column's notes go first, and the old ids are released (unless
         a snapshot holds them) before the new parent pointers are built.
-        A caller that collected the kept rows itself hands their
-        ``(values, parents)`` as ``kept_rows`` instead of a mask: billed
-        the same (a spilled column is faulted back all the same), and the
-        old column's rows are not read.
+        A caller that knows the kept rows hands the kept level as
+        ``kept_rows`` (a :class:`Column`: a pair level narrowed by its
+        ranges, say) instead of a mask: billed the same (a spilled column
+        is faulted back all the same), and the old column's rows are not
+        read.
         """
         return self._filter_last(keep_mask, kept_rows, compact=True)
 
-    def mark(self, keep_mask: np.ndarray) -> int:
+    def mark(self, keep_mask: np.ndarray | None = None,
+             kept_rows: Column | None = None) -> int:
         """Mark-only filtering, for frameworks that skip compression: the
-        last column keeps the rows ``keep_mask`` marks, nothing is billed,
-        and the dropped rows' bytes stay accounted.  A spilled column is
-        faulted back and placed by the host budget as :meth:`compact`
-        places it.  Returns rows removed."""
-        return self._filter_last(keep_mask, None, compact=False)
+        last column keeps the rows ``keep_mask`` (or ``kept_rows``, as in
+        :meth:`compact`) marks, nothing is billed, and the dropped rows'
+        bytes stay accounted.  A spilled column is faulted back and placed
+        by the host budget as :meth:`compact` places it.  Returns rows
+        removed."""
+        return self._filter_last(keep_mask, kept_rows, compact=False)
 
     def _filter_last(self, keep_mask, kept_rows, compact: bool) -> int:
         if not self.columns:
@@ -637,7 +749,7 @@ class EmbeddingTable:
                 raise ExecutionError("mask must cover the last column")
             kept = int(np.count_nonzero(keep_mask))
         else:
-            kept = len(kept_rows[0])
+            kept = len(kept_rows)
         handle = last.handle
         resident = self._resident(self.depth - 1)
         self._drop_notes()
@@ -661,11 +773,11 @@ class EmbeddingTable:
             values, parents = resident.values, resident.parents
             del resident
             values = values[keep_mask]
-            kept_rows = (values, parents[keep_mask])
+            column = Column.of_arrays(values, parents[keep_mask])
             del values, parents
         else:
             del resident
-        column = Column.of_arrays(*kept_rows)
+            column = kept_rows
         del kept_rows
         # Compression reclaims the dropped cells' memory — the space saving
         # the paper notes other frameworks forgo (§V-A).

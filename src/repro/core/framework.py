@@ -542,7 +542,7 @@ class Gamma:
             if len(reply["pt_codes"]):
                 pattern_table.merge(reply["pt_codes"], reply["pt_supports"])
         self._barrier("aggregation-merge")
-        return ShardedCodes([reply["codes"] for reply in replies])
+        return ShardedCodes([reply["codes"] for reply in replies], self.graph)
 
     def filtering(self, table,
                   keep_mask: np.ndarray | None = None,

@@ -43,6 +43,13 @@ class EndpointReads:
         return (self._src.gather(edge_ids, marks),
                 self._dst.gather(edge_ids, marks))
 
+    def note(self, edge_ids: np.ndarray, count: int) -> None:
+        """Tally, ungathered, a read of ``count`` ids whose distinct values
+        ``edge_ids`` holds (repeats allowed) on both arrays."""
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        self._src.note(edge_ids, count)
+        self._dst.note(edge_ids, count)
+
     def charge(self) -> None:
         self._src.charge()
         self._dst.charge()
@@ -60,6 +67,9 @@ class _Unbilled:
 
     def marks(self, indices: np.ndarray) -> None:
         return None
+
+    def note(self, indices: np.ndarray, count: int) -> None:
+        pass
 
     def charge(self) -> None:
         pass

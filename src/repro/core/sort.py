@@ -20,11 +20,15 @@ segment's *runs* ``(value, count)``: a checkpoint is the value of the run
 covering a multiple of ``p_size``, a matched index is the count of
 elements before a value, and a subtask's list lengths are differences of
 matched indices.  So the host keeps a segment as its runs and merges
-segments by adding counts.  Keys handed dictionary-encoded (a
-:class:`~repro.graph.groupby.Grouped`, the form aggregation holds its
-canonical codes in) give a segment's runs with one ``bincount`` and are
-never sorted.  The element-by-element merge the model describes is the
-straight-line twin in ``tests/twins.py``.
+segments by adding counts.  Keys handed dictionary-encoded give a
+segment's runs by counting and are never sorted: a
+:class:`~repro.graph.groupby.Grouped` (the form aggregation holds its
+canonical codes in, one ``bincount`` a segment), or any object with
+ascending unique ``distinct`` keys, a ``len``, ``segment_counts(bounds)``
+(how often each distinct key occurs between consecutive row bounds: a pair
+level counts them from its ranges) and ``rows()`` (the keys in row order).
+The element-by-element merge the model describes is the straight-line
+twin in ``tests/twins.py``.
 
 The module also implements the comparators of Fig. 19 / Table III: the
 naive multi-merge (both search directions run), an ``xtr2sort``-style
@@ -62,12 +66,43 @@ def _log2(n: int) -> float:
     return float(np.log2(max(2, n)))
 
 
-def _size(keys: np.ndarray | Grouped) -> int:
+class _IndexCounts:
+    """:class:`Grouped` keys as counted keys: each segment one ``bincount``."""
+
+    def __init__(self, keys: Grouped) -> None:
+        self.distinct, self._index = keys
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def segment_counts(self, bounds) -> list[np.ndarray]:
+        out = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            counts = np.bincount(self._index[start:stop],
+                                 minlength=len(self.distinct))
+            if len(counts) != len(self.distinct):
+                raise ExecutionError("dictionary index out of range")
+            out.append(counts)
+        return out
+
+    def rows(self) -> np.ndarray:
+        return self.distinct[self._index]
+
+
+def _counted(keys):
+    """Dictionary-encoded ``keys`` as counted keys; ``None`` for an array."""
+    if isinstance(keys, Grouped):
+        return _IndexCounts(keys)
+    return keys if hasattr(keys, "segment_counts") else None
+
+
+def _size(keys) -> int:
     return len(keys.index) if isinstance(keys, Grouped) else len(keys)
 
 
-def _itemsize(keys: np.ndarray | Grouped) -> int:
-    return (keys.distinct if isinstance(keys, Grouped) else keys).dtype.itemsize
+def _itemsize(keys) -> int:
+    counted = _counted(keys)
+    return (keys if counted is None else counted.distinct).dtype.itemsize
 
 
 def _run_length(ordered: np.ndarray) -> Runs:
@@ -76,35 +111,41 @@ def _run_length(ordered: np.ndarray) -> Runs:
     return ordered[starts], np.diff(np.append(starts, len(ordered)))
 
 
-def _runs_of(keys: np.ndarray | Grouped) -> Runs:
-    """The runs of ``keys`` in sorted order (an unsorted batch)."""
-    if not isinstance(keys, Grouped):
-        return np.unique(keys, return_counts=True)
-    counts = np.bincount(keys.index, minlength=len(keys.distinct))
-    if len(counts) != len(keys.distinct):
-        raise ExecutionError("dictionary index out of range")
+def _present(distinct: np.ndarray, counts: np.ndarray) -> Runs:
     present = counts > 0
-    return keys.distinct[present], counts[present]
+    return distinct[present], counts[present]
+
+
+def _runs_of(keys) -> Runs:
+    """The runs of ``keys`` in sorted order (an unsorted batch)."""
+    counted = _counted(keys)
+    if counted is None:
+        return np.unique(keys, return_counts=True)
+    return _present(counted.distinct, counted.segment_counts([0, len(counted)])[0])
 
 
 def segment_runs(
-    platform: GpuPlatform, keys: np.ndarray | Grouped, segment_len: int
+    platform: GpuPlatform, keys, segment_len: int
 ) -> list[Runs]:
     """Phase 1: split ``keys`` into device-sized segments, sort each on the
     device, and write the sorted segments back to host memory.  Returns
     each sorted segment as its runs."""
     if segment_len <= 0:
         raise ExecutionError("segment_len must be positive")
-    if isinstance(keys, Grouped):
-        distinct = keys.distinct
+    counted = _counted(keys)
+    if counted is not None:
+        distinct = counted.distinct
         if len(distinct) > 1 and (distinct[1:] <= distinct[:-1]).any():
             raise ExecutionError("dictionary keys must be ascending and unique")
     else:
         keys = np.asarray(keys)
     n, itemsize = _size(keys), _itemsize(keys)
+    bounds = list(range(0, n, segment_len)) + [n]
+    if counted is not None:
+        counts = counted.segment_counts(bounds)
     runs = []
-    for start in range(0, n, segment_len):
-        length = min(segment_len, n - start)
+    for index, start in enumerate(bounds[:-1]):
+        length = bounds[index + 1] - start
         nbytes = length * itemsize
         # Stage the segment in, radix-sort it, stream it back out.
         platform.pcie.explicit_copy(nbytes, to_device=True)
@@ -114,11 +155,9 @@ def segment_runs(
             device_bytes=2 * nbytes,
         )
         platform.pcie.writeback(nbytes)
-        stop = start + length
-        runs.append(_runs_of(
-            Grouped(keys.distinct, keys.index[start:stop])
-            if isinstance(keys, Grouped) else keys[start:stop]
-        ))
+        runs.append(_present(counted.distinct, counts[index])
+                    if counted is not None
+                    else _runs_of(keys[start:start + length]))
     platform.counters.add(st.SORT_ELEMENTS, n)
     return runs
 
@@ -216,15 +255,15 @@ def merge_runs(
     return _merged(runs)
 
 
-def _checked_keys(keys: np.ndarray | Grouped, method: str) -> np.ndarray | Grouped:
+def _checked_keys(keys, method: str):
     if method not in SORT_METHODS:
         raise ExecutionError(f"unknown sort method {method!r}; use {SORT_METHODS}")
-    return keys if isinstance(keys, Grouped) else np.asarray(keys)
+    return keys if _counted(keys) is not None else np.asarray(keys)
 
 
 def _sorted_runs_impl(
     platform: GpuPlatform,
-    keys: np.ndarray | Grouped,
+    keys,
     method: str,
     segment_len: int | None,
     p_size: int,
@@ -245,8 +284,9 @@ def _sorted_runs_impl(
         free = max(platform.device.available, 2 * itemsize)
         segment_len = max(1, free // (2 * itemsize))
     if method == XTR2SORT:
-        if isinstance(keys, Grouped):
-            keys = keys.distinct[keys.index]
+        counted = _counted(keys)
+        if counted is not None:
+            keys = counted.rows()
         return _run_length(_xtr2sort(platform, keys, segment_len))
     runs = segment_runs(platform, keys, segment_len)
     if len(runs) == 1:
@@ -259,7 +299,7 @@ def _sorted_runs_impl(
 
 def out_of_core_sort(
     platform: GpuPlatform,
-    keys: np.ndarray | Grouped,
+    keys,
     method: str = MULTI_MERGE,
     segment_len: int | None = None,
     p_size: int = DEFAULT_P_SIZE,
@@ -334,15 +374,15 @@ def _xtr2sort(
 
 def sort_and_count(
     platform: GpuPlatform,
-    keys: np.ndarray | Grouped,
+    keys,
     method: str = MULTI_MERGE,
     segment_len: int | None = None,
     p_size: int = DEFAULT_P_SIZE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sort keys out-of-core, then run-length encode: the aggregation
     primitive's grouping step.  Returns ``(unique_keys, counts)``.
-    Dictionary-encoded keys (a :class:`Grouped`) are billed as the keys
-    they stand for, and no key is sorted."""
+    Dictionary-encoded keys (see the module docstring) are billed as the
+    keys they stand for, and no key is sorted."""
     tel = platform.telemetry
     with tel.span("sort-and-count", kind="stage"):
         keys = _checked_keys(keys, method)

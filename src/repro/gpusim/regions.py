@@ -292,6 +292,12 @@ class GatherTally:
         """What the bill keeps of a batch of indices."""
         raise NotImplementedError
 
+    def note(self, indices: np.ndarray, count: int) -> None:
+        """Tally, ungathered, a read of ``count`` indices whose distinct
+        values ``indices`` holds (repeats allowed): the bill needs only
+        the set, or only the count."""
+        raise NotImplementedError
+
     def _note(self, marks) -> None:
         raise NotImplementedError
 
@@ -309,6 +315,9 @@ class _CountTally(GatherTally):
 
     def marks(self, indices: np.ndarray) -> int:
         return len(indices)
+
+    def note(self, indices: np.ndarray, count: int) -> None:
+        self._count += count
 
     def _note(self, marks: int) -> None:
         self._count += marks

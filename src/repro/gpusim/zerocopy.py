@@ -82,6 +82,9 @@ class _LineTally(GatherTally):
             return indices >> self._shift
         return (indices * self._region.itemsize) // self._platform.spec.zerocopy_line
 
+    def note(self, indices: np.ndarray, count: int) -> None:
+        self._note(self.marks(indices))
+
     def _note(self, marks: np.ndarray) -> None:
         self._touched[marks] = True
 

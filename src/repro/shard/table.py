@@ -23,6 +23,7 @@ from typing import List
 
 import numpy as np
 
+from ..core.aggregation import PairCodes
 from ..core.embedding_table import EmbeddingTable
 from ..errors import ExecutionError
 
@@ -222,22 +223,30 @@ class ShardedTable:
 
 
 class ShardedCodes:
-    """Per-partition canonical code arrays returned by ``Gamma.aggregation``.
+    """Per-partition canonical codes returned by ``Gamma.aggregation``: an
+    array per partition, or a pair level's
+    :class:`~repro.core.aggregation.PairCodes` (codes per wedge triple).
 
     Drivers treat aggregation's return value as opaque and hand it back to
     ``filtering``; this wrapper keeps the per-partition split exact while
     still looking like a flat sequence where drivers peek (``len``,
-    concatenation via :meth:`flat`).
+    concatenation via :meth:`flat`, which reads a pair level's rows over
+    ``graph``).
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "graph")
 
-    def __init__(self, parts: List[np.ndarray]) -> None:
-        self.parts = [np.asarray(p, dtype=np.int64) for p in parts]
+    def __init__(self, parts: list, graph=None) -> None:
+        self.parts = [np.asarray(p, dtype=np.int64)
+                      if PairCodes.of(p) is None else PairCodes.of(p)
+                      for p in parts]
+        self.graph = graph
 
     def __len__(self) -> int:
         return sum(len(p) for p in self.parts)
 
     def flat(self) -> np.ndarray:
-        return (np.concatenate(self.parts) if self.parts
+        parts = [p.per_row(self.graph) if isinstance(p, PairCodes) else p
+                 for p in self.parts]
+        return (np.concatenate(parts) if parts
                 else np.empty(0, dtype=np.int64))

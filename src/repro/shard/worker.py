@@ -37,6 +37,7 @@ import numpy as np
 
 from ..core.access_planner import AccessHeatPlanner
 from ..core.aggregation import (
+    PairCodes,
     aggregate_edge_table,
     dedup_embeddings,
     embedding_set_keys,
@@ -69,24 +70,6 @@ _EXTENSIONS = {
     "vertex-any": ("vertex-extension-any", "extend_vertices_any"),
     "edge": ("edge-extension", "extend_edges"),
 }
-
-
-def _host_rows(part: EmbeddingTable) -> np.ndarray:
-    """Uncharged host-side view of a partition table's full embeddings.
-
-    Orchestration (computing ownership/duplicate masks) reads the
-    host-resident table directly, like the algorithm drivers do; the
-    device-visible traffic it stands in for is billed explicitly by the
-    exchange ops.
-    """
-    depth = part.depth
-    n = part.num_embeddings
-    out = np.empty((n, depth), dtype=np.int64)
-    current = np.arange(n, dtype=np.int64)
-    for level in range(depth - 1, -1, -1):
-        out[:, level] = part.column_values(level)[current]
-        current = part.column_parents(level)[current]
-    return out
 
 
 def _rebuild_pt(codes, supports) -> PatternTable:
@@ -390,18 +373,21 @@ class ShardWorker:
         """This partition's row set keys for dedup's exchange; none while
         replaying, when the exchange and the reconcile filter they feed are
         answered from the journal (the restored table holds their result,
-        or a later one)."""
+        or a later one).  The rows are read unbilled, each level once
+        (:meth:`EmbeddingTable.peek_rows`): orchestration between ops, whose
+        device-visible traffic the exchange op bills."""
         part = self._table(table)
         if self.do_replaying():
             return embedding_set_keys(np.empty((0, part.depth), dtype=np.int64))
-        return embedding_set_keys(_host_rows(part))
+        return embedding_set_keys(part.peek_rows())
 
     # -- aggregation / filtering / output ------------------------------------
     def do_aggregation(self, table: int, support_metric: str,
                        pt_codes, pt_supports) -> dict:
         """``Aggregation(ET, m_f)`` with the canonical-label map function:
-        per-row canonical codes, plus the pattern table folded with this
-        partition's supports."""
+        per-row canonical codes (a pair level's as the plain record of its
+        :class:`~repro.core.aggregation.PairCodes`), plus the pattern table
+        folded with this partition's supports."""
         def execute():
             pattern_table = _rebuild_pt(pt_codes, pt_supports)
             with self.platform.resilience.phase("phase:aggregation"):
@@ -412,6 +398,8 @@ class ShardWorker:
                     p_size=self.config.p_size,
                     support_metric=support_metric,
                 )
+            if isinstance(codes, PairCodes):
+                codes = codes.record()
             return {"codes": codes, "pt_codes": pattern_table.codes,
                     "pt_supports": pattern_table.supports}
 

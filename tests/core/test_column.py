@@ -11,7 +11,16 @@ billed bytes and the host bytes registered.
 
 The three sources hold the same rows (the arrays are the pair level
 expanded eagerly, the count is its length), so where a state applies to
-all three their books agree.  ``column_pins.json`` holds every cell's record as the
+all three their books agree.
+
+A pair level also reaches two states of its own before the operation: it
+is deduplicated (``dedup``), or deduplicated, aggregated and filtered by a
+support threshold that drops some of its patterns (``support``), on a
+labelled graph.  Those cells (``<source>/<place>/<prior>+<operation>``) run
+on the arrays and pair sources, and their pins were recorded by a revision
+whose pair level became arrays at dedup.
+
+``column_pins.json`` holds every cell's record as the
 four-class table of earlier revisions produced it; a cell that table could
 not reach (mark-only filtering of a spilled level, a counted level filtered
 mark-only) has no pin and its behaviour is asserted on its own, and a
@@ -36,13 +45,16 @@ import pytest
 
 from repro.algorithms import frequent_pattern_mining, match_pattern_binary
 from repro.core import Gamma, GammaConfig
-from repro.core.embedding_table import EDGE, EmbeddingTable
-from repro.core.filtering import filter_rows
+from repro.core.embedding_table import EDGE, PAIR, Column, EmbeddingTable
+from repro.core.filtering import MinSupport, filter_by_support, filter_rows
+from repro.core.pattern_table import PatternTable
+from repro.core.residence import GammaResidence
 from repro.core.spill import SpillPolicy, SpillStore
 from repro.errors import ExecutionError
 from repro.graph import triangle
 from repro.graph.generators import erdos_renyi
 from repro.gpusim import make_platform
+from repro.graph.canonical import QuickPatternEncoder
 from repro.resilience.checkpoint import CheckpointManager
 from tests.twins import pair_level_eagerly
 
@@ -58,10 +70,19 @@ PLACES = ("resident", "policy", "birth")
 #: What is done to the level (``None``: nothing).
 OPERATIONS = (None, "mask", "kept", "mark", "dedup", "memory", "disk",
               "released")
+#: What the level went through as the last level before ``place`` put it
+#: anywhere but memory: dedup, or dedup then a support filter.
+PRIORS = ("dedup", "support")
+#: Keeps six of the labelled graph's nine two-edge patterns.
+SUPPORT_THRESHOLD = 10
 
 
 def _graph():
     return erdos_renyi(12, 30, seed=4)
+
+
+def _labelled_graph():
+    return erdos_renyi(12, 30, seed=4, labels=3)
 
 
 def _keep(n):
@@ -101,6 +122,50 @@ def _grown(source, place, graph, store=None):
         table.append_column(np.zeros(len(values), dtype=np.int64),
                             np.arange(len(values)))
     return table
+
+
+def _through(table, prior, graph):
+    """Dedup the last level; under ``support``, then aggregate it and drop
+    the patterns below the threshold with their rows."""
+    platform = table.platform
+    aggregation.dedup_embeddings(platform, table)
+    if prior == "support":
+        residence = GammaResidence(platform, graph, 4)
+        patterns = PatternTable()
+        codes = aggregation.aggregate_edge_table(
+            platform, residence, table, QuickPatternEncoder(), patterns)
+        filter_by_support(platform, table, codes, patterns,
+                          MinSupport(SUPPORT_THRESHOLD))
+
+
+def _grown_through(source, place, prior, graph, store=None):
+    """A two-level edge table whose level 1 comes from ``source`` and went
+    through ``prior``, then was placed as ``place`` says: streamed to disk
+    at birth (and after each filter), or pushed there with level 0 by a
+    third level (a budget both first levels fit)."""
+    platform = make_platform() if store is None else store.platform
+    table = EmbeddingTable(platform, EDGE, name="t")
+    if place == "birth":
+        table.attach_spill(store, SpillPolicy(1, keep_columns=1))
+    table.seed(np.arange(graph.num_edges))
+    if source == "arrays":
+        table.append_column(*_eager_rows(graph))
+    else:
+        table.append_pair(np.arange(graph.num_edges), graph)
+    _through(table, prior, graph)
+    if place == "policy":
+        rows = table.num_embeddings
+        table.attach_spill(store, SpillPolicy(
+            (graph.num_edges + rows) * 16, keep_columns=1))
+        table.append_column(np.zeros(rows, dtype=np.int64), np.arange(rows))
+    return table
+
+
+def _rows_through(source, prior, graph):
+    """Level 1's ``(values, parents)`` after ``prior``, on a table of its
+    own (so reading them bills nothing the cell sees)."""
+    table = _grown_through(source, "resident", prior, graph)
+    return table.column_values(1).copy(), table.column_parents(1).copy()
 
 
 def _books(table, store):
@@ -143,24 +208,28 @@ def _restored(table, store, graph, through, workdir):
     return other, other_store
 
 
-def cell(source, place, operation, workdir):
+def cell(source, place, operation, workdir, prior=None):
     """One cell's record: its books after ``operation``, then its level-1
     reads (``{"error": name}`` if the operation raised)."""
-    graph = _graph()
+    graph = _graph() if prior is None else _labelled_graph()
     with ExitStack() as stack:
         store = (None if place == "resident"
                  else stack.enter_context(SpillStore(make_platform())))
         try:
-            table = _grown(source, place, graph, store)
+            table = (_grown(source, place, graph, store) if prior is None
+                     else _grown_through(source, place, prior, graph, store))
         except ExecutionError:
             return {"error": "ExecutionError"}
-        keep = _keep(len(_eager_rows(graph)[0]))
+        rows = (_eager_rows(graph) if prior is None
+                else _rows_through(source, prior, graph))
+        keep = _keep(len(rows[0]))
         try:
             if operation == "mask":
                 table.compact(keep)
             elif operation == "kept":
-                values, parents = _eager_rows(graph)
-                table.compact(kept_rows=(values[keep], parents[keep]))
+                values, parents = rows
+                table.compact(kept_rows=Column.of_arrays(values[keep],
+                                                         parents[keep]))
             elif operation == "mark":
                 filter_rows(table, keep, compact=False)
             elif operation == "dedup":
@@ -195,11 +264,17 @@ def _cells():
                     yield source, place, operation
 
 
-def _key(source, place, operation):
+def _key(source, place, operation, prior=None):
+    if prior is not None:
+        return f"{source}/{place}/{prior}+{operation or 'none'}"
     return f"{source}/{place}/{operation or 'none'}"
 
 
 CELLS = list(_cells())
+PRIOR_CELLS = [(source, place, operation, prior)
+               for prior in PRIORS for source in ("arrays", "pair")
+               for place in PLACES for operation in OPERATIONS
+               if _applies(place, operation)]
 
 
 def _pins():
@@ -232,6 +307,16 @@ def test_cell_matches_the_pin(source, place, operation, tmp_path):
                 assert got[key] == compacted[key]
 
 
+@pytest.mark.parametrize("source,place,operation,prior", PRIOR_CELLS, ids=[
+    _key(*c[:3], c[3]) for c in PRIOR_CELLS])
+def test_a_deduplicated_or_filtered_level_matches_the_pin(
+        source, place, operation, prior, tmp_path):
+    """Deduplicated, then perhaps support-filtered: every later state's
+    books and reads are the pinned ones."""
+    got = cell(source, place, operation, str(tmp_path), prior)
+    assert got == _pins()[_key(source, place, operation, prior)]
+
+
 @pytest.mark.parametrize("place", PLACES)
 @pytest.mark.parametrize("operation", OPERATIONS)
 def test_a_pair_level_bills_as_its_arrays(place, operation, tmp_path):
@@ -247,18 +332,38 @@ def test_a_pair_level_bills_as_its_arrays(place, operation, tmp_path):
 def test_pair_dedup_takes_the_range_rule(place, tmp_path):
     """Resident or on disk, a pair level's dedup keeps first occurrences
     by the ranges of its parents' incident lists, and sorts nothing."""
-    real = aggregation._pair_first_rows
+    real = Column.deduplicated
     ranged = []
 
-    def spy(*args):
-        ranged.append(real(*args))
+    def spy(column):
+        ranged.append(real(column))
         return ranged[-1]
 
-    with mock.patch.object(aggregation, "_pair_first_rows", spy), \
+    with mock.patch.object(Column, "deduplicated", spy), \
             mock.patch.object(aggregation, "_sorted_keep",
                               side_effect=AssertionError("sorted")):
         cell("pair", place, "dedup", str(tmp_path))
     assert len(ranged) == 1
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("prior", PRIORS)
+def test_dedup_and_support_leave_a_pair_level(place, prior):
+    """Deduplicated, then support-filtered, a pair level is still its
+    ranges — narrowed to the frequent triples, never expanded — resident,
+    on disk, or pushed there by the next level."""
+    graph = _labelled_graph()
+    with ExitStack() as stack:
+        store = (None if place == "resident"
+                 else stack.enter_context(SpillStore(make_platform())))
+        stack.enter_context(mock.patch.object(
+            Column, "_expanded", side_effect=AssertionError("expanded")))
+        table = _grown_through("pair", place, prior, graph, store)
+        level = table.columns[1]
+        assert level.source == PAIR and level.deduped
+        assert level.on_disk == (place != "resident")
+        assert (level.kept is not None) == (prior == "support")
+    assert len(level) == len(_rows_through("arrays", prior, graph)[0])
 
 
 def test_a_restored_level_on_disk_holds_its_source(tmp_path):

@@ -7,7 +7,7 @@ CSR ranges a row, expanded only when something reads the arrays.
 ``dedup_embeddings`` on it reads no child: with every list ascending by
 edge id and the level-1 rows strictly ascending, it keeps, per row, the
 level-1-dead edges before ``f``'s slot and every edge after it (the range
-rule, ``aggregation._pair_first_rows``).  Repeated level-1 rows, or lists
+rule, ``Column.deduplicated``).  Repeated level-1 rows, or lists
 that do not ascend by id, take the sort.
 
 Every engine kind must agree bit for bit with the eager twin
@@ -245,10 +245,10 @@ def test_every_engine_matches_the_eager_twin(kind, task):
     the range rule."""
     graph = _engine_graph()
     make = lambda: _ENGINES[kind](graph)  # noqa: E731
-    with _calls(aggregation, "_pair_first_rows") as ranged:
+    with _calls(Column, "deduplicated") as ranged:
         got = _trail(make, _TASKS[task])
     assert ranged
-    with eager_pairs(), _calls(aggregation, "_pair_first_rows") as ranged:
+    with eager_pairs(), _calls(Column, "deduplicated") as ranged:
         want = _trail(make, _TASKS[task])
     assert not ranged
     assert got == want
@@ -285,7 +285,7 @@ def test_a_spilled_pair_column_takes_the_range_rule():
         assert len(fetched) == 1
         assert table.parts[0].columns[-1].source == PAIR
         assert table.parts[0].columns[-1].on_disk
-    with _calls(aggregation, "_pair_first_rows") as ranged:
+    with _calls(Column, "deduplicated") as ranged:
         got = _trail(make, _TASKS["fpm3"])
     assert len(ranged) == 1  # level 2's; level 3 is arrays, and sorts
     with eager_pairs():
@@ -313,7 +313,7 @@ def test_lists_out_of_id_order_take_the_sort():
     shuffled = _ids_shuffled(graph, 4)
     assert graph.edge_slots()[2] and not shuffled.edge_slots()[2]
     make = lambda: Gamma(shuffled)  # noqa: E731
-    with _calls(aggregation, "_pair_first_rows") as ranged:
+    with _calls(Column, "deduplicated") as ranged:
         got = _trail(make, _TASKS["fpm3"])
     assert not ranged
     with eager_pairs():
@@ -339,7 +339,7 @@ def test_repeated_level_one_rows_take_the_sort():
     level-1 values do not strictly ascend, so dedup sorts."""
     graph = _engine_graph()
     with Gamma(graph) as engine, \
-            _calls(aggregation, "_pair_first_rows") as ranged:
+            _calls(Column, "deduplicated") as ranged:
         table = engine.new_edge_table()
         table.seed(np.array([3, 1, 3, 5]))
         engine.edge_extension(table)
@@ -355,7 +355,7 @@ def test_caller_built_pairs_take_the_sort():
     the range rule would drop ``{9, 5}`` (5 < 9 and row 0 holds 5).  A
     caller-built column is a plain ``Column``, and dedup sorts it."""
     with Gamma(_engine_graph()) as engine, \
-            _calls(aggregation, "_pair_first_rows") as ranged:
+            _calls(Column, "deduplicated") as ranged:
         table = EmbeddingTable(engine.platform, EDGE)
         table.seed(np.array([5, 9]))
         table.append_column(np.array([7, 5]), np.array([0, 1]))
@@ -406,7 +406,7 @@ def test_a_path_end_keeps_its_one_child():
     rule (the edge before it is dead at level 1)."""
     graph = from_edge_list([(v, v + 1) for v in range(200)])
     with Gamma(graph) as engine, \
-            _calls(aggregation, "_pair_first_rows") as ranged:
+            _calls(Column, "deduplicated") as ranged:
         table = engine.new_edge_table()
         engine.seed_edges(table)
         engine.filtering(table, keep_mask=table.column_values(0)

@@ -27,7 +27,8 @@ import pytest
 from repro.algorithms import frequent_pattern_mining, motif_count
 from repro.baselines import PangolinGPU, PangolinST
 from repro.core import Gamma, extension
-from repro.core.embedding_table import EmbeddingTable
+from repro.core import embedding_table
+from repro.core.embedding_table import Column, EmbeddingTable
 from repro.core.extension import ExtensionEngine
 from repro.graph import from_edges
 from repro.graph.canonical import QuickPatternEncoder
@@ -233,15 +234,15 @@ class TestBoundedBatches:
                                                          monkeypatch):
         """Every expansion of ``_incident_values`` stays within the budget
         or the level's largest single row; every ``_group_quick`` call
-        within the budget or one row; every expansion of the pair dedup's
-        range rule within the budget or one row's."""
+        within the budget or one row; every expansion of a deduplicated pair
+        level's ranges within the budget or one row's."""
         monkeypatch.setattr(extension, "_BATCH_SLOTS", SMALL_BUDGET)
         largest, expanded, grouped, looked_up = [0], [], [], []
         extend = ExtensionEngine.extend_edges
         incident = ExtensionEngine._incident_values
         group_quick = QuickPatternEncoder._group_quick
-        pair_rows = aggregation._pair_first_rows
-        expand_ranges = aggregation.expand_ranges
+        pair_rows = Column._expanded
+        expand_ranges = embedding_table.expand_ranges
 
         def spy_extend(self, table, *args, **kwargs):
             mats = table.materialize()
@@ -266,17 +267,18 @@ class TestBoundedBatches:
                 looked_up.append((len(out), len(starts) // 4))
                 return out
 
-            monkeypatch.setattr(aggregation, "expand_ranges", spy_expand)
+            monkeypatch.setattr(embedding_table, "expand_ranges", spy_expand)
             try:
                 return pair_rows(pair)
             finally:
-                monkeypatch.setattr(aggregation, "expand_ranges", expand_ranges)
+                monkeypatch.setattr(embedding_table, "expand_ranges",
+                                    expand_ranges)
 
         monkeypatch.setattr(ExtensionEngine, "extend_edges", spy_extend)
         monkeypatch.setattr(ExtensionEngine, "_incident_values", spy_incident)
         monkeypatch.setattr(QuickPatternEncoder, "_group_quick",
                             staticmethod(spy_group))
-        monkeypatch.setattr(aggregation, "_pair_first_rows", spy_pair_rows)
+        monkeypatch.setattr(Column, "_expanded", spy_pair_rows)
         with Gamma(graph) as engine:
             frequent_pattern_mining(engine, 3, 1, plan="baseline")
         for slots, row in expanded:

@@ -13,7 +13,6 @@ resumed FPM dedup takes the path the uninterrupted run takes.
 """
 
 from contextlib import contextmanager
-from importlib import import_module
 from unittest import mock
 
 import numpy as np
@@ -28,7 +27,7 @@ from repro.algorithms import (
     match_pattern,
     motif_count,
 )
-from repro.core.embedding_table import EmbeddingTable
+from repro.core.embedding_table import Column, EmbeddingTable
 from repro.core.framework import Gamma
 from repro.errors import DeviceOutOfMemory, QueryPreempted
 from repro.graph import sm_query
@@ -44,7 +43,6 @@ from repro.resilience.checkpoint import (
 )
 from tests.test_sim_pins import _pins, differences, observe
 
-aggregation = import_module("repro.core.aggregation")
 
 # ---------------------------------------------------------------------------
 # Strategies: arbitrary checkpoint-shaped states
@@ -289,14 +287,15 @@ class TestReplayKeepsThePairLookup:
     @staticmethod
     @contextmanager
     def _lookups():
-        """What ``_pair_first_rows`` returned, per call, inside the block."""
-        real, returned = aggregation._pair_first_rows, []
+        """What ``Column.deduplicated`` returned, per call, inside the
+        block."""
+        real, returned = Column.deduplicated, []
 
-        def lookup(*args):
-            returned.append(real(*args))
+        def lookup(column):
+            returned.append(real(column))
             return returned[-1]
 
-        with mock.patch.object(aggregation, "_pair_first_rows", lookup):
+        with mock.patch.object(Column, "deduplicated", lookup):
             yield returned
 
     @pytest.mark.parametrize("route", ["disk", "memory"])

@@ -20,6 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -35,7 +36,6 @@ from repro.errors import QueryPreempted
 from repro.graph import sm_query
 from repro.graph.generators import erdos_renyi, kronecker
 from repro.shard import ShardedGamma
-from repro.shard.worker import _host_rows
 
 PINS_PATH = Path(__file__).with_name("sim_pins.json")
 
@@ -73,6 +73,17 @@ def _sorting_fpm(method):
     8 243 canonical codes sort in 3 segments and merge in 35 subtasks."""
     return lambda: Gamma(_graph(), GammaConfig(device_memory_bytes=1 << 17,
                                                p_size=32, sort_method=method))
+
+
+def _host_rows(table):
+    """Every row of a resident table, walked host-side (uncharged)."""
+    n = table.num_embeddings
+    out = np.empty((n, table.depth), dtype=np.int64)
+    current = np.arange(n, dtype=np.int64)
+    for level in range(table.depth - 1, -1, -1):
+        out[:, level] = table.column_values(level)[current]
+        current = table.column_parents(level)[current]
+    return out
 
 
 def _kept_rows(engine):

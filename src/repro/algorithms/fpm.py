@@ -67,15 +67,9 @@ def frequent_pattern_mining(
 
     for level in range(1, iterations + 1):
         rows_before_filter = table.num_embeddings
-        codes = engine.aggregation(
-            table, pattern_table, support_metric=support_metric
-        )
-        engine.filtering(
-            table,
-            pattern_table=pattern_table,
-            row_codes=codes,
-            constraint=constraint,
-        )
+        engine.aggregation(table, pattern_table, support_metric=support_metric)
+        engine.filtering(table, pattern_table=pattern_table,
+                         constraint=constraint)
         frequent_per_level.append(len(pattern_table))
         if level_hook is not None:
             level_hook({"level": level, "stage": "filter",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.aggregation import aggregate_edge_table, dedup_embeddings, encode_level
+from ..core.aggregation import aggregate_edge_table, dedup_embeddings, level_codes
 from ..core.embedding_table import EDGE, VERTEX, EmbeddingTable
 from ..core.extension import ExtensionEngine
 from ..core.filtering import filter_by_support, filter_rows
@@ -98,15 +98,14 @@ class BaselineEngine:
         return self._engine.extend_edges(table)
 
     def filtering(self, table, keep_mask=None, pattern_table=None,
-                  row_codes=None, constraint=None):
+                  constraint=None):
         if keep_mask is not None:
             return filter_rows(table, keep_mask, compact=self.compaction)
-        if pattern_table is None or row_codes is None or constraint is None:
+        if pattern_table is None or constraint is None:
             raise ExecutionError(
-                "support filtering needs pattern_table, row_codes and constraint"
-            )
+                "support filtering needs pattern_table and constraint")
         return filter_by_support(
-            self.platform, table, row_codes, pattern_table, constraint,
+            self.platform, table, pattern_table, constraint,
             compact=self.compaction, cpu=self._is_cpu,
         )
 
@@ -114,7 +113,7 @@ class BaselineEngine:
         return dedup_embeddings(self.platform, table, cpu=self._is_cpu)
 
     def aggregation(self, table, pattern_table: PatternTable,
-                    support_metric: str = "instances") -> np.ndarray:
+                    support_metric: str = "instances") -> None:
         raise NotImplementedError
 
     def output_results(self, table=None, pattern_table=None):
@@ -205,24 +204,22 @@ class InCoreEngine(BaselineEngine):
         )
 
     def aggregation(self, table, pattern_table: PatternTable,
-                    support_metric: str = "instances") -> np.ndarray:
-        """In-core aggregation: the canonical codes must fit (twice — sort
-        double buffer) in device memory; big pattern tables are the second
-        crash mode of in-core systems."""
-        groups, mni = encode_level(
+                    support_metric: str = "instances") -> None:
+        """In-core aggregation: the level's int64 canonical codes must fit
+        (twice — sort double buffer) in device memory; big pattern tables
+        are the second crash mode of in-core systems."""
+        codes, __, mni = level_codes(
             self._residence, table, self.encoder, support_metric == "mni")
-        n = len(groups.index)
+        n = len(codes)
         if n == 0:
-            return np.empty(0, dtype=np.int64)
-        codes = groups.distinct[groups.index]
+            return
+        scratch_bytes = 2 * 8 * n
         scratch = self.platform.device.allocate(
-            2 * codes.nbytes, f"{self.name}:PT-sort"
-        )
-        log_n = float(np.log2(max(2, n)))
+            scratch_bytes, f"{self.name}:PT-sort")
         self.platform.kernel.launch(
             "aggregate:in-core-sort",
-            element_ops=n * (24 + log_n),
-            device_bytes=2 * codes.nbytes,
+            element_ops=n * (24 + float(np.log2(max(2, n)))),
+            device_bytes=scratch_bytes,
         )
         if mni is not None:
             self.platform.kernel.launch(
@@ -230,10 +227,9 @@ class InCoreEngine(BaselineEngine):
             )
             counts = mni
         else:
-            counts = np.bincount(groups.index, minlength=len(groups.distinct))
+            counts = codes.code_counts()
         self.platform.device.free(scratch)
-        pattern_table.merge(groups.distinct, counts)
-        return codes
+        pattern_table.merge(codes.distinct, counts)
 
 
 class CpuEngine(BaselineEngine):
@@ -268,8 +264,8 @@ class CpuEngine(BaselineEngine):
         )
 
     def aggregation(self, table, pattern_table: PatternTable,
-                    support_metric: str = "instances") -> np.ndarray:
-        return aggregate_edge_table(
+                    support_metric: str = "instances") -> None:
+        aggregate_edge_table(
             self.platform, self._residence, table, self.encoder, pattern_table,
             cpu=True, support_metric=support_metric,
         )

@@ -8,14 +8,18 @@ exists for.
 
 The canonical map uses the two-level quick-pattern scheme of
 :mod:`repro.graph.canonical`; its device cost is charged per embedding.
-The host encodes a level in row batches (:func:`encode_level`), so its
-working set is the level's codes plus one batch.  A pair level (a
+Every engine builds a level's codes through :func:`level_codes`, which
+leaves them on the level's column as its
+:class:`~repro.core.embedding_table.Codes` note: the support filter reads
+them there (``Filtering(ET, PT, constraint)``), and nothing else carries
+them.  The host encodes a level in row batches (:func:`encode_level`), so
+its working set is the level's codes plus one batch.  A pair level (a
 ``PAIR`` :class:`~repro.core.embedding_table.Column`) counted by instance
 support reads no row: a two-edge embedding is a wedge whose code is fixed
 by three labels — the centre's and the two ends' (Pangolin's customized
 classification of 3-vertex embeddings) — so each triple is counted from
-the level's ranges (:class:`_PairCounts`) and encoded once
-(:class:`PairCodes`), billed as the rows it stands for.
+the level's ranges (:class:`_PairCounts`) and encoded once, billed as the
+rows it stands for.
 
 The module also provides embedding-set deduplication for edge-oriented
 growth: extending by "any adjacent edge" reaches the same edge set through
@@ -37,7 +41,7 @@ from ..graph.canonical import (
 from ..graph.groupby import Grouped, first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
-from .embedding_table import PAIR, Column, EmbeddingTable
+from .embedding_table import PAIR, Codes, Column, EmbeddingTable
 from .extension import _row_batches
 from .pattern_table import PatternTable
 from .residence import GraphResidence
@@ -177,6 +181,37 @@ def encode_level(
     return Grouped(distinct, rank[ids]), mni
 
 
+def level_codes(
+    residence: GraphResidence,
+    table: EmbeddingTable,
+    encoder: QuickPatternEncoder,
+    want_mni: bool = False,
+) -> tuple[Codes, object, np.ndarray | None]:
+    """The last level's codes, left on its column as its
+    :class:`~repro.core.embedding_table.Codes` note; the keys an
+    aggregation sort counts; and with ``want_mni`` each distinct code's
+    MNI support.  Every engine's aggregation builds its codes here.
+
+    The level is walked (billed as :meth:`EmbeddingTable.walk_levels`
+    bills it) and its endpoint reads are billed as one read of ``n x
+    depth`` ids.  A pair level under instance support is counted from its
+    ranges (:func:`_pair_codes`); any other level is encoded row by row
+    (:func:`encode_level`)."""
+    n = table.num_embeddings
+    levels = table.walk_levels(n, read_last=False)
+    last = levels[-1]
+    if n and not want_mni and _countable(last):
+        codes, keys = _pair_codes(residence, table.depth, last, encoder)
+        mni = None
+    else:
+        levels[-1] = (last.values, last.parents)
+        del last
+        groups, mni = encode_level(residence, table, encoder, want_mni, levels)
+        codes = keys = Codes(*groups)
+    table.columns[-1].codes = codes
+    return codes, keys, mni
+
+
 def aggregate_edge_table(
     platform: GpuPlatform,
     residence: GraphResidence,
@@ -187,24 +222,26 @@ def aggregate_edge_table(
     p_size: int = DEFAULT_P_SIZE,
     cpu: bool = False,
     support_metric: str = INSTANCES,
-) -> "np.ndarray | PairCodes":
+) -> None:
     """Aggregate an e-ET into the pattern table.
 
-    Returns the per-row canonical codes (needed afterwards by the support
-    filter): an array, or a pair level's :class:`PairCodes` when it was
-    counted from its ranges.  The pattern table gains/updates one entry
-    per pattern, whose support is instance frequency or MNI per
-    ``support_metric``.
+    The pattern table gains/updates one entry per pattern, whose support
+    is instance frequency or MNI per ``support_metric``; the level's codes
+    stay on its column for the support filter (:func:`level_codes`).
     """
+    if support_metric not in SUPPORT_METRICS:
+        raise ValueError(
+            f"support_metric must be one of {SUPPORT_METRICS}, got {support_metric!r}"
+        )
     tel = platform.telemetry
+    n = table.num_embeddings
     with tel.span("aggregation", kind="phase"):
-        codes = _aggregate_edge_table_impl(
+        _aggregate_edge_table_impl(
             platform, residence, table, encoder, pattern_table,
-            sort_method, p_size, cpu, support_metric,
+            sort_method, p_size, cpu, support_metric == MNI,
         )
     if tel.active:
-        tel.metric("aggregation.rows", len(codes))
-    return codes
+        tel.metric("aggregation.rows", n)
 
 
 def _aggregate_edge_table_impl(
@@ -216,39 +253,22 @@ def _aggregate_edge_table_impl(
     sort_method: str,
     p_size: int,
     cpu: bool,
-    support_metric: str,
-) -> "np.ndarray | PairCodes":
-    if support_metric not in SUPPORT_METRICS:
-        raise ValueError(
-            f"support_metric must be one of {SUPPORT_METRICS}, got {support_metric!r}"
-        )
+    want_mni: bool,
+) -> None:
     n = table.num_embeddings
-    levels = table.walk_levels(n, read_last=False)
-    last = levels[-1]
-    if support_metric == INSTANCES and n and _countable(last):
-        return _aggregate_pair(platform, residence, table.depth, last,
-                               encoder, pattern_table, sort_method, p_size,
-                               cpu)
-    levels[-1] = (last.values, last.parents)
-    del last
-    # The codes arrive grouped by their quick patterns; every consumer
-    # below reads that grouping instead of regrouping the codes.
-    groups, mni = encode_level(residence, table, encoder,
-                               support_metric == MNI, levels)
-    del levels
+    codes, keys, mni = level_codes(residence, table, encoder, want_mni)
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return
     quick_ops = n * table.depth * _QUICK_OPS_PER_EDGE
     if cpu:
         platform.cpu.work(quick_ops)
         # CPU baselines group with a hash table rather than a sort.
         platform.cpu.work(n * 2)
-        uniq = groups.distinct
-        counts = np.bincount(groups.index, minlength=len(uniq))
+        uniq, counts = codes.distinct, codes.code_counts()
     else:
         platform.kernel.launch("aggregate:quick-pattern", element_ops=quick_ops)
         uniq, counts = sort_and_count(
-            platform, groups, method=sort_method, p_size=p_size
+            platform, keys, method=sort_method, p_size=p_size
         )
     if mni is not None:
         # One extra sort-like pass per canonical position.
@@ -257,11 +277,8 @@ def _aggregate_edge_table_impl(
             platform.cpu.work(extra_ops)
         else:
             platform.kernel.launch("aggregate:mni", element_ops=extra_ops)
-        uniq, counts = groups.distinct, mni
+        uniq, counts = codes.distinct, mni
     pattern_table.merge(uniq, counts)
-    codes = groups.distinct[groups.index]
-    table.note_codes(codes, groups)
-    return codes
 
 
 def embedding_set_keys(mats: np.ndarray) -> np.ndarray:
@@ -466,117 +483,46 @@ def _wedge_codes(encoder: QuickPatternEncoder, triples: np.ndarray,
     return distinct[rank[ids]]
 
 
-class PairCodes:
-    """A pair level's per-row codes, held per wedge triple.
-
-    ``codes[i]`` is the canonical code and ``counts[i]`` the row count of
-    ``triples[i]`` (ascending) in a level of ``rows`` rows grown from the
-    level-1 ids ``first`` (``deduped`` as that level was).  Aggregation of
-    a pair level returns this in place of an n-row array, and the support
-    filter keeps or drops whole triples; :meth:`per_row` forms the array.
-    :meth:`record` is its plain-data form (op replies and the journal)."""
-
-    __slots__ = ("first", "deduped", "triples", "codes", "counts", "rows")
-
-    def __init__(self, first, deduped, triples, codes, counts, rows) -> None:
-        self.first = np.asarray(first, dtype=np.int64)
-        self.deduped = bool(deduped)
-        self.triples = np.asarray(triples, dtype=np.int64)
-        self.codes = np.asarray(codes, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.rows = int(rows)
-
-    def __len__(self) -> int:
-        return self.rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PairCodes) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__)
-
-    __hash__ = None
-
-    def record(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    @classmethod
-    def of(cls, value) -> "PairCodes | None":
-        """``value`` as pair codes (itself, or its :meth:`record`), else
-        ``None``."""
-        if isinstance(value, PairCodes):
-            return value
-        if isinstance(value, dict) and set(value) == set(cls.__slots__):
-            return cls(**value)
-        return None
-
-    def describes(self, column: Column) -> bool:
-        """Whether these are the codes of ``column`` (by its state)."""
-        return (column.source == PAIR and column.kept is None
-                and column.deduped == self.deduped
-                and len(column) == self.rows
-                and (column.first is None  # on disk: its state says enough
-                     or np.array_equal(column.first, self.first)))
-
-    def per_row(self, graph) -> np.ndarray:
-        """The level's per-row codes, in row order (a read of every row)."""
-        pair = Column.of_pair(self.first, graph, deduped=self.deduped)
-        return self.of_triples(_PairCounts(pair).row_triples())
-
-    def of_triples(self, triples: np.ndarray) -> np.ndarray:
-        """The code of each of ``triples`` (present ones)."""
-        return self.codes[np.searchsorted(self.triples, triples)]
-
-
 class _PairKeys:
-    """The sort's dictionary-encoded keys for a pair level: ``distinct``
-    codes, counted over row intervals from the ranges
+    """The sort's dictionary-encoded keys for a pair level: its note's
+    ``distinct`` codes, counted over row intervals from the ranges
     (:mod:`repro.core.sort`)."""
 
-    def __init__(self, counted: _PairCounts, codes: PairCodes) -> None:
+    def __init__(self, counted: _PairCounts, codes: Codes) -> None:
         self._counted = counted
         self._codes = codes
-        self.distinct = np.unique(codes.codes)
-        self._code_of = np.searchsorted(self.distinct, codes.codes)
+        self.distinct = codes.distinct
 
     def __len__(self) -> int:
         return self._counted.rows
 
+    def _code_of(self, triples: np.ndarray) -> np.ndarray:
+        return self._codes.index[np.searchsorted(self._codes.triples, triples)]
+
     def segment_counts(self, bounds) -> np.ndarray:
         segment, triple, count = self._counted.counts(bounds)
         width = len(self.distinct)
-        code = self._code_of[np.searchsorted(self._codes.triples, triple)]
-        return np.bincount(segment * width + code, weights=count,
+        return np.bincount(segment * width + self._code_of(triple),
+                           weights=count,
                            minlength=(len(bounds) - 1) * width
                            ).astype(np.int64).reshape(-1, width)
 
     def rows(self) -> np.ndarray:
-        return self._codes.of_triples(self._counted.row_triples())
+        return self.distinct[self._code_of(self._counted.row_triples())]
 
 
-def _aggregate_pair(platform, residence, depth, pair, encoder, pattern_table,
-                    sort_method, p_size, cpu) -> PairCodes:
-    """Instance-support aggregation of a pair level from its ranges, billed
-    as :func:`encode_level` and the rest of the row path bill its rows:
-    endpoint reads of ``n x depth`` ids (a device read counts them, a
-    zero-copy one touches each id's line), ``n x depth`` quick-pattern
-    ops, and the sort's segments counted from the ranges."""
+def _pair_codes(residence, depth, pair, encoder) -> tuple[Codes, _PairKeys]:
+    """A pair level's codes per wedge triple, counted from its ranges and
+    billed as :func:`encode_level` bills its rows: endpoint reads of ``n x
+    depth`` ids (a device read counts them, a zero-copy one touches each
+    id's line).  The keys count the sort's segments from the ranges."""
     counted = _PairCounts(pair)
-    n = counted.rows
     reads = residence.endpoint_reads()
-    reads.note(counted.read_ids(), n * depth)
+    reads.note(counted.read_ids(), counted.rows * depth)
     reads.charge()
     triples, counts = counted.totals()
-    codes = PairCodes(pair.first, pair.deduped, triples,
-                      _wedge_codes(encoder, triples, counted.span), counts, n)
-    keys = _PairKeys(counted, codes)
-    quick_ops = n * depth * _QUICK_OPS_PER_EDGE
-    if cpu:
-        platform.cpu.work(quick_ops)
-        platform.cpu.work(n * 2)
-        uniq, totals = keys.distinct, keys.segment_counts([0, n])[0]
-    else:
-        platform.kernel.launch("aggregate:quick-pattern", element_ops=quick_ops)
-        uniq, totals = sort_and_count(platform, keys, method=sort_method,
-                                      p_size=p_size)
-    pattern_table.merge(uniq, totals)
-    return codes
+    distinct, index = np.unique(_wedge_codes(encoder, triples, counted.span),
+                                return_inverse=True)
+    codes = Codes(distinct, index, triples=triples, counts=counts,
+                  first=pair.first)
+    return codes, _PairKeys(counted, codes)

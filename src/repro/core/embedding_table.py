@@ -25,7 +25,6 @@ from ..gpusim import clock as clk
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
 from ..gpusim.warp import charge_warp_scan
-from ..graph.groupby import Grouped
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -84,17 +83,64 @@ class Survivors:
         )
 
 
-@dataclass(frozen=True)
-class RowCodes:
-    """What an aggregation of the table computed on the way to its per-row
-    canonical codes: the (read-only) array it returned, ``values``, and the
-    same codes dictionary-encoded, ``groups``.  Host-side and unbilled; the
-    support filter handed that very array gathers per-pattern supports
-    through ``groups.index`` instead of searching the pattern table once
-    per row (docs/COSTMODEL.md, "Hot paths")."""
+class Codes:
+    """The canonical codes of a level, as its aggregation left them on its
+    column for the support filter (``Filtering(ET, PT, constraint)``).
 
-    values: np.ndarray
-    groups: Grouped
+    ``distinct`` holds the codes, ascending and unique; ``index`` maps each
+    row to its code — or, for a pair level counted from its ranges, each
+    wedge triple of ``triples`` (ascending, :meth:`Column.triples`) to its
+    code, with ``counts`` rows a triple and ``first`` the level-1 ids the
+    level grew from.  Host-side and unbilled.  The row form is also the
+    aggregation sort's counted keys (:mod:`repro.core.sort`): a segment's
+    counts are one ``bincount``."""
+
+    __slots__ = ("distinct", "index", "triples", "counts", "first")
+
+    def __init__(self, distinct, index, triples=None, counts=None,
+                 first=None) -> None:
+        self.distinct = distinct
+        self.index = index
+        self.triples = triples
+        self.counts = counts
+        self.first = first
+
+    def __len__(self) -> int:
+        """Rows of the level."""
+        if self.triples is None:
+            return len(self.index)
+        return int(self.counts.sum())
+
+    def code_counts(self) -> np.ndarray:
+        """Rows per distinct code."""
+        return np.bincount(self.index, weights=self.counts,
+                           minlength=len(self.distinct)).astype(np.int64)
+
+    def kept(self, frequent: np.ndarray, column: "Column"):
+        """What :meth:`EmbeddingTable.compact` / ``mark`` keep of
+        ``column``, this note's level, given whether each distinct code is
+        frequent: a row mask, or the pair level narrowed to its frequent
+        triples."""
+        frequent = frequent[self.index]
+        if self.triples is None:
+            return frequent
+        return Column.of_pair(
+            self.first, column.graph, deduped=column.deduped,
+            kept=None if frequent.all() else self.triples[frequent],
+            length=int(self.counts[frequent].sum()))
+
+    def segment_counts(self, bounds) -> list[np.ndarray]:
+        out = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            counts = np.bincount(self.index[start:stop],
+                                 minlength=len(self.distinct))
+            if len(counts) != len(self.distinct):
+                raise ExecutionError("dictionary index out of range")
+            out.append(counts)
+        return out
+
+    def rows(self) -> np.ndarray:
+        return self.distinct[self.index]
 
 
 #: A column's source: its rows as arrays, as its parents' incident lists
@@ -126,8 +172,9 @@ class Column:
     A table only ever *replaces* a column (compaction, spilling, restore),
     so whoever holds a resident column's arrays — a checkpoint snapshot, a
     suspended query — holds that level as it was, without a copy.  The
-    notes ``lists`` and ``codes`` ride on a resident column until the next
-    level is appended; a replacement carries none.
+    notes ``lists`` (on a resident column) and ``codes`` (resident or on
+    disk, and in the snapshot record) ride on the last column until the
+    next level is appended; a replacement carries none.
     """
 
     __slots__ = ("source", "length", "first", "graph", "deduped", "kept",
@@ -145,7 +192,7 @@ class Column:
         self.kept = kept
         self.handle = handle
         self.lists = lists
-        self.codes: RowCodes | None = None
+        self.codes: Codes | None = None
         self._arrays = arrays
 
     @classmethod
@@ -495,13 +542,6 @@ class EmbeddingTable:
         if self.columns[-1].source == COUNT:
             raise ExecutionError("a counted level cannot be extended")
 
-    def note_codes(self, values: np.ndarray, groups: Grouped) -> None:
-        """Leave an aggregation's per-row codes (frozen here) and their
-        grouping on the last column; a spilled column keeps nothing."""
-        values.setflags(write=False)
-        if not self.columns[-1].on_disk:
-            self.columns[-1].codes = RowCodes(values, groups)
-
     def _drop_notes(self) -> None:
         if self.columns:
             self.columns[-1].lists = None
@@ -560,25 +600,31 @@ class EmbeddingTable:
         :class:`Column`), so a snapshot costs O(columns), not O(cells); a
         spilled column's source is read back from the store.  A count, or a
         spilled column of a released table (its file went with the
-        release), records its length alone.
+        release), records its length alone.  A column's ``codes`` note is
+        recorded beside its source, so a resume between an aggregation and
+        its filter finds it.
         """
         return [self._record(column) for column in self.columns]
 
     def _record(self, column: Column) -> dict:
-        spilled = column.on_disk
+        codes, spilled = column.codes, column.on_disk
         if spilled and not self.released:
             column = self._peeked(column)
         if column.on_disk or column.source == COUNT:
-            return {"counted": len(column), "spilled": spilled}
-        if column.source == PAIR:
+            record = {"counted": len(column), "spilled": spilled}
+        elif column.source == PAIR:
             record = {"first": column.first, "spilled": spilled}
             if column.deduped:
                 record["deduped"] = True
             if column.kept is not None:
                 record.update(kept=column.kept, rows=len(column))
-            return record
-        return {"values": column.values, "parents": column.parents,
-                "spilled": spilled}
+        else:
+            record = {"values": column.values, "parents": column.parents,
+                      "spilled": spilled}
+        if codes is not None:
+            record["codes"] = {name: getattr(codes, name)
+                               for name in Codes.__slots__}
+        return record
 
     @staticmethod
     def _from_record(record: dict, graph) -> Column:
@@ -596,8 +642,9 @@ class EmbeddingTable:
         Current columns (and their host/device accounting) are dropped, then
         each record is re-installed: spilled columns go back to the attached
         store (uncharged — the restored clock already carries the original
-        spill cost), resident columns re-register their host bytes, and a
-        pair column is rebuilt over ``graph``.  Callers overwrite the
+        spill cost), resident columns re-register their host bytes, a pair
+        column is rebuilt over ``graph``, and a ``codes`` note comes back
+        on its column.  Callers overwrite the
         platform's clock/counters afterwards, so nothing here bills
         simulated time.
         """
@@ -623,6 +670,8 @@ class EmbeddingTable:
             else:
                 platform.register_host_bytes(nbytes, self.name, charge=False)
                 self._registered_bytes += nbytes
+            if "codes" in record:
+                column.codes = Codes(**record["codes"])
             self.columns.append(column)
 
     def _discard_spilled(self) -> None:

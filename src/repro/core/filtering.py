@@ -4,9 +4,11 @@ Filtering enforces user constraints on the embedding table after extension
 or aggregation: structural constraints of a query graph (SM), a minimum
 support over the pattern table (FPM), or any user predicate.  Invalid rows
 are removed by the table's three-stage compaction (§V-A) — the space
-saving the paper notes other frameworks skip.  A pair level counted from
-its ranges (:class:`~repro.core.aggregation.PairCodes`) is filtered by
-wedge triple: its ranges stay, narrowed by the triples kept.
+saving the paper notes other frameworks skip.  The support filter reads
+the codes its level's aggregation left on the level
+(:class:`~repro.core.embedding_table.Codes`); a pair level counted from
+its ranges is filtered by wedge triple: its ranges stay, narrowed by the
+triples kept.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from ..errors import ExecutionError
 from ..graph.patterns import Pattern
 from ..gpusim.platform import GpuPlatform
-from .aggregation import PairCodes
 from .embedding_table import Column, EmbeddingTable
 from .pattern_table import PatternTable
 
@@ -70,59 +71,36 @@ def filter_rows(
 def filter_by_support(
     platform: GpuPlatform,
     table: EmbeddingTable,
-    row_codes: np.ndarray,
     pattern_table: PatternTable,
     constraint: MinSupport,
     compact: bool = True,
     cpu: bool = False,
 ) -> int:
-    """Algorithm 2 line 4: drop infrequent patterns from the pattern table
-    and their instances from the embedding table.  Returns rows removed.
+    """Algorithm 2 line 4, ``Filtering(ET, PT, constraint)``.
 
-    Handed the very array an aggregation of ``table`` returned, the filter
-    looks each distinct pattern up once and gathers through the grouping
-    left on the table's last column; handed a pair level's
-    :class:`~repro.core.aggregation.PairCodes` (or their record), it keeps
-    the level's ranges narrowed to the frequent triples; any other codes
-    (replayed, sharded, made by the caller) are looked up row by row."""
+    Drops infrequent patterns from the pattern table and their instances
+    from the embedding table; returns rows removed.
+
+    The filter reads the codes the last level's aggregation left on its
+    column: each distinct pattern is looked up once, and the note turns
+    the frequent ones into a row mask or the pair level narrowed to its
+    frequent triples.  A level with no codes raises
+    :class:`ExecutionError`."""
     with platform.telemetry.span("support-filtering", kind="phase"):
         n = table.num_embeddings
-        # The grouping is the helper's local: gone before compact.
-        keep = _support_keep(table, row_codes, pattern_table, constraint)
+        last = table.columns[-1] if table.columns else None
+        if last is None or last.codes is None:
+            raise ExecutionError(
+                "support filtering reads the codes its level's aggregation "
+                "left; this level was not aggregated")
+        codes = last.codes
+        keep = codes.kept(pattern_table.support_of(codes.distinct)
+                          >= constraint.threshold, last)
+        # The note goes with the column; no local keeps it through compact.
+        del last, codes
         pattern_table.prune_below(constraint.threshold)
         if cpu:
             platform.cpu.work(n)
         else:
             platform.kernel.launch("filter:support", element_ops=n)
         return filter_rows(table, keep, compact=compact)
-
-
-def _support_keep(
-    table: EmbeddingTable,
-    row_codes,
-    pattern_table: PatternTable,
-    constraint: MinSupport,
-) -> "np.ndarray | Column":
-    """Per row of ``table``: whether its pattern is frequent — or, for
-    pair codes, the last level narrowed to its frequent triples."""
-    pair = PairCodes.of(row_codes)
-    if pair is not None:
-        last = table.columns[-1] if table.columns else None
-        if last is None or not pair.describes(last):
-            raise ExecutionError("pair codes must describe the last level")
-        distinct, index = np.unique(pair.codes, return_inverse=True)
-        frequent = (pattern_table.support_of(distinct)
-                    >= constraint.threshold)[index]
-        return Column.of_pair(
-            pair.first, last.graph, deduped=pair.deduped,
-            kept=None if frequent.all() else pair.triples[frequent],
-            length=int(pair.counts[frequent].sum()))
-    noted = table.columns[-1].codes if table.columns else None
-    if noted is not None and noted.values is row_codes:
-        groups = noted.groups
-        frequent = pattern_table.support_of(groups.distinct) >= constraint.threshold
-        return frequent[groups.index]
-    row_codes = np.asarray(row_codes, dtype=np.int64)
-    if len(row_codes) != table.num_embeddings:
-        raise ExecutionError("row codes must cover every embedding")
-    return pattern_table.support_of(row_codes) >= constraint.threshold

@@ -516,15 +516,13 @@ class Gamma:
                     support_metric: str = INSTANCES):
         """``Aggregation(ET, m_f)`` with the canonical-label map function:
         per-partition canonical grouping, then an all-gather of the
-        per-partition pattern tables summed into ``pattern_table``.
-
-        Returns the per-row codes, one array per partition (opaque to
-        drivers; accepted back by :meth:`filtering`).
+        per-partition pattern tables summed into ``pattern_table``, the
+        output.  Each partition's level keeps its codes for
+        :meth:`filtering`.
         ``support_metric='mni'`` is exact only on one partition —
         distinct-vertex minima do not decompose over a sum — and raises
         otherwise (see docs/SHARDING.md).
         """
-        from ..shard.table import ShardedCodes
         if support_metric != INSTANCES and self.num_shards > 1:
             raise ExecutionError(
                 "sharded aggregation supports support_metric='instances' "
@@ -542,15 +540,14 @@ class Gamma:
             if len(reply["pt_codes"]):
                 pattern_table.merge(reply["pt_codes"], reply["pt_supports"])
         self._barrier("aggregation-merge")
-        return ShardedCodes([reply["codes"] for reply in replies], self.graph)
 
     def filtering(self, table,
                   keep_mask: np.ndarray | None = None,
                   pattern_table: PatternTable | None = None,
-                  row_codes=None, constraint=None) -> int:
+                  constraint=None) -> int:
         """``Filtering(ET, PT, constraint)``: either a per-row mask or a
-        min-support constraint over a pattern table."""
-        from ..shard.table import ShardedCodes
+        min-support constraint over a pattern table, which each partition
+        applies to the codes its level's aggregation left."""
         if keep_mask is not None:
             masks = self._split_rows(table, np.asarray(keep_mask, dtype=bool))
             replies = self._fanout("filtering", [
@@ -559,23 +556,12 @@ class Gamma:
             ])
             self._barrier("filtering")
             return sum(reply["removed"] for reply in replies)
-        if pattern_table is None or row_codes is None or constraint is None:
+        if pattern_table is None or constraint is None:
             raise ExecutionError(
-                "support filtering needs pattern_table, row_codes "
-                "and constraint"
-            )
-        if isinstance(row_codes, ShardedCodes):
-            per_shard = row_codes.parts
-        else:
-            per_shard = self._split_rows(
-                table, np.asarray(row_codes, dtype=np.int64))
-        replies = self._fanout("filtering", [
-            {"table": handle, "row_codes": per_shard[index],
-             "constraint": constraint,
-             "pt_codes": pattern_table.codes,
-             "pt_supports": pattern_table.supports}
-            for index, handle in enumerate(table.handles)
-        ])
+                "support filtering needs pattern_table and constraint")
+        replies = self._fanout("filtering", self._per_table(
+            table, constraint=constraint, pt_codes=pattern_table.codes,
+            pt_supports=pattern_table.supports))
         # Every partition prunes an identical copy of the global table (the
         # kept-code set is mask-input, not mask-output, so pruning
         # commutes); adopt the final arrays once.

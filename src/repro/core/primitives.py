@@ -79,8 +79,12 @@ def aggregation(
     table: EmbeddingTable,
     pattern_table: PatternTable,
     map_function: str = "canonical",
-) -> np.ndarray:
-    """``Aggregation(ET, m_f)``: map embeddings to patterns and count.
+) -> None:
+    """``PT <- Aggregation(ET, m_f)``: count embeddings by pattern.
+
+    Each embedding is mapped to its pattern and counted into
+    ``pattern_table``, the output; the level keeps its codes for
+    :func:`filtering`.
 
     ``map_function`` names the supported canonical maps: ``"canonical"``
     (instance-frequency support) or ``"canonical-mni"``.
@@ -90,9 +94,7 @@ def aggregation(
         raise ExecutionError(
             "map_function must be 'canonical' or 'canonical-mni'"
         )
-    return _engine_of(table).aggregation(
-        table, pattern_table, support_metric=metric
-    )
+    _engine_of(table).aggregation(table, pattern_table, support_metric=metric)
 
 
 def filtering(
@@ -100,10 +102,10 @@ def filtering(
     pattern_table: PatternTable | None = None,
     constraint: Constraint | None = None,
     keep_mask: np.ndarray | None = None,
-    row_codes: np.ndarray | None = None,
 ) -> int:
     """``Filtering(ET, PT, constraint)``: drop embeddings/patterns that
-    violate the constraint.  Returns rows removed."""
+    violate the constraint (a support constraint reads the patterns of the
+    level the last :func:`aggregation` counted).  Returns rows removed."""
     engine = _engine_of(table)
     if keep_mask is not None:
         return engine.filtering(table, keep_mask=keep_mask)
@@ -113,7 +115,6 @@ def filtering(
         return engine.filtering(
             table,
             pattern_table=pattern_table,
-            row_codes=row_codes,
             constraint=MinSupport(constraint.min_support),
         )
     # Query-graph constraint: verify every pattern edge on the full rows.

@@ -21,12 +21,12 @@ covering a multiple of ``p_size``, a matched index is the count of
 elements before a value, and a subtask's list lengths are differences of
 matched indices.  So the host keeps a segment as its runs and merges
 segments by adding counts.  Keys handed dictionary-encoded give a
-segment's runs by counting and are never sorted: a
-:class:`~repro.graph.groupby.Grouped` (the form aggregation holds its
-canonical codes in, one ``bincount`` a segment), or any object with
+segment's runs by counting and are never sorted: any object with
 ascending unique ``distinct`` keys, a ``len``, ``segment_counts(bounds)``
-(how often each distinct key occurs between consecutive row bounds: a pair
-level counts them from its ranges) and ``rows()`` (the keys in row order).
+(how often each distinct key occurs between consecutive row bounds) and
+``rows()`` (the keys in row order) — a level's
+:class:`~repro.core.embedding_table.Codes` (one ``bincount`` a segment),
+or a pair level's keys, counted from its ranges.
 The element-by-element merge the model describes is the straight-line
 twin in ``tests/twins.py``.
 
@@ -45,7 +45,7 @@ from ..errors import ExecutionError
 from ..gpusim import clock as clk
 from ..gpusim import stats as st
 from ..gpusim.platform import GpuPlatform
-from ..graph.groupby import Grouped, _run_starts
+from ..graph.groupby import _run_starts
 
 MULTI_MERGE = "multi_merge"
 NAIVE_MERGE = "naive_merge"
@@ -66,38 +66,9 @@ def _log2(n: int) -> float:
     return float(np.log2(max(2, n)))
 
 
-class _IndexCounts:
-    """:class:`Grouped` keys as counted keys: each segment one ``bincount``."""
-
-    def __init__(self, keys: Grouped) -> None:
-        self.distinct, self._index = keys
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def segment_counts(self, bounds) -> list[np.ndarray]:
-        out = []
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            counts = np.bincount(self._index[start:stop],
-                                 minlength=len(self.distinct))
-            if len(counts) != len(self.distinct):
-                raise ExecutionError("dictionary index out of range")
-            out.append(counts)
-        return out
-
-    def rows(self) -> np.ndarray:
-        return self.distinct[self._index]
-
-
 def _counted(keys):
     """Dictionary-encoded ``keys`` as counted keys; ``None`` for an array."""
-    if isinstance(keys, Grouped):
-        return _IndexCounts(keys)
     return keys if hasattr(keys, "segment_counts") else None
-
-
-def _size(keys) -> int:
-    return len(keys.index) if isinstance(keys, Grouped) else len(keys)
 
 
 def _itemsize(keys) -> int:
@@ -139,7 +110,7 @@ def segment_runs(
             raise ExecutionError("dictionary keys must be ascending and unique")
     else:
         keys = np.asarray(keys)
-    n, itemsize = _size(keys), _itemsize(keys)
+    n, itemsize = len(keys), _itemsize(keys)
     bounds = list(range(0, n, segment_len)) + [n]
     if counted is not None:
         counts = counted.segment_counts(bounds)
@@ -269,7 +240,7 @@ def _sorted_runs_impl(
     p_size: int,
 ) -> Runs:
     """Bill sorting ``keys`` with ``method``; returns the sorted runs."""
-    n, itemsize = _size(keys), _itemsize(keys)
+    n, itemsize = len(keys), _itemsize(keys)
     if method == CPU_SORT:
         # A single-threaded comparison sort on the host (Table III's
         # CPU baseline): n log n ops at one core's effective rate.
@@ -314,7 +285,7 @@ def out_of_core_sort(
     with tel.span(f"sort:{method}", kind="stage"):
         values, counts = _sorted_runs_impl(platform, keys, method, segment_len, p_size)
     if tel.active:
-        tel.metric("sort.elements", _size(keys), method=method)
+        tel.metric("sort.elements", len(keys), method=method)
     return np.repeat(values, counts)
 
 
@@ -390,6 +361,6 @@ def sort_and_count(
             uniq, counts = _sorted_runs_impl(
                 platform, keys, method, segment_len, p_size)
         if tel.active:
-            tel.metric("sort.elements", _size(keys), method=method)
-        platform.kernel.launch("run-length", element_ops=_size(keys))
+            tel.metric("sort.elements", len(keys), method=method)
+        platform.kernel.launch("run-length", element_ops=len(keys))
         return uniq, counts

@@ -32,7 +32,9 @@ __all__ = ["capture_state", "restore_state", "rewind"]
 #: 2: each snapshot records the partition that took it.
 #: 3: a column's record is its source (a pair level's is its level-1 ids),
 #: and a journaled barrier or exchange reply holds what the live op saw.
-STATE_VERSION = 3
+#: 4: a column's record holds its ``codes`` note, and an aggregation's
+#: journal entry is its pattern-table contribution alone.
+STATE_VERSION = 4
 
 
 def _planner_state(planner) -> dict:

@@ -33,7 +33,7 @@ from .policy import (
     STEALING,
     assign_units,
 )
-from .table import RemotePart, ShardedCodes, ShardedTable
+from .table import RemotePart, ShardedTable
 
 #: ``Gamma``'s functions under the names ``benchmarks/perf/trace.py`` wraps
 #: in ``ShardedGamma.__dict__`` (its ``shard.coordinator`` layer).
@@ -55,7 +55,6 @@ for _name in _TRACED:
     setattr(ShardedGamma, _name, Gamma.__dict__[_name])
 
 __all__ = [
-    "ShardedCodes",
     "ShardedGamma",
     "ShardedTable",
     "RemotePart",

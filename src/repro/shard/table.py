@@ -9,12 +9,13 @@ one GPU) and presenting the *global* view drivers expect:
 
 * scalar shape (``num_embeddings``, ``depth``, ``nbytes``) sums shards;
 * column reads concatenate shards in shard order, with parent pointers
-  rebased onto the concatenated previous column;
+  rebased onto the concatenated previous column (one shard's are its own
+  arrays, uncopied);
 * ``materialize`` stacks per-shard matrices in shard order.
 
 The global row order is therefore *shard-major*: all of shard 0's rows,
-then shard 1's, and so on.  Everything that maps global masks or codes
-back onto partitions (``Gamma.filtering``) relies on that ordering.
+then shard 1's, and so on.  Everything that maps global masks back onto
+partitions (``Gamma.filtering``) relies on that ordering.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import List
 
 import numpy as np
 
-from ..core.aggregation import PairCodes
 from ..core.embedding_table import EmbeddingTable
 from ..errors import ExecutionError
 
@@ -160,14 +160,17 @@ class ShardedTable:
 
     # -- reads ---------------------------------------------------------------
     def column_values(self, level: int) -> np.ndarray:
-        """Concatenated ids of one level (shard-major)."""
+        """Concatenated ids of one level (shard-major; one shard's own)."""
+        if len(self.parts) == 1:
+            return self.parts[0].column_values(level)
         return np.concatenate(
-            [part.column_values(level) for part in self.parts]
-        ) if self.parts else np.empty(0, dtype=np.int64)
+            [part.column_values(level) for part in self.parts])
 
     def column_parents(self, level: int) -> np.ndarray:
         """Concatenated parent pointers of one level, rebased to index the
-        concatenated previous column."""
+        concatenated previous column (one shard's own)."""
+        if len(self.parts) == 1:
+            return self.parts[0].column_parents(level)
         pieces = []
         offset = 0
         for part in self.parts:
@@ -177,15 +180,17 @@ class ShardedTable:
                 offset += part.column_length(level - 1)
             else:
                 pieces.append(parents)
-        return (np.concatenate(pieces)
-                if pieces else np.empty(0, dtype=np.int64))
+        return np.concatenate(pieces)
 
     def materialize(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Full embeddings as an ``(n, depth)`` matrix (shard-major rows)."""
+        """Full embeddings as an ``(n, depth)`` matrix (shard-major rows;
+        one shard's own)."""
         if rows is not None:
             raise ExecutionError(
                 "row-subset materialize is not supported on sharded tables"
             )
+        if len(self.parts) == 1:
+            return self.parts[0].materialize()
         mats = [part.materialize() for part in self.parts]
         mats = [m for m in mats if m.size]
         if not mats:
@@ -220,33 +225,3 @@ class ShardedTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = ",".join(str(part.num_embeddings) for part in self.parts)
         return f"ShardedTable({self.name!r}, {self.kind}, rows=[{sizes}])"
-
-
-class ShardedCodes:
-    """Per-partition canonical codes returned by ``Gamma.aggregation``: an
-    array per partition, or a pair level's
-    :class:`~repro.core.aggregation.PairCodes` (codes per wedge triple).
-
-    Drivers treat aggregation's return value as opaque and hand it back to
-    ``filtering``; this wrapper keeps the per-partition split exact while
-    still looking like a flat sequence where drivers peek (``len``,
-    concatenation via :meth:`flat`, which reads a pair level's rows over
-    ``graph``).
-    """
-
-    __slots__ = ("parts", "graph")
-
-    def __init__(self, parts: list, graph=None) -> None:
-        self.parts = [np.asarray(p, dtype=np.int64)
-                      if PairCodes.of(p) is None else PairCodes.of(p)
-                      for p in parts]
-        self.graph = graph
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-    def flat(self) -> np.ndarray:
-        parts = [p.per_row(self.graph) if isinstance(p, PairCodes) else p
-                 for p in self.parts]
-        return (np.concatenate(parts) if parts
-                else np.empty(0, dtype=np.int64))

@@ -37,7 +37,6 @@ import numpy as np
 
 from ..core.access_planner import AccessHeatPlanner
 from ..core.aggregation import (
-    PairCodes,
     aggregate_edge_table,
     dedup_embeddings,
     embedding_set_keys,
@@ -385,30 +384,28 @@ class ShardWorker:
     def do_aggregation(self, table: int, support_metric: str,
                        pt_codes, pt_supports) -> dict:
         """``Aggregation(ET, m_f)`` with the canonical-label map function:
-        per-row canonical codes (a pair level's as the plain record of its
-        :class:`~repro.core.aggregation.PairCodes`), plus the pattern table
-        folded with this partition's supports."""
+        the reply (and journal entry) is the pattern table folded with this
+        partition's supports; the level's codes stay on its column."""
         def execute():
             pattern_table = _rebuild_pt(pt_codes, pt_supports)
             with self.platform.resilience.phase("phase:aggregation"):
-                codes = aggregate_edge_table(
+                aggregate_edge_table(
                     self.platform, self.residence, self._table(table),
                     self.encoder, pattern_table,
                     sort_method=self.config.sort_method,
                     p_size=self.config.p_size,
                     support_metric=support_metric,
                 )
-            if isinstance(codes, PairCodes):
-                codes = codes.record()
-            return {"codes": codes, "pt_codes": pattern_table.codes,
+            return {"pt_codes": pattern_table.codes,
                     "pt_supports": pattern_table.supports}
 
         return self._run_op("aggregation", execute)
 
-    def do_filtering(self, table: int, keep_mask=None, row_codes=None,
-                     pt_codes=None, pt_supports=None, constraint=None) -> dict:
+    def do_filtering(self, table: int, keep_mask=None, pt_codes=None,
+                     pt_supports=None, constraint=None) -> dict:
         """``Filtering(ET, PT, constraint)``: either a per-row mask or a
-        min-support constraint over a pattern table."""
+        min-support constraint over a pattern table, read against the codes
+        the level's aggregation left."""
         def execute():
             part = self._table(table)
             compact = self.config.compaction
@@ -417,14 +414,12 @@ class ShardWorker:
                     mask = np.asarray(keep_mask, dtype=bool)
                     return {"removed": int(filter_rows(part, mask,
                                                        compact=compact))}
-                if pt_codes is None or row_codes is None or constraint is None:
+                if pt_codes is None or constraint is None:
                     raise ExecutionError(
-                        "support filtering needs pattern_table, row_codes "
-                        "and constraint"
-                    )
+                        "support filtering needs pattern_table and constraint")
                 pattern_table = _rebuild_pt(pt_codes, pt_supports)
                 removed = filter_by_support(
-                    self.platform, part, row_codes, pattern_table, constraint,
+                    self.platform, part, pattern_table, constraint,
                     compact=compact,
                 )
             return {"removed": int(removed), "pt_codes": pattern_table.codes,

@@ -73,15 +73,20 @@ class TestPatternTable:
         assert list(pt) == [(2, 2), (4, 1)]
 
 
+def _row_codes(table):
+    """Each row's code, from the note aggregation left on the level."""
+    return table.columns[-1].codes.rows()
+
+
 class TestAggregation:
     def test_length1_patterns_by_label_pair(self, tiny_graph):
         platform, residence, table = edge_table_for(tiny_graph)
         pt = PatternTable()
         encoder = QuickPatternEncoder()
-        codes = aggregate_edge_table(
+        assert aggregate_edge_table(
             platform, residence, table, encoder, pt
-        )
-        assert len(codes) == tiny_graph.num_edges
+        ) is None  # the pattern table is the output
+        assert len(table.columns[-1].codes) == tiny_graph.num_edges
         # labels [0,2,1,0,2]: edges by endpoint-label multiset:
         # (0,1): {0,2}; (0,2): {0,1}; (1,2): {2,1}; (2,3): {1,0}; (3,4): {0,2}
         assert pt.as_dict() and sum(pt.supports) == 5
@@ -90,22 +95,22 @@ class TestAggregation:
     def test_symmetric_edges_share_pattern(self, tiny_graph):
         platform, residence, table = edge_table_for(tiny_graph)
         pt = PatternTable()
-        codes = aggregate_edge_table(
+        aggregate_edge_table(
             platform, residence, table, QuickPatternEncoder(), pt
         )
         # (0,1) labels {0,2} and (3,4) labels {0,2} -> same code, despite
         # opposite orientation in edge storage.
-        by_edge = dict(enumerate(codes.tolist()))
+        by_edge = dict(enumerate(_row_codes(table).tolist()))
         assert by_edge[0] == by_edge[4]
 
     def test_empty_table(self, tiny_graph):
         platform, residence, table = edge_table_for(tiny_graph)
         table.compact(np.zeros(tiny_graph.num_edges, dtype=bool))
         pt = PatternTable()
-        codes = aggregate_edge_table(
+        aggregate_edge_table(
             platform, residence, table, QuickPatternEncoder(), pt
         )
-        assert len(codes) == 0
+        assert len(table.columns[-1].codes) == 0
         assert len(pt) == 0
 
     def test_cpu_flag_charges_cpu(self, tiny_graph):
@@ -167,84 +172,121 @@ class TestFiltering:
     def test_filter_by_support(self, tiny_graph):
         platform, residence, table = edge_table_for(tiny_graph)
         pt = PatternTable()
-        codes = aggregate_edge_table(
+        aggregate_edge_table(
             platform, residence, table, QuickPatternEncoder(), pt
         )
-        removed = filter_by_support(
-            platform, table, codes, pt, MinSupport(2)
-        )
+        removed = filter_by_support(platform, table, pt, MinSupport(2))
         assert removed == 1            # the single support-1 edge pattern
         assert table.num_embeddings == 4
         assert (pt.supports >= 2).all()
 
     def test_filter_by_support_length_mismatch(self, tiny_graph):
+        """Codes describe the level they were counted on: once a mask
+        filter changes the level, the support filter has none to read."""
         platform, residence, table = edge_table_for(tiny_graph)
+        pt = PatternTable()
+        aggregate_edge_table(platform, residence, table,
+                             QuickPatternEncoder(), pt)
+        filter_rows(table, np.array([1, 1, 1, 1, 0], dtype=bool))
         with pytest.raises(ExecutionError):
-            filter_by_support(
-                platform, table, np.array([1]), PatternTable(), MinSupport(1)
-            )
+            filter_by_support(platform, table, pt, MinSupport(1))
 
 
 def _aggregated(graph):
     platform, residence, table = edge_table_for(graph)
     pt = PatternTable()
-    codes = aggregate_edge_table(platform, residence, table,
-                                 QuickPatternEncoder(), pt)
-    return platform, table, pt, codes
+    aggregate_edge_table(platform, residence, table, QuickPatternEncoder(), pt)
+    return platform, table, pt
 
 
 class TestSupportFilterGathers:
-    """Aggregation leaves its codes' grouping on the last column; the
-    support filter handed the same array gathers through it, any other
-    codes take the per-row lookup, and both keep the same rows."""
+    """Aggregation leaves its codes on the last column; the support filter
+    looks each distinct pattern up once and gathers through them, and a
+    level without codes is a typed error, never a per-row lookup."""
 
     def test_codes_ride_on_the_last_column(self, tiny_graph):
-        __, table, __, codes = _aggregated(tiny_graph)
+        __, table, pt = _aggregated(tiny_graph)
         noted = table.columns[-1].codes
-        assert noted.values is codes
-        np.testing.assert_array_equal(
-            noted.groups.distinct[noted.groups.index], codes)
-        with pytest.raises(ValueError):
-            codes[0] = 1  # frozen: the identity check cannot be fooled
+        assert len(noted) == table.num_embeddings
+        np.testing.assert_array_equal(noted.distinct, pt.codes)
+        np.testing.assert_array_equal(noted.code_counts(), pt.supports)
 
-    @pytest.mark.parametrize("handed", ["returned", "copy", "list"])
     @pytest.mark.parametrize("compact", [True, False])
-    def test_same_rows_either_way(self, tiny_graph, handed, compact):
-        platform, table, pt, codes = _aggregated(tiny_graph)
-        arg = {"returned": codes, "copy": codes.copy(),
-               "list": codes.tolist()}[handed]
-        removed = filter_by_support(platform, table, arg, pt, MinSupport(2),
+    def test_same_rows_either_way(self, tiny_graph, compact):
+        platform, table, pt = _aggregated(tiny_graph)
+        removed = filter_by_support(platform, table, pt, MinSupport(2),
                                     compact=compact)
         assert removed == 1
         assert table.num_embeddings == 4
         assert table.columns[-1].codes is None  # the column was replaced
 
+    @pytest.mark.parametrize("level", ["seeded", "extended"])
+    def test_a_level_without_codes_raises(self, tiny_graph, level):
+        """No aggregation counted the level: the filter raises a typed
+        error and bills nothing."""
+        platform, residence, table = edge_table_for(tiny_graph)
+        if level == "extended":
+            aggregate_edge_table(platform, residence, table,
+                                 QuickPatternEncoder(), PatternTable())
+            _extend(platform, residence, table)
+        before = platform.clock.snapshot()
+        with pytest.raises(ExecutionError):
+            filter_by_support(platform, table, PatternTable(), MinSupport(1))
+        assert platform.clock.snapshot() == before
+
     def test_bill_does_not_depend_on_the_route(self, tiny_graph):
+        """The filter bills the same whether its codes are the ones the
+        aggregation left or came back through the level's snapshot record."""
         snapshots = []
-        for make_copy in (False, True):
-            platform, table, pt, codes = _aggregated(tiny_graph)
-            filter_by_support(platform, table,
-                              codes.copy() if make_copy else codes, pt,
-                              MinSupport(2))
+        for restored in (False, True):
+            platform, table, pt = _aggregated(tiny_graph)
+            if restored:
+                table.restore_columns(table.snapshot_columns(), tiny_graph)
+            filter_by_support(platform, table, pt, MinSupport(2))
             snapshots.append((platform.clock.snapshot(),
                               platform.counters.snapshot(),
                               table.materialize().tolist()))
         assert snapshots[0] == snapshots[1]
 
-    def test_next_level_drops_the_codes(self, tiny_graph):
-        from repro.core import ExtensionEngine, MemoryPool, make_write_strategy
+    def test_a_spilled_level_keeps_its_codes(self, tiny_graph):
+        """A level streamed to disk at birth keeps its codes on the spilled
+        column, in its snapshot record and back on the restored (still
+        spilled) column, and the filter keeps the resident run's rows."""
+        from repro.core import SpillPolicy, SpillStore
 
+        platform = make_platform()
+        residence = GammaResidence(platform, tiny_graph, buffer_pages=32)
+        table = EmbeddingTable(platform, EDGE)
+        table.attach_spill(SpillStore(platform), SpillPolicy(1, keep_columns=1))
+        table.seed(np.arange(tiny_graph.num_edges))
+        pt = PatternTable()
+        aggregate_edge_table(platform, residence, table, QuickPatternEncoder(), pt)
+        record = table.snapshot_columns()
+        table.restore_columns(record, tiny_graph)
+        assert record[-1]["spilled"] and "codes" in record[-1]
+        assert table.columns[-1].on_disk and table.columns[-1].codes is not None
+        assert filter_by_support(platform, table, pt, MinSupport(2)) == 1
+        resident_platform, resident, resident_pt = _aggregated(tiny_graph)
+        filter_by_support(resident_platform, resident, resident_pt, MinSupport(2))
+        np.testing.assert_array_equal(table.materialize(), resident.materialize())
+
+    def test_next_level_drops_the_codes(self, tiny_graph):
         platform, residence, table = edge_table_for(tiny_graph)
-        codes = aggregate_edge_table(platform, residence, table,
-                                     QuickPatternEncoder(), PatternTable())
+        aggregate_edge_table(platform, residence, table,
+                             QuickPatternEncoder(), PatternTable())
         seeded = table.columns[-1]
-        engine = ExtensionEngine(platform, residence, make_write_strategy(
-            "dynamic", platform, MemoryPool(platform, 1 << 20)))
-        engine.extend_edges(table)
+        _extend(platform, residence, table)
         assert seeded.codes is None and table.columns[-1].codes is None
         with pytest.raises(ExecutionError):
-            filter_by_support(platform, table, codes, PatternTable(),
-                              MinSupport(1))
+            filter_by_support(platform, table, PatternTable(), MinSupport(1))
+
+
+def _extend(platform, residence, table):
+    from repro.core import ExtensionEngine, MemoryPool, make_write_strategy
+
+    engine = ExtensionEngine(platform, residence, make_write_strategy(
+        "dynamic", platform, MemoryPool(platform, 1 << 20)))
+    engine.extend_edges(table)
 
 
 def test_support_is_looked_up_per_pattern_not_per_row(monkeypatch):

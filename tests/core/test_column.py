@@ -132,9 +132,9 @@ def _through(table, prior, graph):
     if prior == "support":
         residence = GammaResidence(platform, graph, 4)
         patterns = PatternTable()
-        codes = aggregation.aggregate_edge_table(
+        aggregation.aggregate_edge_table(
             platform, residence, table, QuickPatternEncoder(), patterns)
-        filter_by_support(platform, table, codes, patterns,
+        filter_by_support(platform, table, patterns,
                           MinSupport(SUPPORT_THRESHOLD))
 
 

@@ -86,12 +86,12 @@ def _rows(table):
 
 
 def _groups(table):
-    """The grouping each part's last aggregation left (``None`` if none)."""
+    """The codes each part's last aggregation left (``None`` if none)."""
     out = []
     for part in getattr(table, "parts", [table]):
         noted = part.columns[-1].codes if part.columns else None
         out.append(None if noted is None else (
-            noted.groups.distinct.tolist(), noted.groups.index.tolist()))
+            noted.distinct.tolist(), noted.index.tolist()))
     return out
 
 
@@ -102,9 +102,7 @@ def _recorded(engine, in_process):
     for name in ("edge_extension", "dedup", "aggregation", "filtering"):
         def call(table, *args, _real=getattr(engine, name), _name=name, **kwargs):
             out = _real(table, *args, **kwargs)
-            parts = getattr(out, "parts", None)
-            returned = ([np.asarray(p).tolist() for p in parts] if parts is not None
-                        else np.asarray(getattr(out, "rows_out", out)).tolist())
+            returned = np.asarray(getattr(out, "rows_out", out)).tolist()
             entry = [_name, returned]
             if in_process:
                 entry.append(_rows(table))

@@ -4,8 +4,9 @@ A two-edge embedding is a wedge, whose code is fixed by three labels: the
 centre's and the two ends'.  So instance-support aggregation of a pair
 level counts each (centre, other end, far end) triple from the level's
 ranges and maps each present triple to its code once
-(``aggregation._PairCounts``, ``aggregation.PairCodes``); the support
-filter narrows the ranges to the frequent triples; and the rows are
+(``aggregation._PairCounts``, ``aggregation._pair_codes``: the level's
+``Codes`` note per triple); the support filter narrows the ranges to the
+frequent triples; and the rows are
 expanded only when something reads them (a third level, ``output_results``,
 MNI support, the dedup key exchange of two or more partitions, a row mask).
 
@@ -15,8 +16,8 @@ so dedup sorts it, aggregation encodes its rows and the filter compacts
 them) and must agree bit for bit: answers, ``float.hex`` of the simulated
 seconds, every clock bucket and counter (zero-copy transactions
 included) and peak memory.  The shipped side runs on the executor the
-environment selects (``REPRO_SHARD_EXECUTOR=process`` sends every op's
-per-triple codes through a pipe and the op journal); the twin, and every
+environment selects (``REPRO_SHARD_EXECUTOR=process`` runs every op in a
+worker process, where the level keeps its codes); the twin, and every
 check that spies on the counting, runs in this process.
 """
 
@@ -40,7 +41,6 @@ from repro.graph.canonical import QuickPatterns
 from repro.graph.generators import erdos_renyi, kronecker
 from repro.resilience import FaultPlan, FaultSpec
 from repro.shard.executor import SERIAL_EXECUTOR, default_executor
-from repro.shard.table import ShardedCodes
 from tests.core.test_dedup_lookup import _level_one, eager_pairs, fpm_scenarios
 from tests.core.test_dedup_lookup import _levels as _column_reads
 
@@ -92,13 +92,13 @@ def _against_the_twin(make_engine, iterations, threshold, metric="instances"):
 @contextmanager
 def _counted():
     """What aggregation counted from a pair level's ranges, per call."""
-    real, counted = aggregation._aggregate_pair, []
+    real, counted = aggregation._pair_codes, []
 
     def spy(*args, **kwargs):
         counted.append(real(*args, **kwargs))
         return counted[-1]
 
-    with mock.patch.object(aggregation, "_aggregate_pair", spy):
+    with mock.patch.object(aggregation, "_pair_codes", spy):
         yield counted
 
 
@@ -128,9 +128,10 @@ def _mine(stack, scenario, threshold):
             engine.edge_extension(table)
             engine.dedup(table)
             patterns = PatternTable()
-            codes = engine.aggregation(table, patterns)
-            seen.append((patterns.as_dict(), len(codes), _books(engine)))
-            engine.filtering(table, pattern_table=patterns, row_codes=codes,
+            engine.aggregation(table, patterns)
+            seen.append((patterns.as_dict(), table.num_embeddings,
+                         _books(engine)))
+            engine.filtering(table, pattern_table=patterns,
                              constraint=MinSupport(threshold))
             seen.append((patterns.as_dict(), _column_reads(table),
                          _books(engine)))
@@ -247,12 +248,22 @@ def test_fpm3_reads_the_filtered_ranges():
 @pytest.mark.parametrize("make", [PangolinST, GraphMiner, PangolinGPU],
                          ids=["pangolin-st", "graphminer", "pangolin-gpu"])
 def test_baseline_engines(make):
-    """CPU engines count from the ranges (billed as CPU work); Pangolin-GPU
-    keeps its in-core aggregation, which reads the rows."""
+    """Every engine builds its codes through the one builder, which counts
+    the pair level from its ranges: CPU engines bill it as CPU work,
+    Pangolin-GPU as its in-core scratch and sort, and no engine encodes a
+    pair level's rows."""
     graph = _labelled(4)
-    with _counted() as counted:
+    encoded = []
+    real = aggregation.encode_level
+
+    def encode_level(residence, table, *args, **kwargs):
+        encoded.append(table.columns[-1].source)
+        return real(residence, table, *args, **kwargs)
+
+    with _counted() as counted, mock.patch.object(
+            aggregation, "encode_level", encode_level):
         _against_the_twin(lambda executor: make(graph), 3, 4)
-    assert len(counted) == (make is not PangolinGPU)
+    assert len(counted) == 1 and encoded and PAIR not in encoded
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
@@ -268,28 +279,30 @@ def test_two_partitions(executor):
     assert got[1][1] > 0
 
 
-def test_sharded_codes_keep_len_and_flat():
-    """The front's codes of a counted pair level (a partition's reply,
-    through a pipe on the process executor): ``len`` is the rows, and
-    ``flat`` reads the per-row codes the twin's aggregation returns."""
+def test_the_note_holds_the_twins_codes():
+    """Aggregation leaves a counted pair level's codes on its column, one
+    per wedge triple: read through the level's ranges they are the per-row
+    codes the twin's aggregation leaves on its arrays level."""
     from repro.core.pattern_table import PatternTable
 
     graph = _labelled(4)
-    flats = []
-    for stack, executor in ((as_shipped, None),
-                            (eager_pairs, SERIAL_EXECUTOR)):
-        with stack(), Gamma(graph, executor=executor) as engine:
+    rows = []
+    for stack in (as_shipped, eager_pairs):
+        with stack(), Gamma(graph, executor=SERIAL_EXECUTOR) as engine:
             table = engine.new_edge_table()
             engine.seed_edges(table)
             engine.edge_extension(table)
             engine.dedup(table)
-            codes = engine.aggregation(table, PatternTable())
-            assert isinstance(codes, ShardedCodes)
-            assert isinstance(codes.parts[0], aggregation.PairCodes) == (
-                stack is as_shipped)
+            assert engine.aggregation(table, PatternTable()) is None
+            level = table.parts[0].columns[-1]
+            codes = level.codes
             assert len(codes) == table.num_embeddings
-            flats.append(codes.flat().tolist())
-    assert flats[0] == flats[1] and flats[0]
+            assert (codes.triples is not None) == (stack is as_shipped)
+            if codes.triples is not None:
+                codes = aggregation._PairKeys(
+                    aggregation._PairCounts(level), codes)
+            rows.append(codes.rows().tolist())
+    assert rows[0] == rows[1] and rows[0]
 
 
 # -- resumes ------------------------------------------------------------------

@@ -74,9 +74,9 @@ class TestAlgorithm2:
             gamma.seed_edges(ET)                      # line 1
             PT = PatternTable()
             for i in range(1, iterations + 1):        # line 2
-                codes = aggregation(ET, PT)           # line 3
+                aggregation(ET, PT)                   # line 3
                 filtering(                            # line 4
-                    ET, pattern_table=PT, row_codes=codes,
+                    ET, pattern_table=PT,
                     constraint=Constraint(min_support=sup_min),
                 )
                 if i < iterations:                    # line 5

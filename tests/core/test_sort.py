@@ -29,11 +29,12 @@ from repro.core import (
     segment_runs,
     sort_and_count,
 )
+from repro.core.embedding_table import Codes
 from repro.errors import ExecutionError
 from repro.gpusim import make_platform
 from repro.gpusim import clock as clk
 from repro.graph.generators import kronecker
-from repro.graph.groupby import Grouped, group_by
+from repro.graph.groupby import group_by
 from tests.twins import (
     device_sort_segments,
     merged_by_scatter,
@@ -200,7 +201,7 @@ def _billed_sort(keys, method, segment_len, p_size, encoded):
     dictionary-encoded when ``encoded``) on one fresh platform; the outputs
     with the clock buckets and counters they left."""
     platform = make_platform()
-    handed = group_by(keys) if encoded else keys
+    handed = Codes(*group_by(keys)) if encoded else keys
     ordered = out_of_core_sort(platform, handed, method=method,
                                segment_len=segment_len, p_size=p_size)
     uniq, counts = sort_and_count(platform, handed, method=method,
@@ -316,9 +317,9 @@ class TestRunLengthBill:
         with pytest.raises(ExecutionError):
             merge_runs(platform, [(np.array([1]), np.array([3]))], p_size=0)
         with pytest.raises(ExecutionError):
-            segment_runs(platform, Grouped(np.array([5, 5]), np.array([0, 1])), 4)
+            segment_runs(platform, Codes(np.array([5, 5]), np.array([0, 1])), 4)
         with pytest.raises(ExecutionError):
-            segment_runs(platform, Grouped(np.array([5]), np.array([0, 1])), 4)
+            segment_runs(platform, Codes(np.array([5]), np.array([0, 1])), 4)
         assert all(len(a) == 0 for a in merge_runs(platform, []))
 
 
@@ -360,8 +361,7 @@ def test_an_fpm_level_sorts_no_code_array(device_memory_bytes, monkeypatch):
         spy = _SortSpy()
         with mock.patch.object(sort_module, "np", spy):
             out = real(platform, keys, *args, **kwargs)
-        rows = len(keys.index) if isinstance(keys, Grouped) else len(keys)
-        seen.append((rows, max(spy.sizes, default=0)))
+        seen.append((len(keys), max(spy.sizes, default=0)))
         return out
 
     monkeypatch.setattr(aggregation, "sort_and_count", sort_and_count_spied)

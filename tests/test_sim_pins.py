@@ -108,7 +108,8 @@ def _kept_rows(engine):
 #: table; the kept table pins the rows themselves, not only their count;
 #: the two sorting FPM runs reach the segment sort's multi-merge, both
 #: variants (the default device holds every level in one segment); the
-#: Pangolin-GPU run bills the two-pass write strategy.
+#: Pangolin-GPU runs bill the two-pass write strategy and the in-core
+#: aggregation (scratch and sort) of a pair level.
 SCENARIOS = {
     "fpm2-instances-baseline": (1, _fpm(2, "instances", None)),
     "fpm2-instances-multimerge": (_sorting_fpm("multi_merge"),
@@ -134,6 +135,7 @@ SCENARIOS = {
     "kcl4-halve-chunk": (_tight_device, lambda engine: engine.run(
         lambda inner: count_kcliques(inner, 4), policy="halve-chunk")),
     "kcl4-pangolin-gpu": (_pangolin_gpu, lambda engine: count_kcliques(engine, 4)),
+    "fpm2-instances-pangolin-gpu": (_pangolin_gpu, _fpm(2, "instances", None)),
     "sm-q3-keep-table": (1, _kept_rows),
     "motif3": (1, lambda engine: motif_count(engine, 3)),
     "graphlets4": (1, lambda engine: graphlet_census(engine, 4)),

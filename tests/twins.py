@@ -330,8 +330,8 @@ def _counted(ordered):
 def segments_by_sorting(platform, keys, segment_len):
     """``sort.segment_runs``: decode dictionary-encoded keys, sort every
     segment with :func:`device_sort_segments` and count its runs."""
-    if isinstance(keys, groupby.Grouped):
-        keys = keys.distinct[keys.index]
+    if hasattr(keys, "rows"):
+        keys = keys.rows()
     return [_counted(seg) for seg in device_sort_segments(platform, keys, segment_len)]
 
 

@@ -15,7 +15,9 @@ Public API tour:
 * :mod:`repro.bench` — the harness regenerating the paper's evaluation.
 """
 
-from . import algorithms, baselines, bench, core, errors, graph, gpusim, obs
+import importlib
+
+from . import algorithms, baselines, core, errors, graph, gpusim, obs
 from .core import Gamma, GammaConfig, MinSupport, PatternTable
 from .errors import (
     DeviceOutOfMemory,
@@ -28,6 +30,14 @@ from .errors import (
 from .graph import CSRGraph, Pattern, from_edge_list, from_edges
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    """``repro.bench`` on first use: the CLI's runs never load the harness."""
+    if name != "bench":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.bench")
+
 
 __all__ = [
     "algorithms",

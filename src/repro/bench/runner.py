@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Sequence
 
+from ..baselines import GSI, GraphMiner, PangolinGPU, PangolinST, Peregrine
 from ..core.framework import Gamma, GammaConfig
 from ..errors import GammaError
 from ..graph import datasets
@@ -20,26 +21,14 @@ from ..graph.csr import CSRGraph
 from .workloads import Task
 
 #: Registry of comparable systems (name -> engine factory taking a graph).
-SYSTEMS: Dict[str, Callable[[CSRGraph], Any]] = {}
-
-
-def register_default_systems() -> None:
-    """Populate :data:`SYSTEMS` with GAMMA and every baseline."""
-    from ..baselines import GSI, GraphMiner, PangolinGPU, PangolinST, Peregrine
-
-    SYSTEMS.update(
-        {
-            "GAMMA": Gamma,
-            "Pangolin-GPU": PangolinGPU,
-            "Pangolin-ST": PangolinST,
-            "Peregrine": Peregrine,
-            "GSI": GSI,
-            "GraphMiner": GraphMiner,
-        }
-    )
-
-
-register_default_systems()
+SYSTEMS: Dict[str, Callable[[CSRGraph], Any]] = {
+    "GAMMA": Gamma,
+    "Pangolin-GPU": PangolinGPU,
+    "Pangolin-ST": PangolinST,
+    "Peregrine": Peregrine,
+    "GSI": GSI,
+    "GraphMiner": GraphMiner,
+}
 
 
 @dataclass

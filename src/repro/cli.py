@@ -26,13 +26,29 @@ from .algorithms import (
     motif_count,
     triangle_count,
 )
-from .bench.figures import ALL_FIGURES
-from .bench.reporting import format_table
-from .bench.runner import SYSTEMS
 from .core.framework import Gamma
 from .errors import GammaError
 from .graph import datasets, sm_query
 from .graph.catalog import default_catalog
+
+
+def _workload_arguments(parser: argparse.ArgumentParser,
+                        query_dest: str = "query") -> None:
+    """The flags that shape one workload (``run``, ``plan explain``, ``query``)."""
+    parser.add_argument("--dataset", default="CL",
+                        help="Table II abbreviation (default CL)")
+    parser.add_argument("--query", type=int, default=1, dest=query_dest,
+                        help="SM query number q1-q6 (default 1)")
+    parser.add_argument("--symmetry-breaking", action="store_true",
+                        help="SM: enumerate each subgraph once")
+    parser.add_argument("--k", type=int, default=4, help="kCL clique size")
+    parser.add_argument("--iterations", type=int, default=2,
+                        help="FPM: maximum pattern edges")
+    parser.add_argument("--min-support", type=int, default=10,
+                        help="FPM: support threshold")
+    parser.add_argument("--metric", default="instances",
+                        choices=("instances", "mni"), help="FPM support metric")
+    parser.add_argument("--edges", type=int, default=2, help="motifs: size")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,22 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one GPM task on one system")
     run.add_argument("--task", required=True,
                      choices=("sm", "kcl", "fpm", "triangles", "motifs", "graphlets"))
-    run.add_argument("--dataset", default="CL",
-                     help="Table II abbreviation (default CL)")
+    _workload_arguments(run)
     run.add_argument("--system", default="GAMMA",
-                     help=f"one of: {', '.join(SYSTEMS)}")
-    run.add_argument("--query", type=int, default=1,
-                     help="SM query number q1-q6 (default 1)")
-    run.add_argument("--symmetry-breaking", action="store_true",
-                     help="SM: enumerate each subgraph once")
-    run.add_argument("--k", type=int, default=4, help="kCL clique size")
-    run.add_argument("--iterations", type=int, default=2,
-                     help="FPM: maximum pattern edges")
-    run.add_argument("--min-support", type=int, default=10,
-                     help="FPM: support threshold")
-    run.add_argument("--metric", default="instances",
-                     choices=("instances", "mni"), help="FPM support metric")
-    run.add_argument("--edges", type=int, default=2, help="motifs: size")
+                     help="GAMMA (default) or a baseline; see `repro systems`")
     run.add_argument("--plan", default="baseline", metavar="SPEC",
                      help="execution plan: 'baseline' (hand-tuned orders, "
                           "bit-identical to pre-planner runs), 'auto' "
@@ -124,8 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="GAMMA: degradation retry budget (default 8)")
 
     figure = sub.add_parser("figure", help="regenerate one evaluation figure")
-    figure.add_argument("name", choices=sorted(ALL_FIGURES),
-                        help="figure/table key, e.g. fig12")
+    figure.add_argument("name", help="figure/table key, e.g. fig12")
 
     plan = sub.add_parser(
         "plan", help="inspect compiled execution plans (docs/PLANNER.md)")
@@ -134,21 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "explain", help="compile a plan for one workload and print it")
     explain.add_argument("--task", required=True,
                          choices=("sm", "kcl", "fpm", "motifs"))
-    explain.add_argument("--dataset", default="CL",
-                         help="Table II abbreviation (default CL)")
-    explain.add_argument("--query", type=int, default=1,
-                         help="SM query number q1-q6 (default 1)")
-    explain.add_argument("--symmetry-breaking", action="store_true",
-                         help="SM: plan for once-per-subgraph enumeration")
-    explain.add_argument("--k", type=int, default=4, help="kCL clique size")
-    explain.add_argument("--iterations", type=int, default=2,
-                         help="FPM: maximum pattern edges")
-    explain.add_argument("--min-support", type=int, default=10,
-                         help="FPM: support threshold")
-    explain.add_argument("--metric", default="instances",
-                         choices=("instances", "mni"),
-                         help="FPM support metric")
-    explain.add_argument("--edges", type=int, default=2, help="motifs: size")
+    _workload_arguments(explain)
     explain.add_argument("--plan", default="auto", metavar="SPEC",
                          help="'auto' (default), 'baseline', or a plan "
                               "JSON file")
@@ -214,8 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "http://127.0.0.1:8750)")
     query.add_argument("--task", required=True,
                        choices=("sm", "kcl", "fpm", "motifs"))
-    query.add_argument("--dataset", default="CL",
-                       help="Table II abbreviation (default CL)")
+    _workload_arguments(query, query_dest="sm_query")
     query.add_argument("--tenant", default="default",
                        help="tenant to bill (default 'default')")
     query.add_argument("--priority", type=int, default=0,
@@ -228,19 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--plan", default="baseline", metavar="SPEC",
                        help="'baseline' (default), 'auto', or a plan JSON "
                             "file")
-    query.add_argument("--query", type=int, default=1, dest="sm_query",
-                       help="SM query number q1-q6 (default 1)")
-    query.add_argument("--symmetry-breaking", action="store_true",
-                       help="SM: enumerate each subgraph once")
-    query.add_argument("--k", type=int, default=4, help="kCL clique size")
-    query.add_argument("--iterations", type=int, default=2,
-                       help="FPM: maximum pattern edges")
-    query.add_argument("--min-support", type=int, default=10,
-                       help="FPM: support threshold")
-    query.add_argument("--metric", default="instances",
-                       choices=("instances", "mni"),
-                       help="FPM support metric")
-    query.add_argument("--edges", type=int, default=2, help="motifs: size")
     query.add_argument("--no-stream", action="store_true",
                        help="submit and poll instead of streaming partials")
     query.add_argument("--timeout", type=float, default=300.0,
@@ -249,11 +223,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_datasets() -> int:
+    from .bench.reporting import format_table
+
     print(format_table(datasets.table2_rows()))
     return 0
 
 
 def _cmd_systems() -> int:
+    from .bench.runner import SYSTEMS
+
     for name, factory in SYSTEMS.items():
         doc = (factory.__doc__ or "").strip().splitlines()
         summary = doc[0] if doc else ""
@@ -297,10 +275,14 @@ def _resolve_cli_plan(args: argparse.Namespace, engine, cache):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.system not in SYSTEMS:
-        print(f"unknown system {args.system!r}; see `repro systems`",
-              file=sys.stderr)
-        return 2
+    gamma = args.system == "GAMMA"
+    if not gamma:
+        from .bench.runner import SYSTEMS
+
+        if args.system not in SYSTEMS:
+            print(f"unknown system {args.system!r}; see `repro systems`",
+                  file=sys.stderr)
+            return 2
     if args.task not in _PLANNABLE_TASKS and (
             args.plan != "baseline" or args.plan_cache_dir):
         print(f"--plan/--plan-cache-dir apply to "
@@ -323,7 +305,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # adopts the default collector, so the root span covers engine
         # construction (residence staging, pool allocation, ...).
         collector = obs.install(obs.SpanCollector())
-    gamma = args.system == "GAMMA"
     if args.gpus > 1 and not gamma:
         print(f"--gpus needs the GAMMA engine, not {args.system}",
               file=sys.stderr)
@@ -414,23 +395,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{args.k}-cliques: {result.cliques}")
         elif args.task == "triangles":
             print(f"triangles: {result.triangles}")
-        elif args.task == "fpm":
+        else:
+            if args.task == "fpm":
+                print(f"frequent patterns (support >= {args.min_support}, "
+                      f"{args.metric}):")
+                mined = result.patterns
+            elif args.task == "motifs":
+                print(f"{args.edges}-edge motifs "
+                      f"({result.total_instances} instances):")
+                mined = result.histogram
+            else:  # graphlets
+                print(f"{args.k}-vertex graphlets "
+                      f"({result.total} induced occurrences):")
+                mined = result.histogram
             catalog = default_catalog(graph.num_labels)
-            print(f"frequent patterns (support >= {args.min_support}, "
-                  f"{args.metric}):")
-            for name, support in catalog.describe(result.patterns)[:20]:
-                print(f"  {name:24s} {support}")
-        elif args.task == "motifs":
-            catalog = default_catalog(graph.num_labels)
-            print(f"{args.edges}-edge motifs "
-                  f"({result.total_instances} instances):")
-            for name, support in catalog.describe(result.histogram)[:20]:
-                print(f"  {name:24s} {support}")
-        else:  # graphlets
-            catalog = default_catalog(graph.num_labels)
-            print(f"{args.k}-vertex graphlets "
-                  f"({result.total} induced occurrences):")
-            for name, support in catalog.describe(result.histogram)[:20]:
+            for name, support in catalog.describe(mined)[:20]:
                 print(f"  {name:24s} {support}")
 
         events = list(
@@ -509,7 +488,6 @@ def _write_obs_outputs(args, engine, collector, plan=None,
     if finalize is not None:
         finalize()
     collector.finish()
-    platform = getattr(engine, "platform", None)
     if args.trace_out:
         obs.write_chrome_trace(collector, args.trace_out)
         print(f"trace written to {args.trace_out}")
@@ -517,28 +495,16 @@ def _write_obs_outputs(args, engine, collector, plan=None,
         obs.write_metrics_jsonl(collector, args.metrics_out)
         print(f"metrics written to {args.metrics_out}")
     if args.manifest_out:
-        if platform is None:
-            print("manifest not written: engine exposes no platform",
-                  file=sys.stderr)
-            return
         from .shard import build_sharded_manifest
 
         extra = (_plan_manifest_extra(engine, plan, plan_cache)
                  if plan is not None else None)
-        if isinstance(engine, Gamma):
-            manifest = build_sharded_manifest(
-                engine, collector,
-                system=args.system, dataset=args.dataset, task=args.task,
-                config=getattr(engine, "config", None),
-                extra=extra,
-            )
-        else:
-            manifest = obs.build_manifest(
-                platform, collector,
-                system=args.system, dataset=args.dataset, task=args.task,
-                config=getattr(engine, "config", None),
-                extra=extra,
-            )
+        build, source = ((build_sharded_manifest, engine)
+                         if isinstance(engine, Gamma)
+                         else (obs.build_manifest, engine.platform))
+        manifest = build(source, collector, system=args.system,
+                         dataset=args.dataset, task=args.task,
+                         config=getattr(engine, "config", None), extra=extra)
         obs.write_manifest(manifest, args.manifest_out)
         print(f"manifest written to {args.manifest_out}")
     if args.critical_path:
@@ -662,7 +628,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(name: str) -> int:
+def _cmd_figure(parser: argparse.ArgumentParser, name: str) -> int:
+    from .bench.figures import ALL_FIGURES
+
+    if name not in ALL_FIGURES:
+        parser.error(f"unknown figure {name!r}; one of: {', '.join(sorted(ALL_FIGURES))}")
     report = ALL_FIGURES[name]()
     print(report.render())
     diverged = any(c.startswith("[DIVERGES") for c in report.checks)
@@ -785,7 +755,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "datasets":
             return _cmd_datasets()
@@ -801,7 +772,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_serve(args)
         if args.command == "query":
             return _cmd_query(args)
-        return _cmd_figure(args.name)
+        return _cmd_figure(parser, args.name)
     except BrokenPipeError:  # output piped into head/less and closed early
         return 0
 

@@ -39,6 +39,8 @@ figure compares.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ExecutionError
@@ -62,6 +64,7 @@ DEFAULT_P_SIZE = 1 << 14
 Runs = tuple[np.ndarray, np.ndarray]
 
 
+@functools.lru_cache(maxsize=1 << 12)  # billed per segment, subtask and list pair
 def _log2(n: int) -> float:
     return float(np.log2(max(2, n)))
 

@@ -100,8 +100,9 @@ class SimClock:
         return self._buckets.get(category, 0.0)
 
     def snapshot(self) -> Dict[str, float]:
-        """A copy of all non-zero buckets."""
-        return {k: v for k, v in self._buckets.items() if v}
+        """A copy of all non-zero buckets (no bucket is zero: :meth:`advance`
+        and :meth:`restore` skip zero charges)."""
+        return dict(self._buckets)
 
     def reset(self) -> None:
         """Zero every bucket."""
@@ -117,7 +118,8 @@ class SimClock:
         """
         self._buckets.clear()
         for category, seconds in buckets.items():
-            self._buckets[str(category)] = float(seconds)
+            if seconds:
+                self._buckets[str(category)] = float(seconds)
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter(sorted(self._buckets.items()))

@@ -17,6 +17,8 @@ Kaleido systems GAMMA builds on — we use a two-level scheme:
 2. **Canonical code** (exact, per unique quick pattern): minimize an
    encoding of the adjacency structure over all label/degree-respecting
    vertex permutations, so isomorphic quick patterns map to one code.
+   Codes are kept in one process-wide table (:func:`canonical_entry`), so
+   a warm query canonicalizes nothing.
 
 Limits: embeddings of at most :data:`MAX_EDGES` edges /
 :data:`MAX_VERTICES` vertices, labels below 256 — comfortably covering the
@@ -102,10 +104,68 @@ def canonical_code(
 def canonical_code_int(
     edges: Sequence[tuple[int, int]], labels: Sequence[int]
 ) -> int:
-    """64-bit canonical key (blake2b of :func:`canonical_code`), suitable
-    for the external sort used by the aggregation primitive."""
-    digest = hashlib.blake2b(canonical_code(edges, labels), digest_size=8).digest()
-    return int.from_bytes(digest, "little", signed=True)
+    """64-bit canonical key (blake2b of :func:`canonical_code`) from the
+    process-wide table, for the aggregation primitive's external sort."""
+    return canonical_entry(edges, labels)[0]
+
+
+#: The process-wide table: quick-pattern words ``(qa, qb, k)`` -> ``(code,
+#: placement)``, each code -> the words of the first graph stored with it,
+#: and its size cap (one FPM query looks up ~500 quick patterns).
+_TABLE_CAP = 1 << 16
+_FORMS: Dict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]] = {}
+_REPRESENTATIVES: Dict[int, Tuple[int, int, int]] = {}
+
+
+def canonical_entry(
+    edges: Sequence[tuple[int, int]], labels: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """``(64-bit code, placement)`` of a small labelled graph (see
+    :func:`canonical_form`), each graph computed once per process.
+
+    The key is the graph's quick-pattern words: a byte an edge (two 4-bit
+    endpoints, in the given order), a byte a vertex label.  A graph they do
+    not hold (a vertex on no edge, a label past :data:`MAX_LABEL`), or one
+    past the cap, is computed and not stored.  No lock: the value is a pure
+    function of the key, so a thread race (which may also pass the cap by a
+    few entries) or a forked worker's copy only recomputes an equal value."""
+    edges = [(int(u), int(v)) for u, v in edges]
+    labels = [int(label) for label in labels]
+    key = (sum(((u << 4) | v) << (8 * t) for t, (u, v) in enumerate(edges)),
+           sum(label << (8 * i) for i, label in enumerate(labels)), len(edges))
+    if _decode_quick(*key) != (edges, labels):
+        return _computed(edges, labels)
+    return _entry(key)
+
+
+def representative(code: int) -> tuple[list, list] | None:
+    """``(edges, labels)`` of one graph the table holds with ``code``."""
+    key = _REPRESENTATIVES.get(int(code))
+    return None if key is None else _decode_quick(*key)
+
+
+def _entry(key: Tuple[int, int, int]) -> Tuple[int, Tuple[int, ...]]:
+    entry = _FORMS.get(key)
+    if entry is None:
+        entry = _computed(*_decode_quick(*key))
+        if len(_FORMS) < _TABLE_CAP:
+            _FORMS[key] = entry
+            _REPRESENTATIVES.setdefault(entry[0], key)
+    return entry
+
+
+def _computed(edges: Sequence[tuple[int, int]],
+              labels: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    code, placement = canonical_form(edges, labels)
+    digest = hashlib.blake2b(code, digest_size=8).digest()
+    return int.from_bytes(digest, "little", signed=True), placement
+
+
+def _decode_quick(qa: int, qb: int, k: int) -> tuple[list, list]:
+    """Invert the quick-pattern packing back to (edges, labels)."""
+    edges = [((qa >> (8 * t + 4)) & 0xF, (qa >> (8 * t)) & 0xF) for t in range(k)]
+    top = max((max(edge) for edge in edges), default=-1)
+    return edges, [(qb >> (8 * v)) & 0xFF for v in range(top + 1)]
 
 
 def _rank(keys: np.ndarray, domain: int) -> Grouped:
@@ -123,12 +183,13 @@ def _rank(keys: np.ndarray, domain: int) -> Grouped:
 class QuickPatternEncoder:
     """Batch mapping of embeddings to canonical pattern keys.
 
-    The encoder memoizes the quick-pattern -> canonical mapping across
-    calls, so later FPM iterations reuse earlier canonicalizations.
+    Each distinct quick pattern is looked up in the process-wide canonical
+    table (:func:`canonical_entry`), so a later query, engine or FPM
+    iteration reuses every earlier canonicalization.
     """
 
     def __init__(self) -> None:
-        self._canonical_cache: Dict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]] = {}
+        self._looked_up: set = set()
 
     def encode_edge_embeddings(
         self,
@@ -254,37 +315,20 @@ class QuickPatternEncoder:
         """
         out_codes = np.empty(len(quick), dtype=np.int64)
         placements = np.full((len(quick), MAX_VERTICES), -1, dtype=np.int64)
-        for i, (ua, ub) in enumerate(quick):
-            cache_key = (int(ua), int(ub), k)
-            cached = self._canonical_cache.get(cache_key)
-            if cached is None:
-                edges, labels = self._decode_quick(int(ua), int(ub), k)
-                code_bytes, flat = canonical_form(edges, labels)
-                digest = hashlib.blake2b(code_bytes, digest_size=8).digest()
-                cached = (int.from_bytes(digest, "little", signed=True), flat)
-                self._canonical_cache[cache_key] = cached
-            out_codes[i], flat = cached
+        # Unsigned words: a label of 128 or more on the eighth vertex sets
+        # qb's sign bit.
+        for i, (ua, ub) in enumerate(quick.view(np.uint64).tolist()):
+            key = (ua, ub, k)
+            self._looked_up.add(key)
+            out_codes[i], flat = _entry(key)
             placements[i, : len(flat)] = flat
         distinct, rank = np.unique(out_codes, return_inverse=True)
         return distinct, rank, placements
 
-    @staticmethod
-    def _decode_quick(qa: int, qb: int, k: int) -> tuple[list, list]:
-        """Invert the quick-pattern packing back to (edges, labels)."""
-        edges = []
-        max_vertex = -1
-        for t in range(k):
-            code = (qa >> (8 * t)) & 0xFF
-            a, b = code >> 4, code & 0xF
-            edges.append((a, b))
-            max_vertex = max(max_vertex, a, b)
-        labels = [(qb >> (8 * v)) & 0xFF for v in range(max_vertex + 1)]
-        return edges, labels
-
     @property
     def cache_size(self) -> int:
-        """Distinct quick patterns canonicalized so far."""
-        return len(self._canonical_cache)
+        """Distinct quick patterns this encoder has canonicalized."""
+        return len(self._looked_up)
 
 
 class QuickPatterns:

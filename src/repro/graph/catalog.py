@@ -1,22 +1,25 @@
 """Human-readable pattern catalog.
 
 Aggregation reports patterns as opaque 64-bit canonical codes.  The catalog
-inverts that: it pre-registers every connected pattern shape up to a size
-bound (optionally crossed with label assignments seen in a graph) and maps
-codes back to names like ``triangle[0,1,2]`` — so FPM/motif results read
-like results instead of hashes.
+maps codes back to names like ``triangle[0,1,2]`` — so FPM/motif results
+read like results instead of hashes.  A registered pattern keeps its own
+name; any other code is named on demand from the process-wide canonical
+table (:func:`~repro.graph.canonical.representative`): the connected shape
+of up to 5 vertices / 4 edges it is isomorphic to, and the lexicographically
+least assignment of the catalog's labels to that shape's vertices that
+gives the code.  A code outside those bounds reads as hex.
 
-The enumeration of unlabeled connected graphs up to 5 vertices / 6 edges is
-exact (canonical-code deduplication over all edge subsets), which doubles
-as a stress test of the canonical labeling itself.
+The enumeration of unlabeled connected graphs is exact (canonical-code
+deduplication over all edge subsets).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
-from .canonical import canonical_code_int
+from .canonical import canonical_code_int, canonical_entry, representative
 from .patterns import Pattern
 
 #: Names for the classic small shapes, keyed by (num_vertices, sorted degree
@@ -41,7 +44,7 @@ _SHAPE_NAMES = {
 
 def shape_name(edges: Sequence[tuple[int, int]]) -> str:
     """A readable name for an unlabeled shape (falls back to ``gVkE``)."""
-    n = max(max(e) for e in edges) + 1
+    n = _order(edges)
     degree = [0] * n
     for u, v in edges:
         degree[u] += 1
@@ -53,6 +56,12 @@ def shape_name(edges: Sequence[tuple[int, int]]) -> str:
 def connected_shapes(max_vertices: int = 5, max_edges: int = 6) -> list[tuple]:
     """All connected unlabeled graphs up to the bounds, one representative
     edge list per isomorphism class."""
+    return list(_shapes(max_vertices, max_edges).values())
+
+
+@functools.lru_cache(maxsize=None)
+def _shapes(max_vertices: int, max_edges: int) -> Dict[int, tuple]:
+    """Unlabeled canonical code -> :func:`connected_shapes` representative."""
     shapes: Dict[int, tuple] = {}
     all_pairs = list(itertools.combinations(range(max_vertices), 2))
     for k in range(1, max_edges + 1):
@@ -67,72 +76,62 @@ def connected_shapes(max_vertices: int = 5, max_edges: int = 6) -> list[tuple]:
                 continue
             code = canonical_code_int(edges, [0] * n)
             shapes.setdefault(code, edges)
-    return list(shapes.values())
+    return shapes
 
 
-def _connected(edges: Iterable[tuple[int, int]], n: int) -> bool:
-    adj: list[set] = [set() for __ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _connected(edges: Sequence[tuple[int, int]], n: int) -> bool:
+    reached = {0}
+    for __ in range(n):  # a path has fewer than n edges
+        reached |= {v for edge in edges if reached & set(edge) for v in edge}
+    return len(reached) == n
 
 
 class PatternCatalog:
-    """Registry mapping canonical codes back to readable descriptions and
-    :class:`~repro.graph.patterns.Pattern` objects."""
+    """Maps canonical codes back to readable descriptions and
+    :class:`~repro.graph.patterns.Pattern` objects: registered patterns,
+    then shapes labelled below ``num_labels`` named on demand."""
 
-    def __init__(self) -> None:
-        self._names: Dict[int, str] = {}
-        self._patterns: Dict[int, tuple] = {}
+    def __init__(self, num_labels: int = 0) -> None:
+        self.num_labels = num_labels
+        self._registered: Dict[int, tuple] = {}  # code -> (edges, labels, name)
+        self._crossed = False
 
     def register(self, pattern: Pattern, name: str | None = None) -> int:
         """Register one pattern; returns its canonical code."""
         code = canonical_code_int(list(pattern.edges), list(pattern.labels))
-        self._names[code] = name or pattern.name
-        self._patterns[code] = (tuple(pattern.edges), tuple(pattern.labels))
+        self._registered[code] = (pattern.edges, pattern.labels, name or pattern.name)
         return code
 
-    def register_shapes(
-        self,
-        labels: Sequence[int] = (0,),
-        max_vertices: int = 5,
-        max_edges: int = 4,
-    ) -> int:
-        """Register every connected shape up to the bounds, crossed with all
-        label assignments drawn from ``labels``.  Returns the number of
-        catalog entries added.
-
-        The cross product grows as ``|labels|^vertices``; the defaults keep
-        it in the thousands.
-        """
-        added = 0
-        for edges in connected_shapes(max_vertices, max_edges):
-            n = max(max(e) for e in edges) + 1
-            base = shape_name(edges)
-            for assignment in itertools.product(labels, repeat=n):
-                code = canonical_code_int(edges, list(assignment))
-                if code in self._names:
-                    continue
-                if len(set(assignment)) == 1 and assignment[0] == 0:
-                    name = base
-                else:
-                    name = f"{base}[{','.join(map(str, assignment))}]"
-                self._names[code] = name
-                self._patterns[code] = (tuple(edges), tuple(assignment))
-                added += 1
-        return added
+    def _named(self, code: int) -> tuple | None:
+        """``(edges, labels, name)`` of a code, or None outside the catalog."""
+        if int(code) in self._registered:
+            return self._registered[int(code)]
+        shapes = _shapes(5, 4)
+        found = representative(code)
+        if found is None and not self._crossed:
+            # Mined in another process (a process-executor worker), whose
+            # table entries stayed there: cross shapes and labels here, once.
+            self._crossed = True
+            for shape in shapes.values():
+                for labels in itertools.product(range(self.num_labels),
+                                                repeat=_order(shape)):
+                    canonical_entry(shape, labels)
+            found = representative(code)
+        if found is None or max(found[1], default=0) >= self.num_labels:
+            return None
+        edges, labels = found
+        shape = shapes.get(canonical_code_int(edges, [0] * len(labels)))
+        if shape is None:
+            return None
+        target = {frozenset(edge) for edge in edges}
+        least = min(tuple(labels[p[v]] for v in range(len(labels)))
+                    for p in itertools.permutations(range(len(labels)))
+                    if {frozenset((p[u], p[v])) for u, v in shape} == target)
+        suffix = f"[{','.join(map(str, least))}]" if any(least) else ""
+        return shape, least, shape_name(shape) + suffix
 
     def pattern_of(self, code: int) -> Pattern:
-        """Reconstruct a registered pattern from its canonical code —
+        """Reconstruct a pattern from its canonical code —
         e.g. to re-match (and so materialize the instances of) a pattern
         that FPM just discovered.
 
@@ -140,15 +139,18 @@ class PatternCatalog:
         embeddings with their *actual* vertex labels, so an all-zero label
         vector means the instances genuinely carry label 0.
         """
-        entry = self._patterns.get(int(code))
-        if entry is None:
+        named = self._named(code)
+        if named is None:
             raise KeyError(f"code {code} is not in the catalog")
-        edges, labels = entry
-        return Pattern(list(edges), labels=list(labels), name=self.name_of(code))
+        edges, labels, name = named
+        return Pattern(list(edges), labels=list(labels), name=name)
 
     def name_of(self, code: int) -> str:
         """Readable name for a canonical code (hex fallback if unknown)."""
-        return self._names.get(int(code), f"pattern:{int(code) & 0xFFFFFFFFFFFFFFFF:016x}")
+        named = self._named(code)
+        if named is None:
+            return f"pattern:{int(code) & 0xFFFFFFFFFFFFFFFF:016x}"
+        return named[2]
 
     def describe(self, patterns: Dict[int, int]) -> list[tuple[str, int]]:
         """Turn an FPM/motif result (code -> support) into named rows,
@@ -160,15 +162,19 @@ class PatternCatalog:
         return rows
 
     def __len__(self) -> int:
-        return len(self._names)
+        """Registered patterns (on-demand names are not counted)."""
+        return len(self._registered)
 
     def __contains__(self, code: int) -> bool:
-        return int(code) in self._names
+        return self._named(code) is not None
+
+
+def _order(edges: Sequence[tuple[int, int]]) -> int:
+    return max(max(e) for e in edges) + 1
 
 
 def default_catalog(num_labels: int = 1) -> PatternCatalog:
-    """A catalog covering the common shapes with up to ``num_labels``
-    labels — enough to name every pattern the example workloads mine."""
-    catalog = PatternCatalog()
-    catalog.register_shapes(labels=tuple(range(max(1, num_labels))))
-    return catalog
+    """A catalog naming the connected shapes of up to 5 vertices / 4 edges
+    under labels below ``num_labels`` — every pattern the example
+    workloads mine."""
+    return PatternCatalog(max(1, num_labels))

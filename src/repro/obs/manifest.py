@@ -13,6 +13,7 @@ trustworthy at tight thresholds.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import pathlib
@@ -31,8 +32,10 @@ MANIFEST_SCHEMA_PREFIXES = ("gamma-manifest/", "gamma-shard-manifest/")
 DEFAULT_COUNTER_FLOOR = 8
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision(root: "pathlib.Path | None" = None) -> str:
-    """Short git revision of ``root`` (or the CWD); ``unknown`` off-repo."""
+    """Short git revision of ``root`` (or the CWD); ``unknown`` off-repo.
+    Looked up once per ``root`` and process: a manifest a query runs no git."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

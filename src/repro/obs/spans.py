@@ -24,8 +24,9 @@ This module is deliberately stdlib-only at import time so
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from .metrics import MetricsRegistry
 
@@ -76,20 +77,26 @@ NULL_TELEMETRY = NullTelemetry()
 
 
 class Span:
-    """One recorded region.  Built by :class:`SpanCollector`, read by
-    exporters; not constructed directly by instrumentation code."""
+    """One recorded region, and the context manager that records it.
+    :meth:`SpanCollector.span` hands it out, opened when entered.  Read by
+    exporters; not constructed directly by instrumentation code.
+
+    While the run is timed a span keeps only the raw counter and bucket
+    snapshots taken at its entry and exit, and its closed children; its
+    deltas (``counters``, ``counters_self``, ``sim_buckets``, ``sim_self``,
+    ``sim0``/``sim1``) are worked out once, on first read after it closed.
+    """
 
     __slots__ = (
         "index", "name", "kind", "level", "parent", "depth", "attrs",
-        "t0", "t1", "sim0", "sim1",
-        "counters", "counters_self", "sim_buckets", "sim_self",
-        "_entry_counters", "_entry_buckets", "_child_counters",
-        "_child_buckets", "_child_wall",
+        "t0", "t1", "_collector", "_entry", "_exit", "_children",
+        "_child_wall", "_books",
     )
 
-    def __init__(self, index: int, name: str, kind: str,
-                 level: "int | None", parent: int, depth: int,
-                 attrs: Dict[str, Any]) -> None:
+    def __init__(self, collector: "SpanCollector | None", name: str,
+                 kind: str, level: "int | None", attrs: Dict[str, Any],
+                 index: int = -1, parent: int = -1, depth: int = 0) -> None:
+        self._collector = collector
         self.index = index
         self.name = name
         self.kind = kind
@@ -99,17 +106,36 @@ class Span:
         self.attrs = attrs
         self.t0 = 0.0                 # wall-clock perf_counter() bounds
         self.t1 = 0.0
-        self.sim0 = 0.0               # simulated-clock bounds (total seconds)
-        self.sim1 = 0.0
-        self.counters: Dict[str, int] = {}        # inclusive deltas
-        self.counters_self: Dict[str, int] = {}   # inclusive minus children
-        self.sim_buckets: Dict[str, float] = {}
-        self.sim_self: Dict[str, float] = {}
-        self._entry_counters: "Dict[str, int] | None" = None
-        self._entry_buckets: "Dict[str, float] | None" = None
-        self._child_counters: Dict[str, int] = {}
-        self._child_buckets: Dict[str, float] = {}
+        #: ``(counters, buckets)`` snapshots at entry / exit (None unbound).
+        self._entry: "tuple | None" = None
+        self._exit: "tuple | None" = None
+        self._children: List["Span"] = []   # closed children, in close order
         self._child_wall = 0.0
+        #: ``(counters, counters_self, sim_buckets, sim_self, sim0, sim1)``.
+        self._books: "tuple | None" = None
+
+    def _resolved(self) -> tuple:
+        if self._books is not None:
+            return self._books
+        entry_c, entry_b = self._entry or ({}, {})
+        if self._exit is None:  # still open, or never bound: nothing yet
+            return {}, {}, {}, {}, math.fsum(entry_b.values()), 0.0
+        exit_c, exit_b = self._exit
+        counters = {k: d for k, v in exit_c.items() if (d := v - entry_c.get(k, 0))}
+        buckets = {k: d for k, v in exit_b.items() if (d := v - entry_b.get(k, 0.0)) > 0.0}
+        kids = self._children
+        self._books = (
+            counters, _subtract_children(counters, [c.counters for c in kids]),
+            buckets, _subtract_children(buckets, [c.sim_buckets for c in kids]),
+            math.fsum(entry_b.values()), math.fsum(exit_b.values()))
+        return self._books
+
+    counters = property(lambda self: self._resolved()[0])
+    counters_self = property(lambda self: self._resolved()[1])
+    sim_buckets = property(lambda self: self._resolved()[2])
+    sim_self = property(lambda self: self._resolved()[3])
+    sim0 = property(lambda self: self._resolved()[4])
+    sim1 = property(lambda self: self._resolved()[5])
 
     @property
     def wall_seconds(self) -> float:
@@ -123,54 +149,36 @@ class Span:
     def sim_seconds(self) -> float:
         return max(self.sim1 - self.sim0, 0.0)
 
+    def __enter__(self) -> "Span":
+        assert self._collector is not None
+        return self._collector._open(self)
+
+    def __exit__(self, *exc_info: object) -> bool:
+        assert self._collector is not None
+        self._collector._close(self)
+        return False
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, kind={self.kind!r}, depth={self.depth}, "
                 f"wall={self.wall_seconds:.3e}s, sim={self.sim_seconds:.3e}s)")
 
 
-class _SpanContext:
-    """Context manager handed out by :meth:`SpanCollector.span`."""
-
-    __slots__ = ("_collector", "_name", "_kind", "_level", "_attrs", "_span")
-
-    def __init__(self, collector: "SpanCollector", name: str, kind: str,
-                 level: "int | None", attrs: Dict[str, Any]) -> None:
-        self._collector = collector
-        self._name = name
-        self._kind = kind
-        self._level = level
-        self._attrs = attrs
-        self._span: "Span | None" = None
-
-    def __enter__(self) -> Span:
-        self._span = self._collector._open(
-            self._name, self._kind, self._level, self._attrs)
-        return self._span
-
-    def __exit__(self, *exc_info: object) -> bool:
-        assert self._span is not None
-        self._collector._close(self._span)
-        return False
-
-
-def _delta_int(now: Dict[str, int], then: Dict[str, int]) -> Dict[str, int]:
-    return {k: d for k, v in now.items() if (d := v - then.get(k, 0))}
-
-
-def _delta_float(now: Dict[str, float],
-                 then: Dict[str, float]) -> Dict[str, float]:
-    return {k: d for k, v in now.items() if (d := v - then.get(k, 0.0)) > 0.0}
+def _summed(deltas: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Per-key sums, in iteration order."""
+    out: Dict[str, Any] = {}
+    for delta in deltas:
+        for key, value in delta.items():
+            out[key] = out.get(key, 0) + value
+    return out
 
 
 def _subtract_children(inclusive: Dict[str, Any],
-                       children: Dict[str, Any]) -> Dict[str, Any]:
-    out = {}
-    for key, value in inclusive.items():
-        rest = value - children.get(key, 0)
-        # Counters are exact ints; sim buckets can pick up float dust.
-        if rest > (0.0 if isinstance(rest, float) else 0):
-            out[key] = rest
-    return out
+                       children: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """``inclusive`` minus the children's summed deltas (in close order),
+    positive entries only: sim buckets can pick up float dust."""
+    summed = _summed(children)
+    return {key: rest for key, value in inclusive.items()
+            if (rest := value - summed.get(key, 0)) > 0}
 
 
 class SpanCollector:
@@ -211,7 +219,7 @@ class SpanCollector:
         self._platform = platform
         platform.attach_telemetry(self)
         if not self._stack:
-            self._open("run", RUN, None, {})
+            self._open(Span(self, "run", RUN, None, {}))
         return self
 
     #: Alias matching ``TraceRecorder.attach`` for symmetry in tests.
@@ -239,9 +247,9 @@ class SpanCollector:
 
     # -- recording ----------------------------------------------------------
     def span(self, name: str, kind: str = PHASE,
-             level: "int | None" = None, **attrs: Any) -> _SpanContext:
+             level: "int | None" = None, **attrs: Any) -> Span:
         """A context manager recording one span under the current one."""
-        return _SpanContext(self, name, kind, level, attrs)
+        return Span(self, name, kind, level, attrs)
 
     def metric(self, name: str, value: float, **labels: Any) -> None:
         """Record one metric sample, tagged with the open span (if any)."""
@@ -253,19 +261,14 @@ class SpanCollector:
         """Register ``fn`` to be sampled once at :meth:`finish`."""
         self.metrics.gauge(name, fn)
 
-    def _open(self, name: str, kind: str, level: "int | None",
-              attrs: Dict[str, Any]) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        span = Span(
-            index=len(self.spans), name=name, kind=kind, level=level,
-            parent=parent.index if parent else -1,
-            depth=parent.depth + 1 if parent else 0, attrs=attrs,
-        )
+    def _open(self, span: Span) -> Span:
+        span.index = len(self.spans)
+        if self._stack:
+            span.parent, span.depth = self._stack[-1].index, self._stack[-1].depth + 1
         platform = self._platform
         if platform is not None:
-            span._entry_counters = platform.counters.snapshot(include_zero=True)
-            span._entry_buckets = platform.clock.snapshot()
-            span.sim0 = platform.clock.total
+            span._entry = (platform.counters.snapshot(include_zero=True),
+                           platform.clock.snapshot())
         self.spans.append(span)
         self._stack.append(span)
         span.t0 = time.perf_counter()
@@ -281,33 +284,17 @@ class SpanCollector:
         span.t1 = time.perf_counter()
         platform = self._platform
         if platform is not None:
-            span.sim1 = platform.clock.total
-            entry_c = span._entry_counters or {}
-            entry_b = span._entry_buckets or {}
-            span.counters = _delta_int(
-                platform.counters.snapshot(include_zero=True), entry_c)
-            span.sim_buckets = _delta_float(platform.clock.snapshot(), entry_b)
-        span.counters_self = _subtract_children(
-            span.counters, span._child_counters)
-        span.sim_self = _subtract_children(span.sim_buckets,
-                                           span._child_buckets)
+            span._exit = (platform.counters.snapshot(include_zero=True),
+                          platform.clock.snapshot())
         parent = self._stack[-1] if self._stack else None
         if parent is not None:
-            for key, value in span.counters.items():
-                parent._child_counters[key] = \
-                    parent._child_counters.get(key, 0) + value
-            for key, fvalue in span.sim_buckets.items():
-                parent._child_buckets[key] = \
-                    parent._child_buckets.get(key, 0.0) + fvalue
+            parent._children.append(span)
             parent._child_wall += span.wall_seconds
 
     # -- inspection ---------------------------------------------------------
     @property
     def root(self) -> "Span | None":
         return self.spans[0] if self.spans else None
-
-    def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent == span.index]
 
     def walk(self) -> Iterator[Span]:
         return iter(self.spans)
@@ -321,19 +308,11 @@ class SpanCollector:
         Equals the platform's global counter totals when the collector was
         bound at platform construction — the partition invariant.
         """
-        totals: Dict[str, int] = {}
-        for span in self.spans:
-            for key, value in span.counters_self.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return _summed(span.counters_self for span in self.spans)
 
     def self_sim_totals(self) -> Dict[str, float]:
         """Sum of every span's *self* simulated-time deltas."""
-        totals: Dict[str, float] = {}
-        for span in self.spans:
-            for key, value in span.sim_self.items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
+        return _summed(span.sim_self for span in self.spans)
 
     # -- grafting -----------------------------------------------------------
     def graft_records(self, records: List[Dict[str, Any]],
@@ -343,11 +322,10 @@ class SpanCollector:
         ``records`` is the :func:`repro.obs.exporters.span_tree_records`
         form a shard worker ships back over the pipe.  Indices are rebased
         past the spans already recorded, record roots re-parent under the
-        currently open span (the coordinator's ``run`` root), and the
-        record roots' *inclusive* deltas are charged to that anchor's child
-        accumulators — so the anchor's eventual self deltas stay exact and
-        the partition invariant (:meth:`self_counter_totals` equals the
-        summed worker totals) survives the graft.
+        currently open span (the coordinator's ``run`` root) and join its
+        children, whose *inclusive* deltas its self deltas subtract — so the
+        partition invariant (:meth:`self_counter_totals` equals the summed
+        worker totals) survives the graft.
         """
         base = len(self.spans)
         anchor = self._stack[-1] if self._stack else None
@@ -359,32 +337,26 @@ class SpanCollector:
             if shard is not None:
                 attrs["shard"] = shard
             span = Span(
-                index=base + int(record["index"]),
-                name=record["name"], kind=record["kind"],
-                level=record.get("level"),
+                None, record["name"], record["kind"], record.get("level"),
+                attrs, index=base + int(record["index"]),
                 parent=(base + parent if parent >= 0
                         else (anchor.index if anchor is not None else -1)),
                 depth=int(record.get("depth", 0)) + depth0,
-                attrs=attrs,
             )
             wall = float(record.get("wall_seconds", 0.0))
             span.t1 = wall
             span._child_wall = max(
                 wall - float(record.get("wall_self_seconds", 0.0)), 0.0)
-            span.sim1 = float(record.get("sim_seconds", 0.0))
-            span.counters = dict(record.get("counters", {}))
-            span.counters_self = dict(record.get("counters_self", {}))
-            span.sim_buckets = dict(record.get("sim_buckets", {}))
-            span.sim_self = dict(record.get("sim_self", {}))
+            span._books = (
+                dict(record.get("counters", {})),
+                dict(record.get("counters_self", {})),
+                dict(record.get("sim_buckets", {})),
+                dict(record.get("sim_self", {})),
+                0.0, float(record.get("sim_seconds", 0.0)))
             self.spans.append(span)
             grafted.append(span)
             if parent < 0 and anchor is not None:
-                for key, value in span.counters.items():
-                    anchor._child_counters[key] = \
-                        anchor._child_counters.get(key, 0) + value
-                for key, fvalue in span.sim_buckets.items():
-                    anchor._child_buckets[key] = \
-                        anchor._child_buckets.get(key, 0.0) + fvalue
+                anchor._children.append(span)
                 anchor._child_wall += span.wall_seconds
         return grafted
 

@@ -22,6 +22,7 @@ from repro.graph import (
     star,
     triangle,
 )
+from tests.twins import crossed_catalog
 
 
 class TestConnectedShapes:
@@ -64,17 +65,21 @@ class TestPatternCatalog:
         assert catalog.name_of(12345).startswith("pattern:")
 
     def test_register_shapes_unlabeled(self):
-        catalog = PatternCatalog()
-        added = catalog.register_shapes(labels=(0,), max_vertices=4,
-                                        max_edges=3)
-        assert added == 5  # edge, wedge, triangle, path-3, star-3
-        assert len(catalog) == 5
+        """The unlabeled shapes up to 4 vertices / 3 edges, each named on
+        demand as the crossed catalog names it."""
+        named = crossed_catalog((0,), max_vertices=4, max_edges=3)
+        assert len(named) == 5  # edge, wedge, triangle, path-3, star-3
+        catalog = default_catalog(1)
+        assert {catalog.name_of(code) for code in named} == {
+            "edge", "wedge", "triangle", "path-3", "star-3"}
+        assert len(catalog) == 0  # nothing registered up front
 
     def test_labeled_cross_product_dedups_isomorphic(self):
-        catalog = PatternCatalog()
-        catalog.register_shapes(labels=(0, 1), max_vertices=3, max_edges=1)
+        named = crossed_catalog((0, 1), max_vertices=3, max_edges=1)
         # one edge with 2 labels: {00, 01, 11} -> 3 classes, not 4
-        assert len(catalog) == 3
+        assert len(named) == 3
+        assert sorted(default_catalog(2).name_of(c) for c in named) == [
+            "edge", "edge[0,1]", "edge[1,1]"]
 
     def test_describe_sorted_by_support(self):
         catalog = default_catalog(1)

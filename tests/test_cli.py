@@ -379,12 +379,13 @@ class TestPlanExplainCommand:
 class TestColdImport:
     def test_import_and_one_gpu_run_load_no_workers_or_service(self):
         """``import repro.cli`` loads neither ``multiprocessing`` (the process
-        executor imports it when it starts) nor ``repro.serve``, and a
-        one-GPU run on the default executor still loads neither."""
+        executor imports it when it starts), ``repro.serve`` nor the
+        figure harness ``repro.bench``, and a one-GPU GAMMA run on the
+        default executor still loads none of them."""
         code = (
             "import sys\n"
             "import repro.cli\n"
-            "heavy = ('multiprocessing', 'repro.serve')\n"
+            "heavy = ('multiprocessing', 'repro.serve', 'repro.bench')\n"
             "print([m for m in heavy if m in sys.modules])\n"
             "repro.cli.main(['run', '--task', 'kcl', '--k', '3', '--dataset', 'ER'])\n"
             "print([m for m in heavy if m in sys.modules])\n"

@@ -1,6 +1,7 @@
 """Documentation sanity: the deliverable files exist, reference real
 modules, and the per-experiment index covers every benchmark target."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -20,6 +21,16 @@ class TestDeliverableFiles:
         path = ROOT / name
         assert path.exists(), name
         assert len(path.read_text()) > 500, f"{name} looks stub-sized"
+
+    def test_api_index_is_generated(self):
+        """docs/API.md is exactly what ``tools/gen_api_index.py`` renders:
+        an export added, removed or re-documented without regenerating the
+        index fails here (run ``python tools/gen_api_index.py``)."""
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_index", ROOT / "tools" / "gen_api_index.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert (ROOT / "docs" / "API.md").read_text() == module.render()
 
     def test_design_confirms_paper_match(self):
         text = (ROOT / "DESIGN.md").read_text()

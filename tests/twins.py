@@ -15,6 +15,8 @@ order and batching of the work, which is what the hot paths optimise.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from contextlib import ExitStack, contextmanager, nullcontext
 from importlib import import_module
 from unittest import mock
@@ -28,7 +30,10 @@ from repro.errors import ExecutionError, InvalidPatternError
 from repro.gpusim import regions, unified
 from repro.gpusim import stats as st
 from repro.graph import csr, groupby
-from repro.graph.canonical import MAX_LABEL, MAX_VERTICES, QuickPatternEncoder
+from repro.graph.canonical import (
+    MAX_LABEL, MAX_VERTICES, QuickPatternEncoder, canonical_form,
+)
+from repro.graph.catalog import connected_shapes, shape_name
 
 # ``repro.core.aggregation`` the attribute is the re-exported function.
 aggregation = import_module("repro.core.aggregation")
@@ -202,6 +207,35 @@ def encode_whole_level(encoder, srcs, dsts, vertex_labels,
     seq = np.full((n, 2 * k + 1), -1, dtype=np.int64)
     seq[:, 0:-1:2], seq[:, 1:-1:2] = srcs, dsts
     return codes, np.take_along_axis(seq, column_at[inverse], axis=1)
+
+
+def direct_entry(edges, labels):
+    """``(64-bit code, placement)`` straight from ``canonical_form``, past
+    the process-wide table."""
+    code, placement = canonical_form(edges, labels)
+    digest = hashlib.blake2b(code, digest_size=8).digest()
+    return int.from_bytes(digest, "little", signed=True), placement
+
+
+def crossed_catalog(labels, max_vertices=5, max_edges=4):
+    """The catalog as it was built up front: every connected shape up to the
+    bounds crossed with every assignment of ``labels`` to its vertices,
+    each canonical code named (``wedge[0,0,1]``, bare for all zeros) by its
+    first assignment in product order.  Code -> ``(name, edges,
+    assignment)``; codes straight from :func:`direct_entry`.  Doubles as a
+    stress test of the canonical labelling: isomorphic assignments must
+    collapse onto one code."""
+    named = {}
+    for edges in connected_shapes(max_vertices, max_edges):
+        base = shape_name(edges)
+        for assignment in itertools.product(
+                labels, repeat=max(max(e) for e in edges) + 1):
+            code = direct_entry(edges, assignment)[0]
+            if code not in named:
+                name = (f"{base}[{','.join(map(str, assignment))}]"
+                        if any(assignment) else base)
+                named[code] = (name, edges, assignment)
+    return named
 
 
 def pair_level_eagerly(table, first, graph):

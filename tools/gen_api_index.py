@@ -1,6 +1,7 @@
 """Regenerate docs/API.md from the package's public exports.
 
 Run from the repository root:  python tools/gen_api_index.py
+(``tests/test_docs.py`` holds the committed file equal to :func:`render`.)
 """
 
 import inspect
@@ -38,7 +39,12 @@ def kind_of(obj) -> str:
     return "constant"
 
 
-def main() -> None:
+#: The generated file.
+TARGET = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
+
+
+def render() -> str:
+    """The index's text, from the modules' ``__all__`` and docstrings."""
     lines = [
         "# API index",
         "",
@@ -64,9 +70,12 @@ def main() -> None:
             summary = summary.replace("|", "/")[:100]
             lines.append(f"| `{name}` | {kind_of(obj)} | {summary} |")
         lines.append("")
-    target = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    target.write_text("\n".join(lines) + "\n")
-    print(f"wrote {target}")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    TARGET.write_text(render())
+    print(f"wrote {TARGET}")
 
 
 if __name__ == "__main__":

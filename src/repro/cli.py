@@ -408,6 +408,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"{args.k}-vertex graphlets "
                       f"({result.total} induced occurrences):")
                 mined = result.histogram
+            if hasattr(engine, "learn_codes"):
+                engine.learn_codes(mined)
             catalog = default_catalog(graph.num_labels)
             for name, support in catalog.describe(mined)[:20]:
                 print(f"  {name:24s} {support}")

@@ -23,12 +23,13 @@ explicitly from the read multiset the engine derives for its mode.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, HostOutOfMemory
 from ..gpusim import stats as st
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.regions import expand_ranges
@@ -83,6 +84,20 @@ def _first_occurrence_mask(
     return keep
 
 
+@contextmanager
+def _host_arrays(level: int) -> Iterator[None]:
+    """A NumPy allocation the host cannot serve while a level is built is
+    that level's :class:`~repro.errors.HostOutOfMemory`: a typed error the
+    degradation policies and the CLI's CRASH line handle, not a raw
+    traceback (the requested bytes are NumPy's figure when it gives one)."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise HostOutOfMemory(
+            int(getattr(exc, "_total_size", 0)), 0, f"level:{level} host arrays",
+        ) from exc
+
+
 def _checked_columns(
     what: str,
     table: EmbeddingTable,
@@ -113,6 +128,36 @@ def _checked_columns(
     # A vertex ordered against a column already differs from it.
     distinct_cols = [c for c in range(depth) if injective and c not in ordered]
     return anchor_cols, greater_than_cols, less_than_cols, distinct_cols
+
+
+def _row_min(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise minimum of a level's few columns (a list, or the rows of a
+    transposed ``(n, k)`` matrix), one ``np.minimum`` per column: a
+    reduction along a 2-4 wide axis runs a loop per row."""
+    out = np.array(columns[0], dtype=np.int64)
+    for column in columns[1:]:
+        np.minimum(out, column, out=out)
+    return out
+
+
+def _row_max(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise maximum, as :func:`_row_min`."""
+    out = np.array(columns[0], dtype=np.int64)
+    for column in columns[1:]:
+        np.maximum(out, column, out=out)
+    return out
+
+
+def _row_argmin(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise index of the least of ``columns``, the first on ties (as
+    ``np.argmin``), from ``<`` chains across the columns."""
+    best = np.array(columns[0], dtype=np.int64)
+    where = np.zeros(len(best), dtype=np.int64)
+    for idx, column in enumerate(columns[1:], 1):
+        less = column < best
+        where[less] = idx
+        np.minimum(best, column, out=best)
+    return where
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -156,6 +201,7 @@ def _bound_ranges(
     rows: np.ndarray,
     greater_than_cols: Sequence[int],
     less_than_cols: Sequence[int],
+    own: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Narrow ``(starts, lengths)`` to the values an id-ordering lets live.
 
@@ -163,15 +209,26 @@ def _bound_ranges(
     strictly ascending ``(owner << 32) | value`` packing of the array the
     ranges index; what comes back is its slice above every
     ``greater_than_cols`` vertex of ``mats[rows[i]]`` and below every
-    ``less_than_cols`` one (empty when they cross).  Billing never sees
-    these: it reads the degree table.
+    ``less_than_cols`` one (empty when they cross).  ``own``, when given,
+    is ``(value, lower)``: a vertex each range knows the position past
+    (its list's owner, with :meth:`CSRGraph.slots_above`; a row's own
+    entry of a level's column), so a range whose lower bound is that
+    vertex takes ``lower`` instead of searching ``keys``.  Billing never
+    sees these: it reads the degree table.
     """
     if greater_than_cols:
-        low = mats[rows[:, None], greater_than_cols].max(axis=1)
-        lower = np.searchsorted(keys, (owners << 32) | low, side="right")  # owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
+        low = _row_max([mats[rows, c] for c in greater_than_cols])
+        if own is None:
+            lower = np.searchsorted(keys, (owners << 32) | low, side="right")  # owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
+        else:
+            value, lower = own
+            rest = np.flatnonzero(low != value)
+            if len(rest):
+                lower[rest] = np.searchsorted(
+                    keys, (owners[rest] << 32) | low[rest], side="right")
         starts, lengths = lower, starts + lengths - lower
     if less_than_cols:
-        high = mats[rows[:, None], less_than_cols].min(axis=1)
+        high = _row_min([mats[rows, c] for c in less_than_cols])
         upper = np.searchsorted(keys, (owners << 32) | high, side="left")  # owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
         lengths = np.maximum(upper - starts, 0)
     return starts, lengths
@@ -215,6 +272,15 @@ def _slice_cuts(
     inside[inside] = lm_keys[hole[inside]] == tail_keys[inside]
     hole = np.where(inside, hole, ends)
     return np.stack([starts, hole, np.minimum(hole + 1, ends), ends], axis=1)
+
+
+def _between_cuts(cuts: np.ndarray) -> np.ndarray:
+    """Per row of :func:`_slice_cuts`' matrix, the entries its pieces hold:
+    one subtraction per piece, no reduction along the short axis."""
+    counts = cuts[:, 1] - cuts[:, 0]
+    for j in range(2, cuts.shape[1], 2):
+        counts += cuts[:, j + 1] - cuts[:, j]
+    return counts
 
 
 def _merge_by_row(
@@ -362,11 +428,22 @@ class ExtensionEngine:
             vertices,
             graph.offsets[vertices],
             degrees, mats, rows, greater_than_cols, less_than_cols,
+            self._own_lists(vertices, greater_than_cols),
         )
         return self._expand(
             graph.neighbors,
             starts, lengths, rows,
         )
+
+    def _own_lists(
+        self, vertices: np.ndarray, greater_than_cols: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """:func:`_bound_ranges`' ``own`` for the lists ``N(v)`` of
+        ``vertices``: ``N(v)`` above ``v`` starts at ``slots_above()[v]``
+        (nothing to look up without a lower bound)."""
+        if not greater_than_cols:
+            return None
+        return vertices, self.graph.slots_above().take(vertices)
 
     def _incident_values(
         self, vertices: np.ndarray, endpoints: bool,
@@ -387,19 +464,28 @@ class ExtensionEngine:
             others,
         )
 
-    def _charge_list_reads(self, region_name: str, vertices: np.ndarray) -> None:
-        """Charge adjacency/incidence list reads for the given vertex
-        multiset through the residence's region (GPU engines only)."""
-        if self.cpu or len(vertices) == 0:
-            return
+    def _read_lists(self, region_name: str, occ: np.ndarray) -> int:
+        """Plan and charge one extension's list reads: list ``v`` of the
+        residence's region read ``occ[v]`` times (the level's occupancy,
+        ``np.bincount`` of its read multiset).  The planner ranks pages by
+        the same distinct vertices and counts, and the region bills every
+        read once per write-strategy pass (GPU engines only).  Returns the
+        number of list reads."""
+        vertices = np.flatnonzero(occ)
+        reads = occ[vertices]
+        if self.planner is not None:
+            self.planner.plan_extension(vertices, reads)
+        total = int(reads.sum())
+        if self.cpu or total == 0:
+            return total
         region = getattr(self.residence, region_name, None)
-        if region is None:
-            return
-        starts = self.graph.offsets[vertices]
-        ends = self.graph.offsets[vertices + 1]
-        passes = getattr(self.write_strategy, "passes", 1)
-        for __ in range(passes):
-            region.charge_ranges(starts, ends)
+        if region is not None:
+            offsets = self.graph.offsets
+            region.charge_ranges(
+                offsets[vertices], offsets[vertices + 1], reads,
+                passes=getattr(self.write_strategy, "passes", 1),
+            )
+        return total
 
     def _prune_candidates(
         self,
@@ -422,6 +508,24 @@ class ExtensionEngine:
         edge verification on the shrunken remainder) instead of AND-ing
         full-width boolean masks.
         """
+        cand, cand_row, pending = self._pending_survivors(
+            cand, cand_row, mats, verify_cols, distinct_cols)
+        cand, cand_row, __ = self._compress(
+            cand, cand_row, pending, force=True
+        )
+        return cand, cand_row
+
+    def _pending_survivors(
+        self,
+        cand: np.ndarray,
+        cand_row: np.ndarray,
+        mats: np.ndarray,
+        verify_cols: Sequence[int],
+        distinct_cols: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """:meth:`_prune_candidates` up to its last compress: ``(cand,
+        cand_row, pending)``, the survivors being the candidates ``pending``
+        marks (all of them when it is ``None``)."""
         # Cheap injectivity predicates first, fused into one mask; the
         # expensive edge-verification probes then run on whatever
         # survives.  Compression (dropping dead candidates) is adaptive: a
@@ -439,10 +543,7 @@ class ExtensionEngine:
                 break
             m = self.graph.has_edges(mats[cand_row, col], cand)
             pending = m if pending is None else pending & m
-        cand, cand_row, __ = self._compress(
-            cand, cand_row, pending, force=True
-        )
-        return cand, cand_row
+        return cand, cand_row, pending
 
     @staticmethod
     def _compress(
@@ -459,7 +560,7 @@ class ExtensionEngine:
             # One scan of the mask, then two gathers: faster than boolean
             # indexing each array.
             live = np.flatnonzero(pending)
-            return cand[live], cand_row[live], None
+            return cand.take(live), cand_row.take(live), None
         return cand, cand_row, pending
 
     def _account_writes(
@@ -502,7 +603,8 @@ class ExtensionEngine:
         tel = self.platform.telemetry
         depth = table.depth
         with tel.span("extend-vertices-any", kind="level", level=depth), \
-                self.platform.resilience.phase(f"level:{depth}"):
+                self.platform.resilience.phase(f"level:{depth}"), \
+                _host_arrays(depth):
             stats = self._extend_vertices_any_impl(
                 table, anchor_cols, label, greater_than_col,
                 greater_than_cols, less_than_cols, injective,
@@ -538,20 +640,15 @@ class ExtensionEngine:
         # Reads: every anchor list per row (deduped when pre-merge groups
         # shared vertices, as in edge extension).
         anchor_vertices = mats[:, anchor_cols].ravel()
-        if self.pre_merge:
-            read_vertices = np.unique(anchor_vertices)
-        else:
-            read_vertices = anchor_vertices
-        stats.list_reads = len(read_vertices)
+        occ = np.bincount(anchor_vertices, minlength=self.graph.num_vertices)
         # Billed from the degree table: the full lists, not the bounded
         # slices expanded below.
         anchor_deg = self.residence.degrees_of(anchor_vertices)
         stats.candidates = int(anchor_deg.sum())
         stats.kernel_ops = float(stats.candidates)
         upper = anchor_deg.reshape(n, len(anchor_cols)).sum(axis=1)
-        if self.planner is not None:
-            self.planner.plan_extension(read_vertices)
-        self._charge_list_reads("neighbors", read_vertices)
+        stats.list_reads = self._read_lists(
+            "neighbors", np.minimum(occ, 1) if self.pre_merge else occ)
 
         # Candidates: concatenate every anchor's neighborhood per row.
         row_of_anchor = np.repeat(
@@ -616,7 +713,8 @@ class ExtensionEngine:
         tel = self.platform.telemetry
         depth = table.depth
         with tel.span("extend-vertices", kind="level", level=depth), \
-                self.platform.resilience.phase(f"level:{depth}"):
+                self.platform.resilience.phase(f"level:{depth}"), \
+                _host_arrays(depth):
             stats = self._extend_vertices_impl(
                 table, anchor_cols, label, greater_than_col,
                 greater_than_cols, less_than_cols, injective, count_only,
@@ -660,7 +758,6 @@ class ExtensionEngine:
             table.column_parents(table.depth - 1)
             if grouped and depth > 1 else None
         )
-        offsets = self.graph.offsets
 
         # One pass per contiguous row chunk (a single chunk unless the
         # halve-chunk policy set ``chunk_rows``).  Each chunk plans, reads
@@ -680,24 +777,18 @@ class ExtensionEngine:
             sub = mats[lo:lo + chunk]
             # ---- charge this mode's read multiset + traversal ops ------------
             # (from the degree table, never from the arrays expanded below)
-            kernel_ops, read_vertices, groups = self._vertex_read_plan(
+            kernel_ops, occ, groups = self._vertex_read_plan(
                 parents[lo:lo + chunk] if parents is not None else None,
                 sub, prefix_cols, tail_col,
             )
             stats.kernel_ops += kernel_ops
             stats.groups += groups
-            stats.list_reads += len(read_vertices)
-            if self.planner is not None:
-                self.planner.plan_extension(read_vertices)
-            self._charge_list_reads("neighbors", read_vertices)
-            anchor_deg = np.stack(
-                [offsets[sub[:, c] + 1] - offsets[sub[:, c]]
-                 for c in anchor_cols],
-                axis=1,
-            )
+            stats.list_reads += self._read_lists("neighbors", occ)
+            anchor_deg = self.graph.degree_table().take(
+                sub if len(anchor_cols) == depth else sub[:, anchor_cols])
             # Upper bound per row = its shortest anchor list, the source the
             # per-row intersection kernel expands.
-            upper = anchor_deg.min(axis=1)
+            upper = _row_min(anchor_deg.T)
             stats.candidates += int(upper.sum())
 
             # ---- compute the surviving candidates ----------------------------
@@ -767,14 +858,15 @@ class ExtensionEngine:
         distinct_cols: Sequence[int],
         greater_than_cols: Sequence[int],
         less_than_cols: Sequence[int],
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        count_only: bool = False,
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray | None]]:
         """Per row of ``mats``: the vertices adjacent to every anchor that
         pass the constraints, generated by expanding the row's shortest
         anchor list (``anchor_deg[r]`` holds the lengths) and verifying the
         others — the intersection order every real GPM kernel uses — one
         row batch at a time (:meth:`_verified_batches`)."""
         graph = self.graph
-        source = np.argmin(anchor_deg, axis=1)
+        source = _row_argmin(anchor_deg.T)
         starts = np.empty(len(mats), dtype=np.int64)
         lengths = np.empty_like(starts)
         for idx, col in enumerate(anchor_cols):
@@ -787,12 +879,13 @@ class ExtensionEngine:
                     graph.offsets[vertices],
                     anchor_deg[rows, idx], mats, rows,
                     greater_than_cols, less_than_cols,
+                    self._own_lists(vertices, greater_than_cols),
                 )
         return self._verified_batches(mats, source, starts, lengths, [
             (graph.neighbors,
              [c for c in anchor_cols if c != col], distinct_cols)
             for col in anchor_cols
-        ])
+        ], count_only)
 
     def _verified_batches(
         self,
@@ -801,14 +894,19 @@ class ExtensionEngine:
         starts: np.ndarray,
         lengths: np.ndarray,
         sources: list[tuple[np.ndarray, Sequence[int], Sequence[int]]],
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        count_only: bool = False,
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray | None]]:
         """Row ``r`` of ``mats`` expands ``values[starts[r]:starts[r] +
         lengths[r]]`` of ``(values, verify_cols, distinct_cols) =
         sources[source[r]]`` and keeps what neighbors its ``verify_cols``
         vertices and differs from its ``distinct_cols`` ones.  Yields
-        ``(lo, hi, cand, cand_row)`` per row batch (:func:`_row_batches`
-        over ``lengths``), rows ascending, list order within a row: the
-        host holds one batch's expansion at a time."""
+        ``(lo, hi, cand, cand_row, live)`` per row batch
+        (:func:`_row_batches` over ``lengths``): the survivors, rows
+        ascending, list order within a row, and ``live`` ``None``; the host
+        holds one batch's expansion at a time.  A ``count_only`` level is
+        only counted, so each source's part of a batch comes on its own as
+        verified: its candidates, ``live`` marking the survivors (``None``
+        when all survive) — no compress, no merge by row."""
         for lo, hi in _row_batches(lengths):
             parts = []
             for idx, (values, verify_cols, distinct_cols) in enumerate(sources):
@@ -816,9 +914,14 @@ class ExtensionEngine:
                 if len(rows):
                     cand, cand_row = self._expand(
                         values, starts[rows], lengths[rows], rows)
-                    parts.append(self._prune_candidates(
-                        cand, cand_row, mats, verify_cols, distinct_cols))
-            yield (lo, hi, *_merge_by_row(parts))
+                    if count_only:
+                        yield (lo, hi, *self._pending_survivors(
+                            cand, cand_row, mats, verify_cols, distinct_cols))
+                    else:
+                        parts.append(self._prune_candidates(
+                            cand, cand_row, mats, verify_cols, distinct_cols))
+            if not count_only:
+                yield (lo, hi, *_merge_by_row(parts), None)
 
     def _shared_prefix_candidates(
         self,
@@ -875,7 +978,7 @@ class ExtensionEngine:
             return self._filter_label_by_source(
                 self._min_degree_candidates(
                     mats, anchor_cols, anchor_deg, distinct_cols,
-                    greater_than_cols, less_than_cols,
+                    greater_than_cols, less_than_cols, count_only,
                 ),
                 anchor_deg, label, count_only,
             )
@@ -892,12 +995,14 @@ class ExtensionEngine:
         ):
             lm, lm_group, group_of_row = lists.values, lists.rows, carried.parents
         else:
-            lead = np.ones(len(mats), dtype=bool)
-            lead[1:] = (mats[1:, :tail] != mats[:-1, :tail]).any(axis=1)
+            lead = np.zeros(len(mats), dtype=bool)
+            lead[0] = True
+            for col in range(tail):
+                lead[1:] |= mats[1:, col] != mats[:-1, col]
             first_rows = np.flatnonzero(lead)
             group_of_row = np.cumsum(lead) - 1
             lm, lm_group = _joined([
-                batch[2:] for batch in self._min_degree_candidates(
+                batch[2:4] for batch in self._min_degree_candidates(
                     mats[first_rows], prefix_cols,
                     anchor_deg[first_rows, :len(prefix_cols)], *before_tail,
                 )
@@ -919,18 +1024,16 @@ class ExtensionEngine:
             )
             if label is not None:
                 # Billed before the label, as the per-row rule probes.
-                self._charge_label_probes(
-                    (cuts[:, 1::2] - cuts[:, 0::2]).sum(axis=1), anchor_deg
-                )
+                self._charge_label_probes(_between_cuts(cuts), anchor_deg)
                 carries = graph.labels[lm] == label
                 # Position i of L_m has ``rank[i]`` labelled entries before it.
                 rank = np.zeros(len(lm) + 1, dtype=np.int64)
                 np.cumsum(carries, out=rank[1:])
                 lm, cuts = lm[carries], rank[cuts]
-            pieces = cuts[:, 1::2] - cuts[:, 0::2]
-            counts = pieces.sum(axis=1)
+            counts = _between_cuts(cuts)
             if count_only:
                 return counts, None, None
+            pieces = cuts[:, 1::2] - cuts[:, 0::2]
             survivors = self._expand(
                 lm, cuts[:, 0::2].ravel(), pieces.ravel(),
                 np.arange(len(mats), dtype=np.int64).repeat(pieces.shape[1]),
@@ -943,9 +1046,16 @@ class ExtensionEngine:
         starts = np.empty(len(mats), dtype=np.int64)
         lengths = np.empty_like(starts)
         rows = np.flatnonzero(~from_tail)
+        # An L_m that is the rows' own column (kCL's: the last level's
+        # unlabelled survivors) holds row r's tail as its entry r, so the
+        # slice above that tail starts at r + 1.
+        own_column = (tail_greater and len(lm) == len(mats)
+                      and np.array_equal(lm_group, group_of_row)
+                      and np.array_equal(lm, mats[:, tail]))
         starts[rows], lengths[rows] = _bound_ranges(
             lm_keys, group_of_row[rows], lm_start[rows], lm_len[rows],
             mats, rows, tail_greater, tail_less,
+            (lm[rows], rows + 1) if own_column else None,
         )
         rows = np.flatnonzero(from_tail)
         if len(rows):
@@ -956,6 +1066,7 @@ class ExtensionEngine:
                 graph.offsets[tails],
                 anchor_deg[rows, -1], mats, rows,
                 greater_than_cols, less_than_cols,
+                self._own_lists(tails, greater_than_cols),
             )
         return self._filter_label_by_source(
             self._verified_batches(
@@ -963,7 +1074,7 @@ class ExtensionEngine:
                     (lm, [tail], tail_distinct),
                     (graph.neighbors,
                      prefix_cols, distinct_cols),
-                ]),
+                ], count_only),
             anchor_deg, label, count_only,
         )
 
@@ -975,7 +1086,7 @@ class ExtensionEngine:
         whose shortest list is anchor ``i``), in anchor order.  (Clock
         buckets accumulate with float ``+=``, so a different split of the
         same total would change the low bits of simulated time.)"""
-        source_choice = np.argmin(anchor_deg, axis=1)
+        source_choice = _row_argmin(anchor_deg.T)
         for idx in range(anchor_deg.shape[1]):
             part = source_choice == idx
             if part.any():
@@ -983,7 +1094,8 @@ class ExtensionEngine:
 
     def _filter_label_by_source(
         self,
-        batches: Iterator[tuple[int, int, np.ndarray, np.ndarray]],
+        batches: Iterator[
+            tuple[int, int, np.ndarray, np.ndarray, np.ndarray | None]],
         anchor_deg: np.ndarray,
         label: int | None,
         count_only: bool,
@@ -997,18 +1109,26 @@ class ExtensionEngine:
         per-row rule and the anchored tail), so that the billed count is
         only known after expansion.  Returns ``(counts, found, lists)`` as
         :meth:`_surviving_candidates` does; a counted level keeps no batch
-        past its count."""
+        past its count (its batches' ``live`` masks mark the survivors, and
+        counts add up over a batch's source parts)."""
         handed = np.zeros(len(anchor_deg), dtype=np.int64)
         counts = handed if label is None else np.zeros_like(handed)
         handed_parts, kept_parts = [], []
-        for lo, hi, cand, cand_row in batches:
-            handed[lo:hi] = np.bincount(cand_row - lo, minlength=hi - lo)
+        for lo, hi, cand, cand_row, live in batches:
+            if live is not None and label is None:
+                # Only counted: the survivors' rows are all it reads
+                # (``compress``: a boolean index is ~3x slower here).
+                cand_row = cand_row.compress(live)
+            elif live is not None:
+                live = np.flatnonzero(live)
+                cand, cand_row = cand[live], cand_row[live]
+            handed[lo:hi] += np.bincount(cand_row - lo, minlength=hi - lo)
             if not count_only:
                 handed_parts.append((cand, cand_row))
             if label is not None:
                 keep = np.flatnonzero(self.graph.labels[cand] == label)
                 cand, cand_row = cand[keep], cand_row[keep]
-                counts[lo:hi] = np.bincount(cand_row - lo, minlength=hi - lo)
+                counts[lo:hi] += np.bincount(cand_row - lo, minlength=hi - lo)
             if not count_only:
                 kept_parts.append((cand, cand_row))
         if label is not None:
@@ -1037,38 +1157,46 @@ class ExtensionEngine:
         ``parents`` is the last column's parent array (``None`` when the
         mode is ungrouped); chunked extensions pass the chunk's slice.
 
-        Returns ``(kernel_ops, read_vertex_multiset, num_groups)``.
+        Returns ``(kernel_ops, occupancy, num_groups)``: ``occupancy[v]``
+        is how many times the mode reads ``v``'s list.
         """
         n = len(mats)
-        anchor_cols = prefix_cols + ([tail_col] if tail_col is not None else [])
+        num_vertices = self.graph.num_vertices
         degrees = self.residence.degrees_of
         grouped = (
             self.pre_merge and tail_col is not None and prefix_cols
             and parents is not None
         )
         if not grouped:
-            vertices = mats[:, anchor_cols].ravel()
+            anchor_cols = prefix_cols + ([tail_col] if tail_col is not None else [])
+            vertices = mats[:, anchor_cols]
             ops = float(degrees(vertices).sum())
-            return ops, vertices, n
+            return ops, np.bincount(vertices.ravel(), minlength=num_vertices), n
 
-        group_ids, first_rows = np.unique(parents, return_index=True)
-        group_mats = mats[first_rows]
-        prefix_vertices = group_mats[:, prefix_cols].ravel()
+        # Groups are runs of one parent: every level is appended grouped by
+        # parent row (BFS order), so the column ascends.
+        lead = np.empty(n, dtype=bool)
+        lead[0] = True
+        np.not_equal(parents[1:], parents[:-1], out=lead[1:])
+        first_rows = np.flatnonzero(lead)
+        group_rows = np.diff(np.append(first_rows, n))
+        prefix_vertices = np.empty((len(prefix_cols), len(first_rows)),
+                                   dtype=np.int64)
+        for j, col in enumerate(prefix_cols):
+            mats[:, col].take(first_rows, out=prefix_vertices[j])
         prefix_deg = degrees(prefix_vertices)
         group_ops = float(prefix_deg.sum())
 
         tail_vertices = mats[:, tail_col]
         tail_deg = degrees(tail_vertices)
-        # |L_m| is bounded by the smallest prefix list in the group.
-        lm_bound = prefix_deg.reshape(len(group_mats), len(prefix_cols)).min(axis=1)
-        bound_by_parent = np.zeros(
-            int(parents.max()) + 1 if len(parents) else 1, dtype=np.float64
-        )
-        bound_by_parent[group_ids] = lm_bound
-        row_ops = float(tail_deg.sum() + bound_by_parent[parents].sum())
+        # |L_m| is bounded by the smallest prefix list in the group, once
+        # per row of the group.
+        lm_bound = _row_min(prefix_deg)
+        row_ops = float(int(tail_deg.sum()) + int(np.dot(lm_bound, group_rows)))
 
-        vertices = np.concatenate([prefix_vertices, tail_vertices])
-        return group_ops + row_ops, vertices, len(group_ids)
+        occ = np.bincount(tail_vertices, minlength=num_vertices)
+        occ += np.bincount(prefix_vertices.ravel(), minlength=num_vertices)
+        return group_ops + row_ops, occ, len(first_rows)
 
     # -- edge extension -----------------------------------------------------------
     def extend_edges(self, table: EmbeddingTable,
@@ -1085,7 +1213,8 @@ class ExtensionEngine:
         tel = self.platform.telemetry
         depth = table.depth
         with tel.span("extend-edges", kind="level", level=depth), \
-                self.platform.resilience.phase(f"level:{depth}"):
+                self.platform.resilience.phase(f"level:{depth}"), \
+                _host_arrays(depth):
             stats = self._extend_edges_impl(table, greater_than_col)
         self._emit_stats(stats, depth, "edge")
         return stats
@@ -1116,16 +1245,11 @@ class ExtensionEngine:
         incident_deg = self.residence.degrees_of(distinct_verts)
         stats.kernel_ops = float(incident_deg.sum())
         # Reads: pre-merge dedups lists shared across rows; naive re-reads.
+        occ = np.bincount(distinct_verts, minlength=self.graph.num_vertices)
         if self.pre_merge:
-            read_vertices = np.unique(distinct_verts)
-            stats.groups = len(read_vertices)
-        else:
-            read_vertices = distinct_verts
-            stats.groups = n
-        stats.list_reads = len(read_vertices)
-        if self.planner is not None:
-            self.planner.plan_extension(read_vertices)
-        self._charge_list_reads("edge_slots", read_vertices)
+            occ = np.minimum(occ, 1, out=occ)
+        stats.list_reads = self._read_lists("edge_slots", occ)
+        stats.groups = stats.list_reads if self.pre_merge else n
 
         per_row_bound = np.bincount(
             row_of_vert, weights=incident_deg, minlength=n).astype(np.int64)
@@ -1154,24 +1278,17 @@ class ExtensionEngine:
     def _kept_edges(self, mats, verts_sorted, per_row, distinct_verts,
                     row_of_vert, per_row_bound, greater_than_col,
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """The level's ``(values, parents)``: candidate edges generated,
-        masked and kept one row batch at a time straight into the output,
-        sized by the per-row bound and shrunk in place to what was kept."""
+        """The level's ``(values, parents)``: candidate edges generated and
+        masked one row batch at a time, the output sized by what each batch
+        kept (the per-row bound is far larger where rows share vertices)."""
         vert_start = np.concatenate([[0], np.cumsum(per_row)])
-        values = np.empty(int(per_row_bound.sum()), dtype=np.int64)
-        parents = np.empty(len(values), dtype=np.int64)
-        kept = 0
+        parts = []
         for lo, hi in _row_batches(per_row_bound):
             first, last = vert_start[lo], vert_start[hi]
-            cand, cand_row = self._edge_candidates(
+            parts.append(self._edge_candidates(
                 mats, verts_sorted, distinct_verts[first:last],
-                row_of_vert[first:last], greater_than_col)
-            values[kept:kept + len(cand)] = cand
-            parents[kept:kept + len(cand)] = cand_row
-            kept += len(cand)
-        values.resize(kept, refcheck=False)
-        parents.resize(kept, refcheck=False)
-        return values, parents
+                row_of_vert[first:last], greater_than_col))
+        return _joined(parts)
 
     def _row_vertices(self, mats: np.ndarray) -> np.ndarray:
         """Each row's edge endpoints, ascending (the endpoint reads

@@ -53,6 +53,7 @@ from ..errors import (
     SpillIOError,
     WorkerCrashed,
 )
+from ..graph.canonical import canonical_entry, representative
 from ..graph.csr import CSRGraph
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.spec import CostModel, InterconnectSpec
@@ -741,6 +742,21 @@ class Gamma:
                 self._executor.call(faulted, "append_event", {"event": event})
 
     # -- bookkeeping ------------------------------------------------------------
+    def learn_codes(self, codes) -> None:
+        """Give this process's canonical table a representative of each of
+        ``codes`` it lacks, so the catalog names them here: a partition on
+        the process executor canonicalized them in its worker's own table.
+        One fan-out asks every worker for what it holds, and each answer is
+        inserted through ``canonical_entry``.  Unbilled."""
+        missing = [int(code) for code in codes if representative(code) is None]
+        if not missing or not self._executor.parallel:
+            return
+        for reply in self._fanout(
+                "representatives", self._all({"codes": missing}), spans=False):
+            for code, (edges, labels) in reply.items():
+                if representative(code) is None:
+                    canonical_entry(edges, labels)
+
     def shard_states(self) -> List[dict]:
         """One accounting snapshot per partition (backend-neutral).
 

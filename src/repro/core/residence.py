@@ -194,7 +194,7 @@ class GammaResidence(GraphResidence):
         self.platform.clock.advance(
             clk.DEVICE_MEM, 2 * vertices.nbytes / self.platform.cost.device_bandwidth
         )
-        return self.graph.offsets[vertices + 1] - self.graph.offsets[vertices]
+        return self.graph.degree_table().take(vertices)
 
     def release(self):
         self.platform.device.free(self._structural_alloc)
@@ -265,7 +265,7 @@ class InCoreResidence(GraphResidence):
         self.platform.clock.advance(
             clk.DEVICE_MEM, 2 * vertices.nbytes / self.platform.cost.device_bandwidth
         )
-        return self.graph.offsets[vertices + 1] - self.graph.offsets[vertices]
+        return self.graph.degree_table().take(vertices)
 
     def release(self):
         self.platform.device.free(self._structural_alloc)
@@ -297,4 +297,4 @@ class HostResidence(GraphResidence):
 
     def degrees_of(self, vertices):
         vertices = np.asarray(vertices, dtype=np.int64)
-        return self.graph.offsets[vertices + 1] - self.graph.offsets[vertices]
+        return self.graph.degree_table().take(vertices)

@@ -24,7 +24,6 @@ from .kernel import CpuExecutor, KernelLauncher
 from .pcie import PcieBus
 from .platform import GpuPlatform, make_platform
 from .regions import (
-    ChargeBatch,
     DeviceResidentRegion,
     GatherTally,
     HostRegion,
@@ -52,7 +51,6 @@ __all__ = [
     "PcieBus",
     "GpuPlatform",
     "make_platform",
-    "ChargeBatch",
     "DeviceResidentRegion",
     "GatherTally",
     "HostRegion",

@@ -21,6 +21,7 @@ from .regions import (
     covered_units,
     dedup_units,
     range_lengths_in_units,
+    read_sum,
 )
 from .unified import PageBuffer
 
@@ -56,9 +57,6 @@ class HybridRegion(HostRegion):
         self._total_lines = max(1, -(-array.nbytes // platform.spec.zerocopy_line))
         # Default: everything through zero-copy until the planner learns heat.
         self._unified_mask = np.zeros(self.total_pages, dtype=bool)
-        # Charge derivation depends on the mode map; bumping this version
-        # invalidates the region's ChargeBatch memo on every replan.
-        self._mode_version = 0
 
     @property
     def buffer_capacity_pages(self) -> int:
@@ -89,7 +87,6 @@ class HybridRegion(HostRegion):
         demoted = np.flatnonzero(self._unified_mask & ~new_mask)
         self.buffer.drop(demoted)
         self._unified_mask = new_mask
-        self._mode_version += 1
 
     def shrink_buffer(self, new_pages: int) -> int:
         """Shrink the device page buffer to ``new_pages``; returns bytes freed.
@@ -97,8 +94,7 @@ class HybridRegion(HostRegion):
         Used by the demote-pages degradation policy: dropping the buffer
         releases device capacity so an allocation that just failed with
         :class:`~repro.errors.DeviceOutOfMemory` can succeed on retry.
-        Buffered pages are discarded (cold restart of the LRU), and the
-        charge memo is invalidated.
+        Buffered pages are discarded (cold restart of the LRU).
         """
         new_pages = max(0, int(new_pages))
         if new_pages >= self.buffer.capacity:
@@ -111,7 +107,6 @@ class HybridRegion(HostRegion):
             new_pages * page, f"{self.name}:page-buffer"
         )
         self.buffer = PageBuffer(new_pages, self.total_pages)
-        self._mode_version += 1
         return freed
 
     def _charge_elements(self, indices: np.ndarray) -> None:
@@ -143,26 +138,48 @@ class HybridRegion(HostRegion):
             )
             platform.pcie.zerocopy_transactions(len(lines))
 
-    def _charge_ranges(
-        self, starts: np.ndarray, ends: np.ndarray, flat: np.ndarray
-    ) -> None:
-        """Range reads with per-list access-mode routing.
+    def _range_bill(self, starts, ends, reads):
+        """Range reads with per-list access-mode routing, as ``(unified,
+        zero-copy lines)``: ``unified`` is ``(pages, nbytes)`` or ``None``.
 
         Each adjacency list is served by the mode of its first page (hot
         lists occupy whole hot pages, so mixed-mode lists are rare).
         Unified lists dedup through the page buffer; zero-copy lists pay one
         transaction per 128 B line per read, with no cross-read caching.
         """
+        live = ends > starts
+        if not live.any():
+            return None, 0
+        s, e = starts[live], ends[live]
+        if reads is not None:
+            reads = reads[live]
+        page_size = self._platform.spec.page_size
+        first_page = (s * self._itemsize) // page_size
+        is_unified = self._unified_mask[first_page]
+
+        uni = None
+        if is_unified.any():
+            su, eu = s[is_unified], e[is_unified]
+            last_page = (eu * self._itemsize - 1) // page_size
+            # Enumerate the page span of each unified range, then dedup.
+            pages = covered_units(first_page[is_unified], last_page,
+                                  self.total_pages)
+            uni = (pages, read_sum(
+                eu - su, None if reads is None else reads[is_unified]
+            ) * self._itemsize)
+
+        zc_nlines = 0
+        zero_copy = ~is_unified
+        if zero_copy.any():
+            zc_nlines = read_sum(range_lengths_in_units(
+                s[zero_copy], e[zero_copy], self._itemsize,
+                self._platform.spec.zerocopy_line,
+            ), None if reads is None else reads[zero_copy])
+        return uni, zc_nlines
+
+    def _apply_bill(self, bill) -> None:
         platform = self._platform
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        derived = self._charge_memo.lookup(starts, ends, token=self._mode_version)
-        if derived is None:
-            derived = self._derive_ranges(starts, ends)
-            self._charge_memo.store(
-                starts, ends, derived, token=self._mode_version
-            )
-        uni, zc_nlines = derived
+        uni, zc_nlines = bill
         if uni is not None:
             pages, nbytes = uni
             hits, misses = self.buffer.access(pages)
@@ -174,38 +191,6 @@ class HybridRegion(HostRegion):
             platform.counters.add(st.BYTES_DEVICE, nbytes)
         if zc_nlines:
             platform.pcie.zerocopy_transactions(zc_nlines)
-
-    def _derive_ranges(self, starts: np.ndarray, ends: np.ndarray):
-        """Split a range batch into its unified page set / zero-copy line
-        count — pure arithmetic over the mode map, independent of buffer
-        state, hence memoizable across a two-pass re-read."""
-        platform = self._platform
-        live = ends > starts
-        if not live.any():
-            return None, 0
-        s, e = starts[live], ends[live]
-        page_size = platform.spec.page_size
-        first_page = (s * self._itemsize) // page_size
-        is_unified = self._unified_mask[first_page]
-
-        uni = None
-        if is_unified.any():
-            su, eu = s[is_unified], e[is_unified]
-            last_page = (eu * self._itemsize - 1) // page_size
-            first_u = (su * self._itemsize) // page_size
-            # Enumerate the page span of each unified range, then dedup.
-            pages = covered_units(first_u, last_page, self.total_pages)
-            uni = (pages, int((eu - su).sum()) * self._itemsize)
-
-        zc_nlines = 0
-        if (~is_unified).any():
-            sz, ez = s[~is_unified], e[~is_unified]
-            zc_nlines = int(
-                range_lengths_in_units(
-                    sz, ez, self._itemsize, platform.spec.zerocopy_line
-                ).sum()
-            )
-        return uni, zc_nlines
 
     def release(self) -> None:
         self._platform.device.free(self._buffer_alloc)

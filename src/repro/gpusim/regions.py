@@ -14,7 +14,7 @@ region types (expanding CSR ranges, mapping element indices to pages/lines).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -114,44 +114,6 @@ def covered_units(
     return np.flatnonzero(np.cumsum(delta[:total_units]) > 0)
 
 
-class ChargeBatch:
-    """Memoized charge derivation for repeated identical access batches.
-
-    Two-pass write strategies (Pangolin's counting extension, Fig. 17/18)
-    charge the *same* range batch twice back to back; the page/line
-    derivation — the expensive half of charging — depends only on the
-    request and the region geometry, not on buffer state, so the second
-    pass can reuse the first's result.  The memo is keyed by the identity
-    of the ``(starts, ends)`` array pair plus a ``token`` the region bumps
-    whenever derivation inputs change (the hybrid page-mode map); callers
-    must not mutate arrays between repeated charges, which no engine does.
-    """
-
-    __slots__ = ("_starts", "_ends", "_token", "_derived")
-
-    def __init__(self) -> None:
-        self._starts: np.ndarray | None = None
-        self._ends: np.ndarray | None = None
-        self._token = -1
-        self._derived: Any = None
-
-    def lookup(self, starts: np.ndarray, ends: np.ndarray, token: int = 0) -> Any:
-        """The memoized derivation for this exact batch, or ``None``."""
-        if self._starts is starts and self._ends is ends and self._token == token:
-            return self._derived
-        return None
-
-    def store(
-        self, starts: np.ndarray, ends: np.ndarray, derived: Any, token: int = 0
-    ) -> Any:
-        """Memoize ``derived`` for this batch; returns it for chaining."""
-        self._starts = starts
-        self._ends = ends
-        self._token = token
-        self._derived = derived
-        return derived
-
-
 class HostRegion:
     """Base class: a named NumPy array registered in simulated host memory.
 
@@ -175,7 +137,6 @@ class HostRegion:
         self._array = array
         self._platform = platform
         self._itemsize = array.dtype.itemsize
-        self._charge_memo = ChargeBatch()
         platform.register_host_bytes(
             array.nbytes * self.duplication, name, charge=self.register_charge
         )
@@ -221,27 +182,35 @@ class HostRegion:
         """
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
-        res = self._platform.resilience
-        if res.active:
-            res.io(f"region:{self.name}")
-        flat = expand_ranges(starts, ends)
-        self._charge_ranges(starts, ends, flat)
-        lengths = ends - starts
-        return self._array[flat], lengths
+        values = self._array[expand_ranges(starts, ends)]
+        self.charge_ranges(starts, ends)
+        return values, ends - starts
 
-    def charge_ranges(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Charge batched range reads without materializing the values.
+    def charge_ranges(
+        self, starts: np.ndarray, ends: np.ndarray,
+        reads: np.ndarray | None = None, passes: int = 1,
+    ) -> None:
+        """Charge ``passes`` rounds of reading each range ``[starts[i],
+        ends[i])`` ``reads[i]`` times (once when ``reads`` is ``None``),
+        without materializing the values.
 
-        Used when an access pattern must be *accounted* but its data is not
-        needed again in Python — e.g. the counting pass of Pangolin's
-        two-pass extension re-reads every adjacency list.
+        An extension hands each distinct list once with its read count
+        (its level's occupancy); a two-pass write strategy (Pangolin's
+        counting extension) reads every list twice.  Every region bills a
+        batch by sums over its reads (bytes, zero-copy lines) and by the
+        union of the pages they touch, so the bill is that of the multiset
+        with each range repeated ``reads[i]`` times, in any order: it is
+        derived once and applied per pass (the page buffer moves between
+        passes).
         """
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
+        bill = self._range_bill(starts, ends, reads)
         res = self._platform.resilience
-        if res.active:
-            res.io(f"region:{self.name}")
-        self._charge_ranges(starts, ends, None)
+        for __ in range(passes):
+            if res.active:
+                res.io(f"region:{self.name}")
+            self._apply_bill(bill)
 
     def release(self) -> None:
         """Unmap the region, returning its host bytes to the budget."""
@@ -252,20 +221,28 @@ class HostRegion:
         """Charge the cost model for reading these element indices."""
         raise NotImplementedError
 
-    def _charge_ranges(
-        self, starts: np.ndarray, ends: np.ndarray, flat: np.ndarray | None
-    ) -> None:
-        """Charge batched range reads.
+    def _range_bill(
+        self, starts: np.ndarray, ends: np.ndarray, reads: np.ndarray | None
+    ):
+        """What reading the ranges (``reads[i]`` times each) bills: pure
+        arithmetic over the request and the region's geometry, never over
+        buffer state.  Zero-copy coalesces *within* one list read but
+        re-fetches lines shared *across* list reads (there is no
+        device-side cache to dedup them), while unified dedups at
+        page-buffer granularity regardless."""
+        raise NotImplementedError
 
-        The default treats the expansion as scattered elements.  Subclasses
-        override this where range structure matters: zero-copy coalesces
-        *within* one list read but re-fetches lines shared *across* list
-        reads (there is no device-side cache to dedup them), while unified
-        dedups at page-buffer granularity regardless.
-        """
-        if flat is None:
-            flat = expand_ranges(starts, ends)
-        self._charge_elements(flat)
+    def _apply_bill(self, bill) -> None:
+        """Charge one pass of a :meth:`_range_bill`."""
+        raise NotImplementedError
+
+
+def read_sum(per_range: np.ndarray, reads: np.ndarray | None) -> int:
+    """``per_range`` summed over every read: entry ``i`` ``reads[i]``
+    times (once when ``reads`` is ``None``); exact integers."""
+    if reads is None:
+        return int(per_range.sum())
+    return int(np.dot(per_range, reads))
 
 
 class GatherTally:
@@ -354,9 +331,11 @@ class DeviceResidentRegion(HostRegion):
     def _charge_elements(self, indices: np.ndarray) -> None:
         self._charge_bytes(len(indices) * self._itemsize)
 
-    def _charge_ranges(self, starts, ends, flat=None) -> None:
-        self._charge_bytes(
-            int((np.asarray(ends) - np.asarray(starts)).sum()) * self._itemsize)
+    def _range_bill(self, starts, ends, reads) -> int:
+        return read_sum(ends - starts, reads) * self._itemsize
+
+    def _apply_bill(self, nbytes: int) -> None:
+        self._charge_bytes(nbytes)
 
     def release(self) -> None:
         self._platform.device.free(self._allocation)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import clock as clk
 from . import stats as st
-from .regions import HostRegion, covered_units, units_for_indices
+from .regions import HostRegion, covered_units, read_sum, units_for_indices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .platform import GpuPlatform
@@ -163,30 +163,27 @@ class UnifiedRegion(HostRegion):
         platform.clock.advance(clk.DEVICE_MEM, nbytes / platform.cost.device_bandwidth)
         platform.counters.add(st.BYTES_DEVICE, nbytes)
 
-    def _charge_ranges(
-        self, starts: np.ndarray, ends: np.ndarray, flat: np.ndarray | None
-    ) -> None:
-        platform = self._platform
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        derived = self._charge_memo.lookup(starts, ends)
-        if derived is None:
-            live = ends > starts
-            if not live.any():
-                derived = (None, 0)
-            else:
-                s, e = starts[live], ends[live]
-                page = platform.spec.page_size
-                first = (s * self._itemsize) // page
-                last = (e * self._itemsize - 1) // page
-                pages = covered_units(first, last, self.buffer.total_pages)
-                derived = (pages, int((e - s).sum()) * self._itemsize)
-            self._charge_memo.store(starts, ends, derived)
-        pages, nbytes = derived
+    def _range_bill(self, starts, ends, reads):
+        """``(pages, nbytes)``: the union of the pages the ranges touch and
+        the bytes read; ``(None, 0)`` when every range is empty."""
+        live = ends > starts
+        if not live.any():
+            return None, 0
+        s, e = starts[live], ends[live]
+        page = self._platform.spec.page_size
+        first = (s * self._itemsize) // page
+        last = (e * self._itemsize - 1) // page
+        pages = covered_units(first, last, self.buffer.total_pages)
+        return pages, read_sum(
+            e - s, None if reads is None else reads[live]) * self._itemsize
+
+    def _apply_bill(self, bill) -> None:
+        pages, nbytes = bill
         if pages is None:
             # No live ranges: nothing is charged and the buffer never sees
             # the batch (its access tick must not advance).
             return
+        platform = self._platform
         hits, misses = self.buffer.access(pages)
         platform.counters.add(st.PAGE_HITS, hits)
         platform.pcie.migrate_pages(misses)

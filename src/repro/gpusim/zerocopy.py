@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .regions import (
-    GatherTally, HostRegion, range_lengths_in_units, units_for_indices,
+    GatherTally, HostRegion, range_lengths_in_units, read_sum,
+    units_for_indices,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,20 +45,13 @@ class ZeroCopyRegion(HostRegion):
         )
         self._platform.pcie.zerocopy_transactions(len(lines))
 
-    def _charge_ranges(
-        self, starts: np.ndarray, ends: np.ndarray, flat: np.ndarray
-    ) -> None:
+    def _range_bill(self, starts, ends, reads) -> int:
         # Coalesced within each range; re-fetched across ranges (no cache).
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        nlines = self._charge_memo.lookup(starts, ends)
-        if nlines is None:
-            nlines = int(
-                range_lengths_in_units(
-                    starts, ends, self._itemsize, self._platform.spec.zerocopy_line
-                ).sum()
-            )
-            self._charge_memo.store(starts, ends, nlines)
+        return read_sum(range_lengths_in_units(
+            starts, ends, self._itemsize, self._platform.spec.zerocopy_line
+        ), reads)
+
+    def _apply_bill(self, nlines: int) -> None:
         self._platform.pcie.zerocopy_transactions(nlines)
 
 

@@ -93,6 +93,8 @@ class CSRGraph:
             )
         self._hubs: tuple[np.ndarray, np.ndarray] | None = None
         self._slots: tuple[np.ndarray, np.ndarray, bool] | None = None
+        self._degrees: np.ndarray | None = None
+        self._above: np.ndarray | None = None
 
     # -- basic shape ----------------------------------------------------------
     @property
@@ -107,6 +109,26 @@ class CSRGraph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    def degree_table(self) -> np.ndarray:
+        """:attr:`degrees`, computed once and read-only: one gather per
+        lookup."""
+        if self._degrees is None:
+            self._degrees = self.degrees
+            self._degrees.flags.writeable = False
+        return self._degrees
+
+    def slots_above(self) -> np.ndarray:
+        """Lazily-built ``above``: ``above[v]`` is the slot of ``v``'s first
+        neighbour above ``v`` (``offsets[v + 1]`` when it has none), where
+        ``N(v)`` cut above ``v`` starts — the lower bound an id-ordered
+        extension asks of a row's own list."""
+        if self._above is None:
+            ids = np.arange(self.num_vertices, dtype=np.int64)
+            self._above = np.searchsorted(
+                self.adjacency_keys, self._pack_pairs(ids, ids), side="right")
+            self._above.flags.writeable = False
+        return self._above
 
     @property
     def max_degree(self) -> int:

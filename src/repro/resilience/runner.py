@@ -51,7 +51,6 @@ def _planner_state(planner) -> dict:
         "overlap": [float(v) for v in planner.hot_overlap_history],
         "region": {
             "unified_mask": region._unified_mask.copy(),
-            "mode_version": int(region._mode_version),
             "buffer": {
                 "capacity": int(buffer.capacity),
                 "resident": buffer._resident.copy(),
@@ -78,7 +77,6 @@ def _apply_planner_state(planner, state: dict) -> None:
         return
     region = planner.region
     region._unified_mask = np.array(region_state["unified_mask"], dtype=bool)
-    region._mode_version = int(region_state["mode_version"]) + 1
     buf_state = region_state.get("buffer")
     buffer = region.buffer
     # A degradation policy may have shrunk the page buffer between snapshot

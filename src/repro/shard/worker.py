@@ -52,7 +52,7 @@ from ..errors import ExecutionError, GammaError, WorkerCrashed
 from ..gpusim import clock as clk
 from ..gpusim.interconnect import Interconnect
 from ..gpusim.platform import make_platform
-from ..graph.canonical import QuickPatternEncoder
+from ..graph.canonical import QuickPatternEncoder, representative
 from ..resilience import runner as res_runner
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.faults import BACKOFF_CATEGORY, FaultPlan
@@ -582,6 +582,12 @@ class ShardWorker:
         self.platform.install_fault_plan(FaultPlan.from_dict(plan))
 
     # -- state / reporting ---------------------------------------------------
+    def do_representatives(self, codes: list) -> dict:
+        """``code -> (edges, labels)`` for each of ``codes`` this process's
+        canonical table holds (unbilled: naming, not mining)."""
+        found = {int(code): representative(code) for code in codes}
+        return {code: graph for code, graph in found.items() if graph is not None}
+
     def do_state(self) -> dict:
         platform = self.platform
         return {

@@ -318,7 +318,10 @@ class TestSharedPrefixEquivalence:
         an anchor, a row's own tail vertex is the first entry of its
         ``L_m`` slice, the last, one between, absent, and present under
         another label than the one asked for; a group's ``L_m`` is empty;
-        a slice is crossed; and what a slice expands to is never pruned."""
+        a slice is crossed; and what a slice expands to is never pruned.
+        A row bounded above its own list's owner is handed the graph's
+        ``slots_above`` table, and one bounded by its own entry of an
+        ``L_m`` that is the last column the slot past it."""
         graph = _edge_case_graph()
         top = graph.num_vertices - 1
         seen = set()
@@ -329,11 +332,20 @@ class TestSharedPrefixEquivalence:
         prune = ExtensionEngine._prune_candidates
         surviving = ExtensionEngine._surviving_candidates
 
-        def watch_bounds(keys, owners, starts, lengths, mats, rows, greater, less):
-            for start, length, row in zip(starts.tolist(), lengths.tolist(),
-                                          mats[rows].tolist()):
+        def watch_bounds(keys, owners, starts, lengths, mats, rows, greater,
+                         less, own=None):
+            for i, (start, length, row, owner) in enumerate(zip(
+                    starts.tolist(), lengths.tolist(), mats[rows].tolist(),
+                    owners.tolist())):
                 values = (keys[start:start + length] & 0xFFFFFFFF).tolist()
                 lows, highs = [row[c] for c in greater], [row[c] for c in less]
+                if keys is graph.adjacency_keys and lows and max(lows) == owner:
+                    # A row bounded above its own list's owner: read off
+                    # the graph's slots_above table, never searched.
+                    seen.add("own-list" if own is not None else "own-unread")
+                elif own is not None and lows and max(lows) == own[0][i]:
+                    # L_m is the last column and the bound its own entry.
+                    seen.add("own-entry")
                 seen.update(f"bound-{b}" for b in lows + highs if b in (0, top))
                 if (lows or highs) and not values:
                     seen.add("empty-list")
@@ -366,7 +378,7 @@ class TestSharedPrefixEquivalence:
                         if asked not in (None, int(graph.labels[hole])):
                             seen.add("hole-relabelled")
             return bound_ranges(keys, owners, starts, lengths, mats, rows,
-                                greater, less)
+                                greater, less, own)
 
         def watch_expand(values, starts, lengths, rows):
             nonlocal sliced
@@ -404,9 +416,11 @@ class TestSharedPrefixEquivalence:
             f"bound-{top}", "two-greater-disagree", "crossed", "empty-list",
             "verify-[2]", "verify-[0, 1]",
             "hole-first", "hole-last", "hole-inside", "hole-absent",
-            "hole-relabelled", "empty-lm", "crossed-slice",
+            "hole-relabelled", "empty-lm", "crossed-slice", "own-list",
+            "own-entry",
         }
         assert "slice-pruned" not in seen
+        assert "own-unread" not in seen
 
     def test_too_many_prefix_groups_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(extension, "_PACK_VERTEX_LIMIT", 2)

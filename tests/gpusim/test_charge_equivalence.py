@@ -1,12 +1,12 @@
 """Charge-path equivalence against the straight-line twins.
 
-The batched charge path (bincount page derivation, ``ChargeBatch``
-memoization, argpartition eviction) must produce *bit-for-bit* the same
-simulated clock buckets and event counters as the straight-line stack of
-:mod:`tests.twins` (never memoised, lexsort eviction), for every region
-type, on randomized access patterns — including the repeated identical
-batches a two-pass write strategy issues and hybrid mode-map replans that
-invalidate the memo.
+The batched charge path (bincount page derivation, list reads billed
+from their counts, argpartition eviction) must produce *bit-for-bit* the
+same simulated clock buckets and event counters as the straight-line stack
+of :mod:`tests.twins` (every read one range, re-derived per pass, lexsort
+eviction), for every region type, on randomized access patterns —
+including the repeated identical batches a two-pass write strategy issues
+and hybrid mode-map replans between charges.
 """
 
 from unittest import mock
@@ -35,7 +35,8 @@ def access_scripts(draw):
     for __ in range(n_ops):
         kind = draw(
             hst.sampled_from(
-                ["gather", "ranges", "charge", "charge_twice", "replan"]
+                ["gather", "ranges", "charge", "charge_twice", "lists",
+                 "replan"]
             )
         )
         if kind == "gather":
@@ -59,13 +60,15 @@ def access_scripts(draw):
                 length = draw(hst.integers(min_value=0, max_value=96))
                 starts.append(s)
                 ends.append(min(s + length, N_ELEMENTS))
-            ops.append(
-                (
-                    kind,
-                    np.array(starts, dtype=np.int64),
-                    np.array(ends, dtype=np.int64),
-                )
-            )
+            op = (kind, np.array(starts, dtype=np.int64),
+                  np.array(ends, dtype=np.int64))
+            if kind == "lists":
+                # Distinct lists with their read counts, over 1-2 passes.
+                reads = draw(hst.lists(hst.integers(min_value=1, max_value=5),
+                                       min_size=n_ranges, max_size=n_ranges))
+                op += (np.array(reads, dtype=np.int64),
+                       draw(hst.integers(min_value=1, max_value=2)))
+            ops.append(op)
     return ops
 
 
@@ -82,6 +85,8 @@ def _replay(region_factory, ops):
             region.gather_ranges(op[1], op[2])
         elif op[0] == "charge":
             region.charge_ranges(op[1], op[2])
+        elif op[0] == "lists":
+            region.charge_ranges(op[1], op[2], op[3], passes=op[4])
         else:  # charge_twice: the two-pass strategy's repeated batch
             region.charge_ranges(op[1], op[2])
             region.charge_ranges(op[1], op[2])
@@ -132,6 +137,9 @@ class TestChargeEquivalence:
 
 
 class TestMemoSafety:
+    """Each charge is billed from its own batch: no derivation is carried
+    from one call to the next."""
+
     def test_memo_does_not_leak_across_different_batches(self):
         """Two different (but same-length) batches must charge differently
         even when issued back to back."""
@@ -150,7 +158,7 @@ class TestMemoSafety:
 
     def test_hybrid_replan_invalidates_memo(self):
         """The same batch object charged before and after a mode-map replan
-        must be re-derived (different unified/zero-copy split)."""
+        is billed by the new unified/zero-copy split."""
         starts = np.array([0], dtype=np.int64)
         ends = np.array([1024], dtype=np.int64)  # pages 0-1
 

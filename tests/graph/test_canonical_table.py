@@ -27,7 +27,8 @@ import pytest
 
 from repro.algorithms import frequent_pattern_mining
 from repro.core import Gamma
-from repro.graph import canonical, default_catalog
+from repro.cli import main
+from repro.graph import canonical, catalog, datasets, default_catalog
 from repro.graph.canonical import (
     QuickPatternEncoder, canonical_code_int, canonical_entry, representative,
 )
@@ -213,6 +214,44 @@ def test_process_workers_mine_the_serial_codes(empty_table):
     assert names == sorted(((crossed[code][0], support)
                             for code, support in mined.items()),
                            key=lambda row: (-row[1], row[0]))
+
+
+def test_the_front_fetches_what_its_workers_mined(empty_table, monkeypatch):
+    """``Gamma.learn_codes`` asks the workers for each mined code's
+    representative in one fan-out and stores it in the front's table, so
+    the front names them without crossing shapes and labels — the names
+    the crossed catalog gives."""
+    graph = erdos_renyi(90, 600, seed=3, labels=4)
+    with Gamma(graph, num_shards=2, executor="process") as engine:
+        mined = frequent_pattern_mining(engine, 2, 8).patterns
+        engine.learn_codes(mined)
+    assert set(empty_table._REPRESENTATIVES) == set(mined)
+
+    def no_crossing(edges, labels):
+        raise AssertionError("the catalog crossed shapes and labels")
+
+    monkeypatch.setattr(catalog, "canonical_entry", no_crossing)
+    names = default_catalog(4).describe(mined)
+    crossed = crossed_catalog(range(4))
+    assert names == sorted(((crossed[code][0], support)
+                            for code, support in mined.items()),
+                           key=lambda row: (-row[1], row[0]))
+
+
+def test_process_cli_prints_the_serial_lines(empty_table, capsys):
+    """``repro run --executor process`` names its patterns as the serial
+    run does, line for line, from a cold table."""
+    lines = {}
+    for executor in ("process", "serial"):
+        try:
+            assert main(["run", "--task", "fpm", "--dataset", "ER",
+                         "--min-support", "2", "--executor", executor]) == 0
+        finally:
+            datasets.clear_cache()
+        out = capsys.readouterr().out
+        lines[executor] = [line for line in out.splitlines()
+                           if line.startswith("  ")]
+    assert lines["process"] == lines["serial"] and lines["serial"]
 
 
 if __name__ == "__main__":  # the stress case: python -m tests.graph.test_canonical_table 8

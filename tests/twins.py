@@ -60,10 +60,10 @@ def prune_by_mask_cascade(engine, cand, cand_row, mats, verify_cols,
 
 
 def bound_ranges_by_scan(keys, owners, starts, lengths, mats, rows,
-                         greater_than_cols, less_than_cols):
+                         greater_than_cols, less_than_cols, own=None):
     """``extension._bound_ranges``: walk each range, compare every value
     with every ordering column, and keep the run that passes (the lists
-    are sorted, so the survivors are contiguous)."""
+    are sorted, so the survivors are contiguous); no ``own`` shortcut."""
     starts, lengths = starts.copy(), lengths.copy()
     for i, row in enumerate(rows.tolist()):
         values = keys[starts[i]:starts[i] + lengths[i]] & 0xFFFFFFFF
@@ -252,9 +252,29 @@ def pair_level_eagerly(table, first, graph):
     table.append_column(cand[mine], cand_row[mine])
 
 
-def never_memoised(batch, starts, ends, token=0):
-    """``ChargeBatch.lookup``: every charge re-derives its pages."""
-    return None
+def charge_ranges_by_reads(region, starts, ends, reads=None, passes=1):
+    """``HostRegion.charge_ranges``: every pass bills the ranges repeated
+    ``reads[i]`` times, as one range each, re-deriving the bill from that
+    multiset (the bill before list reads carried counts)."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if reads is not None:
+        starts, ends = np.repeat(starts, reads), np.repeat(ends, reads)
+    res = region._platform.resilience
+    for __ in range(passes):
+        if res.active:
+            res.io(f"region:{region.name}")
+        region._apply_bill(region._range_bill(starts, ends, None))
+
+
+_VERIFIED_BATCHES = ExtensionEngine._verified_batches
+
+
+def verified_then_merged(engine, mats, source, starts, lengths, sources,
+                         count_only=False):
+    """``ExtensionEngine._verified_batches``: a counted level's batches
+    compressed and merged by row as a kept level's are, then counted."""
+    return _VERIFIED_BATCHES(engine, mats, source, starts, lengths, sources)
 
 
 def device_sort_segments(platform, keys, segment_len):
@@ -421,9 +441,32 @@ def csr_by_lexsort(src, dst, num_vertices, labels=None, name="graph"):
     )
 
 
+#: The twins of a vertex level's seams — the occupancy bill and the
+#: counted level's mask — which :func:`vertex_level_twins` installs
+#: alone: under :func:`straight_line` the per-row walk replaces the
+#: counted level's seam whole.
+VERTEX_LEVEL_TWINS = [
+    (regions.HostRegion, "charge_ranges", charge_ranges_by_reads),
+    (ExtensionEngine, "_verified_batches", verified_then_merged),
+]
+
+
 @contextmanager
+def _patched(patches):
+    with ExitStack() as stack:
+        for owner, name, value in patches:
+            stack.enter_context(mock.patch.object(owner, name, value))
+        yield
+
+
+def vertex_level_twins():
+    """Run the enclosed code with only :data:`VERTEX_LEVEL_TWINS` installed:
+    the rest of the stack as shipped (hub rows included)."""
+    return _patched(VERTEX_LEVEL_TWINS)
+
+
 def straight_line():
-    """Run the enclosed code on the straight-line stack: the eight twins
+    """Run the enclosed code on the straight-line stack: the nine twins
     above installed over their seams (the sort's two phases run on the
     sorted elements), and the hub-row budget and three size thresholds
     dropped to zero so ``has_edges`` binary-searches every probe (no vertex
@@ -433,24 +476,19 @@ def straight_line():
     small ones.  (A graph that already built its hub rows keeps them; use a
     fresh graph.  The quick-pattern twin replaces the whole grouping, its
     column ranker included, so the ranker's threshold stays.)"""
-    patches = [
+    return _patched(VERTEX_LEVEL_TWINS + [
         (ExtensionEngine, "_prune_candidates", prune_by_mask_cascade),
         (ExtensionEngine, "_surviving_candidates", labelled_min_degree_walk),
         (extension, "_bound_ranges", bound_ranges_by_scan),
         (QuickPatternEncoder, "_group_quick", staticmethod(quick_groups_by_rows)),
         (EmbeddingTable, "append_pair", pair_level_eagerly),
-        (regions.ChargeBatch, "lookup", never_memoised),
         (sort, "segment_runs", segments_by_sorting),
         (sort, "merge_runs", merged_by_scatter),
         (csr, "_HUB_BYTES_PER_KEY_BYTE", 0),
         (unified, "_PACKED_KEY_LIMIT", 0),
         (aggregation, "_PACK_BITS_LIMIT", 0),
         (groupby, "_TAG_BITS_LIMIT", 0),
-    ]
-    with ExitStack() as stack:
-        for owner, name, value in patches:
-            stack.enter_context(mock.patch.object(owner, name, value))
-        yield
+    ])
 
 
 #: The two stacks a parametrized differential test runs, keyed by test id.

@@ -167,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8750,
                        help="bind port; 0 picks a free one (default 8750)")
     serve.add_argument("--slots", type=int, default=2,
-                       help="concurrent execution slots (default 2)")
+                       help="concurrent execution slots, each a forked "
+                            "process running one query's engine at a time "
+                            "(default 2)")
     serve.add_argument("--executor", choices=("serial", "process"),
                        metavar="NAME",
                        help="partition backend for every query "
@@ -667,13 +669,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         manifest_dir=args.manifest_dir,
         auto_register=not args.no_auto_tenants,
     )
-    scheduler = Scheduler(config)
+    from .graph import datasets
+
+    # Preloaded graphs reach every slot through the fork.
+    scheduler = Scheduler(config, graphs={
+        abbrev: datasets.load(abbrev) for abbrev in args.preload})
     for flag in args.tenant:
         name, inflight, pending = _parse_tenant_flag(flag)
         scheduler.queue.register_tenant(name, max_inflight=inflight,
                                         max_pending=pending)
-    for abbrev in args.preload:
-        scheduler._graph(abbrev)
     service = MiningService(scheduler, host=args.host, port=args.port)
     host, port = service.address
     print(f"gamma mining service on http://{host}:{port} "

@@ -7,6 +7,7 @@ The serve layer turns the batch engine into a long-lived service:
 * :class:`Scheduler` — level-by-level execution over per-query
   ``Gamma`` engines, with checkpoint-journal preemption,
   crash containment, warm process-pool reuse, and a shared plan cache;
+  the engines run in forked slot processes (:mod:`repro.serve.slot`);
 * :class:`ResultStream` — per-query JSON-record streams (chunked
   JSON-lines over HTTP);
 * :class:`MiningService` / :class:`ServeClient` — the stdlib

@@ -67,13 +67,11 @@ class QueryState:
         self.stream = ResultStream(query_id)
         #: Where a query on worker processes keeps its durable journal.
         self.checkpoint_dir: "str | None" = None
-        #: The engine snapshot a preempted in-process query resumes from
-        #: (held only while the query is suspended).
-        self.resume_state: "dict | list | None" = None
-        #: Stage counter for the *current* driver invocation (reset per
-        #: attempt; replayed stages re-count up to ``stages_emitted``).
-        self.stage_calls = 0
-        #: High-water mark of stages actually streamed (dedups replay).
+        #: The pickled engine snapshot a preempted in-slot query resumes
+        #: from, on any slot (held only while the query is suspended).
+        self.resume_state: "bytes | None" = None
+        #: High-water mark of stages actually streamed (a resumed attempt
+        #: replays earlier stages; they are not streamed twice).
         self.stages_emitted = 0
         self.preemptions = 0
         self.resumes = 0

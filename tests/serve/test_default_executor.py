@@ -51,7 +51,7 @@ def test_one_gpu_query_runs_in_process_by_default(er_graph):
         scheduler.run_until_idle()
         assert state.status == "completed"
         assert state.executor_used == "serial"
-        # An in-thread engine keeps its snapshot in memory, not on disk.
+        # An in-slot engine keeps no journal on disk.
         assert state.checkpoint_dir is None
     finally:
         scheduler.close()

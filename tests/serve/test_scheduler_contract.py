@@ -10,10 +10,10 @@
     resumed from its op-journal snapshot produces the bit-identical
     result payload and partial records of an uninterrupted run — over
     each hand-over route: one and two partitions on the serial executor
-    in memory, two on the process executor on disk.
-(d) **Disk is for processes that can die.**  An in-process query never
-    serialises or writes its journal; a query on worker processes
-    writes it through after every op.
+    through a pickled snapshot, two on the process executor on disk.
+(d) **Disk is for processes that can die on their own.**  An
+    unpreempted in-slot query never serialises or writes its journal; a
+    query on worker processes writes it through after every op.
 
 Each property is pinned on both the serial and the process shard
 executor (the Hypothesis corpus runs serial; fixed cases cover process).
@@ -37,6 +37,7 @@ from repro.serve import (
     result_payload,
     run_query,
 )
+from repro.serve.slot import Slot
 from tests.oracle import (
     kclique_count_ref,
     motif_histogram_ref,
@@ -286,15 +287,16 @@ def _snapshot_pairs(engine):
 
 @pytest.mark.parametrize("gpus", [1, 2])
 def test_in_process_query_does_no_journal_work(
-        er_graph, tmp_path, monkeypatch, gpus):
+        er_graph, tmp_path, monkeypatch, inline_slots, gpus):
     """Work counts, no clock: zero saves, no file, and the snapshot the
     query would resume from holds the live columns themselves (the
-    counted last level, its length alone)."""
+    counted last level, its length alone).  The slot runs on a thread,
+    so the spies below see its engine."""
     saves = []
     monkeypatch.setattr(CheckpointManager, "save",
                         lambda self, state: saves.append(self.path))
     shared = []
-    close_engine = Scheduler._close_engine
+    close_engine = Slot._close_engine
 
     def inspect_then_close(self, engine, key, pool):
         for snapshot, live in _snapshot_pairs(engine):
@@ -309,7 +311,7 @@ def test_in_process_query_does_no_journal_work(
                                              column.parents))
         close_engine(self, engine, key, pool)
 
-    monkeypatch.setattr(Scheduler, "_close_engine", inspect_then_close)
+    monkeypatch.setattr(Slot, "_close_engine", inspect_then_close)
     workdir = tmp_path / "serve"
     workdir.mkdir()
     scheduler = Scheduler(ServeConfig(slots=1, workdir=str(workdir)),

@@ -324,15 +324,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             engine = SYSTEMS[args.system](graph)
-    trace = None
-    if args.breakdown or args.profile:
-        from .gpusim.trace import TraceRecorder
-
-        trace = TraceRecorder().attach(engine.platform)
-        if getattr(engine, "executor_name", None) == "process":
-            print("note: --breakdown/--profile trace the front only "
-                  "under --executor process (partition platforms live in "
-                  "worker processes)", file=sys.stderr)
     if args.fault_plan:
         from .resilience import load_plan
 
@@ -445,9 +436,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             print(f"shards: {args.gpus} ({args.shard_policy}, "
                   f"{args.interconnect}); utilization: {utils}")
-        if trace is not None and (args.breakdown or args.profile):
+        if args.breakdown or args.profile:
+            from .obs.exporters import render_bars
+
             print("\nwhere the time went:")
-            print(trace.render())
+            print(render_bars(_bucket_rows(_clock_buckets(engine)),
+                              empty="(no simulated time charged)"))
         if args.profile:
             print("\nwall-clock profile:")
             print(timer.render())
@@ -464,6 +458,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if collector is not None:
             collector.finish()  # idempotent; detaches on the crash path too
         engine.close()
+
+
+def _clock_buckets(engine):
+    """Simulated seconds per category, summed over the engine's partitions
+    (a merged manifest's ``clock_buckets_total``)."""
+    if not isinstance(engine, Gamma):
+        return engine.platform.clock.snapshot()
+    from .shard.manifest import clock_buckets_total
+
+    return clock_buckets_total(engine.shard_states())
+
+
+def _bucket_rows(buckets):
+    """``(category, seconds, share)`` rows for ``render_bars``, largest
+    first."""
+    total = math.fsum(buckets.values()) or 1.0
+    return [(name, seconds, seconds / total)
+            for name, seconds in sorted(buckets.items(),
+                                        key=lambda kv: -kv[1])]
 
 
 def _plan_manifest_extra(engine, plan, plan_cache):
@@ -599,12 +612,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"simulated time: {sim * 1e3:.3f} ms")
     buckets = manifest.get("clock_buckets") or {}
     if buckets:
-        total = math.fsum(buckets.values()) or 1.0
-        rows = [(name, seconds, seconds / total)
-                for name, seconds in sorted(
-                    buckets.items(), key=lambda kv: -kv[1])]
         print("\nsimulated-time buckets:")
-        print(obs.render_bars(rows))
+        print(obs.render_bars(_bucket_rows(buckets)))
     counters = manifest.get("counters") or {}
     if counters:
         print("\ncounters:")

@@ -34,7 +34,7 @@ from .regions import (
     units_for_indices,
 )
 from .spec import DEFAULT_COST, DEFAULT_SPEC, CostModel, DeviceSpec
-from .trace import PhaseTimer, TraceRecorder
+from .trace import PhaseTimer
 from .stats import Counters
 from .unified import PageBuffer, UnifiedRegion
 from .warp import WarpGrid, charge_warp_scan, warp_ballot, warp_exclusive_scan
@@ -65,7 +65,6 @@ __all__ = [
     "DEFAULT_COST",
     "DEFAULT_SPEC",
     "Counters",
-    "TraceRecorder",
     "PageBuffer",
     "UnifiedRegion",
     "WarpGrid",

@@ -9,10 +9,10 @@ Three consumers, one span tree:
   what the paper's figures are drawn in.
 * :func:`write_metrics_jsonl` streams every metric sample as one JSON
   object per line.
-* :func:`render_bars` is the ASCII bar layout that
-  :class:`repro.gpusim.trace.TraceRecorder` and ``PhaseTimer`` renderings
-  delegate to, and :func:`render_span_tree` is the span-tree flavour used
-  by ``repro report``.
+* :func:`render_bars` is the ASCII bar layout of ``repro run
+  --breakdown`` (the partitions' summed clock buckets), ``repro report``
+  and :class:`repro.gpusim.trace.PhaseTimer`, and :func:`render_span_tree`
+  is the span-tree flavour used by ``repro report``.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ class SpanCollector:
             self._open(Span(self, "run", RUN, None, {}))
         return self
 
-    #: Alias matching ``TraceRecorder.attach`` for symmetry in tests.
+    #: Alias of :meth:`bind`.
     attach = bind
 
     def finish(self) -> "SpanCollector":

@@ -342,8 +342,7 @@ class SlotProcess:
     def crashed(self) -> WorkerCrashed:
         if self.process.pid is not None:
             # The dead slot's shard workers block on pipes no one will write
-            # again: end its process group (a resource tracker ignores
-            # SIGTERM and stays to unlink their shared memory).
+            # again: end its process group.
             try:
                 os.killpg(self.process.pid, signal.SIGTERM)
             except ProcessLookupError:

@@ -12,9 +12,11 @@ directly — it issues named plain-data commands through a
   them over ``multiprocessing`` pipes at BSP-superstep granularity:
   every fan-out sends all N commands before collecting any reply, so the
   per-shard NumPy work genuinely overlaps on multicore hosts.  The graph
-  ships once via :mod:`repro.shard.shm`; every reply piggybacks the
-  worker's simulated-clock total so barrier targets cost zero extra round
-  trips.
+  rides in each worker's ``Process`` arguments, as a serve slot's do: a
+  forked worker reads the coordinator's CSR arrays in place
+  (copy-on-write, never written), a spawned one unpickles its own copy.
+  Every reply piggybacks the worker's simulated-clock total so barrier
+  targets cost zero extra round trips.
 
 Executor objects are picklable as *inert configuration* (the fork-state
 checker audits this): live processes, pipes and engines never survive
@@ -229,13 +231,12 @@ class ProcessExecutor(ShardExecutor):
         self.start_method = start_method or default_start_method()
         #: Reusable pools survive ``shutdown()`` (``terminate()`` tears
         #: down for real): the serve scheduler runs many short queries and
-        #: amortizes fork+shm startup by resetting workers between them.
+        #: amortizes fork startup by resetting workers between them.
         self.reusable = bool(reusable)
         self.pool_reuses = 0
         self._procs: list = []
         self._conns: list = []
         self._clocks: List[float] = []
-        self._graph_meta: "Dict[str, Any] | None" = None
         self._started: "Dict[str, Any] | None" = None
         self.last_faulted: "int | None" = None
         self._broken = False
@@ -244,8 +245,6 @@ class ProcessExecutor(ShardExecutor):
     def start(self, *, graph, config, num_shards: int, policy: str,
               interconnect, telemetry: bool = False, platform=None) -> None:
         import multiprocessing
-
-        from . import shm
 
         if self._procs and self.reset(
             graph=graph, config=config, num_shards=num_shards,
@@ -256,12 +255,11 @@ class ProcessExecutor(ShardExecutor):
         self._closed = False
         self.last_faulted = None
         context = multiprocessing.get_context(self.start_method)
-        self._graph_meta = shm.publish_graph(graph)
         try:
             for index in range(num_shards):
                 bootstrap = {
                     "index": index,
-                    "graph": self._graph_meta,
+                    "graph": graph,
                     "config": config,
                     "num_shards": num_shards,
                     "policy": policy,
@@ -369,7 +367,7 @@ class ProcessExecutor(ShardExecutor):
         Succeeds only when the pool is healthy and shaped for the request
         (same worker count, same graph object — :mod:`repro.graph.datasets`
         caches loads, so object identity is the cheap and sound test for
-        "the shm segments already hold this graph").  On any mismatch the
+        "the workers already hold this graph").  On any mismatch the
         pool is torn down and ``False`` tells the caller to start cold.
         """
         if not self._procs or self._broken or self._closed:
@@ -420,11 +418,6 @@ class ProcessExecutor(ShardExecutor):
                 pass
         self._procs = []
         self._conns = []
-        if self._graph_meta is not None:
-            from . import shm
-
-            shm.release_graph(self._graph_meta)
-            self._graph_meta = None
 
     def __getstate__(self) -> dict:
         return {"start_method": self.start_method,

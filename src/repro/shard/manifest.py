@@ -47,6 +47,16 @@ def _strip_volatile(doc: Any) -> Any:
     return doc
 
 
+def clock_buckets_total(states) -> Dict[str, float]:
+    """Per-category simulated seconds summed over partitions (GPU-seconds):
+    ``states`` are manifests or :meth:`Gamma.shard_states` entries."""
+    total: Dict[str, float] = {}
+    for state in states:
+        for key, value in state.get("clock_buckets", {}).items():
+            total[key] = total.get(key, 0.0) + value
+    return total
+
+
 def build_sharded_manifest(
     engine,
     collector: Any = None,
@@ -77,12 +87,9 @@ def build_sharded_manifest(
         doc["utilization"] = utilizations[index]
 
     counters: Dict[str, int] = {}
-    buckets_total: Dict[str, float] = {}
     for doc in shard_docs:
         for key, value in doc.get("counters", {}).items():
             counters[key] = counters.get(key, 0) + value
-        for key, value in doc.get("clock_buckets", {}).items():
-            buckets_total[key] = buckets_total.get(key, 0.0) + value
 
     merged: Dict[str, Any] = {
         "schema": SHARD_SCHEMA,
@@ -103,7 +110,7 @@ def build_sharded_manifest(
         "peak_host_bytes": engine.peak_host_bytes,
         "total_peak_memory_bytes": engine.total_peak_memory_bytes,
         "counters": counters,
-        "clock_buckets_total": buckets_total,
+        "clock_buckets_total": clock_buckets_total(shard_docs),
         "shards": shard_docs,
     }
     # Straggler section: which shard gated each superstep, utilization

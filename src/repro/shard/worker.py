@@ -646,11 +646,11 @@ class ShardWorker:
                  telemetry: bool = False) -> None:
         """Rebuild the per-run state for a warm-pool reuse of this worker.
 
-        The process (and its shm graph attachment) survives across runs;
-        everything per-run — platform, tables, unit assignments, telemetry
-        collector — is rebuilt exactly as the constructor would build it,
-        so a reused pool is indistinguishable from a cold one (the pool
-        regression test pins byte-identical manifests).
+        The process, and the graph it was started with, survive across
+        runs; everything per-run — platform, tables, unit assignments,
+        telemetry collector — is rebuilt exactly as the constructor would
+        build it, so a reused pool is indistinguishable from a cold one
+        (the pool regression test pins byte-identical manifests).
         """
         self.do_close()
         self.policy = policy
@@ -680,34 +680,21 @@ def submit(conn, request: dict) -> None:
     conn.send(request)
 
 
-def _build_worker(bootstrap: dict):
-    from . import shm
-    attached = shm.attach_graph(bootstrap["graph"])
-    worker = ShardWorker(
-        index=bootstrap["index"],
-        graph=attached.graph,
-        config=bootstrap["config"],
-        num_shards=bootstrap["num_shards"],
-        policy=bootstrap["policy"],
-        interconnect=bootstrap["interconnect"],
-        telemetry=bootstrap.get("telemetry", False),
-    )
-    return worker, attached
-
-
 def serve(conn, bootstrap: dict, exit_process: bool = True) -> int:
     """Worker main loop: build the partition, then recv/dispatch/send.
+
+    ``bootstrap`` is the :class:`ShardWorker`'s keyword arguments, graph
+    included.
 
     ``exit_process=False`` is the in-process test harness mode (the loop
     runs on a thread over a pipe pair): crashes return
     :data:`CRASH_EXIT_CODE` instead of calling ``os._exit``.
     """
     status = 0
-    attached = None
     worker = None
     try:
         try:
-            worker, attached = _build_worker(bootstrap)
+            worker = ShardWorker(**bootstrap)
         except BaseException as exc:  # noqa: BLE001 - ship the build failure
             conn.send({"ok": False, "error": pickle.dumps(
                 ExecutionError(f"shard worker failed to start: {exc!r}")),
@@ -740,8 +727,6 @@ def serve(conn, bootstrap: dict, exit_process: bool = True) -> int:
                 worker.do_close()  # releases any lazy spill temp dir
             except Exception:  # pragma: no cover - teardown best-effort
                 pass
-        if attached is not None:
-            attached.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover - already torn down

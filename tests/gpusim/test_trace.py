@@ -1,116 +1,24 @@
-"""Tests for the execution-trace recorder, clock listeners and PhaseTimer."""
+"""Tests for PhaseTimer and the absence of clock listeners."""
 
 import time
 
 import pytest
 
-from repro.algorithms import triangle_count
-from repro.core import Gamma
-from repro.graph import kronecker
-from repro.gpusim import TraceRecorder, make_platform
-from repro.gpusim import clock as clk
 from repro.gpusim.clock import SimClock
 from repro.gpusim.trace import PhaseTimer
 
 
-class TestTraceRecorder:
-    def test_listener_accumulates(self):
-        platform = make_platform()
-        trace = TraceRecorder().attach(platform)
-        platform.clock.advance(clk.COMPUTE, 0.5)
-        platform.clock.advance(clk.COMPUTE, 0.5)
-        platform.clock.advance(clk.PCIE_EXPLICIT, 1.0)
-        assert trace.total == pytest.approx(2.0)
-        summary = dict((name, share) for name, __, share in trace.summary())
-        assert summary[clk.COMPUTE] == pytest.approx(0.5)
-
-    def test_summary_sorted_descending(self):
-        platform = make_platform()
-        trace = TraceRecorder().attach(platform)
-        platform.clock.advance("a", 1.0)
-        platform.clock.advance("b", 3.0)
-        assert [name for name, __, __ in trace.summary()] == ["b", "a"]
-
-    def test_events_optional(self):
-        platform = make_platform()
-        trace = TraceRecorder(keep_events=True).attach(platform)
-        platform.clock.advance("x", 1.0)
-        platform.clock.advance("y", 2.0)
-        assert len(trace.events) == 2
-        assert trace.events[1][1] == "y"
-
-    def test_events_off_by_default(self):
-        platform = make_platform()
-        trace = TraceRecorder().attach(platform)
-        platform.clock.advance("x", 1.0)
-        assert trace.events == []
-
-    def test_render(self):
-        platform = make_platform()
-        trace = TraceRecorder().attach(platform)
-        platform.clock.advance(clk.COMPUTE, 3.0)
-        platform.clock.advance(clk.PAGE_FAULT, 1.0)
-        out = trace.render(width=20)
-        assert "compute" in out
-        assert "75.0%" in out
-
-    def test_render_empty(self):
-        assert "no simulated time" in TraceRecorder().render()
-
-    def test_reset(self):
-        platform = make_platform()
-        trace = TraceRecorder(keep_events=True).attach(platform)
-        platform.clock.advance("x", 1.0)
-        trace.reset()
-        assert trace.total == 0.0
-        assert trace.events == []
-
-    def test_trace_matches_clock_on_real_run(self):
-        graph = kronecker(7, 4, seed=1)
-        platform = make_platform()
-        trace = TraceRecorder().attach(platform)
-        with Gamma(graph, platform=platform) as engine:
-            triangle_count(engine)
-            assert trace.total == pytest.approx(platform.clock.total)
-
-
 class TestClockListeners:
-    def test_fan_out_to_multiple_listeners(self):
-        clock = SimClock()
-        seen_a, seen_b = [], []
-        clock.add_listener(lambda cat, s: seen_a.append((cat, s)))
-        clock.add_listener(lambda cat, s: seen_b.append((cat, s)))
-        clock.advance("compute", 1.0)
-        assert seen_a == [("compute", 1.0)]
-        assert seen_b == [("compute", 1.0)]
-
-    def test_remove_listener(self):
-        clock = SimClock()
-        seen = []
-        fn = clock.add_listener(lambda cat, s: seen.append(cat))
-        clock.remove_listener(fn)
-        clock.remove_listener(fn)  # second removal is a no-op
-        clock.advance("compute", 1.0)
-        assert seen == []
-
-    def test_two_trace_recorders_both_accumulate(self):
-        platform = make_platform()
-        first = TraceRecorder().attach(platform)
-        second = TraceRecorder().attach(platform)
-        platform.clock.advance(clk.COMPUTE, 2.0)
-        assert first.total == pytest.approx(2.0)
-        assert second.total == pytest.approx(2.0)
-
     def test_legacy_listener_shim_is_gone(self):
-        # The deprecated single-slot `listener` property was removed in
-        # favour of add_listener()/remove_listener().  Check the *class*:
-        # after a property is deleted, instance assignment would silently
-        # create a plain attribute, so hasattr on an instance alone would
-        # not catch a reintroduction.
-        assert "listener" not in vars(SimClock)
-        assert not hasattr(SimClock, "listener")
-        assert not hasattr(SimClock(), "listener")
-        assert "_legacy_listener" not in vars(SimClock())
+        # A clock is its buckets: nothing subscribes to single charges
+        # (the breakdown bars read a snapshot).  Check the *class*: after
+        # a property is deleted, instance assignment would silently create
+        # a plain attribute, so hasattr on an instance alone would not
+        # catch a reintroduction.
+        for name in ("listener", "add_listener", "remove_listener"):
+            assert name not in vars(SimClock)
+            assert not hasattr(SimClock(), name)
+        assert not {"_legacy_listener", "_listeners"} & set(vars(SimClock()))
 
 
 class TestPhaseTimerNesting:

@@ -4,8 +4,8 @@ submissions.
 Crash containment (docs/SERVING.md): a fault mid-query affects exactly
 that query — retried from its op-journal checkpoint (or its last
 hand-over) or failed, per its ``on_crash`` policy — while other tenants'
-queries run to completion, a killed slot is replaced, and no
-shared-memory segment, spill directory or child process is left behind
+queries run to completion, a killed slot is replaced, and no spill
+directory or child process is left behind
 (the autouse leak sentinel in ``conftest.py`` checks after every test
 here).
 

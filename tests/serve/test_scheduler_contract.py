@@ -365,8 +365,10 @@ def test_process_query_journals_every_op_durably(er_graph, tmp_path):
 def test_snapshot_lives_exactly_as_long_as_the_suspension(
         er_graph, fault_plan, outcome):
     held = []
+    # In memory, as the other in-memory cases: a process executor's
+    # suspension is its op journal on disk, not a held snapshot.
     low, __, ___ = _preemption_run(er_graph, QuerySpec(
-        family="kcl", k=5, dataset="G", tenant="lo",
+        family="kcl", k=5, dataset="G", tenant="lo", executor="serial",
         fault_plan=fault_plan), 2, held)
     assert low.preemptions == 1 and low.resumes == 1
     assert held and all(state is not None for state in held)

@@ -6,12 +6,13 @@ real signal (``SIGKILL`` from outside).  Either way the coordinator must
 (a) surface :class:`~repro.errors.WorkerCrashed` naming the shard, (b)
 refuse further commands on the broken executor, (c) leave the last
 per-shard checkpoints on disk so a fresh engine resumes to bit-identical
-final accounting, and (d) leak nothing — no shared-memory segments, no
-spill temp dirs.  This file pins all four, plus the degradation-ladder
-parity between backends and the fork-state pickling contract.
+final accounting, and (d) leak no spill temp dirs.  This file pins all
+four, plus the degradation-ladder parity between backends, the fork-state
+pickling contract and how a worker gets its graph.
 """
 
 import glob
+import multiprocessing
 import os
 import pickle
 import signal
@@ -28,8 +29,8 @@ from repro.errors import ExecutionError, WorkerCrashed
 from repro.graph import generators
 from repro.gpusim.spec import InterconnectSpec
 from repro.resilience import FaultPlan, FaultSpec
-from repro.shard import ProcessExecutor, SerialExecutor, ShardedGamma, shm
-from repro.shard.worker import CRASH_EXIT_CODE, serve
+from repro.shard import ProcessExecutor, SerialExecutor, ShardedGamma
+from repro.shard.worker import CRASH_EXIT_CODE, ShardWorker, serve
 
 CRASH_PLAN = FaultPlan(
     name="die",
@@ -71,7 +72,6 @@ def test_injected_crash_process_names_shard_and_exit_code(graph):
     with pytest.raises(ExecutionError, match="no longer usable"):
         engine.shard_states()
     engine.close()
-    assert not shm.live_segments()
     assert _spill_dirs() == spills_before
 
 
@@ -94,7 +94,6 @@ def test_sigkill_mid_run(graph):
     assert info.value.shard == 1
     assert info.value.exit_code == -signal.SIGKILL
     engine.close()
-    assert not shm.live_segments()
 
 
 @pytest.mark.parametrize("resume_backend", ["serial", "process"])
@@ -124,7 +123,6 @@ def test_crash_then_resume_bit_identical(graph, tmp_path, resume_backend):
                 == clean_states[i]["clock_buckets"])
     resumed.close()
     clean.close()
-    assert not shm.live_segments()
 
 
 def test_degradation_ladder_parity(graph):
@@ -149,31 +147,33 @@ def test_degradation_ladder_parity(graph):
     assert events and all(e["shard"] == 1 for e in events)
 
 
-def test_shared_memory_lifecycle_for_large_graphs():
-    """Graphs over the shm threshold ship through one segment that the
-    engine owns and drains on close."""
-    big = generators.erdos_renyi(2500, 26000, seed=7, labels=3)
-    assert shm.graph_nbytes(big) >= shm.SHM_THRESHOLD_BYTES
-    engine = ShardedGamma(big, num_shards=2, executor="process")
-    assert engine.executor._graph_meta["mode"] == "shm"
-    assert len(shm.live_segments()) == 1
-    got = triangle_count(engine).triangles
-    engine.close()
-    assert not shm.live_segments()
-
-    serial = ShardedGamma(big, num_shards=2, executor="serial")
-    assert triangle_count(serial).triangles == got
-    serial.close()
+@pytest.fixture(scope="module")
+def big_graph():
+    """Over 1 MiB of CSR arrays."""
+    return generators.erdos_renyi(2500, 26000, seed=7, labels=3)
 
 
-def test_release_graph_rejects_double_release():
-    big = generators.erdos_renyi(2500, 26000, seed=7, labels=3)
-    meta = shm.publish_graph(big)
-    assert meta["mode"] == "shm"
-    shm.release_graph(meta)
-    with pytest.raises(ExecutionError, match="already"):
-        shm.release_graph(meta)
-    assert not shm.live_segments()
+def _data_address(array) -> int:
+    return array.__array_interface__["data"][0]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_worker_reads_the_coordinators_csr(big_graph, monkeypatch):
+    """A forked worker's graph is the coordinator's: its arrays sit at the
+    coordinator's addresses (inherited copy-on-write), not in a copy."""
+    # A command only this test sends, set before the fork so the workers
+    # have it.
+    monkeypatch.setattr(
+        ShardWorker, "do_neighbors_address",
+        lambda worker: _data_address(worker.graph.neighbors), raising=False)
+    engine = ShardedGamma(big_graph, num_shards=2,
+                          executor=ProcessExecutor(start_method="fork"))
+    try:
+        addresses = engine.executor.fanout("neighbors_address", [{}, {}])
+    finally:
+        engine.close()
+    assert addresses == [_data_address(big_graph.neighbors)] * 2
 
 
 def test_executors_pickle_as_inert_config(graph):
@@ -195,24 +195,22 @@ def test_executors_pickle_as_inert_config(graph):
     serial.close()
 
 
-def test_spawn_start_method_smoke(monkeypatch):
+def test_spawn_start_method_smoke(big_graph, monkeypatch):
     """The spawn start method works end-to-end (slow: fresh interpreters),
-    proving the worker bootstrap is genuinely picklable."""
+    proving the worker bootstrap, graph included, is genuinely picklable."""
     monkeypatch.setenv("REPRO_SHARD_START_METHOD", "spawn")
-    small = generators.erdos_renyi(16, 40, seed=3, labels=2)
-    engine = ShardedGamma(small, num_shards=2, executor="process")
+    engine = ShardedGamma(big_graph, num_shards=2, executor="process")
     assert engine.executor.start_method == "spawn"
     got = triangle_count(engine).triangles
     engine.close()
-    ref = triangle_count(ShardedGamma(small, num_shards=2)).triangles
-    assert got == ref
-    assert not shm.live_segments()
+    with ShardedGamma(big_graph, num_shards=2, executor="serial") as serial:
+        assert got == triangle_count(serial).triangles
 
 
 def _bootstrap(graph, index=0, num_shards=1):
     return {
         "index": index,
-        "graph": shm.publish_graph(graph),
+        "graph": graph,
         "config": GammaConfig(),
         "num_shards": num_shards,
         "policy": "static",

@@ -1,10 +1,10 @@
-"""Direct unit coverage for the shm transport and RemotePart proxies.
+"""Direct unit coverage for the RemotePart proxies and reply sizes.
 
 The crash-matrix and parity suites exercise these end-to-end through
 worker processes, where the in-process coverage tracer cannot follow.
 These tests drive the same coordinator-side code paths directly: the
-shared-memory publish/attach/release cycle inside one process, and the
-``RemotePart`` read-proxy surface against a live process executor.
+``RemotePart`` read-proxy surface against a live process executor, and
+what one extension level ships back to the coordinator.
 """
 
 import pickle
@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core import GammaConfig
-from repro.errors import ExecutionError
 from repro.graph import generators
 from repro.gpusim.spec import InterconnectSpec
-from repro.shard import ProcessExecutor, ShardedGamma, shm
+from repro.shard import ProcessExecutor, ShardedGamma
 from repro.shard.table import RemotePart, ShardedTable
 from repro.shard.worker import ShardWorker
 
@@ -24,38 +23,6 @@ from repro.shard.worker import ShardWorker
 @pytest.fixture(scope="module")
 def graph():
     return generators.erdos_renyi(24, 70, seed=11, labels=3)
-
-
-class TestShmTransport:
-    def test_small_graphs_ship_pickled(self, graph):
-        meta = shm.publish_graph(graph)
-        assert meta["mode"] == "pickle"
-        assert meta["nbytes"] == shm.graph_nbytes(graph)
-        attached = shm.attach_graph(meta)
-        assert attached.graph is graph
-        attached.close()  # no-op for pickle mode
-        shm.release_graph(meta)  # no-op for pickle mode
-        assert not shm.live_segments()
-
-    def test_publish_attach_roundtrip_over_segment(self, graph):
-        # Force the segment path regardless of graph size.
-        meta = shm.publish_graph(graph, threshold=0)
-        assert meta["mode"] == "shm"
-        assert meta["segment"] in shm.live_segments()
-        attached = shm.attach_graph(meta)
-        try:
-            got = attached.graph
-            assert got.name == graph.name
-            for field in ("offsets", "neighbors", "edge_src", "edge_dst"):
-                np.testing.assert_array_equal(
-                    getattr(got, field), getattr(graph, field))
-            # Views are read-only: workers cannot mutate the shared CSR.
-            with pytest.raises(ValueError):
-                got.offsets[0] = 99
-        finally:
-            attached.close()
-            shm.release_graph(meta)
-        assert meta["segment"] not in shm.live_segments()
 
 
 class TestRemotePart:
@@ -113,12 +80,6 @@ class TestRemotePart:
         for part in parts:
             part.release()
         assert parts[1].num_embeddings == 0
-
-    def test_double_release_of_segment_raises(self, graph):
-        meta = shm.publish_graph(graph, threshold=0)
-        shm.release_graph(meta)
-        with pytest.raises(ExecutionError, match="already"):
-            shm.release_graph(meta)
 
 
 class TestReplyWeight:

@@ -122,6 +122,23 @@ class TestObservabilityFlags:
         for phase in ("load-dataset", "build-engine", "run-task", "total"):
             assert phase in out
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_breakdown_bars_sum_to_simulated_time(self, capsys, executor):
+        # The bars are the partition's clock buckets, construction charges
+        # included, wherever the partition runs.
+        assert main(["run", "--task", "kcl", "--k", "4", "--dataset", "ER",
+                     "--executor", executor, "--breakdown"]) == 0
+        out = capsys.readouterr().out
+        simulated = next(line for line in out.splitlines()
+                         if line.startswith("simulated time:"))
+        printed = float(simulated.split()[2])
+        lines = out.split("where the time went:\n", 1)[1].splitlines()
+        bars = [float(line.split()[-2]) for line in lines
+                if line.endswith(" ms")]
+        # Each figure is rounded to 3 decimals.
+        assert sum(bars) == pytest.approx(printed,
+                                          abs=5e-4 * (len(bars) + 1))
+
     def test_trace_out(self, capsys, tmp_path):
         import json
 

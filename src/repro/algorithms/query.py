@@ -1,17 +1,19 @@
-"""Query specifications and the family dispatch the serve scheduler runs.
+"""One mining task, named once: the query spec, its plan and its driver.
 
 A :class:`QuerySpec` is the plain-data description of one mining request:
 the task family plus its parameters, the dataset, the execution shape
 (GPU count, shard policy, executor backend), and the tenancy fields the
-admission queue cares about (tenant, priority).  Specs are frozen and
-JSON-round-trippable — they arrive over HTTP, cross no process boundary
-with live handles, and appear verbatim in billing records.
+serve tier's admission queue cares about (tenant, priority).  Specs are
+frozen and JSON-round-trippable — they arrive over HTTP, cross no process
+boundary with live handles, and appear verbatim in billing records.
 
-:func:`run_query` dispatches a spec to the matching algorithm driver with
-the scheduler's ``level_hook`` threaded through, so per-level partials
-stream out of exactly the same op sequence a batch run executes — the
-streamed-vs-batch parity suite leans on that being *structural*, not a
-re-implementation.
+``repro run``, ``repro plan explain`` and ``repro query`` build one from
+their workload flags, and a serve slot receives one per query; both then
+compile its plan with :func:`resolve_query_plan` and run its driver with
+:func:`run_query`, which threads the scheduler's ``level_hook`` through,
+so per-level partials stream out of exactly the same op sequence a batch
+run executes — the streamed-vs-batch parity suite leans on that being
+*structural*, not a re-implementation.
 """
 
 from __future__ import annotations
@@ -20,17 +22,28 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..errors import ExecutionError
+from ..graph import sm_query
+from .fpm import frequent_pattern_mining
+from .kclique import count_kcliques
+from .motif import motif_count
+from .subgraph_matching import match_pattern
 
 __all__ = [
     "FAMILIES",
     "QuerySpec",
     "fold_partials",
+    "resolve_query_plan",
     "result_payload",
     "run_query",
 ]
 
-#: Task families the service admits (CLI task-name spelling).
+#: Task families a query names (CLI task-name spelling).
 FAMILIES = ("kcl", "sm", "motifs", "fpm")
+
+#: Each family's task name in the planner, which saved plan files and
+#: plan-cache keys carry.
+_PLANNER_TASKS = {"kcl": "kclique", "sm": "sm", "motifs": "motif",
+                  "fpm": "fpm"}
 
 #: Accepted aliases -> canonical family name.
 _FAMILY_ALIASES = {
@@ -129,37 +142,39 @@ class QuerySpec:
                 "support_metric": self.support_metric}
 
 
+def _task_arguments(spec: QuerySpec) -> dict:
+    """The keyword arguments ``spec``'s driver and ``resolve_plan`` share."""
+    arguments = spec.params()
+    if spec.family == "sm":
+        arguments["pattern"] = sm_query(arguments.pop("query"))
+    return arguments
+
+
+def resolve_query_plan(engine, spec: QuerySpec, cache=None):
+    """The plan ``spec`` runs: ``spec.plan`` compiled for its family.
+
+    This is the one family -> :func:`repro.plan.resolve_plan` mapping;
+    ``cache`` is the :class:`~repro.plan.PlanCache` ``auto`` plans go
+    through.
+    """
+    from ..plan import resolve_plan
+
+    return resolve_plan(engine, _PLANNER_TASKS[spec.family], plan=spec.plan,
+                        cache=cache, **_task_arguments(spec))
+
+
 def run_query(engine, spec: QuerySpec, level_hook=None, plan=None):
     """Run one query's driver on ``engine``; returns the result dataclass.
 
-    ``plan`` overrides ``spec.plan`` (the scheduler pre-resolves ``auto``
-    plans through its shared :class:`~repro.plan.PlanCache`).
+    ``plan`` overrides ``spec.plan`` (a :func:`resolve_query_plan` result).
     """
-    from ..algorithms import (
-        count_kcliques,
-        frequent_pattern_mining,
-        match_pattern,
-        motif_count,
-    )
-    from ..graph import sm_query
-
-    plan = plan if plan is not None else spec.plan
-    if spec.family == "kcl":
-        return count_kcliques(engine, spec.k, plan=plan,
-                              level_hook=level_hook)
-    if spec.family == "sm":
-        return match_pattern(engine, sm_query(spec.query), plan=plan,
-                             symmetry_breaking=spec.symmetry_breaking,
-                             level_hook=level_hook)
-    if spec.family == "motifs":
-        return motif_count(engine, spec.num_edges, plan=plan,
-                           level_hook=level_hook)
-    if spec.family == "fpm":
-        return frequent_pattern_mining(
-            engine, spec.iterations, spec.min_support,
-            support_metric=spec.support_metric, plan=plan,
-            level_hook=level_hook)
-    raise ExecutionError(f"unknown query family {spec.family!r}")
+    # Looked up per call, not held in a module table, so a wrapper patched
+    # over a driver's module-level name is the one that runs.
+    driver = {"kcl": count_kcliques, "sm": match_pattern,
+              "motifs": motif_count, "fpm": frequent_pattern_mining}
+    return driver[spec.family](
+        engine, plan=plan if plan is not None else spec.plan,
+        level_hook=level_hook, **_task_arguments(spec))
 
 
 def result_payload(spec: QuerySpec, result) -> dict:

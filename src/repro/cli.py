@@ -19,25 +19,24 @@ import sys
 from typing import Sequence
 
 from .algorithms import (
-    count_kcliques,
-    frequent_pattern_mining,
+    FAMILIES,
+    QuerySpec,
     graphlet_census,
-    match_pattern,
-    motif_count,
+    resolve_query_plan,
+    run_query,
     triangle_count,
 )
 from .core.framework import Gamma
 from .errors import GammaError
-from .graph import datasets, sm_query
+from .graph import datasets
 from .graph.catalog import default_catalog
 
 
-def _workload_arguments(parser: argparse.ArgumentParser,
-                        query_dest: str = "query") -> None:
+def _workload_arguments(parser: argparse.ArgumentParser) -> None:
     """The flags that shape one workload (``run``, ``plan explain``, ``query``)."""
     parser.add_argument("--dataset", default="CL",
                         help="Table II abbreviation (default CL)")
-    parser.add_argument("--query", type=int, default=1, dest=query_dest,
+    parser.add_argument("--query", type=int, default=1,
                         help="SM query number q1-q6 (default 1)")
     parser.add_argument("--symmetry-breaking", action="store_true",
                         help="SM: enumerate each subgraph once")
@@ -49,6 +48,15 @@ def _workload_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--metric", default="instances",
                         choices=("instances", "mni"), help="FPM support metric")
     parser.add_argument("--edges", type=int, default=2, help="motifs: size")
+
+
+def _query_spec(args: argparse.Namespace, **fields) -> QuerySpec:
+    """The query the workload flags, ``--task`` and ``--plan`` name."""
+    return QuerySpec(
+        family=args.task, dataset=args.dataset, plan=args.plan, k=args.k,
+        query=args.query, symmetry_breaking=args.symmetry_breaking,
+        num_edges=args.edges, iterations=args.iterations,
+        min_support=args.min_support, support_metric=args.metric, **fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one GPM task on one system")
     run.add_argument("--task", required=True,
-                     choices=("sm", "kcl", "fpm", "triangles", "motifs", "graphlets"))
+                     choices=(*FAMILIES, "triangles", "graphlets"))
     _workload_arguments(run)
     run.add_argument("--system", default="GAMMA",
                      help="GAMMA (default) or a baseline; see `repro systems`")
@@ -134,8 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plan_sub = plan.add_subparsers(dest="plan_command", required=True)
     explain = plan_sub.add_parser(
         "explain", help="compile a plan for one workload and print it")
-    explain.add_argument("--task", required=True,
-                         choices=("sm", "kcl", "fpm", "motifs"))
+    explain.add_argument("--task", required=True, choices=FAMILIES)
     _workload_arguments(explain)
     explain.add_argument("--plan", default="auto", metavar="SPEC",
                          help="'auto' (default), 'baseline', or a plan "
@@ -202,9 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--url", default="http://127.0.0.1:8750",
                        help="service base URL (default "
                             "http://127.0.0.1:8750)")
-    query.add_argument("--task", required=True,
-                       choices=("sm", "kcl", "fpm", "motifs"))
-    _workload_arguments(query, query_dest="sm_query")
+    query.add_argument("--task", required=True, choices=FAMILIES)
+    _workload_arguments(query)
     query.add_argument("--tenant", default="default",
                        help="tenant to bill (default 'default')")
     query.add_argument("--priority", type=int, default=0,
@@ -241,10 +247,6 @@ def _cmd_systems() -> int:
     return 0
 
 
-#: Tasks the query planner knows how to compile plans for.
-_PLANNABLE_TASKS = ("sm", "kcl", "fpm", "motifs")
-
-
 def _open_plan_cache(cache_dir):
     """Open the persistent plan cache under ``cache_dir`` (or None)."""
     if not cache_dir:
@@ -256,26 +258,6 @@ def _open_plan_cache(cache_dir):
     return PlanCache(pathlib.Path(cache_dir) / "plans.sqlite")
 
 
-def _resolve_cli_plan(args: argparse.Namespace, engine, cache):
-    """Map run/explain CLI arguments onto :func:`repro.plan.resolve_plan`."""
-    from .plan import resolve_plan
-
-    if args.task == "sm":
-        return resolve_plan(
-            engine, "sm", pattern=sm_query(args.query), plan=args.plan,
-            cache=cache, symmetry_breaking=args.symmetry_breaking)
-    if args.task == "kcl":
-        return resolve_plan(engine, "kclique", plan=args.plan, cache=cache,
-                            k=args.k)
-    if args.task == "fpm":
-        return resolve_plan(engine, "fpm", plan=args.plan, cache=cache,
-                            iterations=args.iterations,
-                            min_support=args.min_support,
-                            support_metric=args.metric)
-    return resolve_plan(engine, "motif", plan=args.plan, cache=cache,
-                        num_edges=args.edges)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     gamma = args.system == "GAMMA"
     if not gamma:
@@ -285,10 +267,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"unknown system {args.system!r}; see `repro systems`",
                   file=sys.stderr)
             return 2
-    if args.task not in _PLANNABLE_TASKS and (
-            args.plan != "baseline" or args.plan_cache_dir):
+    # triangles and graphlets are not query families: no spec, no plan.
+    spec = _query_spec(args) if args.task in FAMILIES else None
+    if spec is None and (args.plan != "baseline" or args.plan_cache_dir):
         print(f"--plan/--plan-cache-dir apply to "
-              f"{'/'.join(_PLANNABLE_TASKS)} runs, not {args.task}",
+              f"{'/'.join(FAMILIES)} runs, not {args.task}",
               file=sys.stderr)
         return 2
     from .gpusim.trace import PhaseTimer
@@ -331,33 +314,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     plan_obj = None
     plan_cache = None
     try:
-        if args.task in _PLANNABLE_TASKS:
+        if spec is not None:
             plan_cache = _open_plan_cache(args.plan_cache_dir)
             try:
                 with timer.phase("plan"):
-                    plan_obj = _resolve_cli_plan(args, engine, plan_cache)
+                    plan_obj = resolve_query_plan(engine, spec, plan_cache)
             except (OSError, ValueError) as exc:
                 print(f"bad --plan {args.plan!r}: {exc}", file=sys.stderr)
                 return 2
-        if args.task == "sm":
-            task_fn = lambda eng: match_pattern(  # noqa: E731
-                eng, sm_query(args.query),
-                symmetry_breaking=args.symmetry_breaking,
-                plan=plan_obj,
-            )
-        elif args.task == "kcl":
-            task_fn = lambda eng: count_kcliques(  # noqa: E731
-                eng, args.k, plan=plan_obj)
+            task_fn = lambda eng: run_query(eng, spec, plan=plan_obj)  # noqa: E731
         elif args.task == "triangles":
             task_fn = triangle_count
-        elif args.task == "fpm":
-            task_fn = lambda eng: frequent_pattern_mining(  # noqa: E731
-                eng, args.iterations, args.min_support,
-                support_metric=args.metric, plan=plan_obj,
-            )
-        elif args.task == "motifs":
-            task_fn = lambda eng: motif_count(  # noqa: E731
-                eng, args.edges, plan=plan_obj)
         else:  # graphlets
             task_fn = lambda eng: graphlet_census(eng, args.k)  # noqa: E731
 
@@ -462,12 +429,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _clock_buckets(engine):
     """Simulated seconds per category, summed over the engine's partitions
-    (a merged manifest's ``clock_buckets_total``)."""
+    (a manifest's ``clock_buckets``)."""
     if not isinstance(engine, Gamma):
         return engine.platform.clock.snapshot()
-    from .shard.manifest import clock_buckets_total
+    from .shard.manifest import summed_clock_buckets
 
-    return clock_buckets_total(engine.shard_states())
+    return summed_clock_buckets(engine.shard_states())
 
 
 def _bucket_rows(buckets):
@@ -538,13 +505,13 @@ def _cmd_plan_explain(args: argparse.Namespace) -> int:
     graph = datasets.load(args.dataset)
     print(f"{args.dataset}: {graph.num_vertices} vertices, "
           f"{graph.num_edges} edges")
-    # resolve_plan only consults the engine for its graph; skip building
+    # The planner only consults the engine for its graph; skip building
     # the simulator for a planning-only command.
     engine = types.SimpleNamespace(graph=graph)
     plan_cache = _open_plan_cache(args.plan_cache_dir)
     try:
         try:
-            plan_obj = _resolve_cli_plan(args, engine, plan_cache)
+            plan_obj = resolve_query_plan(engine, _query_spec(args), plan_cache)
         except (OSError, ValueError) as exc:
             print(f"bad --plan {args.plan!r}: {exc}", file=sys.stderr)
             return 2
@@ -714,22 +681,8 @@ def _abridge(doc, max_items: int = 6):
 def _cmd_query(args: argparse.Namespace) -> int:
     from .serve import ServeClient
 
-    spec = {
-        "family": args.task,
-        "tenant": args.tenant,
-        "priority": args.priority,
-        "dataset": args.dataset,
-        "gpus": args.gpus,
-        "shard_policy": args.shard_policy,
-        "plan": args.plan,
-        "k": args.k,
-        "query": args.sm_query,
-        "symmetry_breaking": args.symmetry_breaking,
-        "num_edges": args.edges,
-        "iterations": args.iterations,
-        "min_support": args.min_support,
-        "support_metric": args.metric,
-    }
+    spec = _query_spec(args, tenant=args.tenant, priority=args.priority,
+                       gpus=args.gpus, shard_policy=args.shard_policy).to_dict()
     client = ServeClient(args.url, timeout=args.timeout)
     if args.no_stream:
         import time as _time

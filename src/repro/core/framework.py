@@ -654,7 +654,8 @@ class Gamma:
 
     def run(self, task, *, checkpoint_dir: str | None = None,
             resume: bool = False,
-            resume_state: "List[dict] | None" = None, policy=None,
+            resume_state: "List[dict] | None" = None,
+            policy: "str | None" = None,
             max_retries: int = 8, backoff_seconds: float = 0.05):
         """Run a workload with checkpoint/resume and graceful degradation.
 
@@ -665,37 +666,23 @@ class Gamma:
         snapshot handed over in memory (see :meth:`enable_checkpointing`).
 
         ``policy`` names a degradation policy (see
-        :data:`repro.resilience.DEGRADATION_POLICIES`); a live instance is
-        accepted on the serial backend only (it cannot cross a process
-        boundary).  When a memory fault or spill I/O error escapes the
-        task, every partition rewinds to its last per-op snapshot, the
+        :data:`repro.resilience.DEGRADATION_POLICIES`).  When a memory
+        fault or spill I/O error escapes the task, every partition rewinds to its last per-op snapshot, the
         policy adjusts the partition that faulted (halve extension chunks,
         demote unified pages, engage the disk tier), an exponential
         recovery backoff is charged to every clock, the event is recorded
         in that partition's ``resilience_log`` (and thus the run manifest),
         and the task retries — at most ``max_retries`` times.  Without a
-        policy, or when the policy gives up, the fault propagates.  Under
-        the process backend each faulted partition gets its own
-        worker-side instance of the named policy, fresh on its first fault
-        of the run.
+        policy, or when the policy gives up, the fault propagates.  Each
+        faulted partition gets its own instance of the named policy (in its
+        worker, under the process backend), fresh on its first fault of
+        the run.
 
         Drivers must route all *charged* work through the engine's op
         methods: during a resumed replay only op results are re-applied, so
         charged reads done directly between ops would be double-billed.
         """
         fn = task if callable(task) else task.run
-        policy_name: "str | None" = None
-        policy_obj = None
-        if isinstance(policy, str):
-            policy_name = policy
-        elif policy is not None:
-            if self._executor.parallel:
-                raise ExecutionError(
-                    "the process executor takes degradation policies by "
-                    "name (a live policy instance cannot cross the worker "
-                    "boundary)"
-                )
-            policy_obj = policy
         self.enable_checkpointing(checkpoint_dir, resume=resume,
                                   resume_state=resume_state)
         attempts = 0
@@ -705,27 +692,20 @@ class Gamma:
                 return fn(self)
             except (DeviceOutOfMemory, HostOutOfMemory, SpillIOError) as exc:
                 attempts += 1
-                if (policy_name is None and policy_obj is None) \
-                        or attempts > max_retries:
+                if policy is None or attempts > max_retries:
                     raise
                 faulted = self._faulted_shard()
                 # Rewind before asking the policy: its adjustments (planner
                 # modes, page sets, spill attachments) must not be
                 # clobbered by the snapshot restore.
                 self._fanout("rewind", self._all(), spans=False)
-                if policy_obj is not None:
-                    action = policy_obj.apply(
-                        self.shards[faulted], exc, attempts)
-                    policy_label = policy_obj.name
-                else:
-                    fresh = faulted not in fresh_shards
-                    fresh_shards.add(faulted)
-                    reply = self._executor.call(faulted, "apply_policy", {
-                        "name": policy_name, "fresh": fresh,
-                        "exc": pickle.dumps(exc), "attempt": attempts,
-                    })
-                    action = reply["action"]
-                    policy_label = reply["policy"]
+                fresh = faulted not in fresh_shards
+                fresh_shards.add(faulted)
+                reply = self._executor.call(faulted, "apply_policy", {
+                    "name": policy, "fresh": fresh,
+                    "exc": pickle.dumps(exc), "attempt": attempts,
+                })
+                action = reply["action"]
                 if action is None:
                     raise
                 backoff = backoff_seconds * (2 ** (attempts - 1))
@@ -733,7 +713,7 @@ class Gamma:
                              self._all({"seconds": backoff}), spans=False)
                 event = {
                     "type": "degradation",
-                    "policy": policy_label,
+                    "policy": reply["policy"],
                     "attempt": attempts,
                     "error": type(exc).__name__,
                     "shard": faulted,

@@ -110,17 +110,9 @@ def build_manifest(platform: Any, collector: Any = None, *,
             "host_bytes": platform.host_peak,
         },
     }
-    events = list(getattr(platform, "resilience_log", []))
-    if events:
-        by_type: Dict[str, int] = {}
-        for event in events:
-            key = event.get("type", "unknown")
-            if event.get("kind"):
-                key = f"{key}:{event['kind']}"
-            elif event.get("policy"):
-                key = f"{key}:{event['policy']}"
-            by_type[key] = by_type.get(key, 0) + 1
-        manifest["resilience"] = {"events": events, "by_type": by_type}
+    resilience = resilience_section(getattr(platform, "resilience_log", []))
+    if resilience:
+        manifest["resilience"] = resilience
     if wall_seconds is not None:
         manifest["wall_seconds"] = wall_seconds
     if collector is not None:
@@ -128,6 +120,23 @@ def build_manifest(platform: Any, collector: Any = None, *,
     if extra:
         manifest["extra"] = extra
     return manifest
+
+
+def resilience_section(events) -> "Dict[str, Any] | None":
+    """A manifest's ``resilience`` block -- the events and their counts by
+    ``type:kind`` (or ``type:policy``) -- or ``None`` without events."""
+    events = list(events)
+    if not events:
+        return None
+    by_type: Dict[str, int] = {}
+    for event in events:
+        key = event.get("type", "unknown")
+        if event.get("kind"):
+            key = f"{key}:{event['kind']}"
+        elif event.get("policy"):
+            key = f"{key}:{event['policy']}"
+        by_type[key] = by_type.get(key, 0) + 1
+    return {"events": events, "by_type": by_type}
 
 
 def attach_collector_summary(manifest: Dict[str, Any],

@@ -2,8 +2,9 @@
 
 The serve layer turns the batch engine into a long-lived service:
 
-* :class:`QuerySpec` / :class:`QueryQueue` — plain-data queries admitted
-  under per-tenant quotas with priority scheduling and fair shares;
+* :class:`QuerySpec` / :class:`QueryQueue` — plain-data queries
+  (:mod:`repro.algorithms.query`, re-exported here) admitted under
+  per-tenant quotas with priority scheduling and fair shares;
 * :class:`Scheduler` — level-by-level execution over per-query
   ``Gamma`` engines, with checkpoint-journal preemption,
   crash containment, warm process-pool reuse, and a shared plan cache;
@@ -19,7 +20,7 @@ See ``docs/SERVING.md`` for the admission/quota/preemption model and the
 wire formats.
 """
 
-from .query import FAMILIES, QuerySpec, fold_partials, result_payload, run_query
+from ..algorithms.query import FAMILIES, QuerySpec, fold_partials, result_payload, run_query
 from .queue import DEFAULT_QUOTA, QueryQueue, QueryState, TenantQuota
 from .records import BILLING_SCHEMA, billing_record, write_billing_record
 from .scheduler import Scheduler, ServeConfig

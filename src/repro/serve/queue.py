@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import AdmissionError
-from .query import QuerySpec
+from ..algorithms.query import QuerySpec
 from .stream import ResultStream
 
 __all__ = ["DEFAULT_QUOTA", "QueryQueue", "QueryState", "TenantQuota"]

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..errors import ExecutionError, WorkerCrashed
 from . import queue as serve_queue
 from . import slot as slot_mod
-from .query import QuerySpec
+from ..algorithms.query import QuerySpec
 from .queue import QueryQueue, QueryState
 from .records import billing_record, write_billing_record
 from .slot import SlotProcess

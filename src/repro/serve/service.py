@@ -5,7 +5,7 @@ Endpoints (all JSON):
 * ``GET  /healthz`` — liveness plus queue stats.
 * ``GET  /v1/stats`` — scheduler statistics.
 * ``GET  /v1/tenants`` — registered tenants and their quota usage.
-* ``POST /v1/query`` — submit a :class:`~repro.serve.query.QuerySpec`
+* ``POST /v1/query`` — submit a :class:`~repro.algorithms.query.QuerySpec`
   body.  Default is streaming: the response is ``application/x-ndjson``,
   one stream record per line (``queued``/``started``/``partial``/
   ``preempted``/``resumed``/``crash``/``result``/``error``/``billing``),
@@ -31,7 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterator, Tuple
 
 from ..errors import AdmissionError, ExecutionError, GammaError
-from .query import QuerySpec
+from ..algorithms.query import QuerySpec
 from .scheduler import Scheduler
 
 __all__ = ["MiningService", "ServeClient"]

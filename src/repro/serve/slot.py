@@ -4,10 +4,10 @@ Each of ``ServeConfig.slots`` is one forked process running
 :func:`serve_slot`.  The scheduler process keeps the queue, admission,
 streams, billing and HTTP, and each of its worker threads drives one slot
 over a pipe; the slot runs whole attempts.  It builds the engine, resolves
-``auto`` plans through the sqlite :class:`~repro.plan.PlanCache`, keeps its
-process pools warm between queries, runs the driver and writes the
-manifest — so two tenants' engines run on two cores instead of sharing
-one interpreter lock.
+the query's plan (``auto`` through the sqlite :class:`~repro.plan.PlanCache`),
+keeps its process pools warm between queries, runs the driver and writes
+the manifest — so two tenants' engines run on two cores instead of
+sharing one interpreter lock.
 
 Wire protocol (plain data; every message crosses a pickle boundary):
 
@@ -37,11 +37,12 @@ import time
 import traceback
 from typing import Any, Dict, List, Tuple
 
+from ..algorithms.query import (QuerySpec, resolve_query_plan, result_payload,
+                               run_query)
 from ..core.framework import Gamma
 from ..errors import ExecutionError, GammaError, QueryPreempted, WorkerCrashed
 from ..shard import PROCESS_EXECUTOR, ProcessExecutor
 from ..shard.executor import default_start_method, serve_default_executor
-from .query import QuerySpec, result_payload, run_query
 
 __all__ = ["GO", "YIELD", "Slot", "SlotProcess", "serve_slot"]
 
@@ -79,28 +80,6 @@ class Slot:
             self._plan_cache = PlanCache(
                 os.path.join(self._workdir, "plan-cache.sqlite"))
         return self._plan_cache
-
-    def _resolve_plan(self, engine, spec: QuerySpec):
-        """Pre-resolve ``auto`` plans through the shared cache."""
-        if spec.plan != "auto":
-            return spec.plan
-        from ..graph import sm_query
-        from ..plan import resolve_plan
-        cache = self.plan_cache()
-        if spec.family == "sm":
-            return resolve_plan(
-                engine, "sm", pattern=sm_query(spec.query), plan="auto",
-                cache=cache, symmetry_breaking=spec.symmetry_breaking)
-        if spec.family == "kcl":
-            return resolve_plan(engine, "kclique", plan="auto", cache=cache,
-                                k=spec.k)
-        if spec.family == "fpm":
-            return resolve_plan(
-                engine, "fpm", plan="auto", cache=cache,
-                iterations=spec.iterations, min_support=spec.min_support,
-                support_metric=spec.support_metric)
-        return resolve_plan(engine, "motif", plan="auto", cache=cache,
-                            num_edges=spec.num_edges)
 
     def _checkout_pool(self, key: Tuple[str, int]) -> ProcessExecutor:
         idle = self._pools.get(key)
@@ -202,7 +181,9 @@ class Slot:
             def task(eng):
                 nonlocal stage
                 stage = 0
-                plan = self._resolve_plan(eng, spec)
+                plan = resolve_query_plan(
+                    eng, spec,
+                    cache=self.plan_cache() if spec.plan == "auto" else None)
                 return run_query(eng, spec, level_hook=hook, plan=plan)
 
             resume_state = request["resume_state"]

@@ -7,10 +7,13 @@ One partition's document *is* the run's (plain ``gamma-manifest/1``); more
 are wrapped in one merged document:
 
 * ``counters`` — element-wise sums across shards (total simulated work);
-* ``clock_buckets`` — element-wise *max* is wrong for busy-time semantics,
-  so the merged view keeps the makespan (``simulated_seconds`` = slowest
-  shard) and reports summed bucket seconds separately as
-  ``clock_buckets_total`` (aggregate GPU-seconds per category);
+* ``clock_buckets`` — element-wise sums too (aggregate GPU-seconds per
+  category, which a one-partition document's buckets also are), while
+  ``simulated_seconds`` is the makespan (the slowest shard's clock);
+* ``resilience`` — every partition's events, each tagged with its shard,
+  counted by type as a one-partition document counts its own
+  (:func:`repro.obs.manifest.resilience_section`), so ``repro report
+  --against`` gates them; present only when an event happened;
 * ``shards`` — the full per-shard manifests, each tagged with its index
   and utilization (1 − sync idle / shard clock);
 * ``straggler`` — per-barrier gating shards, utilization skew and
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 import json
 from typing import Any, Dict
+
+from ..obs.manifest import resilience_section
 
 #: Fields that vary run-to-run without the simulation differing.
 VOLATILE_FIELDS = ("created_utc", "wall_seconds", "git_rev")
@@ -47,7 +52,7 @@ def _strip_volatile(doc: Any) -> Any:
     return doc
 
 
-def clock_buckets_total(states) -> Dict[str, float]:
+def summed_clock_buckets(states) -> Dict[str, float]:
     """Per-category simulated seconds summed over partitions (GPU-seconds):
     ``states`` are manifests or :meth:`Gamma.shard_states` entries."""
     total: Dict[str, float] = {}
@@ -110,9 +115,12 @@ def build_sharded_manifest(
         "peak_host_bytes": engine.peak_host_bytes,
         "total_peak_memory_bytes": engine.total_peak_memory_bytes,
         "counters": counters,
-        "clock_buckets_total": clock_buckets_total(shard_docs),
+        "clock_buckets": summed_clock_buckets(shard_docs),
         "shards": shard_docs,
     }
+    resilience = resilience_section(engine.resilience_log)
+    if resilience:
+        merged["resilience"] = resilience
     # Straggler section: which shard gated each superstep, utilization
     # skew, exchange-bytes share.  Derived purely from simulated clocks,
     # so it is deterministic and safe inside the canonical bytes.

@@ -1,16 +1,8 @@
-"""Tests for result persistence/diffing and the crossover sweep."""
+"""Tests for the crossover sweep (the device-size crossover map)."""
 
 import pytest
 
 from repro.bench.crossover import device_size_sweep
-from repro.bench.figures import FigureReport, table2_datasets
-from repro.bench.persistence import (
-    diff_reports,
-    load_report_dict,
-    report_to_dict,
-    save_report,
-)
-from repro.bench.runner import RunResult
 from repro.graph import datasets
 
 
@@ -18,69 +10,6 @@ from repro.graph import datasets
 def clear_dataset_cache():
     yield
     datasets.clear_cache()
-
-
-def make_report(time_a=1.0, crashed_b=False, check_ok=True):
-    status = "[OK      ]" if check_ok else "[DIVERGES]"
-    return FigureReport(
-        figure="Fig. X",
-        title="test",
-        table="",
-        checks=[f"{status} X.claim: paper: p; measured: m"],
-        results=[
-            RunResult("A", "D1", "t", simulated_seconds=time_a),
-            RunResult("B", "D1", "t", crashed=crashed_b,
-                      simulated_seconds=None if crashed_b else 2.0),
-        ],
-    )
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        report = table2_datasets()
-        path = tmp_path / "table2.json"
-        save_report(report, path)
-        loaded = load_report_dict(path)
-        assert loaded["figure"] == "Table II"
-        assert len(loaded["rows"]) == 10
-
-    def test_diff_no_changes(self):
-        old = report_to_dict(make_report())
-        new = report_to_dict(make_report())
-        assert diff_reports(old, new) == []
-
-    def test_diff_flags_check_regression(self):
-        old = report_to_dict(make_report(check_ok=True))
-        new = report_to_dict(make_report(check_ok=False))
-        problems = diff_reports(old, new)
-        assert any("check regressed" in p for p in problems)
-
-    def test_diff_flags_new_crash(self):
-        old = report_to_dict(make_report(crashed_b=False))
-        new = report_to_dict(make_report(crashed_b=True))
-        problems = diff_reports(old, new)
-        assert any("crash status changed" in p for p in problems)
-
-    def test_diff_flags_time_drift(self):
-        old = report_to_dict(make_report(time_a=1.0))
-        new = report_to_dict(make_report(time_a=2.0))
-        problems = diff_reports(old, new, tolerance=0.5)
-        assert any("time drifted" in p for p in problems)
-
-    def test_diff_tolerates_small_drift(self):
-        old = report_to_dict(make_report(time_a=1.0))
-        new = report_to_dict(make_report(time_a=1.1))
-        assert diff_reports(old, new, tolerance=0.25) == []
-
-    def test_diff_ignores_unmatched_cells(self):
-        old = report_to_dict(make_report())
-        new = report_to_dict(make_report())
-        new["results"].append(
-            {"system": "C", "dataset": "D9", "task": "t",
-             "simulated_seconds": 1.0, "peak_memory_bytes": 0,
-             "crashed": False, "crash_reason": ""}
-        )
-        assert diff_reports(old, new) == []
 
 
 class TestCrossover:

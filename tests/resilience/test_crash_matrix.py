@@ -259,8 +259,9 @@ class TestDegradationPolicies:
             engine.run(lambda e: count_kcliques(e, 4))
         engine.close()
 
-    def test_bounded_retries(self):
+    def test_bounded_retries(self, monkeypatch):
         """A policy that never helps exhausts max_retries and re-raises."""
+        from repro.resilience import DEGRADATION_POLICIES
 
         class Useless:
             name = "useless"
@@ -268,11 +269,13 @@ class TestDegradationPolicies:
             def apply(self, gamma, exc, attempt):
                 return {"action": "noop"}
 
+        # Registered before the engine exists, so forked workers see it too.
+        monkeypatch.setitem(DEGRADATION_POLICIES, Useless.name, Useless)
         engine = Gamma(_oom_graph(), _TIGHT_DEVICE)
         with pytest.raises(DeviceOutOfMemory):
             engine.run(lambda e: count_kcliques(e, 4),
-                       policy=Useless(), max_retries=2)
-        attempts = [e["attempt"] for e in engine.platform.resilience_log
+                       policy=Useless.name, max_retries=2)
+        attempts = [e["attempt"] for e in engine.resilience_log
                     if e["type"] == "degradation"]
         engine.close()
         assert attempts == [1, 2]

@@ -95,6 +95,7 @@ class TestAutoPlans:
     def test_plan_cache_is_shared_and_closed(self, er_graph, tmp_path):
         """Slots open their own handles on one sqlite file: a plan one
         slot resolved is a hit in the other, and close() releases it."""
+        from repro.algorithms import resolve_query_plan
         from repro.core.framework import Gamma
         from repro.serve import QuerySpec
         from repro.serve.slot import Slot
@@ -106,7 +107,7 @@ class TestAutoPlans:
             assert slots[0].plan_cache() is cache
             for slot in slots:
                 with Gamma(er_graph) as engine:
-                    slot._resolve_plan(engine, spec)
+                    resolve_query_plan(engine, spec, cache=slot.plan_cache())
             assert slots[1].plan_cache().stats()["hits"] == 1
         finally:
             for slot in slots:

@@ -241,6 +241,46 @@ class TestObservabilityFlags:
         assert main(["report", str(path), "--against", str(path)]) == 0
         assert "no differences beyond thresholds" in capsys.readouterr().out
 
+    def test_report_shows_a_sharded_manifests_buckets(self, capsys, tmp_path):
+        """A merged manifest's ``clock_buckets`` are its partitions' sums,
+        and ``repro report`` draws them as it does one partition's."""
+        import json
+
+        path = tmp_path / "sharded.json"
+        assert main(["run", "--task", "kcl", "--k", "4", "--dataset", "ER",
+                     "--gpus", "2", "--manifest-out", str(path)]) == 0
+        manifest = json.loads(path.read_text())
+        summed = {}
+        for shard in manifest["shards"]:
+            for name, seconds in shard["clock_buckets"].items():
+                summed[name] = summed.get(name, 0.0) + seconds
+        assert manifest["clock_buckets"] == summed
+        assert "clock_buckets_total" not in manifest
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "simulated-time buckets:" in out
+        assert "shard_sync" in out
+
+    @pytest.mark.parametrize("gpus", ["1", "2"])
+    def test_report_gates_resilience_events_at_any_gpu_count(
+            self, capsys, tmp_path, gpus):
+        import json
+
+        run = ["run", "--task", "kcl", "--k", "4", "--dataset", "ER",
+               "--gpus", gpus]
+        clean, chaos = tmp_path / "clean.json", tmp_path / "chaos.json"
+        assert main(run + ["--manifest-out", str(clean)]) == 0
+        assert main(run + ["--fault-plan", "ci-default",
+                           "--manifest-out", str(chaos)]) == 0
+        events = json.loads(chaos.read_text())["resilience"]["events"]
+        assert events and all(event.get("shard", 0) == 0 for event in events)
+        capsys.readouterr()
+        assert main(["report", str(chaos), "--against", str(clean)]) == 1
+        out = capsys.readouterr().out
+        assert (f"[REGRESSION] resilience:fault-injected:pcie_stall "
+                f"0 -> {len(events)}") in out
+
     def test_report_against_a_different_run_exits_two(self, capsys, tmp_path,
                                                       kcl_manifest):
         import json
@@ -363,6 +403,40 @@ class TestPlanFlags:
         assert doc["id"]
         assert doc["source"] in ("auto", "hint")
         assert doc["actual_seconds"] > 0
+
+
+    @pytest.mark.parametrize("task, flags, fields", [
+        ("sm", ["--query", "2"], {"query": 2}),
+        ("kcl", ["--k", "3"], {"k": 3}),
+        ("fpm", ["--min-support", "2"], {"min_support": 2}),
+        ("motifs", ["--edges", "3"], {"num_edges": 3}),
+    ])
+    def test_run_records_the_plan_a_serve_slot_resolves(
+            self, capsys, tmp_path, task, flags, fields):
+        """One task description: the plan ``repro run --plan auto`` records
+        is the one the serve slot's resolver returns for the equal
+        ``QuerySpec`` (the served spelling) on the same cache."""
+        import json
+
+        from repro.algorithms import QuerySpec, resolve_query_plan
+        from repro.core.framework import Gamma
+        from repro.plan import PlanCache
+
+        cache_dir, path = tmp_path / "plans", tmp_path / "manifest.json"
+        assert main(["run", "--task", task, *flags, "--dataset", "ER",
+                     "--plan", "auto", "--plan-cache-dir", str(cache_dir),
+                     "--manifest-out", str(path)]) == 0
+        recorded = json.loads(path.read_text())["extra"]["plan"]["id"]
+        spec = QuerySpec.from_dict(dict(fields, family=task, dataset="ER",
+                                        plan="auto"))
+        cache = PlanCache(cache_dir / "plans.sqlite")
+        try:
+            with Gamma(datasets.load("ER")) as engine:
+                plan = resolve_query_plan(engine, spec, cache=cache)
+            assert cache.stats()["hits"] == 1
+        finally:
+            cache.close()
+        assert plan.plan_id == recorded
 
 
 class TestPlanExplainCommand:

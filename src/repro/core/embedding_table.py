@@ -49,9 +49,12 @@ class Survivors:
     ``anchors`` column that differ from the ``distinct`` columns and lie
     above the ``greater`` / below the ``less`` ones, *before* any label
     filter — ``values[i]`` survives for row ``rows[i]``, rows ascending,
-    values ascending within a row (an unlabelled level's own column).
-    Host-side and unbilled; the next level reads them in place of
-    intersecting the same lists again (docs/COSTMODEL.md, "Hot paths").
+    values ascending within a row (an unlabelled level's own column) —
+    and where the level's own rows sit in them: ``values[kept]`` is the
+    column's ids (``kept`` is ``None`` for the identity, an unlabelled
+    level).  Host-side and unbilled; the next level reads them in place
+    of intersecting the same lists again, and its tails' places from
+    ``kept`` in place of searching them (docs/COSTMODEL.md, "Hot paths").
     """
 
     anchors: tuple
@@ -60,6 +63,15 @@ class Survivors:
     less: frozenset
     values: np.ndarray
     rows: np.ndarray
+    kept: np.ndarray | None = None
+
+    def positions(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Where the level's rows ``rows`` (all of them by default) sit in
+        these lists."""
+        if self.kept is None:
+            return (np.arange(len(self.values), dtype=np.int64)
+                    if rows is None else rows)
+        return self.kept if rows is None else self.kept.take(rows)
 
     def answers(self, anchors, distinct, greater, less,
                 tail_greater, tail_less) -> bool:
@@ -729,10 +741,14 @@ class EmbeddingTable:
     def rows_of(levels: list, rows: np.ndarray | slice) -> np.ndarray:
         """The embeddings ending at ``rows`` of the last level (indices or
         a slice) as a matrix, from :meth:`walk_levels`' arrays; unbilled,
-        so a caller walking a level in row batches bills it once."""
+        so a caller walking a level in row batches bills it once.
+
+        The matrix is column-major, as the table is: each level's ids are
+        contiguous, so ``mats[:, c].take(idx)`` reads one column and no
+        more.  It compares, indexes and ravels as the row-major one does."""
         values, parents = levels[-1]
         last = values[rows]
-        out = np.empty((len(last), len(levels)), dtype=np.int64)
+        out = np.empty((len(levels), len(last)), dtype=np.int64).T
         out[:, -1] = last
         current = parents[rows]
         for level in range(len(levels) - 2, -1, -1):

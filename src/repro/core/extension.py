@@ -209,15 +209,16 @@ def _bound_ranges(
     strictly ascending ``(owner << 32) | value`` packing of the array the
     ranges index; what comes back is its slice above every
     ``greater_than_cols`` vertex of ``mats[rows[i]]`` and below every
-    ``less_than_cols`` one (empty when they cross).  ``own``, when given,
-    is ``(value, lower)``: a vertex each range knows the position past
-    (its list's owner, with :meth:`CSRGraph.slots_above`; a row's own
-    entry of a level's column), so a range whose lower bound is that
-    vertex takes ``lower`` instead of searching ``keys``.  Billing never
-    sees these: it reads the degree table.
+    ``less_than_cols`` one (empty when they cross); ``keys`` is read only
+    to search a bound.  ``own``, when given, is ``(value, lower)``: a
+    vertex each range knows the position past (its list's owner, with
+    :meth:`CSRGraph.slots_above`; a row's tail in the lists its level
+    kept, with :meth:`Survivors.positions`), so a range whose lower bound
+    is that vertex takes ``lower`` instead of searching ``keys``.  Billing
+    never sees these: it reads the degree table.
     """
     if greater_than_cols:
-        low = _row_max([mats[rows, c] for c in greater_than_cols])
+        low = _row_max([mats[:, c].take(rows) for c in greater_than_cols])
         if own is None:
             lower = np.searchsorted(keys, (owners << 32) | low, side="right")  # owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
         else:
@@ -228,7 +229,7 @@ def _bound_ranges(
                     keys, (owners[rest] << 32) | low[rest], side="right")
         starts, lengths = lower, starts + lengths - lower
     if less_than_cols:
-        high = _row_min([mats[rows, c] for c in less_than_cols])
+        high = _row_min([mats[:, c].take(rows) for c in less_than_cols])
         upper = np.searchsorted(keys, (owners << 32) | high, side="left")  # owners are vertex ids (CSRGraph holds < 2**31) or group ids the caller bounds
         lengths = np.maximum(upper - starts, 0)
     return starts, lengths
@@ -242,7 +243,7 @@ def _joined(
 
 
 def _slice_cuts(
-    lm_keys: np.ndarray,
+    lm_keys: np.ndarray | None,
     group_of_row: np.ndarray,
     lm_start: np.ndarray,
     lm_len: np.ndarray,
@@ -250,26 +251,33 @@ def _slice_cuts(
     tail_greater: Sequence[int],
     tail_less: Sequence[int],
     tail_distinct: bool,
+    hole: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per row of ``mats``, the positions of ``L_m`` (packed in ``lm_keys``)
     between which its candidates lie when its tail is not an anchor: its
     group's slice inside the tail ordering bounds, ``[start, end]``, or
     with ``tail_distinct`` the two pieces around the row's own tail vertex,
     ``[start, hole, after_hole, end]`` (an empty piece when the vertex is
-    not inside)."""
+    not inside).  ``hole`` (:meth:`Survivors.positions`), when known, is
+    where each row's tail sits in ``L_m``: neither it nor a bound above
+    the tail is searched."""
     tail = mats.shape[1] - 1
     rows = np.arange(len(mats), dtype=np.int64)
     starts, lengths = _bound_ranges(
         lm_keys, group_of_row, lm_start, lm_len, mats, rows,
         tail_greater, tail_less,
+        None if hole is None else (mats[:, tail], hole + 1),
     )
     ends = starts + lengths
     if not tail_distinct:
         return np.stack([starts, ends], axis=1)
-    tail_keys = (group_of_row << 32) | mats[:, tail]  # group ids < 2**31: the caller checked _PACK_VERTEX_LIMIT before packing lm_keys
-    hole = np.searchsorted(lm_keys, tail_keys)
-    inside = (starts <= hole) & (hole < ends)
-    inside[inside] = lm_keys[hole[inside]] == tail_keys[inside]
+    if hole is None:
+        tail_keys = (group_of_row << 32) | mats[:, tail]  # group ids < 2**31: the caller checked _PACK_VERTEX_LIMIT before packing lm_keys
+        hole = np.searchsorted(lm_keys, tail_keys)
+        inside = (starts <= hole) & (hole < ends)
+        inside[inside] = lm_keys[hole[inside]] == tail_keys[inside]
+    else:
+        inside = (starts <= hole) & (hole < ends)
     hole = np.where(inside, hole, ends)
     return np.stack([starts, hole, np.minimum(hole + 1, ends), ends], axis=1)
 
@@ -535,13 +543,13 @@ class ExtensionEngine:
         # ~everything — don't compress).
         pending: np.ndarray | None = None
         for col in distinct_cols:
-            m = cand != mats[cand_row, col]
+            m = cand != mats[:, col].take(cand_row)
             pending = m if pending is None else pending & m
         for col in verify_cols:
             cand, cand_row, pending = self._compress(cand, cand_row, pending)
             if len(cand) == 0:
                 break
-            m = self.graph.has_edges(mats[cand_row, col], cand)
+            m = self.graph.has_edges(mats[:, col].take(cand_row), cand)
             pending = m if pending is None else pending & m
         return cand, cand_row, pending
 
@@ -784,8 +792,9 @@ class ExtensionEngine:
             stats.kernel_ops += kernel_ops
             stats.groups += groups
             stats.list_reads += self._read_lists("neighbors", occ)
-            anchor_deg = self.graph.degree_table().take(
-                sub if len(anchor_cols) == depth else sub[:, anchor_cols])
+            # Column-major, as ``sub`` is: one contiguous gather per anchor.
+            anchor_deg = np.stack([self.graph.degree_table().take(sub[:, c])
+                                   for c in anchor_cols]).T
             # Upper bound per row = its shortest anchor list, the source the
             # per-row intersection kernel expands.
             upper = _row_min(anchor_deg.T)
@@ -841,8 +850,10 @@ class ExtensionEngine:
         ``r``; ``found`` them as ``(cand, cand_row)`` with rows ascending
         and candidates ascending within a row, or ``None`` when
         ``count_only``; ``lists`` that pair before the label filter when it
-        is at hand (else ``None``), for the next level's ``carried`` — the
-        table's last column when its rows are all of ``mats``.  This is
+        is at hand, plus where each ``found`` entry sits in it (``None``:
+        they are the same), else ``None`` — for the next level's
+        ``carried``, the table's last column when its rows are all of
+        ``mats``.  This is
         the seam the per-row twin replaces (``tests/twins.py``); how the
         survivors are found is :meth:`_shared_prefix_candidates`' business."""
         return self._shared_prefix_candidates(
@@ -872,7 +883,7 @@ class ExtensionEngine:
         for idx, col in enumerate(anchor_cols):
             rows = np.flatnonzero(source == idx)
             if len(rows):
-                vertices = mats[rows, col]
+                vertices = mats[:, col].take(rows)
                 starts[rows], lengths[rows] = _bound_ranges(
                     graph.adjacency_keys,
                     vertices,
@@ -882,7 +893,7 @@ class ExtensionEngine:
                     self._own_lists(vertices, greater_than_cols),
                 )
         return self._verified_batches(mats, source, starts, lengths, [
-            (graph.neighbors,
+            (graph.neighbors, [col],
              [c for c in anchor_cols if c != col], distinct_cols)
             for col in anchor_cols
         ], count_only)
@@ -893,13 +904,18 @@ class ExtensionEngine:
         source: np.ndarray,
         starts: np.ndarray,
         lengths: np.ndarray,
-        sources: list[tuple[np.ndarray, Sequence[int], Sequence[int]]],
+        sources: list[tuple[np.ndarray, Sequence[int], Sequence[int],
+                            Sequence[int]]],
         count_only: bool = False,
     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray | None]]:
         """Row ``r`` of ``mats`` expands ``values[starts[r]:starts[r] +
-        lengths[r]]`` of ``(values, verify_cols, distinct_cols) =
-        sources[source[r]]`` and keeps what neighbors its ``verify_cols``
-        vertices and differs from its ``distinct_cols`` ones.  Yields
+        lengths[r]]`` of ``(values, listed_cols, verify_cols,
+        distinct_cols) = sources[source[r]]`` — entries of the lists of
+        its ``listed_cols`` vertices — and keeps what neighbors its
+        ``verify_cols`` vertices and differs from its ``distinct_cols``
+        ones.  A vertex in, or adjacent to, a vertex's list is never that
+        vertex (a CSR graph holds no self loop), so only the distinct
+        columns that are neither listed nor verified are tested.  Yields
         ``(lo, hi, cand, cand_row, live)`` per row batch
         (:func:`_row_batches` over ``lengths``): the survivors, rows
         ascending, list order within a row, and ``live`` ``None``; the host
@@ -907,6 +923,8 @@ class ExtensionEngine:
         only counted, so each source's part of a batch comes on its own as
         verified: its candidates, ``live`` marking the survivors (``None``
         when all survive) — no compress, no merge by row."""
+        sources = [(values, verify, [c for c in distinct if c not in (*listed, *verify)])
+                   for values, listed, verify, distinct in sources]
         for lo, hi in _row_batches(lengths):
             parts = []
             for idx, (values, verify_cols, distinct_cols) in enumerate(sources):
@@ -989,38 +1007,30 @@ class ExtensionEngine:
         tail_distinct, tail_greater, tail_less = (
             [c for c in cols if c == tail] for cols in constraints
         )
-        lists = carried.lists if carried is not None else None
-        if lists is not None and lists.answers(
-            prefix_cols, *before_tail, tail_greater, tail_less
-        ):
-            lm, lm_group, group_of_row = lists.values, lists.rows, carried.parents
-        else:
-            lead = np.zeros(len(mats), dtype=bool)
-            lead[0] = True
-            for col in range(tail):
-                lead[1:] |= mats[1:, col] != mats[:-1, col]
-            first_rows = np.flatnonzero(lead)
-            group_of_row = np.cumsum(lead) - 1
-            lm, lm_group = _joined([
-                batch[2:4] for batch in self._min_degree_candidates(
-                    mats[first_rows], prefix_cols,
-                    anchor_deg[first_rows, :len(prefix_cols)], *before_tail,
-                )
-            ])
+        lm, lm_group, group_of_row, lists = self._prefix_lists(
+            mats, prefix_cols, anchor_deg, before_tail, carried,
+            tail_greater, tail_less,
+        )
         # Groups ascend with the rows either way; one whose L_m is empty has
         # no entry in ``lm_group``, one without rows here is never asked for.
         group_len = np.bincount(lm_group, minlength=int(group_of_row[-1]) + 1)
         lm_len = group_len[group_of_row]
         lm_start = (np.cumsum(group_len) - group_len)[group_of_row]
-        if len(group_len) >= _PACK_VERTEX_LIMIT:
-            raise ExecutionError("(group << 32) | vertex keys hold < 2**31 groups")
-        lm_keys = (lm_group << 32) | lm
+        # Row r's tail sits at ``lists.positions`` in the lists it came from:
+        # only a bound below it, or a tail whose place is unknown, searches.
+        lm_keys = None
+        if tail_less or (lists is None and (
+                tail_greater or (tail_distinct and not tail_anchored))):
+            if len(group_len) >= _PACK_VERTEX_LIMIT:
+                raise ExecutionError("(group << 32) | vertex keys hold < 2**31 groups")
+            lm_keys = (lm_group << 32) | lm
 
         if not tail_anchored:
             # ---- phase 2, tail-free: each row takes its slice of L_m ----------
             cuts = _slice_cuts(
                 lm_keys, group_of_row, lm_start, lm_len, mats,
                 tail_greater, tail_less, bool(tail_distinct),
+                None if lists is None else lists.positions(),
             )
             if label is not None:
                 # Billed before the label, as the per-row rule probes.
@@ -1029,7 +1039,9 @@ class ExtensionEngine:
                 # Position i of L_m has ``rank[i]`` labelled entries before it.
                 rank = np.zeros(len(lm) + 1, dtype=np.int64)
                 np.cumsum(carries, out=rank[1:])
-                lm, cuts = lm[carries], rank[cuts]
+                cuts = rank[cuts]
+                if not count_only:
+                    lm = lm[carries]
             counts = _between_cuts(cuts)
             if count_only:
                 return counts, None, None
@@ -1039,27 +1051,24 @@ class ExtensionEngine:
                 np.arange(len(mats), dtype=np.int64).repeat(pieces.shape[1]),
             )
             # The unlabelled survivors were billed, never materialised.
-            return counts, survivors, survivors if label is None else None
+            return counts, survivors, (*survivors, None) if label is None else None
 
         # ---- phase 2, anchored tail: tail-only work per row --------------------
         from_tail = anchor_deg[:, -1] < lm_len
         starts = np.empty(len(mats), dtype=np.int64)
         lengths = np.empty_like(starts)
         rows = np.flatnonzero(~from_tail)
-        # An L_m that is the rows' own column (kCL's: the last level's
-        # unlabelled survivors) holds row r's tail as its entry r, so the
-        # slice above that tail starts at r + 1.
-        own_column = (tail_greater and len(lm) == len(mats)
-                      and np.array_equal(lm_group, group_of_row)
-                      and np.array_equal(lm, mats[:, tail]))
+        # In the lists the last level kept, the slice of L_m above a row's
+        # tail starts just past that tail's own entry.
         starts[rows], lengths[rows] = _bound_ranges(
             lm_keys, group_of_row[rows], lm_start[rows], lm_len[rows],
             mats, rows, tail_greater, tail_less,
-            (lm[rows], rows + 1) if own_column else None,
+            (mats[:, tail].take(rows), lists.positions(rows) + 1)
+            if tail_greater and lists is not None else None,
         )
         rows = np.flatnonzero(from_tail)
         if len(rows):
-            tails = mats[rows, tail]
+            tails = mats[:, tail].take(rows)
             starts[rows], lengths[rows] = _bound_ranges(
                 graph.adjacency_keys,
                 tails,
@@ -1071,12 +1080,40 @@ class ExtensionEngine:
         return self._filter_label_by_source(
             self._verified_batches(
                 mats, from_tail.astype(np.int64), starts, lengths, [
-                    (lm, [tail], tail_distinct),
-                    (graph.neighbors,
-                     prefix_cols, distinct_cols),
+                    (lm, prefix_cols, [tail], tail_distinct),
+                    (graph.neighbors, [tail], prefix_cols, distinct_cols),
                 ], count_only),
             anchor_deg, label, count_only,
         )
+
+    def _prefix_lists(
+        self, mats: np.ndarray, prefix_cols: Sequence[int],
+        anchor_deg: np.ndarray, before_tail: list[list[int]],
+        carried: Column | None, tail_greater: Sequence[int],
+        tail_less: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Survivors | None]:
+        """Phase 1 of :meth:`_shared_prefix_candidates`: ``L_m`` as ``(lm,
+        lm_group)`` (groups ascending), each row's group and the ``lists``
+        on ``carried`` that answered, else ``None`` (the min-degree rule
+        over each group's first row)."""
+        lists = carried.lists if carried is not None else None
+        if lists is not None and lists.answers(
+            prefix_cols, *before_tail, tail_greater, tail_less
+        ):
+            return lists.values, lists.rows, carried.parents, lists
+        lead = np.zeros(len(mats), dtype=bool)
+        lead[0] = True
+        for col in range(mats.shape[1] - 1):
+            lead[1:] |= mats[1:, col] != mats[:-1, col]
+        first_rows = np.flatnonzero(lead)
+        lm, lm_group = _joined([
+            batch[2:4] for batch in self._min_degree_candidates(
+                # Column-major, as ``mats``.
+                mats.T.take(first_rows, axis=1).T, prefix_cols,
+                anchor_deg[first_rows, :len(prefix_cols)], *before_tail,
+            )
+        ])
+        return lm, lm_group, np.cumsum(lead) - 1, None
 
     def _charge_label_probes(
         self, survivors: np.ndarray, anchor_deg: np.ndarray
@@ -1113,7 +1150,8 @@ class ExtensionEngine:
         counts add up over a batch's source parts)."""
         handed = np.zeros(len(anchor_deg), dtype=np.int64)
         counts = handed if label is None else np.zeros_like(handed)
-        handed_parts, kept_parts = [], []
+        handed_parts, kept_parts, kept_at = [], [], []
+        at = 0
         for lo, hi, cand, cand_row, live in batches:
             if live is not None and label is None:
                 # Only counted: the survivors' rows are all it reads
@@ -1127,6 +1165,9 @@ class ExtensionEngine:
                 handed_parts.append((cand, cand_row))
             if label is not None:
                 keep = np.flatnonzero(self.graph.labels[cand] == label)
+                if not count_only:
+                    kept_at.append(keep + at)
+                    at += len(cand)
                 cand, cand_row = cand[keep], cand_row[keep]
                 counts[lo:hi] += np.bincount(cand_row - lo, minlength=hi - lo)
             if not count_only:
@@ -1136,7 +1177,8 @@ class ExtensionEngine:
         if count_only:
             return counts, None, None
         found = _joined(kept_parts)
-        return counts, found, found if label is None else _joined(handed_parts)
+        return counts, found, (*found, None) if label is None else (
+            *_joined(handed_parts), _concat(kept_at))
 
     def _vertex_read_plan(
         self,
@@ -1180,10 +1222,8 @@ class ExtensionEngine:
         np.not_equal(parents[1:], parents[:-1], out=lead[1:])
         first_rows = np.flatnonzero(lead)
         group_rows = np.diff(np.append(first_rows, n))
-        prefix_vertices = np.empty((len(prefix_cols), len(first_rows)),
-                                   dtype=np.int64)
-        for j, col in enumerate(prefix_cols):
-            mats[:, col].take(first_rows, out=prefix_vertices[j])
+        prefix_vertices = np.stack([mats[:, col].take(first_rows)
+                                    for col in prefix_cols])
         prefix_deg = degrees(prefix_vertices)
         group_ops = float(prefix_deg.sum())
 
@@ -1323,12 +1363,12 @@ class ExtensionEngine:
             # against one resident column, so the restriction prunes before
             # any output is written (the comparison rides the existing
             # already-present check, no extra charged pass).
-            mask &= cand > mats[cand_row, greater_than_col]
+            mask &= cand > mats[:, greater_than_col].take(cand_row)
         if depth > 1:
             # Drop edges already in the embedding.  (Depth 1 comes here
             # only under ordered growth, which drops the row's own edge.)
             for col in range(depth):
-                mask &= cand != mats[cand_row, col]
+                mask &= cand != mats[:, col].take(cand_row)
             # An edge joining two row vertices is met from both; it counts
             # where it is met first, from the lower one.
             met = np.flatnonzero(mask & (others < np.repeat(vertices, lengths)))

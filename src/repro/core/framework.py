@@ -820,7 +820,8 @@ class Gamma:
         return docs
 
     def finalize_telemetry(self) -> None:
-        """Graft worker span trees under the front's collector.
+        """Graft worker span trees and metric samples under the front's
+        collector.
 
         Process backend only (serial telemetry is already live on
         partition 0's platform).  Idempotent; called automatically by
@@ -839,9 +840,10 @@ class Gamma:
                                      spans=False)
         except (ExecutionError, WorkerCrashed):
             return  # executor already broken/closed; nothing to graft
-        for index, records in enumerate(per_shard):
-            if records:
-                tel.graft_records(records, shard=index)
+        for index, reply in enumerate(per_shard):
+            if reply:
+                records, samples = reply
+                tel.graft_records(records, shard=index, samples=samples)
 
     def close(self) -> None:
         """Release every partition's resources (idempotent)."""

@@ -31,10 +31,11 @@ _PACK_VERTEX_LIMIT = 1 << 31
 class CSRGraph:
     """An undirected, vertex-labeled graph in CSR form.
 
-    Array shapes and the sortedness of the adjacency lists are checked;
-    that ``edge_ids``/``edge_src``/``edge_dst`` describe the same edges as
-    ``neighbors`` is trusted.  Use :func:`repro.graph.builders.from_edges`
-    to build one safely from raw edge lists.
+    Array shapes, the sortedness of the adjacency lists and the absence of
+    self loops are checked; that ``edge_ids``/``edge_src``/``edge_dst``
+    describe the same edges as ``neighbors`` is trusted.  Use
+    :func:`repro.graph.builders.from_edges` to build one safely from raw
+    edge lists.
     """
 
     def __init__(
@@ -80,9 +81,8 @@ class CSRGraph:
         #: ``u`` owning slot ``i``: strictly ascending exactly when every
         #: adjacency list is, which binary-search adjacency checks and
         #: ordering-bounded extension both rely on.
-        self.adjacency_keys = self._pack_pairs(
-            np.repeat(np.arange(n, dtype=np.int64), degrees), self.neighbors,
-        )
+        owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        self.adjacency_keys = self._pack_pairs(owners, self.neighbors)
         unsorted = np.flatnonzero(
             self.adjacency_keys[1:] <= self.adjacency_keys[:-1]
         )
@@ -91,6 +91,12 @@ class CSRGraph:
                 "adjacency lists must be strictly ascending; vertex "
                 f"{int(self.adjacency_keys[unsorted[0]] >> 32)}'s is not"
             )
+        #: No vertex lists itself, so a vertex drawn from ``N(a)``, or
+        #: adjacent to ``a``, is never ``a``: extension relies on it.
+        loops = np.flatnonzero(owners == self.neighbors)
+        if len(loops):
+            raise InvalidGraphError(
+                f"edge {int(self.edge_ids[loops[0]])} is a self loop")
         self._hubs: tuple[np.ndarray, np.ndarray] | None = None
         self._slots: tuple[np.ndarray, np.ndarray, bool] | None = None
         self._degrees: np.ndarray | None = None
@@ -157,18 +163,12 @@ class CSRGraph:
         """Lazily-built ``(low_slot, high_slot, ids_ascend)``: edge ``e``
         sits at ``low_slot[e]`` in its lower endpoint's adjacency list and
         at ``high_slot[e]`` in its upper one's (edges join two distinct
-        vertices, as :func:`~repro.graph.builders.from_edges` builds
-        them).  ``ids_ascend`` says every list also ascends by edge id,
-        which ``from_edges``' layout (lower neighbours, then upper) gives
-        and a hand-built CSR need not.  A self loop (a hand-built CSR, or a
-        cache edited by hand) raises :class:`InvalidGraphError`."""
+        vertices: the constructor refuses a self loop).  ``ids_ascend``
+        says every list also ascends by edge id, which ``from_edges``'
+        layout (lower neighbours, then upper) gives and a hand-built CSR
+        need not."""
         if self._slots is None:
             owner = self.adjacency_keys >> 32
-            loops = np.flatnonzero(owner == self.neighbors)
-            if len(loops):
-                raise InvalidGraphError(
-                    f"edge {int(self.edge_ids[loops[0]])} is a self loop; "
-                    "edge extension needs a graph without them")
             low = owner < self.neighbors
             low_slot = np.empty(self.num_edges, dtype=np.int64)
             high_slot = np.empty(self.num_edges, dtype=np.int64)

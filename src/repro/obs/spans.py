@@ -316,7 +316,8 @@ class SpanCollector:
 
     # -- grafting -----------------------------------------------------------
     def graft_records(self, records: List[Dict[str, Any]],
-                      shard: "int | None" = None) -> List[Span]:
+                      shard: "int | None" = None,
+                      samples: "List[Dict[str, Any]]" = ()) -> List[Span]:
         """Re-root a worker collector's exported span records here.
 
         ``records`` is the :func:`repro.obs.exporters.span_tree_records`
@@ -325,7 +326,10 @@ class SpanCollector:
         currently open span (the coordinator's ``run`` root) and join its
         children, whose *inclusive* deltas its self deltas subtract — so the
         partition invariant (:meth:`self_counter_totals` equals the summed
-        worker totals) survives the graft.
+        worker totals) survives the graft.  ``samples`` are the same
+        worker's metric samples (:meth:`MetricSample.to_json`): they join
+        this collector's, labelled with ``shard`` and pointing at their
+        grafted spans.
         """
         base = len(self.spans)
         anchor = self._stack[-1] if self._stack else None
@@ -358,6 +362,13 @@ class SpanCollector:
             if parent < 0 and anchor is not None:
                 anchor._children.append(span)
                 anchor._child_wall += span.wall_seconds
+        tag = {} if shard is None else {"shard": shard}
+        for sample in samples:
+            span_index = sample.get("span")
+            self.metrics.record(
+                sample["name"], sample["value"],
+                labels={**sample.get("labels", {}), **tag}, t=sample["t"],
+                span=None if span_index is None else base + span_index)
         return grafted
 
 

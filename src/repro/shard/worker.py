@@ -611,11 +611,14 @@ class ShardWorker:
         )
 
     def do_collect_spans(self):
+        """The partition's span records and metric samples, as plain data
+        for the front to graft (:meth:`SpanCollector.graft_records`)."""
         if self.collector is None:
             return None
         from ..obs.exporters import span_tree_records
         self.collector.finish()
-        return span_tree_records(self.collector)
+        return (span_tree_records(self.collector),
+                [sample.to_json() for sample in self.collector.metrics.samples])
 
     def do_clock(self) -> None:
         """No-op: the piggybacked reply clock is the whole answer."""

@@ -324,14 +324,11 @@ def test_lists_out_of_id_order_take_the_sort():
 
 
 def test_a_self_loop_is_refused():
-    """A hand-built CSR holding a self loop: its edge has no lower and
-    upper slot, so the pair column's slot map refuses the graph."""
-    graph = CSRGraph([0, 2, 3], [0, 1, 0], [0, 1, 1], [0, 0], [0, 1])
-    with Gamma(graph) as engine:
-        table = engine.new_edge_table()
-        engine.seed_edges(table)
-        with pytest.raises(InvalidGraphError, match="edge 0 is a self loop"):
-            engine.edge_extension(table)
+    """A hand-built CSR holding a self loop: its edge would have no lower
+    and upper slot for the pair column's slot map, and no engine ever
+    gets the graph — the constructor refuses it."""
+    with pytest.raises(InvalidGraphError, match="edge 0 is a self loop"):
+        CSRGraph([0, 2, 3], [0, 1, 0], [0, 1, 1], [0, 0], [0, 1])
 
 
 def test_repeated_level_one_rows_take_the_sort():

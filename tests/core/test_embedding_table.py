@@ -92,6 +92,23 @@ class TestMaterialize:
         mats[:] = -1
         assert table.materialize().tolist() == whole.tolist()
 
+    @pytest.mark.parametrize("rows", [None, np.array([3, 0, 2])])
+    def test_column_major_reads_as_row_major(self, table, rows):
+        """Each level's ids are contiguous (an anchor read is one
+        ``take`` on one column), yet the matrix equals the row-major one
+        and ``ravel`` keeps row-major order."""
+        table.seed(np.array([1, 2]))
+        table.append_column(np.array([3, 4, 5]), np.array([0, 1, 1]))
+        table.append_column(np.array([6, 7, 8, 9]), np.array([2, 0, 0, 1]))
+        expected = np.array([[2, 5, 6], [1, 3, 7], [1, 3, 8], [2, 4, 9]])
+        if rows is not None:
+            expected = expected[rows]
+        mats = table.materialize(rows)
+        assert np.array_equal(mats, expected)
+        assert mats.ravel().tolist() == expected.ravel().tolist()
+        assert mats.flags.f_contiguous
+        assert all(mats[:, c].flags.c_contiguous for c in range(3))
+
     def test_total_cells(self, table):
         table.seed(np.array([1, 2]))
         table.append_column(np.array([5]), np.array([1]))

@@ -331,9 +331,15 @@ class TestSharedPrefixEquivalence:
         expand_lists = extension._expand_lists
         prune = ExtensionEngine._prune_candidates
         surviving = ExtensionEngine._surviving_candidates
+        prefix_lists = ExtensionEngine._prefix_lists
+        lm = None  # the (lm, lm_group) of the step in progress
 
         def watch_bounds(keys, owners, starts, lengths, mats, rows, greater,
                          less, own=None):
+            if keys is None:
+                # An L_m the level did not pack: nothing is searched in it.
+                assert not less and (own is not None or not greater)
+                keys = (lm[1] << 32) | lm[0]
             for i, (start, length, row, owner) in enumerate(zip(
                     starts.tolist(), lengths.tolist(), mats[rows].tolist(),
                     owners.tolist())):
@@ -401,7 +407,14 @@ class TestSharedPrefixEquivalence:
                              greater_than_cols, less_than_cols, label, carried,
                              count_only)
 
+        def watch_prefix_lists(self, *args):
+            nonlocal lm
+            out = prefix_lists(self, *args)
+            lm = out[:2]
+            return out
+
         monkeypatch.setattr(extension, "_bound_ranges", watch_bounds)
+        monkeypatch.setattr(ExtensionEngine, "_prefix_lists", watch_prefix_lists)
         monkeypatch.setattr(extension, "_expand_lists", watch_expand)
         monkeypatch.setattr(ExtensionEngine, "_prune_candidates", watch_prune)
         monkeypatch.setattr(
@@ -423,9 +436,12 @@ class TestSharedPrefixEquivalence:
         assert "own-unread" not in seen
 
     def test_too_many_prefix_groups_is_a_typed_error(self, monkeypatch):
+        """``L_m`` is packed only for a search, and a bound below the tail
+        searches it (a bound above the tail starts past the tail's own
+        entry, which the level before kept)."""
         monkeypatch.setattr(extension, "_PACK_VERTEX_LIMIT", 2)
         with pytest.raises(ExecutionError, match="groups"):
-            _run_anchored_walk(_edge_case_graph(), _edge_walk("ascending-clique"))
+            _run_anchored_walk(_edge_case_graph(), _edge_walk("descending-clique"))
 
     @pytest.mark.parametrize("task", ["4-clique", "q3-symmetry-broken"])
     def test_ordering_bounds_expansion(self, task, monkeypatch):

@@ -194,7 +194,8 @@ class TestVertexLevelTwins:
     def test_every_twin_is_engaged(self, sparse, small):
         """The suite's tasks reach each seam: ``charge_ranges`` with read
         counts above one over two passes, and the twin of a counted level's
-        batches."""
+        batches — and that twin tests distinct columns the shipped walk
+        leaves out as listed or verified."""
         engaged = Counter()
         with ExitStack() as stack:
             for owner, name, twin in VERTEX_LEVEL_TWINS:
@@ -206,8 +207,12 @@ class TestVertexLevelTwins:
                             engaged["repeated reads"] += 1
                         if passes == 2:
                             engaged["two passes"] += 1
-                    elif len(args) == 7 and args[6]:  # count_only
-                        engaged["counted batches"] += 1
+                    else:
+                        if len(args) == 7 and args[6]:  # count_only
+                            engaged["counted batches"] += 1
+                        if any(set(distinct) & {*listed, *verify}
+                               for __, listed, verify, distinct in args[5]):
+                            engaged["implied distinct columns"] += 1
                     return _twin(*args, **kwargs)
                 stack.enter_context(mock.patch.object(owner, name, counted))
             for make in (ENGINES["gamma"], ENGINES["two-pass"]):
@@ -215,6 +220,7 @@ class TestVertexLevelTwins:
                 _run(make, sparse, TASKS["sm-q3-counted"][1])
         assert engaged["repeated reads"] and engaged["two passes"]
         assert engaged["counted batches"]
+        assert engaged["implied distinct columns"]
 
     def test_a_counted_level_neither_compresses_nor_merges(self, sparse,
                                                           monkeypatch):
@@ -249,6 +255,63 @@ class TestVertexLevelTwins:
             assert count_kcliques(gamma, 4).cliques > 0
         assert 3 not in forced and 3 not in merged
         assert 2 in forced and 2 in merged
+
+
+class TestKeptPositions:
+    def test_kept_indexes_the_lists_and_holes_are_the_search(self, sparse,
+                                                             monkeypatch):
+        """A labelled SM level's lists record where its rows sit in them
+        (``values[kept]`` is the column), and the next tail-free level
+        reads its holes from that record: the positions a ``searchsorted``
+        of each row's tail in its group's ``L_m`` finds."""
+        seen = Counter()
+        groups = []  # the (lm, lm_group) of the level in progress
+        extend = ExtensionEngine._extend_vertices_impl
+        prefix_lists = ExtensionEngine._prefix_lists
+        slice_cuts = extension._slice_cuts
+
+        def spy_extend(self, table, *args, **kwargs):
+            stats = extend(self, table, *args, **kwargs)
+            column = table.columns[-1]
+            lists = column.lists
+            if lists is not None and lists.kept is not None:
+                np.testing.assert_array_equal(
+                    lists.values[lists.kept], column.values)
+                np.testing.assert_array_equal(
+                    lists.rows[lists.kept], column.parents)
+                assert len(lists.values) > len(column.values)
+                seen["kept"] += 1
+            return stats
+
+        def spy_prefix_lists(self, *args):
+            out = prefix_lists(self, *args)
+            groups.append(out[:2])
+            return out
+
+        def spy_cuts(lm_keys, group_of_row, lm_start, lm_len, mats, greater,
+                     less, distinct, hole=None):
+            if hole is not None:
+                lm, lm_group = groups[-1]
+                keys = (lm_group << 32) | lm
+                tails = (group_of_row << 32) | mats[:, -1]
+                searched = np.searchsorted(keys, tails)
+                np.testing.assert_array_equal(keys[searched], tails)
+                np.testing.assert_array_equal(hole, searched)
+                seen["holes"] += 1
+            return slice_cuts(lm_keys, group_of_row, lm_start, lm_len, mats,
+                              greater, less, distinct, hole)
+
+        monkeypatch.setattr(ExtensionEngine, "_extend_vertices_impl",
+                            spy_extend)
+        monkeypatch.setattr(ExtensionEngine, "_prefix_lists",
+                            spy_prefix_lists)
+        monkeypatch.setattr(extension, "_slice_cuts", spy_cuts)
+        for keep in (False, True):
+            with Gamma(sparse) as gamma:
+                assert _sm(3, keep)(gamma)[0] > 0
+        # Per run: levels 1 and 2 keep labelled lists, level 3 (tail-free)
+        # reads its holes.
+        assert seen["kept"] == 4 and seen["holes"] == 2
 
 
 class TestRowChains:

@@ -238,6 +238,18 @@ class TestValidation:
                 edge_dst=np.array([1, 2, 2]),
             )
 
+    def test_self_loop_rejected(self):
+        # Path 0 - 1 with vertex 1 also listing itself (edge 1 = {1, 1}):
+        # extension relies on no vertex lying in its own list.
+        with pytest.raises(InvalidGraphError, match="edge 1 is a self loop"):
+            CSRGraph(
+                offsets=np.array([0, 1, 3]),
+                neighbors=np.array([1, 0, 1]),
+                edge_ids=np.array([0, 0, 1]),
+                edge_src=np.array([0, 1]),
+                edge_dst=np.array([1, 1]),
+            )
+
     def test_sorted_lists_with_empty_ones_between_accepted(self):
         # Vertices 1 and 3 are isolated, so consecutive slots belong to
         # non-adjacent owners and the neighbour ids *fall* across the

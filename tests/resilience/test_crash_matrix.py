@@ -29,6 +29,7 @@ from repro.graph.generators import erdos_renyi
 from repro.gpusim import make_platform
 from repro.resilience import FaultPlan, FaultSpec
 from repro.resilience.faults import BACKOFF_CATEGORY, STALL_CATEGORY
+from repro.shard.manifest import summed_clock_buckets
 
 # ---------------------------------------------------------------------------
 # Workloads
@@ -82,8 +83,10 @@ MATRIX = [
 
 
 def _accounting(engine):
-    return (engine.platform.clock.snapshot(),
-            engine.platform.counters.snapshot(include_zero=True))
+    """The one partition's clock buckets and counters, read through the
+    front on any executor."""
+    [state] = engine.shard_states()
+    return state["clock_buckets"], state["counters"]
 
 
 def _uninterrupted(workload):
@@ -111,12 +114,11 @@ class TestCrashMatrix:
 
         # Leg 1: the fault plan kills the run mid-workload.
         crashed = make_engine()
-        crashed.platform.install_fault_plan(
-            FaultPlan(name="matrix", specs=(spec,)))
+        crashed.install_fault_plan(FaultPlan(name="matrix", specs=(spec,)))
         with pytest.raises(GammaError):
             crashed.run(task, checkpoint_dir=ckpt)
         assert any(e["type"] == "fault-injected"
-                   for e in crashed.platform.resilience_log)
+                   for e in crashed.resilience_log)
         crashed.close()
         assert (ckpt / "shard-0" / "checkpoint.bin").exists()
 
@@ -130,7 +132,7 @@ class TestCrashMatrix:
         # not part of the checkpointed timeline: the resumed log restarts
         # from the (pre-fault) checkpoint state.
         assert not any(e["type"] == "fault-injected"
-                       for e in resumed.platform.resilience_log)
+                       for e in resumed.resilience_log)
         resumed.close()
 
         ref_sig, ref_acct = _uninterrupted(workload)
@@ -148,7 +150,7 @@ class TestCrashMatrix:
         }
         for kind, error in expected.items():
             engine = _kcl_engine()
-            engine.platform.install_fault_plan(FaultPlan(
+            engine.install_fault_plan(FaultPlan(
                 name="kind", specs=(FaultSpec(kind=kind, at="*/level:*"),)))
             with pytest.raises(error):
                 _kcl_task(engine)
@@ -163,11 +165,11 @@ class TestCrashMatrix:
         snapshots = []
         for __ in range(2):
             engine = _kcl_engine()
-            engine.platform.install_fault_plan(plan)
+            engine.install_fault_plan(plan)
             result = _kcl_task(engine)
-            snapshots.append((result.cliques,
-                              engine.platform.clock.snapshot()))
-            assert engine.platform.clock.time_in(STALL_CATEGORY) > 0
+            buckets = _accounting(engine)[0]
+            snapshots.append((result.cliques, buckets))
+            assert buckets.get(STALL_CATEGORY, 0.0) > 0
             engine.close()
         assert snapshots[0] == snapshots[1]
 
@@ -176,7 +178,7 @@ class TestCrashMatrix:
         silent corruption."""
         ckpt = tmp_path / "ckpt"
         engine = _kcl_engine()
-        engine.platform.install_fault_plan(FaultPlan(
+        engine.install_fault_plan(FaultPlan(
             name="crash",
             specs=(FaultSpec(kind="device_oom", at="*/level:3"),)))
         with pytest.raises(DeviceOutOfMemory):
@@ -222,8 +224,10 @@ class TestDegradationPolicies:
         engine.close()
 
     def test_tight_host_genuinely_dies(self):
+        # ``platform=`` is partition 0's own: the serial executor's alone.
         engine = Gamma(_oom_graph(),
-                       platform=make_platform(host_memory_bytes=1 << 21))
+                       platform=make_platform(host_memory_bytes=1 << 21),
+                       executor="serial")
         with pytest.raises(HostOutOfMemory):
             count_kcliques(engine, 4)
         engine.close()
@@ -232,9 +236,11 @@ class TestDegradationPolicies:
     def test_policy_recovers_device_oom(self, policy, reference_cliques):
         engine = Gamma(_oom_graph(), _TIGHT_DEVICE)
         result = engine.run(lambda e: count_kcliques(e, 4), policy=policy)
-        events = [e for e in engine.platform.resilience_log
+        # Every partition's events and clock, on any executor.
+        events = [e for e in engine.resilience_log
                   if e["type"] == "degradation"]
-        backoff = engine.platform.clock.time_in(BACKOFF_CATEGORY)
+        backoff = summed_clock_buckets(engine.shard_states()).get(
+            BACKOFF_CATEGORY, 0.0)
         engine.close()
         assert result.cliques == reference_cliques
         assert events and all(e["policy"] == policy for e in events)
@@ -243,9 +249,10 @@ class TestDegradationPolicies:
 
     def test_spill_policy_recovers_host_oom(self, reference_cliques):
         engine = Gamma(_oom_graph(),
-                       platform=make_platform(host_memory_bytes=1 << 21))
+                       platform=make_platform(host_memory_bytes=1 << 21),
+                       executor="serial")
         result = engine.run(lambda e: count_kcliques(e, 4), policy="spill")
-        events = [e for e in engine.platform.resilience_log
+        events = [e for e in engine.resilience_log
                   if e["type"] == "degradation"]
         spilled = engine.shards[0]._spill_store.bytes_spilled
         engine.close()

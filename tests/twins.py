@@ -273,8 +273,18 @@ _VERIFIED_BATCHES = ExtensionEngine._verified_batches
 def verified_then_merged(engine, mats, source, starts, lengths, sources,
                          count_only=False):
     """``ExtensionEngine._verified_batches``: a counted level's batches
-    compressed and merged by row as a kept level's are, then counted."""
-    return _VERIFIED_BATCHES(engine, mats, source, starts, lengths, sources)
+    compressed and merged by row as a kept level's are, then counted, and
+    every candidate tested against *all* its source's distinct columns —
+    the listed and verified ones included, which the shipped walk leaves
+    to the graph holding no self loop."""
+    for lo, hi, cand, cand_row, __ in _VERIFIED_BATCHES(
+            engine, mats, source, starts, lengths, sources):
+        keep = np.ones(len(cand), dtype=bool)
+        of_source = source[cand_row]
+        for idx, (__, __, __, distinct_cols) in enumerate(sources):
+            for col in distinct_cols:
+                keep &= (of_source != idx) | (cand != mats[cand_row, col])
+        yield lo, hi, cand[keep], cand_row[keep], None
 
 
 def device_sort_segments(platform, keys, segment_len):

@@ -36,11 +36,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.canonical import (
-    MAX_VERTICES, QuickPatternEncoder, QuickPatterns, _rank,
+    MAX_VERTICES, QuickPatternEncoder, QuickPatterns,
 )
-from ..graph.groupby import Grouped, first_occurrence, group_by
+from ..graph.groupby import Grouped, _run_starts, first_occurrence, group_by
 from ..gpusim.platform import GpuPlatform
-from ..gpusim.regions import expand_ranges
+from ..gpusim.regions import covered_units, expand_ranges
 from .embedding_table import PAIR, Codes, Column, EmbeddingTable
 from .extension import _row_batches
 from .pattern_table import PatternTable
@@ -384,79 +384,79 @@ class _PairCounts:
 
     Every non-empty range is a run of rows sharing a prefix (centre and
     other-end label, :meth:`Column.triples`); a row's far-end label is its
-    source slot's neighbour's.  Counting a row interval per far-end label
-    is a cumulative count of that label over the source, read at the
-    interval's clipped range ends: O(source + ranges) per label present,
-    and no row is formed."""
+    source slot's neighbour's.  Each range has one far-end-label histogram,
+    built once from a cumulative count per label present read at the range
+    ends; an interval of rows counts its ranges' histograms, re-counting a
+    range an interval bound cuts past the cut alone.  No row is formed."""
 
     def __init__(self, pair: Column) -> None:
         graph = pair.graph
         source, starts, ends = pair.ranges()
         prefix, self.span = pair.triples()
-        self._source = source
-        self._graph = graph
+        self._pair = pair
         self._far = graph.labels[graph.neighbors if source is None
                                  else graph.neighbors[source]]
-        lengths = ends - starts
-        self._first = pair.first[lengths.sum(axis=1) > 0]
-        lengths = lengths.ravel()
-        nonempty = lengths > 0
-        self._starts = starts.ravel()[nonempty]
-        self._ends = ends.ravel()[nonempty]
-        self._prefix = prefix.ravel()[nonempty]
-        self._row_end = np.cumsum(lengths[nonempty])
-        self.rows = int(self._row_end[-1]) if len(self._row_end) else 0
+        lengths = (ends - starts).ravel()
+        at = np.flatnonzero(lengths > 0)
+        rows = at // starts.shape[1]
+        self._first = pair.first.take(rows[_run_starts(rows)])
+        self._starts = starts.ravel().take(at)
+        self._ends = ends.ravel().take(at)
+        self._prefix = prefix.ravel().take(at)
+        self._row_end = np.cumsum(lengths.take(at))
+        self.rows = int(self._row_end[-1]) if len(at) else 0
+        self._labels = np.flatnonzero(np.bincount(self._far))
+        # _histograms[j, r]: rows of range r whose far end has _labels[j].
+        self._histograms = np.empty(
+            (len(self._labels), len(at)),
+            np.min_scalar_type(int(lengths.max(initial=0))))
+        running = np.zeros(len(self._far) + 1, dtype=np.int64
+                           if len(self._far) >> 31 else np.int32)
+        for histogram, label in zip(self._histograms, self._labels):
+            np.cumsum(self._far == label, out=running[1:])
+            np.subtract(running.take(self._ends), running.take(self._starts),
+                        out=histogram, casting="unsafe")
 
     def read_ids(self) -> np.ndarray:
         """The distinct edge ids the rows hold (with repeats): each level-1
         edge that has children, and every id a range covers."""
-        size = len(self._far)
-        cover = np.cumsum(np.bincount(self._starts, minlength=size + 1)
-                          - np.bincount(self._ends, minlength=size + 1))[:size]
-        slots = np.flatnonzero(cover > 0)
-        if self._source is not None:
-            slots = self._source[slots]
-        return np.concatenate([self._first, self._graph.edge_ids[slots]])
+        source = self._pair.ranges()[0]
+        slots = covered_units(self._starts, self._ends - 1, len(self._far))
+        return np.concatenate([self._first, self._pair.graph.edge_ids[
+            slots if source is None else source[slots]]])
 
     def counts(self, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(segment, triple, count)`` over the row intervals between
         consecutive ``bounds`` (ascending, ``0`` to :attr:`rows`), the
-        non-zero entries only."""
+        non-zero entries only, by segment, then triple."""
         bounds = np.asarray(bounds, dtype=np.int64)
-        row_start = self._row_end - (self._ends - self._starts)
-        # Pieces: each within one range and one interval.  The range starts
-        # ascend; each interval bound not among them splits its range.
-        inner = bounds[1:-1]
-        at = np.searchsorted(self._row_end, inner, side="right")
-        inner, at = inner[row_start[at] != inner], at[row_start[at] != inner]
-        cuts = np.insert(row_start, at + 1, inner)
-        at = np.insert(np.arange(len(row_start)), at + 1, at)
-        piece_end = np.append(cuts[1:], self.rows)
-        lo = self._starts[at] + (cuts - row_start[at])
-        hi = lo + (piece_end - cuts)
         pairs = self.span * self.span
-        segment = np.searchsorted(bounds, cuts, side="right") - 1
-        groups = _rank(segment * pairs + self._prefix[at],
-                       (len(bounds) - 1) * pairs)
-        out = []
-        for label in np.flatnonzero(np.bincount(self._far)):
-            running = np.zeros(len(self._far) + 1, dtype=np.int64)
-            np.cumsum(self._far == label, out=running[1:])
-            total = np.bincount(groups.index, weights=running[hi] - running[lo],
-                                minlength=len(groups.distinct)).astype(np.int64)
-            present = total > 0
-            seg, prefix = np.divmod(groups.distinct[present], pairs)
-            out.append((seg, prefix * self.span + label, total[present]))
-        if not out:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        return tuple(np.concatenate(part) for part in zip(*out))
-
-    def totals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every present triple (ascending) and its row count."""
-        __, triples, counts = self.counts([0, self.rows])
-        order = np.argsort(triples)
-        return triples[order], counts[order]
+        row_start = np.append(self._row_end - (self._ends - self._starts),
+                              self.rows)
+        # A range counts towards the segment it starts in, grouped by the
+        # dense key segment x span² + prefix ...
+        keys = (np.searchsorted(bounds, row_start[:-1], side="right") - 1
+                ) * pairs + self._prefix
+        table = np.empty(((len(bounds) - 1) * pairs, len(self._labels)))
+        for j, histogram in enumerate(self._histograms):
+            table[:, j] = np.bincount(keys, weights=histogram,
+                                      minlength=len(table))
+        # ... but for its rows past each bound that cuts it: the tail moves
+        # from the segment before the bound to the bound's own.
+        cuts = np.unique(bounds[1:-1])
+        at = np.searchsorted(self._row_end, cuts, side="right")
+        inside = row_start[at] < cuts
+        for cut, r in zip(cuts[inside], at[inside]):
+            tail = self._far[self._starts[r] + cut - row_start[r]:self._ends[r]]
+            tail = np.bincount(tail, minlength=self.span)[self._labels]
+            before, after = np.searchsorted(bounds, [cut - 1, cut],
+                                            side="right") - 1
+            table[before * pairs + self._prefix[r]] -= tail
+            table[after * pairs + self._prefix[r]] += tail
+        key, label = np.nonzero(table)
+        segment, prefix = np.divmod(key, pairs)
+        return (segment, prefix * self.span + self._labels[label],
+                table[key, label].astype(np.int64))
 
     def row_triples(self) -> np.ndarray:
         """Each row's triple, in row order (a read of every row)."""
@@ -520,7 +520,7 @@ def _pair_codes(residence, depth, pair, encoder) -> tuple[Codes, _PairKeys]:
     reads = residence.endpoint_reads()
     reads.note(counted.read_ids(), counted.rows * depth)
     reads.charge()
-    triples, counts = counted.totals()
+    __, triples, counts = counted.counts([0, counted.rows])
     distinct, index = np.unique(_wedge_codes(encoder, triples, counted.span),
                                 return_inverse=True)
     codes = Codes(distinct, index, triples=triples, counts=counts,

@@ -136,10 +136,12 @@ class Codes:
         frequent = frequent[self.index]
         if self.triples is None:
             return frequent
-        return Column.of_pair(
+        kept = Column.of_pair(
             self.first, column.graph, deduped=column.deduped,
             kept=None if frequent.all() else self.triples[frequent],
             length=int(self.counts[frequent].sum()))
+        kept._ranges = column._ranges  # none for a level on disk
+        return kept
 
     def segment_counts(self, bounds) -> list[np.ndarray]:
         out = []
@@ -173,8 +175,10 @@ class Column:
       Two states narrow it without a row being read: ``deduped`` (each
       edge pair's first occurrence, :meth:`deduplicated`) and ``kept``
       (only the rows whose wedge triple — :meth:`triples` — is one of
-      these ascending keys: a support filter's).  The arrays are expanded
-      on first read, in row batches with ``kept`` applied, and kept.
+      these ascending keys: a support filter's).  Its ranges are built at
+      most once (a deduplicated level's with its length), and the filter's
+      narrowed level shares them; the arrays are expanded on first read,
+      in row batches with ``kept`` applied, and kept.
     * ``COUNT`` — a level that was only counted (a counting query's last):
       no rows, and reading them raises :class:`ExecutionError`.
 
@@ -190,7 +194,7 @@ class Column:
     """
 
     __slots__ = ("source", "length", "first", "graph", "deduped", "kept",
-                 "handle", "lists", "codes", "_arrays")
+                 "handle", "lists", "codes", "_arrays", "_ranges")
 
     def __init__(self, source: str, length: int, *, arrays=None, first=None,
                  graph=None, deduped: bool = False, kept=None,
@@ -206,6 +210,7 @@ class Column:
         self.lists = lists
         self.codes: Codes | None = None
         self._arrays = arrays
+        self._ranges = None
 
     @classmethod
     def of_arrays(cls, values, parents,
@@ -226,8 +231,13 @@ class Column:
         if length is None:
             if kept is not None:
                 raise ExecutionError("a filtered pair level needs its length")
-            __, starts, ends = column.ranges()
-            length = int((ends - starts).sum())
+            if deduped:
+                __, starts, ends = column.ranges()
+                length = (ends - starts).sum()
+            else:  # edge f = {u, v} has deg(u) + deg(v) - 2 children
+                degrees, first = graph.degree_table(), column.first
+                length = (degrees[graph.edge_src[first]]
+                          + degrees[graph.edge_dst[first]] - 2).sum()
         column.length = int(length)
         return column
 
@@ -252,7 +262,7 @@ class Column:
         row holding edge ``f`` joining ``u < v``, four ranges of
         ``source`` (CSR slots; ``None`` stands for the slots themselves) —
         ``u``'s list before and after ``f``'s slot, then ``v``'s — with
-        ``kept`` not applied.
+        ``kept`` not applied.  Built on first call and kept, read-only.
 
         Deduplicated, a row keeps each pair's first occurrence: with every
         list ascending by edge id and ``first`` strictly ascending, rows
@@ -260,6 +270,12 @@ class Column:
         when ``e > f`` or no level-1 row holds ``e`` (``e`` is *dead*).
         That is the dead slots before ``f``'s slot and every slot after
         it: the source is the dead slots, then every slot."""
+        if self._ranges is None:
+            self._ranges = tuple(None if part is None else _frozen(part)
+                                 for part in self._built_ranges())
+        return self._ranges
+
+    def _built_ranges(self):
         graph = self.graph
         u, v, low, high = self._edge_ends()
         offsets = graph.offsets
@@ -296,11 +312,10 @@ class Column:
         return np.stack([at_u, at_u, at_v, at_v], axis=1), span
 
     def deduplicated(self) -> "Column":
-        """This pair level keeping each edge pair's first occurrence (the
-        state unchanged when it is already deduplicated)."""
+        """This pair level keeping each edge pair's first occurrence
+        (itself when it is already deduplicated)."""
         if self.deduped:
-            return Column.of_pair(self.first, self.graph, deduped=True,
-                                  kept=self.kept, length=self.length)
+            return self
         return Column.of_pair(self.first, self.graph, deduped=True)
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:

@@ -91,10 +91,6 @@ class GpuPlatform:
         self.resilience = injector
         return injector
 
-    def clear_fault_plan(self) -> None:
-        """Restore the no-op resilience sink."""
-        self.resilience = res_faults.NULL_RESILIENCE
-
     # -- host-memory budget ---------------------------------------------------
     @property
     def host_used(self) -> int:

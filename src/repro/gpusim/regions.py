@@ -39,19 +39,12 @@ def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     lengths = ends - starts
     if (lengths < 0).any():
         raise ValueError("ranges must have non-negative length")
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Keep only non-empty ranges; the cumsum trick needs positive lengths.
-    nonempty = lengths > 0
-    s = starts[nonempty]
-    lens = lengths[nonempty]
-    out = np.ones(total, dtype=np.int64)
-    out[0] = s[0]
-    if len(s) > 1:
-        boundaries = np.cumsum(lens)[:-1]
-        out[boundaries] = s[1:] - (s[:-1] + lens[:-1] - 1)
-    return np.cumsum(out)
+    lengths = lengths.ravel()
+    # Output position p of range i holds starts[i] + (p - first[i]).
+    first = np.cumsum(lengths) - lengths
+    out = np.repeat(starts.ravel() - first, lengths)
+    out += np.arange(len(out), dtype=np.int64)
+    return out
 
 
 def range_lengths_in_units(

@@ -76,10 +76,6 @@ class PlanEstimate:
     seconds: float
     steps: Tuple[StepEstimate, ...] = field(default=())
 
-    @property
-    def rows_trajectory(self) -> List[float]:
-        return [s.rows_out for s in self.steps]
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "seconds": self.seconds,

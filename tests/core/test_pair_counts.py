@@ -23,6 +23,7 @@ check that spies on the counting, runs in this process.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from importlib import import_module
 from unittest import mock
@@ -37,6 +38,7 @@ from repro.baselines import GraphMiner, PangolinGPU, PangolinST
 from repro.core import EmbeddingTable, Gamma, GammaConfig
 from repro.core.embedding_table import PAIR, Column
 from repro.errors import DeviceOutOfMemory
+from repro.graph.builders import from_edges
 from repro.graph.canonical import QuickPatterns
 from repro.graph.generators import erdos_renyi, kronecker
 from repro.resilience import FaultPlan, FaultSpec
@@ -305,6 +307,89 @@ def test_the_note_holds_the_twins_codes():
     assert rows[0] == rows[1] and rows[0]
 
 
+# -- the counts against the rows ----------------------------------------------
+@hst.composite
+def pair_levels(draw):
+    """A small graph whose labels skip values, and a pair level over it:
+    deduplicated (level-1 ids strictly ascending, some edges dead) or
+    plain (level-1 ids repeated and shuffled)."""
+    n = draw(hst.integers(min_value=2, max_value=16))
+    vertex = hst.integers(min_value=0, max_value=n - 1)
+    edges = draw(hst.lists(hst.tuples(vertex, vertex), min_size=1,
+                           max_size=50))
+    alphabet = sorted(draw(hst.sets(hst.integers(min_value=0, max_value=9),
+                                    min_size=1, max_size=4)))
+    labels = np.array(draw(hst.lists(hst.sampled_from(alphabet),
+                                     min_size=n, max_size=n)))
+    src, dst = np.array(edges).T
+    graph = from_edges(src, dst, num_vertices=n, labels=labels)
+    edge = hst.integers(min_value=0, max_value=max(0, graph.num_edges - 1))
+    first = np.array(draw(hst.lists(edge, max_size=30)), dtype=np.int64)
+    if not graph.num_edges:
+        first = first[:0]
+    deduped = draw(hst.booleans())
+    if deduped:
+        first = np.unique(first)
+    return Column.of_pair(first, graph, deduped=deduped)
+
+
+def _expanded_triples(level):
+    """Each row's wedge triple from the level's expanded rows: the centre is
+    the vertex the row's two edges share."""
+    graph = level.graph
+    parent_edge = level.first[level.parents]
+    ends = [(graph.edge_src[e], graph.edge_dst[e])
+            for e in (parent_edge, level.values)]
+    (a, b), (c, d) = ends
+    centre = np.where((a == c) | (a == d), a, b)
+    other = np.where(centre == a, b, a)
+    far = np.where(centre == c, d, c)
+    span = graph.num_labels
+    labels = graph.labels
+    return (labels[centre] * span + labels[other]) * span + labels[far]
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=pair_levels(), data=hst.data())
+def test_counts_are_the_rows_counted(level, data):
+    """``_PairCounts.counts(bounds)`` equals a count of each row's triple
+    between bounds cutting ranges anywhere: inside, at a range start, and
+    twice at one row (an empty segment)."""
+    counted = aggregation._PairCounts(level)
+    triples = counted.row_triples()
+    assert counted.rows == len(level) == len(triples)
+    assert triples.tolist() == _expanded_triples(level).tolist()
+    starts = (counted._row_end - (counted._ends - counted._starts)).tolist()
+    cut = hst.integers(min_value=0, max_value=counted.rows)
+    if starts:
+        cut = cut | hst.sampled_from(starts)
+    bounds = sorted([0, counted.rows] + data.draw(hst.lists(cut, max_size=8)))
+    segment, triple, count = counted.counts(bounds)
+    assert (count > 0).all()
+    got = Counter(dict(zip(zip(segment.tolist(), triple.tolist()),
+                           count.tolist())))
+    assert len(got) == len(count)
+    want = Counter()
+    for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        want.update((index, t) for t in triples[lo:hi].tolist())
+    assert got == want
+    __, triple, count = counted.counts([0, counted.rows])
+    assert triple.tolist() == sorted(set(triples.tolist()))
+    assert dict(zip(triple.tolist(), count.tolist())) == Counter(
+        triples.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=pair_levels())
+def test_a_plain_levels_length_is_its_ranges(level):
+    """A plain pair level's length comes from degrees, ``deg(u) + deg(v) -
+    2`` a level-1 row, without its ranges; it is what the ranges hold."""
+    plain = Column.of_pair(level.first, level.graph)
+    assert plain._ranges is None
+    __, starts, ends = plain.ranges()
+    assert len(plain) == int((ends - starts).sum())
+
+
 # -- resumes ------------------------------------------------------------------
 #: Where a fault suspends a query: level 2's aggregation (the snapshot holds
 #: the deduplicated pair level), its filter (the aggregation's per-triple
@@ -404,6 +489,30 @@ def test_fpm2_never_expands_its_pair_level():
     assert level_two.source == PAIR and level_two.deduped
     assert result.frequent_per_level[-1] > 0 and rows > 10 * graph.num_edges
     assert max(sizes.values()) < rows / 4
+
+
+def test_fpm2_builds_each_pair_levels_ranges_once():
+    """FPM-2: the plain pair level takes its length from degrees and builds
+    no ranges; the deduplicated one builds them once, with its length, and
+    aggregation and the support filter read those.  The arrays handed out
+    are read-only and the same on every call."""
+    graph = kronecker(8, 8, seed=5, labels=4, label_seed=6)
+    built = []
+    real = Column._built_ranges
+
+    def spy(column):
+        built.append(column.deduped)
+        return real(column)
+
+    with mock.patch.object(Column, "_built_ranges", spy), \
+            Gamma(graph, executor=SERIAL_EXECUTOR) as engine:
+        result = frequent_pattern_mining(engine, 2, 6)
+        level_two = engine.shards[0]._tables[0].columns[-1]
+        assert level_two.deduped and result.frequent_per_level[-1]
+        ranges = level_two.ranges()
+    assert built == [True]
+    assert all(a is b for a, b in zip(ranges, level_two.ranges()))
+    assert all(not part.flags.writeable for part in ranges)
 
 
 def test_the_dedup_key_exchange_bills_nothing():

@@ -153,7 +153,8 @@ class TestGammaSpill:
                 spill_to_disk=spill, spill_budget_bytes=1 << 21,
                 write_buffer_bytes=1 << 18,
             )
-            return Gamma(g, config, platform=platform)
+            # Only the serial executor takes a platform of the caller's.
+            return Gamma(g, config, platform=platform, executor="serial")
 
         with pytest.raises(HostOutOfMemory):
             with make(spill=False) as engine:
@@ -229,9 +230,11 @@ class TestAbortCleanup:
         from repro.resilience import FaultPlan, FaultSpec
 
         g = kronecker(9, 8, seed=5)
+        # The spill store is read on partition 0: the serial executor's.
         engine = Gamma(g, GammaConfig(spill_to_disk=True,
-                                      spill_budget_bytes=1 << 16))
-        engine.platform.install_fault_plan(FaultPlan(
+                                      spill_budget_bytes=1 << 16),
+                       executor="serial")
+        engine.install_fault_plan(FaultPlan(
             name="abort",
             specs=(FaultSpec(kind="device_oom", at="*/level:3"),)))
         from repro.errors import DeviceOutOfMemory

@@ -43,6 +43,15 @@ class TestExpandRanges:
         assert expand_ranges(np.array([], dtype=np.int64),
                              np.array([], dtype=np.int64)).tolist() == []
 
+    def test_empty_input_is_an_int64_array(self):
+        out = expand_ranges([], [])
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    def test_zero_length_ranges_between_non_empty_ones(self):
+        out = expand_ranges(np.array([9, 4, 4, 2, 30, 30, 6]),
+                            np.array([11, 4, 4, 5, 30, 30, 7]))
+        assert out.tolist() == [9, 10, 2, 3, 4, 6]
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             expand_ranges(np.array([5]), np.array([3]))

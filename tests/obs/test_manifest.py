@@ -20,7 +20,8 @@ def clean_default_slot():
 def manifest():
     graph = kronecker(7, 4, seed=3)
     collector = obs.install(obs.SpanCollector())
-    with Gamma(graph) as engine:
+    # build_manifest reads partition 0's platform: the serial executor's.
+    with Gamma(graph, executor="serial") as engine:
         triangle_count(engine)
         collector.finish()
         return obs.build_manifest(
@@ -166,7 +167,7 @@ class TestResilienceSection:
         from repro.resilience import FaultPlan, FaultSpec
 
         graph = kronecker(7, 4, seed=3)
-        with Gamma(graph) as engine:
+        with Gamma(graph, executor="serial") as engine:
             engine.platform.install_fault_plan(FaultPlan(
                 name="stalls",
                 specs=(FaultSpec(kind="pcie_stall", at="*/level:*",

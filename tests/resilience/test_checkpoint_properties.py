@@ -155,7 +155,8 @@ class TestEngineStates:
     def test_captured_engine_state_round_trips(self, tmp_path):
         """A real mid-run engine snapshot survives the archive and the
         on-disk manager byte-for-byte."""
-        engine = Gamma(erdos_renyi(120, 900, seed=2))
+        # capture_state reads partition 0 itself: the serial executor's.
+        engine = Gamma(erdos_renyi(120, 900, seed=2), executor="serial")
         engine.enable_checkpointing()
         count_kcliques(engine, 3)
         state = res_runner.capture_state(engine.shards[0])
@@ -245,7 +246,7 @@ class TestCounterPartition:
         ckpt = tmp_path / "ckpt"
 
         engine = Gamma(erdos_renyi(**graph_args))
-        engine.platform.install_fault_plan(FaultPlan(
+        engine.install_fault_plan(FaultPlan(
             name="crash",
             specs=(FaultSpec(kind="device_oom", at="*/level:3"),)))
         with pytest.raises(DeviceOutOfMemory):
@@ -257,13 +258,14 @@ class TestCounterPartition:
         resumed = Gamma(erdos_renyi(**graph_args))
         resumed.run(lambda e: count_kcliques(e, 4),
                     checkpoint_dir=ckpt, resume=True)
-        final = resumed.platform.counters.snapshot(include_zero=True)
+        [state] = resumed.shard_states()
+        final = state["counters"]
         resumed.close()
 
         reference = Gamma(erdos_renyi(**graph_args))
         count_kcliques(reference, 4)
-        uninterrupted = reference.platform.counters.snapshot(
-            include_zero=True)
+        [state] = reference.shard_states()
+        uninterrupted = state["counters"]
         reference.close()
 
         assert final == uninterrupted
@@ -302,8 +304,9 @@ class TestReplayKeepsThePairLookup:
     def test_resumed_dedup_looks_pairs_up(self, tmp_path, route):
         graph = erdos_renyi(60, 300, seed=4, labels=3)
         journal = str(tmp_path) if route == "disk" else None
-        with Gamma(graph) as first:
-            first.platform.install_fault_plan(FaultPlan(
+        # Serial executor: the lookup spy below sees this process only.
+        with Gamma(graph, executor="serial") as first:
+            first.install_fault_plan(FaultPlan(
                 name="crash",
                 specs=(FaultSpec(kind="device_oom", at="*/phase:dedup"),)))
             with pytest.raises(DeviceOutOfMemory):
@@ -314,7 +317,8 @@ class TestReplayKeepsThePairLookup:
 
         outcomes = []
         for resume in (True, False):
-            with Gamma(graph) as engine, self._lookups() as lookups:
+            with Gamma(graph, executor="serial") as engine, \
+                    self._lookups() as lookups:
                 if resume:
                     result = engine.run(
                         self._fpm, checkpoint_dir=journal, resume=True,
@@ -325,7 +329,7 @@ class TestReplayKeepsThePairLookup:
                 outcomes.append((
                     result.patterns, result.frequent_per_level,
                     float.hex(engine.simulated_seconds),
-                    engine.platform.counters.snapshot(include_zero=True)))
+                    engine.shard_states()[0]["counters"]))
         resumed, uninterrupted = outcomes
         assert resumed == uninterrupted
 

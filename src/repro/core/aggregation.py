@@ -61,6 +61,15 @@ MNI = "mni"
 SUPPORT_METRICS = (INSTANCES, MNI)
 
 
+def check_support_metric(support_metric: str) -> None:
+    """Raise ``ValueError`` unless ``support_metric`` is one of
+    :data:`SUPPORT_METRICS`."""
+    if support_metric not in SUPPORT_METRICS:
+        raise ValueError(
+            f"support_metric must be one of {SUPPORT_METRICS}, got {support_metric!r}"
+        )
+
+
 def mni_supports(
     codes: np.ndarray | Grouped, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,10 +238,7 @@ def aggregate_edge_table(
     is instance frequency or MNI per ``support_metric``; the level's codes
     stay on its column for the support filter (:func:`level_codes`).
     """
-    if support_metric not in SUPPORT_METRICS:
-        raise ValueError(
-            f"support_metric must be one of {SUPPORT_METRICS}, got {support_metric!r}"
-        )
+    check_support_metric(support_metric)
     tel = platform.telemetry
     n = table.num_embeddings
     with tel.span("aggregation", kind="phase"):
@@ -410,6 +416,8 @@ class _PairCounts:
         self._histograms = np.empty(
             (len(self._labels), len(at)),
             np.min_scalar_type(int(lengths.max(initial=0))))
+        # Not read past here: freed before the histograms' scratch.
+        del prefix, lengths, rows
         running = np.zeros(len(self._far) + 1, dtype=np.int64
                            if len(self._far) >> 31 else np.int32)
         for histogram, label in zip(self._histograms, self._labels):

@@ -140,7 +140,8 @@ class Codes:
             self.first, column.graph, deduped=column.deduped,
             kept=None if frequent.all() else self.triples[frequent],
             length=int(self.counts[frequent].sum()))
-        kept._ranges = column._ranges  # none for a level on disk
+        # None for a level on disk.
+        kept._ranges, kept._ends = column._ranges, column._ends
         return kept
 
     def segment_counts(self, bounds) -> list[np.ndarray]:
@@ -194,7 +195,7 @@ class Column:
     """
 
     __slots__ = ("source", "length", "first", "graph", "deduped", "kept",
-                 "handle", "lists", "codes", "_arrays", "_ranges")
+                 "handle", "lists", "codes", "_arrays", "_ranges", "_ends")
 
     def __init__(self, source: str, length: int, *, arrays=None, first=None,
                  graph=None, deduped: bool = False, kept=None,
@@ -211,6 +212,7 @@ class Column:
         self.codes: Codes | None = None
         self._arrays = arrays
         self._ranges = None
+        self._ends = None
 
     @classmethod
     def of_arrays(cls, values, parents,
@@ -248,14 +250,22 @@ class Column:
     def on_disk(self) -> bool:
         return self.handle is not None
 
-    def _edge_ends(self):
-        """Per level-1 row: edge ``f``'s endpoints ``u < v`` and its slots
-        in their lists."""
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per level-1 row: edge ``f``'s endpoints ``u < v``, as int32 (a
+        ``CSRGraph`` holds fewer than 2**31 vertices).  Built on first call
+        and kept, read-only: :meth:`ranges` and :meth:`triples` both read
+        them."""
+        if self._ends is None:
+            self._ends = self._edge_ends()
+            for part in self._ends:
+                part.flags.writeable = False
+        return self._ends
+
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         graph, first = self.graph, self.first
-        low_slot, high_slot, __ = graph.edge_slots()
         src, dst = graph.edge_src[first], graph.edge_dst[first]
-        return (np.minimum(src, dst), np.maximum(src, dst),
-                low_slot[first], high_slot[first])
+        return (np.minimum(src, dst).astype(np.int32),
+                np.maximum(src, dst).astype(np.int32))
 
     def ranges(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """A pair column's rows as ``(source, starts, ends)``: per level-1
@@ -277,7 +287,9 @@ class Column:
 
     def _built_ranges(self):
         graph = self.graph
-        u, v, low, high = self._edge_ends()
+        u, v = self.edge_ends()
+        low_slot, high_slot, __ = graph.edge_slots()
+        low, high = low_slot[self.first], high_slot[self.first]
         offsets = graph.offsets
         starts = np.stack([offsets[u], low + 1, offsets[v], high + 1], axis=1)
         ends = np.stack([low, offsets[u + 1], high, offsets[v + 1]], axis=1)
@@ -306,7 +318,7 @@ class Column:
         ``span`` is the graph's label span."""
         labels = self.graph.labels
         span = self.graph.num_labels
-        u, v = self._edge_ends()[:2]
+        u, v = self.edge_ends()
         at_u = labels[u] * span + labels[v]
         at_v = labels[v] * span + labels[u]
         return np.stack([at_u, at_u, at_v, at_v], axis=1), span

@@ -304,6 +304,29 @@ def _merge_by_row(
     return cand, cand_row
 
 
+def _own_columns(
+    mats: np.ndarray,
+    source: np.ndarray,
+    sources: list[tuple[np.ndarray, Sequence[int], Sequence[int]]],
+) -> np.ndarray:
+    """For :meth:`ExtensionEngine._verified_batches`' ``sources`` that
+    expand the same lists and test the same distinct columns, differing
+    only in the columns they verify: per row of ``mats``, its own source's
+    verify vertices (``sources[source[r]]``'s, in order), then the distinct
+    columns — one matrix, column-major as ``mats`` is, that a single
+    source reads."""
+    __, verify_cols, distinct_cols = sources[0]
+    width = len(verify_cols)
+    out = np.empty((width + len(distinct_cols), len(mats)), dtype=np.int64).T
+    for j in range(width):
+        out[:, j] = mats[:, verify_cols[j]]
+        for idx, (__, verify, __) in enumerate(sources[1:], 1):
+            np.copyto(out[:, j], mats[:, verify[j]], where=source == idx)
+    for j, col in enumerate(distinct_cols, width):
+        out[:, j] = mats[:, col]
+    return out
+
+
 @dataclass
 class ExtensionStats:
     """Work accounting for one extension call."""
@@ -530,10 +553,22 @@ class ExtensionEngine:
         mats: np.ndarray,
         verify_cols: Sequence[int],
         distinct_cols: Sequence[int],
+        in_rows: tuple[int, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """:meth:`_prune_candidates` up to its last compress: ``(cand,
         cand_row, pending)``, the survivors being the candidates ``pending``
-        marks (all of them when it is ``None``)."""
+        marks (all of them when it is ``None``).  ``in_rows``, ``(lo,
+        lengths)``, says ``mats`` holds rows ``lo``, ``lo + 1``, ... only,
+        and the candidates are theirs in order, ``lengths`` of each: until a
+        compress drops some, a row's vertex is repeated for its candidates,
+        not gathered."""
+        lo, lengths = (0, None) if in_rows is None else in_rows
+
+        def of_rows(col):
+            if lengths is not None:
+                return mats[:, col].repeat(lengths)
+            return mats[:, col].take(cand_row - lo if lo else cand_row)
+
         # Cheap injectivity predicates first, fused into one mask; the
         # expensive edge-verification probes then run on whatever
         # survives.  Compression (dropping dead candidates) is adaptive: a
@@ -543,13 +578,16 @@ class ExtensionEngine:
         # ~everything — don't compress).
         pending: np.ndarray | None = None
         for col in distinct_cols:
-            m = cand != mats[:, col].take(cand_row)
+            m = cand != of_rows(col)
             pending = m if pending is None else pending & m
         for col in verify_cols:
+            count = len(cand)
             cand, cand_row, pending = self._compress(cand, cand_row, pending)
             if len(cand) == 0:
                 break
-            m = self.graph.has_edges(mats[:, col].take(cand_row), cand)
+            if len(cand) < count:
+                lengths = None
+            m = self.graph.has_edges(of_rows(col), cand)
             pending = m if pending is None else pending & m
         return cand, cand_row, pending
 
@@ -748,8 +786,12 @@ class ExtensionEngine:
         depth = table.depth
 
         stats = ExtensionStats(rows_in=table.num_embeddings)
-        mats = table.materialize()
-        n = len(mats)
+        n = table.num_embeddings
+        mats, groups = self._level_rows(
+            table, anchor_cols, distinct_cols, greater_than_cols,
+            less_than_cols, count_only,
+        )
+        weights = None if groups is None else groups[1]
         if n == 0:
             if count_only:
                 table.append_counted(0)
@@ -785,26 +827,35 @@ class ExtensionEngine:
             sub = mats[lo:lo + chunk]
             # ---- charge this mode's read multiset + traversal ops ------------
             # (from the degree table, never from the arrays expanded below)
-            kernel_ops, occ, groups = self._vertex_read_plan(
+            kernel_ops, occ, read_groups = self._vertex_read_plan(
                 parents[lo:lo + chunk] if parents is not None else None,
-                sub, prefix_cols, tail_col,
+                sub, prefix_cols, tail_col, weights,
             )
             stats.kernel_ops += kernel_ops
-            stats.groups += groups
+            stats.groups += read_groups
             stats.list_reads += self._read_lists("neighbors", occ)
             # Column-major, as ``sub`` is: one contiguous gather per anchor.
             anchor_deg = np.stack([self.graph.degree_table().take(sub[:, c])
                                    for c in anchor_cols]).T
             # Upper bound per row = its shortest anchor list, the source the
-            # per-row intersection kernel expands.
+            # per-row intersection kernel expands (a group's, once per row).
             upper = _row_min(anchor_deg.T)
+            if weights is not None:
+                upper *= weights
             stats.candidates += int(upper.sum())
 
             # ---- compute the surviving candidates ----------------------------
-            counts, found, before_label = self._surviving_candidates(
-                sub, anchor_cols, anchor_deg, distinct_cols,
-                greater_than_cols, less_than_cols, label, carried, count_only,
-            )
+            if groups is None:
+                counts, found, before_label = self._surviving_candidates(
+                    sub, anchor_cols, anchor_deg, distinct_cols,
+                    greater_than_cols, less_than_cols, label, carried,
+                    count_only,
+                )
+            else:
+                counts = self._counted_by_group(
+                    groups, anchor_deg, carried, label,
+                    depth - 1 in distinct_cols,
+                )
             count_parts.append(counts)
             self._account_writes(counts, kernel_ops, upper)
             if not count_only:
@@ -830,6 +881,47 @@ class ExtensionEngine:
         self.platform.counters.add(st.EXTENSION_PASSES)
         self.platform.counters.add(st.EMBEDDINGS_PRODUCED, stats.rows_out)
         return stats
+
+    def _level_rows(
+        self,
+        table: EmbeddingTable,
+        anchor_cols: Sequence[int],
+        distinct_cols: Sequence[int],
+        greater_than_cols: Sequence[int],
+        less_than_cols: Sequence[int],
+        count_only: bool,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """The rows a vertex level reads, as ``(mats, groups)``: every row
+        of ``table`` (``groups`` is ``None``), or one row per *group* when
+        a row's survivors and bill depend on its group alone.  That is a
+        counted level whose tail is not an anchor, run in one chunk with no
+        bound on the tail, whose ``L_m`` the last level's lists answer
+        (:meth:`Survivors.answers`): its anchors and constraints all lie
+        before the tail, so siblings agree on them.  Then ``mats`` holds
+        the parent rows that have children, and ``groups`` is ``(ids,
+        weights)``: their rows in the level before, and how many rows each
+        has here.  Either way every row's read is billed
+        (:meth:`EmbeddingTable.walk_levels`).  This is the seam the
+        per-row twin replaces (``tests/twins.py``)."""
+        n = table.num_embeddings
+        tail = table.depth - 1
+        lists = table.columns[-1].lists if n else None
+        if (not count_only or lists is None or tail in anchor_cols
+                or (self.chunk_rows or n) < n
+                or tail in greater_than_cols or tail in less_than_cols
+                or not lists.answers(
+                    anchor_cols, [c for c in distinct_cols if c < tail],
+                    greater_than_cols, less_than_cols, (), ())):
+            return table.materialize(), None
+        parents = table.columns[-1].parents
+        lead = np.empty(n, dtype=bool)
+        lead[0] = True
+        np.not_equal(parents[1:], parents[:-1], out=lead[1:])
+        first_rows = np.flatnonzero(lead)
+        ids = parents.take(first_rows)
+        levels = table.walk_levels(n, read_last=False)
+        return (table.rows_of(levels[:-1], ids),
+                (ids, np.diff(first_rows, append=n)))
 
     def _surviving_candidates(
         self,
@@ -922,22 +1014,41 @@ class ExtensionEngine:
         holds one batch's expansion at a time.  A ``count_only`` level is
         only counted, so each source's part of a batch comes on its own as
         verified: its candidates, ``live`` marking the survivors (``None``
-        when all survive) — no compress, no merge by row."""
+        when all survive) — no compress, no merge by row.  Sources that
+        read the same lists (the min-degree rule over the graph's) are one,
+        over each batch's :func:`_own_columns`: a batch expands once, in row
+        order."""
         sources = [(values, verify, [c for c in distinct if c not in (*listed, *verify)])
                    for values, listed, verify, distinct in sources]
+        values, verify_cols, distinct_cols = sources[0]
+        own = None
+        if len(sources) > 1 and all(
+                other is values and len(verify) == len(verify_cols)
+                and distinct == distinct_cols
+                for other, verify, distinct in sources[1:]):
+            own, width = sources, len(verify_cols)
+            sources = [(values, range(width),
+                        range(width, width + len(distinct_cols)))]
         for lo, hi in _row_batches(lengths):
             parts = []
             for idx, (values, verify_cols, distinct_cols) in enumerate(sources):
-                rows = lo + np.flatnonzero(source[lo:hi] == idx)
+                if len(sources) == 1:
+                    rows, picked = np.arange(lo, hi), slice(lo, hi)
+                    batch = (mats[picked] if own is None else
+                             _own_columns(mats[picked], source[picked], own))
+                    in_rows = (lo, lengths[picked])
+                else:
+                    rows = picked = lo + np.flatnonzero(source[lo:hi] == idx)
+                    batch, in_rows = mats, None
                 if len(rows):
-                    cand, cand_row = self._expand(
-                        values, starts[rows], lengths[rows], rows)
+                    found = self._pending_survivors(
+                        *self._expand(values, starts[picked], lengths[picked],
+                                      rows),
+                        batch, verify_cols, distinct_cols, in_rows)
                     if count_only:
-                        yield (lo, hi, *self._pending_survivors(
-                            cand, cand_row, mats, verify_cols, distinct_cols))
+                        yield (lo, hi, *found)
                     else:
-                        parts.append(self._prune_candidates(
-                            cand, cand_row, mats, verify_cols, distinct_cols))
+                        parts.append(self._compress(*found, force=True)[:2])
             if not count_only:
                 yield (lo, hi, *_merge_by_row(parts), None)
 
@@ -974,7 +1085,10 @@ class ExtensionEngine:
           therefore a slice length minus at most one, the label is probed
           once on ``L_m`` rather than once per row, and each row expands
           only its slice of the labelled ``L_m`` — nothing at all when
-          ``count_only``: the counts are differences of ranks.
+          ``count_only``: the counts are differences of ranks.  (A counted
+          level whose ``L_m`` is the last level's lists and whose tail is
+          unbounded does not come here: :meth:`_level_rows` hands it its
+          groups, and :meth:`_counted_by_group` counts it.)
         * **Phase 2, tail an anchor**: expand the shorter of ``L_m[group]``
           and ``N(tail)`` and apply what is left — tail adjacency and tail
           constraints on an ``L_m`` candidate, everything on an ``N(tail)``
@@ -1129,6 +1243,34 @@ class ExtensionEngine:
             if part.any():
                 self.residence.charge_label_reads(int(survivors[part].sum()))
 
+    def _counted_by_group(
+        self,
+        groups: tuple[np.ndarray, np.ndarray],
+        anchor_deg: np.ndarray,
+        carried: Column,
+        label: int | None,
+        tail_distinct: bool,
+    ) -> np.ndarray:
+        """Per row of a level :meth:`_level_rows` grouped (``anchor_deg``
+        per group), how many survivors carry ``label``: its group's ``L_m``
+        — the lists on ``carried`` — less its own tail vertex when that must
+        be distinct (the tail was drawn from those lists, so it lies inside;
+        :meth:`Survivors.positions` says where).  The label probes are
+        billed per group, once per row, as the per-row rule bills them."""
+        ids, weights = groups
+        lists = carried.lists
+        lm_len = np.bincount(lists.rows, minlength=int(ids[-1]) + 1)
+        if label is None:
+            return lm_len.take(carried.parents) - int(tail_distinct)
+        self._charge_label_probes(
+            (lm_len.take(ids) - int(tail_distinct)) * weights, anchor_deg)
+        carries = self.graph.labels.take(lists.values) == label
+        counts = np.bincount(lists.rows.compress(carries),
+                             minlength=len(lm_len)).take(carried.parents)
+        if tail_distinct:
+            counts -= carries.take(lists.positions())
+        return counts
+
     def _filter_label_by_source(
         self,
         batches: Iterator[
@@ -1186,6 +1328,7 @@ class ExtensionEngine:
         mats: np.ndarray,
         prefix_cols: list[int],
         tail_col: int | None,
+        weights: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray, int]:
         """Traversal-op count and adjacency-read multiset for one vertex
         extension, following the mode's actual algorithm:
@@ -1198,6 +1341,9 @@ class ExtensionEngine:
 
         ``parents`` is the last column's parent array (``None`` when the
         mode is ungrouped); chunked extensions pass the chunk's slice.
+        ``weights``, when given, is how many rows each row of ``mats``
+        stands for (a group of :meth:`_level_rows`, whose rows read the same
+        lists): the bill is that of every row, each read once per row.
 
         Returns ``(kernel_ops, occupancy, num_groups)``: ``occupancy[v]``
         is how many times the mode reads ``v``'s list.
@@ -1212,8 +1358,19 @@ class ExtensionEngine:
         if not grouped:
             anchor_cols = prefix_cols + ([tail_col] if tail_col is not None else [])
             vertices = mats[:, anchor_cols]
-            ops = float(degrees(vertices).sum())
-            return ops, np.bincount(vertices.ravel(), minlength=num_vertices), n
+            rows = n if weights is None else int(weights.sum())
+            self.residence.charge_degree_reads(rows * len(anchor_cols))
+            deg = self.graph.degree_table().take(vertices)
+            if weights is None:
+                ops = int(deg.sum())
+                occ = np.bincount(vertices.ravel(), minlength=num_vertices)
+            else:
+                ops = int(weights.dot(deg).sum())
+                occ = np.zeros(num_vertices, dtype=np.int64)
+                for column in vertices.T:
+                    occ += np.bincount(column, weights=weights,
+                                       minlength=num_vertices).astype(np.int64)
+            return float(ops), occ, rows
 
         # Groups are runs of one parent: every level is appended grouped by
         # parent row (BFS order), so the column ascends.

@@ -58,7 +58,7 @@ from ..graph.csr import CSRGraph
 from ..gpusim.platform import GpuPlatform
 from ..gpusim.spec import CostModel, InterconnectSpec
 from .access_planner import ACCESS_MODES, HYBRID
-from .aggregation import INSTANCES
+from .aggregation import INSTANCES, check_support_metric
 from .extension import ExtensionStats
 from .memory_pool import DEFAULT_BLOCK_BYTES, DYNAMIC, STRATEGIES
 from .pattern_table import PatternTable
@@ -200,9 +200,6 @@ class Gamma:
             policy=policy, interconnect=self.interconnect_spec,
             telemetry=telemetry, platform=platform,
         )
-        #: Level-0 unit ownership, computed lazily per unit kind (front
-        #: copy; partitions keep their own identical cache).
-        self._assignments: dict = {}
         #: One entry per closed barrier: which partition gated the
         #: superstep and how long each peer waited (read by
         #: :func:`repro.obs.profile.straggler_report`).  Deterministic —
@@ -252,12 +249,8 @@ class Gamma:
         return self.platform.telemetry
 
     def _assignment(self, units: str) -> np.ndarray:
-        cached = self._assignments.get(units)
-        if cached is None:
-            from ..shard.policy import assign_units
-            cached = assign_units(self.graph, self.num_shards, units, self.policy)
-            self._assignments[units] = cached
-        return cached
+        from ..shard.policy import assign_units
+        return assign_units(self.graph, self.num_shards, units, self.policy)
 
     def _shard_span(self, index: int):
         tel = self._tel
@@ -524,6 +517,7 @@ class Gamma:
         distinct-vertex minima do not decompose over a sum — and raises
         otherwise (see docs/SHARDING.md).
         """
+        check_support_metric(support_metric)
         if support_metric != INSTANCES and self.num_shards > 1:
             raise ExecutionError(
                 "sharded aggregation supports support_metric='instances' "

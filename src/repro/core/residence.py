@@ -118,7 +118,14 @@ class GraphResidence:
         raise NotImplementedError
 
     def degrees_of(self, vertices: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The degrees of ``vertices``, billed as one degree-table read
+        each (:meth:`charge_degree_reads`)."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        self.charge_degree_reads(vertices.size)
+        return self.graph.degree_table().take(vertices)
+
+    def charge_degree_reads(self, count: int) -> None:
+        """Bill ``count`` degree-table reads (free on plain host arrays)."""
 
     def release(self) -> None:
         """Free any platform resources held by this residence."""
@@ -189,12 +196,11 @@ class GammaResidence(GraphResidence):
             clk.DEVICE_MEM, 8 * count / self.platform.cost.device_bandwidth
         )
 
-    def degrees_of(self, vertices):
-        vertices = np.asarray(vertices, dtype=np.int64)
+    def charge_degree_reads(self, count):
+        # Two 8-byte offsets a degree.
         self.platform.clock.advance(
-            clk.DEVICE_MEM, 2 * vertices.nbytes / self.platform.cost.device_bandwidth
+            clk.DEVICE_MEM, 16 * count / self.platform.cost.device_bandwidth
         )
-        return self.graph.degree_table().take(vertices)
 
     def release(self):
         self.platform.device.free(self._structural_alloc)
@@ -260,12 +266,11 @@ class InCoreResidence(GraphResidence):
             clk.DEVICE_MEM, 8 * count / self.platform.cost.device_bandwidth
         )
 
-    def degrees_of(self, vertices):
-        vertices = np.asarray(vertices, dtype=np.int64)
+    def charge_degree_reads(self, count):
+        # Two 8-byte offsets a degree.
         self.platform.clock.advance(
-            clk.DEVICE_MEM, 2 * vertices.nbytes / self.platform.cost.device_bandwidth
+            clk.DEVICE_MEM, 16 * count / self.platform.cost.device_bandwidth
         )
-        return self.graph.degree_table().take(vertices)
 
     def release(self):
         self.platform.device.free(self._structural_alloc)
@@ -295,6 +300,3 @@ class HostResidence(GraphResidence):
         return EndpointReads(
             _Unbilled(self.graph.edge_src), _Unbilled(self.graph.edge_dst))
 
-    def degrees_of(self, vertices):
-        vertices = np.asarray(vertices, dtype=np.int64)
-        return self.graph.degree_table().take(vertices)

@@ -10,6 +10,9 @@ the same way Figs. 11/12/14 report crashed runs.
 
 from __future__ import annotations
 
+import pickle
+import traceback
+
 
 class GammaError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -148,3 +151,18 @@ class InvalidPatternError(GammaError):
 
 class ExecutionError(GammaError):
     """Raised when a primitive is invoked in an invalid engine state."""
+
+
+def pickled_error(exc: Exception, where: str) -> bytes:
+    """``exc`` pickled for the process that sent the failed command: a
+    :class:`GammaError` as itself, any other exception — a defect or a bad
+    argument, not a failed query — as an :class:`ExecutionError` holding
+    its traceback, which does not survive pickling (``where`` names the
+    process it came from)."""
+    if not isinstance(exc, GammaError):
+        exc = ExecutionError(f"{where} failed:\n" + "".join(
+            traceback.format_exception(exc)))
+    try:
+        return pickle.dumps(exc)
+    except Exception:  # noqa: BLE001 - an unpicklable error still reports
+        return pickle.dumps(ExecutionError(f"{type(exc).__name__}: {exc}"))

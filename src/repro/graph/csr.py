@@ -101,6 +101,7 @@ class CSRGraph:
         self._slots: tuple[np.ndarray, np.ndarray, bool] | None = None
         self._degrees: np.ndarray | None = None
         self._above: np.ndarray | None = None
+        self._derived: dict = {}
 
     # -- basic shape ----------------------------------------------------------
     @property
@@ -135,6 +136,17 @@ class CSRGraph:
                 self.adjacency_keys, self._pack_pairs(ids, ids), side="right")
             self._above.flags.writeable = False
         return self._above
+
+    def derived(self, key, build) -> np.ndarray:
+        """An array other packages derive from this graph alone (the shard
+        policies' unit assignments), named by ``key``: ``build()`` on first
+        call, then kept, read-only, as :meth:`degree_table` is."""
+        table = self._derived.get(key)
+        if table is None:
+            table = build()
+            table.flags.writeable = False
+            self._derived[key] = table
+        return table
 
     @property
     def max_degree(self) -> int:

@@ -19,9 +19,10 @@ Wire protocol (plain data; every message crosses a pickle boundary):
   scheduler answers :data:`GO` or :data:`YIELD`; then one final reply —
   ``done`` (the result payload), ``preempted`` (the level, and the pickled
   ``engine.snapshot()`` of an in-slot query) or ``error`` (the pickled
-  ``GammaError``, as :class:`~repro.shard.ShardWorker` replies carry
-  theirs; any other exception arrives as an ``ExecutionError`` holding
-  its traceback) — with the slot's idle pool counts.
+  ``GammaError``; any other exception arrives as an ``ExecutionError``
+  holding its traceback, as :class:`~repro.shard.ShardWorker` replies
+  carry theirs: :func:`~repro.errors.pickled_error`) — with the slot's
+  idle pool counts.
 
 A slot that dies mid-query (EOF on its pipe, or its process gone) is a
 :class:`~repro.errors.WorkerCrashed` for the query; the scheduler forks a
@@ -34,13 +35,12 @@ import os
 import pickle
 import signal
 import time
-import traceback
 from typing import Any, Dict, List, Tuple
 
 from ..algorithms.query import (QuerySpec, resolve_query_plan, result_payload,
                                run_query)
 from ..core.framework import Gamma
-from ..errors import ExecutionError, GammaError, QueryPreempted, WorkerCrashed
+from ..errors import QueryPreempted, WorkerCrashed, pickled_error
 from ..shard import PROCESS_EXECUTOR, ProcessExecutor
 from ..shard.executor import default_start_method, serve_default_executor
 
@@ -232,16 +232,7 @@ class Slot:
 
 
 def _error_reply(exc: Exception) -> dict:
-    if not isinstance(exc, GammaError):
-        # A defect, not a query failure: report it with its traceback,
-        # which does not survive pickling.
-        exc = ExecutionError("serve slot failed:\n" + "".join(
-            traceback.format_exception(exc)))
-    try:
-        blob = pickle.dumps(exc)
-    except Exception:  # noqa: BLE001 - an unpicklable error still reports
-        blob = pickle.dumps(ExecutionError(f"{type(exc).__name__}: {exc}"))
-    return {"kind": "error", "error": blob}
+    return {"kind": "error", "error": pickled_error(exc, "serve slot")}
 
 
 def serve_slot(conn, config, graphs, workdir: str, inherited=(),

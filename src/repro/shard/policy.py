@@ -28,6 +28,8 @@ clock, so sharded runs stay bit-reproducible.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from ..errors import ExecutionError
@@ -76,19 +78,19 @@ def assign_static(graph: CSRGraph, num_shards: int, units: str) -> np.ndarray:
 
 
 def assign_degree(graph: CSRGraph, num_shards: int, units: str) -> np.ndarray:
-    """Longest-processing-time-first over per-unit degree weight."""
+    """Longest-processing-time-first over per-unit degree weight: each
+    unit, heaviest first (ties in id order), goes to the least loaded
+    shard, the lowest id among equals — a heap of ``(load, shard)``."""
     weights = _unit_weights(graph, units)
-    n = len(weights)
-    assignment = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return assignment
-    # Stable sort keeps ties in id order => deterministic assignment.
     order = np.argsort(-weights, kind="stable")
-    loads = np.zeros(num_shards, dtype=np.int64)
-    for unit in order:
-        shard = int(np.argmin(loads))
-        assignment[unit] = shard
-        loads[shard] += weights[unit]
+    shards = []
+    loads = [(0, shard) for shard in range(num_shards)]
+    for weight in weights.take(order).tolist():
+        load, shard = loads[0]
+        shards.append(shard)
+        heapq.heapreplace(loads, (load + weight, shard))
+    assignment = np.empty(len(weights), dtype=np.int64)
+    assignment[order] = shards
     return assignment
 
 
@@ -123,7 +125,10 @@ _POLICY_FNS = {
 def assign_units(
     graph: CSRGraph, num_shards: int, units: str, policy: str
 ) -> np.ndarray:
-    """Shard id per level-0 unit under ``policy`` (see module docs)."""
+    """Shard id per level-0 unit under ``policy`` (see module docs).
+
+    Computed once per graph and kept on it, read-only: every engine over
+    the graph, front and partitions alike, reads the same array."""
     if policy not in SHARD_POLICIES:
         raise ExecutionError(
             f"shard policy must be one of {SHARD_POLICIES}, got {policy!r}"
@@ -134,4 +139,6 @@ def assign_units(
         raise ExecutionError(f"unknown unit kind {units!r}")
     if num_shards == 1:
         return np.zeros(_num_units(graph, units), dtype=np.int64)
-    return _POLICY_FNS[policy](graph, num_shards, units)
+    return graph.derived(
+        ("shard-units", num_shards, units, policy),
+        lambda: _POLICY_FNS[policy](graph, num_shards, units))

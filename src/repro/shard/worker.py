@@ -48,7 +48,7 @@ from ..core.memory_pool import DYNAMIC, MemoryPool, make_write_strategy
 from ..core.pattern_table import PatternTable
 from ..core.residence import GammaResidence
 from ..core.spill import SpillPolicy, SpillStore
-from ..errors import ExecutionError, GammaError, WorkerCrashed
+from ..errors import ExecutionError, WorkerCrashed, pickled_error
 from ..gpusim import clock as clk
 from ..gpusim.interconnect import Interconnect
 from ..gpusim.platform import make_platform
@@ -155,7 +155,6 @@ class ShardWorker:
         self.link = Interconnect(platform, interconnect)
         self.encoder = QuickPatternEncoder()
         self._tables: list[EmbeddingTable] = []
-        self._assignments: dict = {}
         self._policies: dict = {}
         self._spill_store: SpillStore | None = None
         self._closed = False
@@ -194,15 +193,6 @@ class ShardWorker:
 
     def _table(self, handle: int) -> EmbeddingTable:
         return self._tables[handle]
-
-    def _assignment(self, units: str) -> np.ndarray:
-        cached = self._assignments.get(units)
-        if cached is None:
-            cached = shard_policy.assign_units(
-                self.graph, self.num_shards, units, self.policy
-            )
-            self._assignments[units] = cached
-        return cached
 
     @property
     def _edge_engine(self) -> ExtensionEngine:
@@ -332,7 +322,9 @@ class ShardWorker:
         is read inside the op, so a replay reads no restored table."""
         def execute():
             part = self._table(table)
-            mask = self._assignment(units)[part.column_values(0)] == self.index
+            owner = shard_policy.assign_units(
+                self.graph, self.num_shards, units, self.policy)
+            mask = owner[part.column_values(0)] == self.index
             with self.platform.resilience.phase("phase:filtering"):
                 return {"removed": int(filter_rows(
                     part, mask, compact=self.config.compaction))}
@@ -717,8 +709,8 @@ def serve(conn, bootstrap: dict, exit_process: bool = True) -> int:
                 if exit_process:  # pragma: no cover - subprocess only
                     os._exit(CRASH_EXIT_CODE)
                 return status
-            except GammaError as exc:
-                reply = {"ok": False, "error": pickle.dumps(exc)}
+            except Exception as exc:  # noqa: BLE001 - ship it, keep serving
+                reply = {"ok": False, "error": pickled_error(exc, "shard worker")}
             reply["clock"] = worker.clock_total
             conn.send(reply)
     except (EOFError, OSError):

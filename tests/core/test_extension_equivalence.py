@@ -329,7 +329,7 @@ class TestSharedPrefixEquivalence:
         sliced = False  # the last expansion was of L_m, not of a neighbor list
         bound_ranges = extension._bound_ranges
         expand_lists = extension._expand_lists
-        prune = ExtensionEngine._prune_candidates
+        pending = ExtensionEngine._pending_survivors
         surviving = ExtensionEngine._surviving_candidates
         prefix_lists = ExtensionEngine._prefix_lists
         lm = None  # the (lm, lm_group) of the step in progress
@@ -391,12 +391,14 @@ class TestSharedPrefixEquivalence:
             sliced = values is not graph.neighbors
             return expand_lists(values, starts, lengths, rows)
 
-        def watch_prune(self, cand, cand_row, mats, verify_cols, distinct_cols):
+        def watch_pending(self, cand, cand_row, mats, verify_cols,
+                          distinct_cols, *args):
             if len(cand) and mats.shape[1] == 3:
                 seen.add(f"verify-{list(verify_cols)}")
             if sliced and not verify_cols:
                 seen.add("slice-pruned")
-            return prune(self, cand, cand_row, mats, verify_cols, distinct_cols)
+            return pending(self, cand, cand_row, mats, verify_cols,
+                           distinct_cols, *args)
 
         def watch_surviving(self, mats, anchor_cols, anchor_deg, distinct_cols,
                             greater_than_cols, less_than_cols, label, carried,
@@ -416,7 +418,8 @@ class TestSharedPrefixEquivalence:
         monkeypatch.setattr(extension, "_bound_ranges", watch_bounds)
         monkeypatch.setattr(ExtensionEngine, "_prefix_lists", watch_prefix_lists)
         monkeypatch.setattr(extension, "_expand_lists", watch_expand)
-        monkeypatch.setattr(ExtensionEngine, "_prune_candidates", watch_prune)
+        monkeypatch.setattr(ExtensionEngine, "_pending_survivors",
+                            watch_pending)
         monkeypatch.setattr(
             ExtensionEngine, "_surviving_candidates", watch_surviving)
         for name in EDGE_WALKS:

@@ -515,6 +515,28 @@ def test_fpm2_builds_each_pair_levels_ranges_once():
     assert all(not part.flags.writeable for part in ranges)
 
 
+def test_fpm2_reads_each_pair_levels_endpoints_once():
+    """FPM-2: the deduplicated pair level reads its level-1 rows' endpoints
+    once, for its ranges, and aggregation's triples take the same arrays;
+    the support filter's narrowed level shares them and reads none."""
+    read = Counter()
+    real = Column._edge_ends
+
+    def spy(column):
+        read[id(column)] += 1
+        return real(column)
+
+    with mock.patch.object(Column, "_edge_ends", spy), \
+            Gamma(_labelled(4), executor=SERIAL_EXECUTOR) as engine:
+        result = frequent_pattern_mining(engine, 2, 20)
+        level_two = engine.shards[0]._tables[0].columns[-1]
+        assert level_two.kept is not None and result.frequent_per_level[-1]
+        ends = level_two.edge_ends()
+    assert list(read.values()) == [1]
+    assert all(a is b for a, b in zip(ends, level_two.edge_ends()))
+    assert all(not part.flags.writeable for part in ends)
+
+
 def test_the_dedup_key_exchange_bills_nothing():
     """At two partitions dedup's key exchange reads each partition's rows
     host-side between ops: each spilled level is read once through the

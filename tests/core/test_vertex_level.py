@@ -263,7 +263,8 @@ class TestKeptPositions:
         """A labelled SM level's lists record where its rows sit in them
         (``values[kept]`` is the column), and the next tail-free level
         reads its holes from that record: the positions a ``searchsorted``
-        of each row's tail in its group's ``L_m`` finds."""
+        of each row's tail in its group's ``L_m`` finds — kept, through
+        its cuts; counted, once per group."""
         seen = Counter()
         groups = []  # the (lm, lm_group) of the level in progress
         extend = ExtensionEngine._extend_vertices_impl
@@ -301,6 +302,19 @@ class TestKeptPositions:
             return slice_cuts(lm_keys, group_of_row, lm_start, lm_len, mats,
                               greater, less, distinct, hole)
 
+        counted_by_group = ExtensionEngine._counted_by_group
+
+        def spy_grouped(self, groups, anchor_deg, carried, *args):
+            lists = carried.lists
+            keys = (lists.rows << 32) | lists.values
+            tails = (carried.parents << 32) | carried.values
+            np.testing.assert_array_equal(
+                lists.positions(), np.searchsorted(keys, tails))
+            seen["grouped"] += 1
+            return counted_by_group(self, groups, anchor_deg, carried, *args)
+
+        monkeypatch.setattr(ExtensionEngine, "_counted_by_group",
+                            spy_grouped)
         monkeypatch.setattr(ExtensionEngine, "_extend_vertices_impl",
                             spy_extend)
         monkeypatch.setattr(ExtensionEngine, "_prefix_lists",
@@ -311,7 +325,7 @@ class TestKeptPositions:
                 assert _sm(3, keep)(gamma)[0] > 0
         # Per run: levels 1 and 2 keep labelled lists, level 3 (tail-free)
         # reads its holes.
-        assert seen["kept"] == 4 and seen["holes"] == 2
+        assert seen["kept"] == 4 and seen["holes"] == seen["grouped"] == 1
 
 
 class TestRowChains:

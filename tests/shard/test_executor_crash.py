@@ -21,6 +21,7 @@ import threading
 import time
 from multiprocessing import Pipe
 
+import numpy as np
 import pytest
 
 from repro.algorithms import count_kcliques, triangle_count
@@ -256,6 +257,35 @@ def test_serve_loop_in_process(graph):
     assert not bad_reply["ok"]
     with pytest.raises(ExecutionError, match="unknown shard command"):
         raise pickle.loads(bad_reply["error"])
+
+
+def test_serve_loop_survives_a_bad_argument(graph):
+    """An exception that is no ``GammaError`` (here aggregation's
+    ``ValueError`` for an unknown support metric) comes back as an
+    ``ExecutionError`` holding the worker's traceback, and the partition
+    keeps serving: its tables and clock are still there."""
+    empty = np.empty(0, dtype=np.int64)
+    status, replies = _serve_on_thread(graph, [
+        {"op": "new_table", "args": {"kind": "edge", "name": "t"}},
+        {"op": "seed_edges", "args": {"table": 0}},
+        {"op": "aggregation", "args": {
+            "table": 0, "support_metric": "median",
+            "pt_codes": empty, "pt_supports": empty}},
+        {"op": "aggregation", "args": {
+            "table": 0, "support_metric": "instances",
+            "pt_codes": empty, "pt_supports": empty}},
+        None,
+    ])
+    assert status == 0
+    __, made, seeded, bad, good = replies
+    assert made["ok"] and seeded["ok"] and not bad["ok"]
+    with pytest.raises(ExecutionError) as info:
+        raise pickle.loads(bad["error"])
+    message = str(info.value)
+    assert "shard worker failed" in message and "Traceback" in message
+    assert "ValueError: support_metric must be one of" in message
+    assert good["ok"] and len(good["value"]["pt_codes"])
+    assert good["clock"] >= bad["clock"] == seeded["clock"]
 
 
 def test_serve_loop_crash_returns_status(graph):

@@ -1,10 +1,17 @@
 """Unit tests for the level-0 frontier partitioning policies."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from repro.algorithms import count_kcliques
+from repro.core import Gamma
 from repro.errors import ExecutionError
 from repro.graph import generators
+from repro.shard import policy as shard_policy
 from repro.shard.policy import (
     EDGE_UNITS,
     SHARD_POLICIES,
@@ -15,6 +22,7 @@ from repro.shard.policy import (
     assign_stealing,
     assign_units,
 )
+from tests.twins import assign_degree_by_argmin
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +105,46 @@ def test_invalid_inputs_raise(skewed_graph):
         assign_units(skewed_graph, 0, VERTEX_UNITS, "static")
     with pytest.raises(ExecutionError):
         assign_units(skewed_graph, 2, "faces", "static")
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_vertices=hst.integers(min_value=1, max_value=60),
+       density=hst.floats(min_value=0.0, max_value=0.4),
+       seed=hst.integers(min_value=0, max_value=2**31 - 1),
+       num_shards=hst.integers(min_value=1, max_value=5),
+       units=hst.sampled_from((VERTEX_UNITS, EDGE_UNITS)))
+def test_degree_heap_equals_the_argmin_walk(num_vertices, density, seed,
+                                            num_shards, units):
+    """LPT through a heap of ``(load, shard)`` assigns every unit as the
+    per-unit ``np.argmin`` walk does, ties to the lowest shard id (equal
+    degrees abound on random graphs)."""
+    pairs = num_vertices * (num_vertices - 1) // 2
+    graph = generators.erdos_renyi(
+        num_vertices, int(density * pairs), seed=seed)
+    np.testing.assert_array_equal(
+        assign_degree(graph, num_shards, units),
+        assign_degree_by_argmin(graph, num_shards, units))
+
+
+@pytest.mark.parametrize("policy", SHARD_POLICIES)
+def test_two_engines_on_one_graph_assign_once(policy):
+    """The assignment is kept on the graph: the second engine's front and
+    partitions, and both of the first's, read the array the first built —
+    once per unit kind — and nobody may write it."""
+    graph = generators.kronecker(6, 4, seed=3)
+    built = []
+    real = shard_policy._POLICY_FNS[policy]
+
+    def spy(graph, num_shards, units):
+        built.append(units)
+        return real(graph, num_shards, units)
+
+    with mock.patch.dict(shard_policy._POLICY_FNS, {policy: spy}):
+        for __ in range(2):
+            with Gamma(graph, num_shards=2, policy=policy,
+                       executor="serial") as engine:
+                count_kcliques(engine, 3)
+        owner = assign_units(graph, 2, VERTEX_UNITS, policy)
+    assert built == [VERTEX_UNITS]
+    assert not owner.flags.writeable
+    assert owner is assign_units(graph, 2, VERTEX_UNITS, policy)

@@ -267,17 +267,40 @@ def charge_ranges_by_reads(region, starts, ends, reads=None, passes=1):
         region._apply_bill(region._range_bill(starts, ends, None))
 
 
-_VERIFIED_BATCHES = ExtensionEngine._verified_batches
+def verified_by_source(engine, mats, source, starts, lengths, sources,
+                       count_only=False):
+    """``ExtensionEngine._verified_batches``: in each row batch, every
+    source's rows expanded and verified on their own, and a kept level's
+    parts merged back by row with a stable sort — also where the sources
+    read the same lists, which the shipped walk expands once, in row
+    order."""
+    sources = [(values, verify, [c for c in distinct if c not in (*listed, *verify)])
+               for values, listed, verify, distinct in sources]
+    for lo, hi in extension._row_batches(lengths):
+        parts = []
+        for idx, (values, verify_cols, distinct_cols) in enumerate(sources):
+            rows = lo + np.flatnonzero(source[lo:hi] == idx)
+            if len(rows):
+                cand, cand_row = engine._expand(
+                    values, starts[rows], lengths[rows], rows)
+                if count_only:
+                    yield (lo, hi, *engine._pending_survivors(
+                        cand, cand_row, mats, verify_cols, distinct_cols))
+                else:
+                    parts.append(engine._prune_candidates(
+                        cand, cand_row, mats, verify_cols, distinct_cols))
+        if not count_only:
+            yield (lo, hi, *extension._merge_by_row(parts), None)
 
 
 def verified_then_merged(engine, mats, source, starts, lengths, sources,
                          count_only=False):
-    """``ExtensionEngine._verified_batches``: a counted level's batches
-    compressed and merged by row as a kept level's are, then counted, and
-    every candidate tested against *all* its source's distinct columns —
-    the listed and verified ones included, which the shipped walk leaves
-    to the graph holding no self loop."""
-    for lo, hi, cand, cand_row, __ in _VERIFIED_BATCHES(
+    """``ExtensionEngine._verified_batches``: :func:`verified_by_source`,
+    with a counted level's batches compressed and merged by row as a kept
+    level's are, then counted, and every candidate tested against *all*
+    its source's distinct columns — the listed and verified ones included,
+    which the shipped walk leaves to the graph holding no self loop."""
+    for lo, hi, cand, cand_row, __ in verified_by_source(
             engine, mats, source, starts, lengths, sources):
         keep = np.ones(len(cand), dtype=bool)
         of_source = source[cand_row]
@@ -285,6 +308,14 @@ def verified_then_merged(engine, mats, source, starts, lengths, sources,
             for col in distinct_cols:
                 keep &= (of_source != idx) | (cand != mats[cand_row, col])
         yield lo, hi, cand[keep], cand_row[keep], None
+
+
+def level_rows_per_row(engine, table, *args):
+    """``ExtensionEngine._level_rows``: every row of the table, read and
+    billed as ``materialize`` bills them, for every level — so a counted
+    level whose tail is not an anchor takes its slices of ``L_m`` and its
+    bill row by row, not once per group."""
+    return table.materialize(), None
 
 
 def device_sort_segments(platform, keys, segment_len):
@@ -451,6 +482,21 @@ def csr_by_lexsort(src, dst, num_vertices, labels=None, name="graph"):
     )
 
 
+def assign_degree_by_argmin(graph, num_shards, units):
+    """``policy.assign_degree``: walk the units heaviest first and give each
+    to ``np.argmin`` of the shards' loads (the lowest id among equals)."""
+    from repro.shard import policy
+
+    weights = policy._unit_weights(graph, units)
+    assignment = np.empty(len(weights), dtype=np.int64)
+    loads = np.zeros(num_shards, dtype=np.int64)
+    for unit in np.argsort(-weights, kind="stable"):
+        shard = int(np.argmin(loads))
+        assignment[unit] = shard
+        loads[shard] += weights[unit]
+    return assignment
+
+
 #: The twins of a vertex level's seams — the occupancy bill and the
 #: counted level's mask — which :func:`vertex_level_twins` installs
 #: alone: under :func:`straight_line` the per-row walk replaces the
@@ -476,7 +522,7 @@ def vertex_level_twins():
 
 
 def straight_line():
-    """Run the enclosed code on the straight-line stack: the nine twins
+    """Run the enclosed code on the straight-line stack: the ten twins
     above installed over their seams (the sort's two phases run on the
     sorted elements), and the hub-row budget and three size thresholds
     dropped to zero so ``has_edges`` binary-searches every probe (no vertex
@@ -487,6 +533,7 @@ def straight_line():
     fresh graph.  The quick-pattern twin replaces the whole grouping, its
     column ranker included, so the ranker's threshold stays.)"""
     return _patched(VERTEX_LEVEL_TWINS + [
+        (ExtensionEngine, "_level_rows", level_rows_per_row),
         (ExtensionEngine, "_prune_candidates", prune_by_mask_cascade),
         (ExtensionEngine, "_surviving_candidates", labelled_min_degree_walk),
         (extension, "_bound_ranges", bound_ranges_by_scan),
